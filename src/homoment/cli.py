@@ -16,6 +16,7 @@ model, 4 internal check failure (``defect-table --check`` mismatch).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -64,7 +65,20 @@ def _parse_moments(text):
         raise InputError(f"--moments expects comma-separated numbers, got {text!r}")
     if not values:
         raise InputError("empty moment vector", code="INPUT_EMPTY")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"--moments must be finite, got {text!r}",
+                         code="INPUT_PARSE")
     return values
+
+
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def read_csv_matrix(path):
@@ -105,8 +119,21 @@ def _emit(text, output):
         print(text)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None, so that the
+    JSON written is valid (no bare ``NaN`` or ``Infinity``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit_json(payload, output):
-    _emit(json.dumps(payload, indent=2), output)
+    _emit(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False),
+          output)
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +291,15 @@ def cmd_simulate(args):
 # ----------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors become input errors: exit 2 with error JSON."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="homoment",
         description="Moment-based analysis and recovery for homoscedastic "
                     "Gaussian mixtures")
@@ -295,7 +329,7 @@ def build_parser():
     fit2.set_defaults(func=cmd_fit2)
 
     fit1d = sub.add_parser("fit1d", help="univariate k-component fit")
-    fit1d.add_argument("--k", type=int, required=True)
+    fit1d.add_argument("--k", type=_positive_int, required=True)
     fit1d.add_argument("--moments", default=None,
                        help="comma-separated m_1..m_2k")
     fit1d.add_argument("--input", default=None, help="single-column CSV")
@@ -305,7 +339,7 @@ def build_parser():
     rank = sub.add_parser("rank-test", help="secant membership ladder")
     rank.add_argument("--moments", required=True,
                       help="comma-separated m_1..m_d with d >= 2*kmax+1")
-    rank.add_argument("--kmax", type=int, required=True)
+    rank.add_argument("--kmax", type=_positive_int, required=True)
     rank.add_argument("--threshold", type=float,
                       default=ranktest.DEFAULT_THRESHOLD)
     rank.add_argument("--output", default=None)
@@ -324,8 +358,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)

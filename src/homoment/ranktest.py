@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _poly
 from . import series as ts
-from .errors import InsufficientOrderError, PreconditionError
+from .errors import InputError, InsufficientOrderError, PreconditionError
 from .estimate import _moment_list, _moment_scale, deconvolve_moments
 
 DEFAULT_THRESHOLD = 1e-8
@@ -195,7 +195,12 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD,
     reports a residual above the threshold.
     """
     m = _moment_list(moments)
-    pencil = hankel_pencil(m, k, d=d)
+    return _pencil_membership(m, hankel_pencil(m, k, d=d), threshold,
+                              minor_scales)
+
+
+def _pencil_membership(m, pencil, threshold, minor_scales):
+    """``secant_membership`` on an already expanded pencil of ``m``."""
     if minor_scales is None:
         base = _moment_scale(m)
         minor_scales = [base ** w for w in pencil.weights]
@@ -226,7 +231,7 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD,
     mixed = combo @ np.asarray(padded)
     res = sylvester_resultant(list(mixed[0]), list(mixed[1]))
     return MembershipVerdict(
-        k=k, on_model=bool(residual < threshold), residual=residual,
+        k=pencil.k, on_model=bool(residual < threshold), residual=residual,
         witness_s=witness, threshold=float(threshold),
         resultant=float("nan") if res is None else res,
         nminors=pencil.nminors)
@@ -259,29 +264,59 @@ def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
 # noise-calibrated component count for sample data
 
 
-def raw_moments(data, order):
-    """First ``order`` raw sample moments of a flat data vector."""
+def _sample_vector(data):
     arr = np.asarray(data, dtype=float).ravel()
     if arr.size == 0:
         raise InsufficientOrderError("empty sample")
-    return [float(np.mean(arr ** j)) for j in range(1, order + 1)]
+    if not np.all(np.isfinite(arr)):
+        raise InputError("data contains non-finite values", code="INPUT_PARSE")
+    return arr
 
 
-def bootstrap_minor_scales(data, k, witness_s, n_boot=32, seed=0, d=None):
+def _power_sums(arr, order, counts=None):
+    """``sum(counts * arr**j)`` for j = 1..order (``counts`` defaults to
+    ones), by running products in one buffer: no ``pow`` and no table of
+    powers."""
+    term = arr.copy() if counts is None else counts * arr
+    sums = [float(term.sum())]
+    for _ in range(order - 1):
+        term *= arr
+        sums.append(float(term.sum()))
+    return sums
+
+
+def raw_moments(data, order):
+    """First ``order`` raw sample moments of a flat data vector."""
+    arr = _sample_vector(data)
+    return [s / arr.size for s in _power_sums(arr, order)]
+
+
+def bootstrap_minor_scales(data, witnesses, n_boot=32, seed=0, d=None):
     """Sampling noise of each pencil minor at a fixed variance, estimated
-    by the nonparametric bootstrap of the data."""
-    arr = np.asarray(data, dtype=float).ravel()
-    order = 2 * k if d is None else d
+    by the nonparametric bootstrap of the data.
+
+    ``witnesses`` maps each k to the variance its minors are evaluated
+    at; the result maps each k to one noise level per minor.  The
+    ``n_boot`` resamples are drawn once and shared by every k.  A
+    resample enters through its multiplicities, so its moments are
+    weighted power sums of the original data.  ``d`` is the moment order
+    (default ``2 * max(k)``).
+    """
+    arr = _sample_vector(data)
+    order = 2 * max(witnesses) if d is None else d
     rng = np.random.default_rng(seed)
-    samples = []
+    samples = {k: [] for k in witnesses}
     for _ in range(n_boot):
         pick = rng.integers(0, arr.size, arr.size)
-        m_b = raw_moments(arr[pick], order)
-        samples.append([float(v) for v in
-                        pencil_minor_values(m_b, k, witness_s)])
-    spread = np.std(np.asarray(samples), axis=0, ddof=1)
+        counts = np.bincount(pick, minlength=arr.size)
+        m_b = [s / arr.size for s in _power_sums(arr, order, counts)]
+        for k, witness_s in witnesses.items():
+            samples[k].append([float(v) for v in
+                               pencil_minor_values(m_b, k, witness_s)])
     floor = 1e-300
-    return [max(float(s), floor) for s in spread]
+    return {k: [max(float(s), floor) for s in
+                np.std(np.asarray(rows), axis=0, ddof=1)]
+            for k, rows in samples.items()}
 
 
 def estimate_components_from_data(data, k_max, n_boot=32, factor=25.0,
@@ -291,20 +326,18 @@ def estimate_components_from_data(data, k_max, n_boot=32, factor=25.0,
     Each minor is whitened by its bootstrap noise level, making the
     on-model residual an order-nminors quantity regardless of sample
     size; ``factor * nminors`` then separates sampling noise from real
-    model violation.  Returns ``(k_hat, verdicts)``.
+    model violation.  Every k shares one set of ``n_boot`` resamples,
+    seeded by ``seed``.  Returns ``(k_hat, verdicts)``.
     """
     arr = np.asarray(data, dtype=float).ravel()
     order = 2 * k_max + 1
     m = raw_moments(arr, order)
-    verdicts = []
-    k_hat = k_max + 1
-    for k in range(1, k_max + 1):
-        first = secant_membership(m, k)
-        scales = bootstrap_minor_scales(arr, k, first.witness_s,
-                                        n_boot=n_boot, seed=seed, d=order)
-        verdict = secant_membership(m, k, threshold=factor * first.nminors,
-                                    minor_scales=scales)
-        verdicts.append(verdict)
-        if verdict.on_model and k_hat > k_max:
-            k_hat = k
+    pencils = [hankel_pencil(m, k) for k in range(1, k_max + 1)]
+    first = [_pencil_membership(m, p, DEFAULT_THRESHOLD, None)
+             for p in pencils]
+    scales = bootstrap_minor_scales(arr, {v.k: v.witness_s for v in first},
+                                    n_boot=n_boot, seed=seed, d=order)
+    verdicts = [_pencil_membership(m, p, factor * v.nminors, scales[p.k])
+                for p, v in zip(pencils, first)]
+    k_hat = next((v.k for v in verdicts if v.on_model), k_max + 1)
     return k_hat, verdicts

@@ -16,6 +16,16 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the bare NaN/Infinity of Python's
+    encoder."""
+    return json.loads(text, parse_constant=_no_constants)
+
+
 class TestDefectTable:
     def test_single_row_text(self, capsys):
         code, out, err = run(["defect-table", "--n", "2", "--k", "2",
@@ -180,6 +190,20 @@ class TestFit1d:
         code, _, _ = run(["fit1d", "--k", "1", "--input", str(data)], capsys)
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_non_positive_k_is_input_error(self, capsys, k):
+        code, out, err = run(["fit1d", "--k", k, "--moments", "1,3"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--k" in strict_json(err)["error"]["message"]
+
+    def test_non_finite_csv_cell(self, capsys, tmp_path):
+        data = tmp_path / "nan.csv"
+        data.write_text("1.0\nnan\n2.0\n")
+        code, _, err = run(["fit1d", "--k", "1", "--input", str(data)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
 
 class TestRankTest:
     def test_two_mixture_counted(self, capsys):
@@ -205,6 +229,30 @@ class TestRankTest:
                            capsys)
         assert code == cli.EXIT_INPUT
         assert json.loads(err)["error"]["code"] == "INSUFFICIENT_ORDER"
+
+
+    @pytest.mark.parametrize("moments", ["nan,2,3", "1,inf,3", "1,2,-inf"])
+    def test_non_finite_moments(self, capsys, moments):
+        code, out, err = run(["rank-test", "--kmax", "1", "--moments",
+                              moments], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    def test_zero_kmax_is_input_error(self, capsys):
+        code, out, err = run(["rank-test", "--kmax", "0", "--moments",
+                              "1,2,3"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--kmax" in strict_json(err)["error"]["message"]
+
+    def test_degenerate_resultant_is_null(self, capsys):
+        # the scaled pencil is numerically constant, so Sylvester degenerates
+        code, out, _ = run(["rank-test", "--kmax", "1", "--moments",
+                            "0,1e14,0"], capsys)
+        assert code == 0
+        verdict, = strict_json(out)["verdicts"]
+        assert verdict["resultant"] is None
 
 
 class TestSeedEnvironment:

@@ -4,12 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_fraction, univariate_moments
 from homoment import estimate, models, ranktest
 from homoment._poly import poly_eval
-from homoment.errors import InsufficientOrderError
+from homoment.errors import InputError, InsufficientOrderError
 
 
 def _two_mixture_cumulants(lam, t, order=5):
@@ -178,6 +179,72 @@ class TestComponentCount:
                                        cov=[[2.0]])
         gdata = models.sample_mixture(g, 100_000, seed=12)
         assert ranktest.estimate_components_from_data(gdata, 3, seed=1)[0] == 1
+
+
+def _gathered_scales(arr, k, witness_s, n_boot, seed, d):
+    """Bootstrap noise levels computed the direct way: gather each
+    resample and take its moments with ``raw_moments``."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n_boot):
+        pick = rng.integers(0, arr.size, arr.size)
+        m_b = ranktest.raw_moments(arr[pick], d)
+        samples.append(ranktest.pencil_minor_values(m_b, k, witness_s))
+    return list(np.std(np.asarray(samples, dtype=float), axis=0, ddof=1))
+
+
+class TestSampleMoments:
+    DATA = np.random.default_rng(3).normal(0.4, 1.5, 2_000)
+
+    def test_raw_moments_match_powers_on_mixed_signs(self):
+        got = ranktest.raw_moments(self.DATA, 7)
+        want = [float(np.mean(self.DATA ** j)) for j in range(1, 8)]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_resample_moments_match_gathered(self):
+        arr = self.DATA[:300]
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            pick = rng.integers(0, arr.size, arr.size)
+            counts = np.bincount(pick, minlength=arr.size)
+            weighted = [s / arr.size
+                        for s in ranktest._power_sums(arr, 5, counts)]
+            assert weighted == pytest.approx(
+                ranktest.raw_moments(arr[pick], 5), rel=1e-12)
+
+    def test_bootstrap_matches_gathered_resamples(self):
+        arr = self.DATA[:300]
+        scales = ranktest.bootstrap_minor_scales(arr, {2: 0.5}, n_boot=8,
+                                                 seed=2, d=5)
+        assert scales[2] == pytest.approx(
+            _gathered_scales(arr, 2, 0.5, 8, 2, 5), rel=1e-9)
+
+    def test_shared_resamples_match_single_k(self):
+        arr = self.DATA[:500]
+        both = ranktest.bootstrap_minor_scales(arr, {1: 1.2, 2: 0.7},
+                                               n_boot=6, seed=9, d=5)
+        for k, witness_s in ((1, 1.2), (2, 0.7)):
+            alone = ranktest.bootstrap_minor_scales(arr, {k: witness_s},
+                                                    n_boot=6, seed=9, d=5)
+            assert both[k] == alone[k]
+
+    def test_count_repeats_for_a_seed(self):
+        p = models.HomoscedasticParams(means=[[0.0], [2.5]],
+                                       weights=[0.35, 0.65], cov=[[0.5]])
+        data = models.sample_mixture(p, 20_000, seed=4)
+        first = ranktest.estimate_components_from_data(data, 2, seed=7)
+        again = ranktest.estimate_components_from_data(data, 2, seed=7)
+        assert first == again
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        data = self.DATA.copy()
+        data[17] = bad
+        for call in (lambda: ranktest.raw_moments(data, 3),
+                     lambda: ranktest.estimate_components_from_data(data, 1)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert exc.value.code == "INPUT_PARSE"
 
 
 class TestResultantCrossCheck:
