@@ -21,7 +21,6 @@ from .estimate import (
 )
 from .geometry import (
     DefectReport,
-    VeroneseReport,
     defect_report,
     predicted_defect_order3,
     veronese_report,
@@ -65,7 +64,6 @@ __all__ = [
     "SingularSystemError",
     "SymmetricMixtureError",
     "TruncatedSeries",
-    "VeroneseReport",
     "defect_report",
     "estimate_components",
     "fit_two_gaussians",

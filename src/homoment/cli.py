@@ -81,6 +81,18 @@ def _positive_int(text):
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _positive_float(text):
+    """argparse type for thresholds that must be finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value > 0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"expected a finite positive number, got {text!r}")
+
+
 def read_csv_matrix(path):
     """Numeric rows from a CSV file; one optional header line is skipped."""
     try:
@@ -152,8 +164,9 @@ def _table_cells(ns, ks, ds, seed, jobs):
             k_list = ks if ks is not None else geometry.default_k_range(n, d)
             for k in k_list:
                 cells.append((n, k, d, seed))
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_cell, cells))
     return [_cell(c) for c in cells]
 
@@ -317,8 +330,9 @@ def build_parser():
                             "and the published table")
     table.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
-    table.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers (cells are independent)")
+    table.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers (cells are independent), at "
+                            "most one per CPU and per cell")
     table.add_argument("--output", default=None)
     table.set_defaults(func=cmd_defect_table)
 
@@ -340,7 +354,7 @@ def build_parser():
     rank.add_argument("--moments", required=True,
                       help="comma-separated m_1..m_d with d >= 2*kmax+1")
     rank.add_argument("--kmax", type=_positive_int, required=True)
-    rank.add_argument("--threshold", type=float,
+    rank.add_argument("--threshold", type=_positive_float,
                       default=ranktest.DEFAULT_THRESHOLD)
     rank.add_argument("--output", default=None)
     rank.set_defaults(func=cmd_rank_test)

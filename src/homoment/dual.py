@@ -97,9 +97,6 @@ class Dual:
         return Dual(self.value / other,
                     {i: x / other for i, x in self.grad.items()})
 
-    def __rtruediv__(self, other):
-        return Dual(_as_value(other)) / self
-
     # ------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -109,9 +106,6 @@ class Dual:
 
     def __bool__(self):
         return bool(self.value) or bool(self.grad)
-
-    def partial(self, index):
-        return self.grad.get(index, _ZERO)
 
     def __repr__(self):
         return f"Dual({self.value}, {self.grad})"

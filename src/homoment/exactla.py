@@ -7,24 +7,35 @@ floating tolerance.  Matrices are plain nested lists of ``Fraction`` or
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+
+from .errors import PreconditionError
 
 
 def _integer_rows(matrix):
-    """Copy ``matrix`` scaling each row to integers (rank preserving)."""
+    """Copy ``matrix`` scaling each row to integers (rank preserving).
+
+    Returns the integer rows and the factor each row was multiplied by.
+    """
     rows = []
+    scales = []
     for row in matrix:
         den = 1
         for x in row:
             if isinstance(x, Fraction):
                 den = lcm(den, x.denominator)
+            elif not isinstance(x, int):
+                raise PreconditionError(
+                    f"exact linear algebra needs int or Fraction entries, "
+                    f"got {type(x).__name__} {x!r}")
         rows.append([int(x * den) if den > 1 else int(x) for x in row])
-    return rows
+        scales.append(den)
+    return rows, scales
 
 
 def rank(matrix):
     """Exact rank via fraction-free elimination with row pivoting."""
-    m = _integer_rows(matrix)
+    m, _ = _integer_rows(matrix)
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -58,15 +69,7 @@ def det(matrix):
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    scale = Fraction(1)
-    m = []
-    for row in matrix:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        scale *= den
-        m.append([int(x * den) if den > 1 else int(x) for x in row])
+    m, scales = _integer_rows(matrix)
     sign = 1
     prev = 1
     for c in range(n - 1):
@@ -85,4 +88,4 @@ def det(matrix):
                 row[j] = (pivot * row[j] - f * top[j]) // prev
             row[c] = 0
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], prod(scales))

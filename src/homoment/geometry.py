@@ -64,43 +64,36 @@ def _mix_seed(seed, n, k, d, trial):
 # Jacobians at exact points
 
 
-def _moment_columns(n, d):
-    return [a for a in ts.multi_indices(n, d) if sum(a) >= 1]
+def _moment_columns(n, d, lowest=1):
+    return [a for a in ts.multi_indices(n, d) if sum(a) >= lowest]
 
 
-def moment_map_jacobian(params, degree):
-    """Exact Jacobian of all moment coordinates of order 1..degree.
+def _draw(rng, count):
+    return [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(count)]
 
-    Rows follow the free parameters: the k*n mean coordinates, the first
-    k-1 weights (the last weight is eliminated as one minus their sum),
-    then the upper triangle of the covariance.  Entries are Fractions.
-    ``params`` must have rational entries.
-    """
-    n, k = params.nvars, params.ncomponents
-    idx = 0
-    means = []
-    for i in range(k):
-        row = []
-        for j in range(n):
-            row.append(Dual.variable(params.means[i][j], idx))
-            idx += 1
-        means.append(row)
-    weights = [Dual.variable(params.weights[i], idx + i) for i in range(k - 1)]
-    idx += k - 1
-    last = Dual(Fraction(1))
-    for w in weights:
-        last = last - w
-    weights.append(last)
-    cov = [[None] * n for _ in range(n)]
+
+def _seeded(values):
+    """One dual variable per free parameter, indexed in order."""
+    return [Dual.variable(v, i) for i, v in enumerate(values)]
+
+
+def _chunks(values, size):
+    return [values[i:i + size] for i in range(0, len(values), size)]
+
+
+def _all_weights(free):
+    """The free weights and the last one, eliminated as one minus their sum."""
+    return free + [1 - sum(free)]
+
+
+def _symmetric(upper, n):
+    """Symmetric n x n matrix from its upper triangle in row-major order."""
+    entries = iter(upper)
+    m = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = Dual.variable(params.cov[i][j], idx)
-            idx += 1
-            cov[i][j] = entry
-            cov[j][i] = entry
-    point = models.HomoscedasticParams(means=means, weights=weights, cov=cov)
-    image = models.homoscedastic_moments(point, degree)
-    return _gradient_matrix(image, _moment_columns(n, degree), idx)
+            m[i][j] = m[j][i] = next(entries)
+    return m
 
 
 def _gradient_matrix(image, cols, nparams):
@@ -113,29 +106,72 @@ def _gradient_matrix(image, cols, nparams):
     return jac
 
 
-def _random_mixture_point(n, k, rng):
+def moment_map_jacobian(params, degree):
+    """Exact Jacobian of all moment coordinates of order 1..degree.
+
+    Rows follow the free parameters: the k*n mean coordinates, the first
+    k-1 weights (the last weight is eliminated as one minus their sum),
+    then the upper triangle of the covariance.  Entries are Fractions.
+    ``params`` must have rational entries.
+    """
+    n, k = params.nvars, params.ncomponents
+    upper = [params.cov[i][j] for i in range(n) for j in range(i, n)]
+    seeds = _seeded([x for mean in params.means for x in mean]
+                    + list(params.weights[:k - 1]) + upper)
+    point = models.HomoscedasticParams(
+        means=_chunks(seeds[:n * k], n),
+        weights=_all_weights(seeds[n * k:n * k + k - 1]),
+        cov=_symmetric(seeds[n * k + k - 1:], n))
+    image = models.homoscedastic_moments(point, degree)
+    return _gradient_matrix(image, _moment_columns(n, degree), len(seeds))
+
+
+def _mixture_jacobian(n, k, d, rng):
     while True:
-        means = [tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(n))
-                 for _ in range(k)]
-        if len(set(means)) == k:
+        means = _chunks(_draw(rng, k * n), n)
+        if len(set(map(tuple, means))) == k:
             break
-    free = [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(k - 1)]
-    weights = free + [1 - sum(free)]
-    if any(w == 0 for w in weights):
-        return _random_mixture_point(n, k, rng)
-    cov = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            cov[i][j] = cov[j][i] = rng.randint(-COORD_BOUND, COORD_BOUND)
-    return models.HomoscedasticParams(means=means, weights=weights, cov=cov)
+    weights = _all_weights(_draw(rng, k - 1))
+    if 0 in weights:
+        return _mixture_jacobian(n, k, d, rng)
+    cov = _symmetric(_draw(rng, n * (n + 1) // 2), n)
+    params = models.HomoscedasticParams(means=means, weights=weights, cov=cov)
+    return moment_map_jacobian(params, d)
 
 
-def _generic_rank(sample_rank, seed, n, k, d):
-    ranks = []
-    for trial in range(2):
-        ranks.append(sample_rank(random.Random(_mix_seed(seed, n, k, d, trial))))
+def _centered_jacobian(n, k, d, rng):
+    # free coordinates of the centered atom space: k-1 atoms and k-1
+    # weights; the last weight and atom are eliminated by the constraints
+    values = _draw(rng, (k - 1) * (n + 1))
+    if sum(values[(k - 1) * n:]) == 1:  # the last weight would be zero
+        return _centered_jacobian(n, k, d, rng)
+    seeds = _seeded(values)
+    points = _chunks(seeds[:(k - 1) * n], n)
+    weights = _all_weights(seeds[(k - 1) * n:])
+    last_point = [-sum(w * p[j] for w, p in zip(weights, points)) / weights[-1]
+                  for j in range(n)]
+    atoms = models.CenteredDiracParams(points=points + [last_point],
+                                       weights=weights)
+    image = models.dirac_higher_cumulants(atoms, d)
+    return _gradient_matrix(image, _moment_columns(n, d, lowest=3), len(seeds))
+
+
+def _veronese_jacobian(n, k, d, rng):
+    seeds = _seeded(_draw(rng, k * n + k - 1))
+    atoms = models.DiracMixtureParams(points=_chunks(seeds[:k * n], n),
+                                      weights=_all_weights(seeds[k * n:]))
+    image = models.dirac_mixture_moments(atoms, d)
+    return _gradient_matrix(image, _moment_columns(n, d), len(seeds))
+
+
+def _generic_rank(jacobian_at, seed, n, k, d):
+    def rank_at(trial):
+        rng = random.Random(_mix_seed(seed, n, k, d, trial))
+        return rank(jacobian_at(n, k, d, rng))
+
+    ranks = [rank_at(0), rank_at(1)]
     if ranks[0] != ranks[1]:
-        ranks.append(sample_rank(random.Random(_mix_seed(seed, n, k, d, 2))))
+        ranks.append(rank_at(2))
     return max(ranks), len(ranks)
 
 
@@ -145,7 +181,7 @@ def _generic_rank(sample_rank, seed, n, k, d):
 
 @dataclass(frozen=True)
 class DefectReport:
-    """One classification row for a homoscedastic secant variety."""
+    """One dimension/defect row for a secant variety."""
 
     n: int
     k: int
@@ -173,32 +209,9 @@ class DefectReport:
         }
 
 
-@dataclass(frozen=True)
-class VeroneseReport:
-    """Dimension data for a plain (Dirac mixture) secant variety."""
-
-    n: int
-    k: int
-    d: int
-    par: int
-    ambient: int
-    dim: int
-    fiber_dim: int
-    defect: int
-    points: int
-    seed: int
-
-
-def defect_report(n, k, d, seed=0):
-    """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
-    _check_envelope(n, k, d)
-    par = parameter_count(n, k)
+def _report(n, k, d, par, jacobian_at, seed):
     ambient = ambient_dim(n, d)
-
-    def sample_rank(rng):
-        return rank(moment_map_jacobian(_random_mixture_point(n, k, rng), d))
-
-    dim, points = _generic_rank(sample_rank, seed, n, k, d)
+    dim, points = _generic_rank(jacobian_at, seed, n, k, d)
     fiber = par - dim
     return DefectReport(n=n, k=k, d=d, par=par, ambient=ambient,
                         expected=min(par, ambient), dim=dim, fiber_dim=fiber,
@@ -206,39 +219,10 @@ def defect_report(n, k, d, seed=0):
                         points=points, seed=seed)
 
 
-def _random_centered_jacobian(n, k, d, rng):
-    # free coordinates of the centered atom space: k-1 weights and k-1
-    # atoms; the last weight and atom are eliminated by the constraints
-    idx = 0
-    points = []
-    for _ in range(k - 1):
-        row = []
-        for _ in range(n):
-            row.append(Dual.variable(rng.randint(-COORD_BOUND, COORD_BOUND), idx))
-            idx += 1
-        points.append(row)
-    free = []
-    for _ in range(k - 1):
-        w = rng.randint(-COORD_BOUND, COORD_BOUND)
-        free.append(Dual.variable(w, idx))
-        idx += 1
-    last = Dual(Fraction(1))
-    for w in free:
-        last = last - w
-    if last.value == 0:
-        return _random_centered_jacobian(n, k, d, rng)
-    weights = free + [last]
-    last_point = []
-    for j in range(n):
-        acc = Dual(Fraction(0))
-        for i in range(k - 1):
-            acc = acc + weights[i] * points[i][j]
-        last_point.append(-acc / last)
-    atoms = models.CenteredDiracParams(points=points + [last_point],
-                                       weights=weights)
-    image = models.dirac_higher_cumulants(atoms, d)
-    cols = [a for a in ts.multi_indices(n, d) if sum(a) >= 3]
-    return _gradient_matrix(image, cols, idx)
+def defect_report(n, k, d, seed=0):
+    """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
+    _check_envelope(n, k, d)
+    return _report(n, k, d, parameter_count(n, k), _mixture_jacobian, seed)
 
 
 def centered_cumulant_rank(n, k, d, seed=0):
@@ -250,44 +234,13 @@ def centered_cumulant_rank(n, k, d, seed=0):
     _check_envelope(n, k, d)
     if k == 1:
         return 0
-
-    def sample_rank(rng):
-        return rank(_random_centered_jacobian(n, k, d, rng))
-
-    value, _ = _generic_rank(sample_rank, seed, n, k, d)
-    return value
+    return _generic_rank(_centered_jacobian, seed, n, k, d)[0]
 
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
     _check_envelope(n, k, d, k_max=MAX_K_VERONESE)
-    par = n * k + k - 1
-    ambient = ambient_dim(n, d)
-
-    def sample_rank(rng):
-        idx = 0
-        points = []
-        for _ in range(k):
-            row = []
-            for _ in range(n):
-                row.append(Dual.variable(rng.randint(-COORD_BOUND, COORD_BOUND), idx))
-                idx += 1
-            points.append(row)
-        free = [Dual.variable(rng.randint(-COORD_BOUND, COORD_BOUND), idx + i)
-                for i in range(k - 1)]
-        last = Dual(Fraction(1))
-        for w in free:
-            last = last - w
-        atoms = models.DiracMixtureParams(points=points, weights=free + [last])
-        image = models.dirac_mixture_moments(atoms, d)
-        return rank(_gradient_matrix(image, _moment_columns(n, d), idx + k - 1))
-
-    dim, points = _generic_rank(sample_rank, seed, n, k, d)
-    fiber = par - dim
-    return VeroneseReport(n=n, k=k, d=d, par=par, ambient=ambient, dim=dim,
-                          fiber_dim=fiber,
-                          defect=fiber - max(par - ambient, 0),
-                          points=points, seed=seed)
+    return _report(n, k, d, n * k + k - 1, _veronese_jacobian, seed)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,47 @@ class TestDefectTable:
         assert code == 0
         assert serial.read_text() == parallel.read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_non_positive_jobs_is_input_error(self, capsys, jobs):
+        code, out, err = run(["defect-table", "--n", "1", "--jobs", jobs],
+                             capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--jobs" in strict_json(err)["error"]["message"]
+
+    @pytest.mark.parametrize("jobs,ks,cpus,workers", [
+        ("64", "1..3", 8, 3),        # one worker per cell
+        ("64", "1..12", 4, 4),       # one worker per CPU
+        ("2", "1..12", 4, 2),
+        ("64", "1..12", 1, None),    # one CPU: no pool
+        ("64", "1..12", None, None),  # CPU count unknown: no pool
+    ])
+    def test_jobs_clamped_to_cpus_and_cells(self, capsys, monkeypatch,
+                                            jobs, ks, cpus, workers):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(["defect-table", "--n", "1", "--k", ks,
+                            "--jobs", jobs, "--format", "csv"], capsys)
+        assert code == 0
+        lo, hi = (int(x) for x in ks.split(".."))
+        assert len(out.strip().splitlines()) == 1 + hi - lo + 1
+        assert pools == ([] if workers is None else [workers])
+
 
 class TestSimulateAndFit2:
     PARAMS = {
@@ -245,6 +286,22 @@ class TestRankTest:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert "--kmax" in strict_json(err)["error"]["message"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_non_positive_threshold_is_input_error(self, capsys, threshold):
+        code, out, err = run(["rank-test", "--kmax", "1", "--moments",
+                              "1,3,7", "--threshold", threshold], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--threshold" in strict_json(err)["error"]["message"]
+
+    def test_threshold_accepted(self, capsys):
+        code, out, _ = run(["rank-test", "--kmax", "1", "--moments",
+                            "1,3,7", "--threshold", "1e-6"], capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["estimated_components"] == 1
+        assert payload["verdicts"][0]["threshold"] == 1e-6
 
     def test_degenerate_resultant_is_null(self, capsys):
         # the scaled pencil is numerically constant, so Sylvester degenerates

@@ -31,6 +31,14 @@ class TestExactLinearAlgebra:
         swapped = [m[1], m[0], m[2], m[3]]
         assert det(swapped) == -det(m)
 
+    @pytest.mark.parametrize("compute,matrix", [
+        (rank, [[0.5, 0.5], [0.5, 0.5]]),
+        (det, [[0.5]]),
+    ])
+    def test_float_entries_rejected(self, compute, matrix):
+        with pytest.raises(PreconditionError):
+            compute(matrix)
+
 
 class TestMomentJacobian:
     def test_single_gaussian_has_full_parameter_rank(self):
@@ -46,6 +54,16 @@ class TestMomentJacobian:
             cov=((0, 0), (0, 0)))
         degenerate = rank(geometry.moment_map_jacobian(point, 3))
         assert degenerate < geometry.defect_report(2, 2, 3, seed=0).dim
+
+    def test_first_point_is_pinned(self):
+        # the Jacobian at the first random point of (n, k, d) = (1, 2, 3);
+        # any change to the order of random draws changes it
+        rng = random.Random(geometry._mix_seed(0, 1, 2, 3, 0))
+        jac = geometry._mixture_jacobian(1, 2, 3, rng)
+        assert jac == [[-956, -922540, -444730244],
+                       [957, -562716, Fraction(330085569, 2)],
+                       [1553, Fraction(585481, 2), Fraction(549038302, 3)],
+                       [0, Fraction(1, 2), -742628]]
 
     def test_rank_stable_across_seeds(self):
         a = geometry.defect_report(2, 3, 3, seed=0)
@@ -63,6 +81,12 @@ class TestDefectReports:
     ])
     def test_reference_rows(self, n, k, row):
         assert geometry.defect_report(n, k, 3, seed=0).as_row() == row
+
+    def test_report_is_pinned(self):
+        assert geometry.defect_report(3, 3, 3, seed=0).as_dict() == {
+            "n": 3, "k": 3, "d": 3, "par": 17, "ambient": 19,
+            "expected": 17, "dim": 15, "defect": 2, "fiber_dim": 2,
+            "points": 2, "seed": 0}
 
     def test_envelope_guard(self):
         with pytest.raises(PreconditionError):
@@ -105,6 +129,13 @@ class TestCenteredCumulantRank:
 
 
 class TestVeronese:
+    def test_report_type(self):
+        v = geometry.veronese_report(2, 5, 4, seed=0)
+        assert isinstance(v, geometry.DefectReport)
+        assert (v.par, v.ambient) == (14, 14)
+        assert v.expected == min(v.par, v.ambient)
+        assert v.as_row() == (2, 5, 4, 14, 14, 14, 13, 1, 1)
+
     def test_sporadic_quartic_defect(self):
         v = geometry.veronese_report(2, 5, 4, seed=0)
         assert v.defect == 1
