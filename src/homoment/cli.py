@@ -163,6 +163,8 @@ def _table_cells(ns, ks, ds, seed, jobs):
         for d in ds:
             k_list = ks if ks is not None else geometry.default_k_range(n, d)
             for k in k_list:
+                # fail on the first bad cell before any row is computed
+                geometry.check_envelope(n, k, d)
                 cells.append((n, k, d, seed))
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:

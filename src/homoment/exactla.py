@@ -1,15 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra: rank over GF(p) and determinant over Q.
 
-Rank and determinant are computed with fraction-free (Bareiss) Gaussian
-elimination after clearing denominators, so conclusions never depend on a
-floating tolerance.  Matrices are plain nested lists of ``Fraction`` or
-``int`` entries; sizes here stay in the low hundreds.
+Matrices are plain nested lists of ``Fraction`` or ``int`` entries; sizes
+here stay in the low hundreds.  Each row is first scaled to integers,
+which preserves rank.  Rank is then Gaussian elimination modulo a prime
+``p`` below 2**31 on numpy ``int64`` rows, so the product of two residues
+never overflows.  For an integer matrix the rank mod p is at most the rank
+over Q, so a rank computed here is a certified lower bound; the two differ
+only when p divides every r x r minor, r being the rank over Q.  The
+determinant stays exact over Q (fraction-free Bareiss elimination),
+because callers need its value, not only whether it vanishes.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
+import numpy as np
+
 from .errors import PreconditionError
+
+# Distinct primes below 2**31: one per random point of a generic-rank test.
+PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 def _integer_rows(matrix):
@@ -28,34 +38,39 @@ def _integer_rows(matrix):
                 raise PreconditionError(
                     f"exact linear algebra needs int or Fraction entries, "
                     f"got {type(x).__name__} {x!r}")
-        rows.append([int(x * den) if den > 1 else int(x) for x in row])
+        rows.append([x * den if isinstance(x, int)
+                     else x.numerator * (den // x.denominator) for x in row])
         scales.append(den)
     return rows, scales
 
 
-def rank(matrix):
-    """Exact rank via fraction-free elimination with row pivoting."""
-    m, _ = _integer_rows(matrix)
-    if not m:
+def rank(matrix, p=PRIMES[0]):
+    """Rank over GF(p) of ``matrix`` with its rows scaled to integers.
+
+    A lower bound on the rank r over Q, equal to it unless p divides
+    every r x r minor of the scaled matrix.  ``p`` must be a prime below
+    2**31.
+    """
+    if not 2 <= p < 2**31:
+        raise PreconditionError(
+            f"rank needs a prime modulus below 2**31, got {p}")
+    rows, _ = _integer_rows(matrix)
+    if not rows:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
+    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    nrows, ncols = m.shape
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
+        nonzero = np.flatnonzero(m[r:, c])
+        if nonzero.size == 0:
             continue
+        pivot_row = r + nonzero[0]
         if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        top = m[r]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-            row[c] = 0
-        prev = pivot
+            m[[r, pivot_row]] = m[[pivot_row, r]]
+        top = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        below = m[r + 1:, c:]
+        below -= np.outer(below[:, 0], top)
+        below %= p
         r += 1
         if r == nrows:
             break

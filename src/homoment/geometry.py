@@ -4,11 +4,13 @@ The dimension of a parametrized variety equals the rank of the Jacobian
 of its parametrization at a general point.  Ranks here are computed
 exactly: parameters are seeded as dual numbers with ``Fraction`` values at
 random integer points, pushed through the forward maps of
-:mod:`homoment.models`, and the resulting rational Jacobian is reduced by
-fraction-free elimination.  The rank at any point lower-bounds the
-generic rank, and agreement across independent random points makes the
-bound sharp with overwhelming probability, so reports take the maximum
-over at least two points and draw a third when the first two disagree.
+:mod:`homoment.models`, and the resulting rational Jacobian is ranked over
+GF(p), with its own prime below 2**31 for each point.  The rank mod p of
+the Jacobian at a point is at most its rank over Q, which is at most the
+generic rank, so every point gives a certified lower bound.  By the
+Schwartz-Zippel lemma the bound is sharp with overwhelming probability,
+so reports take the maximum over at least two points and draw a third
+when the first two disagree.
 
 The module also carries two pieces of reference data: the published
 classification table of the order-3 homoscedastic secants for up to
@@ -24,7 +26,7 @@ from . import models
 from . import series as ts
 from .dual import Dual
 from .errors import PreconditionError
-from .exactla import rank
+from .exactla import PRIMES, rank
 
 MAX_N = 8
 MAX_D = 6
@@ -48,7 +50,8 @@ def ambient_dim(n, d):
     return num // den - 1
 
 
-def _check_envelope(n, k, d, k_max=MAX_K):
+def check_envelope(n, k, d, k_max=MAX_K):
+    """Raise PreconditionError unless (n, k, d) is a cell exact rank covers."""
     if not (1 <= n <= MAX_N and 1 <= k <= k_max and 1 <= d <= MAX_D):
         raise PreconditionError(
             f"(n={n}, k={k}, d={d}) outside the supported envelope "
@@ -167,7 +170,7 @@ def _veronese_jacobian(n, k, d, rng):
 def _generic_rank(jacobian_at, seed, n, k, d):
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
-        return rank(jacobian_at(n, k, d, rng))
+        return rank(jacobian_at(n, k, d, rng), PRIMES[trial])
 
     ranks = [rank_at(0), rank_at(1)]
     if ranks[0] != ranks[1]:
@@ -221,7 +224,7 @@ def _report(n, k, d, par, jacobian_at, seed):
 
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
-    _check_envelope(n, k, d)
+    check_envelope(n, k, d)
     return _report(n, k, d, parameter_count(n, k), _mixture_jacobian, seed)
 
 
@@ -231,7 +234,7 @@ def centered_cumulant_rank(n, k, d, seed=0):
     The mixture fiber dimension equals (k-1)(n+1) minus this rank, which
     cross-checks :func:`defect_report` on a much smaller Jacobian.
     """
-    _check_envelope(n, k, d)
+    check_envelope(n, k, d)
     if k == 1:
         return 0
     return _generic_rank(_centered_jacobian, seed, n, k, d)[0]
@@ -239,7 +242,7 @@ def centered_cumulant_rank(n, k, d, seed=0):
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
-    _check_envelope(n, k, d, k_max=MAX_K_VERONESE)
+    check_envelope(n, k, d, k_max=MAX_K_VERONESE)
     return _report(n, k, d, n * k + k - 1, _veronese_jacobian, seed)
 
 

@@ -1,19 +1,35 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import univariate_moments
-from homoment import cli, models
+from homoment import cli, geometry, models
 
 
 def run(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(args):
+    """``cli.main`` with its output captured here, for tests that draw
+    many inputs (function-scoped fixtures such as capsys are not reset
+    between the draws)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _no_constants(name):
@@ -62,6 +78,20 @@ class TestDefectTable:
     def test_envelope_violation(self, capsys):
         code, _, err = run(["defect-table", "--n", "9"], capsys)
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("n", ["8", "4..9"])
+    def test_envelope_checked_before_any_row(self, capsys, monkeypatch, n):
+        # default_k_range(8, 3) runs to k = 15, past MAX_K = 12
+        calls = []
+        monkeypatch.setattr(geometry, "defect_report",
+                            lambda *a, **kw: calls.append(a))
+        code, out, err = run(["defect-table", "--n", n, "--d", "3"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        error = strict_json(err)["error"]
+        assert error["code"] == "PRECONDITION"
+        assert "(n=8, k=13, d=3)" in error["message"]
+        assert calls == []
 
     def test_jobs_match_serial(self, capsys, tmp_path):
         serial = tmp_path / "serial.json"
@@ -310,6 +340,71 @@ class TestRankTest:
         assert code == 0
         verdict, = strict_json(out)["verdicts"]
         assert verdict["resultant"] is None
+
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                              "-Infinity", "1e999", "-1e999"])
+FINITE = st.floats(-1e6, 1e6).map(repr)
+
+
+def assert_rejected(args):
+    """Exit 2 with strict error JSON on stderr, nothing on stdout."""
+    code, out, err = run_captured(args)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+
+@st.composite
+def with_non_finite(draw, size):
+    """``size`` finite number strings, one of them replaced by a non-finite
+    spelling."""
+    values = draw(st.lists(FINITE, min_size=size, max_size=size))
+    values[draw(st.integers(0, size - 1))] = draw(NON_FINITE)
+    return values
+
+
+@st.composite
+def non_finite_csv(draw, max_cols):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(1, 8))
+    cells = draw(with_non_finite(nrows * ncols))
+    header = ",".join(f"x{j}" for j in range(ncols)) + "\n"
+    body = "\n".join(",".join(cells[i * ncols:(i + 1) * ncols])
+                     for i in range(nrows))
+    return (header if draw(st.booleans()) else "") + body + "\n"
+
+
+class TestNonFiniteInput:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_rank_test_moments(self, data):
+        kmax = data.draw(st.integers(1, 3))
+        moments = data.draw(with_non_finite(2 * kmax + 1))
+        # "--moments=": argparse reads a separate value that starts with
+        # "-" (say "-1,2,3") as an option, a usage error
+        assert_rejected(["rank-test", "--kmax", str(kmax),
+                         "--moments=" + ",".join(moments)])
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_fit1d_moments(self, data):
+        k = data.draw(st.integers(1, 3))
+        moments = data.draw(with_non_finite(2 * k))
+        assert_rejected(["fit1d", "--k", str(k),
+                         "--moments=" + ",".join(moments)])
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["fit2", "fit1d"]), st.data())
+    def test_csv_cell(self, command, data):
+        text = data.draw(non_finite_csv(3 if command == "fit2" else 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            extra = ["--k", "1"] if command == "fit1d" else []
+            assert_rejected([command, "--input", path] + extra)
 
 
 class TestSeedEnvironment:

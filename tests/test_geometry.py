@@ -1,13 +1,72 @@
 """Exact dimension and defect computations for secant moment varieties."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoment import geometry, models
 from homoment.errors import PreconditionError
-from homoment.exactla import det, rank
+from homoment.exactla import PRIMES, _integer_rows, det, rank
+
+
+def bareiss_rank(matrix):
+    """Reference rank over Q: fraction-free elimination on integer rows."""
+    m, _ = _integer_rows(matrix)
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        top = m[r]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def hadamard_bound(matrix):
+    """Bound on every minor of the integer-scaled matrix: the product of
+    its row norms, each at least one."""
+    rows, _ = _integer_rows(matrix)
+    return math.prod(max(1.0, math.hypot(*row)) for row in rows)
+
+
+# Up to 6 x 6 with integer-scaled entries of size at most 14, so every
+# minor is below 216 * 14**6 < min(PRIMES) and is nonzero mod each prime
+# exactly when it is nonzero: the modular rank must equal the rational one.
+SMALL_INTS = st.integers(-14, 14)
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def small_matrices(draw):
+    entries = draw(st.sampled_from([SMALL_INTS, SMALL_FRACTIONS]))
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    # a repeated row keeps rank-deficient matrices common
+    if nrows >= 2 and draw(st.booleans()):
+        rows[draw(st.integers(1, nrows - 1))] = list(rows[0])
+    return rows
 
 
 class TestExactLinearAlgebra:
@@ -39,6 +98,36 @@ class TestExactLinearAlgebra:
         with pytest.raises(PreconditionError):
             compute(matrix)
 
+    @settings(deadline=None)
+    @given(small_matrices(), st.sampled_from(PRIMES))
+    def test_modular_rank_matches_bareiss(self, matrix, p):
+        assert hadamard_bound(matrix) < min(PRIMES)
+        assert rank(matrix, p) == bareiss_rank(matrix)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_modular_rank_is_a_lower_bound(self, p):
+        # p divides the only 2 x 2 minor: the rank drops, never rises
+        m = [[1, 0], [0, p]]
+        assert bareiss_rank(m) == 2
+        assert rank(m, p) == 1
+
+    @pytest.mark.parametrize("matrix,expected", [
+        ([[Fraction(1, PRIMES[0]), 1], [0, 1]], 2),
+        ([[Fraction(1, PRIMES[0]), Fraction(2, PRIMES[0])], [1, 2]], 1),
+    ])
+    def test_denominator_equal_to_the_prime(self, matrix, expected):
+        assert bareiss_rank(matrix) == expected
+        assert rank(matrix, PRIMES[0]) == expected
+
+    def test_empty_matrix_has_rank_zero(self):
+        assert rank([]) == 0
+        assert rank([[], []]) == 0
+
+    @pytest.mark.parametrize("p", [1, 2**31 + 11, 2**61 - 1])
+    def test_modulus_out_of_int64_range_rejected(self, p):
+        with pytest.raises(PreconditionError):
+            rank([[1]], p)
+
 
 class TestMomentJacobian:
     def test_single_gaussian_has_full_parameter_rank(self):
@@ -64,6 +153,17 @@ class TestMomentJacobian:
                        [957, -562716, Fraction(330085569, 2)],
                        [1553, Fraction(585481, 2), Fraction(549038302, 3)],
                        [0, Fraction(1, 2), -742628]]
+
+    def test_each_point_has_its_own_prime(self, monkeypatch):
+        moduli = []
+
+        def recording_rank(matrix, p):
+            moduli.append(p)
+            return rank(matrix, p)
+
+        monkeypatch.setattr(geometry, "rank", recording_rank)
+        geometry.defect_report(2, 2, 3, seed=0)
+        assert moduli[:2] == [PRIMES[0], PRIMES[1]]
 
     def test_rank_stable_across_seeds(self):
         a = geometry.defect_report(2, 3, 3, seed=0)
