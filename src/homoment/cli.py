@@ -161,6 +161,8 @@ def _table_cells(ns, ks, ds, seed, jobs):
     cells = []
     for n in ns:
         for d in ds:
+            # n and d first: default_k_range(n, d) runs to ambient_dim(n, d)
+            geometry.check_envelope(n, 1, d)
             k_list = ks if ks is not None else geometry.default_k_range(n, d)
             for k in k_list:
                 # fail on the first bad cell before any row is computed
@@ -372,10 +374,24 @@ def build_parser():
     return parser
 
 
+def _attach_moments(argv):
+    """``--moments VALUE`` as ``--moments=VALUE``: argparse reads a separate
+    value that starts with '-' and is not a plain number, such as the
+    moment vector -1,3,-7, as an option.  A following ``--option`` is
+    left alone, so a missing value is still reported as missing."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--moments" and not token.startswith("--"):
+            token = joined.pop() + "=" + token
+        joined.append(token)
+    return joined
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_moments(sys.argv[1:] if argv is None else argv))
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)

@@ -1,16 +1,24 @@
 """Dimensions and defects of homoscedastic secant moment varieties.
 
 The dimension of a parametrized variety equals the rank of the Jacobian
-of its parametrization at a general point.  Ranks here are computed
-exactly: parameters are seeded as dual numbers with ``Fraction`` values at
-random integer points, pushed through the forward maps of
-:mod:`homoment.models`, and the resulting rational Jacobian is ranked over
-GF(p), with its own prime below 2**31 for each point.  The rank mod p of
-the Jacobian at a point is at most its rank over Q, which is at most the
-generic rank, so every point gives a certified lower bound.  By the
-Schwartz-Zippel lemma the bound is sharp with overwhelming probability,
-so reports take the maximum over at least two points and draw a third
-when the first two disagree.
+of its parametrization at a general point.  Every parametrization here
+is a moment series M = F * sum_i w_i E_i with E_i = exp(p_i.u) for the
+atoms (or means) p_i, F = exp(u'Su/2) for a Gaussian mixture with
+covariance S and F = 1 for a Dirac mixture.  Its tangents are series in
+closed form:
+
+    dM/dp_ij = w_i u_j E_i F
+    dM/dw_i  = (E_i - E_k) F     (i < k; the last weight is 1 - sum w_i)
+    dM/dS_ij = u_i u_j M         (halved for i = j)
+
+Ranks are computed exactly: the rational Jacobian at a random integer
+point is read off these series with ``Fraction`` arithmetic and ranked
+over GF(p), with its own prime below 2**31 for each point.  The rank mod
+p of the Jacobian at a point is at most its rank over Q, which is at
+most the generic rank, so every point gives a certified lower bound.  By
+the Schwartz-Zippel lemma the bound is sharp with overwhelming
+probability, so reports take the maximum over at least two points and
+draw a third when the first two disagree.
 
 The module also carries two pieces of reference data: the published
 classification table of the order-3 homoscedastic secants for up to
@@ -24,7 +32,6 @@ from fractions import Fraction
 
 from . import models
 from . import series as ts
-from .dual import Dual
 from .errors import PreconditionError
 from .exactla import PRIMES, rank
 
@@ -75,11 +82,6 @@ def _draw(rng, count):
     return [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(count)]
 
 
-def _seeded(values):
-    """One dual variable per free parameter, indexed in order."""
-    return [Dual.variable(v, i) for i, v in enumerate(values)]
-
-
 def _chunks(values, size):
     return [values[i:i + size] for i in range(0, len(values), size)]
 
@@ -99,14 +101,28 @@ def _symmetric(upper, n):
     return m
 
 
-def _gradient_matrix(image, cols, nparams):
-    jac = [[Fraction(0)] * len(cols) for _ in range(nparams)]
-    for c, a in enumerate(cols):
-        entry = image.coeff(a)
-        if isinstance(entry, Dual):
-            for p, g in entry.grad.items():
-                jac[p][c] = g
-    return jac
+def _lowered(indices, j):
+    """a - e_j for each index a, or None where a_j = 0 (or a is None):
+    (u_j S)[a] = S[a - e_j], and no coefficient dict holds None."""
+    return [a[:j] + (a[j] - 1,) + a[j + 1:] if a and a[j] else None
+            for a in indices]
+
+
+def _atom(point, degree):
+    """E = exp(p.u), the moment series of one atom at p."""
+    atom = models.DiracMixtureParams(points=[point], weights=[1])
+    return models.dirac_mixture_moments(atom, degree)
+
+
+def _tangent_rows(weights, terms, cols):
+    """Rows dM/dp_ij, then dM/dw_i for i < k, at the columns ``cols``;
+    ``terms`` are the coefficient dicts of E_i F."""
+    down = [_lowered(cols, j) for j in range(len(cols[0]))]
+    rows = [[w * t.get(b, 0) for b in shifted]
+            for w, t in zip(weights, terms) for shifted in down]
+    last = terms[-1]
+    rows += [[t.get(a, 0) - last.get(a, 0) for a in cols] for t in terms[:-1]]
+    return rows
 
 
 def moment_map_jacobian(params, degree):
@@ -114,19 +130,26 @@ def moment_map_jacobian(params, degree):
 
     Rows follow the free parameters: the k*n mean coordinates, the first
     k-1 weights (the last weight is eliminated as one minus their sum),
-    then the upper triangle of the covariance.  Entries are Fractions.
-    ``params`` must have rational entries.
+    then the upper triangle of the covariance.  Entries are Fractions or
+    ints.  ``params`` must have rational entries.
     """
-    n, k = params.nvars, params.ncomponents
-    upper = [params.cov[i][j] for i in range(n) for j in range(i, n)]
-    seeds = _seeded([x for mean in params.means for x in mean]
-                    + list(params.weights[:k - 1]) + upper)
-    point = models.HomoscedasticParams(
-        means=_chunks(seeds[:n * k], n),
-        weights=_all_weights(seeds[n * k:n * k + k - 1]),
-        cov=_symmetric(seeds[n * k + k - 1:], n))
-    image = models.homoscedastic_moments(point, degree)
-    return _gradient_matrix(image, _moment_columns(n, degree), len(seeds))
+    n = params.nvars
+    cols = _moment_columns(n, degree)
+    gauss = models.gaussian_moments(
+        models.GaussianParams(mean=(0,) * n, cov=params.cov), degree)
+    terms = [dict((_atom(mean, degree) * gauss).items())
+             for mean in params.means]
+    rows = _tangent_rows(params.weights, terms, cols)
+    # the covariance rows read M only up to order degree - 2
+    moments = {a: sum(w * t.get(a, 0) for w, t in zip(params.weights, terms))
+               for a in ts.multi_indices(n, degree - 2)}
+    down = [_lowered(cols, j) for j in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            scale = Fraction(1, 2) if i == j else 1
+            rows.append([scale * moments.get(b, 0)
+                         for b in _lowered(down[i], j)])
+    return rows
 
 
 def _mixture_jacobian(n, k, d, rng):
@@ -148,23 +171,36 @@ def _centered_jacobian(n, k, d, rng):
     values = _draw(rng, (k - 1) * (n + 1))
     if sum(values[(k - 1) * n:]) == 1:  # the last weight would be zero
         return _centered_jacobian(n, k, d, rng)
-    seeds = _seeded(values)
-    points = _chunks(seeds[:(k - 1) * n], n)
-    weights = _all_weights(seeds[(k - 1) * n:])
-    last_point = [-sum(w * p[j] for w, p in zip(weights, points)) / weights[-1]
-                  for j in range(n)]
-    atoms = models.CenteredDiracParams(points=points + [last_point],
-                                       weights=weights)
-    image = models.dirac_higher_cumulants(atoms, d)
-    return _gradient_matrix(image, _moment_columns(n, d, lowest=3), len(seeds))
+    points = _chunks(values[:(k - 1) * n], n)
+    weights = _all_weights(values[(k - 1) * n:])
+    last = [Fraction(-sum(w * p[j] for w, p in zip(weights, points)),
+                     weights[-1]) for j in range(n)]
+    # with p_k = -sum_i w_i p_i / w_k, the moment series D = sum_i w_i E_i
+    # has tangents dD/dp_ij = w_i u_j (E_i - E_k) and dD/dw_i = E_i - E_k
+    # + sum_j (p_kj - p_ij) u_j E_k; those of log D are D^-1 times them
+    atoms = [dict(_atom(p, d).items()) for p in points + [last]]
+    e_k = atoms[-1]
+    cols = _moment_columns(n, d)
+    down = [_lowered(cols, j) for j in range(n)]
+    rows = [[w * (e.get(b, 0) - e_k.get(b, 0)) for b in shifted]
+            for w, e in zip(weights[:-1], atoms) for shifted in down]
+    rows += [[e.get(a, 0) - e_k.get(a, 0)
+              + sum((q - x) * e_k.get(b, 0) for q, x, b in zip(last, p, lower))
+              for a, *lower in zip(cols, *down)]
+             for p, e in zip(points, atoms)]
+    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(
+        models.DiracMixtureParams(points=points + [last], weights=weights), d)))
+    tangents = [dict((ts.TruncatedSeries(n, d, dict(zip(cols, row))) * inverse)
+                     .items()) for row in rows]
+    cumulant_cols = _moment_columns(n, d, lowest=3)
+    return [[t.get(a, 0) for a in cumulant_cols] for t in tangents]
 
 
 def _veronese_jacobian(n, k, d, rng):
-    seeds = _seeded(_draw(rng, k * n + k - 1))
-    atoms = models.DiracMixtureParams(points=_chunks(seeds[:k * n], n),
-                                      weights=_all_weights(seeds[k * n:]))
-    image = models.dirac_mixture_moments(atoms, d)
-    return _gradient_matrix(image, _moment_columns(n, d), len(seeds))
+    values = _draw(rng, k * n + k - 1)
+    terms = [dict(_atom(p, d).items()) for p in _chunks(values[:k * n], n)]
+    return _tangent_rows(_all_weights(values[k * n:]), terms,
+                         _moment_columns(n, d))
 
 
 def _generic_rank(jacobian_at, seed, n, k, d):

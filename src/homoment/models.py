@@ -1,9 +1,8 @@
 """Parameter families and their truncated moment/cumulant series.
 
 Forward maps are written in plain generic arithmetic (no numpy) so they
-accept ``Fraction`` entries for exact work, ``float`` entries for
-estimation, and :class:`~homoment.dual.Dual` entries for exact Jacobians.
-Only :func:`sample_mixture` touches numpy.
+accept ``Fraction`` entries for exact work and ``float`` entries for
+estimation.  Only :func:`sample_mixture` touches numpy.
 """
 
 from dataclasses import dataclass

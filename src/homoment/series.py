@@ -10,8 +10,7 @@ free of multinomial bookkeeping; use :meth:`TruncatedSeries.moment` and
 :meth:`TruncatedSeries.from_moments` to convert at the boundary.
 
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
-value supporting ``+``, ``-``, ``*`` and division by ``int`` (the exact
-Jacobian machinery feeds dual numbers through these routines).  Plain
+value supporting ``+``, ``-``, ``*`` and division by ``int``.  Plain
 ``int`` coefficients are promoted to ``Fraction`` so that exact inputs
 stay exact.
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -92,6 +93,36 @@ class TestDefectTable:
         assert error["code"] == "PRECONDITION"
         assert "(n=8, k=13, d=3)" in error["message"]
         assert calls == []
+
+    @pytest.mark.parametrize("n,d", [("8", "100"), ("1..2", "5..100"),
+                                     ("9", "3")])
+    def test_envelope_checked_before_default_k_range(self, capsys,
+                                                      monkeypatch, n, d):
+        real = geometry.default_k_range
+
+        def spy(nvars, degree=3):
+            # default_k_range runs k up to ambient_dim(n, d), about 3.5e11
+            # for (8, 100): fail here rather than start that loop
+            assert nvars <= geometry.MAX_N and degree <= geometry.MAX_D
+            return real(nvars, degree)
+
+        monkeypatch.setattr(geometry, "default_k_range", spy)
+        code, out, err = run(["defect-table", "--n", n, "--d", d], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "PRECONDITION"
+
+    @pytest.mark.parametrize("args,digest", [
+        ("--n 1..5 --d 3 --check --format json --seed 0",
+         "462372ca5628e8e95e221420e66d0f4e2566ec4725494985ca75f5e3255f925d"),
+        ("--n 1..4 --d 3..4 --format json --seed 0",
+         "b03b10f75078654ecb7ee203b0636a0aa9df1dc485301f15781fbba3e8892112"),
+    ], ids=["n1..5-d3-check", "n1..4-d3..4"])
+    def test_output_is_pinned(self, capsys, args, digest):
+        # byte-stable stdout, d = 4 cells included
+        code, out, _ = run(["defect-table"] + args.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_jobs_match_serial(self, capsys, tmp_path):
         serial = tmp_path / "serial.json"
@@ -376,14 +407,33 @@ def non_finite_csv(draw, max_cols):
     return (header if draw(st.booleans()) else "") + body + "\n"
 
 
+class TestNegativeMoments:
+    @pytest.mark.parametrize("command,moments", [
+        (["rank-test", "--kmax", "1"], "-1,3,-7"),
+        (["fit1d", "--k", "1"], "-1,3"),
+    ])
+    def test_separate_value_same_as_attached(self, capsys, command, moments):
+        attached = run(command + ["--moments=" + moments], capsys)
+        separate = run(command + ["--moments", moments], capsys)
+        assert attached[0] == cli.EXIT_OK
+        assert separate[:2] == attached[:2]
+
+    def test_missing_value_still_reported(self, capsys):
+        code, out, err = run(["rank-test", "--moments", "--kmax", "1"],
+                             capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--moments: expected one argument" in (
+            strict_json(err)["error"]["message"])
+
+
 class TestNonFiniteInput:
     @settings(deadline=None)
     @given(st.data())
     def test_rank_test_moments(self, data):
         kmax = data.draw(st.integers(1, 3))
         moments = data.draw(with_non_finite(2 * kmax + 1))
-        # "--moments=": argparse reads a separate value that starts with
-        # "-" (say "-1,2,3") as an option, a usage error
+        # "--moments=" spelling; TestNegativeMoments covers the other
         assert_rejected(["rank-test", "--kmax", str(kmax),
                          "--moments=" + ",".join(moments)])
 

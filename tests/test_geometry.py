@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoment import geometry, models
+from homoment import _poly, geometry, models
+from homoment import series as ts
 from homoment.errors import PreconditionError
 from homoment.exactla import PRIMES, _integer_rows, det, rank
 
@@ -169,6 +170,111 @@ class TestMomentJacobian:
         a = geometry.defect_report(2, 3, 3, seed=0)
         b = geometry.defect_report(2, 3, 3, seed=123)
         assert a.dim == b.dim
+
+
+def tangent_by_interpolation(forward, free, r, degree, cols):
+    """Coefficients of t at ``cols`` in the series forward(free + t e_r).
+
+    Each coefficient is a polynomial of degree at most ``degree`` in t, so
+    degree + 1 integer offsets determine it exactly."""
+    offsets = range(degree + 1)
+    images = []
+    for t in offsets:
+        moved = list(free)
+        moved[r] += t
+        images.append(forward(moved))
+    return [_poly.lagrange_interpolate(offsets, [s.coeff(a) for s in images])[1]
+            for a in cols]
+
+
+def homoscedastic_point(free, n, k):
+    """Mixture from its free coordinates in Jacobian row order: means,
+    the first k-1 weights, the upper triangle of the covariance."""
+    upper = iter(free[k * n + k - 1:])
+    cov = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cov[i][j] = cov[j][i] = next(upper)
+    weights = list(free[k * n:k * n + k - 1])
+    return models.HomoscedasticParams(
+        means=[free[i * n:(i + 1) * n] for i in range(k)],
+        weights=weights + [1 - sum(weights)], cov=cov)
+
+
+def dirac_point(free, n, k):
+    """Atoms and the first k-1 weights in Jacobian row order."""
+    weights = list(free[k * n:])
+    return models.DiracMixtureParams(
+        points=[free[i * n:(i + 1) * n] for i in range(k)],
+        weights=weights + [1 - sum(weights)])
+
+
+class TestTangentsMatchForwardMaps:
+    """Every Jacobian row equals the t-linear term of the forward map
+    moved along that parameter, found by exact interpolation."""
+
+    @pytest.mark.parametrize("n,k,d", [(1, 3, 5), (2, 2, 3), (2, 3, 4),
+                                       (3, 2, 4)])
+    def test_moment_map_jacobian(self, n, k, d):
+        rng = random.Random(n * 100 + k * 10 + d)
+        free = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(geometry.parameter_count(n, k))]
+        jac = geometry.moment_map_jacobian(homoscedastic_point(free, n, k), d)
+        cols = geometry._moment_columns(n, d)
+        assert len(jac) == len(free)
+        for r, row in enumerate(jac):
+            assert row == tangent_by_interpolation(
+                lambda x: models.homoscedastic_moments(
+                    homoscedastic_point(x, n, k), d), free, r, d, cols)
+
+    @pytest.mark.parametrize("n,k,d", [(1, 2, 3), (2, 3, 4), (3, 2, 5)])
+    def test_veronese(self, n, k, d):
+        # the builder draws its point from rng; a twin stream replays it
+        rng, twin = random.Random(d), random.Random(d)
+        jac = geometry._veronese_jacobian(n, k, d, rng)
+        free = geometry._draw(twin, k * n + k - 1)
+        cols = geometry._moment_columns(n, d)
+        assert len(jac) == len(free)
+        for r, row in enumerate(jac):
+            assert row == tangent_by_interpolation(
+                lambda x: models.dirac_mixture_moments(dirac_point(x, n, k), d),
+                free, r, d, cols)
+
+    @pytest.mark.parametrize("n,k,d", [(2, 2, 3), (2, 3, 4), (3, 3, 3)])
+    def test_centered(self, n, k, d):
+        rng, twin = random.Random(d), random.Random(d)
+        jac = geometry._centered_jacobian(n, k, d, rng)
+        free = [Fraction(x) for x in geometry._draw(twin, (k - 1) * (n + 1))]
+        assert sum(free[(k - 1) * n:]) != 1  # no redraw: the twin matches
+        points = [free[i * n:(i + 1) * n] for i in range(k - 1)]
+        weights = free[(k - 1) * n:]
+        w_k = 1 - sum(weights)
+        last = [-sum(w * p[j] for w, p in zip(weights, points)) / w_k
+                for j in range(n)]
+        # with the last atom p_k free too, the cumulants are polynomial
+        # along every coordinate; the chain rule through
+        # p_k = -sum_i w_i p_i / w_k then gives the centered rows
+        full = free[:(k - 1) * n] + last + weights
+        cols = geometry._moment_columns(n, d, lowest=3)
+
+        def along(r):
+            return tangent_by_interpolation(
+                lambda x: ts.log(models.dirac_mixture_moments(
+                    dirac_point(x, n, k), d)).graded(3), full, r, d, cols)
+
+        along_last = [along((k - 1) * n + j) for j in range(n)]
+
+        def chained(r, slopes):  # slopes: dp_kj along the free coordinate
+            return [x + sum(s * y[c] for s, y in zip(slopes, along_last))
+                    for c, x in enumerate(along(r))]
+
+        expected = [chained(i * n + j, [-weights[i] / w_k if m == j else 0
+                                        for m in range(n)])
+                    for i in range(k - 1) for j in range(n)]
+        expected += [chained(k * n + i, [(last[j] - points[i][j]) / w_k
+                                         for j in range(n)])
+                     for i in range(k - 1)]
+        assert jac == expected
 
 
 class TestDefectReports:
