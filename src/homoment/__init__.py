@@ -15,6 +15,7 @@ from .errors import (
 )
 from .estimate import (
     Estimate,
+    HankelPencil,
     fit_two_gaussians,
     fit_univariate,
     sample_cumulants,
@@ -34,7 +35,6 @@ from .models import (
     sample_mixture,
 )
 from .ranktest import (
-    HankelPencil,
     MembershipVerdict,
     estimate_components,
     secant_membership,

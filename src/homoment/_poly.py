@@ -69,21 +69,16 @@ def lagrange_interpolate(xs, ys):
         for j in range(n):
             if j == i:
                 continue
-            num = _poly_mul_linear(num, -Fraction(xs[j]))
-            den *= Fraction(xs[i]) - Fraction(xs[j])
+            # num *= (x - xs[j])
+            root = Fraction(xs[j])
+            num = [Fraction(0)] + num
+            for p in range(len(num) - 1):
+                num[p] -= root * num[p + 1]
+            den *= Fraction(xs[i]) - root
         w = Fraction(ys[i]) / den
         for p, c in enumerate(num):
             coeffs[p] += w * c
     return coeffs
-
-
-def _poly_mul_linear(coeffs, constant):
-    # multiply by (x + constant)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] += c * constant
-    return out
 
 
 def interpolate(xs, ys):

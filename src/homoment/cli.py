@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 from . import estimate, geometry, models, ranktest
@@ -390,11 +391,15 @@ def _attach_moments(argv):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(
-            _attach_moments(sys.argv[1:] if argv is None else argv))
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
-        return args.func(args)
+        with warnings.catch_warnings():
+            # numpy overflow and fit-conditioning warnings would put text
+            # beside the error JSON on stderr
+            warnings.simplefilter("ignore", RuntimeWarning)
+            args = parser.parse_args(
+                _attach_moments(sys.argv[1:] if argv is None else argv))
+            if hasattr(args, "seed") and args.seed is None:
+                args.seed = _default_seed()
+            return args.func(args)
     except InputError as exc:
         _report_error(exc)
         return EXIT_INPUT

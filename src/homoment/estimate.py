@@ -11,6 +11,11 @@ moments by first locating the shared variance as the smallest nonnegative
 root of a Hankel determinant polynomial and then running the classical
 quadrature-rule recovery of a discrete measure.
 
+That determinant is one member of the Hankel pencil
+(:func:`hankel_pencil`), which also lives here: every maximal minor of
+the Gaussian-deconvolved moment matrix as a polynomial in the variance.
+The membership tests in :mod:`homoment.ranktest` read the same pencil.
+
 Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
 moment equal to one left implicit.  Entries may be ``Fraction`` for exact
 work; root finding is always floating point.
@@ -19,6 +24,7 @@ work; root finding is always floating point.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -183,38 +189,6 @@ def _refine_weight_product(q, cube, steps=2):
     return (1.0 - b) / 6.0
 
 
-def weight_product_closed_form(ratio, imag_tol=1e-7):
-    """Radical form of the statistically admissible cubic root.
-
-    Cross-checks :func:`solve_weight_product`: among the three cube-root
-    branches of the discriminant expression exactly one yields a real
-    value in (0, 1/4).  Undefined at ratio values where the cubic
-    degenerates (zero leading coefficient) and at ratio zero, where the
-    root is exactly 1/6.
-    """
-    a3 = float(ratio) ** 3
-    if ratio == 0:
-        return 1.0 / 6.0
-    lead = 64.0 * a3 + 81.0
-    if abs(lead) < 1e-12:
-        raise PreconditionError("cubic degenerates at this ratio")
-    radicand = complex(a3 * a3 * lead ** 3)
-    eta3 = complex(-4096.0 * a3 ** 3 - 10368.0 * a3 ** 2 - 6561.0 * a3
-                   + 9.0 * np.sqrt(radicand))
-    if eta3 == 0:
-        raise PreconditionError("cube-root branch collapses at this ratio")
-    base = eta3 ** (1.0 / 3.0)
-    candidates = []
-    for turn in range(3):
-        eta = base * np.exp(2j * np.pi * turn / 3.0)
-        g = 4.0 * a3 / (3.0 * eta) + eta / (3.0 * lead) + 1.0 / 6.0
-        if abs(g.imag) < imag_tol * max(1.0, abs(g)) and 0.0 < g.real < 0.25:
-            candidates.append(g.real)
-    if not candidates:
-        raise InconsistentMomentsError("no admissible branch of the closed form")
-    return candidates[0]
-
-
 def _raw_second_cumulants(cumulants):
     n = cumulants.nvars
     cov = [[0.0] * n for _ in range(n)]
@@ -355,6 +329,16 @@ def _moment_scale(m):
     return max(vals, default=1.0)
 
 
+def _minor_scales(m, weights):
+    """The moment scale of ``m`` raised to each weighted degree."""
+    try:
+        base = _moment_scale(m)
+        return [base ** w for w in weights]
+    except OverflowError:
+        raise InputError("moments too large: a minor scale overflows",
+                         code="INPUT_RANGE")
+
+
 def deconvolve_moments(moments, variance):
     """Moments of the atomic part after removing a Gaussian of the given
     variance: ``mt_j = sum_i j! / ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``."""
@@ -374,6 +358,72 @@ def deconvolve_moments(moments, variance):
             power = power * variance
         out.append(acc)
     return out
+
+
+@dataclass(frozen=True)
+class HankelPencil:
+    """Maximal minors of the deconvolved moment matrix, as polynomials in
+    the shared variance (ascending coefficients)."""
+
+    k: int
+    minors: tuple      # ascending coefficient lists, one per column subset
+    weights: tuple     # weighted degree of each minor
+
+    @property
+    def nminors(self):
+        return len(self.minors)
+
+
+def _pencil_matrix(mt, k):
+    row = [ts._promote(1)] + list(mt)
+    return [[row[i + j] for j in range(len(mt) - k + 1)] for i in range(k + 1)]
+
+
+def pencil_minor_values(moments, k, s):
+    """Values of every maximal minor at one variance ``s``, over the
+    matrix of all the given moments."""
+    m = _moment_list(moments)
+    if len(m) < 2 * k:
+        raise InsufficientOrderError(f"need order {2 * k} for k={k}")
+    matrix = _pencil_matrix(deconvolve_moments(m, s), k)
+    values = [_poly.det([[matrix[i][j] for j in sel] for i in range(k + 1)])
+              for sel in combinations(range(len(m) - k + 1), k + 1)]
+    # exact minors are always finite; a float one overflows on huge input
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise InputError("moments too large: a Hankel minor is not a finite "
+                         "float", code="INPUT_RANGE")
+    return values
+
+
+def hankel_pencil(moments, k):
+    """Expand every maximal minor as a polynomial in the variance.
+
+    Each minor is homogeneous of known weighted degree in the moments
+    (moment j weighing j, the variance weighing 2), which bounds its
+    degree in the variance; coefficients are recovered by evaluating the
+    determinants at that many nodes and interpolating, exactly over
+    rational input.  The matrix uses every given moment.
+    """
+    m = _moment_list(moments)
+    d = len(m)
+    if d < 2 * k:
+        raise InsufficientOrderError(
+            f"pencil needs moment order at least {2 * k}, got {d}")
+    weights = [k * (k + 1) // 2 + sum(sel)
+               for sel in combinations(range(d - k + 1), k + 1)]
+    max_degree = max(w // 2 for w in weights)
+    if _poly.is_exact(m):
+        nodes = list(range(max_degree + 1))
+    else:
+        nodes = _poly.interpolation_nodes(max_degree + 1,
+                                          max(abs(float(m[1])), 1.0))
+    values = [pencil_minor_values(m, k, s) for s in nodes]
+    minors = []
+    for idx, w in enumerate(weights):
+        deg = w // 2
+        ys = [values[t][idx] for t in range(deg + 1)]
+        minors.append(tuple(_poly.interpolate(nodes[:deg + 1], ys)))
+    return HankelPencil(k=k, minors=tuple(minors), weights=tuple(weights))
 
 
 def quadrature_nodes(moments, k, rel_tol=1e-6):
@@ -396,9 +446,8 @@ def quadrature_nodes(moments, k, rel_tol=1e-6):
         minor = [block[r] for r in range(k + 1) if r != i]
         sign = -1 if (i + k) % 2 else 1
         coeffs.append(sign * _poly.det(minor))
-    scale = _moment_scale(m[1:])
-    lead_weight = k * (k - 1)
-    if abs(float(coeffs[k])) <= rel_tol * scale ** lead_weight:
+    lead_scale, = _minor_scales(m[1:], [k * (k - 1)])
+    if abs(float(coeffs[k])) <= rel_tol * lead_scale:
         raise RankDeficientMomentsError(
             f"leading moment minor vanishes: fewer than {k} atoms")
     roots = _poly.real_roots(coeffs, imag_tol=1e-9)
@@ -427,29 +476,14 @@ def quadrature_weights(nodes, moments, rel_tol=1e-9):
 
 
 def variance_polynomial(moments, k):
-    """Determinant of the deconvolved moment matrix as a polynomial in the
-    variance, expanded by evaluation and interpolation.
+    """Determinant of the deconvolved moment matrix at order 2k as a
+    polynomial in the variance: the one maximal minor of that order's
+    :func:`hankel_pencil`.
 
     Degree in the variance is k(k+1)/2; its smallest nonnegative root is
     the variance estimator.  Exact moment input yields exact coefficients.
     """
-    m = _moment_list(moments)
-    if len(m) < 2 * k:
-        raise InsufficientOrderError(f"need {2 * k} moments for the "
-                                     f"variance polynomial at k={k}")
-    degree = k * (k + 1) // 2
-
-    def hankel_det(s):
-        mt = [ts._promote(1)] + deconvolve_moments(m, s)
-        return _poly.det([[mt[i + j] for j in range(k + 1)]
-                          for i in range(k + 1)])
-
-    if _poly.is_exact(m):
-        nodes = list(range(degree + 1))
-    else:
-        nodes = _poly.interpolation_nodes(degree + 1,
-                                          max(abs(float(m[1])), 1.0))
-    return _poly.interpolate(nodes, [hankel_det(s) for s in nodes])
+    return list(hankel_pencil(_moment_list(moments)[:2 * k], k).minors[0])
 
 
 def _polish_root(coeffs, x, steps=3):

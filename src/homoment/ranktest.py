@@ -2,31 +2,31 @@
 
 A univariate mixture of k Gaussians with shared variance s has moments
 whose Gaussian-deconvolved Hankel matrix drops rank at the true s.  The
-pencil of all maximal minors of that matrix, viewed as polynomials in s,
-therefore has a common nonnegative root exactly on the model.  Membership
-is decided numerically: the scaled sum of squared minors is minimized
-over the admissible variance interval and compared against a threshold,
-with a Sylvester-resultant evaluation of two fixed linear combinations of
-the pencil kept as an advisory cross-check (the resultant also vanishes
-on complex or negative common roots, so the residual criterion is the
-authoritative one).
+pencil of all maximal minors of that matrix (:func:`hankel_pencil`, built
+in :mod:`homoment.estimate`), viewed as polynomials in s, therefore has a
+common nonnegative root exactly on the model.  Membership is decided
+numerically: the scaled sum of squared minors is minimized over the
+admissible variance interval and compared against a threshold.
 
 Closed forms are provided for the two smallest cases: the third cumulant
 (order-3 hypersurface of single Gaussians) and the weighted degree-18
 invariant cutting out two-component mixtures in cumulants up to order 5.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import _poly
 from . import series as ts
 from .errors import InputError, InsufficientOrderError, PreconditionError
-from .estimate import _moment_list, _moment_scale, deconvolve_moments
+from .estimate import (
+    _minor_scales,
+    _moment_list,
+    hankel_pencil,
+    pencil_minor_values,
+)
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -53,78 +53,6 @@ def two_secant_invariant(k3, k4, k5):
 
 
 # ----------------------------------------------------------------------
-# Hankel minor pencil
-
-
-@dataclass(frozen=True)
-class HankelPencil:
-    """Maximal minors of the deconvolved moment matrix, as polynomials in
-    the shared variance (ascending coefficients)."""
-
-    k: int
-    d: int
-    columns: tuple     # column subsets, one per minor
-    minors: tuple      # ascending coefficient lists
-    weights: tuple     # weighted degree of each minor
-
-    @property
-    def nminors(self):
-        return len(self.minors)
-
-
-def _pencil_matrix(mt, k, d):
-    row = [ts._promote(1)] + list(mt)
-    return [[row[i + j] for j in range(d - k + 1)] for i in range(k + 1)]
-
-
-def pencil_minor_values(moments, k, s, d=None):
-    """Values of every maximal minor at one variance ``s``."""
-    m = _moment_list(moments)
-    d = len(m) if d is None else d
-    if d < 2 * k:
-        raise InsufficientOrderError(f"need order {2 * k} for k={k}")
-    matrix = _pencil_matrix(deconvolve_moments(m[:d], s), k, d)
-    cols = list(combinations(range(d - k + 1), k + 1))
-    return [_poly.det([[matrix[i][j] for j in sel] for i in range(k + 1)])
-            for sel in cols]
-
-
-def hankel_pencil(moments, k, d=None):
-    """Expand every maximal minor as a polynomial in the variance.
-
-    Each minor is homogeneous of known weighted degree in the moments
-    (moment j weighing j, the variance weighing 2), which bounds its
-    degree in the variance; coefficients are recovered by evaluating the
-    determinants at that many nodes and interpolating, exactly over
-    rational input.
-    """
-    m = _moment_list(moments)
-    d = len(m) if d is None else d
-    if d < 2 * k:
-        raise InsufficientOrderError(
-            f"pencil needs moment order at least {2 * k}, got {d}")
-    if len(m) < d:
-        raise InsufficientOrderError(f"only {len(m)} moments for order {d}")
-    m = m[:d]
-    cols = list(combinations(range(d - k + 1), k + 1))
-    weights = [k * (k + 1) // 2 + sum(sel) for sel in cols]
-    max_degree = max(w // 2 for w in weights)
-    if _poly.is_exact(m):
-        nodes = list(range(max_degree + 1))
-    else:
-        nodes = _poly.interpolation_nodes(max_degree + 1,
-                                          max(abs(float(m[1])), 1.0))
-    values = [pencil_minor_values(m, k, s, d) for s in nodes]
-    minors = []
-    for idx, (sel, w) in enumerate(zip(cols, weights)):
-        deg = w // 2
-        ys = [values[t][idx] for t in range(deg + 1)]
-        minors.append(tuple(_poly.interpolate(nodes[:deg + 1], ys)))
-    return HankelPencil(k=k, d=d, columns=tuple(cols), minors=tuple(minors),
-                        weights=tuple(weights))
-
-
-# ----------------------------------------------------------------------
 # membership
 
 
@@ -137,47 +65,18 @@ class MembershipVerdict:
     residual: float    # min over admissible s of the scaled sum of squares
     witness_s: float   # argmin
     threshold: float
-    resultant: float   # advisory Sylvester cross-check
     nminors: int
 
     def as_dict(self):
         return {
             "k": self.k, "on_model": self.on_model,
             "residual": self.residual, "witness_variance": self.witness_s,
-            "threshold": self.threshold, "resultant": self.resultant,
-            "minors": self.nminors,
+            "threshold": self.threshold, "minors": self.nminors,
         }
 
 
-def _poly_mul(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two ascending-coefficient polynomials via the
-    Sylvester matrix determinant, or None when either degenerates."""
-    dp = _poly.poly_degree(p, rel_tol=1e-13)
-    dq = _poly.poly_degree(q, rel_tol=1e-13)
-    if dp < 1 or dq < 1:
-        return None
-    p = [float(c) for c in p[dp::-1]]
-    q = [float(c) for c in q[dq::-1]]
-    size = dp + dq
-    rows = []
-    for shift in range(dq):
-        rows.append([0.0] * shift + p + [0.0] * (size - dp - 1 - shift))
-    for shift in range(dp):
-        rows.append([0.0] * shift + q + [0.0] * (size - dq - 1 - shift))
-    return float(np.linalg.det(np.asarray(rows)))
-
-
 def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD,
-                      minor_scales=None, d=None):
+                      minor_scales=None):
     """Does a moment vector lie on the homoscedastic k-secant?
 
     Minimizes the sum of squared minors over variances in [0, m2] (the
@@ -188,27 +87,21 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD,
     reports a residual above the threshold.
     """
     m = _moment_list(moments)
-    return _pencil_membership(m, hankel_pencil(m, k, d=d), threshold,
+    return _pencil_membership(m, hankel_pencil(m, k), threshold,
                               minor_scales)
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
     """``secant_membership`` on an already expanded pencil of ``m``."""
     if minor_scales is None:
-        base = _moment_scale(m)
-        minor_scales = [base ** w for w in pencil.weights]
+        minor_scales = _minor_scales(m, pencil.weights)
     elif len(minor_scales) != pencil.nminors:
         raise PreconditionError("one scale per minor required")
-    scaled = []
+    objective = np.zeros(1)
     for coeffs, scale in zip(pencil.minors, minor_scales):
         scale = float(scale) if scale else 1.0
-        scaled.append([float(c) / scale for c in coeffs])
-    objective = [0.0]
-    for coeffs in scaled:
-        sq = _poly_mul(coeffs, coeffs)
-        objective = [a + b for a, b in
-                     zip(objective + [0.0] * (len(sq) - len(objective)),
-                         sq + [0.0] * max(0, len(objective) - len(sq)))]
+        scaled = [float(c) / scale for c in coeffs]
+        objective = P.polyadd(objective, P.polymul(scaled, scaled))
     s_max = max(float(m[1]), 0.0)
     candidates = [0.0, s_max]
     for r in _poly.real_roots(_poly.poly_derivative(objective), imag_tol=1e-6):
@@ -217,16 +110,9 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
     values = [(max(0.0, float(_poly.poly_eval(objective, s))), s)
               for s in candidates]
     residual, witness = min(values)
-    rng = np.random.default_rng(0)
-    combo = rng.standard_normal((2, pencil.nminors))
-    width = max(len(c) for c in scaled)
-    padded = [list(c) + [0.0] * (width - len(c)) for c in scaled]
-    mixed = combo @ np.asarray(padded)
-    res = sylvester_resultant(list(mixed[0]), list(mixed[1]))
     return MembershipVerdict(
         k=pencil.k, on_model=bool(residual < threshold), residual=residual,
         witness_s=witness, threshold=float(threshold),
-        resultant=float("nan") if res is None else res,
         nminors=pencil.nminors)
 
 

@@ -277,52 +277,3 @@ def log(series):
         term = power / j
         result = result + term if j % 2 == 1 else result - term
     return result
-
-
-def affine_map(series, matrix, shift, space):
-    """Series of the affine image ``A X + b`` of the underlying variable.
-
-    Substitutes ``u -> A^t u`` and applies the shift correction suitable
-    for the space: multiply by ``exp(u^t b)`` for moment series, add the
-    linear form ``u^t b`` for cumulant series.
-    """
-    n = series.nvars
-    matrix = [list(row) for row in matrix]
-    shift = list(shift)
-    if len(matrix) != n or any(len(row) != n for row in matrix) or len(shift) != n:
-        raise DimensionMismatchError("affine data must match the variable count")
-    if space not in ("moment", "cumulant"):
-        raise PreconditionError(f"unknown space {space!r}")
-
-    def unit(j):
-        return tuple(1 if t == j else 0 for t in range(n))
-
-    # image of variable i under u -> A^t u is sum_j A[j][i] u_j
-    images = []
-    for i in range(n):
-        images.append(TruncatedSeries(
-            n, series.degree,
-            {unit(j): matrix[j][i] for j in range(n)}))
-
-    one = TruncatedSeries.one(n, series.degree)
-    powers = [{0: one} for _ in range(n)]
-
-    def image_power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = image_power(i, e - 1) * images[i]
-        return cache[e]
-
-    out = TruncatedSeries.zero(n, series.degree)
-    for a, c in series._c.items():
-        term = one
-        for i, e in enumerate(a):
-            if e:
-                term = term * image_power(i, e)
-        out = out + term * c
-
-    linear = TruncatedSeries(n, series.degree,
-                             {unit(j): shift[j] for j in range(n)})
-    if space == "cumulant":
-        return out + linear
-    return out * exp(linear)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,30 @@ class TestFit1d:
         assert code == cli.EXIT_INPUT
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
 
+    @pytest.mark.parametrize("args,digest", [
+        ("--k 2 --moments 1.05,1.85,2.77,5.00",
+         "3a31e2d7cdda281183be3fce73d3139401e7f3065e057ef96584cbe93a51ffe7"),
+        ("--k 1 --moments=-1,3",
+         "dbf4f34719f0ecfe38da02adc2ca76ca6ba98cd4dcfe14c5c500826e836305f4"),
+        ("--k 3 --moments 0.5,2.1,2.3,9.0,12.0,50.0",
+         "04d706bfd141c4de7871af6c6548111606ff2c73ae6121fa3ab359bfc9ebe350"),
+        ("--k 2 --input {csv}",
+         "14b643f9f4dd80575f0e6a05894c493abf655b9f7919cb4243762e14db1c34f8"),
+    ], ids=["k2", "k1-negative", "k3", "k2-csv"])
+    def test_output_is_pinned(self, capsys, tmp_path, args, digest):
+        # byte-stable stdout of the variance-polynomial path
+        data = tmp_path / "sample.csv"
+        if "{csv}" in args:
+            params = tmp_path / "params.json"
+            params.write_text(json.dumps({
+                "means": [[0.0], [3.0]], "weights": [0.3, 0.7],
+                "cov": [[0.25]]}))
+            run(["simulate", "--params", str(params), "--count", "2000",
+                 "--seed", "3", "--output", str(data)], capsys)
+        code, out, _ = run(["fit1d"] + args.format(csv=data).split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRankTest:
     def test_two_mixture_counted(self, capsys):
@@ -364,13 +389,14 @@ class TestRankTest:
         assert payload["estimated_components"] == 1
         assert payload["verdicts"][0]["threshold"] == 1e-6
 
-    def test_degenerate_resultant_is_null(self, capsys):
-        # the scaled pencil is numerically constant, so Sylvester degenerates
-        code, out, _ = run(["rank-test", "--kmax", "1", "--moments",
-                            "0,1e14,0"], capsys)
-        assert code == 0
-        verdict, = strict_json(out)["verdicts"]
-        assert verdict["resultant"] is None
+
+def test_emit_json_writes_non_finite_as_null(capsys):
+    nan, inf = float("nan"), float("inf")
+    cli._emit_json({"a": nan, "b": [inf, {"c": -inf, "d": (nan, 1.5)}],
+                    "e": (-inf, [nan])}, None)
+    payload = strict_json(capsys.readouterr().out)
+    assert payload == {"a": None, "b": [None, {"c": None, "d": [None, 1.5]}],
+                       "e": [None, [None]]}
 
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
@@ -378,13 +404,13 @@ NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
 FINITE = st.floats(-1e6, 1e6).map(repr)
 
 
-def assert_rejected(args):
+def assert_rejected(args, error_code="INPUT_PARSE"):
     """Exit 2 with strict error JSON on stderr, nothing on stdout."""
     code, out, err = run_captured(args)
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert "Traceback" not in err
-    assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+    assert strict_json(err)["error"]["code"] == error_code
 
 
 @st.composite
@@ -455,6 +481,30 @@ class TestNonFiniteInput:
                 handle.write(text)
             extra = ["--k", "1"] if command == "fit1d" else []
             assert_rejected([command, "--input", path] + extra)
+
+
+class TestHugeInput:
+    """Finite input too large for float Hankel minors or their scales."""
+
+    @pytest.mark.parametrize("args", [
+        "rank-test --kmax 1 --moments=1e200,1e200,1e200",
+        "rank-test --kmax 1 --moments=1,1e308,1",
+        "rank-test --kmax 1 --moments=1e300,1,1",
+        "rank-test --kmax 1 --moments=1e100,1e100,1e100",
+        "fit1d --k 2 --moments=1e200,1e200,1e200,1e200",
+        "fit1d --k 3 --moments=1e60,1,1,1,1,1",   # quadrature lead scale
+        "fit1d --k 1 --input {csv}",
+        "fit1d --k 2 --input {csv}",
+    ])
+    def test_range_error(self, tmp_path, args):
+        data = tmp_path / "huge.csv"
+        data.write_text("1e300\n-1e300\n" * 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_rejected(args.format(csv=data).split(),
+                            error_code="INPUT_RANGE")
+        # a numpy overflow warning would reach stderr beside the JSON
+        assert caught == []
 
 
 class TestSeedEnvironment:

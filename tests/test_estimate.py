@@ -99,12 +99,6 @@ class TestWeightProduct:
         values = [estimate.cumulant_ratio_from_weight_product(q) for q in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_closed_form_agrees_with_numeric(self):
-        for q in np.linspace(0.01, 0.24, 24):
-            ratio = estimate.cumulant_ratio_from_weight_product(float(q))
-            assert (estimate.weight_product_closed_form(ratio)
-                    == pytest.approx(float(q), rel=1e-6))
-
     def test_unique_interior_root(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -274,6 +268,15 @@ class TestVariancePolynomial:
             m = univariate_moments(p, 2 * k)
             coeffs = estimate.variance_polynomial(m, k)
             assert poly_eval(coeffs, s) == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ignores_moments_past_order_2k(self, k):
+        # float coefficients included: higher moments must not move the
+        # interpolation nodes
+        rng = random.Random(12)
+        m = [rng.uniform(-3.0, 3.0) for _ in range(2 * k + 3)]
+        assert (estimate.variance_polynomial(m, k)
+                == estimate.variance_polynomial(m[:2 * k], k))
 
 
 class TestFitUnivariate:

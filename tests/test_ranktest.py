@@ -249,17 +249,10 @@ class TestSampleMoments:
                 call()
             assert exc.value.code == "INPUT_PARSE"
 
-
-class TestResultantCrossCheck:
-    def test_sylvester_known_value(self):
-        # res(x^2 - 1, x - 2) = p(2) = 3 up to sign conventions
-        value = ranktest.sylvester_resultant([-1.0, 0.0, 1.0], [-2.0, 1.0])
-        assert abs(abs(value) - 3.0) < 1e-12
-
-    def test_resultant_small_on_model(self):
-        p = models.HomoscedasticParams(
-            means=[[0], [2]], weights=[Fraction(3, 10), Fraction(7, 10)],
-            cov=[[Fraction(1, 4)]])
-        m = [float(x) for x in univariate_moments(p, 5)]
-        on = ranktest.secant_membership(m, 2)
-        assert abs(on.resultant) < 1e-10
+    def test_huge_data_rejected(self):
+        # third raw moment near 1e360 is not a float
+        data = 1e120 + 1e119 * self.DATA
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError) as exc:
+            ranktest.estimate_components_from_data(data, 2)
+        assert exc.value.code == "INPUT_RANGE"

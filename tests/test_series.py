@@ -89,48 +89,6 @@ class TestExpLog:
             assert ts.exp(k).truncate(3) == ts.exp(k.truncate(3))
 
 
-class TestAffine:
-    def test_identity_map(self):
-        rng = random.Random(6)
-        s = rand_series(rng, 2, 3)
-        eye = [[1, 0], [0, 1]]
-        assert ts.affine_map(s, eye, [0, 0], "moment") == s
-        k = rand_series(rng, 2, 3, space="cumulant")
-        assert ts.affine_map(k, eye, [0, 0], "cumulant") == k
-
-    def test_cumulant_translation_is_linear_shift(self):
-        rng = random.Random(7)
-        k = rand_series(rng, 2, 3, space="cumulant")
-        b = [Fraction(3, 2), Fraction(-1, 3)]
-        moved = ts.affine_map(k, [[1, 0], [0, 1]], b, "cumulant")
-        assert moved.moment((1, 0)) == k.moment((1, 0)) + b[0]
-        assert moved.moment((0, 1)) == k.moment((0, 1)) + b[1]
-        for a in ts.multi_indices(2, 3):
-            if sum(a) != 1:
-                assert moved.coeff(a) == k.coeff(a)
-
-    def test_univariate_scaling(self):
-        rng = random.Random(8)
-        m = rand_series(rng, 1, 4)
-        c = Fraction(3, 2)
-        scaled = ts.affine_map(m, [[c]], [0], "moment")
-        for j in range(1, 5):
-            assert scaled.moment((j,)) == c ** j * m.moment((j,))
-
-    def test_moment_translation_matches_exp_factor(self):
-        rng = random.Random(9)
-        m = rand_series(rng, 2, 3)
-        b = [rand_fraction(rng), rand_fraction(rng)]
-        moved = ts.affine_map(m, [[1, 0], [0, 1]], b, "moment")
-        lin = ts.TruncatedSeries(2, 3, {(1, 0): b[0], (0, 1): b[1]})
-        assert moved == m * ts.exp(lin)
-
-    def test_size_mismatch(self):
-        s = ts.TruncatedSeries.one(2, 3)
-        with pytest.raises(DimensionMismatchError):
-            ts.affine_map(s, [[1]], [0, 0], "moment")
-
-
 class TestMomentConversion:
     def test_factorial_scaling(self):
         s = ts.TruncatedSeries(1, 2, {(2,): Fraction(1, 2)})
