@@ -14,13 +14,14 @@ model, 4 internal check failure (``defect-table --check`` mismatch).
 """
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from . import estimate, geometry, models, ranktest
 from .errors import HomomentError, InputError, ModelMismatchError
@@ -95,31 +96,28 @@ def _positive_float(text):
 
 
 def read_csv_matrix(path):
-    """Numeric rows from a CSV file; one optional header line is skipped."""
+    """Observations from a CSV file as a 2-D float array.
+
+    Lines holding only spaces, tabs and commas are skipped, and a first
+    line with a cell that is not a number is skipped as a header.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if any(c.strip() for c in row)]
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip(" ,\t\r\n")]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}", code="INPUT_IO")
-    if rows:
+    if lines:
         try:
-            [float(c) for c in rows[0]]
+            [float(cell.strip().strip('"')) for cell in lines[0].split(",")]
         except ValueError:
-            rows = rows[1:]
-    if not rows:
+            lines = lines[1:]
+    if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")
-    width = len(rows[0])
-    data = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InputError(f"row {lineno} has {len(row)} cells, expected {width}",
-                             code="INPUT_PARSE")
-        try:
-            data.append([float(c) for c in row])
-        except ValueError as exc:
-            raise InputError(f"non-numeric cell in row {lineno}: {exc}",
-                             code="INPUT_PARSE")
-    return data
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                          ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
 
 
 def _emit(text, output):
@@ -239,8 +237,7 @@ def cmd_defect_table(args):
 
 def cmd_fit2(args):
     data = read_csv_matrix(args.input)
-    degree = args.order
-    cumulants = estimate.sample_cumulants(data, degree)
+    cumulants = estimate.sample_cumulants(data, args.order)
     estimates = estimate.fit_two_gaussians(cumulants, order=args.order)
     payload = {
         "schema": SCHEMA,
@@ -260,9 +257,9 @@ def cmd_fit1d(args):
         moments = _parse_moments(args.moments)
     else:
         data = read_csv_matrix(args.input)
-        if any(len(row) != 1 for row in data):
+        if data.shape[1] != 1:
             raise InputError("fit1d expects a single-column CSV")
-        moments = ranktest.raw_moments([row[0] for row in data], 2 * args.k)
+        moments = ranktest.raw_moments(data[:, 0], 2 * args.k)
     result = estimate.fit_univariate(moments, args.k)
     payload = {
         "schema": SCHEMA,
@@ -301,8 +298,12 @@ def cmd_simulate(args):
                          code="INPUT_PARSE")
     params = models.HomoscedasticParams.from_dict(spec)
     draws = models.sample_mixture(params, args.count, args.seed)
-    lines = [",".join(f"{x:.17g}" for x in row) for row in draws]
-    _emit("\n".join(lines), args.output)
+    if args.output is None:
+        np.savetxt(sys.stdout, draws, fmt="%.17g", delimiter=",")
+    else:
+        # an open handle: given a name ending in .gz, savetxt writes gzip
+        with open(args.output, "w", encoding="utf-8") as handle:
+            np.savetxt(handle, draws, fmt="%.17g", delimiter=",")
     return EXIT_OK
 
 

@@ -63,6 +63,16 @@ def _cbrt(x):
 # sample moments and cumulants
 
 
+def _observations(data):
+    """``data`` as a float array holding at least one value, all finite."""
+    arr = np.asarray(data, dtype=float)
+    if arr.size == 0:
+        raise InputError("need at least one observation", code="INPUT_EMPTY")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("data contains non-finite values", code="INPUT_PARSE")
+    return arr
+
+
 def sample_cumulants(data, degree):
     """Cumulant series of the empirical distribution of ``data``.
 
@@ -70,13 +80,11 @@ def sample_cumulants(data, degree):
     column).  Raw sample moments are averaged monomials; the cumulant
     series is their log transform.
     """
-    arr = np.asarray(data, dtype=float)
+    arr = _observations(data)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InputError("need at least one observation", code="INPUT_EMPTY")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("data contains non-finite values", code="INPUT_PARSE")
+    if arr.ndim != 2:
+        raise InputError("data must be a count x n array of observations")
     count, n = arr.shape
     powers = [[np.ones(count)] for _ in range(n)]
     for j in range(n):

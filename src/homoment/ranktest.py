@@ -20,10 +20,11 @@ from numpy.polynomial import polynomial as P
 
 from . import _poly
 from . import series as ts
-from .errors import InputError, InsufficientOrderError, PreconditionError
+from .errors import InsufficientOrderError
 from .estimate import (
     _minor_scales,
     _moment_list,
+    _observations,
     hankel_pencil,
     pencil_minor_values,
 )
@@ -75,39 +76,42 @@ class MembershipVerdict:
         }
 
 
-def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD,
-                      minor_scales=None):
+def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
     """Does a moment vector lie on the homoscedastic k-secant?
 
     Minimizes the sum of squared minors over variances in [0, m2] (the
     component variance can never exceed the raw second moment) after
-    scaling each minor either by the moment scale raised to its weighted
-    degree or by the caller's ``minor_scales`` (noise levels, for sample
-    moments).  The verdict is never an error: off-model input simply
+    scaling each minor by the moment scale raised to its weighted
+    degree.  The verdict is never an error: off-model input simply
     reports a residual above the threshold.
     """
     m = _moment_list(moments)
-    return _pencil_membership(m, hankel_pencil(m, k), threshold,
-                              minor_scales)
+    return _pencil_membership(m, hankel_pencil(m, k), threshold, None)
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
-    """``secant_membership`` on an already expanded pencil of ``m``."""
+    """``secant_membership`` on an already expanded pencil of ``m``, with
+    each minor scaled by ``minor_scales`` (noise levels, for sample
+    moments) when given.
+
+    The expanded sum of squares only locates the candidate variances: its
+    large coefficients cancel, so each candidate is scored by summing the
+    squared scaled minors themselves.
+    """
     if minor_scales is None:
         minor_scales = _minor_scales(m, pencil.weights)
-    elif len(minor_scales) != pencil.nminors:
-        raise PreconditionError("one scale per minor required")
+    scaled = []
     objective = np.zeros(1)
     for coeffs, scale in zip(pencil.minors, minor_scales):
         scale = float(scale) if scale else 1.0
-        scaled = [float(c) / scale for c in coeffs]
-        objective = P.polyadd(objective, P.polymul(scaled, scaled))
+        scaled.append([float(c) / scale for c in coeffs])
+        objective = P.polyadd(objective, P.polymul(scaled[-1], scaled[-1]))
     s_max = max(float(m[1]), 0.0)
     candidates = [0.0, s_max]
     for r in _poly.real_roots(_poly.poly_derivative(objective), imag_tol=1e-6):
         if 0.0 < r < s_max:
             candidates.append(r)
-    values = [(max(0.0, float(_poly.poly_eval(objective, s))), s)
+    values = [(float(sum(_poly.poly_eval(c, s) ** 2 for c in scaled)), s)
               for s in candidates]
     residual, witness = min(values)
     return MembershipVerdict(
@@ -116,19 +120,14 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
         nminors=pencil.nminors)
 
 
-def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD,
-                     minor_scales=None):
+def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
     """Membership verdicts for k = 1..k_max (the residual trace)."""
     m = _moment_list(moments)
     if len(m) < 2 * k_max + 1:
         raise InsufficientOrderError(
             f"component search up to {k_max} needs order {2 * k_max + 1}")
-    out = []
-    for k in range(1, k_max + 1):
-        scales = None if minor_scales is None else minor_scales[k]
-        out.append(secant_membership(m, k, threshold=threshold,
-                                     minor_scales=scales))
-    return out
+    return [secant_membership(m, k, threshold=threshold)
+            for k in range(1, k_max + 1)]
 
 
 def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
@@ -141,15 +140,6 @@ def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
 
 # ----------------------------------------------------------------------
 # noise-calibrated component count for sample data
-
-
-def _sample_vector(data):
-    arr = np.asarray(data, dtype=float).ravel()
-    if arr.size == 0:
-        raise InsufficientOrderError("empty sample")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("data contains non-finite values", code="INPUT_PARSE")
-    return arr
 
 
 def _power_sums(arr, order, counts=None):
@@ -166,11 +156,11 @@ def _power_sums(arr, order, counts=None):
 
 def raw_moments(data, order):
     """First ``order`` raw sample moments of a flat data vector."""
-    arr = _sample_vector(data)
+    arr = _observations(data).ravel()
     return [s / arr.size for s in _power_sums(arr, order)]
 
 
-def bootstrap_minor_scales(data, witnesses, n_boot=32, seed=0, d=None):
+def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     """Sampling noise of each pencil minor at a fixed variance, estimated
     by the nonparametric bootstrap of the data.
 
@@ -178,17 +168,15 @@ def bootstrap_minor_scales(data, witnesses, n_boot=32, seed=0, d=None):
     at; the result maps each k to one noise level per minor.  The
     ``n_boot`` resamples are drawn once and shared by every k.  A
     resample enters through its multiplicities, so its moments are
-    weighted power sums of the original data.  ``d`` is the moment order
-    (default ``2 * max(k)``).
+    weighted power sums of the original data of orders 1..``d``.
     """
-    arr = _sample_vector(data)
-    order = 2 * max(witnesses) if d is None else d
+    arr = _observations(data).ravel()
     rng = np.random.default_rng(seed)
     samples = {k: [] for k in witnesses}
     for _ in range(n_boot):
         pick = rng.integers(0, arr.size, arr.size)
         counts = np.bincount(pick, minlength=arr.size)
-        m_b = [s / arr.size for s in _power_sums(arr, order, counts)]
+        m_b = [s / arr.size for s in _power_sums(arr, d, counts)]
         for k, witness_s in witnesses.items():
             samples[k].append([float(v) for v in
                                pencil_minor_values(m_b, k, witness_s)])

@@ -183,12 +183,12 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            d = self.degree
+            terms = [(b, sum(b), cb) for b, cb in other._c.items()]
             out = {}
             for a, ca in self._c.items():
-                da = sum(a)
-                for b, cb in other._c.items():
-                    if da + sum(b) > d:
+                room = self.degree - sum(a)
+                for b, db, cb in terms:
+                    if db > room:
                         continue
                     key = tuple(x + y for x, y in zip(a, b))
                     prod = ca * cb

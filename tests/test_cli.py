@@ -274,6 +274,32 @@ class TestSimulateAndFit2:
         assert code == cli.EXIT_MODEL
         assert json.loads(err)["error"]["code"] == "SYMMETRIC_MIXTURE"
 
+    @pytest.mark.parametrize("text,expected", [
+        ("1,2\n\n3,4\n\n", [[1, 2], [3, 4]]),
+        ("1,2\n,\n  ,  \n3,4\n", [[1, 2], [3, 4]]),
+        (" 1 , 2 \r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ('"1.5",2\n3,4\n', [[1.5, 2], [3, 4]]),
+        ('"x","y"\n1,2\n', [[1, 2]]),
+        ("1,2\n3\n", "INPUT_PARSE"),
+        ("1,2,\n3,4,\n", "INPUT_PARSE"),
+        ("1,2\n3,4 # note\n", "INPUT_PARSE"),
+        ("x,y\n", "INPUT_EMPTY"),
+        ("x,y\n1,2\nnan,3\n", "INPUT_PARSE"),
+        ("1,2\n1e999,3\n", "INPUT_PARSE"),
+    ], ids=["blank-lines", "comma-space-lines", "spaces-crlf",
+            "quoted-number", "quoted-header", "ragged", "trailing-comma",
+            "hash-note", "header-only", "nan", "overflow"])
+    def test_csv_contract(self, capsys, tmp_path, text, expected):
+        data = tmp_path / "data.csv"
+        data.write_bytes(text.encode())
+        if isinstance(expected, str):
+            code, out, err = run(["fit2", "--input", str(data)], capsys)
+            assert (code, out) == (cli.EXIT_INPUT, "")
+            assert strict_json(err)["error"]["code"] == expected
+        else:
+            rows = np.asarray(cli.read_csv_matrix(str(data)), dtype=float)
+            assert rows.tolist() == expected
+
 
 class TestFit1d:
     def test_single_gaussian_from_moments(self, capsys):

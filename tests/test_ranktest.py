@@ -183,6 +183,24 @@ class TestComponentCount:
         gdata = models.sample_mixture(g, 100_000, seed=12)
         assert ranktest.estimate_components_from_data(gdata, 3, seed=1)[0] == 1
 
+    def test_residual_is_sum_of_squared_whitened_minors(self):
+        # the expanded sum of squares loses digits to cancellation; the
+        # reported residual must equal the minors squared and summed
+        p = models.HomoscedasticParams(means=[[0.0], [2.5]],
+                                       weights=[0.35, 0.65], cov=[[0.5]])
+        data = models.sample_mixture(p, 20_000, seed=0)
+        _, verdicts = ranktest.estimate_components_from_data(data, 2, seed=0)
+        m = ranktest.raw_moments(data, 5)
+        first = {k: ranktest.secant_membership(m, k).witness_s
+                 for k in (1, 2)}
+        scales = ranktest.bootstrap_minor_scales(data, first, n_boot=32,
+                                                 seed=0, d=5)
+        for v in verdicts:
+            minors = ranktest.pencil_minor_values(m, v.k, v.witness_s)
+            direct = sum((float(x) / s) ** 2
+                         for x, s in zip(minors, scales[v.k]))
+            assert v.residual == pytest.approx(direct, rel=1e-9)
+
 
 def _gathered_scales(arr, k, witness_s, n_boot, seed, d):
     """Bootstrap noise levels computed the direct way: gather each
