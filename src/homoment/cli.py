@@ -95,21 +95,33 @@ def _positive_float(text):
         f"expected a finite positive number, got {text!r}")
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv_matrix(path):
     """Observations from a CSV file as a 2-D float array.
 
-    Lines holding only spaces, tabs and commas are skipped, and a first
-    line with a cell that is not a number is skipped as a header.
+    The file is UTF-8 text, with or without a byte-order mark.  Lines
+    holding only spaces, tabs and commas are skipped, and the first line
+    is skipped as a header when one of its non-empty cells is not a
+    number.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = [line for line in handle if line.strip(" ,\t\r\n")]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}", code="INPUT_IO")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot parse {path}: not UTF-8 text ({exc})",
+                         code="INPUT_PARSE")
     if lines:
-        try:
-            [float(cell.strip().strip('"')) for cell in lines[0].split(",")]
-        except ValueError:
+        cells = [cell.strip().strip('"') for cell in lines[0].split(",")]
+        if not all(_is_number(cell) for cell in cells if cell):
             lines = lines[1:]
     if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")

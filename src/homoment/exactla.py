@@ -1,14 +1,17 @@
 """Exact linear algebra: rank over GF(p) and determinant over Q.
 
-Matrices are plain nested lists of ``Fraction`` or ``int`` entries; sizes
-here stay in the low hundreds.  Each row is first scaled to integers,
-which preserves rank.  Rank is then Gaussian elimination modulo a prime
-``p`` below 2**31 on numpy ``int64`` rows, so the product of two residues
-never overflows.  For an integer matrix the rank mod p is at most the rank
-over Q, so a rank computed here is a certified lower bound; the two differ
-only when p divides every r x r minor, r being the rank over Q.  The
-determinant stays exact over Q (fraction-free Bareiss elimination),
-because callers need its value, not only whether it vanishes.
+Matrices are plain nested lists (or arrays) of ``int`` or ``Fraction``
+entries; sizes here stay in the low hundreds.  Rank is Gaussian
+elimination modulo a prime ``p`` below 2**31 on numpy ``int64`` rows, so
+the product of two residues never overflows.  An integer matrix, such as
+a secant Jacobian that ``geometry`` builds directly as residues mod p, is
+reduced as it is.  A matrix with ``Fraction`` entries is first scaled row
+by row to integers, which preserves rank.  For an integer matrix the rank
+mod p is at most the rank over Q, so a rank computed here is a certified
+lower bound; the two differ only when p divides every r x r minor, r
+being the rank over Q.  The determinant stays exact over Q (fraction-free
+Bareiss elimination), because callers need its value, not only whether
+it vanishes.
 """
 
 from fractions import Fraction
@@ -45,7 +48,8 @@ def _integer_rows(matrix):
 
 
 def rank(matrix, p=PRIMES[0]):
-    """Rank over GF(p) of ``matrix`` with its rows scaled to integers.
+    """Rank over GF(p) of an integer ``matrix``, or of a rational one
+    with its rows scaled to integers.
 
     A lower bound on the rank r over Q, equal to it unless p divides
     every r x r minor of the scaled matrix.  ``p`` must be a prime below
@@ -54,10 +58,14 @@ def rank(matrix, p=PRIMES[0]):
     if not 2 <= p < 2**31:
         raise PreconditionError(
             f"rank needs a prime modulus below 2**31, got {p}")
-    rows, _ = _integer_rows(matrix)
-    if not rows:
-        return 0
-    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    m = np.array(matrix)
+    if m.dtype.kind in "iu":
+        m = (m % p).astype(np.int64)
+    else:
+        rows, _ = _integer_rows(matrix)
+        if not rows:
+            return 0
+        m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     nrows, ncols = m.shape
     r = 0
     for c in range(ncols):

@@ -11,14 +11,28 @@ closed form:
     dM/dw_i  = (E_i - E_k) F     (i < k; the last weight is 1 - sum w_i)
     dM/dS_ij = u_i u_j M         (halved for i = j)
 
-Ranks are computed exactly: the rational Jacobian at a random integer
-point is read off these series with ``Fraction`` arithmetic and ranked
-over GF(p), with its own prime below 2**31 for each point.  The rank mod
-p of the Jacobian at a point is at most its rank over Q, which is at
-most the generic rank, so every point gives a certified lower bound.  By
-the Schwartz-Zippel lemma the bound is sharp with overwhelming
-probability, so reports take the maximum over at least two points and
-draw a third when the first two disagree.
+Ranks are computed exactly.  At each random integer point the Jacobian
+is read off these series as residues mod a prime p below 2**31, its own
+prime for each point, and ranked over GF(p); it is never built over Q.
+Series live in numpy int64 arrays of generating coefficients m_a / a!:
+E_i comes from a per-atom table of p_ij^e / e!, F = exp(u'Su/2), the
+products E_i F and the series inverse D^-1 of the centered builder are
+truncated products over a cached per-(n, d) table of the index pairs
+(b, a - b), and each term is reduced mod p before the sum, so no product
+of two residues overflows.  Rows come from index shifts,
+(u_j S)[a] = S[a - e_j].
+
+This is sound because every denominator of the rational Jacobian is a
+unit mod p: it divides a product of factorials e! with e <= d <= 6 (from
+E_i and from the exponential), powers of 2 and, in the centered builder,
+the drawn last weight, nonzero with |w_k| < p (D^-1 = sum_j (1 - D)^j adds
+none).  Each is inverted by ``_inverse``, which raises on a non-unit.  The residue matrix
+is then the rational Jacobian reduced mod p, a minor of it is the
+reduction of the corresponding minor over Q, and its rank is at most the
+rank over Q, which is at most the generic rank: every point gives a
+certified lower bound.  By the Schwartz-Zippel lemma the bound is sharp
+with overwhelming probability, so reports take the maximum over at least
+two points and draw a third when the first two disagree.
 
 The module also carries two pieces of reference data: the published
 classification table of the order-3 homoscedastic secants for up to
@@ -28,12 +42,15 @@ Both are inputs this artifact checks against, not results it derives.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from types import SimpleNamespace
 
-from . import models
-from . import series as ts
+import numpy as np
+
 from .errors import PreconditionError
 from .exactla import PRIMES, rank
+from .series import multi_indices
 
 MAX_N = 8
 MAX_D = 6
@@ -71,11 +88,7 @@ def _mix_seed(seed, n, k, d, trial):
 
 
 # ----------------------------------------------------------------------
-# Jacobians at exact points
-
-
-def _moment_columns(n, d, lowest=1):
-    return [a for a in ts.multi_indices(n, d) if sum(a) >= lowest]
+# Jacobians at exact points, as residues mod p
 
 
 def _draw(rng, count):
@@ -101,112 +114,226 @@ def _symmetric(upper, n):
     return m
 
 
-def _lowered(indices, j):
-    """a - e_j for each index a, or None where a_j = 0 (or a is None):
-    (u_j S)[a] = S[a - e_j], and no coefficient dict holds None."""
-    return [a[:j] + (a[j] - 1,) + a[j + 1:] if a and a[j] else None
-            for a in indices]
+def _inverse(x, p):
+    """x^-1 mod p.  Every denominator of a Jacobian entry is inverted
+    here, so one that is not a unit mod p raises instead of being
+    reduced."""
+    if x % p == 0:
+        raise PreconditionError(f"{x} is not a unit mod {p}")
+    return pow(x, -1, p)
 
 
-def _atom(point, degree):
-    """E = exp(p.u), the moment series of one atom at p."""
-    atom = models.DiracMixtureParams(points=[point], weights=[1])
-    return models.dirac_mixture_moments(atom, degree)
+def _residue(x, p):
+    """x mod p for a rational x (anything with an integer numerator and
+    denominator)."""
+    return x.numerator * _inverse(x.denominator, p) % p
 
 
-def _tangent_rows(weights, terms, cols):
-    """Rows dM/dp_ij, then dM/dw_i for i < k, at the columns ``cols``;
-    ``terms`` are the coefficient dicts of E_i F."""
-    down = [_lowered(cols, j) for j in range(len(cols[0]))]
-    rows = [[w * t.get(b, 0) for b in shifted]
-            for w, t in zip(weights, terms) for shifted in down]
-    last = terms[-1]
-    rows += [[t.get(a, 0) - last.get(a, 0) for a in cols] for t in terms[:-1]]
-    return rows
+def _residues(values, p):
+    return np.array([_residue(x, p) for x in values], dtype=np.int64)
 
 
-def moment_map_jacobian(params, degree):
-    """Exact Jacobian of all moment coordinates of order 1..degree.
+@dataclass(frozen=True)
+class _Indices:
+    """The multi-indices of order 0..d in ``multi_indices`` order (the
+    constant first) and the index maps of series on them."""
+
+    order: np.ndarray      # |a|
+    exponents: np.ndarray  # (N, n): the indices a
+    down: np.ndarray       # (n, N): position of a - e_j, -1 where a_j = 0
+    left: np.ndarray       # every pair (b, c) with |b + c| <= d, grouped
+    right: np.ndarray      # by a = b + c: the positions of b and of c
+    starts: np.ndarray     # first pair of each group
+
+
+@lru_cache(maxsize=None)
+def _indices(n, d):
+    exponents = np.array(multi_indices(n, d), dtype=np.int64)
+    order = exponents.sum(axis=1)
+    size = len(order)
+    # exponents are at most d, so base-(d+1) digits give distinct keys,
+    # and adding two keys adds their indices
+    place = (d + 1) ** np.arange(n, dtype=np.int64)
+    keys = exponents @ place
+    sorter = np.argsort(keys)
+
+    def position(key):
+        found = np.searchsorted(keys, key, sorter=sorter)
+        return sorter[np.minimum(found, size - 1)]
+
+    down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
+    # the indices are graded, so the c with |b| + |c| <= d are a prefix
+    fits = np.searchsorted(order, d - order, side="right")
+    left = np.repeat(np.arange(size), fits)
+    right = np.arange(left.size) - np.repeat(np.cumsum(fits) - fits, fits)
+    target = position(keys[left] + keys[right])
+    grouped = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[grouped], np.arange(size))
+    tables = _Indices(order, exponents, down, left[grouped], right[grouped],
+                      starts)
+    for array in vars(tables).values():
+        array.setflags(write=False)  # shared by every caller of the cache
+    return tables
+
+
+def _one(ix):
+    one = np.zeros(len(ix.order), dtype=np.int64)
+    one[0] = 1
+    return one
+
+
+def _times_u(s, down):
+    """u_j s for the map ``down = ix.down[j]``, or for every j at once
+    (a new axis before the last) with ``down = ix.down``:
+    (u_j s)[a] = s[a - e_j], and zero where a_j = 0."""
+    return np.where(down >= 0, s[..., down], 0)
+
+
+def _product(x, y, ix, p):
+    """Truncated products mod p of the series on the last axis of ``x``
+    with the series ``y``.  Each term is reduced before the sum, so no
+    residue product overflows int64."""
+    terms = x[..., ix.left] * y[ix.right] % p
+    return np.add.reduceat(terms, ix.starts, axis=-1) % p
+
+
+def _power_sum(s, coeffs, ix, p):
+    """sum_j coeffs[j] s^j mod p for a series s with zero constant term."""
+    power = _one(ix)
+    total = coeffs[0] * power
+    for c in coeffs[1:]:
+        power = _product(power, s, ix, p)
+        total = (total + c * power) % p
+    return total
+
+
+def _atoms(points, ix, p):
+    """E_i = exp(p_i.u) mod p for each row p_i of ``points``: the
+    coefficient at a is the product over j of p_ij^a_j / a_j!."""
+    d = int(ix.order[-1])
+    inverse_factorials = np.array(
+        [_inverse(factorial(e), p) for e in range(d + 1)], dtype=np.int64)
+    powers = np.ones(points.shape + (d + 1,), dtype=np.int64)
+    for e in range(1, d + 1):
+        powers[..., e] = powers[..., e - 1] * points % p
+    scaled = powers * inverse_factorials % p   # [i, j, e] = p_ij^e / e!
+    atoms = np.ones((len(points), len(ix.order)), dtype=np.int64)
+    for j, column in enumerate(ix.exponents.T):
+        atoms = atoms * scaled[:, j, column] % p
+    return atoms
+
+
+def _mean_rows(weights, terms, ix, p):
+    """Rows w_i u_j T_i, j inner, from the series T_i (rows of ``terms``)."""
+    rows = weights[:, None, None] * _times_u(terms, ix.down) % p
+    return rows.reshape(-1, terms.shape[-1])
+
+
+def _tangent_rows(weights, terms, ix, p):
+    """Rows dM/dp_ij, then dM/dw_i for i < k, of M = sum_i w_i T_i."""
+    return np.vstack([_mean_rows(weights, terms, ix, p),
+                      (terms[:-1] - terms[-1]) % p])
+
+
+def moment_map_jacobian(params, degree, p):
+    """Jacobian mod p of all moment coordinates of order 1..degree.
 
     Rows follow the free parameters: the k*n mean coordinates, the first
     k-1 weights (the last weight is eliminated as one minus their sum),
-    then the upper triangle of the covariance.  Entries are Fractions or
-    ints.  ``params`` must have rational entries.
+    then the upper triangle of the covariance.  Columns follow
+    ``series.multi_indices``.  ``params`` has rational means, weights and
+    covariance (ints, or fractions whose denominators are units mod p).
+    Entries are ints in [0, p): the rational Jacobian reduced mod p.
     """
-    n = params.nvars
-    cols = _moment_columns(n, degree)
-    gauss = models.gaussian_moments(
-        models.GaussianParams(mean=(0,) * n, cov=params.cov), degree)
-    terms = [dict((_atom(mean, degree) * gauss).items())
-             for mean in params.means]
-    rows = _tangent_rows(params.weights, terms, cols)
-    # the covariance rows read M only up to order degree - 2
-    moments = {a: sum(w * t.get(a, 0) for w, t in zip(params.weights, terms))
-               for a in ts.multi_indices(n, degree - 2)}
-    down = [_lowered(cols, j) for j in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            scale = Fraction(1, 2) if i == j else 1
-            rows.append([scale * moments.get(b, 0)
-                         for b in _lowered(down[i], j)])
-    return rows
+    means = np.array([_residues(m, p) for m in params.means])
+    n = means.shape[1]
+    ix = _indices(n, degree)
+    weights = _residues(params.weights, p)
+    half = _inverse(2, p)
+    one = _one(ix)
+    # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal;
+    # u_i u_j 1 is the series with a single 1 at e_i + e_j
+    upper = [(i, j, half if i == j else 1) for i in range(n)
+             for j in range(i, n)]
+    quadratic = sum(_residue(params.cov[i][j], p) * scale % p
+                    * _times_u(_times_u(one, ix.down[j]), ix.down[i])
+                    for i, j, scale in upper) % p
+    gauss = _power_sum(quadratic, [_inverse(factorial(j), p)
+                                   for j in range(degree // 2 + 1)], ix, p)
+    terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
+    moments = (weights[:, None] * terms % p).sum(axis=0) % p
+    rows = [_tangent_rows(weights, terms, ix, p)]
+    rows += [scale * _times_u(_times_u(moments, ix.down[j]), ix.down[i]) % p
+             for i, j, scale in upper]
+    return np.vstack(rows)[:, 1:].tolist()
 
 
-def _mixture_jacobian(n, k, d, rng):
+def _mixture_point(n, k, rng):
+    """Random integer mixture with distinct means and nonzero weights."""
     while True:
         means = _chunks(_draw(rng, k * n), n)
         if len(set(map(tuple, means))) == k:
             break
     weights = _all_weights(_draw(rng, k - 1))
     if 0 in weights:
-        return _mixture_jacobian(n, k, d, rng)
+        return _mixture_point(n, k, rng)
     cov = _symmetric(_draw(rng, n * (n + 1) // 2), n)
-    params = models.HomoscedasticParams(means=means, weights=weights, cov=cov)
-    return moment_map_jacobian(params, d)
+    return SimpleNamespace(means=means, weights=weights, cov=cov)
 
 
-def _centered_jacobian(n, k, d, rng):
-    # free coordinates of the centered atom space: k-1 atoms and k-1
-    # weights; the last weight and atom are eliminated by the constraints
+def _mixture_jacobian(n, k, d, rng, p):
+    return moment_map_jacobian(_mixture_point(n, k, rng), d, p)
+
+
+def _centered_point(n, k, rng):
+    """Free coordinates of the centered atom space, k-1 atoms and all k
+    weights: the last weight (nonzero) and the last atom are eliminated by
+    the constraints."""
     values = _draw(rng, (k - 1) * (n + 1))
     if sum(values[(k - 1) * n:]) == 1:  # the last weight would be zero
-        return _centered_jacobian(n, k, d, rng)
-    points = _chunks(values[:(k - 1) * n], n)
-    weights = _all_weights(values[(k - 1) * n:])
-    last = [Fraction(-sum(w * p[j] for w, p in zip(weights, points)),
-                     weights[-1]) for j in range(n)]
-    # with p_k = -sum_i w_i p_i / w_k, the moment series D = sum_i w_i E_i
-    # has tangents dD/dp_ij = w_i u_j (E_i - E_k) and dD/dw_i = E_i - E_k
+        return _centered_point(n, k, rng)
+    return _chunks(values[:(k - 1) * n], n), _all_weights(values[(k - 1) * n:])
+
+
+def _centered_jacobian(n, k, d, rng, p):
+    points, weights = _centered_point(n, k, rng)
+    ix = _indices(n, d)
+    w = _residues(weights, p)
+    free = np.array([_residues(x, p) for x in points])
+    # p_k = -sum_i w_i p_i / w_k; 0 < |w_k| < p, so w_k is a unit
+    last = -(w[:-1, None] * free % p).sum(axis=0) % p
+    last = last * _inverse(weights[-1], p) % p
+    # the moment series D = sum_i w_i E_i has tangents
+    # dD/dp_ij = w_i u_j (E_i - E_k) and dD/dw_i = E_i - E_k
     # + sum_j (p_kj - p_ij) u_j E_k; those of log D are D^-1 times them
-    atoms = [dict(_atom(p, d).items()) for p in points + [last]]
-    e_k = atoms[-1]
-    cols = _moment_columns(n, d)
-    down = [_lowered(cols, j) for j in range(n)]
-    rows = [[w * (e.get(b, 0) - e_k.get(b, 0)) for b in shifted]
-            for w, e in zip(weights[:-1], atoms) for shifted in down]
-    rows += [[e.get(a, 0) - e_k.get(a, 0)
-              + sum((q - x) * e_k.get(b, 0) for q, x, b in zip(last, p, lower))
-              for a, *lower in zip(cols, *down)]
-             for p, e in zip(points, atoms)]
-    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(
-        models.DiracMixtureParams(points=points + [last], weights=weights), d)))
-    tangents = [dict((ts.TruncatedSeries(n, d, dict(zip(cols, row))) * inverse)
-                     .items()) for row in rows]
-    cumulant_cols = _moment_columns(n, d, lowest=3)
-    return [[t.get(a, 0) for a in cumulant_cols] for t in tangents]
+    atoms = _atoms(np.vstack([free, last]), ix, p)
+    gaps = (atoms[:-1] - atoms[-1]) % p
+    slopes = (last - free) % p
+    shift = (slopes[:, :, None] * _times_u(atoms[-1], ix.down) % p).sum(axis=1)
+    rows = np.vstack([_mean_rows(w[:-1], gaps, ix, p), (gaps + shift) % p])
+    moments = (w[:, None] * atoms % p).sum(axis=0) % p
+    inverse = _power_sum((_one(ix) - moments) % p, [1] * (d + 1), ix, p)
+    return _product(rows, inverse, ix, p)[:, ix.order >= 3].tolist()
 
 
-def _veronese_jacobian(n, k, d, rng):
+def _veronese_point(n, k, rng):
+    """Random integer atoms and weights of a k-atom Dirac mixture."""
     values = _draw(rng, k * n + k - 1)
-    terms = [dict(_atom(p, d).items()) for p in _chunks(values[:k * n], n)]
-    return _tangent_rows(_all_weights(values[k * n:]), terms,
-                         _moment_columns(n, d))
+    return _chunks(values[:k * n], n), _all_weights(values[k * n:])
+
+
+def _veronese_jacobian(n, k, d, rng, p):
+    points, weights = _veronese_point(n, k, rng)
+    ix = _indices(n, d)
+    atoms = _atoms(np.array([_residues(x, p) for x in points]), ix, p)
+    return _tangent_rows(_residues(weights, p), atoms, ix, p)[:, 1:].tolist()
 
 
 def _generic_rank(jacobian_at, seed, n, k, d):
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
-        return rank(jacobian_at(n, k, d, rng), PRIMES[trial])
+        p = PRIMES[trial]
+        return rank(jacobian_at(n, k, d, rng, p), p)
 
     ranks = [rank_at(0), rank_at(1)]
     if ranks[0] != ranks[1]:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import gzip
 import hashlib
 import io
 import json
@@ -286,9 +287,12 @@ class TestSimulateAndFit2:
         ("x,y\n", "INPUT_EMPTY"),
         ("x,y\n1,2\nnan,3\n", "INPUT_PARSE"),
         ("1,2\n1e999,3\n", "INPUT_PARSE"),
+        ("\ufeff1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ("1, \n2,3\n", "INPUT_PARSE"),
     ], ids=["blank-lines", "comma-space-lines", "spaces-crlf",
             "quoted-number", "quoted-header", "ragged", "trailing-comma",
-            "hash-note", "header-only", "nan", "overflow"])
+            "hash-note", "header-only", "nan", "overflow", "byte-order-mark",
+            "blank-first-line-cell"])
     def test_csv_contract(self, capsys, tmp_path, text, expected):
         data = tmp_path / "data.csv"
         data.write_bytes(text.encode())
@@ -325,6 +329,12 @@ class TestFit1d:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert "--k" in strict_json(err)["error"]["message"]
+
+    def test_non_utf8_input(self, tmp_path):
+        # gzip bytes are not UTF-8 text
+        data = tmp_path / "s.csv.gz"
+        data.write_bytes(gzip.compress(b"1.0\n2.0\n", mtime=0))
+        assert_rejected(["fit1d", "--k", "1", "--input", str(data)])
 
     def test_non_finite_csv_cell(self, capsys, tmp_path):
         data = tmp_path / "nan.csv"

@@ -130,6 +130,96 @@ class TestExactLinearAlgebra:
             rank([[1]], p)
 
 
+# Reference builders over Q: each secant Jacobian read off the closed-form
+# tangent series with ``TruncatedSeries`` over ``Fraction``.  The library
+# builds the same Jacobians as residues mod p; these are the oracle.
+
+
+def moment_columns(n, d, lowest=1):
+    return [a for a in ts.multi_indices(n, d) if sum(a) >= lowest]
+
+
+def lowered(indices, j):
+    """a - e_j for each index a, or None where a_j = 0 (or a is None):
+    (u_j S)[a] = S[a - e_j], and no coefficient dict holds None."""
+    return [a[:j] + (a[j] - 1,) + a[j + 1:] if a and a[j] else None
+            for a in indices]
+
+
+def atom_series(point, degree):
+    """E = exp(p.u), the moment series of one atom at p."""
+    atom = models.DiracMixtureParams(points=[point], weights=[1])
+    return models.dirac_mixture_moments(atom, degree)
+
+
+def fraction_tangent_rows(weights, terms, cols):
+    """Rows dM/dp_ij, then dM/dw_i for i < k, at the columns ``cols``;
+    ``terms`` are the coefficient dicts of E_i F."""
+    down = [lowered(cols, j) for j in range(len(cols[0]))]
+    rows = [[w * t.get(b, 0) for b in shifted]
+            for w, t in zip(weights, terms) for shifted in down]
+    last = terms[-1]
+    rows += [[t.get(a, 0) - last.get(a, 0) for a in cols] for t in terms[:-1]]
+    return rows
+
+
+def fraction_moment_map_jacobian(params, degree):
+    """``geometry.moment_map_jacobian`` over Q."""
+    n = len(params.means[0])
+    cols = moment_columns(n, degree)
+    gauss = models.gaussian_moments(
+        models.GaussianParams(mean=(0,) * n, cov=params.cov), degree)
+    terms = [dict((atom_series(mean, degree) * gauss).items())
+             for mean in params.means]
+    rows = fraction_tangent_rows(params.weights, terms, cols)
+    # the covariance rows read M only up to order degree - 2
+    moments = {a: sum(w * t.get(a, 0) for w, t in zip(params.weights, terms))
+               for a in ts.multi_indices(n, degree - 2)}
+    down = [lowered(cols, j) for j in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            scale = Fraction(1, 2) if i == j else 1
+            rows.append([scale * moments.get(b, 0)
+                         for b in lowered(down[i], j)])
+    return rows
+
+
+def fraction_centered_jacobian(points, weights, d):
+    """``geometry._centered_jacobian`` over Q at its drawn point."""
+    n = len(points[0])
+    last = [Fraction(-sum(w * p[j] for w, p in zip(weights, points)),
+                     weights[-1]) for j in range(n)]
+    atoms = [dict(atom_series(p, d).items()) for p in points + [last]]
+    e_k = atoms[-1]
+    cols = moment_columns(n, d)
+    down = [lowered(cols, j) for j in range(n)]
+    rows = [[w * (e.get(b, 0) - e_k.get(b, 0)) for b in shifted]
+            for w, e in zip(weights[:-1], atoms) for shifted in down]
+    rows += [[e.get(a, 0) - e_k.get(a, 0)
+              + sum((q - x) * e_k.get(b, 0) for q, x, b in zip(last, p, lower))
+              for a, *lower in zip(cols, *down)]
+             for p, e in zip(points, atoms)]
+    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(
+        models.DiracMixtureParams(points=points + [last], weights=weights), d)))
+    tangents = [dict((ts.TruncatedSeries(n, d, dict(zip(cols, row))) * inverse)
+                     .items()) for row in rows]
+    return [[t.get(a, 0) for a in moment_columns(n, d, lowest=3)]
+            for t in tangents]
+
+
+def fraction_veronese_jacobian(points, weights, d):
+    """``geometry._veronese_jacobian`` over Q at its drawn point."""
+    terms = [dict(atom_series(p, d).items()) for p in points]
+    return fraction_tangent_rows(weights, terms,
+                                 moment_columns(len(points[0]), d))
+
+
+def reduced(matrix, p):
+    """Entrywise residues mod p of a rational matrix."""
+    return [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
+             for x in row] for row in matrix]
+
+
 class TestMomentJacobian:
     def test_single_gaussian_has_full_parameter_rank(self):
         for n in (1, 2, 3):
@@ -142,14 +232,15 @@ class TestMomentJacobian:
         point = models.HomoscedasticParams(
             means=((1, 1), (1, 1)), weights=(Fraction(1, 2), Fraction(1, 2)),
             cov=((0, 0), (0, 0)))
-        degenerate = rank(geometry.moment_map_jacobian(point, 3))
+        p = PRIMES[0]
+        degenerate = rank(geometry.moment_map_jacobian(point, 3, p), p)
         assert degenerate < geometry.defect_report(2, 2, 3, seed=0).dim
 
     def test_first_point_is_pinned(self):
         # the Jacobian at the first random point of (n, k, d) = (1, 2, 3);
         # any change to the order of random draws changes it
         rng = random.Random(geometry._mix_seed(0, 1, 2, 3, 0))
-        jac = geometry._mixture_jacobian(1, 2, 3, rng)
+        jac = fraction_moment_map_jacobian(geometry._mixture_point(1, 2, rng), 3)
         assert jac == [[-956, -922540, -444730244],
                        [957, -562716, Fraction(330085569, 2)],
                        [1553, Fraction(585481, 2), Fraction(549038302, 3)],
@@ -210,8 +301,9 @@ def dirac_point(free, n, k):
 
 
 class TestTangentsMatchForwardMaps:
-    """Every Jacobian row equals the t-linear term of the forward map
-    moved along that parameter, found by exact interpolation."""
+    """Every row of the reference Jacobians over Q equals the t-linear
+    term of the forward map moved along that parameter, found by exact
+    interpolation."""
 
     @pytest.mark.parametrize("n,k,d", [(1, 3, 5), (2, 2, 3), (2, 3, 4),
                                        (3, 2, 4)])
@@ -219,21 +311,24 @@ class TestTangentsMatchForwardMaps:
         rng = random.Random(n * 100 + k * 10 + d)
         free = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 for _ in range(geometry.parameter_count(n, k))]
-        jac = geometry.moment_map_jacobian(homoscedastic_point(free, n, k), d)
-        cols = geometry._moment_columns(n, d)
+        point = homoscedastic_point(free, n, k)
+        jac = fraction_moment_map_jacobian(point, d)
+        cols = moment_columns(n, d)
         assert len(jac) == len(free)
         for r, row in enumerate(jac):
             assert row == tangent_by_interpolation(
                 lambda x: models.homoscedastic_moments(
                     homoscedastic_point(x, n, k), d), free, r, d, cols)
+        for p in PRIMES:  # rational points: Fraction means and weights
+            assert geometry.moment_map_jacobian(point, d, p) == reduced(jac, p)
 
     @pytest.mark.parametrize("n,k,d", [(1, 2, 3), (2, 3, 4), (3, 2, 5)])
     def test_veronese(self, n, k, d):
         # the builder draws its point from rng; a twin stream replays it
         rng, twin = random.Random(d), random.Random(d)
-        jac = geometry._veronese_jacobian(n, k, d, rng)
+        jac = fraction_veronese_jacobian(*geometry._veronese_point(n, k, rng), d)
         free = geometry._draw(twin, k * n + k - 1)
-        cols = geometry._moment_columns(n, d)
+        cols = moment_columns(n, d)
         assert len(jac) == len(free)
         for r, row in enumerate(jac):
             assert row == tangent_by_interpolation(
@@ -243,7 +338,7 @@ class TestTangentsMatchForwardMaps:
     @pytest.mark.parametrize("n,k,d", [(2, 2, 3), (2, 3, 4), (3, 3, 3)])
     def test_centered(self, n, k, d):
         rng, twin = random.Random(d), random.Random(d)
-        jac = geometry._centered_jacobian(n, k, d, rng)
+        jac = fraction_centered_jacobian(*geometry._centered_point(n, k, rng), d)
         free = [Fraction(x) for x in geometry._draw(twin, (k - 1) * (n + 1))]
         assert sum(free[(k - 1) * n:]) != 1  # no redraw: the twin matches
         points = [free[i * n:(i + 1) * n] for i in range(k - 1)]
@@ -255,7 +350,7 @@ class TestTangentsMatchForwardMaps:
         # along every coordinate; the chain rule through
         # p_k = -sum_i w_i p_i / w_k then gives the centered rows
         full = free[:(k - 1) * n] + last + weights
-        cols = geometry._moment_columns(n, d, lowest=3)
+        cols = moment_columns(n, d, lowest=3)
 
         def along(r):
             return tangent_by_interpolation(
@@ -275,6 +370,79 @@ class TestTangentsMatchForwardMaps:
                                          for j in range(n)])
                      for i in range(k - 1)]
         assert jac == expected
+
+
+# the oracle of each residue builder at the point it draws from ``rng``
+ORACLES = {
+    "_mixture_jacobian": lambda n, k, d, rng: fraction_moment_map_jacobian(
+        geometry._mixture_point(n, k, rng), d),
+    "_veronese_jacobian": lambda n, k, d, rng: fraction_veronese_jacobian(
+        *geometry._veronese_point(n, k, rng), d),
+    "_centered_jacobian": lambda n, k, d, rng: fraction_centered_jacobian(
+        *geometry._centered_point(n, k, rng), d),
+}
+
+
+def check_against_oracle(monkeypatch, builder):
+    """Make ``geometry.<builder>`` compare every Jacobian it returns with
+    the oracle over Q, reduced mod p, at the point a twin of its random
+    stream draws.  Returns the list of (n, k, d, p) checked."""
+    real = getattr(geometry, builder)
+    checked = []
+
+    def checking(n, k, d, rng, p):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        jac = real(n, k, d, rng, p)
+        expected = reduced(ORACLES[builder](n, k, d, twin), p)
+        assert jac == expected, (n, k, d, p)
+        checked.append((n, k, d, p))
+        return jac
+
+    monkeypatch.setattr(geometry, builder, checking)
+    return checked
+
+
+class TestResiduesMatchFractionOracle:
+    """Each residue builder equals its oracle over Q reduced mod p."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_draws(self, monkeypatch, n):
+        # every draw behind C01 and C02 (k = 1..12 at d = 3, seed 0) and
+        # behind the pinned --n 1..4 --d 3..4 digest
+        checked = check_against_oracle(monkeypatch, "_mixture_jacobian")
+        cells = [(k, 3) for k in range(1, 13)]
+        if n <= 4:
+            cells += [(k, 4) for k in geometry.default_k_range(n, 4)]
+        for k, d in cells:
+            geometry.defect_report(n, k, d, seed=0)
+        assert len(checked) >= 2 * len(cells)
+
+    def test_veronese_report_draws(self, monkeypatch):
+        checked = check_against_oracle(monkeypatch, "_veronese_jacobian")
+        cases = [(2, 5, 4), (3, 2, 2), (4, 3, 2), (1, 2, 3)]
+        for n, k, d in cases:
+            geometry.veronese_report(n, k, d, seed=0)
+        assert len(checked) >= 2 * len(cases)
+
+    def test_centered_rank_draws(self, monkeypatch):
+        checked = check_against_oracle(monkeypatch, "_centered_jacobian")
+        cases = [(2, 2), (5, 7), (2, 3), (4, 3)]
+        for n, k in cases:
+            geometry.centered_cumulant_rank(n, k, 3, seed=0)
+        assert len(checked) >= 2 * len(cases)
+
+    @pytest.mark.parametrize("builder,n,k,d", [
+        ("_veronese_jacobian", 1, 2, 3), ("_veronese_jacobian", 2, 3, 4),
+        ("_veronese_jacobian", 3, 2, 5), ("_centered_jacobian", 2, 2, 3),
+        ("_centered_jacobian", 2, 3, 4), ("_centered_jacobian", 3, 3, 3),
+    ])
+    def test_tangent_case_draws(self, monkeypatch, builder, n, k, d):
+        # the points of TestTangentsMatchForwardMaps, under every prime
+        checked = check_against_oracle(monkeypatch, builder)
+        for p in PRIMES:
+            getattr(geometry, builder)(n, k, d, random.Random(d), p)
+        assert len(checked) == len(PRIMES)
 
 
 class TestDefectReports:
@@ -299,6 +467,20 @@ class TestDefectReports:
             geometry.defect_report(9, 2, 3)
         with pytest.raises(PreconditionError):
             geometry.defect_report(2, 2, 7)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_two_components_identifiable_at_order_four(self, n):
+        # cross-check of two results: the order-4 closed form gives
+        # finitely many two-component solutions, so no (n, 2, 4) row is
+        # defective and the fiber is finite
+        report = geometry.defect_report(n, 2, 4, seed=0)
+        assert (report.defect, report.fiber_dim) == (0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_one_fills_the_means(self, n):
+        # order-1 moments are the mean, an n-dimensional image
+        report = geometry.defect_report(n, 2, 1, seed=0)
+        assert (report.ambient, report.dim, report.defect) == (n, n, 0)
 
     def test_monotone_in_order(self):
         fibers = [geometry.defect_report(2, 2, d, seed=0).fiber_dim
