@@ -108,7 +108,7 @@ def read_csv_matrix(path):
 
     The file is UTF-8 text, with or without a byte-order mark.  Lines
     holding only spaces, tabs and commas are skipped, and the first line
-    is skipped as a header when one of its non-empty cells is not a
+    is skipped as a header only when none of its non-empty cells is a
     number.
     """
     try:
@@ -121,7 +121,7 @@ def read_csv_matrix(path):
                          code="INPUT_PARSE")
     if lines:
         cells = [cell.strip().strip('"') for cell in lines[0].split(",")]
-        if not all(_is_number(cell) for cell in cells if cell):
+        if not any(_is_number(cell) for cell in cells if cell):
             lines = lines[1:]
     if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")

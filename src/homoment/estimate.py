@@ -347,6 +347,14 @@ def _minor_scales(m, weights):
                          code="INPUT_RANGE")
 
 
+def _deconvolution_coeff(j, i):
+    """Signed coefficient ``(-1)^i j! / (2^i i! (j-2i)!)`` of
+    ``m_{j-2i} variance^i`` in the deconvolved moment of order j."""
+    coeff = math.factorial(j) // (
+        2 ** i * math.factorial(i) * math.factorial(j - 2 * i))
+    return -coeff if i % 2 else coeff
+
+
 def deconvolve_moments(moments, variance):
     """Moments of the atomic part after removing a Gaussian of the given
     variance: ``mt_j = sum_i j! / ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``."""
@@ -357,11 +365,7 @@ def deconvolve_moments(moments, variance):
         acc = None
         power = 1
         for i in range(j // 2 + 1):
-            coeff = math.factorial(j) // (
-                2 ** i * math.factorial(i) * math.factorial(j - 2 * i))
-            if i % 2:
-                coeff = -coeff
-            term = coeff * m[j - 2 * i] * power
+            term = _deconvolution_coeff(j, i) * m[j - 2 * i] * power
             acc = term if acc is None else acc + term
             power = power * variance
         out.append(acc)
@@ -382,22 +386,71 @@ class HankelPencil:
         return len(self.minors)
 
 
-def _pencil_matrix(mt, k):
-    row = [ts._promote(1)] + list(mt)
-    return [[row[i + j] for j in range(len(mt) - k + 1)] for i in range(k + 1)]
+def _column_subsets(d, k):
+    """The ``k + 1``-column subsets of the ``d - k + 1`` pencil columns,
+    one maximal minor each, in ``combinations`` order."""
+    return list(combinations(range(d - k + 1), k + 1))
 
 
 def pencil_minor_values(moments, k, s):
-    """Values of every maximal minor at one variance ``s``, over the
-    matrix of all the given moments."""
-    m = _moment_list(moments)
-    if len(m) < 2 * k:
+    """Values of every maximal minor at the variance ``s``, over the
+    matrix of all the given moments.
+
+    Exact moments at an exact variance give the list of exact minors.
+    Otherwise the minors are floats, all taken in one numpy pass
+    (:func:`_float_minors`): ``moments`` is one moment vector or an
+    ``N x d`` float stack of them, and ``s`` is one variance or one per
+    row (for one vector, one per evaluation).  One vector at one variance
+    gives a list; a stack or a vector of variances gives an
+    ``N x nminors`` array.  A float minor that is not finite raises
+    ``INPUT_RANGE``.
+    """
+    if np.ndim(moments) == 1 and np.ndim(s) == 0:
+        m = _moment_list(moments)
+        if not (_poly.is_exact(m) and _poly.is_exact([s])):
+            return _float_minors([m], k, s)[0].tolist()
+        if len(m) < 2 * k:
+            raise InsufficientOrderError(f"need order {2 * k} for k={k}")
+        # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
+        row = [Fraction(1)] + deconvolve_moments(m, s)
+        return [_poly.det([[row[i + j] for j in sel] for i in range(k + 1)])
+                for sel in _column_subsets(len(m), k)]
+    return _float_minors(moments, k, s)
+
+
+def _float_minors(moments, k, s):
+    """Float maximal minors of a stack of moment rows, each at its
+    variance (rows and variances broadcast against each other).
+
+    Every row is deconvolved in the term order of
+    :func:`deconvolve_moments`, every minor's submatrix is gathered from
+    the deconvolved rows by one fancy index (Hankel entry (i, j) is
+    ``mt_{i+j}``), and one stacked determinant takes them all, so each
+    value equals the per-row float evaluation.
+    """
+    rows = np.atleast_2d(np.asarray(moments, dtype=float))
+    s = np.asarray(s, dtype=float)
+    count, d = np.broadcast_shapes(rows.shape[:1], s.shape) + rows.shape[1:]
+    if d < 2 * k:
         raise InsufficientOrderError(f"need order {2 * k} for k={k}")
-    matrix = _pencil_matrix(deconvolve_moments(m, s), k)
-    values = [_poly.det([[matrix[i][j] for j in sel] for i in range(k + 1)])
-              for sel in combinations(range(len(m) - k + 1), k + 1)]
-    # exact minors are always finite; a float one overflows on huge input
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+    s = np.broadcast_to(s, (count,))[:, None]
+    # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
+    full = np.ones((count, d + 1))
+    full[:, 1:] = rows
+    mt = full.copy()
+    power = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, d // 2 + 1):
+            coeffs = np.array([_deconvolution_coeff(j, i)
+                               for j in range(2 * i, d + 1)], dtype=float)
+            term = coeffs * full[:, :d + 1 - 2 * i] * power
+            mt[:, 2 * i:] = mt[:, 2 * i:] + term
+            power = power * s
+        subsets = np.array(_column_subsets(d, k))
+        index = np.arange(k + 1)[:, None] + subsets[:, None, :]
+        values = np.linalg.det(mt[:, index])
+    # a float minor overflows on huge input
+    if not np.all(np.isfinite(values)):
         raise InputError("moments too large: a Hankel minor is not a finite "
                          "float", code="INPUT_RANGE")
     return values
@@ -410,22 +463,23 @@ def hankel_pencil(moments, k):
     (moment j weighing j, the variance weighing 2), which bounds its
     degree in the variance; coefficients are recovered by evaluating the
     determinants at that many nodes and interpolating, exactly over
-    rational input.  The matrix uses every given moment.
+    rational input.  Float input evaluates every node in one batched
+    :func:`pencil_minor_values` call.  The matrix uses every given moment.
     """
     m = _moment_list(moments)
     d = len(m)
     if d < 2 * k:
         raise InsufficientOrderError(
             f"pencil needs moment order at least {2 * k}, got {d}")
-    weights = [k * (k + 1) // 2 + sum(sel)
-               for sel in combinations(range(d - k + 1), k + 1)]
+    weights = [k * (k + 1) // 2 + sum(sel) for sel in _column_subsets(d, k)]
     max_degree = max(w // 2 for w in weights)
     if _poly.is_exact(m):
         nodes = list(range(max_degree + 1))
+        values = [pencil_minor_values(m, k, s) for s in nodes]
     else:
         nodes = _poly.interpolation_nodes(max_degree + 1,
                                           max(abs(float(m[1])), 1.0))
-    values = [pencil_minor_values(m, k, s) for s in nodes]
+        values = pencil_minor_values(m, k, nodes)
     minors = []
     for idx, w in enumerate(weights):
         deg = w // 2

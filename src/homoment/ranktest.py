@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as P
 
 from . import _poly
 from . import series as ts
-from .errors import InsufficientOrderError
+from .errors import InsufficientOrderError, PreconditionError
 from .estimate import (
     _minor_scales,
     _moment_list,
@@ -95,25 +95,25 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
     moments) when given.
 
     The expanded sum of squares only locates the candidate variances: its
-    large coefficients cancel, so each candidate is scored by summing the
-    squared scaled minors themselves.
+    large coefficients cancel, and so do those of each interpolated
+    minor.  Every candidate is scored by the scaled minors themselves,
+    evaluated at all candidates in one :func:`pencil_minor_values` call.
     """
     if minor_scales is None:
         minor_scales = _minor_scales(m, pencil.weights)
-    scaled = []
+    scales = [float(scale) if scale else 1.0 for scale in minor_scales]
     objective = np.zeros(1)
-    for coeffs, scale in zip(pencil.minors, minor_scales):
-        scale = float(scale) if scale else 1.0
-        scaled.append([float(c) / scale for c in coeffs])
-        objective = P.polyadd(objective, P.polymul(scaled[-1], scaled[-1]))
+    for coeffs, scale in zip(pencil.minors, scales):
+        scaled = [float(c) / scale for c in coeffs]
+        objective = P.polyadd(objective, P.polymul(scaled, scaled))
     s_max = max(float(m[1]), 0.0)
     candidates = [0.0, s_max]
     for r in _poly.real_roots(_poly.poly_derivative(objective), imag_tol=1e-6):
         if 0.0 < r < s_max:
             candidates.append(r)
-    values = [(float(sum(_poly.poly_eval(c, s) ** 2 for c in scaled)), s)
-              for s in candidates]
-    residual, witness = min(values)
+    minors = pencil_minor_values(m, pencil.k, candidates)
+    residuals = np.sum((minors / np.asarray(scales)) ** 2, axis=1)
+    residual, witness = min(zip(residuals.tolist(), candidates))
     return MembershipVerdict(
         k=pencil.k, on_model=bool(residual < threshold), residual=residual,
         witness_s=witness, threshold=float(threshold),
@@ -160,30 +160,37 @@ def raw_moments(data, order):
     return [s / arr.size for s in _power_sums(arr, order)]
 
 
+def _check_resamples(n_boot):
+    # a standard deviation over the resamples needs two of them
+    if n_boot < 2:
+        raise PreconditionError(f"n_boot must be at least 2, got {n_boot}")
+
+
 def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     """Sampling noise of each pencil minor at a fixed variance, estimated
     by the nonparametric bootstrap of the data.
 
     ``witnesses`` maps each k to the variance its minors are evaluated
     at; the result maps each k to one noise level per minor.  The
-    ``n_boot`` resamples are drawn once and shared by every k.  A
-    resample enters through its multiplicities, so its moments are
-    weighted power sums of the original data of orders 1..``d``.
+    ``n_boot`` resamples (at least 2) are drawn once and shared by every
+    k.  A resample enters through its multiplicities, so its moments are
+    weighted power sums of the original data of orders 1..``d``; they
+    fill one ``n_boot x d`` stack, whose minors are then taken in one
+    batched :func:`pencil_minor_values` call per k.
     """
+    _check_resamples(n_boot)
     arr = _observations(data).ravel()
     rng = np.random.default_rng(seed)
-    samples = {k: [] for k in witnesses}
-    for _ in range(n_boot):
+    moments = np.empty((n_boot, d))
+    for row in moments:
         pick = rng.integers(0, arr.size, arr.size)
-        counts = np.bincount(pick, minlength=arr.size)
-        m_b = [s / arr.size for s in _power_sums(arr, d, counts)]
-        for k, witness_s in witnesses.items():
-            samples[k].append([float(v) for v in
-                               pencil_minor_values(m_b, k, witness_s)])
-    floor = 1e-300
-    return {k: [max(float(s), floor) for s in
-                np.std(np.asarray(rows), axis=0, ddof=1)]
-            for k, rows in samples.items()}
+        row[:] = _power_sums(arr, d, np.bincount(pick, minlength=arr.size))
+    moments /= arr.size
+    scales = {}
+    for k, witness_s in witnesses.items():
+        minors = pencil_minor_values(moments, k, witness_s)
+        scales[k] = np.maximum(np.std(minors, axis=0, ddof=1), 1e-300).tolist()
+    return scales
 
 
 def estimate_components_from_data(data, k_max, n_boot=32, factor=25.0,
@@ -194,8 +201,12 @@ def estimate_components_from_data(data, k_max, n_boot=32, factor=25.0,
     on-model residual an order-nminors quantity regardless of sample
     size; ``factor * nminors`` then separates sampling noise from real
     model violation.  Every k shares one set of ``n_boot`` resamples,
-    seeded by ``seed``.  Returns ``(k_hat, verdicts)``.
+    seeded by ``seed``.  Returns ``(k_hat, verdicts)``.  ``k_max`` must
+    be at least 1 and ``n_boot`` at least 2 (``PreconditionError``).
     """
+    if k_max < 1:
+        raise PreconditionError(f"k_max must be at least 1, got {k_max}")
+    _check_resamples(n_boot)
     arr = np.asarray(data, dtype=float).ravel()
     order = 2 * k_max + 1
     m = raw_moments(arr, order)

@@ -289,10 +289,12 @@ class TestSimulateAndFit2:
         ("1,2\n1e999,3\n", "INPUT_PARSE"),
         ("\ufeff1,2\n3,4\n", [[1, 2], [3, 4]]),
         ("1, \n2,3\n", "INPUT_PARSE"),
+        ("1,2 # note\n3,4\n", "INPUT_PARSE"),
+        ("x,1\n2,3\n4,5\n", "INPUT_PARSE"),
     ], ids=["blank-lines", "comma-space-lines", "spaces-crlf",
             "quoted-number", "quoted-header", "ragged", "trailing-comma",
             "hash-note", "header-only", "nan", "overflow", "byte-order-mark",
-            "blank-first-line-cell"])
+            "blank-first-line-cell", "first-line-note", "mixed-first-line"])
     def test_csv_contract(self, capsys, tmp_path, text, expected):
         data = tmp_path / "data.csv"
         data.write_bytes(text.encode())

@@ -1,5 +1,6 @@
 """Secant membership, hypersurface polynomials, component counting."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from conftest import rand_fraction, univariate_moments
 from homoment import estimate, models, ranktest
 from homoment import series as ts
 from homoment._poly import poly_eval
-from homoment.errors import InputError, InsufficientOrderError
+from homoment.errors import (InputError, InsufficientOrderError,
+                             PreconditionError)
 
 
 def _two_mixture_cumulants(lam, t, order=5):
@@ -200,6 +202,84 @@ class TestComponentCount:
             direct = sum((float(x) / s) ** 2
                          for x, s in zip(minors, scales[v.k]))
             assert v.residual == pytest.approx(direct, rel=1e-9)
+
+    def test_residual_is_directly_evaluated_to_twelve_digits(self):
+        # on this dataset the residual read off the interpolated pencil is
+        # 7e-9 (relative) away from the minors evaluated directly
+        p = models.HomoscedasticParams(means=[[0.0], [2.5]],
+                                       weights=[0.35, 0.65], cov=[[0.5]])
+        data = models.sample_mixture(p, 20_000, seed=3)
+        _, verdicts = ranktest.estimate_components_from_data(data, 2, seed=0)
+        m = ranktest.raw_moments(data, 5)
+        first = {k: ranktest.secant_membership(m, k).witness_s
+                 for k in (1, 2)}
+        scales = ranktest.bootstrap_minor_scales(data, first, n_boot=32,
+                                                 seed=0, d=5)
+        for v in verdicts:
+            minors = ranktest.pencil_minor_values(m, v.k, v.witness_s)
+            direct = sum((x / s) ** 2 for x, s in zip(minors, scales[v.k]))
+            assert v.residual == pytest.approx(direct, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k_max": 2, "n_boot": 1}, {"k_max": 2, "n_boot": 0},
+        {"k_max": 0}, {"k_max": -1}],
+        ids=["one-resample", "no-resample", "k-max-0", "k-max-negative"])
+    def test_bad_count_arguments_fail_fast(self, kwargs):
+        data = np.random.default_rng(1).normal(size=500)
+        with pytest.raises(PreconditionError):
+            ranktest.estimate_components_from_data(data, **kwargs)
+
+    @pytest.mark.parametrize("n_boot", [1, 0, -3])
+    def test_bootstrap_needs_two_resamples(self, n_boot):
+        data = np.random.default_rng(1).normal(size=500)
+        with pytest.raises(PreconditionError):
+            ranktest.bootstrap_minor_scales(data, {1: 1.0}, 3, n_boot, 0)
+
+
+def _loop_minors(row, k, s):
+    """Float maximal minors of one moment vector at one variance, the
+    per-minor way: Python deconvolution and one determinant each."""
+    full = [1.0] + estimate.deconvolve_moments(list(row), s)
+    d = len(row)
+    return [float(np.linalg.det(np.asarray(
+                [[full[i + j] for j in sel] for i in range(k + 1)])))
+            for sel in itertools.combinations(range(d - k + 1), k + 1)]
+
+
+class TestBatchedMinors:
+    CASES = [(k, d) for k in (1, 2, 3) for d in range(2 * k, 2 * k + 3)]
+
+    @pytest.mark.parametrize("k,d", CASES)
+    def test_stack_matches_per_row_loop(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        rows = rng.normal(size=(7, d)) * rng.uniform(0.5, 3.0, size=(7, 1))
+        shared = 0.8
+        per_row = rng.uniform(0.0, 2.0, size=7)
+        for s, variances in ((shared, [shared] * 7), (per_row, per_row)):
+            got = ranktest.pencil_minor_values(rows, k, s)
+            assert got.shape == (7, math.comb(d - k + 1, k + 1))
+            for row, t, values in zip(rows, variances, got):
+                one = ranktest.pencil_minor_values(list(row), k, float(t))
+                assert values.tolist() == pytest.approx(one, rel=1e-12, abs=0)
+                assert values.tolist() == pytest.approx(
+                    _loop_minors(row, k, float(t)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k,d", CASES)
+    def test_one_vector_at_many_variances(self, k, d):
+        rng = np.random.default_rng(d - k)
+        m = list(rng.normal(size=d))
+        variances = list(rng.uniform(0.0, 2.0, size=5))
+        got = ranktest.pencil_minor_values(m, k, variances)
+        for s, values in zip(variances, got):
+            assert values.tolist() == pytest.approx(
+                _loop_minors(m, k, s), rel=1e-12, abs=0)
+
+    def test_overflowing_row_is_range_error(self):
+        rows = np.random.default_rng(2).normal(size=(4, 5))
+        rows[2] = 1e200
+        with pytest.raises(InputError) as exc:
+            ranktest.pencil_minor_values(rows, 2, 0.5)
+        assert exc.value.code == "INPUT_RANGE"
 
 
 def _gathered_scales(arr, k, witness_s, n_boot, seed, d):
