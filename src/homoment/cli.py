@@ -14,6 +14,7 @@ model, 4 internal check failure (``defect-table --check`` mismatch).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -266,13 +267,17 @@ def cmd_fit1d(args):
     if (args.moments is None) == (args.input is None):
         raise InputError("provide exactly one of --moments or --input")
     if args.moments is not None:
-        moments = _parse_moments(args.moments)
+        result = estimate.fit_univariate(_parse_moments(args.moments), args.k)
     else:
         data = read_csv_matrix(args.input)
         if data.shape[1] != 1:
             raise InputError("fit1d expects a single-column CSV")
-        moments = ranktest.raw_moments(data[:, 0], 2 * args.k)
-    result = estimate.fit_univariate(moments, args.k)
+        sample, centre = ranktest.centred(data[:, 0])
+        result = estimate.fit_univariate(
+            ranktest.raw_moments(sample, 2 * args.k), args.k)
+        # the atoms were fitted to the centred sample
+        result.params = dataclasses.replace(
+            result.params, means=[[x + centre] for x, in result.params.means])
     payload = {
         "schema": SCHEMA,
         "command": "fit1d",

@@ -8,6 +8,11 @@ common nonnegative root exactly on the model.  Membership is decided
 numerically: the scaled sum of squared minors is minimized over the
 admissible variance interval and compared against a threshold.
 
+On sample data (:func:`estimate_components_from_data`) the observations
+are centred once, and each minor is scaled by its sampling noise: the
+delta method applied to the asymptotic covariance of the sample moments
+(:func:`delta_minor_scales`).  Nothing in the count is random.
+
 Closed forms are provided for the two smallest cases: the third cumulant
 (order-3 hypersurface of single Gaussians) and the weighted degree-18
 invariant cutting out two-component mixtures in cumulants up to order 5.
@@ -20,16 +25,22 @@ from numpy.polynomial import polynomial as P
 
 from . import _poly
 from . import series as ts
-from .errors import InsufficientOrderError, PreconditionError
+from .errors import InputError, InsufficientOrderError, PreconditionError
 from .estimate import (
     _minor_scales,
     _moment_list,
+    _moment_scale,
     _observations,
     hankel_pencil,
     pencil_minor_values,
 )
 
 DEFAULT_THRESHOLD = 1e-8
+# sample moments: a verdict accepts below NOISE_FACTOR * nminors, the sum
+# of squared whitened minors being about nminors on the model
+NOISE_FACTOR = 25.0
+# central-difference step of each moment, relative to its scale
+_DIFF_STEP = 1e-4
 
 
 def cumulant_k3(m1, m2, m3):
@@ -83,10 +94,17 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
     component variance can never exceed the raw second moment) after
     scaling each minor by the moment scale raised to its weighted
     degree.  The verdict is never an error: off-model input simply
-    reports a residual above the threshold.
+    reports a residual above the threshold.  ``k`` must be at least 1
+    (``PreconditionError``).
     """
+    _check_k(k, "k")
     m = _moment_list(moments)
     return _pencil_membership(m, hankel_pencil(m, k), threshold, None)
+
+
+def _check_k(k, name):
+    if k < 1:
+        raise PreconditionError(f"{name} must be at least 1, got {k}")
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
@@ -121,7 +139,9 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
 
 
 def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
-    """Membership verdicts for k = 1..k_max (the residual trace)."""
+    """Membership verdicts for k = 1..k_max (the residual trace);
+    ``k_max`` must be at least 1 (``PreconditionError``)."""
+    _check_k(k_max, "k_max")
     m = _moment_list(moments)
     if len(m) < 2 * k_max + 1:
         raise InsufficientOrderError(
@@ -131,7 +151,8 @@ def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
 
 
 def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
-    """Smallest k whose secant accepts the moments; k_max + 1 if none."""
+    """Smallest k whose secant accepts the moments; k_max + 1 if none.
+    ``k_max`` must be at least 1 (``PreconditionError``)."""
     for verdict in component_ladder(moments, k_max, threshold=threshold):
         if verdict.on_model:
             return verdict.k
@@ -158,6 +179,21 @@ def raw_moments(data, order):
     """First ``order`` raw sample moments of a flat data vector."""
     arr = _observations(data).ravel()
     return [s / arr.size for s in _power_sums(arr, order)]
+
+
+def centred(data):
+    """A flat data vector minus its mean, and the mean.
+
+    The pencil is shift-equivariant, but the moments of data far from
+    the origin spend their digits on the mean; centred moments keep them.
+    """
+    arr = _observations(data).ravel()
+    with np.errstate(over="ignore"):
+        centre = float(arr.mean())
+    if not np.isfinite(centre):
+        raise InputError("data too large: the sample mean is not a finite "
+                         "float", code="INPUT_RANGE")
+    return arr - centre, centre
 
 
 def _check_resamples(n_boot):
@@ -193,29 +229,79 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     return scales
 
 
-def estimate_components_from_data(data, k_max, n_boot=32, factor=25.0,
-                                  seed=0):
+def _delta_scales(m, count, witnesses, d):
+    """:func:`delta_minor_scales` from the moments m_1..m_2d of a sample
+    of ``count`` values."""
+    full = np.concatenate(([1.0], m))
+    orders = np.arange(1, d + 1)
+    cov = (full[orders[:, None] + orders]
+           - np.outer(full[orders], full[orders])) / count
+    if not np.all(np.isfinite(cov)):
+        raise InputError("data too large: the moment covariance is not a "
+                         "finite float", code="INPUT_RANGE")
+    moments = np.asarray(m[:d])
+    # moment j weighs j, so each step is the moment scale to that power
+    step = _DIFF_STEP * _moment_scale(moments) ** np.arange(1, d + 1)
+    rows = moments + np.concatenate((np.diag(step), -np.diag(step)))
+    scales = {}
+    for k, witness_s in witnesses.items():
+        minors = pencil_minor_values(rows, k, witness_s)
+        grad = (minors[:d] - minors[d:]) / (2.0 * step[:, None])
+        var = np.einsum("ia,ij,ja->a", grad, cov, grad)
+        scales[k] = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1e-300).tolist()
+    return scales
+
+
+def delta_minor_scales(data, witnesses, d):
+    """Sampling noise of each pencil minor at a fixed variance, by the
+    delta method.
+
+    Sample moments are asymptotically normal with covariance
+    ``(m_{i+j} - m_i m_j) / N``, so a minor's noise is ``sqrt(g' S g)``
+    with ``g`` its gradient in the moments m_1..``d``.  ``witnesses`` maps
+    each k to the variance its minors are evaluated at; the result maps
+    each k to one noise level per minor.  One pass over the data gives
+    the moments to order ``2 d`` (and so ``S``); each gradient is taken
+    by central differences in one batched :func:`pencil_minor_values`
+    call on the ``2 d`` perturbed moment rows.  Nothing is random.
+    """
+    arr = _observations(data).ravel()
+    return _delta_scales(raw_moments(arr, 2 * d), arr.size, witnesses, d)
+
+
+def estimate_components_from_data(data, k_max):
     """Component count for raw observations with noise-aware thresholds.
 
-    Each minor is whitened by its bootstrap noise level, making the
-    on-model residual an order-nminors quantity regardless of sample
-    size; ``factor * nminors`` then separates sampling noise from real
-    model violation.  Every k shares one set of ``n_boot`` resamples,
-    seeded by ``seed``.  Returns ``(k_hat, verdicts)``.  ``k_max`` must
-    be at least 1 and ``n_boot`` at least 2 (``PreconditionError``).
+    The data are centred on their mean once (the pencil is
+    shift-equivariant, so only the digits change), and one pass takes
+    their moments to order ``2 d``, with ``d = 2 k_max + 1``.  Each minor
+    is whitened by its delta-method noise level
+    (:func:`delta_minor_scales`), making the on-model residual an
+    order-nminors quantity regardless of sample size;
+    ``NOISE_FACTOR * nminors`` then separates sampling noise from real
+    model violation.  There is no resampling and no random number: a
+    call returns the same answer every time.  Returns ``(k_hat,
+    verdicts)``.  ``k_max`` must be at least 1 (``PreconditionError``).
     """
-    if k_max < 1:
-        raise PreconditionError(f"k_max must be at least 1, got {k_max}")
-    _check_resamples(n_boot)
-    arr = np.asarray(data, dtype=float).ravel()
-    order = 2 * k_max + 1
-    m = raw_moments(arr, order)
+    _check_k(k_max, "k_max")
+    arr, _ = centred(data)
+    d = 2 * k_max + 1
+    m = raw_moments(arr, 2 * d)
+    return _whitened_count(
+        m[:d], k_max, lambda witnesses: _delta_scales(m, arr.size,
+                                                      witnesses, d))
+
+
+def _whitened_count(m, k_max, noise):
+    """The count on sample moments ``m``: a first pass finds each k's
+    witness variance, ``noise(witnesses)`` gives the noise level of every
+    minor there, and a second pass whitens the minors by it."""
     pencils = [hankel_pencil(m, k) for k in range(1, k_max + 1)]
     first = [_pencil_membership(m, p, DEFAULT_THRESHOLD, None)
              for p in pencils]
-    scales = bootstrap_minor_scales(arr, {v.k: v.witness_s for v in first},
-                                    n_boot=n_boot, seed=seed, d=order)
-    verdicts = [_pencil_membership(m, p, factor * v.nminors, scales[p.k])
+    scales = noise({v.k: v.witness_s for v in first})
+    verdicts = [_pencil_membership(m, p, NOISE_FACTOR * v.nminors,
+                                   scales[p.k])
                 for p, v in zip(pencils, first)]
     k_hat = next((v.k for v in verdicts if v.on_model), k_max + 1)
     return k_hat, verdicts

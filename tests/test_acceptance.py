@@ -201,38 +201,30 @@ def test_c08_hypersurface_polynomials():
                 == t ** 18 * ranktest.two_secant_invariant(k3, k4, k5))
 
 
-@criterion("C09 component count: exact moments and noisy samples")
-def test_c09_component_count():
+def _c09_cases():
+    """C09's cases in draw order, each ``(params, data, true count)``: 100
+    exact-moment cases (``data`` is None), then 50 noisy 100k samples."""
     rng = random.Random(90)
     for _ in range(50):
         mu = rand_fraction(rng)
         variance = Fraction(rng.randint(1, 16), 8)
-        gauss = models.HomoscedasticParams(means=[[mu]], weights=[1],
-                                           cov=[[variance]])
-        assert ranktest.estimate_components(
-            univariate_moments(gauss, 5), 2) == 1
+        yield models.HomoscedasticParams(means=[[mu]], weights=[1],
+                                         cov=[[variance]]), None, 1
 
     for _ in range(50):
         gap = Fraction(rng.randint(15, 40), 10)
         base = rand_fraction(rng)
         lam = Fraction(rng.randint(20, 80), 100)
         variance = Fraction(rng.randint(1, 8), 8)
-        mix = models.HomoscedasticParams(
+        yield models.HomoscedasticParams(
             means=[[base], [base + gap]], weights=[lam, 1 - lam],
-            cov=[[variance]])
-        assert ranktest.estimate_components(
-            univariate_moments(mix, 5), 2) == 2
+            cov=[[variance]]), None, 2
 
-    correct = 0
-    runs = 0
     for i in range(25):
         gauss = models.HomoscedasticParams(
             means=[[rng.uniform(-2, 2)]], weights=[1.0],
             cov=[[rng.uniform(0.3, 2.0)]])
-        data = models.sample_mixture(gauss, 100_000, seed=900 + i)
-        k_hat, _ = ranktest.estimate_components_from_data(data, 2, seed=i)
-        runs += 1
-        correct += (k_hat == 1)
+        yield gauss, models.sample_mixture(gauss, 100_000, seed=900 + i), 1
     for i in range(25):
         lam = rng.uniform(0.25, 0.75)
         sigma = rng.uniform(0.4, 1.0)
@@ -241,11 +233,50 @@ def test_c09_component_count():
         mix = models.HomoscedasticParams(
             means=[[base], [base + gap]], weights=[lam, 1.0 - lam],
             cov=[[sigma ** 2]])
-        data = models.sample_mixture(mix, 100_000, seed=950 + i)
-        k_hat, _ = ranktest.estimate_components_from_data(data, 2, seed=i)
+        yield mix, models.sample_mixture(mix, 100_000, seed=950 + i), 2
+
+
+@criterion("C09 component count: exact moments and noisy samples")
+def test_c09_component_count():
+    correct = 0
+    runs = 0
+    for params, data, truth in _c09_cases():
+        if data is None:
+            assert ranktest.estimate_components(
+                univariate_moments(params, 5), 2) == truth
+            continue
+        k_hat, _ = ranktest.estimate_components_from_data(data, 2)
         runs += 1
-        correct += (k_hat == 2)
+        correct += (k_hat == truth)
     assert correct / runs >= 0.9, f"{correct}/{runs}"
+
+
+def test_c09_delta_scales_agree_with_bootstrap():
+    # the bootstrap is the reference the delta-method noise replaced:
+    # on every noisy C09 dataset, centred, both give the same count, and
+    # per k the delta scales sit near the bootstrap ones (single minors
+    # range far wider, so only the median ratio is bounded)
+    ratios = {1: [], 2: []}
+    for _, data, _ in _c09_cases():
+        if data is None:
+            continue
+        arr, _ = ranktest.centred(data)
+        scales = {}
+
+        def bootstrap(witnesses):
+            scales["boot"] = ranktest.bootstrap_minor_scales(arr, witnesses, 5)
+            scales["delta"] = ranktest.delta_minor_scales(arr, witnesses, 5)
+            return scales["boot"]
+
+        k_boot, _ = ranktest._whitened_count(ranktest.raw_moments(arr, 5),
+                                             2, bootstrap)
+        k_delta, _ = ranktest.estimate_components_from_data(data, 2)
+        assert k_delta == k_boot
+        for k in (1, 2):
+            ratios[k] += [x / y for x, y in zip(scales["delta"][k],
+                                                scales["boot"][k])]
+    for k, values in ratios.items():
+        assert 0.5 <= float(np.median(values)) <= 2.0, (k, np.median(values))
 
 
 @criterion("C10 cumulant cone: bordered minors vanish for bivariate pairs")

@@ -345,6 +345,25 @@ class TestFit1d:
         assert code == cli.EXIT_INPUT
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
 
+    def test_input_fit_is_shift_equivariant(self, capsys, tmp_path):
+        # uncentred, the sample moved to 1000 exited 3 (no nonnegative
+        # variance root)
+        params = models.HomoscedasticParams(means=[[0.0], [3.0]],
+                                            weights=[0.3, 0.7], cov=[[0.25]])
+        sample = models.sample_mixture(params, 2000, seed=3)
+        fits = []
+        for c in (0.0, 10.0, 100.0, 1000.0):
+            data = tmp_path / f"shift{c:g}.csv"
+            np.savetxt(data, sample + c, fmt="%.17g")
+            code, out, _ = run(["fit1d", "--k", "2", "--input", str(data)],
+                               capsys)
+            assert code == 0
+            est = json.loads(out)["estimate"]
+            fits.append([m - c for m, in est["means"]] + est["weights"]
+                        + est["cov"][0])
+        for fit in fits[1:]:
+            assert fit == pytest.approx(fits[0], abs=1e-9)
+
     @pytest.mark.parametrize("args,digest", [
         ("--k 2 --moments 1.05,1.85,2.77,5.00",
          "3a31e2d7cdda281183be3fce73d3139401e7f3065e057ef96584cbe93a51ffe7"),
@@ -353,7 +372,7 @@ class TestFit1d:
         ("--k 3 --moments 0.5,2.1,2.3,9.0,12.0,50.0",
          "04d706bfd141c4de7871af6c6548111606ff2c73ae6121fa3ab359bfc9ebe350"),
         ("--k 2 --input {csv}",
-         "14b643f9f4dd80575f0e6a05894c493abf655b9f7919cb4243762e14db1c34f8"),
+         "78bea883a6a3bbeaee172f759b2596a1bbc4491009ded922ed280bfbccd7fb9a"),
     ], ids=["k2", "k1-negative", "k3", "k2-csv"])
     def test_output_is_pinned(self, capsys, tmp_path, args, digest):
         # byte-stable stdout of the variance-polynomial path

@@ -16,6 +16,9 @@ from homoment.errors import (InputError, InsufficientOrderError,
                              PreconditionError)
 
 
+_SAMPLE = np.random.default_rng(1).normal(size=500)
+
+
 def _two_mixture_cumulants(lam, t, order=5):
     """Raw cumulants 3..order of a centered two-atom part scaled by t."""
     return [math.factorial(j) * estimate.two_point_cumulant_coeff(lam, j) * t ** j
@@ -175,15 +178,37 @@ class TestComponentCount:
         p = models.HomoscedasticParams(means=[[0.0], [2.5]],
                                        weights=[0.35, 0.65], cov=[[0.5]])
         data = models.sample_mixture(p, 100_000, seed=11)
-        k_hat, verdicts = ranktest.estimate_components_from_data(data, 3,
-                                                                 seed=1)
+        k_hat, verdicts = ranktest.estimate_components_from_data(data, 3)
         assert k_hat == 2
         assert [v.on_model for v in verdicts[:2]] == [False, True]
 
         g = models.HomoscedasticParams(means=[[1.0]], weights=[1.0],
                                        cov=[[2.0]])
         gdata = models.sample_mixture(g, 100_000, seed=12)
-        assert ranktest.estimate_components_from_data(gdata, 3, seed=1)[0] == 1
+        assert ranktest.estimate_components_from_data(gdata, 3)[0] == 1
+
+    def test_count_is_shift_invariant(self):
+        # uncentred, this sample counted 2, 2, 1, 1 components
+        p = models.HomoscedasticParams(means=[[0.0], [2.0]],
+                                       weights=[0.3, 0.7], cov=[[0.25]])
+        data = models.sample_mixture(p, 100_000, seed=5)
+        counts = [ranktest.estimate_components_from_data(data + c, 3)[0]
+                  for c in (0.0, 10.0, 100.0, 1000.0)]
+        assert counts == [2, 2, 2, 2]
+
+    @staticmethod
+    def _direct_residuals(data, verdicts):
+        """Each verdict's whitened minors, evaluated directly at its
+        witness, squared and summed."""
+        arr, _ = ranktest.centred(data)
+        m = ranktest.raw_moments(arr, 5)
+        first = {k: ranktest.secant_membership(m, k).witness_s
+                 for k in (1, 2)}
+        scales = ranktest.delta_minor_scales(arr, first, 5)
+        return [sum((x / s) ** 2 for x, s in zip(
+                    ranktest.pencil_minor_values(m, v.k, v.witness_s),
+                    scales[v.k]))
+                for v in verdicts]
 
     def test_residual_is_sum_of_squared_whitened_minors(self):
         # the expanded sum of squares loses digits to cancellation; the
@@ -191,43 +216,32 @@ class TestComponentCount:
         p = models.HomoscedasticParams(means=[[0.0], [2.5]],
                                        weights=[0.35, 0.65], cov=[[0.5]])
         data = models.sample_mixture(p, 20_000, seed=0)
-        _, verdicts = ranktest.estimate_components_from_data(data, 2, seed=0)
-        m = ranktest.raw_moments(data, 5)
-        first = {k: ranktest.secant_membership(m, k).witness_s
-                 for k in (1, 2)}
-        scales = ranktest.bootstrap_minor_scales(data, first, n_boot=32,
-                                                 seed=0, d=5)
-        for v in verdicts:
-            minors = ranktest.pencil_minor_values(m, v.k, v.witness_s)
-            direct = sum((float(x) / s) ** 2
-                         for x, s in zip(minors, scales[v.k]))
+        _, verdicts = ranktest.estimate_components_from_data(data, 2)
+        for v, direct in zip(verdicts,
+                             self._direct_residuals(data, verdicts)):
             assert v.residual == pytest.approx(direct, rel=1e-9)
 
     def test_residual_is_directly_evaluated_to_twelve_digits(self):
-        # on this dataset the residual read off the interpolated pencil is
-        # 7e-9 (relative) away from the minors evaluated directly
         p = models.HomoscedasticParams(means=[[0.0], [2.5]],
                                        weights=[0.35, 0.65], cov=[[0.5]])
         data = models.sample_mixture(p, 20_000, seed=3)
-        _, verdicts = ranktest.estimate_components_from_data(data, 2, seed=0)
-        m = ranktest.raw_moments(data, 5)
-        first = {k: ranktest.secant_membership(m, k).witness_s
-                 for k in (1, 2)}
-        scales = ranktest.bootstrap_minor_scales(data, first, n_boot=32,
-                                                 seed=0, d=5)
-        for v in verdicts:
-            minors = ranktest.pencil_minor_values(m, v.k, v.witness_s)
-            direct = sum((x / s) ** 2 for x, s in zip(minors, scales[v.k]))
+        _, verdicts = ranktest.estimate_components_from_data(data, 2)
+        for v, direct in zip(verdicts,
+                             self._direct_residuals(data, verdicts)):
             assert v.residual == pytest.approx(direct, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"k_max": 2, "n_boot": 1}, {"k_max": 2, "n_boot": 0},
-        {"k_max": 0}, {"k_max": -1}],
-        ids=["one-resample", "no-resample", "k-max-0", "k-max-negative"])
-    def test_bad_count_arguments_fail_fast(self, kwargs):
-        data = np.random.default_rng(1).normal(size=500)
+    @pytest.mark.parametrize("call", [
+        lambda: ranktest.estimate_components_from_data(_SAMPLE, 0),
+        lambda: ranktest.estimate_components_from_data(_SAMPLE, -1),
+        lambda: ranktest.estimate_components([1.0, 3.0, 7.0], 0),
+        lambda: ranktest.estimate_components([1.0, 3.0, 7.0], -1),
+        lambda: ranktest.component_ladder([1.0, 3.0, 7.0], 0),
+        lambda: ranktest.secant_membership([1.0, 3.0, 7.0], 0)],
+        ids=["k-max-0", "k-max-negative", "moments-k-max-0",
+             "moments-k-max-negative", "ladder-k-max-0", "membership-k-0"])
+    def test_bad_count_arguments_fail_fast(self, call):
         with pytest.raises(PreconditionError):
-            ranktest.estimate_components_from_data(data, **kwargs)
+            call()
 
     @pytest.mark.parametrize("n_boot", [1, 0, -3])
     def test_bootstrap_needs_two_resamples(self, n_boot):
@@ -329,12 +343,13 @@ class TestSampleMoments:
                                                     n_boot=6, seed=9, d=5)
             assert both[k] == alone[k]
 
-    def test_count_repeats_for_a_seed(self):
+    def test_count_repeats(self):
+        # nothing in the count is random: two calls give the same verdicts
         p = models.HomoscedasticParams(means=[[0.0], [2.5]],
                                        weights=[0.35, 0.65], cov=[[0.5]])
         data = models.sample_mixture(p, 20_000, seed=4)
-        first = ranktest.estimate_components_from_data(data, 2, seed=7)
-        again = ranktest.estimate_components_from_data(data, 2, seed=7)
+        first = ranktest.estimate_components_from_data(data, 2)
+        again = ranktest.estimate_components_from_data(data, 2)
         assert first == again
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -348,9 +363,25 @@ class TestSampleMoments:
             assert exc.value.code == "INPUT_PARSE"
 
     def test_huge_data_rejected(self):
-        # third raw moment near 1e360 is not a float
+        # centred, the data still spread over 1e119, so their third
+        # moment is not a float
         data = 1e120 + 1e119 * self.DATA
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InputError) as exc:
             ranktest.estimate_components_from_data(data, 2)
+        assert exc.value.code == "INPUT_RANGE"
+
+    # at this scale the pencil's float interpolation (numpy polyfit, whose
+    # column scaling squares the nodes) overflows and warns first
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
+    @pytest.mark.parametrize("data", [1e55 * DATA, np.full(10, 1.5e308)],
+                             ids=["covariance-overflows", "mean-overflows"])
+    def test_noise_levels_need_finite_moments(self, data):
+        # the moments to order 3 are floats but those to order 6 (the
+        # moment covariance) are not, which would give NaN noise levels;
+        # or the sum giving the mean overflows, which would read as
+        # non-finite data (INPUT_PARSE)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError) as exc:
+            ranktest.estimate_components_from_data(data, 1)
         assert exc.value.code == "INPUT_RANGE"
