@@ -1,17 +1,28 @@
 """Exact linear algebra: rank over GF(p) and determinant over Q.
 
-Matrices are plain nested lists (or arrays) of ``int`` or ``Fraction``
-entries; sizes here stay in the low hundreds.  Rank is Gaussian
-elimination modulo a prime ``p`` below 2**31 on numpy ``int64`` rows, so
-the product of two residues never overflows.  An integer matrix, such as
-a secant Jacobian that ``geometry`` builds directly as residues mod p, is
-reduced as it is.  A matrix with ``Fraction`` entries is first scaled row
-by row to integers, which preserves rank.  For an integer matrix the rank
-mod p is at most the rank over Q, so a rank computed here is a certified
-lower bound; the two differ only when p divides every r x r minor, r
-being the rank over Q.  The determinant stays exact over Q (fraction-free
+Matrices are plain nested lists (or arrays); sizes here stay in the low
+hundreds.  Rank takes integer entries, such as a secant Jacobian that
+``geometry`` builds directly as residues mod p, and runs Gaussian
+elimination over GF(p) on numpy ``int64`` rows.  The default primes are
+the three largest below 2**26.  For an integer matrix the rank mod p is
+at most the rank over Q, so a rank computed here is a certified lower
+bound for any prime, however small; the two differ only when p divides
+every r x r minor, r being the rank over Q.  The determinant takes
+``int`` or ``Fraction`` entries and stays exact over Q (fraction-free
 Bareiss elimination), because callers need its value, not only whether
 it vanishes.
+
+Elimination delays reductions mod p, as in word-size finite-field
+libraries (Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields", 2008).  At each pivot only the pivot column
+and the pivot row are reduced; the trailing block is updated with no
+reduction.  Each update subtracts a product of two residues, at most
+(p - 1)**2, from an entry that was in [0, p) when last reduced, so the
+block is reduced every ``(2**63 - p) // (p - 1)**2`` pivots, before any
+entry could leave ``int64``.  That is 2048 pivots for the default
+primes, more than any Jacobian in the ``geometry`` envelope has rows
+(143), and at least 2 for every prime below 2**31, the largest modulus
+accepted.
 """
 
 from fractions import Fraction
@@ -21,8 +32,8 @@ import numpy as np
 
 from .errors import PreconditionError
 
-# Distinct primes below 2**31: one per random point of a generic-rank test.
-PRIMES = (2147483647, 2147483629, 2147483587)
+# Distinct primes below 2**26: one per random point of a generic-rank test.
+PRIMES = (67108859, 67108837, 67108819)
 
 
 def _integer_rows(matrix):
@@ -48,37 +59,46 @@ def _integer_rows(matrix):
 
 
 def rank(matrix, p=PRIMES[0]):
-    """Rank over GF(p) of an integer ``matrix``, or of a rational one
-    with its rows scaled to integers.
+    """Rank over GF(p) of an integer ``matrix``.
 
     A lower bound on the rank r over Q, equal to it unless p divides
-    every r x r minor of the scaled matrix.  ``p`` must be a prime below
-    2**31.
+    every r x r minor.  ``p`` must be a prime below 2**31.  Elimination
+    reduces the pivot column and row at each pivot and the trailing
+    block only every ``(2**63 - p) // (p - 1)**2`` pivots (see the
+    module docstring).  Float and ``Fraction`` entries raise
+    ``PreconditionError``: scale rational rows to integers first.
     """
     if not 2 <= p < 2**31:
         raise PreconditionError(
             f"rank needs a prime modulus below 2**31, got {p}")
     m = np.array(matrix)
-    if m.dtype.kind in "iu":
-        m = (m % p).astype(np.int64)
-    else:
-        rows, _ = _integer_rows(matrix)
-        if not rows:
-            return 0
-        m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    if m.size == 0:
+        return 0
+    if not (m.dtype.kind in "iu" or m.dtype == object
+            and all(isinstance(x, int) for x in m.flat)):
+        raise PreconditionError(
+            f"rank needs integer entries, got {m.dtype}; scale rational "
+            "rows to integers first")
+    m = (m % p).astype(np.int64, copy=False)
     nrows, ncols = m.shape
+    period = (2**63 - p) // (p - 1) ** 2
+    pending = 0
     r = 0
     for c in range(ncols):
-        nonzero = np.flatnonzero(m[r:, c])
+        column = m[r:, c]
+        column %= p
+        nonzero = column.nonzero()[0]
         if nonzero.size == 0:
             continue
         pivot_row = r + nonzero[0]
         if pivot_row != r:
             m[[r, pivot_row]] = m[[pivot_row, r]]
-        top = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        below = m[r + 1:, c:]
-        below -= np.outer(below[:, 0], top)
-        below %= p
+        if pending == period:
+            m[r + 1:, c + 1:] %= p
+            pending = 0
+        top = m[r, c + 1:] % p * pow(int(m[r, c]), -1, p) % p
+        m[r + 1:, c + 1:] -= m[r + 1:, c, None] * top
+        pending += 1
         r += 1
         if r == nrows:
             break

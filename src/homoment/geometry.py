@@ -12,8 +12,9 @@ closed form:
     dM/dS_ij = u_i u_j M         (halved for i = j)
 
 Ranks are computed exactly.  At each random integer point the Jacobian
-is read off these series as residues mod a prime p below 2**31, its own
-prime for each point, and ranked over GF(p); it is never built over Q.
+is read off these series as residues mod a prime p below 2**26
+(``exactla.PRIMES``), its own prime for each point, and ranked over
+GF(p); it is never built over Q.
 Series live in numpy int64 arrays of generating coefficients m_a / a!:
 E_i comes from a per-atom table of p_ij^e / e!, F = exp(u'Su/2), the
 products E_i F and the series inverse D^-1 of the centered builder are
@@ -329,7 +330,10 @@ def _veronese_jacobian(n, k, d, rng, p):
     return _tangent_rows(_residues(weights, p), atoms, ix, p)[:, 1:].tolist()
 
 
-def _generic_rank(jacobian_at, seed, n, k, d):
+def _point_ranks(jacobian_at, seed, n, k, d):
+    """Jacobian ranks at two random points, or three when the first two
+    disagree, each under its own prime; their maximum is the generic
+    rank with overwhelming probability."""
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
         p = PRIMES[trial]
@@ -338,7 +342,7 @@ def _generic_rank(jacobian_at, seed, n, k, d):
     ranks = [rank_at(0), rank_at(1)]
     if ranks[0] != ranks[1]:
         ranks.append(rank_at(2))
-    return max(ranks), len(ranks)
+    return tuple(ranks)
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +362,13 @@ class DefectReport:
     dim: int          # computed variety dimension
     fiber_dim: int    # par - dim
     defect: int       # fiber_dim - max(par - ambient, 0)
-    points: int       # random points evaluated
+    ranks: tuple      # Jacobian rank at each random point, in draw order
     seed: int
+
+    @property
+    def points(self):
+        """Number of random points evaluated."""
+        return len(self.ranks)
 
     def as_row(self):
         return (self.n, self.k, self.d, self.par, self.ambient,
@@ -371,18 +380,19 @@ class DefectReport:
             "ambient": self.ambient, "expected": self.expected,
             "dim": self.dim, "defect": self.defect,
             "fiber_dim": self.fiber_dim, "points": self.points,
-            "seed": self.seed,
+            "ranks": list(self.ranks), "seed": self.seed,
         }
 
 
 def _report(n, k, d, par, jacobian_at, seed):
     ambient = ambient_dim(n, d)
-    dim, points = _generic_rank(jacobian_at, seed, n, k, d)
+    ranks = _point_ranks(jacobian_at, seed, n, k, d)
+    dim = max(ranks)
     fiber = par - dim
     return DefectReport(n=n, k=k, d=d, par=par, ambient=ambient,
                         expected=min(par, ambient), dim=dim, fiber_dim=fiber,
                         defect=fiber - max(par - ambient, 0),
-                        points=points, seed=seed)
+                        ranks=ranks, seed=seed)
 
 
 def defect_report(n, k, d, seed=0):
@@ -400,7 +410,7 @@ def centered_cumulant_rank(n, k, d, seed=0):
     check_envelope(n, k, d)
     if k == 1:
         return 0
-    return _generic_rank(_centered_jacobian, seed, n, k, d)[0]
+    return max(_point_ranks(_centered_jacobian, seed, n, k, d))
 
 
 def veronese_report(n, k, d, seed=0):

@@ -9,7 +9,8 @@ numerically: the scaled sum of squared minors is minimized over the
 admissible variance interval and compared against a threshold.
 
 On sample data (:func:`estimate_components_from_data`) the observations
-are centred once, and each minor is scaled by its sampling noise: the
+are centred once, their moments are taken in units of the standard
+deviation, and each minor is scaled by its sampling noise: the
 delta method applied to the asymptotic covariance of the sample moments
 (:func:`delta_minor_scales`).  Nothing in the count is random.
 
@@ -18,7 +19,8 @@ Closed forms are provided for the two smallest cases: the third cumulant
 invariant cutting out two-component mixtures in cumulants up to order 5.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -274,7 +276,10 @@ def estimate_components_from_data(data, k_max):
 
     The data are centred on their mean once (the pencil is
     shift-equivariant, so only the digits change), and one pass takes
-    their moments to order ``2 d``, with ``d = 2 k_max + 1``.  Each minor
+    their moments to order ``2 d``, with ``d = 2 k_max + 1``.  The
+    moments are then standardised (:func:`standardised`), so the count
+    does not depend on the unit of the data; the witness variances are
+    reported back in data units.  Each minor
     is whitened by its delta-method noise level
     (:func:`delta_minor_scales`), making the on-model residual an
     order-nminors quantity regardless of sample size;
@@ -286,10 +291,33 @@ def estimate_components_from_data(data, k_max):
     _check_k(k_max, "k_max")
     arr, _ = centred(data)
     d = 2 * k_max + 1
-    m = raw_moments(arr, 2 * d)
-    return _whitened_count(
+    m, unit = standardised(raw_moments(arr, 2 * d))
+    k_hat, verdicts = _whitened_count(
         m[:d], k_max, lambda witnesses: _delta_scales(m, arr.size,
                                                       witnesses, d))
+    return k_hat, [replace(v, witness_s=v.witness_s * unit)
+                   for v in verdicts]
+
+
+def standardised(m):
+    """Moments m_1, m_2, ... of centred data divided by the standard
+    deviation sqrt(m_2) to their order, and the factor that takes a
+    variance found from them back to data units.
+
+    These are the moments of the data in units of their standard
+    deviation, so thresholds and trims on them do not depend on the
+    unit.  The factor is m_2, or 1 when m_2 is zero or not finite and
+    the moments are returned as they are.  Each moment is divided by
+    the standard deviation once per order, so no power of it overflows.
+    """
+    variance = m[1]
+    if not 0.0 < variance < math.inf:
+        return m, 1.0
+    sd = math.sqrt(variance)
+    scaled = np.array(m, dtype=float)
+    for j in range(len(m)):
+        scaled[j:] /= sd
+    return scaled.tolist(), variance
 
 
 def _whitened_count(m, k_max, noise):

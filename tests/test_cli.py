@@ -64,6 +64,21 @@ class TestDefectTable:
         rows = {(r["n"], r["k"]): r for r in payload["rows"]}
         assert rows[(1, 1)]["dim"] == 2
         assert rows[(1, 2)]["fiber_dim"] == 1
+        for r in rows.values():
+            assert r["points"] == len(r["ranks"])
+            assert r["dim"] == max(r["ranks"])
+
+    def test_order3_classifier_past_the_published_table(self, capsys):
+        # n = 8 is beyond the published n <= 7 rows: only the closed-form
+        # classifier checks it
+        code, out, _ = run(["defect-table", "--n", "8", "--k", "2..12",
+                            "--d", "3", "--check", "--format", "json"],
+                           capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["check"]["passed"]
+        assert [r["defect"] for r in payload["rows"]] == \
+            [1, 2, 2, 0, 0, 0, 0, 0, 1, 2, 3]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(["defect-table", "--n", "1", "--k", "1",
@@ -116,9 +131,9 @@ class TestDefectTable:
 
     @pytest.mark.parametrize("args,digest", [
         ("--n 1..5 --d 3 --check --format json --seed 0",
-         "462372ca5628e8e95e221420e66d0f4e2566ec4725494985ca75f5e3255f925d"),
+         "ceac547bfbadef27668361466d266c6fb9229fcab4d8c013844b8ed097f0cb9e"),
         ("--n 1..4 --d 3..4 --format json --seed 0",
-         "b03b10f75078654ecb7ee203b0636a0aa9df1dc485301f15781fbba3e8892112"),
+         "63c0395ca41e9049fd26c12cabab93b730e56f231f284d4ff2d2094cff7665d8"),
     ], ids=["n1..5-d3-check", "n1..4-d3..4"])
     def test_output_is_pinned(self, capsys, args, digest):
         # byte-stable stdout, d = 4 cells included

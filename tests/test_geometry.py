@@ -50,11 +50,15 @@ def hadamard_bound(matrix):
     return math.prod(max(1.0, math.hypot(*row)) for row in rows)
 
 
-# Up to 6 x 6 with integer-scaled entries of size at most 14, so every
-# minor is below 216 * 14**6 < min(PRIMES) and is nonzero mod each prime
-# exactly when it is nonzero: the modular rank must equal the rational one.
-SMALL_INTS = st.integers(-14, 14)
-SMALL_FRACTIONS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+# Up to 6 x 6 with integer-scaled entries of size at most 8, so each row
+# norm is at most sqrt(6) * 8 and, by Hadamard's inequality, every minor
+# is below (sqrt(6) * 8)**6 = 216 * 8**6, about 5.7e7 < 2**26 < min(PRIMES).
+# (Fractions with numerator at most 2 and denominator 1 or 2 scale to
+# entries of size at most 4: minors below 216 * 4**6, about 8.8e5.)  A
+# minor is then nonzero mod each prime exactly when it is nonzero: the
+# modular rank must equal the rational one.
+SMALL_INTS = st.integers(-8, 8)
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
 
 
 @st.composite
@@ -70,12 +74,47 @@ def small_matrices(draw):
     return rows
 
 
+def reference_rank(matrix, p):
+    """Reference rank over GF(p): elimination on Python ints that
+    reduces every entry mod p at every pivot."""
+    m = [[x % p for x in row] for row in matrix]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inverse = pow(m[r][c], -1, p)
+        top = [x * inverse % p for x in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(x - f * t) % p for x, t in zip(m[i], top)]
+        r += 1
+    return r
+
+
+@st.composite
+def low_rank_residues(draw, p):
+    """A product mod p of random residue factors of inner size at most
+    the smaller side, so rank deficiency is common."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    residues = st.integers(0, p - 1)
+    left = [draw(st.lists(residues, min_size=inner, max_size=inner))
+            for _ in range(nrows)]
+    right = [draw(st.lists(residues, min_size=ncols, max_size=ncols))
+             for _ in range(inner)]
+    return [[sum(a * right[t][j] for t, a in enumerate(row)) % p
+             for j in range(ncols)] for row in left]
+
+
 class TestExactLinearAlgebra:
     def test_rank_of_rational_matrix(self):
         m = [[Fraction(1, 2), 1, 0],
              [Fraction(1, 4), Fraction(1, 2), 0],
              [0, 0, 5]]
-        assert rank(m) == 2
+        assert rank(_integer_rows(m)[0]) == 2
 
     def test_rank_counts_pivots_with_column_skips(self):
         m = [[0, 1, 2], [0, 2, 4], [0, 0, 0]]
@@ -94,8 +133,10 @@ class TestExactLinearAlgebra:
     @pytest.mark.parametrize("compute,matrix", [
         (rank, [[0.5, 0.5], [0.5, 0.5]]),
         (det, [[0.5]]),
+        (rank, [[Fraction(1, 2), 1], [1, 2]]),
     ])
     def test_float_entries_rejected(self, compute, matrix):
+        # rank takes integers only; det also takes fractions
         with pytest.raises(PreconditionError):
             compute(matrix)
 
@@ -103,7 +144,16 @@ class TestExactLinearAlgebra:
     @given(small_matrices(), st.sampled_from(PRIMES))
     def test_modular_rank_matches_bareiss(self, matrix, p):
         assert hadamard_bound(matrix) < min(PRIMES)
-        assert rank(matrix, p) == bareiss_rank(matrix)
+        assert rank(_integer_rows(matrix)[0], p) == bareiss_rank(matrix)
+
+    # 2**31 - 1 is the largest modulus accepted; with (p - 1)**2 near
+    # 2**62 the trailing block is reduced every second pivot
+    @pytest.mark.parametrize("p", [2**31 - 1, *PRIMES, 101, 3])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_delayed_reduction_matches_reference(self, p, data):
+        matrix = data.draw(low_rank_residues(p))
+        assert rank(matrix, p) == reference_rank(matrix, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_modular_rank_is_a_lower_bound(self, p):
@@ -118,7 +168,7 @@ class TestExactLinearAlgebra:
     ])
     def test_denominator_equal_to_the_prime(self, matrix, expected):
         assert bareiss_rank(matrix) == expected
-        assert rank(matrix, PRIMES[0]) == expected
+        assert rank(_integer_rows(matrix)[0], PRIMES[0]) == expected
 
     def test_empty_matrix_has_rank_zero(self):
         assert rank([]) == 0
@@ -460,7 +510,7 @@ class TestDefectReports:
         assert geometry.defect_report(3, 3, 3, seed=0).as_dict() == {
             "n": 3, "k": 3, "d": 3, "par": 17, "ambient": 19,
             "expected": 17, "dim": 15, "defect": 2, "fiber_dim": 2,
-            "points": 2, "seed": 0}
+            "points": 2, "ranks": [15, 15], "seed": 0}
 
     def test_envelope_guard(self):
         with pytest.raises(PreconditionError):

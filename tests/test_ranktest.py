@@ -196,6 +196,23 @@ class TestComponentCount:
                   for c in (0.0, 10.0, 100.0, 1000.0)]
         assert counts == [2, 2, 2, 2]
 
+    def test_count_is_scale_invariant(self):
+        # unstandardised, this sample counted 3, 2, 2, 3, 3, 3 components
+        p = models.HomoscedasticParams(means=[[0.0], [2.0]],
+                                       weights=[0.3, 0.7], cov=[[0.25]])
+        data = models.sample_mixture(p, 100_000, seed=5)
+        scales = (1e-3, 1.0, 10.0, 100.0, 1e4, 1e6)
+        runs = [ranktest.estimate_components_from_data(c * data, 2)
+                for c in scales]
+        assert [k_hat for k_hat, _ in runs] == [2] * len(scales)
+        # the witness variances come back in data units
+        _, unit = runs[1]
+        for c, (_, verdicts) in zip(scales, runs):
+            for v, w in zip(verdicts, unit):
+                assert v.residual == pytest.approx(w.residual, rel=1e-6)
+                assert v.witness_s == pytest.approx(c * c * w.witness_s,
+                                                    rel=1e-6)
+
     @staticmethod
     def _direct_residuals(data, verdicts):
         """Each verdict's whitened minors, evaluated directly at its
@@ -371,9 +388,6 @@ class TestSampleMoments:
             ranktest.estimate_components_from_data(data, 2)
         assert exc.value.code == "INPUT_RANGE"
 
-    # at this scale the pencil's float interpolation (numpy polyfit, whose
-    # column scaling squares the nodes) overflows and warns first
-    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
     @pytest.mark.parametrize("data", [1e55 * DATA, np.full(10, 1.5e308)],
                              ids=["covariance-overflows", "mean-overflows"])
     def test_noise_levels_need_finite_moments(self, data):
