@@ -8,13 +8,15 @@ Subcommands:
 * ``rank-test``     secant membership ladder / component-count estimate
 * ``simulate``      draw reproducible samples from given parameters
 
-All JSON output carries ``"schema": "homoment/1"``.  Exit codes: 0
+All JSON output, error JSON included, carries ``"schema": "homoment/1"``
+and the package ``"version"``.  Exit codes: 0
 success, 2 unusable input, 3 input inconsistent with the requested
 model, 4 internal check failure (``defect-table --check`` mismatch).
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import estimate, geometry, models, ranktest
+from . import __version__, estimate, geometry, models, ranktest
 from .errors import HomomentError, InputError, ModelMismatchError
 
 SCHEMA = "homoment/1"
@@ -220,6 +222,7 @@ def cmd_defect_table(args):
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
+            "version": __version__,
             "command": "defect-table",
             "rows": [r.as_dict() for r in reports],
         }
@@ -254,6 +257,7 @@ def cmd_fit2(args):
     estimates = estimate.fit_two_gaussians(cumulants, order=args.order)
     payload = {
         "schema": SCHEMA,
+        "version": __version__,
         "command": "fit2",
         "order": args.order,
         "count": len(data),
@@ -280,6 +284,7 @@ def cmd_fit1d(args):
             result.params, means=[[x + centre] for x, in result.params.means])
     payload = {
         "schema": SCHEMA,
+        "version": __version__,
         "command": "fit1d",
         "k": args.k,
         "estimate": result.as_dict(),
@@ -295,6 +300,7 @@ def cmd_rank_test(args):
     k_hat = next((v.k for v in verdicts if v.on_model), args.kmax + 1)
     payload = {
         "schema": SCHEMA,
+        "version": __version__,
         "command": "rank-test",
         "k_max": args.kmax,
         "estimated_components": k_hat,
@@ -334,7 +340,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls and returns a new namespace each time."""
     parser = _ArgumentParser(
         prog="homoment",
         description="Moment-based analysis and recovery for homoscedastic "
@@ -430,7 +439,7 @@ def main(argv=None):
 
 
 def _report_error(exc):
-    payload = {"schema": SCHEMA,
+    payload = {"schema": SCHEMA, "version": __version__,
                "error": {"code": exc.code, "message": str(exc)}}
     print(json.dumps(payload), file=sys.stderr)
 

@@ -77,8 +77,11 @@ def sample_cumulants(data, degree):
     """Cumulant series of the empirical distribution of ``data``.
 
     ``data`` is a ``count x n`` array (a flat array is read as one
-    column).  Raw sample moments are averaged monomials; the cumulant
-    series is their log transform.
+    column).  The sample is centred first: moments of data far from the
+    origin spend their digits on the mean.  Raw moments of the centred
+    sample are averaged monomials, and their log transform gives every
+    cumulant of order >= 2, which a shift does not move; the order-1
+    cumulants are the column means.
     """
     arr = _observations(data)
     if arr.ndim == 1:
@@ -86,10 +89,18 @@ def sample_cumulants(data, degree):
     if arr.ndim != 2:
         raise InputError("data must be a count x n array of observations")
     count, n = arr.shape
-    powers = [[np.ones(count)] for _ in range(n)]
+    with np.errstate(over="ignore"):
+        means = arr.mean(axis=0)
+    if not np.all(np.isfinite(means)):
+        raise InputError("data too large: a sample mean is not a finite "
+                         "float", code="INPUT_RANGE")
+    powers = []
     for j in range(n):
-        for _ in range(degree):
-            powers[j].append(powers[j][-1] * arr[:, j])
+        # one centred column at a time: no centred copy of the sample
+        column = arr[:, j] - means[j]
+        powers.append([np.ones(count), column])
+        for _ in range(degree - 1):
+            powers[j].append(powers[j][-1] * column)
     moments = {}
     for a in ts.multi_indices(n, degree):
         if sum(a) == 0:
@@ -100,7 +111,11 @@ def sample_cumulants(data, degree):
                 prod = prod * powers[j][a[j]]
         moments[a] = float(np.mean(prod))
     series = ts.TruncatedSeries.from_moments(n, degree, moments)
-    return ts.log(series)
+    first = {tuple(int(i == j) for i in range(n)): float(mean)
+             for j, mean in enumerate(means)}
+    return (ts.log(series).graded(2)
+            + ts.TruncatedSeries.from_moments(n, degree, first,
+                                              space="cumulant"))
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,12 @@ none).  Each is inverted by ``_inverse``, which raises on a non-unit.  The resid
 is then the rational Jacobian reduced mod p, a minor of it is the
 reduction of the corresponding minor over Q, and its rank is at most the
 rank over Q, which is at most the generic rank: every point gives a
-certified lower bound.  By the Schwartz-Zippel lemma the bound is sharp
-with overwhelming probability, so reports take the maximum over at least
-two points and draw a third when the first two disagree.
+certified lower bound.  A point whose rank reaches min(rows, cols) of
+the Jacobian therefore certifies the generic rank on its own, and a
+report draws no further point.  Otherwise, by the Schwartz-Zippel lemma
+the bound is sharp with overwhelming probability, so reports take the
+maximum over at least two points and draw a third when the first two
+disagree.
 
 The module also carries two pieces of reference data: the published
 classification table of the order-3 homoscedastic secants for up to
@@ -124,14 +127,11 @@ def _inverse(x, p):
     return pow(x, -1, p)
 
 
-def _residue(x, p):
-    """x mod p for a rational x (anything with an integer numerator and
-    denominator)."""
-    return x.numerator * _inverse(x.denominator, p) % p
-
-
 def _residues(values, p):
-    return np.array([_residue(x, p) for x in values], dtype=np.int64)
+    """x mod p for each rational x (anything with an integer numerator and
+    denominator)."""
+    return np.array([x.numerator * _inverse(x.denominator, p) % p
+                     for x in values], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ class _Indices:
     order: np.ndarray      # |a|
     exponents: np.ndarray  # (N, n): the indices a
     down: np.ndarray       # (n, N): position of a - e_j, -1 where a_j = 0
+    pairs: np.ndarray      # (n(n+1)/2, N): position of a - e_i - e_j for
+                           # i <= j in np.triu_indices(n) order, or -1
     left: np.ndarray       # every pair (b, c) with |b + c| <= d, grouped
     right: np.ndarray      # by a = b + c: the positions of b and of c
     starts: np.ndarray     # first pair of each group
@@ -163,6 +165,10 @@ def _indices(n, d):
         return sorter[np.minimum(found, size - 1)]
 
     down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
+    upper, lower = np.triu_indices(n)
+    inner = down[lower]
+    pairs = np.where(inner >= 0, np.take_along_axis(
+        down[upper], np.maximum(inner, 0), axis=1), -1)
     # the indices are graded, so the c with |b| + |c| <= d are a prefix
     fits = np.searchsorted(order, d - order, side="right")
     left = np.repeat(np.arange(size), fits)
@@ -170,8 +176,8 @@ def _indices(n, d):
     target = position(keys[left] + keys[right])
     grouped = np.argsort(target, kind="stable")
     starts = np.searchsorted(target[grouped], np.arange(size))
-    tables = _Indices(order, exponents, down, left[grouped], right[grouped],
-                      starts)
+    tables = _Indices(order, exponents, down, pairs, left[grouped],
+                      right[grouped], starts)
     for array in vars(tables).values():
         array.setflags(write=False)  # shared by every caller of the cache
     return tables
@@ -250,23 +256,22 @@ def moment_map_jacobian(params, degree, p):
     n = means.shape[1]
     ix = _indices(n, degree)
     weights = _residues(params.weights, p)
-    half = _inverse(2, p)
-    one = _one(ix)
-    # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal;
-    # u_i u_j 1 is the series with a single 1 at e_i + e_j
-    upper = [(i, j, half if i == j else 1) for i in range(n)
-             for j in range(i, n)]
-    quadratic = sum(_residue(params.cov[i][j], p) * scale % p
-                    * _times_u(_times_u(one, ix.down[j]), ix.down[i])
-                    for i, j, scale in upper) % p
+    # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal
+    upper, lower = np.triu_indices(n)
+    scale = np.where(upper == lower, _inverse(2, p), 1)
+    cov = _residues([params.cov[i][j] for i, j in zip(upper, lower)], p)
+    # u_i u_j 1 is the series with a single 1 at e_i + e_j, the index a
+    # whose a - e_i - e_j is the constant
+    quadratic = np.zeros(len(ix.order), dtype=np.int64)
+    pair, at = np.nonzero(ix.pairs == 0)
+    quadratic[at] = scale[pair] * cov[pair] % p
     gauss = _power_sum(quadratic, [_inverse(factorial(j), p)
                                    for j in range(degree // 2 + 1)], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
-    rows = [_tangent_rows(weights, terms, ix, p)]
-    rows += [scale * _times_u(_times_u(moments, ix.down[j]), ix.down[i]) % p
-             for i, j, scale in upper]
-    return np.vstack(rows)[:, 1:].tolist()
+    rows = np.vstack([_tangent_rows(weights, terms, ix, p),
+                      scale[:, None] * _times_u(moments, ix.pairs) % p])
+    return rows[:, 1:].tolist()
 
 
 def _mixture_point(n, k, rng):
@@ -331,17 +336,24 @@ def _veronese_jacobian(n, k, d, rng, p):
 
 
 def _point_ranks(jacobian_at, seed, n, k, d):
-    """Jacobian ranks at two random points, or three when the first two
-    disagree, each under its own prime; their maximum is the generic
-    rank with overwhelming probability."""
+    """Jacobian ranks at random points, each under its own prime.
+
+    One point when its rank reaches min(rows, cols) of the Jacobian: no
+    rank can exceed that, so the point certifies the generic rank.
+    Otherwise two points, or three when the first two disagree; their
+    maximum is the generic rank with overwhelming probability."""
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
-        p = PRIMES[trial]
-        return rank(jacobian_at(n, k, d, rng, p), p)
+        jacobian = jacobian_at(n, k, d, rng, PRIMES[trial])
+        return rank(jacobian, PRIMES[trial]), min(len(jacobian),
+                                                  len(jacobian[0]))
 
-    ranks = [rank_at(0), rank_at(1)]
+    first, bound = rank_at(0)
+    if first == bound:
+        return (first,)
+    ranks = [first, rank_at(1)[0]]
     if ranks[0] != ranks[1]:
-        ranks.append(rank_at(2))
+        ranks.append(rank_at(2)[0])
     return tuple(ranks)
 
 
@@ -362,7 +374,8 @@ class DefectReport:
     dim: int          # computed variety dimension
     fiber_dim: int    # par - dim
     defect: int       # fiber_dim - max(par - ambient, 0)
-    ranks: tuple      # Jacobian rank at each random point, in draw order
+    ranks: tuple      # Jacobian rank at each random point, in draw order:
+                      # one point when it reaches min(rows, cols)
     seed: int
 
     @property

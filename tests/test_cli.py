@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import univariate_moments
+import homoment
 from homoment import cli, geometry, models
 
 
@@ -60,6 +63,7 @@ class TestDefectTable:
         assert code == 0
         payload = json.loads(out)
         assert payload["schema"] == "homoment/1"
+        assert payload["version"] == homoment.__version__
         assert payload["check"]["passed"]
         rows = {(r["n"], r["k"]): r for r in payload["rows"]}
         assert rows[(1, 1)]["dim"] == 2
@@ -67,6 +71,8 @@ class TestDefectTable:
         for r in rows.values():
             assert r["points"] == len(r["ranks"])
             assert r["dim"] == max(r["ranks"])
+            # one point exactly when it reaches the expected dimension
+            assert (r["points"] == 1) == (r["dim"] == r["expected"])
 
     def test_order3_classifier_past_the_published_table(self, capsys):
         # n = 8 is beyond the published n <= 7 rows: only the closed-form
@@ -92,6 +98,23 @@ class TestDefectTable:
         code, _, err = run(["defect-table", "--n", "x..y"], capsys)
         assert code == cli.EXIT_INPUT
         assert json.loads(err)["error"]["code"] == "INPUT"
+        assert json.loads(err)["version"] == homoment.__version__
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        # the parser outlives each call: after a rejected call, a valid one
+        # prints what it prints in a fresh process
+        args = ["defect-table", "--n", "2", "--format", "json", "--seed", "3"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(homoment.__file__)))
+        fresh = subprocess.run([sys.executable, "-m", "homoment.cli"] + args,
+                               capture_output=True, text=True, env=env,
+                               check=True).stdout
+        assert run(["defect-table", "--n", "1", "--jobs", "0"],
+                   capsys)[0] == cli.EXIT_INPUT
+        assert run(args, capsys) == (cli.EXIT_OK, fresh, "")
 
     def test_envelope_violation(self, capsys):
         code, _, err = run(["defect-table", "--n", "9"], capsys)
@@ -131,9 +154,9 @@ class TestDefectTable:
 
     @pytest.mark.parametrize("args,digest", [
         ("--n 1..5 --d 3 --check --format json --seed 0",
-         "ceac547bfbadef27668361466d266c6fb9229fcab4d8c013844b8ed097f0cb9e"),
+         "0ff465ea0871265e88c295fa1d0af452490507a9275fba67ea60b3235be5b882"),
         ("--n 1..4 --d 3..4 --format json --seed 0",
-         "63c0395ca41e9049fd26c12cabab93b730e56f231f284d4ff2d2094cff7665d8"),
+         "1e9b075967c8b335256fc3c90fa37c11bf0fb9a12d4ded8a1df2a47094bb1813"),
     ], ids=["n1..5-d3-check", "n1..4-d3..4"])
     def test_output_is_pinned(self, capsys, args, digest):
         # byte-stable stdout, d = 4 cells included
@@ -230,6 +253,7 @@ class TestSimulateAndFit2:
         assert code == 0
         payload = json.loads(out_json.read_text())
         assert payload["schema"] == "homoment/1"
+        assert payload["version"] == homoment.__version__
         est = payload["estimates"][0]
         weights = sorted(est["weights"])
         assert weights == pytest.approx([0.3, 0.7], abs=0.05)
@@ -326,6 +350,7 @@ class TestFit1d:
     def test_single_gaussian_from_moments(self, capsys):
         code, out, _ = run(["fit1d", "--k", "1", "--moments", "1,3"], capsys)
         assert code == 0
+        assert json.loads(out)["version"] == homoment.__version__
         est = json.loads(out)["estimate"]
         assert est["means"][0][0] == pytest.approx(1.0, abs=1e-9)
         assert est["cov"][0][0] == pytest.approx(2.0, abs=1e-9)
@@ -381,13 +406,13 @@ class TestFit1d:
 
     @pytest.mark.parametrize("args,digest", [
         ("--k 2 --moments 1.05,1.85,2.77,5.00",
-         "3a31e2d7cdda281183be3fce73d3139401e7f3065e057ef96584cbe93a51ffe7"),
+         "4b411313a6072b648bc3de431f0b204f059733c662ae5709794c6e29015fcad0"),
         ("--k 1 --moments=-1,3",
-         "dbf4f34719f0ecfe38da02adc2ca76ca6ba98cd4dcfe14c5c500826e836305f4"),
+         "9418755bb1f675275dfe060ccf4f6dd8fdb407b1e1167e7e7e62b40a16028907"),
         ("--k 3 --moments 0.5,2.1,2.3,9.0,12.0,50.0",
-         "04d706bfd141c4de7871af6c6548111606ff2c73ae6121fa3ab359bfc9ebe350"),
+         "d4d8d74e970ccb690f6ce8ba953022e43e7a930ae77db272e87a04ee2e501d00"),
         ("--k 2 --input {csv}",
-         "78bea883a6a3bbeaee172f759b2596a1bbc4491009ded922ed280bfbccd7fb9a"),
+         "a70533f64e9cf76ed124d39623dfdad3342b00e837dd9ab4c764b007c0109f2c"),
     ], ids=["k2", "k1-negative", "k3", "k2-csv"])
     def test_output_is_pinned(self, capsys, tmp_path, args, digest):
         # byte-stable stdout of the variance-polynomial path
@@ -422,6 +447,7 @@ class TestRankTest:
                             "--kmax", "2"], capsys)
         assert code == 0
         assert json.loads(out)["estimated_components"] == 1
+        assert json.loads(out)["version"] == homoment.__version__
 
     def test_insufficient_order(self, capsys):
         code, _, err = run(["rank-test", "--moments", "1,2,3", "--kmax", "2"],

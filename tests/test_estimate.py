@@ -17,6 +17,7 @@ from homoment import estimate, models
 from homoment import series as ts
 from homoment._poly import poly_degree, poly_eval
 from homoment.errors import (
+    InputError,
     InsufficientOrderError,
     ModelMismatchError,
     RankDeficientMomentsError,
@@ -49,6 +50,30 @@ class TestSampleCumulants:
         # asymptotic stds for standard normal samples: sqrt(6/n), sqrt(24/n)
         assert abs(k.moment((3,))) < 5.0 / math.sqrt(count)
         assert abs(k.moment((4,))) < 4.0 * math.sqrt(24.0 / count)
+
+    def test_mean_out_of_float_range(self):
+        with pytest.raises(InputError) as caught:
+            estimate.sample_cumulants([[1e308, 1.0], [1e308, 2.0]], 3)
+        assert caught.value.code == "INPUT_RANGE"
+
+    def test_fit_is_shift_equivariant(self):
+        # uncentred, the sample moved to 10000 was fitted with weights
+        # 0.49/0.51 and a negative variance (-2.81)
+        params = models.HomoscedasticParams(
+            means=[[1.0, 0.0], [-0.43, 0.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.0], [0.0, 1.0]])
+        sample = models.sample_mixture(params, 100_000, seed=5)
+        fits = []
+        for c in (0.0, 10.0, 100.0, 1000.0, 10000.0):
+            est, = estimate.fit_two_gaussians(
+                estimate.sample_cumulants(sample + c, 5))
+            fit = est.params
+            fits.append([float(x) for x in fit.weights]
+                        + [float(x) - c for mean in fit.means for x in mean]
+                        + [float(x) for row in fit.cov for x in row])
+        assert fits[0][:2] == pytest.approx([0.3, 0.7], abs=0.02)
+        for fit in fits[1:]:
+            assert fit == pytest.approx(fits[0], abs=1e-8)
 
 
 class TestTwoPointCoefficients:

@@ -464,23 +464,24 @@ class TestResiduesMatchFractionOracle:
         cells = [(k, 3) for k in range(1, 13)]
         if n <= 4:
             cells += [(k, 4) for k in geometry.default_k_range(n, 4)]
-        for k, d in cells:
-            geometry.defect_report(n, k, d, seed=0)
-        assert len(checked) >= 2 * len(cells)
+        reports = [geometry.defect_report(n, k, d, seed=0) for k, d in cells]
+        assert len(checked) == sum(r.points for r in reports)
 
     def test_veronese_report_draws(self, monkeypatch):
         checked = check_against_oracle(monkeypatch, "_veronese_jacobian")
         cases = [(2, 5, 4), (3, 2, 2), (4, 3, 2), (1, 2, 3)]
-        for n, k, d in cases:
-            geometry.veronese_report(n, k, d, seed=0)
-        assert len(checked) >= 2 * len(cases)
+        reports = [geometry.veronese_report(n, k, d, seed=0)
+                   for n, k, d in cases]
+        assert len(checked) == sum(r.points for r in reports)
 
     def test_centered_rank_draws(self, monkeypatch):
         checked = check_against_oracle(monkeypatch, "_centered_jacobian")
         cases = [(2, 2), (5, 7), (2, 3), (4, 3)]
         for n, k in cases:
             geometry.centered_cumulant_rank(n, k, 3, seed=0)
-        assert len(checked) >= 2 * len(cases)
+        # (2, 3) reaches min(rows, cols) = 4 at its first point
+        assert [c[:2] for c in checked] == [(2, 2), (2, 2), (5, 7), (5, 7),
+                                            (2, 3), (4, 3), (4, 3)]
 
     @pytest.mark.parametrize("builder,n,k,d", [
         ("_veronese_jacobian", 1, 2, 3), ("_veronese_jacobian", 2, 3, 4),
@@ -511,6 +512,30 @@ class TestDefectReports:
             "n": 3, "k": 3, "d": 3, "par": 17, "ambient": 19,
             "expected": 17, "dim": 15, "defect": 2, "fiber_dim": 2,
             "points": 2, "ranks": [15, 15], "seed": 0}
+
+    @pytest.mark.parametrize("ranks,expected", [
+        (lambda: geometry.defect_report(4, 5, 3, seed=0).ranks, (34,)),
+        (lambda: geometry.veronese_report(1, 2, 3, seed=0).ranks, (3,)),
+        (lambda: geometry._point_ranks(geometry._centered_jacobian, 0,
+                                       2, 3, 3), (4,)),
+    ], ids=["mixture", "veronese", "centered"])
+    def test_full_rank_point_certifies_alone(self, ranks, expected):
+        # no rank exceeds min(rows, cols), so one point reaching it is the
+        # generic rank and no second point is drawn
+        assert ranks() == expected
+
+    def test_deficient_first_point_draws_more(self, monkeypatch):
+        calls = []
+
+        def unlucky_first(matrix, p):
+            calls.append(p)
+            return rank(matrix, p) - (len(calls) == 1)
+
+        monkeypatch.setattr(geometry, "rank", unlucky_first)
+        report = geometry.defect_report(4, 5, 3, seed=0)
+        assert report.ranks == (33, 34, 34)
+        assert report.dim == 34
+        assert calls == list(PRIMES)
 
     def test_envelope_guard(self):
         with pytest.raises(PreconditionError):
