@@ -276,10 +276,11 @@ def cmd_fit1d(args):
         data = read_csv_matrix(args.input)
         if data.shape[1] != 1:
             raise InputError("fit1d expects a single-column CSV")
-        sample, centre = ranktest.centred(data[:, 0])
+        centre = ranktest.sample_mean(data[:, 0])
         result = estimate.fit_univariate(
-            ranktest.raw_moments(sample, 2 * args.k), args.k)
-        # the atoms were fitted to the centred sample
+            ranktest.raw_moments(data[:, 0], 2 * args.k, centre=centre),
+            args.k)
+        # the atoms were fitted to the moments about the mean
         result.params = dataclasses.replace(
             result.params, means=[[x + centre] for x, in result.params.means])
     payload = {

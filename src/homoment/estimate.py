@@ -21,6 +21,7 @@ moment equal to one left implicit.  Entries may be ``Fraction`` for exact
 work; root finding is always floating point.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,7 +82,8 @@ def sample_cumulants(data, degree):
     origin spend their digits on the mean.  Raw moments of the centred
     sample are averaged monomials, and their log transform gives every
     cumulant of order >= 2, which a shift does not move; the order-1
-    cumulants are the column means.
+    cumulants are the column means.  A mean or an averaged moment that is
+    not a finite float is ``INPUT_RANGE``.
     """
     arr = _observations(data)
     if arr.ndim == 1:
@@ -95,21 +97,25 @@ def sample_cumulants(data, degree):
         raise InputError("data too large: a sample mean is not a finite "
                          "float", code="INPUT_RANGE")
     powers = []
-    for j in range(n):
-        # one centred column at a time: no centred copy of the sample
-        column = arr[:, j] - means[j]
-        powers.append([np.ones(count), column])
-        for _ in range(degree - 1):
-            powers[j].append(powers[j][-1] * column)
     moments = {}
-    for a in ts.multi_indices(n, degree):
-        if sum(a) == 0:
-            continue
-        prod = powers[0][a[0]]
-        for j in range(1, n):
-            if a[j]:
-                prod = prod * powers[j][a[j]]
-        moments[a] = float(np.mean(prod))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            # one centred column at a time: no centred copy of the sample
+            column = arr[:, j] - means[j]
+            powers.append([np.ones(count), column])
+            for _ in range(degree - 1):
+                powers[j].append(powers[j][-1] * column)
+        for a in ts.multi_indices(n, degree):
+            if sum(a) == 0:
+                continue
+            prod = powers[0][a[0]]
+            for j in range(1, n):
+                if a[j]:
+                    prod = prod * powers[j][a[j]]
+            moments[a] = float(np.mean(prod))
+    if not all(map(math.isfinite, moments.values())):
+        raise InputError("data too large: a sample moment is not a finite "
+                         "float", code="INPUT_RANGE")
     series = ts.TruncatedSeries.from_moments(n, degree, moments)
     first = {tuple(int(i == j) for i in range(n)): float(mean)
              for j, mean in enumerate(means)}
@@ -229,8 +235,10 @@ def fit_two_gaussians(cumulants, order=None, pivot_tol=None):
     ``cumulants`` is a cumulant-space series of degree at least four.
     With ``order=4`` the two label-symmetric presentations of the
     recovered mixture are returned; with ``order=5`` (the default when
-    fifth cumulants are available) the fifth-order pivot ratio is checked
-    against both and the best-matching single estimate is returned.
+    fifth cumulants are available) one estimate is returned, the smaller
+    weight first, with the fifth-order pivot ratio checked against the
+    model's.  Both presentations predict the same ratio, so the check
+    measures fit and does not choose between them.
 
     Requires a nonzero principal third cumulant: mixtures with equal
     weights or equal means have none and raise
@@ -305,18 +313,12 @@ def fit_two_gaussians(cumulants, order=None, pivot_tol=None):
         return [build(lam_small, 4), build(1.0 - lam_small, 4)]
 
     ratio_b = float(cumulants.coeff(unit(pivot, 5))) / t3 ** 5
-    candidates = []
-    for lam1 in (lam_small, 1.0 - lam_small):
-        f3 = float(two_point_cumulant_coeff(lam1, 3))
-        f5 = float(two_point_cumulant_coeff(lam1, 5))
-        predicted = f5 / _cbrt(f3) ** 5
-        candidates.append((abs(predicted - ratio_b), lam1, predicted))
-    candidates.sort(key=lambda item: item[0])
-    gap, lam1, predicted = candidates[0]
-    est = build(lam1, 5)
+    f3 = float(two_point_cumulant_coeff(lam_small, 3))
+    predicted = float(two_point_cumulant_coeff(lam_small, 5)) / _cbrt(f3) ** 5
+    est = build(lam_small, 5)
     est.diagnostics["ratio_b"] = ratio_b
     est.diagnostics["ratio_b_predicted"] = predicted
-    est.diagnostics["ratio_b_residual"] = gap
+    est.diagnostics["ratio_b_residual"] = abs(predicted - ratio_b)
     return [est]
 
 
@@ -449,26 +451,40 @@ def _float_minors(moments, k, s):
     if d < 2 * k:
         raise InsufficientOrderError(f"need order {2 * k} for k={k}")
     s = np.broadcast_to(s, (count,))[:, None]
+    coeffs, index = _minor_layout(d, k)
     # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
     full = np.ones((count, d + 1))
     full[:, 1:] = rows
     mt = full.copy()
     power = s
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, d // 2 + 1):
-            coeffs = np.array([_deconvolution_coeff(j, i)
-                               for j in range(2 * i, d + 1)], dtype=float)
-            term = coeffs * full[:, :d + 1 - 2 * i] * power
+        for i, coeff in enumerate(coeffs, start=1):
+            term = coeff * full[:, :d + 1 - 2 * i] * power
             mt[:, 2 * i:] = mt[:, 2 * i:] + term
             power = power * s
-        subsets = np.array(_column_subsets(d, k))
-        index = np.arange(k + 1)[:, None] + subsets[:, None, :]
         values = np.linalg.det(mt[:, index])
     # a float minor overflows on huge input
     if not np.all(np.isfinite(values)):
         raise InputError("moments too large: a Hankel minor is not a finite "
                          "float", code="INPUT_RANGE")
     return values
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_layout(d, k):
+    """What :func:`_float_minors` needs of the order ``d`` and of ``k``
+    alone: the deconvolution coefficients of ``variance**i`` for
+    i = 1..d//2 (one read-only array each, over orders 2i..d) and the
+    index gathering every minor's submatrix from a deconvolved row."""
+    coeffs = []
+    for i in range(1, d // 2 + 1):
+        coeffs.append(np.array([_deconvolution_coeff(j, i)
+                                for j in range(2 * i, d + 1)], dtype=float))
+    subsets = np.array(_column_subsets(d, k))
+    index = np.arange(k + 1)[:, None] + subsets[:, None, :]
+    for array in coeffs + [index]:
+        array.flags.writeable = False
+    return tuple(coeffs), index
 
 
 def hankel_pencil(moments, k):
@@ -479,7 +495,10 @@ def hankel_pencil(moments, k):
     degree in the variance; coefficients are recovered by evaluating the
     determinants at that many nodes and interpolating, exactly over
     rational input.  Float input evaluates every node in one batched
-    :func:`pencil_minor_values` call.  The matrix uses every given moment.
+    :func:`pencil_minor_values` call, and the minors of one degree share
+    the node prefix they are fitted on, so each degree takes one
+    least-squares fit with a column per minor.  The matrix uses every
+    given moment.
     """
     m = _moment_list(moments)
     d = len(m)
@@ -487,19 +506,24 @@ def hankel_pencil(moments, k):
         raise InsufficientOrderError(
             f"pencil needs moment order at least {2 * k}, got {d}")
     weights = [k * (k + 1) // 2 + sum(sel) for sel in _column_subsets(d, k)]
-    max_degree = max(w // 2 for w in weights)
+    degrees = [w // 2 for w in weights]
     if _poly.is_exact(m):
-        nodes = list(range(max_degree + 1))
+        nodes = list(range(max(degrees) + 1))
         values = [pencil_minor_values(m, k, s) for s in nodes]
+        minors = [tuple(_poly.interpolate(
+                      nodes[:deg + 1], [row[idx] for row in values[:deg + 1]]))
+                  for idx, deg in enumerate(degrees)]
     else:
-        nodes = _poly.interpolation_nodes(max_degree + 1,
-                                          max(abs(float(m[1])), 1.0))
+        nodes = np.asarray(_poly.interpolation_nodes(
+            max(degrees) + 1, max(abs(float(m[1])), 1.0)))
         values = pencil_minor_values(m, k, nodes)
-    minors = []
-    for idx, w in enumerate(weights):
-        deg = w // 2
-        ys = [values[t][idx] for t in range(deg + 1)]
-        minors.append(tuple(_poly.interpolate(nodes[:deg + 1], ys)))
+        minors = [None] * len(degrees)
+        for deg in sorted(set(degrees)):
+            idx = [i for i, other in enumerate(degrees) if other == deg]
+            fitted = np.polynomial.polynomial.polyfit(
+                nodes[:deg + 1], values[:deg + 1, idx], deg)
+            for i, column in zip(idx, fitted.T.tolist()):
+                minors[i] = tuple(column)
     return HankelPencil(k=k, minors=tuple(minors), weights=tuple(weights))
 
 

@@ -8,9 +8,10 @@ common nonnegative root exactly on the model.  Membership is decided
 numerically: the scaled sum of squared minors is minimized over the
 admissible variance interval and compared against a threshold.
 
-On sample data (:func:`estimate_components_from_data`) the observations
-are centred once, their moments are taken in units of the standard
-deviation, and each minor is scaled by its sampling noise: the
+On sample data (:func:`estimate_components_from_data`) one blockwise
+pass takes the moments of the observations about their mean, with no
+centred copy (:func:`raw_moments`); they are taken in units of the
+standard deviation, and each minor is scaled by its sampling noise: the
 delta method applied to the asymptotic covariance of the sample moments
 (:func:`delta_minor_scales`).  Nothing in the count is random.
 
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import _poly
 from . import series as ts
@@ -114,18 +114,16 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
     each minor scaled by ``minor_scales`` (noise levels, for sample
     moments) when given.
 
-    The expanded sum of squares only locates the candidate variances: its
-    large coefficients cancel, and so do those of each interpolated
-    minor.  Every candidate is scored by the scaled minors themselves,
-    evaluated at all candidates in one :func:`pencil_minor_values` call.
+    The expanded sum of squares (:func:`_sum_of_squares`) only locates
+    the candidate variances: its large coefficients cancel, and so do
+    those of each interpolated minor.  Every candidate is scored by the
+    scaled minors themselves, evaluated at all candidates in one
+    :func:`pencil_minor_values` call.
     """
     if minor_scales is None:
         minor_scales = _minor_scales(m, pencil.weights)
     scales = [float(scale) if scale else 1.0 for scale in minor_scales]
-    objective = np.zeros(1)
-    for coeffs, scale in zip(pencil.minors, scales):
-        scaled = [float(c) / scale for c in coeffs]
-        objective = P.polyadd(objective, P.polymul(scaled, scaled))
+    objective = _sum_of_squares(pencil.minors, scales)
     s_max = max(float(m[1]), 0.0)
     candidates = [0.0, s_max]
     for r in _poly.real_roots(_poly.poly_derivative(objective), imag_tol=1e-6):
@@ -138,6 +136,25 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
         k=pencil.k, on_model=bool(residual < threshold), residual=residual,
         witness_s=witness, threshold=float(threshold),
         nminors=pencil.nminors)
+
+
+def _sum_of_squares(minors, scales):
+    """Ascending coefficients of the sum over the minors of
+    ``(minor / scale)**2``.
+
+    The scaled coefficient lists, zero-padded, are the rows of a matrix
+    ``C``; the coefficient of ``s**n`` in the sum is the n-th
+    anti-diagonal sum of ``C^T C``, so one matrix product and one
+    ``bincount`` take the whole sum.
+    """
+    width = max(len(coeffs) for coeffs in minors)
+    rows = np.zeros((len(minors), width))
+    for row, coeffs in zip(rows, minors):
+        row[:len(coeffs)] = [float(c) for c in coeffs]
+    rows /= np.asarray(scales)[:, None]
+    powers = np.arange(width)
+    return np.bincount((powers[:, None] + powers).ravel(),
+                       weights=(rows.T @ rows).ravel())
 
 
 def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
@@ -165,29 +182,55 @@ def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
 # noise-calibrated component count for sample data
 
 
-def _power_sums(arr, order, counts=None):
-    """``sum(counts * arr**j)`` for j = 1..order (``counts`` defaults to
-    ones), by running products in one buffer: no ``pow`` and no table of
-    powers."""
-    term = arr.copy() if counts is None else counts * arr
-    sums = [float(term.sum())]
-    for _ in range(order - 1):
-        term *= arr
-        sums.append(float(term.sum()))
-    return sums
+# values per block of the moment pass, so that a block and its running
+# product stay in cache
+_BLOCK = 16384
 
 
-def raw_moments(data, order):
-    """First ``order`` raw sample moments of a flat data vector."""
+def _power_sums(arr, order, counts=None, centre=0.0):
+    """``sum(counts * (arr - centre)**j)`` for j = 1..order (``counts``
+    defaults to ones).
+
+    The values are taken ``_BLOCK`` at a time into one buffer, and a
+    second buffer holds their running product, so there is no ``pow``, no
+    table of powers and no temporary as large as the sample.  Each
+    block's sums are added to running totals, which is as accurate as
+    one pairwise pass (Higham, 1993).
+    """
+    sums = np.zeros(order)
+    size = min(arr.size, _BLOCK)
+    base, term = np.empty(size), np.empty(size)
+    for start in range(0, arr.size, _BLOCK):
+        block = arr[start:start + _BLOCK]
+        x, t = base[:block.size], term[:block.size]
+        np.subtract(block, centre, out=x)
+        if counts is None:
+            t[:] = x
+        else:
+            np.multiply(counts[start:start + _BLOCK], x, out=t)
+        sums[0] += t.sum()
+        for j in range(1, order):
+            t *= x
+            sums[j] += t.sum()
+    return sums.tolist()
+
+
+def raw_moments(data, order, centre=0.0):
+    """First ``order`` sample moments of a flat data vector about
+    ``centre`` (raw moments at the default 0), in one blockwise pass
+    (:func:`_power_sums`): the data are never copied.  ``order`` must be
+    at least 1 (``PreconditionError``)."""
+    _check_k(order, "order")
     arr = _observations(data).ravel()
-    return [s / arr.size for s in _power_sums(arr, order)]
+    return [s / arr.size for s in _power_sums(arr, order, centre=centre)]
 
 
-def centred(data):
-    """A flat data vector minus its mean, and the mean.
+def sample_mean(data):
+    """The mean of a flat data vector, to centre its moments on.
 
     The pencil is shift-equivariant, but the moments of data far from
-    the origin spend their digits on the mean; centred moments keep them.
+    the origin spend their digits on the mean; moments about the mean
+    keep them.  A mean that is not a finite float is ``INPUT_RANGE``.
     """
     arr = _observations(data).ravel()
     with np.errstate(over="ignore"):
@@ -195,7 +238,7 @@ def centred(data):
     if not np.isfinite(centre):
         raise InputError("data too large: the sample mean is not a finite "
                          "float", code="INPUT_RANGE")
-    return arr - centre, centre
+    return centre
 
 
 def _check_resamples(n_boot):
@@ -274,13 +317,13 @@ def delta_minor_scales(data, witnesses, d):
 def estimate_components_from_data(data, k_max):
     """Component count for raw observations with noise-aware thresholds.
 
-    The data are centred on their mean once (the pencil is
-    shift-equivariant, so only the digits change), and one pass takes
-    their moments to order ``2 d``, with ``d = 2 k_max + 1``.  The
-    moments are then standardised (:func:`standardised`), so the count
-    does not depend on the unit of the data; the witness variances are
-    reported back in data units.  Each minor
-    is whitened by its delta-method noise level
+    One blockwise pass takes the moments of the data about their mean to
+    order ``2 d``, with ``d = 2 k_max + 1`` (the pencil is
+    shift-equivariant, so centring changes only the digits, and no
+    centred copy is made).  The moments are then standardised
+    (:func:`standardised`), so the count does not depend on the unit of
+    the data; the witness variances are reported back in data units.
+    Each minor is whitened by its delta-method noise level
     (:func:`delta_minor_scales`), making the on-model residual an
     order-nminors quantity regardless of sample size;
     ``NOISE_FACTOR * nminors`` then separates sampling noise from real
@@ -289,11 +332,11 @@ def estimate_components_from_data(data, k_max):
     verdicts)``.  ``k_max`` must be at least 1 (``PreconditionError``).
     """
     _check_k(k_max, "k_max")
-    arr, _ = centred(data)
     d = 2 * k_max + 1
-    m, unit = standardised(raw_moments(arr, 2 * d))
+    m, unit = standardised(raw_moments(data, 2 * d,
+                                       centre=sample_mean(data)))
     k_hat, verdicts = _whitened_count(
-        m[:d], k_max, lambda witnesses: _delta_scales(m, arr.size,
+        m[:d], k_max, lambda witnesses: _delta_scales(m, np.size(data),
                                                       witnesses, d))
     return k_hat, [replace(v, witness_s=v.witness_s * unit)
                    for v in verdicts]

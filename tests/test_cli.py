@@ -604,6 +604,15 @@ class TestHugeInput:
         # a numpy overflow warning would reach stderr beside the JSON
         assert caught == []
 
+    def test_fit2_moment_overflow(self, tmp_path):
+        # the column means are finite but the centred squares are not:
+        # out of float range (exit 2), not a model mismatch (exit 3)
+        data = tmp_path / "huge2.csv"
+        data.write_text("1e300,1\n-1e300,2\n1e300,5\n")
+        for order in ("4", "5"):
+            assert_rejected(["fit2", "--order", order, "--input", str(data)],
+                            error_code="INPUT_RANGE")
+
 
 class TestSeedEnvironment:
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):

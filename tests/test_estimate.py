@@ -56,6 +56,13 @@ class TestSampleCumulants:
             estimate.sample_cumulants([[1e308, 1.0], [1e308, 2.0]], 3)
         assert caught.value.code == "INPUT_RANGE"
 
+    def test_moment_out_of_float_range(self):
+        # the means are finite, but the centred squares overflow
+        data = [[1e300, 1.0], [-1e300, 2.0], [1e300, 5.0]]
+        with pytest.raises(InputError) as caught:
+            estimate.sample_cumulants(data, 5)
+        assert caught.value.code == "INPUT_RANGE"
+
     def test_fit_is_shift_equivariant(self):
         # uncentred, the sample moved to 10000 was fitted with weights
         # 0.49/0.51 and a negative variance (-2.81)
@@ -176,6 +183,41 @@ class TestFitTwoGaussians:
         cum = models.homoscedastic_cumulants(p, 5)
         est, = estimate.fit_two_gaussians(cum)
         assert match_two_components(est.params, p) < 1e-8
+
+    README = models.HomoscedasticParams(
+        means=[[1.0, 0.0], [-0.43, 0.0]], weights=[0.3, 0.7],
+        cov=[[1.0, 0.0], [0.0, 1.0]])
+
+    def test_order_five_presentation_ignores_last_digits(self):
+        cum = estimate.sample_cumulants(
+            models.sample_mixture(self.README, 100_000, seed=7), 5)
+        (first,), *perturbed = [
+            estimate.fit_two_gaussians(cum * (1 + e), order=5)
+            for e in (0.0, 1e-15, -1e-15)]
+        assert first.params.weights[0] < 0.5
+        for est, in perturbed:
+            # the same labels, so each component moves by rounding only
+            assert est.params.weights == pytest.approx(first.params.weights,
+                                                       rel=1e-12)
+            for mean, want in zip(est.params.means, first.params.means):
+                assert mean == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("percent", [20, 25, 35, 65, 75, 80])
+    def test_order_five_puts_smaller_weight_first(self, percent):
+        # lam and 1 - lam predict the same fifth-order ratio to the last
+        # digit; choosing by it put 0.8, 0.75 and 0.65 first here
+        lam = Fraction(percent, 100)
+        p = models.HomoscedasticParams(
+            means=[[1, 0], [-2, Fraction(1, 2)]], weights=[lam, 1 - lam],
+            cov=[[1, 0], [0, 1]])
+        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
+                                          order=5)
+        assert est.params.weights[0] == pytest.approx(min(lam, 1 - lam),
+                                                      abs=1e-9)
+        assert est.diagnostics["ratio_b_residual"] == pytest.approx(
+            abs(est.diagnostics["ratio_b_predicted"]
+                - est.diagnostics["ratio_b"]), abs=0)
+        assert est.diagnostics["ratio_b_residual"] < 1e-9
 
     def test_insufficient_order(self):
         rng = random.Random(7)

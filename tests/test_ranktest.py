@@ -3,13 +3,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from conftest import rand_fraction, univariate_moments
-from homoment import estimate, models, ranktest
+from homoment import _poly, estimate, models, ranktest
 from homoment import series as ts
 from homoment._poly import poly_eval
 from homoment.errors import (InputError, InsufficientOrderError,
@@ -217,7 +219,7 @@ class TestComponentCount:
     def _direct_residuals(data, verdicts):
         """Each verdict's whitened minors, evaluated directly at its
         witness, squared and summed."""
-        arr, _ = ranktest.centred(data)
+        arr = data.ravel() - ranktest.sample_mean(data)
         m = ranktest.raw_moments(arr, 5)
         first = {k: ranktest.secant_membership(m, k).witness_s
                  for k in (1, 2)}
@@ -253,9 +255,11 @@ class TestComponentCount:
         lambda: ranktest.estimate_components([1.0, 3.0, 7.0], 0),
         lambda: ranktest.estimate_components([1.0, 3.0, 7.0], -1),
         lambda: ranktest.component_ladder([1.0, 3.0, 7.0], 0),
-        lambda: ranktest.secant_membership([1.0, 3.0, 7.0], 0)],
+        lambda: ranktest.secant_membership([1.0, 3.0, 7.0], 0),
+        lambda: ranktest.raw_moments(_SAMPLE, 0)],
         ids=["k-max-0", "k-max-negative", "moments-k-max-0",
-             "moments-k-max-negative", "ladder-k-max-0", "membership-k-0"])
+             "moments-k-max-negative", "ladder-k-max-0", "membership-k-0",
+             "moments-order-0"])
     def test_bad_count_arguments_fail_fast(self, call):
         with pytest.raises(PreconditionError):
             call()
@@ -311,6 +315,96 @@ class TestBatchedMinors:
         with pytest.raises(InputError) as exc:
             ranktest.pencil_minor_values(rows, 2, 0.5)
         assert exc.value.code == "INPUT_RANGE"
+
+
+class TestBatchedPencil:
+    CASES = [(k, d) for k in (1, 2, 3) for d in range(2 * k, 2 * k + 4)]
+
+    @pytest.mark.parametrize("k,d", CASES)
+    def test_grouped_fit_matches_per_minor_fit(self, k, d):
+        # sample-like moments: those of a two-point mixture plus noise
+        rng = np.random.default_rng(100 * k + d)
+        atoms = np.array([-0.8, 1.3])
+        m = [float(np.dot([0.4, 0.6], atoms ** j)) + 0.01 * rng.normal()
+             for j in range(1, d + 1)]
+        pencil = ranktest.hankel_pencil(m, k)
+        nodes = np.asarray(_poly.interpolation_nodes(
+            max(w // 2 for w in pencil.weights) + 1, max(abs(m[1]), 1.0)))
+        values = ranktest.pencil_minor_values(m, k, nodes)
+        assert len(pencil.minors) == values.shape[1]
+        for idx, (coeffs, w) in enumerate(zip(pencil.minors,
+                                              pencil.weights)):
+            deg = w // 2
+            want = P.polyfit(nodes[:deg + 1], values[:deg + 1, idx], deg)
+            assert len(coeffs) == deg + 1
+            # past degree 8 (k = 3, d >= 8) the scaled Vandermonde has
+            # condition number 1e7 and more, and the per-minor fit itself
+            # is off the exact interpolant by more than 1e-12: there the
+            # two fits may differ by that much
+            exact = _poly.lagrange_interpolate(
+                [Fraction(x) for x in nodes[:deg + 1]],
+                [Fraction(y) for y in values[:deg + 1, idx]])
+            own = np.max(np.abs(np.asarray(exact, dtype=float) - want))
+            top = max(abs(want))
+            assert (np.max(np.abs(np.asarray(coeffs) - want))
+                    <= max(1e-12 * top, own))
+
+    @pytest.mark.parametrize("k,d", [(1, 3), (1, 5), (2, 5), (3, 7)])
+    def test_gram_objective_matches_polynomial_products(self, k, d):
+        rng = np.random.default_rng(d - k)
+        m = list(rng.normal(size=d))
+        pencil = ranktest.hankel_pencil(m, k)
+        scales = list(rng.uniform(0.1, 10.0, size=pencil.nminors))
+        want = np.zeros(1)
+        for coeffs, scale in zip(pencil.minors, scales):
+            scaled = [c / scale for c in coeffs]
+            want = P.polyadd(want, P.polymul(scaled, scaled))
+        got = ranktest._sum_of_squares(pencil.minors, scales)
+        want = np.pad(want, (0, len(got) - len(want)))
+        assert got == pytest.approx(want, rel=1e-12,
+                                    abs=1e-12 * np.max(np.abs(want)))
+
+
+class TestBlockwiseMoments:
+    B = ranktest._BLOCK
+    SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+
+    @staticmethod
+    def _check(got, x, c, counts):
+        for j, value in enumerate(got, start=1):
+            powers = (x - c) ** j
+            want = np.sum(counts * powers)
+            # rounding grows with the sum of magnitudes, not the sum
+            assert abs(value - want) <= 1e-12 * np.sum(counts * np.abs(powers))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("c", [0.0, 10.0, 1000.0])
+    def test_moments_about_centre_match_powers(self, size, c):
+        x = np.random.default_rng(size).normal(0.4, 1.5, size)
+        got = ranktest.raw_moments(x, 7, centre=c)
+        self._check([v * size for v in got], x, c, 1)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("c", [0.0, 10.0, 1000.0])
+    def test_weighted_sums_match_powers(self, size, c):
+        rng = np.random.default_rng(size + 1)
+        x = rng.normal(0.4, 1.5, size)
+        counts = np.bincount(rng.integers(0, size, size), minlength=size)
+        got = ranktest._power_sums(x, 7, counts, centre=c)
+        self._check(got, x, c, counts)
+
+    def test_count_allocates_no_sample_sized_temporary(self):
+        p = models.HomoscedasticParams(means=[[0.0], [2.5]],
+                                       weights=[0.35, 0.65], cov=[[0.5]])
+        data = models.sample_mixture(p, 100_000, seed=6)
+        ranktest.estimate_components_from_data(data, 2)
+        tracemalloc.start()
+        try:
+            ranktest.estimate_components_from_data(data, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.nbytes
 
 
 def _gathered_scales(arr, k, witness_s, n_boot, seed, d):
