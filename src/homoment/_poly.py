@@ -40,7 +40,11 @@ def poly_degree(coeffs, rel_tol=0.0):
     return -1
 
 
-def real_roots(coeffs, imag_tol=1e-9, drop_tol=1e-13):
+# leading coefficients below this share of the largest are dropped
+_DROP_TOL = 1e-13
+
+
+def real_roots(coeffs, imag_tol=1e-9):
     """Real roots of an ascending-coefficient polynomial.
 
     Roots come from the companion matrix (``numpy.roots``); a root counts
@@ -49,7 +53,7 @@ def real_roots(coeffs, imag_tol=1e-9, drop_tol=1e-13):
     largest one are dropped first so nearly degenerate leading terms do
     not inject spurious huge roots.
     """
-    deg = poly_degree(coeffs, rel_tol=drop_tol)
+    deg = poly_degree(coeffs, rel_tol=_DROP_TOL)
     if deg <= 0:
         return []
     desc = [float(c) for c in coeffs[deg::-1]]
@@ -79,16 +83,6 @@ def lagrange_interpolate(xs, ys):
         for p, c in enumerate(num):
             coeffs[p] += w * c
     return coeffs
-
-
-def interpolate(xs, ys):
-    """Polynomial through the given points; exact when the data is exact."""
-    if is_exact(xs) and is_exact(ys):
-        return lagrange_interpolate(xs, ys)
-    coeffs = np.polynomial.polynomial.polyfit(
-        np.asarray(xs, dtype=float), np.asarray(ys, dtype=float),
-        len(xs) - 1)
-    return [float(c) for c in coeffs]
 
 
 def interpolation_nodes(count, scale):

@@ -3,9 +3,11 @@
 Two pipelines live here.  The closed-form two-component recovery
 (:func:`fit_two_gaussians`) works in any dimension from cumulants up to
 order four or five: the ratio of the pivot fourth to third cumulant
-coefficients determines the product of the two weights through a cubic
-with a unique statistically meaningful root, after which means and the
-shared covariance follow in closed form.  The univariate pipeline
+coefficients is strictly monotone in the smaller weight, which one
+bisection finds to the last bit; the pivot mean follows from the third
+cumulant, the other mean coordinates from the pivot slice of the third
+cumulant tensor, and the shared covariance from the second cumulants.
+The univariate pipeline
 (:func:`fit_univariate`) recovers a k-component mixture from its first 2k
 moments by first locating the shared variance as the smallest nonnegative
 root of a Hankel determinant polynomial and then running the classical
@@ -149,8 +151,9 @@ def two_point_cumulant_coeff(weight, order):
 def cumulant_ratio_from_weight_product(q):
     """The pivot ratio a(q) realized by a mixture with weight product q.
 
-    Strictly decreasing on (0, 1/4); this is the inverse of
-    :func:`solve_weight_product` and serves as its round-trip oracle.
+    Strictly decreasing on (0, 1/4); the inverse of
+    :func:`solve_smaller_weight` (as ``q = w (1 - w)``) and its round-trip
+    oracle.
     """
     q = float(q)
     if not 0.0 < q < 0.25:
@@ -166,56 +169,37 @@ def weight_product_cubic(ratio):
     return [const, 16 * cube + 27, -(128 * cube + 162), 256 * cube + 324]
 
 
-def solve_weight_product(ratio, imag_tol=1e-9, relax=1e-7):
-    """Unique root in (0, 1/4) of the weight-product cubic.
+def solve_smaller_weight(ratio):
+    """The smaller weight w in (0, 1/2] of the two-component mixture whose
+    pivot ratio is ``ratio``.
 
-    The roots cluster around 1/6 for small ratios, which the substitution
-    ``b = 1 - 6q`` spreads apart: the cubic becomes the depressed
-    ``(81 + 64 r^3) b^3 - 48 r^3 b - 16 r^3`` whose small root is well
-    conditioned, so companion-matrix roots are solved in ``b`` and mapped
-    back.  The leading coefficient vanishes on one ratio value (the
-    horizontal asymptote of the forward map) where the equation drops to
-    a quadratic; negligible leading coefficients are trimmed before root
-    finding.  If no root lands in the open interval, the bounds are
-    relaxed by ``relax`` and the nearest root is clamped inside; failing
-    that the input moments are inconsistent with a two-component model.
+    With ``q = w (1 - w)`` and ``b = 1 - 6q`` the ratio r satisfies
+    ``3 b^3 = 32 r^3 q (1 - 2w)^4``.  Left minus right is 3 at w = 0 and
+    -3/8 at w = 1/2, and :func:`cumulant_ratio_from_weight_product` is
+    strictly decreasing, so every finite r has exactly one root there.
+    Bisection halves the bracket until its midpoint equals an end: about
+    55 steps for ordinary weights, at most about 1100 for the tiniest.
+    Writing ``(1 - 2w)^4`` rather than ``(1 - 4q)^2`` keeps the
+    near-symmetric end free of cancellation.  A ratio whose cube is not a
+    finite float fits no two-component mixture.
     """
-    cube = float(ratio) ** 3
-    beta_coeffs = [-16.0 * cube, -48.0 * cube, 0.0, 81.0 + 64.0 * cube]
-    roots = [(1.0 - b) / 6.0
-             for b in _poly.real_roots(beta_coeffs, imag_tol=imag_tol)]
-    roots = [_refine_weight_product(r, cube) for r in roots]
-    inside = [r for r in roots if 0.0 < r < 0.25]
-    if len(inside) == 1:
-        return inside[0]
-    if len(inside) > 1:
-        # theory gives a single interior root; duplicates can only come
-        # from conditioning, keep the one that best satisfies the cubic
-        coeffs = [float(c) for c in weight_product_cubic(ratio)]
-        return min(inside, key=lambda r: abs(_poly.poly_eval(coeffs, r)))
-    near = [r for r in roots if -relax < r < 0.25 + relax]
-    if near:
-        return min(0.25, max(min(near, key=lambda r: abs(r - 0.125)), 1e-300))
-    raise InconsistentMomentsError(
-        "no admissible weight product: cumulant ratios are not consistent "
-        "with a two-component homoscedastic mixture")
-
-
-def _refine_weight_product(q, cube, steps=2):
-    # Newton polish in the shifted variable keeps the defining identity
-    # (3/32)(1-6q)^3 = r^3 q (1-4q)^2 tight near the interval ends
-    b = 1.0 - 6.0 * q
-    lead = 81.0 + 64.0 * cube
-    for _ in range(steps):
-        val = lead * b ** 3 - 48.0 * cube * b - 16.0 * cube
-        der = 3.0 * lead * b ** 2 - 48.0 * cube
-        if der == 0.0 or not math.isfinite(val):
-            break
-        step = val / der
-        if not math.isfinite(step) or abs(step) > 0.5 * max(1.0, abs(b)):
-            break
-        b -= step
-    return (1.0 - b) / 6.0
+    r = float(ratio)
+    cube = r * r * r
+    if not math.isfinite(cube):
+        raise InconsistentMomentsError(
+            "no admissible weight: the cumulant ratio's cube is not a "
+            "finite float")
+    lo, hi = 0.0, 0.5
+    while True:
+        w = 0.5 * (lo + hi)
+        if w in (lo, hi):
+            return w
+        q = w * (1.0 - w)
+        # 32 * q first: the product overflows only where it is huge anyway
+        if 3.0 * (1.0 - 6.0 * q) ** 3 > 32.0 * q * cube * (1.0 - 2.0 * w) ** 4:
+            lo = w
+        else:
+            hi = w
 
 
 def _raw_second_cumulants(cumulants):
@@ -229,16 +213,26 @@ def _raw_second_cumulants(cumulants):
     return cov
 
 
-def fit_two_gaussians(cumulants, order=None, pivot_tol=None):
+# relative to the covariance scale to the power 3/2
+_PIVOT_TOL = 1e-10
+
+
+def fit_two_gaussians(cumulants, order=None):
     """Closed-form recovery of a two-component homoscedastic mixture.
 
     ``cumulants`` is a cumulant-space series of degree at least four.
-    With ``order=4`` the two label-symmetric presentations of the
-    recovered mixture are returned; with ``order=5`` (the default when
-    fifth cumulants are available) one estimate is returned, the smaller
-    weight first, with the fifth-order pivot ratio checked against the
-    model's.  Both presentations predict the same ratio, so the check
-    measures fit and does not choose between them.
+    The pivot coordinate p has the largest principal third cumulant; its
+    ratio to the fourth fixes the smaller weight
+    (:func:`solve_smaller_weight`), the pivot mean follows from the third
+    cumulant, and every other mean coordinate j from the pivot slice as
+    ``mu_j = mu_p kappa_ppj / kappa_ppp``.  A cube root per coordinate
+    would amplify the noise of a coordinate that carries no separation.
+    With ``order=4`` the two label-symmetric presentations are returned,
+    the second the first with its components swapped; with ``order=5``
+    (the default when fifth cumulants are available) one estimate is
+    returned, the smaller weight first, with the fifth-order pivot ratio
+    checked against the model's.  Both presentations predict the same
+    ratio, so the check measures fit and does not choose between them.
 
     Requires a nonzero principal third cumulant: mixtures with equal
     weights or equal means have none and raise
@@ -265,61 +259,54 @@ def fit_two_gaussians(cumulants, order=None, pivot_tol=None):
 
     cov_scale = max([abs(total_cov[i][j]) for i in range(n) for j in range(n)],
                     default=0.0)
-    scale = max(1.0, cov_scale) ** 1.5
-    if pivot_tol is None:
-        pivot_tol = 1e-10 * scale
     pivot = max(range(n), key=lambda i: abs(third[i]))
-    if abs(6.0 * third[pivot]) <= pivot_tol:
+    if abs(6.0 * third[pivot]) <= _PIVOT_TOL * max(1.0, cov_scale) ** 1.5:
         raise SymmetricMixtureError(
             "all principal third cumulants vanish; equal weights or equal "
             "means are not recoverable from orders three and four")
 
     t3 = _cbrt(third[pivot])
     ratio_a = float(cumulants.coeff(unit(pivot, 4))) / t3 ** 4
-    q = solve_weight_product(ratio_a)
-    lam_small = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * q)))
-    root3 = [_cbrt(c) for c in third]
-
-    def build(lam1, order_used):
-        lam2 = 1.0 - lam1
-        f3 = two_point_cumulant_coeff(lam1, 3)
-        inv = _cbrt(1.0 / f3)
-        mu1 = [inv * r for r in root3]
-        mu2 = [-(lam1 / lam2) * x for x in mu1]
-        means = [[x + s for x, s in zip(mu1, mean_shift)],
-                 [x + s for x, s in zip(mu2, mean_shift)]]
-        cov = [[total_cov[i][j]
-                - lam1 * mu1[i] * mu1[j] - lam2 * mu2[i] * mu2[j]
-                for j in range(n)] for i in range(n)]
-        params = models.HomoscedasticParams(means=means,
-                                            weights=[lam1, lam2], cov=cov)
-        eigmin = float(np.min(np.linalg.eigvalsh(np.asarray(cov))))
-        diag = {
-            "order_used": order_used,
-            "pivot": pivot,
-            "ratio_a": ratio_a,
-            "weight_product": q,
-            "cubic_roots": [[r.real, r.imag] for r in
-                            np.roots([float(c) for c in
-                                      weight_product_cubic(ratio_a)][::-1])],
-            "cov_min_eigenvalue": eigmin,
-            "cov_psd": bool(eigmin >= -1e-8 * max(1.0, cov_scale)),
-            "residual": _fit_residual(params, cumulants, order),
-            "near_symmetric": bool(0.25 - q < 1e-5),
-        }
-        return Estimate(params=params, diagnostics=diag)
-
+    w = solve_smaller_weight(ratio_a)
+    q = w * (1.0 - w)
+    f3 = float(two_point_cumulant_coeff(w, 3))
+    mu_p = _cbrt(1.0 / f3) * t3
+    k_ppp = float(cumulants.moment(unit(pivot, 3)))
+    mu1 = [mu_p * (float(cumulants.moment(
+               tuple(2 * (t == pivot) + (t == j) for t in range(n)))) / k_ppp)
+           for j in range(n)]
+    mu2 = [-(w / (1.0 - w)) * x for x in mu1]
+    means = [[x + s for x, s in zip(mu, mean_shift)] for mu in (mu1, mu2)]
+    cov = [[total_cov[i][j] - w * mu1[i] * mu1[j] - (1.0 - w) * mu2[i] * mu2[j]
+            for j in range(n)] for i in range(n)]
+    params = models.HomoscedasticParams(means=means, weights=[w, 1.0 - w],
+                                        cov=cov)
+    eigmin = float(np.min(np.linalg.eigvalsh(np.asarray(cov))))
+    diag = {
+        "order_used": order,
+        "pivot": pivot,
+        "ratio_a": ratio_a,
+        "weight_product": q,
+        "cubic_roots": [[r.real, r.imag] for r in
+                        np.roots([float(c) for c in
+                                  weight_product_cubic(ratio_a)][::-1])],
+        "cov_min_eigenvalue": eigmin,
+        "cov_psd": bool(eigmin >= -1e-8 * max(1.0, cov_scale)),
+        "residual": _fit_residual(params, cumulants, order),
+        "near_symmetric": bool((1.0 - 2.0 * w) ** 2 < 4e-5),
+    }
     if order == 4:
-        return [build(lam_small, 4), build(1.0 - lam_small, 4)]
+        swapped = models.HomoscedasticParams(
+            means=params.means[::-1], weights=params.weights[::-1], cov=cov)
+        return [Estimate(params=params, diagnostics=diag),
+                Estimate(params=swapped, diagnostics=dict(diag))]
 
     ratio_b = float(cumulants.coeff(unit(pivot, 5))) / t3 ** 5
-    f3 = float(two_point_cumulant_coeff(lam_small, 3))
-    predicted = float(two_point_cumulant_coeff(lam_small, 5)) / _cbrt(f3) ** 5
-    est = build(lam_small, 5)
-    est.diagnostics["ratio_b"] = ratio_b
-    est.diagnostics["ratio_b_predicted"] = predicted
-    est.diagnostics["ratio_b_residual"] = abs(predicted - ratio_b)
-    return [est]
+    predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
+    diag["ratio_b"] = ratio_b
+    diag["ratio_b_predicted"] = predicted
+    diag["ratio_b_residual"] = abs(predicted - ratio_b)
+    return [Estimate(params=params, diagnostics=diag)]
 
 
 def _fit_residual(params, cumulants, order):
@@ -510,7 +497,7 @@ def hankel_pencil(moments, k):
     if _poly.is_exact(m):
         nodes = list(range(max(degrees) + 1))
         values = [pencil_minor_values(m, k, s) for s in nodes]
-        minors = [tuple(_poly.interpolate(
+        minors = [tuple(_poly.lagrange_interpolate(
                       nodes[:deg + 1], [row[idx] for row in values[:deg + 1]]))
                   for idx, deg in enumerate(degrees)]
     else:
@@ -527,7 +514,16 @@ def hankel_pencil(moments, k):
     return HankelPencil(k=k, minors=tuple(minors), weights=tuple(weights))
 
 
-def quadrature_nodes(moments, k, rel_tol=1e-6):
+# leading moment minor, relative to its moment scale
+_LEAD_MINOR_TOL = 1e-6
+# closest two atoms, relative to the largest atom magnitude
+_ATOM_GAP_TOL = 1e-9
+# imaginary part of a variance root, and how far below zero it may lie
+_VARIANCE_ROOT_TOL = 1e-9
+_POLISH_STEPS = 3
+
+
+def quadrature_nodes(moments, k):
     """Atom locations of a k-atomic measure from its first 2k-1 moments.
 
     These are the roots of the degree-k polynomial whose coefficients are
@@ -536,7 +532,7 @@ def quadrature_nodes(moments, k, rel_tol=1e-6):
     measure has fewer than k atoms (or the variance fed to the
     deconvolution was wrong).  The leading-minor tolerance must absorb
     the sqrt(eps) accuracy of a variance located at a double root, where
-    the minor vanishes like the variance error.
+    the minor vanishes like the variance error (``_LEAD_MINOR_TOL``).
     """
     m = [Fraction(1)] + _moment_list(moments)
     if len(m) < 2 * k:
@@ -548,7 +544,7 @@ def quadrature_nodes(moments, k, rel_tol=1e-6):
         sign = -1 if (i + k) % 2 else 1
         coeffs.append(sign * _poly.det(minor))
     lead_scale, = _minor_scales(m[1:], [k * (k - 1)])
-    if abs(float(coeffs[k])) <= rel_tol * lead_scale:
+    if abs(float(coeffs[k])) <= _LEAD_MINOR_TOL * lead_scale:
         raise RankDeficientMomentsError(
             f"leading moment minor vanishes: fewer than {k} atoms")
     roots = _poly.real_roots(coeffs, imag_tol=1e-9)
@@ -558,7 +554,7 @@ def quadrature_nodes(moments, k, rel_tol=1e-6):
     return roots
 
 
-def quadrature_weights(nodes, moments, rel_tol=1e-9):
+def quadrature_weights(nodes, moments):
     """Weights of known atom locations from the first k-1 moments, by the
     Vandermonde system whose first row forces the weights to sum to one."""
     k = len(nodes)
@@ -566,7 +562,7 @@ def quadrature_weights(nodes, moments, rel_tol=1e-9):
     gap = min((abs(a - b) for i, a in enumerate(nodes)
                for b in nodes[i + 1:]), default=float("inf"))
     span = max((abs(x) for x in nodes), default=1.0)
-    if gap <= rel_tol * max(1.0, span):
+    if gap <= _ATOM_GAP_TOL * max(1.0, span):
         raise SingularSystemError("repeated atom locations")
     m = [1.0] + [float(x) for x in _moment_list(moments)]
     if len(m) < k:
@@ -587,14 +583,14 @@ def variance_polynomial(moments, k):
     return list(hankel_pencil(_moment_list(moments)[:2 * k], k).minors[0])
 
 
-def _polish_root(coeffs, x, steps=3):
+def _polish_root(coeffs, x):
     # Newton refinement against the (possibly exact) coefficients; kept
     # only while it shrinks the residual, so near-multiple roots cannot
     # send it wandering
     fl = [float(c) for c in coeffs]
     dfl = _poly.poly_derivative(fl)
     best_x, best_r = x, abs(_poly.poly_eval(fl, x))
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         der = _poly.poly_eval(dfl, x)
         if der == 0.0:
             break
@@ -606,15 +602,16 @@ def _polish_root(coeffs, x, steps=3):
     return best_x
 
 
-def fit_univariate(moments, k, root_tol=1e-9):
+def fit_univariate(moments, k):
     """Recover a univariate k-component homoscedastic mixture from its
     first 2k moments: variance from the smallest nonnegative root of
     :func:`variance_polynomial`, then atoms and weights by quadrature."""
     m = _moment_list(moments)
     coeffs = variance_polynomial(m, k)
     s_scale = max(1.0, abs(float(m[1])))
-    roots = _poly.real_roots(coeffs, imag_tol=root_tol)
-    admissible = sorted(r for r in roots if r >= -root_tol * s_scale)
+    roots = _poly.real_roots(coeffs, imag_tol=_VARIANCE_ROOT_TOL)
+    admissible = sorted(r for r in roots
+                        if r >= -_VARIANCE_ROOT_TOL * s_scale)
     if not admissible:
         raise ModelMismatchError(
             "variance polynomial has no nonnegative real root")

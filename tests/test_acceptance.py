@@ -144,6 +144,21 @@ def test_c06_two_component_round_trip():
         assert len(interior) == 1, trial
 
 
+def test_c06_null_coordinate_means_from_samples():
+    # the second coordinate separates nothing; coordinatewise cube roots of
+    # the third cumulants put its means up to 0.43 from zero on these samples
+    params = models.HomoscedasticParams(
+        means=[[1.0, 0.0], [-0.43, 0.0]], weights=[0.3, 0.7],
+        cov=[[1.0, 0.0], [0.0, 1.0]])
+    for seed in range(1, 11):
+        data = models.sample_mixture(params, 100_000, seed=seed)
+        for order in (4, 5):
+            for est in estimate.fit_two_gaussians(
+                    estimate.sample_cumulants(data, order), order=order):
+                assert all(abs(mean[1]) < 0.1 for mean in est.params.means), (
+                    seed, order, est.params.means)
+
+
 @criterion("C07 univariate pipeline: recovery and variance-degree law")
 def test_c07_univariate_pipeline():
     rng = random.Random(70)

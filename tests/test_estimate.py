@@ -17,6 +17,7 @@ from homoment import estimate, models
 from homoment import series as ts
 from homoment._poly import poly_degree, poly_eval
 from homoment.errors import (
+    InconsistentMomentsError,
     InputError,
     InsufficientOrderError,
     ModelMismatchError,
@@ -105,26 +106,46 @@ class TestTwoPointCoefficients:
 
 
 class TestWeightProduct:
+    @staticmethod
+    def product(ratio):
+        w = estimate.solve_smaller_weight(ratio)
+        return w * (1 - w)
+
     def test_cubic_root_at_zero_ratio(self):
         coeffs = estimate.weight_product_cubic(0)
         assert poly_eval(coeffs, Fraction(1, 6)) == 0
-        assert estimate.solve_weight_product(0.0) == pytest.approx(1 / 6, abs=1e-14)
+        assert self.product(0.0) == pytest.approx(1 / 6, abs=1e-14)
 
     @pytest.mark.parametrize("q", [0.05, 0.10, 0.20])
     def test_round_trip(self, q):
         ratio = estimate.cumulant_ratio_from_weight_product(q)
-        assert estimate.solve_weight_product(ratio) == pytest.approx(q, abs=1e-12)
+        assert self.product(ratio) == pytest.approx(q, abs=1e-12)
 
     def test_interval_end_behavior(self):
         # small products force large positive ratios and conversely
-        tiny = estimate.solve_weight_product(
-            estimate.cumulant_ratio_from_weight_product(1e-4))
+        tiny = self.product(estimate.cumulant_ratio_from_weight_product(1e-4))
         assert tiny == pytest.approx(1e-4, rel=1e-9)
         assert estimate.cumulant_ratio_from_weight_product(1e-4) > 5
-        near_quarter = estimate.solve_weight_product(
+        near_quarter = self.product(
             estimate.cumulant_ratio_from_weight_product(0.2499))
         assert near_quarter == pytest.approx(0.2499, rel=1e-9)
         assert estimate.cumulant_ratio_from_weight_product(0.2499) < -10
+
+    def test_relative_error_on_grid(self):
+        # both ends of the bracket: tiny weights and nearly equal ones
+        grid = np.concatenate([np.geomspace(1e-12, 0.25, 2000, endpoint=False),
+                               0.25 - np.geomspace(1e-12, 0.25, 2000,
+                                                   endpoint=False)])
+        worst = max(
+            abs(self.product(estimate.cumulant_ratio_from_weight_product(q))
+                - q) / q for q in grid.tolist())
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("ratio", [1e103, -1e103, math.inf, -math.inf,
+                                       math.nan])
+    def test_ratio_without_finite_cube_rejected(self, ratio):
+        with pytest.raises(InconsistentMomentsError):
+            estimate.solve_smaller_weight(ratio)
 
     def test_strictly_decreasing_on_grid(self):
         grid = np.linspace(1e-4, 0.25 - 1e-4, 1000)
@@ -160,6 +181,31 @@ class TestFitTwoGaussians:
         pair = estimate.fit_two_gaussians(cum, order=4)
         assert len(pair) == 2
         assert min(match_two_components(e.params, p) for e in pair) < 1e-8
+
+    def test_order_four_second_presentation_is_first_swapped(self):
+        rng = random.Random(4)
+        first, second = estimate.fit_two_gaussians(
+            models.homoscedastic_cumulants(rand_two_mixture(rng, 3), 4),
+            order=4)
+        assert second.params.weights == first.params.weights[::-1]
+        assert second.params.means == first.params.means[::-1]
+        assert second.params.cov == first.params.cov
+        assert second.diagnostics == first.diagnostics
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**6), Fraction(1, 10**9),
+                                     Fraction(1, 10**10)])
+    def test_near_symmetric_weights(self, eps):
+        # the weight is solved for directly: recovering it from the weight
+        # product as 0.5 (1 - sqrt(1 - 4q)) cancels as q nears 1/4
+        p = models.HomoscedasticParams(
+            means=[[2], [-2]],
+            weights=[Fraction(1, 2) - eps, Fraction(1, 2) + eps], cov=[[1]])
+        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5))
+        assert est.params.weights[0] == pytest.approx(float(p.weights[0]),
+                                                      abs=1e-12)
+        assert [m[0] for m in est.params.means] == pytest.approx([2, -2],
+                                                                 abs=1e-6)
+        assert est.diagnostics["near_symmetric"]
 
     def test_symmetric_mixture_rejected(self):
         p = models.HomoscedasticParams(
