@@ -106,6 +106,19 @@ def _is_number(cell):
     return True
 
 
+def _is_header(line):
+    """True when none of the line's non-empty cells is a number."""
+    cells = [cell.strip().strip('"') for cell in line.split(",")]
+    return not any(_is_number(cell) for cell in cells if cell)
+
+
+_parse_csv = functools.partial(np.loadtxt, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2)
+
+# names numpy would decompress
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_csv_matrix(path):
     """Observations from a CSV file as a 2-D float array.
 
@@ -113,7 +126,33 @@ def read_csv_matrix(path):
     holding only spaces, tabs and commas are skipped, and the first line
     is skipped as a header only when none of its non-empty cells is a
     number.
+
+    numpy parses a regular file straight from disk, in chunks.  It skips
+    empty lines and raises on any other line of spaces, tabs and commas,
+    and a blank first line counts as a header, so a file that parses
+    there gives the rows the line filter gives.  A file that does not,
+    an empty result, a name ending in .gz, .bz2, .xz or .lzma, and
+    anything but a regular file (a pipe can be read only once) take the
+    line filter, which returns the array or raises the error.
     """
+    if os.path.isfile(path) and not str(path).endswith(_COMPRESSED_SUFFIXES):
+        try:
+            with open(path, encoding="utf-8-sig") as handle:
+                skip = int(_is_header(handle.readline()))
+            with warnings.catch_warnings():
+                # "input contained no data": the line filter reports it
+                warnings.simplefilter("ignore", UserWarning)
+                # absolute, so that numpy never takes the name for a URL
+                data = _parse_csv(os.path.abspath(path), skiprows=skip,
+                                  encoding="utf-8-sig")
+            if data.size:
+                return data
+        except (ValueError, OSError):
+            pass
+    return _read_filtered_lines(path)
+
+
+def _read_filtered_lines(path):
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = [line for line in handle if line.strip(" ,\t\r\n")]
@@ -122,15 +161,12 @@ def read_csv_matrix(path):
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot parse {path}: not UTF-8 text ({exc})",
                          code="INPUT_PARSE")
-    if lines:
-        cells = [cell.strip().strip('"') for cell in lines[0].split(",")]
-        if not any(_is_number(cell) for cell in cells if cell):
-            lines = lines[1:]
+    if lines and _is_header(lines[0]):
+        lines = lines[1:]
     if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")
     try:
-        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                          ndmin=2)
+        return _parse_csv(lines)
     except ValueError as exc:
         raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
 

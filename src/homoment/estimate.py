@@ -162,13 +162,6 @@ def cumulant_ratio_from_weight_product(q):
             / (2.0 * (4.0 * q * (1.0 - 4.0 * q) ** 2) ** (1.0 / 3.0)))
 
 
-def weight_product_cubic(ratio):
-    """Ascending coefficients of the cubic satisfied by the weight product."""
-    cube = ts._promote(ratio) ** 3
-    const = -1.5 if isinstance(cube, float) else -Fraction(3, 2)
-    return [const, 16 * cube + 27, -(128 * cube + 162), 256 * cube + 324]
-
-
 def solve_smaller_weight(ratio):
     """The smaller weight w in (0, 1/2] of the two-component mixture whose
     pivot ratio is ``ratio``.
@@ -287,9 +280,6 @@ def fit_two_gaussians(cumulants, order=None):
         "pivot": pivot,
         "ratio_a": ratio_a,
         "weight_product": q,
-        "cubic_roots": [[r.real, r.imag] for r in
-                        np.roots([float(c) for c in
-                                  weight_product_cubic(ratio_a)][::-1])],
         "cov_min_eigenvalue": eigmin,
         "cov_psd": bool(eigmin >= -1e-8 * max(1.0, cov_scale)),
         "residual": _fit_residual(params, cumulants, order),
@@ -305,7 +295,8 @@ def fit_two_gaussians(cumulants, order=None):
     predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
     diag["ratio_b"] = ratio_b
     diag["ratio_b_predicted"] = predicted
-    diag["ratio_b_residual"] = abs(predicted - ratio_b)
+    diag["ratio_b_residual"] = (abs(predicted - ratio_b)
+                                / max(abs(ratio_b), 1e-300))
     return [Estimate(params=params, diagnostics=diag)]
 
 

@@ -106,3 +106,12 @@ def match_two_components(est_params, true_params):
                 err = max(err, abs(a - b) / max(1.0, abs(b)))
         best = err if best is None else min(best, err)
     return best
+
+
+def weight_product_cubic(ratio):
+    """Ascending coefficients of the cubic satisfied by the weight product
+    q = w (1 - w) of a two-component mixture with pivot ratio ``ratio``:
+    exact for an int or Fraction ratio, float for a float one."""
+    cube = (Fraction(ratio) if type(ratio) is int else ratio) ** 3
+    const = -1.5 if isinstance(cube, float) else -Fraction(3, 2)
+    return [const, 16 * cube + 27, -(128 * cube + 162), 256 * cube + 324]

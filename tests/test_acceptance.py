@@ -22,6 +22,7 @@ from conftest import (
     rand_two_mixture,
     record_criterion,
     univariate_moments,
+    weight_product_cubic,
 )
 from homoment import cli, estimate, geometry, models, ranktest
 from homoment import series as ts
@@ -137,7 +138,7 @@ def test_c06_two_component_round_trip():
 
         ratio = est.diagnostics["ratio_a"]
         roots = np.roots([float(c) for c in
-                          estimate.weight_product_cubic(ratio)][::-1])
+                          weight_product_cubic(ratio)][::-1])
         interior = [r for r in roots
                     if abs(r.imag) < 1e-9 * max(1.0, abs(r))
                     and 0.0 < r.real < 0.25]

@@ -1,14 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import bz2
 import contextlib
+import functools
 import gzip
 import hashlib
 import io
 import json
+import lzma
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from fractions import Fraction
 
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import univariate_moments
 import homoment
 from homoment import cli, geometry, models
+from homoment.errors import InputError
 
 
 def run(args, capsys):
@@ -330,20 +335,176 @@ class TestSimulateAndFit2:
         ("1, \n2,3\n", "INPUT_PARSE"),
         ("1,2 # note\n3,4\n", "INPUT_PARSE"),
         ("x,1\n2,3\n4,5\n", "INPUT_PARSE"),
+        ("\n1,2\n3,4\n", [[1, 2], [3, 4]]),
     ], ids=["blank-lines", "comma-space-lines", "spaces-crlf",
             "quoted-number", "quoted-header", "ragged", "trailing-comma",
             "hash-note", "header-only", "nan", "overflow", "byte-order-mark",
-            "blank-first-line-cell", "first-line-note", "mixed-first-line"])
+            "blank-first-line-cell", "first-line-note", "mixed-first-line",
+            "empty-first-line"])
     def test_csv_contract(self, capsys, tmp_path, text, expected):
         data = tmp_path / "data.csv"
         data.write_bytes(text.encode())
         if isinstance(expected, str):
-            code, out, err = run(["fit2", "--input", str(data)], capsys)
+            with warnings.catch_warnings():
+                # loadtxt warns on a file without data rows
+                warnings.simplefilter("error")
+                code, out, err = run(["fit2", "--input", str(data)], capsys)
             assert (code, out) == (cli.EXIT_INPUT, "")
+            # nothing on stderr beside the error JSON
+            assert err.count("\n") == 1
             assert strict_json(err)["error"]["code"] == expected
         else:
             rows = np.asarray(cli.read_csv_matrix(str(data)), dtype=float)
             assert rows.tolist() == expected
+
+    @pytest.mark.parametrize("suffix,compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+        (".lzma", functools.partial(lzma.compress, format=lzma.FORMAT_ALONE)),
+    ], ids=[".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_name_read_as_text(self, capsys, tmp_path, suffix,
+                                          compress):
+        # given such a name numpy would decompress the file
+        data = tmp_path / ("data.csv" + suffix)
+        data.write_text("x,y\n1,2\n3,4\n")
+        assert cli.read_csv_matrix(str(data)).tolist() == [[1, 2], [3, 4]]
+        data.write_bytes(compress(b"1,2\n3,4\n"))
+        code, _, err = run(["fit2", "--input", str(data)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "x,y\r\n1,2\r\n3,4\r\n",
+                                      "\ufeff\n\n1,2\n\n3,4"])
+    def test_regular_file_skips_line_filter(self, monkeypatch, tmp_path,
+                                            text):
+        # a header, a blank first line and empty lines need no line list
+        def no_filter(path):
+            raise AssertionError("line filter used")
+
+        monkeypatch.setattr(cli, "_read_filtered_lines", no_filter)
+        data = tmp_path / "data.csv"
+        data.write_bytes(text.encode())
+        assert cli.read_csv_matrix(str(data)).tolist() == [[1, 2], [3, 4]]
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, _, err = run(["fit2", "--input", str(tmp_path / "none.csv")],
+                           capsys)
+        assert code == cli.EXIT_INPUT
+        assert strict_json(err)["error"]["code"] == "INPUT_IO"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_read_once(self, tmp_path):
+        # a pipe is not a regular file: its bytes can be read only once
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)
+        rows = "".join(f"{i},{2 * i}\n" for i in range(5000))
+        read = []
+        threads = [
+            threading.Thread(target=fifo.write_text, args=(rows,),
+                             daemon=True),
+            threading.Thread(target=lambda: read.append(
+                cli.read_csv_matrix(str(fifo))), daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            # a second open of the pipe would wait for a writer forever
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert read[0].tolist() == [[i, 2 * i] for i in range(5000)]
+
+
+def line_filter_reader(path):
+    """The CSV reader before numpy parsed files directly: every line of
+    the file in a list, blank and comma-only lines dropped, then
+    ``np.loadtxt`` over the list.  The reference for
+    ``cli.read_csv_matrix``."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = [line for line in handle if line.strip(" ,\t\r\n")]
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}", code="INPUT_IO")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot parse {path}: not UTF-8 text ({exc})",
+                         code="INPUT_PARSE")
+
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    if lines:
+        cells = [cell.strip().strip('"') for cell in lines[0].split(",")]
+        if not any(is_number(cell) for cell in cells if cell):
+            lines = lines[1:]
+    if not lines:
+        raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                          ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
+
+
+NUMBER = st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{0,2})?(e-?[0-9])?",
+                       fullmatch=True)
+BLANK_LINE = st.sampled_from(["", " ", "\t", ",", " , ", ",,", "\t,"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV texts, mostly well formed: a column count per text,
+    numbers padded with spaces, tabs or quotes, now and then a cell or a
+    line of the bare alphabet, blank and comma-only lines anywhere."""
+    ncols = draw(st.integers(1, 3))
+    pad = st.sampled_from(["", "", " ", "\t", '"'])
+
+    def cell():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.text('0123456789.-e ,\t"', max_size=4))
+        left, right = draw(pad), draw(pad)
+        if '"' in (left, right):
+            left = right = '"'
+        return left + draw(NUMBER) + right
+
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(BLANK_LINE))
+        else:
+            ragged = draw(st.integers(0, 9)) == 0
+            width = draw(st.integers(1, 4)) if ragged else ncols
+            lines.append(",".join(cell() for _ in range(width)))
+    header = draw(st.sampled_from([None, ",".join("xyz"[:ncols]),
+                                   ",".join(['"c"'] * ncols)]))
+    if header is not None:
+        lines.insert(0, header)
+    if draw(st.booleans()):
+        lines.insert(0, draw(BLANK_LINE))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestCsvReader:
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            data = reader(path)
+        except InputError as exc:
+            return exc.code, str(exc)
+        return data.dtype, data.shape, data.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(csv_texts())
+    def test_matches_line_filter_reader(self, text):
+        # the same array, or the same error code and message
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "wb") as handle:
+                handle.write(text.encode())
+            assert (self.outcome(cli.read_csv_matrix, path)
+                    == self.outcome(line_filter_reader, path))
 
 
 class TestFit1d:

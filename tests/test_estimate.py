@@ -12,6 +12,7 @@ from conftest import (
     rand_fraction,
     rand_two_mixture,
     univariate_moments,
+    weight_product_cubic,
 )
 from homoment import estimate, models
 from homoment import series as ts
@@ -112,7 +113,7 @@ class TestWeightProduct:
         return w * (1 - w)
 
     def test_cubic_root_at_zero_ratio(self):
-        coeffs = estimate.weight_product_cubic(0)
+        coeffs = weight_product_cubic(0)
         assert poly_eval(coeffs, Fraction(1, 6)) == 0
         assert self.product(0.0) == pytest.approx(1 / 6, abs=1e-14)
 
@@ -157,7 +158,7 @@ class TestWeightProduct:
         for _ in range(50):
             q = rng.uniform(1e-3, 0.25 - 1e-3)
             ratio = estimate.cumulant_ratio_from_weight_product(q)
-            coeffs = [float(c) for c in estimate.weight_product_cubic(ratio)]
+            coeffs = [float(c) for c in weight_product_cubic(ratio)]
             roots = np.roots(coeffs[::-1])
             interior = [r for r in roots
                         if abs(r.imag) < 1e-9 and 0 < r.real < 0.25]
@@ -260,10 +261,24 @@ class TestFitTwoGaussians:
                                           order=5)
         assert est.params.weights[0] == pytest.approx(min(lam, 1 - lam),
                                                       abs=1e-9)
-        assert est.diagnostics["ratio_b_residual"] == pytest.approx(
-            abs(est.diagnostics["ratio_b_predicted"]
-                - est.diagnostics["ratio_b"]), abs=0)
-        assert est.diagnostics["ratio_b_residual"] < 1e-9
+        diag = est.diagnostics
+        assert diag["ratio_b_residual"] == pytest.approx(
+            abs(diag["ratio_b_predicted"] - diag["ratio_b"])
+            / abs(diag["ratio_b"]), abs=0)
+        assert diag["ratio_b_residual"] < 1e-9
+
+    @pytest.mark.parametrize("digits", [3, 6, 9])
+    def test_fifth_order_residual_is_relative(self, digits):
+        # near equal weights the pivot ratios grow as eps^(-2/3): the
+        # absolute residual of an exact fit reached 1e-2 at eps = 1e-9
+        half, eps = Fraction(1, 2), Fraction(1, 10 ** digits)
+        p = models.HomoscedasticParams(
+            means=[[2], [-2]], weights=[half - eps, half + eps], cov=[[1]])
+        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
+                                          order=5)
+        assert est.diagnostics["near_symmetric"]
+        assert est.diagnostics["ratio_b_residual"] < 1e-7
+        assert "cubic_roots" not in est.diagnostics
 
     def test_insufficient_order(self):
         rng = random.Random(7)
