@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -112,8 +111,9 @@ def _is_header(line):
     return not any(_is_number(cell) for cell in cells if cell)
 
 
-_parse_csv = functools.partial(np.loadtxt, delimiter=",", quotechar='"',
-                               comments=None, ndmin=2)
+# no quotechar: a '"' in a data line raises, and the line filter takes over
+_parse_csv = functools.partial(np.loadtxt, delimiter=",", comments=None,
+                               ndmin=2)
 
 # names numpy would decompress
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -125,15 +125,17 @@ def read_csv_matrix(path):
     The file is UTF-8 text, with or without a byte-order mark.  Lines
     holding only spaces, tabs and commas are skipped, and the first line
     is skipped as a header only when none of its non-empty cells is a
-    number.
+    number.  A quoted cell closes on its own line: a data line with an
+    odd number of '"' is a parse error.
 
-    numpy parses a regular file straight from disk, in chunks.  It skips
-    empty lines and raises on any other line of spaces, tabs and commas,
-    and a blank first line counts as a header, so a file that parses
-    there gives the rows the line filter gives.  A file that does not,
-    an empty result, a name ending in .gz, .bz2, .xz or .lzma, and
-    anything but a regular file (a pipe can be read only once) take the
-    line filter, which returns the array or raises the error.
+    numpy parses a regular file straight from disk, in chunks, with no
+    quote handling.  It skips empty lines and raises on any other line
+    of spaces, tabs and commas and on any '"' past the header, and a
+    blank first line counts as a header, so a file that parses there
+    gives the rows the line filter gives.  A file that does not, an
+    empty result, a name ending in .gz, .bz2, .xz or .lzma, and anything
+    but a regular file (a pipe can be read only once) take the line
+    filter, which returns the array or raises the error.
     """
     if os.path.isfile(path) and not str(path).endswith(_COMPRESSED_SUFFIXES):
         try:
@@ -165,8 +167,12 @@ def _read_filtered_lines(path):
         lines = lines[1:]
     if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")
+    if any(line.count('"') % 2 for line in lines):
+        # numpy would carry the open quote onto the next line
+        raise InputError(f"cannot parse {path}: a quoted cell does not "
+                         "close on its line", code="INPUT_PARSE")
     try:
-        return _parse_csv(lines)
+        return _parse_csv(lines, quotechar='"')
     except ValueError as exc:
         raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
 
@@ -218,8 +224,13 @@ def _table_cells(ns, ks, ds, seed, jobs):
                 # fail on the first bad cell before any row is computed
                 geometry.check_envelope(n, k, d)
                 cells.append((n, k, d, seed))
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    workers = min(jobs, len(cells))
     if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        # imported only here: the pool pulls in multiprocessing, socket,
+        # subprocess and logging, which a serial table never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_cell, cells))
     return [_cell(c) for c in cells]

@@ -1,16 +1,16 @@
 """Exact linear algebra: rank over GF(p) and determinant over Q.
 
-Matrices are plain nested lists (or arrays); sizes here stay in the low
-hundreds.  Rank takes integer entries, such as a secant Jacobian that
-``geometry`` builds directly as residues mod p, and runs Gaussian
-elimination over GF(p) on numpy ``int64`` rows.  The default primes are
-the three largest below 2**26.  For an integer matrix the rank mod p is
-at most the rank over Q, so a rank computed here is a certified lower
-bound for any prime, however small; the two differ only when p divides
-every r x r minor, r being the rank over Q.  The determinant takes
-``int`` or ``Fraction`` entries and stays exact over Q (fraction-free
-Bareiss elimination), because callers need its value, not only whether
-it vanishes.
+Matrices are sequences of rows, each a list of ints or a numpy ``int64``
+array; sizes here stay in the low hundreds.  Rank takes integer entries,
+such as a secant Jacobian that ``geometry`` builds directly as residues
+mod p in ``int64`` rows, and runs Gaussian elimination over GF(p) on
+numpy ``int64`` rows.  The default primes are the three largest below
+2**26.  For an integer matrix the rank mod p is at most the rank over Q,
+so a rank computed here is a certified lower bound for any prime,
+however small; the two differ only when p divides every r x r minor, r
+being the rank over Q.  The determinant takes ``int`` or ``Fraction``
+entries and stays exact over Q (fraction-free Bareiss elimination),
+because callers need its value, not only whether it vanishes.
 
 Elimination delays reductions mod p, as in word-size finite-field
 libraries (Dumas, Giorgi and Pernet, "Dense linear algebra over
@@ -59,7 +59,8 @@ def _integer_rows(matrix):
 
 
 def rank(matrix, p=PRIMES[0]):
-    """Rank over GF(p) of an integer ``matrix``.
+    """Rank over GF(p) of an integer ``matrix``, a sequence of equal-length
+    rows of ints or ``int64`` arrays; ``matrix`` is left unchanged.
 
     A lower bound on the rank r over Q, equal to it unless p divides
     every r x r minor.  ``p`` must be a prime below 2**31.  Elimination

@@ -21,7 +21,9 @@ products E_i F and the series inverse D^-1 of the centered builder are
 truncated products over a cached per-(n, d) table of the index pairs
 (b, a - b), and each term is reduced mod p before the sum, so no product
 of two residues overflows.  Rows come from index shifts,
-(u_j S)[a] = S[a - e_j].
+(u_j S)[a] = S[a - e_j].  Each builder returns its Jacobian as a list of
+equal-length int64 row arrays, which ``exactla.rank`` stacks as they are,
+with no round trip through Python ints.
 
 This is sound because every denominator of the rational Jacobian is a
 unit mod p: it divides a product of factorials e! with e <= d <= 6 (from
@@ -142,8 +144,10 @@ class _Indices:
     order: np.ndarray      # |a|
     exponents: np.ndarray  # (N, n): the indices a
     down: np.ndarray       # (n, N): position of a - e_j, -1 where a_j = 0
+    upper: np.ndarray      # np.triu_indices(n): the pairs i <= j
+    lower: np.ndarray
     pairs: np.ndarray      # (n(n+1)/2, N): position of a - e_i - e_j for
-                           # i <= j in np.triu_indices(n) order, or -1
+                           # the pairs (upper, lower), or -1
     left: np.ndarray       # every pair (b, c) with |b + c| <= d, grouped
     right: np.ndarray      # by a = b + c: the positions of b and of c
     starts: np.ndarray     # first pair of each group
@@ -176,8 +180,8 @@ def _indices(n, d):
     target = position(keys[left] + keys[right])
     grouped = np.argsort(target, kind="stable")
     starts = np.searchsorted(target[grouped], np.arange(size))
-    tables = _Indices(order, exponents, down, pairs, left[grouped],
-                      right[grouped], starts)
+    tables = _Indices(order, exponents, down, upper, lower, pairs,
+                      left[grouped], right[grouped], starts)
     for array in vars(tables).values():
         array.setflags(write=False)  # shared by every caller of the cache
     return tables
@@ -214,16 +218,24 @@ def _power_sum(s, coeffs, ix, p):
     return total
 
 
+@lru_cache(maxsize=None)
+def _inverse_factorials(d, p):
+    """1 / e! mod p for e = 0..d, read-only (shared by every caller)."""
+    row = np.array([_inverse(factorial(e), p) for e in range(d + 1)],
+                   dtype=np.int64)
+    row.setflags(write=False)
+    return row
+
+
 def _atoms(points, ix, p):
     """E_i = exp(p_i.u) mod p for each row p_i of ``points``: the
     coefficient at a is the product over j of p_ij^a_j / a_j!."""
     d = int(ix.order[-1])
-    inverse_factorials = np.array(
-        [_inverse(factorial(e), p) for e in range(d + 1)], dtype=np.int64)
     powers = np.ones(points.shape + (d + 1,), dtype=np.int64)
     for e in range(1, d + 1):
         powers[..., e] = powers[..., e - 1] * points % p
-    scaled = powers * inverse_factorials % p   # [i, j, e] = p_ij^e / e!
+    # [i, j, e] = p_ij^e / e!
+    scaled = powers * _inverse_factorials(d, p) % p
     atoms = np.ones((len(points), len(ix.order)), dtype=np.int64)
     for j, column in enumerate(ix.exponents.T):
         atoms = atoms * scaled[:, j, column] % p
@@ -250,28 +262,29 @@ def moment_map_jacobian(params, degree, p):
     then the upper triangle of the covariance.  Columns follow
     ``series.multi_indices``.  ``params`` has rational means, weights and
     covariance (ints, or fractions whose denominators are units mod p).
-    Entries are ints in [0, p): the rational Jacobian reduced mod p.
+    Returns one ``int64`` array per row, with entries in [0, p): the
+    rational Jacobian reduced mod p.
     """
     means = np.array([_residues(m, p) for m in params.means])
     n = means.shape[1]
     ix = _indices(n, degree)
     weights = _residues(params.weights, p)
     # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal
-    upper, lower = np.triu_indices(n)
-    scale = np.where(upper == lower, _inverse(2, p), 1)
-    cov = _residues([params.cov[i][j] for i, j in zip(upper, lower)], p)
+    scale = np.where(ix.upper == ix.lower, _inverse(2, p), 1)
+    cov = _residues([params.cov[i][j]
+                     for i, j in zip(ix.upper, ix.lower)], p)
     # u_i u_j 1 is the series with a single 1 at e_i + e_j, the index a
     # whose a - e_i - e_j is the constant
     quadratic = np.zeros(len(ix.order), dtype=np.int64)
     pair, at = np.nonzero(ix.pairs == 0)
     quadratic[at] = scale[pair] * cov[pair] % p
-    gauss = _power_sum(quadratic, [_inverse(factorial(j), p)
-                                   for j in range(degree // 2 + 1)], ix, p)
+    gauss = _power_sum(quadratic,
+                       _inverse_factorials(degree, p)[:degree // 2 + 1], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
     rows = np.vstack([_tangent_rows(weights, terms, ix, p),
                       scale[:, None] * _times_u(moments, ix.pairs) % p])
-    return rows[:, 1:].tolist()
+    return list(rows[:, 1:])
 
 
 def _mixture_point(n, k, rng):
@@ -319,7 +332,7 @@ def _centered_jacobian(n, k, d, rng, p):
     rows = np.vstack([_mean_rows(w[:-1], gaps, ix, p), (gaps + shift) % p])
     moments = (w[:, None] * atoms % p).sum(axis=0) % p
     inverse = _power_sum((_one(ix) - moments) % p, [1] * (d + 1), ix, p)
-    return _product(rows, inverse, ix, p)[:, ix.order >= 3].tolist()
+    return list(_product(rows, inverse, ix, p)[:, ix.order >= 3])
 
 
 def _veronese_point(n, k, rng):
@@ -332,7 +345,7 @@ def _veronese_jacobian(n, k, d, rng, p):
     points, weights = _veronese_point(n, k, rng)
     ix = _indices(n, d)
     atoms = _atoms(np.array([_residues(x, p) for x in points]), ix, p)
-    return _tangent_rows(_residues(weights, p), atoms, ix, p)[:, 1:].tolist()
+    return list(_tangent_rows(_residues(weights, p), atoms, ix, p)[:, 1:])
 
 
 def _point_ranks(jacobian_at, seed, n, k, d):

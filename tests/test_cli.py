@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import bz2
+import concurrent.futures
 import contextlib
 import functools
 import gzip
@@ -180,6 +181,27 @@ class TestDefectTable:
         assert code == 0
         assert serial.read_text() == parallel.read_text()
 
+    def test_import_loads_no_process_pool(self):
+        # the pool module (multiprocessing, socket, subprocess, logging)
+        # is imported only when --jobs asks for more than one worker
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(homoment.__file__)))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, homoment.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert loaded == "False\n"
+
+    def test_serial_table_reads_no_cpu_count(self, capsys, monkeypatch):
+        def no_count():
+            raise AssertionError("CPU count read for --jobs 1")
+
+        monkeypatch.setattr(cli.os, "cpu_count", no_count)
+        code, out, _ = run(["defect-table", "--n", "1..2", "--jobs", "1",
+                            "--format", "csv"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 4
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_non_positive_jobs_is_input_error(self, capsys, jobs):
         code, out, err = run(["defect-table", "--n", "1", "--jobs", jobs],
@@ -212,7 +234,8 @@ class TestDefectTable:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run(["defect-table", "--n", "1", "--k", ks,
                             "--jobs", jobs, "--format", "csv"], capsys)
@@ -336,11 +359,12 @@ class TestSimulateAndFit2:
         ("1,2 # note\n3,4\n", "INPUT_PARSE"),
         ("x,1\n2,3\n4,5\n", "INPUT_PARSE"),
         ("\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ('"1\n",2\n3,4\n', "INPUT_PARSE"),
     ], ids=["blank-lines", "comma-space-lines", "spaces-crlf",
             "quoted-number", "quoted-header", "ragged", "trailing-comma",
             "hash-note", "header-only", "nan", "overflow", "byte-order-mark",
             "blank-first-line-cell", "first-line-note", "mixed-first-line",
-            "empty-first-line"])
+            "empty-first-line", "quote-across-lines"])
     def test_csv_contract(self, capsys, tmp_path, text, expected):
         data = tmp_path / "data.csv"
         data.write_bytes(text.encode())
@@ -415,8 +439,8 @@ class TestSimulateAndFit2:
 def line_filter_reader(path):
     """The CSV reader before numpy parsed files directly: every line of
     the file in a list, blank and comma-only lines dropped, then
-    ``np.loadtxt`` over the list.  The reference for
-    ``cli.read_csv_matrix``."""
+    ``np.loadtxt`` over the list, with a data line holding an odd number
+    of '"' refused first.  The reference for ``cli.read_csv_matrix``."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = [line for line in handle if line.strip(" ,\t\r\n")]
@@ -439,6 +463,9 @@ def line_filter_reader(path):
             lines = lines[1:]
     if not lines:
         raise InputError(f"no data rows in {path}", code="INPUT_EMPTY")
+    if any(line.count('"') % 2 for line in lines):
+        raise InputError(f"cannot parse {path}: a quoted cell does not "
+                         "close on its line", code="INPUT_PARSE")
     try:
         return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
                           ndmin=2)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,8 +153,14 @@ class TestExactLinearAlgebra:
     @settings(deadline=None)
     @given(data=st.data())
     def test_delayed_reduction_matches_reference(self, p, data):
+        # as lists of ints and as the int64 rows the Jacobian builders
+        # return: one rank, and neither form is modified
         matrix = data.draw(low_rank_residues(p))
-        assert rank(matrix, p) == reference_rank(matrix, p)
+        lists = [list(row) for row in matrix]
+        arrays = [np.array(row, dtype=np.int64) for row in matrix]
+        assert rank(lists, p) == rank(arrays, p) == reference_rank(matrix, p)
+        assert lists == matrix
+        assert [row.tolist() for row in arrays] == matrix
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_modular_rank_is_a_lower_bound(self, p):
@@ -270,6 +277,21 @@ def reduced(matrix, p):
              for x in row] for row in matrix]
 
 
+@pytest.mark.parametrize("builder,n,k,d", [
+    ("_mixture_jacobian", 3, 2, 4), ("_veronese_jacobian", 2, 3, 4),
+    ("_centered_jacobian", 3, 3, 3),
+])
+@pytest.mark.parametrize("p", PRIMES)
+def test_builders_return_int64_residue_rows(builder, n, k, d, p):
+    jac = getattr(geometry, builder)(n, k, d, random.Random(n + k + d), p)
+    assert isinstance(jac, list) and jac
+    width = len(jac[0])
+    for row in jac:
+        assert isinstance(row, np.ndarray)
+        assert row.dtype == np.int64 and row.shape == (width,)
+        assert 0 <= row.min() and row.max() < p
+
+
 class TestMomentJacobian:
     def test_single_gaussian_has_full_parameter_rank(self):
         for n in (1, 2, 3):
@@ -370,7 +392,8 @@ class TestTangentsMatchForwardMaps:
                 lambda x: models.homoscedastic_moments(
                     homoscedastic_point(x, n, k), d), free, r, d, cols)
         for p in PRIMES:  # rational points: Fraction means and weights
-            assert geometry.moment_map_jacobian(point, d, p) == reduced(jac, p)
+            assert [row.tolist() for row in geometry.moment_map_jacobian(
+                point, d, p)] == reduced(jac, p)
 
     @pytest.mark.parametrize("n,k,d", [(1, 2, 3), (2, 3, 4), (3, 2, 5)])
     def test_veronese(self, n, k, d):
@@ -445,7 +468,7 @@ def check_against_oracle(monkeypatch, builder):
         twin.setstate(rng.getstate())
         jac = real(n, k, d, rng, p)
         expected = reduced(ORACLES[builder](n, k, d, twin), p)
-        assert jac == expected, (n, k, d, p)
+        assert [row.tolist() for row in jac] == expected, (n, k, d, p)
         checked.append((n, k, d, p))
         return jac
 
