@@ -15,13 +15,13 @@ model, 4 internal check failure (``defect-table --check`` mismatch).
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,8 +63,13 @@ def _parse_range(text, name):
 
 
 def _parse_moments(text):
+    """The cells ``float`` reads as finite numbers, as the exact decimals
+    they spell (``Fraction`` takes digit-group underscores only from
+    Python 3.11).  A cell that underflows to zero is read as 0, so a huge
+    exponent such as ``0e999999999`` is never expanded."""
+    cells = [x for x in text.split(",") if x.strip() != ""]
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in cells]
     except ValueError:
         raise InputError(f"--moments expects comma-separated numbers, got {text!r}")
     if not values:
@@ -72,7 +77,8 @@ def _parse_moments(text):
     if not all(math.isfinite(v) for v in values):
         raise InputError(f"--moments must be finite, got {text!r}",
                          code="INPUT_PARSE")
-    return values
+    return [Fraction(x.strip().replace("_", "")) if v else Fraction(0)
+            for x, v in zip(cells, values)]
 
 
 def _positive_int(text):
@@ -318,18 +324,13 @@ def cmd_fit1d(args):
     if (args.moments is None) == (args.input is None):
         raise InputError("provide exactly one of --moments or --input")
     if args.moments is not None:
-        result = estimate.fit_univariate(_parse_moments(args.moments), args.k)
+        moments = _parse_moments(args.moments)
     else:
         data = read_csv_matrix(args.input)
         if data.shape[1] != 1:
             raise InputError("fit1d expects a single-column CSV")
-        centre = ranktest.sample_mean(data[:, 0])
-        result = estimate.fit_univariate(
-            ranktest.raw_moments(data[:, 0], 2 * args.k, centre=centre),
-            args.k)
-        # the atoms were fitted to the moments about the mean
-        result.params = dataclasses.replace(
-            result.params, means=[[x + centre] for x, in result.params.means])
+        moments = ranktest.sample_normal_form(data[:, 0], 2 * args.k)
+    result = estimate.fit_univariate(moments, args.k)
     payload = {
         "schema": SCHEMA,
         "version": __version__,

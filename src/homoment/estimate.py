@@ -11,7 +11,8 @@ The univariate pipeline
 (:func:`fit_univariate`) recovers a k-component mixture from its first 2k
 moments by first locating the shared variance as the smallest nonnegative
 root of a Hankel determinant polynomial and then running the classical
-quadrature-rule recovery of a discrete measure.
+quadrature-rule recovery of a discrete measure, on the
+:func:`normal_form` of the moments, as every univariate entry point does.
 
 That determinant is one member of the Hankel pencil
 (:func:`hankel_pencil`), which also lives here: every maximal minor of
@@ -76,6 +77,15 @@ def _observations(data):
     return arr
 
 
+def _finite_sample(values, statistic):
+    """``values``, sample means or moments; one that is not a finite
+    float is ``INPUT_RANGE``."""
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"data too large: a sample {statistic} is not a "
+                         "finite float", code="INPUT_RANGE")
+    return values
+
+
 def sample_cumulants(data, degree):
     """Cumulant series of the empirical distribution of ``data``.
 
@@ -94,10 +104,7 @@ def sample_cumulants(data, degree):
         raise InputError("data must be a count x n array of observations")
     count, n = arr.shape
     with np.errstate(over="ignore"):
-        means = arr.mean(axis=0)
-    if not np.all(np.isfinite(means)):
-        raise InputError("data too large: a sample mean is not a finite "
-                         "float", code="INPUT_RANGE")
+        means = _finite_sample(arr.mean(axis=0), "mean")
     powers = []
     moments = {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,9 +122,7 @@ def sample_cumulants(data, degree):
                 if a[j]:
                     prod = prod * powers[j][a[j]]
             moments[a] = float(np.mean(prod))
-    if not all(map(math.isfinite, moments.values())):
-        raise InputError("data too large: a sample moment is not a finite "
-                         "float", code="INPUT_RANGE")
+    _finite_sample(list(moments.values()), "moment")
     series = ts.TruncatedSeries.from_moments(n, degree, moments)
     first = {tuple(int(i == j) for i in range(n)): float(mean)
              for j, mean in enumerate(means)}
@@ -324,6 +329,54 @@ def _moment_list(moments):
     if not m:
         raise InsufficientOrderError("empty moment vector")
     return [ts._promote(x) for x in m]
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    """A moment vector as its mean, its variance and the moments of the
+    standardised variable (:func:`normal_form`)."""
+
+    mean: float
+    variance: float    # 1 when the central variance is not positive
+    moments: list      # m_1 = 0 and, when standardised, m_2 = 1 to rounding
+
+
+def normal_form(moments):
+    """The :class:`NormalForm` of a univariate moment vector, on which
+    the shift- and scale-invariant pencil is read.
+
+    The vector is shifted to its own mean exactly (floats convert to
+    ``Fraction`` without rounding); one whose m_1 is exactly 0 skips the
+    shift.  Moment j is then divided in floats by the standard deviation
+    once per order, unless the central variance is not positive.  A
+    non-finite entry is ``INPUT_PARSE``, a central moment out of float
+    range ``INPUT_RANGE``.  A normal form is its own normal form.
+    """
+    if isinstance(moments, NormalForm):
+        return moments
+    m = _moment_list(moments)
+    if not all(math.isfinite(x) for x in m if not isinstance(x, Fraction)):
+        raise InputError("moments must be finite", code="INPUT_PARSE")
+    mean = m[0]
+    if mean != 0:
+        exact = [Fraction(1)] + [Fraction(x) for x in m]
+        m = [sum(math.comb(j, i) * exact[j - i] * (-exact[1]) ** i
+                 for i in range(j + 1)) for j in range(1, len(exact))]
+    try:
+        mean, central = float(mean), np.array([float(x) for x in m])
+    except OverflowError:
+        raise InputError("moments too large: a central moment is not a "
+                         "finite float", code="INPUT_RANGE")
+    variance = central[1] if len(central) > 1 else 0.0
+    if not variance > 0.0:
+        return NormalForm(mean, 1.0, central.tolist())
+    sd = math.sqrt(variance)
+    # an overflow here leaves an infinite moment, whose Hankel minors the
+    # pencil reports as out of float range
+    with np.errstate(over="ignore"):
+        for j in range(len(central)):
+            central[j:] /= sd
+    return NormalForm(mean, float(variance), central.tolist())
 
 
 def _moment_scale(m):
@@ -595,30 +648,32 @@ def _polish_root(coeffs, x):
 
 def fit_univariate(moments, k):
     """Recover a univariate k-component homoscedastic mixture from its
-    first 2k moments: variance from the smallest nonnegative root of
-    :func:`variance_polynomial`, then atoms and weights by quadrature."""
-    m = _moment_list(moments)
+    first 2k moments (or their :func:`normal_form`): variance from the
+    smallest nonnegative root of :func:`variance_polynomial`, then atoms
+    and weights by quadrature, on the normal form and mapped back to
+    data units (``variance_residual`` stays standardised)."""
+    form = normal_form(moments)
+    m = form.moments
     coeffs = variance_polynomial(m, k)
-    s_scale = max(1.0, abs(float(m[1])))
     roots = _poly.real_roots(coeffs, imag_tol=_VARIANCE_ROOT_TOL)
-    admissible = sorted(r for r in roots
-                        if r >= -_VARIANCE_ROOT_TOL * s_scale)
+    admissible = sorted(r for r in roots if r >= -_VARIANCE_ROOT_TOL)
     if not admissible:
         raise ModelMismatchError(
             "variance polynomial has no nonnegative real root")
     s_star = max(0.0, _polish_root(coeffs, admissible[0]))
-    exact_zero = s_star == 0.0 and _poly.is_exact(m)
-    mt = deconvolve_moments(m, Fraction(0) if exact_zero else s_star)
+    mt = deconvolve_moments(m, s_star)
     nodes = quadrature_nodes(mt, k)
     weights = quadrature_weights(nodes, mt)
+    sd = math.sqrt(form.variance)
     params = models.HomoscedasticParams(
-        means=[[x] for x in nodes], weights=weights, cov=[[s_star]])
+        means=[[x * sd + form.mean] for x in nodes], weights=weights,
+        cov=[[s_star * form.variance]])
     residual = abs(float(_poly.poly_eval(coeffs, s_star)))
     top = max(abs(float(c)) for c in coeffs)
     diagnostics = {
         "order_used": 2 * k,
-        "selected_variance": s_star,
-        "variance_roots": [float(r) for r in roots],
+        "selected_variance": s_star * form.variance,
+        "variance_roots": [float(r) * form.variance for r in roots],
         "variance_residual": residual / max(top, 1e-300),
         "negative_weights": bool(any(w < 0 for w in weights)),
     }

@@ -5,22 +5,22 @@ whose Gaussian-deconvolved Hankel matrix drops rank at the true s.  The
 pencil of all maximal minors of that matrix (:func:`hankel_pencil`, built
 in :mod:`homoment.estimate`), viewed as polynomials in s, therefore has a
 common nonnegative root exactly on the model.  Membership is decided
-numerically: the scaled sum of squared minors is minimized over the
-admissible variance interval and compared against a threshold.
+numerically on the :func:`~homoment.estimate.normal_form` of the moments:
+the scaled sum of squared minors is minimized over the admissible
+variance interval and compared against a threshold.
 
 On sample data (:func:`estimate_components_from_data`) one blockwise
 pass takes the moments of the observations about their mean, with no
-centred copy (:func:`raw_moments`); they are taken in units of the
-standard deviation, and each minor is scaled by its sampling noise: the
-delta method applied to the asymptotic covariance of the sample moments
-(:func:`delta_minor_scales`).  Nothing in the count is random.
+centred copy (:func:`sample_normal_form`), and each minor is scaled by
+its sampling noise: the delta method applied to the asymptotic
+covariance of the sample moments (:func:`delta_minor_scales`).  Nothing
+in the count is random.
 
 Closed forms are provided for the two smallest cases: the third cumulant
 (order-3 hypersurface of single Gaussians) and the weighted degree-18
 invariant cutting out two-component mixtures in cumulants up to order 5.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,11 +29,12 @@ from . import _poly
 from . import series as ts
 from .errors import InputError, InsufficientOrderError, PreconditionError
 from .estimate import (
+    _finite_sample,
     _minor_scales,
-    _moment_list,
     _moment_scale,
     _observations,
     hankel_pencil,
+    normal_form,
     pencil_minor_values,
 )
 
@@ -90,18 +91,21 @@ class MembershipVerdict:
 
 
 def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
-    """Does a moment vector lie on the homoscedastic k-secant?
+    """Does a moment vector (or its :func:`~homoment.estimate.normal_form`)
+    lie on the homoscedastic k-secant?
 
-    Minimizes the sum of squared minors over variances in [0, m2] (the
-    component variance can never exceed the raw second moment) after
-    scaling each minor by the moment scale raised to its weighted
-    degree.  The verdict is never an error: off-model input simply
-    reports a residual above the threshold.  ``k`` must be at least 1
-    (``PreconditionError``).
+    On the normal form, minimizes the sum of squared minors over
+    variances in [0, central variance] (the component variance can never
+    exceed it) after scaling each minor by the moment scale raised to its
+    weighted degree; the witness is mapped back to data units.  The
+    verdict is never an error: off-model input simply reports a residual
+    above the threshold.  ``k`` must be at least 1 (``PreconditionError``).
     """
     _check_k(k, "k")
-    m = _moment_list(moments)
-    return _pencil_membership(m, hankel_pencil(m, k), threshold, None)
+    form = normal_form(moments)
+    m = form.moments
+    verdict = _pencil_membership(m, hankel_pencil(m, k), threshold, None)
+    return replace(verdict, witness_s=verdict.witness_s * form.variance)
 
 
 def _check_k(k, name):
@@ -161,11 +165,11 @@ def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
     """Membership verdicts for k = 1..k_max (the residual trace);
     ``k_max`` must be at least 1 (``PreconditionError``)."""
     _check_k(k_max, "k_max")
-    m = _moment_list(moments)
-    if len(m) < 2 * k_max + 1:
+    form = normal_form(moments)
+    if len(form.moments) < 2 * k_max + 1:
         raise InsufficientOrderError(
             f"component search up to {k_max} needs order {2 * k_max + 1}")
-    return [secant_membership(m, k, threshold=threshold)
+    return [secant_membership(form, k, threshold=threshold)
             for k in range(1, k_max + 1)]
 
 
@@ -225,20 +229,18 @@ def raw_moments(data, order, centre=0.0):
     return [s / arr.size for s in _power_sums(arr, order, centre=centre)]
 
 
-def sample_mean(data):
-    """The mean of a flat data vector, to centre its moments on.
-
-    The pencil is shift-equivariant, but the moments of data far from
-    the origin spend their digits on the mean; moments about the mean
-    keep them.  A mean that is not a finite float is ``INPUT_RANGE``.
-    """
+def sample_normal_form(data, order):
+    """The normal form of the first ``order`` moments of a flat data
+    vector.  Moments of data far from the origin spend their digits on
+    the mean, so one blockwise pass (:func:`raw_moments`) takes them
+    about the sample mean, with m_1 set to exactly 0 (no ``Fraction``
+    arithmetic runs).  A sample mean or moment that is not a finite
+    float is ``INPUT_RANGE``."""
     arr = _observations(data).ravel()
     with np.errstate(over="ignore"):
-        centre = float(arr.mean())
-    if not np.isfinite(centre):
-        raise InputError("data too large: the sample mean is not a finite "
-                         "float", code="INPUT_RANGE")
-    return centre
+        centre = float(_finite_sample(arr.mean(), "mean"))
+    m = _finite_sample(raw_moments(arr, order, centre=centre), "moment")
+    return replace(normal_form([0.0] + m[1:]), mean=centre)
 
 
 def _check_resamples(n_boot):
@@ -318,11 +320,10 @@ def estimate_components_from_data(data, k_max):
     """Component count for raw observations with noise-aware thresholds.
 
     One blockwise pass takes the moments of the data about their mean to
-    order ``2 d``, with ``d = 2 k_max + 1`` (the pencil is
-    shift-equivariant, so centring changes only the digits, and no
-    centred copy is made).  The moments are then standardised
-    (:func:`standardised`), so the count does not depend on the unit of
-    the data; the witness variances are reported back in data units.
+    order ``2 d``, with ``d = 2 k_max + 1``, in normal form
+    (:func:`sample_normal_form`): standardised, so the count depends on
+    neither the origin nor the unit of the data, and no centred copy is
+    made.  The witness variances are reported back in data units.
     Each minor is whitened by its delta-method noise level
     (:func:`delta_minor_scales`), making the on-model residual an
     order-nminors quantity regardless of sample size;
@@ -333,34 +334,13 @@ def estimate_components_from_data(data, k_max):
     """
     _check_k(k_max, "k_max")
     d = 2 * k_max + 1
-    m, unit = standardised(raw_moments(data, 2 * d,
-                                       centre=sample_mean(data)))
+    form = sample_normal_form(data, 2 * d)
+    m = form.moments
     k_hat, verdicts = _whitened_count(
         m[:d], k_max, lambda witnesses: _delta_scales(m, np.size(data),
                                                       witnesses, d))
-    return k_hat, [replace(v, witness_s=v.witness_s * unit)
+    return k_hat, [replace(v, witness_s=v.witness_s * form.variance)
                    for v in verdicts]
-
-
-def standardised(m):
-    """Moments m_1, m_2, ... of centred data divided by the standard
-    deviation sqrt(m_2) to their order, and the factor that takes a
-    variance found from them back to data units.
-
-    These are the moments of the data in units of their standard
-    deviation, so thresholds and trims on them do not depend on the
-    unit.  The factor is m_2, or 1 when m_2 is zero or not finite and
-    the moments are returned as they are.  Each moment is divided by
-    the standard deviation once per order, so no power of it overflows.
-    """
-    variance = m[1]
-    if not 0.0 < variance < math.inf:
-        return m, 1.0
-    sd = math.sqrt(variance)
-    scaled = np.array(m, dtype=float)
-    for j in range(len(m)):
-        scaled[j:] /= sd
-    return scaled.tolist(), variance
 
 
 def _whitened_count(m, k_max, noise):

@@ -3,12 +3,14 @@
 import bz2
 import concurrent.futures
 import contextlib
+import decimal
 import functools
 import gzip
 import hashlib
 import io
 import json
 import lzma
+import math
 import os
 import subprocess
 import sys
@@ -594,13 +596,13 @@ class TestFit1d:
 
     @pytest.mark.parametrize("args,digest", [
         ("--k 2 --moments 1.05,1.85,2.77,5.00",
-         "4b411313a6072b648bc3de431f0b204f059733c662ae5709794c6e29015fcad0"),
+         "4b602fc9c8cfcf335c64484145f244d6a086cd102f6790c7eaaf2cbdeef46ff0"),
         ("--k 1 --moments=-1,3",
-         "9418755bb1f675275dfe060ccf4f6dd8fdb407b1e1167e7e7e62b40a16028907"),
+         "45e4a9d26ce788aaadca8fc8c74d7e1ad821152dc37dd91cb622b335870295ab"),
         ("--k 3 --moments 0.5,2.1,2.3,9.0,12.0,50.0",
-         "d4d8d74e970ccb690f6ce8ba953022e43e7a930ae77db272e87a04ee2e501d00"),
+         "1fe8cb809dcacf5902f10958ff14136dc429800e7c714b5519be21fbceaac051"),
         ("--k 2 --input {csv}",
-         "a70533f64e9cf76ed124d39623dfdad3342b00e837dd9ab4c764b007c0109f2c"),
+         "9378bde71d7b7eb4f8501a866ed87a44e778deb0a2ac2be1101b2300069785a1"),
     ], ids=["k2", "k1-negative", "k3", "k2-csv"])
     def test_output_is_pinned(self, capsys, tmp_path, args, digest):
         # byte-stable stdout of the variance-polynomial path
@@ -615,6 +617,61 @@ class TestFit1d:
         code, out, _ = run(["fit1d"] + args.format(csv=data).split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def exact_decimal(x):
+    """The decimal string of a rational whose denominator divides a power
+    of ten."""
+    x = Fraction(x)
+    places = 0
+    while 10 ** places % x.denominator:
+        places += 1
+    digits = str(abs(x.numerator) * 10 ** places // x.denominator)
+    digits = digits.rjust(places + 1, "0")
+    whole, frac = digits[:len(digits) - places], digits[len(digits) - places:]
+    return ("-" if x < 0 else "") + whole + ("." + frac if frac else "")
+
+
+# weights, atom offsets and variance of the sweep's mixtures
+SWEEP_MIXTURES = {
+    2: ([Fraction(3, 10), Fraction(7, 10)], [0, 2], Fraction(1, 4)),
+    3: ([Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)], [0, 2, 5],
+        Fraction(3, 10)),
+}
+
+
+class TestShiftScaleSweep:
+    """Exact decimal moments of a mixture moved to c and scaled by t: the
+    count and the fit do not depend on c or t.  Before the normal form,
+    rank-test counted right in 2 of these 18 cases and fit1d fitted 3."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("c", [0, 10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("t", ["0.001", "1", "1000"])
+    def test_count_and_fit(self, capsys, k, c, t):
+        weights, offsets, variance = SWEEP_MIXTURES[k]
+        t = Fraction(t)
+        atoms = [t * (c + offset) for offset in offsets]
+        params = models.HomoscedasticParams(
+            means=[[a] for a in atoms], weights=weights,
+            cov=[[variance * t * t]])
+        m = [exact_decimal(x) for x in univariate_moments(params, 2 * k + 1)]
+        code, out, _ = run(["rank-test", "--kmax", str(k),
+                            "--moments=" + ",".join(m)], capsys)
+        assert code == 0
+        assert strict_json(out)["estimated_components"] == k
+        code, out, _ = run(["fit1d", "--k", str(k),
+                            "--moments=" + ",".join(m[:2 * k])], capsys)
+        assert code == 0
+        est = strict_json(out)["estimate"]
+        order = sorted(range(k), key=lambda i: est["means"][i][0])
+        t = float(t)
+        assert [est["means"][i][0] for i in order] == pytest.approx(
+            [float(a) for a in atoms], rel=0, abs=1e-9 * t)
+        assert [est["weights"][i] for i in order] == pytest.approx(
+            [float(w) for w in weights], rel=0, abs=1e-9)
+        assert est["cov"][0][0] == pytest.approx(
+            float(variance) * t * t, rel=0, abs=1e-9 * t * t)
 
 
 class TestRankTest:
@@ -767,6 +824,48 @@ class TestNonFiniteInput:
                 handle.write(text)
             extra = ["--k", "1"] if command == "fit1d" else []
             assert_rejected([command, "--input", path] + extra)
+
+
+class TestMomentParse:
+    @settings(deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_spelling_read_as_exact_decimal(self, x):
+        text = repr(x)
+        value, = cli._parse_moments(text)
+        assert value == Fraction(text) == Fraction(decimal.Decimal(text))
+        assert float(value) == x
+
+    @settings(deadline=None)
+    @given(NON_FINITE)
+    def test_non_finite_spelling_rejected(self, text):
+        with pytest.raises(InputError) as caught:
+            cli._parse_moments(text)
+        assert caught.value.code == "INPUT_PARSE"
+
+    @settings(deadline=None)
+    @given(st.text(alphabet="0123456789_.eE+-naifINF \t\u0663", max_size=10))
+    def test_same_spellings_as_float(self, text):
+        # accepted exactly when float reads it as a finite number, and
+        # then equal to that float once rounded
+        try:
+            expected = float(text)
+        except ValueError:
+            expected = None
+        if expected is None or not math.isfinite(expected):
+            with pytest.raises(InputError):
+                cli._parse_moments(text)
+            return
+        value, = cli._parse_moments(text)
+        assert float(value) == expected
+
+    @pytest.mark.parametrize("text,value", [
+        ("1_000", 1000), (" 0.1 ", Fraction(1, 10)),
+        ("1_0.2_5e-1_0", Fraction(1025, 10 ** 12)), (".5", Fraction(1, 2)),
+        ("5.", 5), ("-0.0", 0), ("1e-400", 0), ("\u0661\u0662", 12),
+        ("0e999999999", 0), ("1e-999999999", 0)])
+    def test_spellings(self, text, value):
+        # underscores are read on Python 3.10, whose Fraction refuses them
+        assert cli._parse_moments(text) == [value]
 
 
 class TestHugeInput:

@@ -14,7 +14,7 @@ from conftest import (
     univariate_moments,
     weight_product_cubic,
 )
-from homoment import estimate, models
+from homoment import estimate, models, ranktest
 from homoment import series as ts
 from homoment._poly import poly_degree, poly_eval
 from homoment.errors import (
@@ -57,6 +57,11 @@ class TestSampleCumulants:
         with pytest.raises(InputError) as caught:
             estimate.sample_cumulants([[1e308, 1.0], [1e308, 2.0]], 3)
         assert caught.value.code == "INPUT_RANGE"
+        # one check for every sample mean, so one message
+        with pytest.raises(InputError) as flat:
+            ranktest.sample_normal_form([1e308, 1e308], 2)
+        assert str(flat.value) == str(caught.value) == (
+            "data too large: a sample mean is not a finite float")
 
     def test_moment_out_of_float_range(self):
         # the means are finite, but the centred squares overflow
@@ -443,6 +448,60 @@ class TestFitUnivariate:
     def test_insufficient_order(self):
         with pytest.raises(InsufficientOrderError):
             estimate.fit_univariate([1.0, 2.0, 3.0], 2)
+
+
+class TestNormalForm:
+    def test_exact_shift_and_standardisation(self):
+        # N(1, 2) moved to 10**6: its central moments are 0, 2, 0, 12
+        p = models.HomoscedasticParams(means=[[10 ** 6 + 1]], weights=[1],
+                                       cov=[[2]])
+        form = estimate.normal_form(univariate_moments(p, 4))
+        assert form.mean == 10 ** 6 + 1
+        assert form.variance == pytest.approx(2.0, rel=1e-12)
+        assert form.moments[0] == 0.0
+        assert form.moments == pytest.approx([0.0, 1.0, 0.0, 3.0],
+                                             rel=1e-12, abs=1e-12)
+
+    def test_float_entries_are_shifted_without_rounding(self):
+        # in floats the central variance of (0.1, 0.1 * 0.1) is 0; the
+        # floats as exact rationals leave the rounding of the square
+        m1, m2 = 0.1, 0.1 * 0.1
+        assert m2 - m1 * m1 == 0.0
+        form = estimate.normal_form([m1, m2])
+        assert form.variance == float(Fraction(m2) - Fraction(m1) ** 2)
+        assert 0.0 < form.variance < 1e-18
+
+    def test_centred_moments_skip_the_shift(self, monkeypatch):
+        # m_1 exactly 0: no exact arithmetic, as for sample moments
+        class NoFraction(Fraction):
+            def __new__(cls, *args):
+                raise AssertionError("exact arithmetic on centred input")
+
+        monkeypatch.setattr(estimate, "Fraction", NoFraction)
+        form = estimate.normal_form([0.0, 4.0, 8.0, 48.0])
+        assert (form.mean, form.variance) == (0.0, 4.0)
+        assert form.moments == [0.0, 1.0, 1.0, 3.0]
+
+    def test_non_positive_variance_left_unscaled(self):
+        form = estimate.normal_form([1.0, 1.0, 5.0])
+        assert form == estimate.NormalForm(1.0, 1.0, [0.0, 0.0, 4.0])
+
+    def test_idempotent(self):
+        form = estimate.normal_form([1, 3, 7])
+        assert estimate.normal_form(form) is form
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(InputError) as caught:
+            estimate.normal_form([1.0, bad, 3.0])
+        assert caught.value.code == "INPUT_PARSE"
+        assert str(caught.value) == "moments must be finite"
+
+    def test_central_moment_out_of_float_range(self):
+        # the central variance 1e200 - 1e400
+        with pytest.raises(InputError) as caught:
+            estimate.normal_form([1e200, 1e200, 1e200])
+        assert caught.value.code == "INPUT_RANGE"
 
 
 class TestIdentifiabilityCurve:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,58 @@ class TestMembership:
         assert ranktest.secant_membership(m, 3).on_model
 
 
+class TestNormalFormEntryPoints:
+    """Every univariate entry point runs on the normal form."""
+
+    # three moments each; with k = 1 the fit would read m_1 and m_2 only
+    ENTRY_POINTS = {
+        "secant_membership": lambda m: ranktest.secant_membership(m, 1),
+        "component_ladder": lambda m: ranktest.component_ladder(m, 1),
+        "estimate_components": lambda m: ranktest.estimate_components(m, 1),
+        "fit_univariate": lambda m: estimate.fit_univariate(m + [1.0], 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("moments", [
+        [math.nan, 2.0, 3.0], [1.0, math.inf, 3.0], [1.0, 2.0, -math.inf]],
+        ids=["nan", "inf", "-inf"])
+    def test_non_finite_moments(self, entry, moments):
+        with pytest.raises(InputError) as exc:
+            self.ENTRY_POINTS[entry](moments)
+        assert exc.value.code == "INPUT_PARSE"
+        assert str(exc.value) == "moments must be finite"
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_standardised_overflow(self, entry):
+        # finite, but m_3 / sd**3 is not a float: out of range, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as exc:
+                self.ENTRY_POINTS[entry]([0.0, 1e-300, 1e100])
+        assert exc.value.code == "INPUT_RANGE"
+
+    @pytest.mark.parametrize("scale", [1e20, 1e40])
+    def test_huge_scale_is_standardised(self, scale):
+        # raw, these moments raised numpy's RankWarning and rejected k = 2
+        # at 1e20 and gave INPUT_RANGE at 1e40
+        p = models.HomoscedasticParams(
+            means=[[0], [3]], weights=[Fraction(2, 5), Fraction(3, 5)],
+            cov=[[Fraction(1, 2)]])
+        m = [float(x) * scale ** j
+             for j, x in enumerate(univariate_moments(p, 5), start=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladder = ranktest.component_ladder(m, 2)
+            est = estimate.fit_univariate(m[:4], 2)
+        assert [v.on_model for v in ladder] == [False, True]
+        assert ladder[1].witness_s / scale ** 2 == pytest.approx(0.5, rel=1e-9)
+        assert list(est.params.weights) == pytest.approx([0.4, 0.6], abs=1e-9)
+        assert [x / scale for x, in est.params.means] == pytest.approx(
+            [0.0, 3.0], abs=1e-9)
+        assert est.params.cov[0][0] / scale ** 2 == pytest.approx(0.5,
+                                                                  rel=1e-9)
+
+
 class TestComponentCount:
     def test_gaussian(self):
         g = models.HomoscedasticParams(means=[[Fraction(3, 4)]], weights=[1],
@@ -219,7 +272,7 @@ class TestComponentCount:
     def _direct_residuals(data, verdicts):
         """Each verdict's whitened minors, evaluated directly at its
         witness, squared and summed."""
-        arr = data.ravel() - ranktest.sample_mean(data)
+        arr = data.ravel() - ranktest.sample_normal_form(data, 1).mean
         m = ranktest.raw_moments(arr, 5)
         first = {k: ranktest.secant_membership(m, k).witness_s
                  for k in (1, 2)}
@@ -472,6 +525,17 @@ class TestSampleMoments:
             with pytest.raises(InputError) as exc:
                 call()
             assert exc.value.code == "INPUT_PARSE"
+
+    def test_overflowing_sample_moment(self):
+        # the mean is 0, the squares are not floats: the sample pass says
+        # so, in the words of sample_cumulants
+        data = np.tile([1e300, -1e300], 20)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError) as exc:
+            ranktest.sample_normal_form(data, 2)
+        assert exc.value.code == "INPUT_RANGE"
+        assert str(exc.value) == (
+            "data too large: a sample moment is not a finite float")
 
     def test_huge_data_rejected(self):
         # centred, the data still spread over 1e119, so their third
