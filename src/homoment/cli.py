@@ -38,16 +38,6 @@ EXIT_CHECK = 4
 TABLE_COLUMNS = ("n", "k", "d", "par", "N", "exp", "dim", "delta", "Delta")
 
 
-def _default_seed():
-    env = os.environ.get("HOMOMENT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"HOMOMENT_SEED must be an integer, got {env!r}")
-
-
 def _parse_range(text, name):
     """``'3'`` or ``'1..7'`` into an inclusive list."""
     try:
@@ -205,6 +195,12 @@ def _finite_or_null(value):
     return value
 
 
+def _payload(command, **fields):
+    """A command's JSON payload: the shared header, then ``fields``."""
+    return {"schema": SCHEMA, "version": __version__, "command": command,
+            **fields}
+
+
 def _emit_json(payload, output):
     _emit(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False),
           output)
@@ -273,12 +269,8 @@ def cmd_defect_table(args):
     reports = _table_cells(ns, ks, ds, args.seed, args.jobs)
     mismatches = _check_rows(reports) if args.check else []
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "defect-table",
-            "rows": [r.as_dict() for r in reports],
-        }
+        payload = _payload("defect-table",
+                           rows=[r.as_dict() for r in reports])
         if args.check:
             payload["check"] = {"passed": not mismatches, "mismatches": mismatches}
         _emit_json(payload, args.output)
@@ -308,14 +300,8 @@ def cmd_fit2(args):
     data = read_csv_matrix(args.input)
     cumulants = estimate.sample_cumulants(data, args.order)
     estimates = estimate.fit_two_gaussians(cumulants, order=args.order)
-    payload = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "fit2",
-        "order": args.order,
-        "count": len(data),
-        "estimates": [e.as_dict() for e in estimates],
-    }
+    payload = _payload("fit2", order=args.order, count=len(data),
+                       estimates=[e.as_dict() for e in estimates])
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -329,15 +315,9 @@ def cmd_fit1d(args):
         data = read_csv_matrix(args.input)
         if data.shape[1] != 1:
             raise InputError("fit1d expects a single-column CSV")
-        moments = ranktest.sample_normal_form(data[:, 0], 2 * args.k)
+        moments = estimate.sample_normal_form(data[:, 0], 2 * args.k)
     result = estimate.fit_univariate(moments, args.k)
-    payload = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "fit1d",
-        "k": args.k,
-        "estimate": result.as_dict(),
-    }
+    payload = _payload("fit1d", k=args.k, estimate=result.as_dict())
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -346,15 +326,9 @@ def cmd_rank_test(args):
     moments = _parse_moments(args.moments)
     verdicts = ranktest.component_ladder(moments, args.kmax,
                                          threshold=args.threshold)
-    k_hat = next((v.k for v in verdicts if v.on_model), args.kmax + 1)
-    payload = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "rank-test",
-        "k_max": args.kmax,
-        "estimated_components": k_hat,
-        "verdicts": [v.as_dict() for v in verdicts],
-    }
+    payload = _payload("rank-test", k_max=args.kmax,
+                       estimated_components=ranktest.component_count(verdicts),
+                       verdicts=[v.as_dict() for v in verdicts])
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -405,7 +379,7 @@ def build_parser():
     table.add_argument("--k", default=None,
                        help="component range; default covers the published rows")
     table.add_argument("--d", default="3", help="moment order range")
-    table.add_argument("--seed", type=int, default=None)
+    table.add_argument("--seed", type=int, default=0)
     table.add_argument("--check", action="store_true",
                        help="verify rows against the closed-form classifier "
                             "and the published table")
@@ -444,7 +418,7 @@ def build_parser():
     sim.add_argument("--params", required=True,
                      help="JSON with means, weights, cov")
     sim.add_argument("--count", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", default=None)
     sim.set_defaults(func=cmd_simulate)
 
@@ -473,8 +447,6 @@ def main(argv=None):
             warnings.simplefilter("ignore", RuntimeWarning)
             args = parser.parse_args(
                 _attach_moments(sys.argv[1:] if argv is None else argv))
-            if hasattr(args, "seed") and args.seed is None:
-                args.seed = _default_seed()
             return args.func(args)
     except InputError as exc:
         _report_error(exc)

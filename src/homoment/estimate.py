@@ -19,6 +19,11 @@ That determinant is one member of the Hankel pencil
 the Gaussian-deconvolved moment matrix as a polynomial in the variance.
 The membership tests in :mod:`homoment.ranktest` read the same pencil.
 
+On a sample, both pipelines start from its moments about its mean,
+which one blockwise pass takes (:func:`moment_sums`, called by
+:func:`sample_cumulants`, :func:`raw_moments` and
+:func:`sample_normal_form`).
+
 Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
 moment equal to one left implicit.  Entries may be ``Fraction`` for exact
 work; root finding is always floating point.
@@ -26,7 +31,7 @@ work; root finding is always floating point.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,16 +91,108 @@ def _finite_sample(values, statistic):
     return values
 
 
+# values per block of the moment pass, so that a block and its products
+# stay in cache
+_BLOCK = 16384
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_steps(n, degree):
+    """The number of monomials in ``n`` variables of each order
+    1..``degree``, and each higher order's steps ``(child, parent,
+    column)``: monomial ``child`` of the order (by position in
+    :func:`~homoment.series.multi_indices` order) is monomial ``parent``
+    of the order below times centred ``column``.  The parent drops one
+    from the child's last nonzero exponent, so it never comes after the
+    child (checked for n, degree <= 8): steps in decreasing child
+    position may write each order over the one below."""
+    orders = [[a for a in ts.multi_indices(n, degree) if sum(a) == j]
+              for j in range(1, degree + 1)]
+    steps = []
+    for lower, order in zip(orders, orders[1:]):
+        position = {a: p for p, a in enumerate(lower)}
+        steps.append([])
+        for child, a in reversed(list(enumerate(order))):
+            column = max(i for i in range(n) if a[i])
+            parent = a[:column] + (a[column] - 1,) + a[column + 1:]
+            steps[-1].append((child, position[parent], column))
+    return tuple(len(order) for order in orders), tuple(map(tuple, steps))
+
+
+def moment_sums(arr, degree, centre):
+    """Sums over the rows of a ``count x n`` float array (a flat one is
+    one column) of every monomial of orders 1..``degree`` in ``arr -
+    centre``, in :func:`~homoment.series.multi_indices` order without
+    the constant; ``centre`` is one value or one per column.
+
+    Rows are taken a block at a time (at most ``_BLOCK`` values of one
+    order), centred into one buffer.  A second holds one order's
+    monomials, each its parent's times one centred column, written over
+    the order below (:func:`_moment_steps`): for one column, a running
+    product.  No ``pow``, no table of powers, no sample-sized temporary.
+    Each block's sums go into one preallocated array and onto running
+    totals, as accurate as one pairwise pass (Higham, 1993)."""
+    arr = arr.reshape(len(arr), -1)
+    count, n = arr.shape
+    sizes, steps = _moment_steps(n, degree)
+    rows = max(min(count, _BLOCK // max(sizes, default=1)), 1)
+    centre = np.reshape(np.asarray(centre, dtype=float), (-1, 1))
+    sums, part = np.zeros(sum(sizes)), np.empty(sum(sizes))
+    base, term = np.empty((n, rows)), np.empty((max(sizes, default=0), rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, rows):
+            block = arr[start:start + rows]
+            x, t = base[:, :len(block)], term[:, :len(block)]
+            np.subtract(block.T, centre, out=x)
+            t[:n] = x
+            np.add.reduce(t[:n], axis=1, out=part[:n])
+            # row views in lists, which index faster than the arrays
+            xs, terms, offset = list(x), list(t), n
+            for size, order in zip(sizes[1:], steps):
+                for child, parent, column in order:
+                    np.multiply(terms[parent], xs[column], out=terms[child])
+                np.add.reduce(t[:size], axis=1, out=part[offset:offset + size])
+                offset += size
+            sums += part
+    return sums
+
+
+def raw_moments(data, order, centre=0.0):
+    """First ``order`` sample moments of a flat data vector about
+    ``centre`` (raw moments at the default 0), in one blockwise pass
+    (:func:`moment_sums`): the data are never copied.  ``order`` must be
+    at least 1 (``PreconditionError``)."""
+    if order < 1:
+        raise PreconditionError(f"order must be at least 1, got {order}")
+    arr = _observations(data).ravel()
+    return (moment_sums(arr, order, centre) / arr.size).tolist()
+
+
+def sample_normal_form(data, order):
+    """The normal form of the first ``order`` moments of a flat data
+    vector.  Moments of data far from the origin spend their digits on
+    the mean, so one blockwise pass (:func:`raw_moments`) takes them
+    about the sample mean, with m_1 set to exactly 0 (no ``Fraction``
+    arithmetic runs).  A sample mean or moment that is not a finite
+    float is ``INPUT_RANGE``."""
+    arr = _observations(data).ravel()
+    with np.errstate(over="ignore"):
+        centre = float(_finite_sample(arr.mean(), "mean"))
+    m = _finite_sample(raw_moments(arr, order, centre=centre), "moment")
+    return replace(normal_form([0.0] + m[1:]), mean=centre)
+
+
 def sample_cumulants(data, degree):
     """Cumulant series of the empirical distribution of ``data``.
 
     ``data`` is a ``count x n`` array (a flat array is read as one
     column).  The sample is centred first: moments of data far from the
     origin spend their digits on the mean.  Raw moments of the centred
-    sample are averaged monomials, and their log transform gives every
-    cumulant of order >= 2, which a shift does not move; the order-1
-    cumulants are the column means.  A mean or an averaged moment that is
-    not a finite float is ``INPUT_RANGE``.
+    sample are averaged monomials, all taken in one blockwise pass
+    (:func:`moment_sums`), and their log transform gives every cumulant
+    of order >= 2, which a shift does not move; the order-1 cumulants
+    are the column means.  A mean or an averaged moment that is not a
+    finite float is ``INPUT_RANGE``.
     """
     arr = _observations(data)
     if arr.ndim == 1:
@@ -105,25 +202,10 @@ def sample_cumulants(data, degree):
     count, n = arr.shape
     with np.errstate(over="ignore"):
         means = _finite_sample(arr.mean(axis=0), "mean")
-    powers = []
-    moments = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            # one centred column at a time: no centred copy of the sample
-            column = arr[:, j] - means[j]
-            powers.append([np.ones(count), column])
-            for _ in range(degree - 1):
-                powers[j].append(powers[j][-1] * column)
-        for a in ts.multi_indices(n, degree):
-            if sum(a) == 0:
-                continue
-            prod = powers[0][a[0]]
-            for j in range(1, n):
-                if a[j]:
-                    prod = prod * powers[j][a[j]]
-            moments[a] = float(np.mean(prod))
-    _finite_sample(list(moments.values()), "moment")
-    series = ts.TruncatedSeries.from_moments(n, degree, moments)
+    moments = _finite_sample(moment_sums(arr, degree, means) / count,
+                             "moment")
+    series = ts.TruncatedSeries.from_moments(
+        n, degree, zip(ts.multi_indices(n, degree)[1:], moments.tolist()))
     first = {tuple(int(i == j) for i in range(n)): float(mean)
              for j, mean in enumerate(means)}
     return (ts.log(series).graded(2)
@@ -325,10 +407,12 @@ def _fit_residual(params, cumulants, order):
 
 
 def _moment_list(moments):
-    m = list(moments)
+    m = [ts._promote(x) for x in moments]
     if not m:
         raise InsufficientOrderError("empty moment vector")
-    return [ts._promote(x) for x in m]
+    if not all(math.isfinite(x) for x in m if not isinstance(x, Fraction)):
+        raise InputError("moments must be finite", code="INPUT_PARSE")
+    return m
 
 
 @dataclass(frozen=True)
@@ -349,14 +433,12 @@ def normal_form(moments):
     ``Fraction`` without rounding); one whose m_1 is exactly 0 skips the
     shift.  Moment j is then divided in floats by the standard deviation
     once per order, unless the central variance is not positive.  A
-    non-finite entry is ``INPUT_PARSE``, a central moment out of float
-    range ``INPUT_RANGE``.  A normal form is its own normal form.
+    non-finite entry is ``INPUT_PARSE``, a central or standardised moment
+    out of float range ``INPUT_RANGE``.  A normal form is its own normal form.
     """
     if isinstance(moments, NormalForm):
         return moments
     m = _moment_list(moments)
-    if not all(math.isfinite(x) for x in m if not isinstance(x, Fraction)):
-        raise InputError("moments must be finite", code="INPUT_PARSE")
     mean = m[0]
     if mean != 0:
         exact = [Fraction(1)] + [Fraction(x) for x in m]
@@ -371,11 +453,12 @@ def normal_form(moments):
     if not variance > 0.0:
         return NormalForm(mean, 1.0, central.tolist())
     sd = math.sqrt(variance)
-    # an overflow here leaves an infinite moment, whose Hankel minors the
-    # pencil reports as out of float range
     with np.errstate(over="ignore"):
         for j in range(len(central)):
             central[j:] /= sd
+    if not np.all(np.isfinite(central)):
+        raise InputError("moments too large: a standardised moment is not "
+                         "a finite float", code="INPUT_RANGE")
     return NormalForm(mean, float(variance), central.tolist())
 
 

@@ -9,12 +9,12 @@ numerically on the :func:`~homoment.estimate.normal_form` of the moments:
 the scaled sum of squared minors is minimized over the admissible
 variance interval and compared against a threshold.
 
-On sample data (:func:`estimate_components_from_data`) one blockwise
-pass takes the moments of the observations about their mean, with no
-centred copy (:func:`sample_normal_form`), and each minor is scaled by
-its sampling noise: the delta method applied to the asymptotic
-covariance of the sample moments (:func:`delta_minor_scales`).  Nothing
-in the count is random.
+On sample data (:func:`estimate_components_from_data`) the blockwise
+pass that :mod:`homoment.estimate` shares with the closed-form fit takes
+the moments about the sample mean (:func:`~.estimate.sample_normal_form`),
+and each minor is scaled by its sampling noise: the delta method applied
+to the asymptotic covariance of the sample moments
+(:func:`delta_minor_scales`).  Nothing in the count is random.
 
 Closed forms are provided for the two smallest cases: the third cumulant
 (order-3 hypersurface of single Gaussians) and the weighted degree-18
@@ -29,13 +29,14 @@ from . import _poly
 from . import series as ts
 from .errors import InputError, InsufficientOrderError, PreconditionError
 from .estimate import (
-    _finite_sample,
     _minor_scales,
     _moment_scale,
     _observations,
     hankel_pencil,
     normal_form,
     pencil_minor_values,
+    raw_moments,
+    sample_normal_form,
 )
 
 DEFAULT_THRESHOLD = 1e-8
@@ -173,74 +174,21 @@ def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
             for k in range(1, k_max + 1)]
 
 
+def component_count(verdicts):
+    """The smallest k whose verdict accepts, in a ladder for k =
+    1..k_max; k_max + 1 if none does."""
+    return next((v.k for v in verdicts if v.on_model), len(verdicts) + 1)
+
+
 def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
     """Smallest k whose secant accepts the moments; k_max + 1 if none.
     ``k_max`` must be at least 1 (``PreconditionError``)."""
-    for verdict in component_ladder(moments, k_max, threshold=threshold):
-        if verdict.on_model:
-            return verdict.k
-    return k_max + 1
+    return component_count(component_ladder(moments, k_max,
+                                            threshold=threshold))
 
 
 # ----------------------------------------------------------------------
 # noise-calibrated component count for sample data
-
-
-# values per block of the moment pass, so that a block and its running
-# product stay in cache
-_BLOCK = 16384
-
-
-def _power_sums(arr, order, counts=None, centre=0.0):
-    """``sum(counts * (arr - centre)**j)`` for j = 1..order (``counts``
-    defaults to ones).
-
-    The values are taken ``_BLOCK`` at a time into one buffer, and a
-    second buffer holds their running product, so there is no ``pow``, no
-    table of powers and no temporary as large as the sample.  Each
-    block's sums are added to running totals, which is as accurate as
-    one pairwise pass (Higham, 1993).
-    """
-    sums = np.zeros(order)
-    size = min(arr.size, _BLOCK)
-    base, term = np.empty(size), np.empty(size)
-    for start in range(0, arr.size, _BLOCK):
-        block = arr[start:start + _BLOCK]
-        x, t = base[:block.size], term[:block.size]
-        np.subtract(block, centre, out=x)
-        if counts is None:
-            t[:] = x
-        else:
-            np.multiply(counts[start:start + _BLOCK], x, out=t)
-        sums[0] += t.sum()
-        for j in range(1, order):
-            t *= x
-            sums[j] += t.sum()
-    return sums.tolist()
-
-
-def raw_moments(data, order, centre=0.0):
-    """First ``order`` sample moments of a flat data vector about
-    ``centre`` (raw moments at the default 0), in one blockwise pass
-    (:func:`_power_sums`): the data are never copied.  ``order`` must be
-    at least 1 (``PreconditionError``)."""
-    _check_k(order, "order")
-    arr = _observations(data).ravel()
-    return [s / arr.size for s in _power_sums(arr, order, centre=centre)]
-
-
-def sample_normal_form(data, order):
-    """The normal form of the first ``order`` moments of a flat data
-    vector.  Moments of data far from the origin spend their digits on
-    the mean, so one blockwise pass (:func:`raw_moments`) takes them
-    about the sample mean, with m_1 set to exactly 0 (no ``Fraction``
-    arithmetic runs).  A sample mean or moment that is not a finite
-    float is ``INPUT_RANGE``."""
-    arr = _observations(data).ravel()
-    with np.errstate(over="ignore"):
-        centre = float(_finite_sample(arr.mean(), "mean"))
-    m = _finite_sample(raw_moments(arr, order, centre=centre), "moment")
-    return replace(normal_form([0.0] + m[1:]), mean=centre)
 
 
 def _check_resamples(n_boot):
@@ -256,19 +204,17 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     ``witnesses`` maps each k to the variance its minors are evaluated
     at; the result maps each k to one noise level per minor.  The
     ``n_boot`` resamples (at least 2) are drawn once and shared by every
-    k.  A resample enters through its multiplicities, so its moments are
-    weighted power sums of the original data of orders 1..``d``; they
-    fill one ``n_boot x d`` stack, whose minors are then taken in one
-    batched :func:`pencil_minor_values` call per k.
+    k.  Each resample is gathered and its moments of orders 1..``d``
+    taken by :func:`~homoment.estimate.raw_moments`; they fill one
+    ``n_boot x d`` stack, whose minors are then taken in one batched
+    :func:`pencil_minor_values` call per k.
     """
     _check_resamples(n_boot)
     arr = _observations(data).ravel()
     rng = np.random.default_rng(seed)
     moments = np.empty((n_boot, d))
     for row in moments:
-        pick = rng.integers(0, arr.size, arr.size)
-        row[:] = _power_sums(arr, d, np.bincount(pick, minlength=arr.size))
-    moments /= arr.size
+        row[:] = raw_moments(arr[rng.integers(0, arr.size, arr.size)], d)
     scales = {}
     for k, witness_s in witnesses.items():
         minors = pencil_minor_values(moments, k, witness_s)
@@ -354,5 +300,4 @@ def _whitened_count(m, k_max, noise):
     verdicts = [_pencil_membership(m, p, NOISE_FACTOR * v.nminors,
                                    scales[p.k])
                 for p, v in zip(pencils, first)]
-    k_hat = next((v.k for v in verdicts if v.on_model), k_max + 1)
-    return k_hat, verdicts
+    return component_count(verdicts), verdicts

@@ -270,6 +270,17 @@ class TestSimulateAndFit2:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_defaults_to_zero(self, capsys, tmp_path):
+        params = self._write_params(tmp_path)
+        outputs = []
+        for seed_args in ([], ["--seed", "0"]):
+            out = tmp_path / f"seed{len(seed_args)}.csv"
+            code, _, _ = run(["simulate", "--params", str(params), "--count",
+                              "50", "--output", str(out)] + seed_args, capsys)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_round_trip_recovers_truth(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
         data = tmp_path / "data.csv"
@@ -900,18 +911,3 @@ class TestHugeInput:
             assert_rejected(["fit2", "--order", order, "--input", str(data)],
                             error_code="INPUT_RANGE")
 
-
-class TestSeedEnvironment:
-    def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
-        params = tmp_path / "p.json"
-        params.write_text(json.dumps({
-            "means": [[0.0]], "weights": [1.0], "cov": [[1.0]]}))
-        out1 = tmp_path / "s1.csv"
-        out2 = tmp_path / "s2.csv"
-        monkeypatch.setenv("HOMOMENT_SEED", "99")
-        run(["simulate", "--params", str(params), "--count", "50",
-             "--output", str(out1)], capsys)
-        monkeypatch.delenv("HOMOMENT_SEED")
-        run(["simulate", "--params", str(params), "--count", "50",
-             "--seed", "99", "--output", str(out2)], capsys)
-        assert out1.read_text() == out2.read_text()

@@ -155,13 +155,22 @@ class TestNormalFormEntryPoints:
         "fit_univariate": lambda m: estimate.fit_univariate(m + [1.0], 2),
     }
 
-    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    # these read the moments as given, with the same finiteness check
+    PENCIL_ENTRY_POINTS = {
+        "hankel_pencil": lambda m: ranktest.hankel_pencil(m, 1),
+        "variance_polynomial": lambda m: estimate.variance_polynomial(m, 1),
+        "pencil_minor_values":
+            lambda m: ranktest.pencil_minor_values(m, 1, 0.5),
+    }
+
+    @pytest.mark.parametrize("entry",
+                             sorted(ENTRY_POINTS) + sorted(PENCIL_ENTRY_POINTS))
     @pytest.mark.parametrize("moments", [
         [math.nan, 2.0, 3.0], [1.0, math.inf, 3.0], [1.0, 2.0, -math.inf]],
         ids=["nan", "inf", "-inf"])
     def test_non_finite_moments(self, entry, moments):
         with pytest.raises(InputError) as exc:
-            self.ENTRY_POINTS[entry](moments)
+            {**self.ENTRY_POINTS, **self.PENCIL_ENTRY_POINTS}[entry](moments)
         assert exc.value.code == "INPUT_PARSE"
         assert str(exc.value) == "moments must be finite"
 
@@ -419,7 +428,7 @@ class TestBatchedPencil:
 
 
 class TestBlockwiseMoments:
-    B = ranktest._BLOCK
+    B = estimate._BLOCK
     SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
 
     @staticmethod
@@ -429,6 +438,11 @@ class TestBlockwiseMoments:
             want = np.sum(counts * powers)
             # rounding grows with the sum of magnitudes, not the sum
             assert abs(value - want) <= 1e-12 * np.sum(counts * np.abs(powers))
+
+    @staticmethod
+    def _block_rows(n, degree):
+        # a block holds at most B values of the widest order
+        return TestBlockwiseMoments.B // math.comb(n + degree - 1, degree)
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("c", [0.0, 10.0, 1000.0])
@@ -440,11 +454,56 @@ class TestBlockwiseMoments:
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("c", [0.0, 10.0, 1000.0])
     def test_weighted_sums_match_powers(self, size, c):
+        # a gathered resample, as the bootstrap takes it: its moment sums
+        # are the power sums weighted by each value's multiplicity
         rng = np.random.default_rng(size + 1)
         x = rng.normal(0.4, 1.5, size)
-        counts = np.bincount(rng.integers(0, size, size), minlength=size)
-        got = ranktest._power_sums(x, 7, counts, centre=c)
-        self._check(got, x, c, counts)
+        pick = rng.integers(0, size, size)
+        got = ranktest.raw_moments(x[pick], 7, centre=c)
+        self._check([v * size for v in got], x, c,
+                    np.bincount(pick, minlength=size))
+
+    @pytest.mark.parametrize("n,degree", [(2, 5), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_monomial_sums_match_products(self, n, degree, blocks, extra):
+        size = blocks * self._block_rows(n, degree) + extra
+        rng = np.random.default_rng(10 * n + degree)
+        x = rng.normal(0.4, 1.5, (size, n)) + [0.0, 10.0, -3.0][:n]
+        c = x.mean(axis=0)
+        got = estimate.moment_sums(x, degree, c)
+        monomials = ts.multi_indices(n, degree)[1:]
+        assert got.shape == (len(monomials),)
+        for a, value in zip(monomials, got):
+            products = np.prod((x - c) ** np.asarray(a), axis=1)
+            assert abs(value - products.sum()) <= 1e-12 * np.sum(
+                np.abs(products))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_column_is_a_running_product(self, size):
+        # bit for bit the blockwise running product, and a flat vector
+        # is its one-column matrix
+        x = np.random.default_rng(4).normal(0.4, 1.5, size)
+        want = np.zeros(6)
+        for start in range(0, size, self.B):
+            centred = x[start:start + self.B] - 0.3
+            term = centred.copy()
+            want[0] += term.sum()
+            for j in range(1, 6):
+                term *= centred
+                want[j] += term.sum()
+        for arr, c in ((x, 0.3), (x.reshape(-1, 1), [0.3])):
+            assert estimate.moment_sums(arr, 6, c).tolist() == want.tolist()
+
+    def test_parents_never_follow_their_children(self):
+        for n in range(1, 9):
+            for degree in range(1, 9):
+                sizes, steps = estimate._moment_steps(n, degree)
+                assert sizes == tuple(math.comb(n + j - 1, j)
+                                      for j in range(1, degree + 1))
+                for size, order in zip(sizes[1:], steps):
+                    children = [child for child, _, _ in order]
+                    assert children == list(range(size))[::-1]
+                    assert all(parent <= child for child, parent, _ in order)
 
     def test_count_allocates_no_sample_sized_temporary(self):
         p = models.HomoscedasticParams(means=[[0.0], [2.5]],
@@ -454,6 +513,19 @@ class TestBlockwiseMoments:
         tracemalloc.start()
         try:
             ranktest.estimate_components_from_data(data, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.nbytes
+
+    def test_cumulants_allocate_no_sample_sized_temporary(self):
+        data = models.sample_mixture(models.HomoscedasticParams(
+            means=[[1.2, -0.8, 0.5], [-0.6, 0.4, -0.25]], weights=[0.35, 0.65],
+            cov=np.eye(3).tolist()), 100_000, seed=2)
+        estimate.sample_cumulants(data, 5)
+        tracemalloc.start()
+        try:
+            estimate.sample_cumulants(data, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -479,17 +551,6 @@ class TestSampleMoments:
         got = ranktest.raw_moments(self.DATA, 7)
         want = [float(np.mean(self.DATA ** j)) for j in range(1, 8)]
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_resample_moments_match_gathered(self):
-        arr = self.DATA[:300]
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            pick = rng.integers(0, arr.size, arr.size)
-            counts = np.bincount(pick, minlength=arr.size)
-            weighted = [s / arr.size
-                        for s in ranktest._power_sums(arr, 5, counts)]
-            assert weighted == pytest.approx(
-                ranktest.raw_moments(arr[pick], 5), rel=1e-12)
 
     def test_bootstrap_matches_gathered_resamples(self):
         arr = self.DATA[:300]
