@@ -47,20 +47,27 @@ _DROP_TOL = 1e-13
 def real_roots(coeffs, imag_tol=1e-9):
     """Real roots of an ascending-coefficient polynomial.
 
-    Roots come from the companion matrix (``numpy.roots``); a root counts
-    as real when its imaginary part is below ``imag_tol`` relative to its
-    magnitude.  Leading coefficients that are negligible relative to the
-    largest one are dropped first so nearly degenerate leading terms do
-    not inject spurious huge roots.
+    Roots are those of ``numpy.roots``, without its wrapper: zero for
+    each vanishing trailing coefficient, and the eigenvalues of the
+    companion matrix of the rest.  A root counts as real when its
+    imaginary part is below ``imag_tol`` relative to its magnitude.
+    Leading coefficients that are negligible relative to the largest one
+    are dropped first so nearly degenerate leading terms do not inject
+    spurious huge roots.
     """
     deg = poly_degree(coeffs, rel_tol=_DROP_TOL)
     if deg <= 0:
         return []
-    desc = [float(c) for c in coeffs[deg::-1]]
-    roots = np.roots(desc)
-    out = [float(r.real) for r in roots
+    desc = np.array([float(c) for c in coeffs[deg::-1]])
+    last = np.flatnonzero(desc)[-1]
+    zeros = [0.0] * (deg - last)
+    if last == 0:
+        return zeros
+    companion = np.eye(last, k=-1)
+    companion[0] = -desc[1:last + 1] / desc[0]
+    out = [r.real for r in np.linalg.eigvals(companion).tolist()
            if abs(r.imag) <= imag_tol * max(1.0, abs(r))]
-    return sorted(out)
+    return sorted(out + zeros)
 
 
 def lagrange_interpolate(xs, ys):

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,13 +145,15 @@ def moment_sums(arr, degree, centre):
             block = arr[start:start + rows]
             x, t = base[:, :len(block)], term[:, :len(block)]
             np.subtract(block.T, centre, out=x)
-            t[:n] = x
-            np.add.reduce(t[:n], axis=1, out=part[:n])
-            # row views in lists, which index faster than the arrays
+            np.add.reduce(x, axis=1, out=part[:n])
+            # row views in lists, which index faster than the arrays; the
+            # parents of order 2 are the centred columns themselves
             xs, terms, offset = list(x), list(t), n
+            parents = xs
             for size, order in zip(sizes[1:], steps):
                 for child, parent, column in order:
-                    np.multiply(terms[parent], xs[column], out=terms[child])
+                    np.multiply(parents[parent], xs[column], out=terms[child])
+                parents = terms
                 np.add.reduce(t[:size], axis=1, out=part[offset:offset + size])
                 offset += size
             sums += part
@@ -171,15 +174,24 @@ def raw_moments(data, order, centre=0.0):
 def sample_normal_form(data, order):
     """The normal form of the first ``order`` moments of a flat data
     vector.  Moments of data far from the origin spend their digits on
-    the mean, so one blockwise pass (:func:`raw_moments`) takes them
+    the mean, so one blockwise pass (:func:`moment_sums`) takes them
     about the sample mean, with m_1 set to exactly 0 (no ``Fraction``
-    arithmetic runs).  A sample mean or moment that is not a finite
-    float is ``INPUT_RANGE``."""
-    arr = _observations(data).ravel()
-    with np.errstate(over="ignore"):
-        centre = float(_finite_sample(arr.mean(), "mean"))
-    m = _finite_sample(raw_moments(arr, order, centre=centre), "moment")
-    return replace(normal_form([0.0] + m[1:]), mean=centre)
+    arithmetic runs).  ``order`` must be at least 1
+    (``PreconditionError``); data that are empty or not finite fail as
+    in :func:`raw_moments`, and a sample mean or moment that is not a
+    finite float is ``INPUT_RANGE``."""
+    if order < 1:
+        raise PreconditionError(f"order must be at least 1, got {order}")
+    arr = np.asarray(data, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = float(arr.mean()) if arr.size else math.nan
+    # a sum with a term that is not finite is not finite either, so only
+    # a mean that is not finite calls for a scan of the values
+    if not math.isfinite(centre):
+        _observations(arr)
+        _finite_sample(centre, "mean")
+    m = _finite_sample(moment_sums(arr, order, centre) / arr.size, "moment")
+    return replace(normal_form([0.0] + m[1:].tolist()), mean=centre)
 
 
 def sample_cumulants(data, degree):
@@ -517,12 +529,6 @@ class HankelPencil:
         return len(self.minors)
 
 
-def _column_subsets(d, k):
-    """The ``k + 1``-column subsets of the ``d - k + 1`` pencil columns,
-    one maximal minor each, in ``combinations`` order."""
-    return list(combinations(range(d - k + 1), k + 1))
-
-
 def pencil_minor_values(moments, k, s):
     """Values of every maximal minor at the variance ``s``, over the
     matrix of all the given moments.
@@ -545,7 +551,7 @@ def pencil_minor_values(moments, k, s):
         # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
         row = [Fraction(1)] + deconvolve_moments(m, s)
         return [_poly.det([[row[i + j] for j in sel] for i in range(k + 1)])
-                for sel in _column_subsets(len(m), k)]
+                for sel in _minor_layout(len(m), k).subsets]
     return _float_minors(moments, k, s)
 
 
@@ -554,51 +560,105 @@ def _float_minors(moments, k, s):
     variance (rows and variances broadcast against each other).
 
     Every row is deconvolved in the term order of
-    :func:`deconvolve_moments`, every minor's submatrix is gathered from
-    the deconvolved rows by one fancy index (Hankel entry (i, j) is
-    ``mt_{i+j}``), and one stacked determinant takes them all, so each
-    value equals the per-row float evaluation.
+    :func:`deconvolve_moments`, in Python floats: they round as numpy's
+    do, and cost less than numpy calls on rows this short.  Every
+    minor's submatrix is gathered from the deconvolved rows by one fancy
+    index (Hankel entry (i, j) is ``mt_{i+j}``), and one stacked
+    determinant takes them all, so each value equals the per-row float
+    evaluation.
     """
-    rows = np.atleast_2d(np.asarray(moments, dtype=float))
-    s = np.asarray(s, dtype=float)
-    count, d = np.broadcast_shapes(rows.shape[:1], s.shape) + rows.shape[1:]
+    rows = np.asarray(moments, dtype=float)
+    d = rows.shape[-1]
     if d < 2 * k:
         raise InsufficientOrderError(f"need order {2 * k} for k={k}")
-    s = np.broadcast_to(s, (count,))[:, None]
-    coeffs, index = _minor_layout(d, k)
-    # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
-    full = np.ones((count, d + 1))
-    full[:, 1:] = rows
-    mt = full.copy()
-    power = s
+    layout = _minor_layout(d, k)
+    rows = rows.reshape(-1, d).tolist()
+    variances = np.asarray(s, dtype=float).ravel().tolist()
+    if len(rows) == 1:
+        rows *= len(variances)
+    elif len(variances) == 1:
+        variances *= len(rows)
+    if len(rows) != len(variances):
+        raise ValueError(f"{len(rows)} moment rows and {len(variances)} "
+                         "variances do not broadcast")
+    mt = []
+    for row, v in zip(rows, variances):
+        # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
+        full = [1.0] + row
+        out, power = full[:], v
+        for i, coeffs in enumerate(layout.coeffs, start=1):
+            for j, coeff in enumerate(coeffs, start=2 * i):
+                out[j] = out[j] + coeff * full[j - 2 * i] * power
+            power = power * v
+        mt.append(out)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, coeff in enumerate(coeffs, start=1):
-            term = coeff * full[:, :d + 1 - 2 * i] * power
-            mt[:, 2 * i:] = mt[:, 2 * i:] + term
-            power = power * s
-        values = np.linalg.det(mt[:, index])
+        values = np.linalg.det(np.array(mt).reshape(-1, d + 1)[:, layout.index])
     # a float minor overflows on huge input
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InputError("moments too large: a Hankel minor is not a finite "
                          "float", code="INPUT_RANGE")
     return values
 
 
+class _MinorLayout(NamedTuple):
+    """What the pencil of order ``d`` and ``k`` needs of ``d`` and ``k``
+    alone (:func:`_minor_layout`)."""
+
+    subsets: tuple   # k + 1 of the d - k + 1 columns, one maximal minor each
+    weights: tuple   # weighted degree of each minor
+    degrees: tuple   # degree of each minor in the variance
+    groups: tuple    # (degree, read-only index of its minors), ascending
+    nodes: int       # interpolation nodes: one more than the top degree
+    coeffs: tuple    # deconvolution coefficients per power of the variance
+    index: np.ndarray  # read-only: gathers every minor's submatrix
+
+
 @functools.lru_cache(maxsize=None)
 def _minor_layout(d, k):
-    """What :func:`_float_minors` needs of the order ``d`` and of ``k``
-    alone: the deconvolution coefficients of ``variance**i`` for
-    i = 1..d//2 (one read-only array each, over orders 2i..d) and the
-    index gathering every minor's submatrix from a deconvolved row."""
-    coeffs = []
-    for i in range(1, d // 2 + 1):
-        coeffs.append(np.array([_deconvolution_coeff(j, i)
-                                for j in range(2 * i, d + 1)], dtype=float))
-    subsets = np.array(_column_subsets(d, k))
-    index = np.arange(k + 1)[:, None] + subsets[:, None, :]
-    for array in coeffs + [index]:
+    """The :class:`_MinorLayout` of the pencil of order ``d`` and ``k``,
+    built once per process.
+
+    The column subsets come in ``combinations`` order.  A minor on
+    columns ``sel`` weighs ``k (k + 1) / 2 + sum(sel)`` and is a
+    polynomial of half that degree in the variance; minors of one degree
+    form a group, fitted together.  The deconvolution coefficients of
+    ``variance**i`` for i = 1..d//2 cover orders 2i..d, and the index
+    gathers every minor's submatrix from a deconvolved row."""
+    subsets = tuple(combinations(range(d - k + 1), k + 1))
+    weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
+    degrees = tuple(w // 2 for w in weights)
+    groups = tuple((deg, np.flatnonzero(np.equal(degrees, deg)))
+                   for deg in sorted(set(degrees)))
+    coeffs = tuple(tuple(float(_deconvolution_coeff(j, i))
+                         for j in range(2 * i, d + 1))
+                   for i in range(1, d // 2 + 1))
+    index = np.arange(k + 1)[:, None] + np.array(subsets)[:, None, :]
+    for array in [idx for _, idx in groups] + [index]:
         array.flags.writeable = False
-    return tuple(coeffs), index
+    return _MinorLayout(subsets, weights, degrees, groups, max(degrees) + 1,
+                        coeffs, index)
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_systems(count, scale):
+    """The ``count`` interpolation nodes at ``scale``
+    (:func:`~homoment._poly.interpolation_nodes`) and, for each degree
+    below ``count``, the least-squares system that
+    ``numpy.polynomial.polynomial.polyfit`` sets up on the first
+    ``degree + 1`` nodes: the Vandermonde matrix with unit-norm columns,
+    those column norms and ``rcond``.  Arrays are read-only."""
+    nodes = np.asarray(_poly.interpolation_nodes(count, scale))
+    systems = []
+    for deg in range(count):
+        x = nodes[:deg + 1]
+        lhs = np.polynomial.polynomial.polyvander(x, deg).T
+        scl = np.sqrt(np.square(lhs).sum(1))
+        scl[scl == 0] = 1
+        matrix = lhs.T / scl
+        matrix.flags.writeable = scl.flags.writeable = False
+        systems.append((matrix, scl, len(x) * np.finfo(float).eps))
+    nodes.flags.writeable = False
+    return nodes, tuple(systems)
 
 
 def hankel_pencil(moments, k):
@@ -609,36 +669,37 @@ def hankel_pencil(moments, k):
     degree in the variance; coefficients are recovered by evaluating the
     determinants at that many nodes and interpolating, exactly over
     rational input.  Float input evaluates every node in one batched
-    :func:`pencil_minor_values` call, and the minors of one degree share
-    the node prefix they are fitted on, so each degree takes one
-    least-squares fit with a column per minor.  The matrix uses every
-    given moment.
+    :func:`_float_minors` call, and the minors of one degree share the
+    node prefix they are fitted on, so each degree takes one
+    least-squares solve with a column per minor.  Its system depends on
+    the node count and scale alone and is built once
+    (:func:`_fit_systems`); the solve is the one
+    ``numpy.polynomial.polynomial.polyfit`` makes, so the coefficients
+    are polyfit's to the bit.  The matrix uses every given moment.
     """
     m = _moment_list(moments)
     d = len(m)
     if d < 2 * k:
         raise InsufficientOrderError(
             f"pencil needs moment order at least {2 * k}, got {d}")
-    weights = [k * (k + 1) // 2 + sum(sel) for sel in _column_subsets(d, k)]
-    degrees = [w // 2 for w in weights]
+    layout = _minor_layout(d, k)
     if _poly.is_exact(m):
-        nodes = list(range(max(degrees) + 1))
+        nodes = list(range(layout.nodes))
         values = [pencil_minor_values(m, k, s) for s in nodes]
         minors = [tuple(_poly.lagrange_interpolate(
                       nodes[:deg + 1], [row[idx] for row in values[:deg + 1]]))
-                  for idx, deg in enumerate(degrees)]
+                  for idx, deg in enumerate(layout.degrees)]
     else:
-        nodes = np.asarray(_poly.interpolation_nodes(
-            max(degrees) + 1, max(abs(float(m[1])), 1.0)))
-        values = pencil_minor_values(m, k, nodes)
-        minors = [None] * len(degrees)
-        for deg in sorted(set(degrees)):
-            idx = [i for i, other in enumerate(degrees) if other == deg]
-            fitted = np.polynomial.polynomial.polyfit(
-                nodes[:deg + 1], values[:deg + 1, idx], deg)
-            for i, column in zip(idx, fitted.T.tolist()):
+        nodes, systems = _fit_systems(layout.nodes,
+                                      max(abs(float(m[1])), 1.0))
+        values = _float_minors(m, k, nodes)
+        minors = [None] * len(layout.degrees)
+        for deg, idx in layout.groups:
+            matrix, scl, rcond = systems[deg]
+            fitted = np.linalg.lstsq(matrix, values[:deg + 1, idx], rcond)[0]
+            for i, column in zip(idx.tolist(), (fitted.T / scl).tolist()):
                 minors[i] = tuple(column)
-    return HankelPencil(k=k, minors=tuple(minors), weights=tuple(weights))
+    return HankelPencil(k=k, minors=tuple(minors), weights=layout.weights)
 
 
 # leading moment minor, relative to its moment scale

@@ -131,8 +131,9 @@ def _inverse(x, p):
 
 def _residues(values, p):
     """x mod p for each rational x (anything with an integer numerator and
-    denominator)."""
-    return np.array([x.numerator * _inverse(x.denominator, p) % p
+    denominator); an integer is reduced without inverting its denominator."""
+    return np.array([x.numerator % p if x.denominator == 1
+                     else x.numerator * _inverse(x.denominator, p) % p
                      for x in values], dtype=np.int64)
 
 

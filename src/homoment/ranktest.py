@@ -29,6 +29,7 @@ from . import _poly
 from . import series as ts
 from .errors import InputError, InsufficientOrderError, PreconditionError
 from .estimate import (
+    _float_minors,
     _minor_scales,
     _moment_scale,
     _observations,
@@ -115,27 +116,29 @@ def _check_k(k, name):
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
-    """``secant_membership`` on an already expanded pencil of ``m``, with
-    each minor scaled by ``minor_scales`` (noise levels, for sample
-    moments) when given.
+    """``secant_membership`` on an already expanded pencil of the float
+    moments ``m``, with each minor scaled by ``minor_scales`` (noise
+    levels, for sample moments) when given.
 
     The expanded sum of squares (:func:`_sum_of_squares`) only locates
     the candidate variances: its large coefficients cancel, and so do
     those of each interpolated minor.  Every candidate is scored by the
     scaled minors themselves, evaluated at all candidates in one
-    :func:`pencil_minor_values` call.
+    :func:`~homoment.estimate._float_minors` call.
     """
     if minor_scales is None:
         minor_scales = _minor_scales(m, pencil.weights)
-    scales = [float(scale) if scale else 1.0 for scale in minor_scales]
+    scales = np.array([float(scale) if scale else 1.0
+                       for scale in minor_scales])
     objective = _sum_of_squares(pencil.minors, scales)
     s_max = max(float(m[1]), 0.0)
     candidates = [0.0, s_max]
-    for r in _poly.real_roots(_poly.poly_derivative(objective), imag_tol=1e-6):
+    derivative = _poly.poly_derivative(objective.tolist())
+    for r in _poly.real_roots(derivative, imag_tol=1e-6):
         if 0.0 < r < s_max:
             candidates.append(r)
-    minors = pencil_minor_values(m, pencil.k, candidates)
-    residuals = np.sum((minors / np.asarray(scales)) ** 2, axis=1)
+    minors = _float_minors(m, pencil.k, candidates)
+    residuals = np.square(minors / scales).sum(axis=1)
     residual, witness = min(zip(residuals.tolist(), candidates))
     return MembershipVerdict(
         k=pencil.k, on_model=bool(residual < threshold), residual=residual,
@@ -153,9 +156,8 @@ def _sum_of_squares(minors, scales):
     ``bincount`` take the whole sum.
     """
     width = max(len(coeffs) for coeffs in minors)
-    rows = np.zeros((len(minors), width))
-    for row, coeffs in zip(rows, minors):
-        row[:len(coeffs)] = [float(c) for c in coeffs]
+    rows = np.array([tuple(coeffs) + (0.0,) * (width - len(coeffs))
+                     for coeffs in minors], dtype=float)
     rows /= np.asarray(scales)[:, None]
     powers = np.arange(width)
     return np.bincount((powers[:, None] + powers).ravel(),
@@ -225,20 +227,20 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
 def _delta_scales(m, count, witnesses, d):
     """:func:`delta_minor_scales` from the moments m_1..m_2d of a sample
     of ``count`` values."""
-    full = np.concatenate(([1.0], m))
+    full = np.array([1.0, *m])
     orders = np.arange(1, d + 1)
-    cov = (full[orders[:, None] + orders]
-           - np.outer(full[orders], full[orders])) / count
-    if not np.all(np.isfinite(cov)):
+    first = full[1:d + 1]
+    cov = (full[orders[:, None] + orders] - np.outer(first, first)) / count
+    if not np.isfinite(cov).all():
         raise InputError("data too large: the moment covariance is not a "
                          "finite float", code="INPUT_RANGE")
-    moments = np.asarray(m[:d])
     # moment j weighs j, so each step is the moment scale to that power
-    step = _DIFF_STEP * _moment_scale(moments) ** np.arange(1, d + 1)
-    rows = moments + np.concatenate((np.diag(step), -np.diag(step)))
+    step = _DIFF_STEP * _moment_scale(m[:d]) ** orders
+    diag = np.diag(step)
+    rows = first + np.concatenate((diag, -diag))
     scales = {}
     for k, witness_s in witnesses.items():
-        minors = pencil_minor_values(rows, k, witness_s)
+        minors = _float_minors(rows, k, witness_s)
         grad = (minors[:d] - minors[d:]) / (2.0 * step[:, None])
         var = np.einsum("ia,ij,ja->a", grad, cov, grad)
         scales[k] = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1e-300).tolist()

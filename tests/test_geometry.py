@@ -479,6 +479,19 @@ def check_against_oracle(monkeypatch, builder):
 class TestResiduesMatchFractionOracle:
     """Each residue builder equals its oracle over Q reduced mod p."""
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_residues(self, p):
+        # integers are reduced directly, fractions through the inverse of
+        # their denominator, which must be a unit mod p
+        values = [Fraction(3), Fraction(-7), Fraction(p + 5), 2, Fraction(2, 3),
+                  Fraction(-5, 12)]
+        want = [x.numerator * pow(x.denominator, -1, p) % p
+                for x in map(Fraction, values)]
+        got = geometry._residues(values, p)
+        assert got.dtype == np.int64 and got.tolist() == want
+        with pytest.raises(PreconditionError, match="not a unit"):
+            geometry._residues([Fraction(1), Fraction(1, 2 * p)], p)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_table_draws(self, monkeypatch, n):
         # every draw behind C01 and C02 (k = 1..12 at d = 3, seed 0) and

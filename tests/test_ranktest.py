@@ -1,10 +1,12 @@
 """Secant membership, hypersurface polynomials, component counting."""
 
+import hashlib
 import itertools
 import math
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -371,6 +373,14 @@ class TestBatchedMinors:
             assert values.tolist() == pytest.approx(
                 _loop_minors(m, k, s), rel=1e-12, abs=0)
 
+    def test_rows_and_variances_broadcast(self):
+        rows = np.random.default_rng(3).normal(size=(3, 5))
+        shared = ranktest.pencil_minor_values(rows, 1, 0.4)
+        assert ranktest.pencil_minor_values(rows, 1, [0.4]).tolist() == (
+            shared.tolist())
+        with pytest.raises(ValueError):
+            ranktest.pencil_minor_values(rows, 1, [0.4, 0.5])
+
     def test_overflowing_row_is_range_error(self):
         rows = np.random.default_rng(2).normal(size=(4, 5))
         rows[2] = 1e200
@@ -410,6 +420,37 @@ class TestBatchedPencil:
             top = max(abs(want))
             assert (np.max(np.abs(np.asarray(coeffs) - want))
                     <= max(1e-12 * top, own))
+
+    @pytest.mark.parametrize("k,d", CASES)
+    def test_fit_is_polyfit_to_the_bit(self, k, d):
+        # each degree's minors are fitted by one solve on polyfit's own
+        # cached system, so they equal polyfit on the same columns exactly
+        rng = np.random.default_rng(100 * k + d)
+        atoms = np.array([-0.8, 1.3])
+        m = [float(np.dot([0.4, 0.6], atoms ** j)) + 0.01 * rng.normal()
+             for j in range(1, d + 1)]
+        pencil = ranktest.hankel_pencil(m, k)
+        degrees = [w // 2 for w in pencil.weights]
+        nodes = np.asarray(_poly.interpolation_nodes(
+            max(degrees) + 1, max(abs(m[1]), 1.0)))
+        values = ranktest.pencil_minor_values(m, k, nodes)
+        for deg in set(degrees):
+            idx = [i for i, other in enumerate(degrees) if other == deg]
+            want = P.polyfit(nodes[:deg + 1], values[:deg + 1, idx], deg)
+            assert [pencil.minors[i] for i in idx] == [
+                tuple(column) for column in want.T.tolist()]
+
+    def test_cached_arrays_are_read_only(self):
+        # every caller shares them
+        layout = estimate._minor_layout(7, 2)
+        nodes, systems = estimate._fit_systems(layout.nodes, 1.0)
+        arrays = [layout.index, nodes]
+        arrays += [index for _, index in layout.groups]
+        arrays += [a for matrix, scl, _ in systems for a in (matrix, scl)]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
     @pytest.mark.parametrize("k,d", [(1, 3), (1, 5), (2, 5), (3, 7)])
     def test_gram_objective_matches_polynomial_products(self, k, d):
@@ -576,6 +617,52 @@ class TestSampleMoments:
         first = ranktest.estimate_components_from_data(data, 2)
         again = ranktest.estimate_components_from_data(data, 2)
         assert first == again
+
+    # a Gaussian and two mixtures, the last far from the origin
+    PINNED = [([[0.3]], [1.0], 1.7, 11),
+              ([[-1.0], [2.0]], [0.4, 0.6], 0.6, 12),
+              ([[500.0], [502.5]], [0.7, 0.3], 0.3, 13)]
+
+    def test_verdicts_are_pinned(self):
+        # k_hat and every verdict's residual and witness, to the bit
+        got = []
+        for means, weights, variance, seed in self.PINNED:
+            p = models.HomoscedasticParams(means=means, weights=weights,
+                                           cov=[[variance]])
+            data = models.sample_mixture(p, 100_000, seed)
+            k_hat, verdicts = ranktest.estimate_components_from_data(data, 2)
+            got.append((k_hat, [(v.residual, v.witness_s) for v in verdicts]))
+        assert [k_hat for k_hat, _ in got] == [1, 2, 2]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "bb6268ed367e4c5674d5ed5a218cb0a7bfef1785786dcbc062b8768e4f43d678")
+
+    def test_normal_form_is_raw_moments_about_the_mean(self):
+        data = 1e3 + self.DATA
+        form = estimate.sample_normal_form(data, 6)
+        m = ranktest.raw_moments(data, 6, centre=form.mean)
+        assert form == replace(estimate.normal_form([0.0] + m[1:]),
+                               mean=float(np.mean(data)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_only_a_non_finite_mean_is_scanned(self, monkeypatch, bad):
+        # a sum with a term that is not finite is not finite either, so
+        # finite data are never scanned, and non-finite data still fail
+        # as INPUT_PARSE
+        scans = []
+        observations = estimate._observations
+        monkeypatch.setattr(estimate, "_observations",
+                            lambda data: scans.append(1) or observations(data))
+        estimate.sample_normal_form(self.DATA, 4)
+        assert scans == []
+        data = self.DATA.copy()
+        data[17] = bad
+        with pytest.raises(InputError) as exc:
+            estimate.sample_normal_form(data, 4)
+        assert exc.value.code == "INPUT_PARSE"
+        assert scans == [1]
+        with pytest.raises(InputError) as exc:
+            estimate.sample_normal_form([], 4)
+        assert exc.value.code == "INPUT_EMPTY"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_rejected(self, bad):
