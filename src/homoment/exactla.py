@@ -20,9 +20,10 @@ reduction.  Each update subtracts a product of two residues, at most
 (p - 1)**2, from an entry that was in [0, p) when last reduced, so the
 block is reduced every ``(2**63 - p) // (p - 1)**2`` pivots, before any
 entry could leave ``int64``.  That is 2048 pivots for the default
-primes, more than any Jacobian in the ``geometry`` envelope has rows
-(143), and at least 2 for every prime below 2**31, the largest modulus
-accepted.
+primes, more than any block ``geometry`` ranks has rows (99 for a
+mixture at n = 8, k = 12, and 117 for a Dirac mixture at k = 14; the
+whole Jacobian, ``moment_map_jacobian``, reaches 143), and at least 2
+for every prime below 2**31, the largest modulus accepted.
 """
 
 from fractions import Fraction

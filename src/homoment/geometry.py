@@ -11,34 +11,42 @@ closed form:
     dM/dw_i  = (E_i - E_k) F     (i < k; the last weight is 1 - sum w_i)
     dM/dS_ij = u_i u_j M         (halved for i = j)
 
-Ranks are computed exactly.  At each random integer point the Jacobian
-is read off these series as residues mod a prime p below 2**26
-(``exactla.PRIMES``), its own prime for each point, and ranked over
-GF(p); it is never built over Q.
-Series live in numpy int64 arrays of generating coefficients m_a / a!:
-E_i comes from a per-atom table of p_ij^e / e!, F = exp(u'Su/2), the
-products E_i F and the series inverse D^-1 of the centered builder are
-truncated products over a cached per-(n, d) table of the index pairs
-(b, a - b), and each term is reduced mod p before the sum, so no product
-of two residues overflows.  Rows come from index shifts,
-(u_j S)[a] = S[a - e_j].  Each builder returns its Jacobian as a list of
-equal-length int64 row arrays, which ``exactla.rank`` stacks as they are,
-with no round trip through Python ints.
+Reports rank a smaller block of the same rank.  Multiplying the tangents
+(zero constant term) by the unit series M^-1 is unitriangular on their
+coefficients and gives the tangents of log M = log D + u'Su/2, with
+D = sum_i w_i E_i.  Trading the directions dM/dp_kj for the n
+translations sum_i dM/dp_ij is a change of parameters of determinant 1.
+A translation then gives u_j (order 1 only) and a covariance entry
+u_i u_j (order 2 only), so the Jacobian J is block-triangular:
 
-This is sound because every denominator of the rational Jacobian is a
-unit mod p: it divides a product of factorials e! with e <= d <= 6 (from
-E_i and from the exponential), powers of 2 and, in the centered builder,
-the drawn last weight, nonzero with |w_k| < p (D^-1 = sum_j (1 - D)^j adds
-none).  Each is inverted by ``_inverse``, which raises on a non-unit.  The residue matrix
-is then the rational Jacobian reduced mod p, a minor of it is the
-reduction of the corresponding minor over Q, and its rank is at most the
-rank over Q, which is at most the generic rank: every point gives a
-certified lower bound.  A point whose rank reaches min(rows, cols) of
-the Jacobian therefore certifies the generic rank on its own, and a
-report draws no further point.  Otherwise, by the Schwartz-Zippel lemma
-the bound is sharp with overwhelming probability, so reports take the
-maximum over at least two points and draw a third when the first two
-disagree.
+    rank J = n + n(n+1)/2 + rank B,
+
+B holding the rows w_i u_j E_i / D and (E_i - E_k) / D (i < k) at orders
+>= 3.  For a Dirac mixture rank J = n + the rank of those rows at orders
+>= 2; a mixture at d = 1 splits off only n.
+
+Ranks are computed exactly.  At each random integer point B is read off
+these series as residues mod a prime p below 2**26 (``exactla.PRIMES``),
+its own prime for each point, and ranked over GF(p).  Series live in
+numpy int64 arrays of generating coefficients m_a / a!: E_i comes from a
+per-atom table of p_ij^e / e!; the k products E_i D^-1 (E_i F in the
+whole Jacobian, ``moment_map_jacobian``) and D^-1 = sum_j (1 - D)^j are
+truncated products over a cached per-(n, d) table of the index pairs
+(b, a - b), each term reduced mod p before the sum, so no product of two
+residues overflows.  Rows come from index shifts, (u_j S)[a] = S[a - e_j].
+
+This is sound because every denominator is a unit mod p: it divides a
+product of factorials e! with e <= d <= 6 and powers of 2, and D^-1 adds
+none; ``_inverse`` raises on a non-unit.  The split holds mod p too: M^-1
+is a unit series, the change of parameters is unimodular and the
+split-off diagonal (1 and 1/2) is made of units.  So a point's rank is
+that of the rational Jacobian reduced mod p: at most the rank over Q,
+which is at most the generic rank, a certified lower bound.  A point
+whose rank reaches min(rows, cols) of J, the count split off plus
+min(rows, cols) of B, certifies the generic rank alone.  Otherwise, by
+the Schwartz-Zippel lemma the bound is sharp with overwhelming
+probability, so reports take the maximum over at least two points and
+draw a third when the first two disagree.
 
 The module also carries two pieces of reference data: the published
 classification table of the order-3 homoscedastic secants for up to
@@ -243,16 +251,12 @@ def _atoms(points, ix, p):
     return atoms
 
 
-def _mean_rows(weights, terms, ix, p):
-    """Rows w_i u_j T_i, j inner, from the series T_i (rows of ``terms``)."""
-    rows = weights[:, None, None] * _times_u(terms, ix.down) % p
-    return rows.reshape(-1, terms.shape[-1])
-
-
-def _tangent_rows(weights, terms, ix, p):
-    """Rows dM/dp_ij, then dM/dw_i for i < k, of M = sum_i w_i T_i."""
-    return np.vstack([_mean_rows(weights, terms, ix, p),
-                      (terms[:-1] - terms[-1]) % p])
+def _tangent_rows(weights, terms, down, columns, p):
+    """Rows w_i u_j T_i (j inner) for each of the ``weights``, then
+    T_i - T_k for i < k, at the coefficients the mask ``columns`` keeps."""
+    shifted = weights[:, None, None] * _times_u(terms[:len(weights)],
+                                                down[:, columns]) % p
+    return np.vstack([*shifted, (terms[:-1, columns] - terms[-1, columns]) % p])
 
 
 def moment_map_jacobian(params, degree, p):
@@ -283,9 +287,25 @@ def moment_map_jacobian(params, degree, p):
                        _inverse_factorials(degree, p)[:degree // 2 + 1], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
-    rows = np.vstack([_tangent_rows(weights, terms, ix, p),
-                      scale[:, None] * _times_u(moments, ix.pairs) % p])
-    return list(rows[:, 1:])
+    rows = np.vstack([_tangent_rows(weights, terms, ix.down, ix.order > 0, p),
+                      scale[:, None] * _times_u(moments, ix.pairs[:, 1:]) % p])
+    return list(rows)
+
+
+def _block(atoms, weights, degree, lowest, p):
+    """B mod p (module docstring): rows w_i u_j E_i / D (j inner), then
+    (E_i - E_k) / D, for i < k, at the orders ``lowest``..``degree``, for
+    rational ``atoms`` p_i and ``weights`` summing to one.  An ``int64``
+    array of (k - 1)(n + 1) rows."""
+    points = np.array([_residues(a, p) for a in atoms])
+    ix = _indices(points.shape[1], degree)
+    w = _residues(weights, p)
+    series = _atoms(points, ix, p)
+    # D has constant term 1, so D^-1 = sum_j (1 - D)^j over j <= degree
+    moments = (w[:, None] * series % p).sum(axis=0) % p
+    inverse = _power_sum((_one(ix) - moments) % p, [1] * (degree + 1), ix, p)
+    return _tangent_rows(w[:-1], _product(series, inverse, ix, p), ix.down,
+                         ix.order >= lowest, p)
 
 
 def _mixture_point(n, k, rng):
@@ -301,39 +321,9 @@ def _mixture_point(n, k, rng):
     return SimpleNamespace(means=means, weights=weights, cov=cov)
 
 
-def _mixture_jacobian(n, k, d, rng, p):
-    return moment_map_jacobian(_mixture_point(n, k, rng), d, p)
-
-
-def _centered_point(n, k, rng):
-    """Free coordinates of the centered atom space, k-1 atoms and all k
-    weights: the last weight (nonzero) and the last atom are eliminated by
-    the constraints."""
-    values = _draw(rng, (k - 1) * (n + 1))
-    if sum(values[(k - 1) * n:]) == 1:  # the last weight would be zero
-        return _centered_point(n, k, rng)
-    return _chunks(values[:(k - 1) * n], n), _all_weights(values[(k - 1) * n:])
-
-
-def _centered_jacobian(n, k, d, rng, p):
-    points, weights = _centered_point(n, k, rng)
-    ix = _indices(n, d)
-    w = _residues(weights, p)
-    free = np.array([_residues(x, p) for x in points])
-    # p_k = -sum_i w_i p_i / w_k; 0 < |w_k| < p, so w_k is a unit
-    last = -(w[:-1, None] * free % p).sum(axis=0) % p
-    last = last * _inverse(weights[-1], p) % p
-    # the moment series D = sum_i w_i E_i has tangents
-    # dD/dp_ij = w_i u_j (E_i - E_k) and dD/dw_i = E_i - E_k
-    # + sum_j (p_kj - p_ij) u_j E_k; those of log D are D^-1 times them
-    atoms = _atoms(np.vstack([free, last]), ix, p)
-    gaps = (atoms[:-1] - atoms[-1]) % p
-    slopes = (last - free) % p
-    shift = (slopes[:, :, None] * _times_u(atoms[-1], ix.down) % p).sum(axis=1)
-    rows = np.vstack([_mean_rows(w[:-1], gaps, ix, p), (gaps + shift) % p])
-    moments = (w[:, None] * atoms % p).sum(axis=0) % p
-    inverse = _power_sum((_one(ix) - moments) % p, [1] * (d + 1), ix, p)
-    return list(_product(rows, inverse, ix, p)[:, ix.order >= 3])
+def _mixture_block(n, k, d, rng, p):
+    point = _mixture_point(n, k, rng)
+    return _block(point.means, point.weights, d, 3, p)
 
 
 def _veronese_point(n, k, rng):
@@ -342,15 +332,13 @@ def _veronese_point(n, k, rng):
     return _chunks(values[:k * n], n), _all_weights(values[k * n:])
 
 
-def _veronese_jacobian(n, k, d, rng, p):
-    points, weights = _veronese_point(n, k, rng)
-    ix = _indices(n, d)
-    atoms = _atoms(np.array([_residues(x, p) for x in points]), ix, p)
-    return list(_tangent_rows(_residues(weights, p), atoms, ix, p)[:, 1:])
+def _veronese_block(n, k, d, rng, p):
+    return _block(*_veronese_point(n, k, rng), d, 2, p)
 
 
-def _point_ranks(jacobian_at, seed, n, k, d):
-    """Jacobian ranks at random points, each under its own prime.
+def _point_ranks(block_at, split, seed, n, k, d):
+    """Jacobian ranks, ``split`` plus the rank of the block ``block_at``
+    builds, at random points, each under its own prime.
 
     One point when its rank reaches min(rows, cols) of the Jacobian: no
     rank can exceed that, so the point certifies the generic rank.
@@ -358,9 +346,10 @@ def _point_ranks(jacobian_at, seed, n, k, d):
     maximum is the generic rank with overwhelming probability."""
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
-        jacobian = jacobian_at(n, k, d, rng, PRIMES[trial])
-        return rank(jacobian, PRIMES[trial]), min(len(jacobian),
-                                                  len(jacobian[0]))
+        block = block_at(n, k, d, rng, PRIMES[trial])
+        # ranked as a list of int64 rows, like moment_map_jacobian's
+        return (split + rank(list(block), PRIMES[trial]),
+                split + min(block.shape))
 
     first, bound = rank_at(0)
     if first == bound:
@@ -411,9 +400,9 @@ class DefectReport:
         }
 
 
-def _report(n, k, d, par, jacobian_at, seed):
+def _report(n, k, d, par, block_at, split, seed):
     ambient = ambient_dim(n, d)
-    ranks = _point_ranks(jacobian_at, seed, n, k, d)
+    ranks = _point_ranks(block_at, split, seed, n, k, d)
     dim = max(ranks)
     fiber = par - dim
     return DefectReport(n=n, k=k, d=d, par=par, ambient=ambient,
@@ -425,25 +414,28 @@ def _report(n, k, d, par, jacobian_at, seed):
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
     check_envelope(n, k, d)
-    return _report(n, k, d, parameter_count(n, k), _mixture_jacobian, seed)
+    # translations span order 1, the covariance order 2
+    return _report(n, k, d, parameter_count(n, k), _mixture_block,
+                   ambient_dim(n, min(d, 2)), seed)
 
 
 def centered_cumulant_rank(n, k, d, seed=0):
     """Generic rank of the order >= 3 cumulant map on centered atoms.
 
-    The mixture fiber dimension equals (k-1)(n+1) minus this rank, which
-    cross-checks :func:`defect_report` on a much smaller Jacobian.
+    This is the rank of the block B that :func:`defect_report` ranks, at
+    the same points: E_i / D is unchanged when every atom moves by the
+    same vector, so B at a point is B at its centered translate.  The
+    mixture fiber dimension is (k-1)(n+1) minus this rank.
     """
     check_envelope(n, k, d)
-    if k == 1:
-        return 0
-    return max(_point_ranks(_centered_jacobian, seed, n, k, d))
+    return max(_point_ranks(_mixture_block, 0, seed, n, k, d))
 
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
     check_envelope(n, k, d, k_max=MAX_K_VERONESE)
-    return _report(n, k, d, n * k + k - 1, _veronese_jacobian, seed)
+    # translations span order 1
+    return _report(n, k, d, n * k + k - 1, _veronese_block, n, seed)
 
 
 # ----------------------------------------------------------------------

@@ -165,12 +165,33 @@ class TestDefectTable:
          "0ff465ea0871265e88c295fa1d0af452490507a9275fba67ea60b3235be5b882"),
         ("--n 1..4 --d 3..4 --format json --seed 0",
          "1e9b075967c8b335256fc3c90fa37c11bf0fb9a12d4ded8a1df2a47094bb1813"),
-    ], ids=["n1..5-d3-check", "n1..4-d3..4"])
+        # every published row, as the table benchmark and CI run them
+        ("--n 1..7 --d 3 --check --format json --seed 0",
+         "4aef747bbc7f9f47631a3abb34449f7948294d2459ff25c6b8cab4a79bf09a0e"),
+        # d = 1 and 2: the rank block has no columns
+        ("--n 1..3 --d 1..2 --format json --seed 0",
+         "3db94b2fc803a26012956eef39a7920666e582a9035bed5784a8651ce5644f93"),
+        # the largest rank blocks, as CI runs them
+        ("--n 8 --k 2..12 --d 3 --check --format json --seed 0",
+         "23aa07abc14a7464e552c54c3b13d33fc6a50b8dc9b34f5b93f947a264423c3f"),
+    ], ids=["n1..5-d3-check", "n1..4-d3..4", "n1..7-d3-check", "n1..3-d1..2",
+            "n8-k2..12-d3-check"])
     def test_output_is_pinned(self, capsys, args, digest):
         # byte-stable stdout, d = 4 cells included
         code, out, _ = run(["defect-table"] + args.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_veronese_rows_are_pinned(self):
+        # the sporadic defective Veronese secants, the d = 2 cells of
+        # n <= 4, k <= 5, and a few with a rank block of no rows or columns
+        cells = [(n, k, d) for n, d, k in geometry.VERONESE_SPORADIC]
+        cells += [(n, k, 2) for n in range(1, 5) for k in range(1, 6)]
+        cells += [(1, 1, 1), (3, 2, 1), (1, 2, 3)]
+        rows = [geometry.veronese_report(n, k, d, seed=0).as_dict()
+                for n, k, d in cells]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "26e43956945dc5f00b186fa2f6871d3240c5f8df353c4d2a13448e323b542b9b")
 
     def test_jobs_match_serial(self, capsys, tmp_path):
         serial = tmp_path / "serial.json"

@@ -241,31 +241,20 @@ def fraction_moment_map_jacobian(params, degree):
     return rows
 
 
-def fraction_centered_jacobian(points, weights, d):
-    """``geometry._centered_jacobian`` over Q at its drawn point."""
-    n = len(points[0])
-    last = [Fraction(-sum(w * p[j] for w, p in zip(weights, points)),
-                     weights[-1]) for j in range(n)]
-    atoms = [dict(atom_series(p, d).items()) for p in points + [last]]
-    e_k = atoms[-1]
-    cols = moment_columns(n, d)
-    down = [lowered(cols, j) for j in range(n)]
-    rows = [[w * (e.get(b, 0) - e_k.get(b, 0)) for b in shifted]
-            for w, e in zip(weights[:-1], atoms) for shifted in down]
-    rows += [[e.get(a, 0) - e_k.get(a, 0)
-              + sum((q - x) * e_k.get(b, 0) for q, x, b in zip(last, p, lower))
-              for a, *lower in zip(cols, *down)]
-             for p, e in zip(points, atoms)]
-    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(
-        models.DiracMixtureParams(points=points + [last], weights=weights), d)))
-    tangents = [dict((ts.TruncatedSeries(n, d, dict(zip(cols, row))) * inverse)
-                     .items()) for row in rows]
-    return [[t.get(a, 0) for a in moment_columns(n, d, lowest=3)]
-            for t in tangents]
+def fraction_block(atoms, weights, d, lowest):
+    """``geometry._block`` over Q: the rows w_i u_j E_i / D and
+    (E_i - E_k) / D, i < k, at the orders >= ``lowest``."""
+    n = len(atoms[0])
+    dirac = models.DiracMixtureParams(points=atoms, weights=weights)
+    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(dirac, d)))
+    terms = [dict((atom_series(a, d) * inverse).items()) for a in atoms]
+    rows = fraction_tangent_rows(weights, terms, moment_columns(n, d, lowest))
+    return rows[:(len(atoms) - 1) * n] + rows[len(atoms) * n:]
 
 
 def fraction_veronese_jacobian(points, weights, d):
-    """``geometry._veronese_jacobian`` over Q at its drawn point."""
+    """The whole Jacobian of a Dirac mixture over Q: rows dM/dp_ij, then
+    dM/dw_i for i < k, at every order."""
     terms = [dict(atom_series(p, d).items()) for p in points]
     return fraction_tangent_rows(weights, terms,
                                  moment_columns(len(points[0]), d))
@@ -277,19 +266,40 @@ def reduced(matrix, p):
              for x in row] for row in matrix]
 
 
+def mixture_block_oracle(n, k, d, rng):
+    point = geometry._mixture_point(n, k, rng)
+    return fraction_block(point.means, point.weights, d, 3)
+
+
+# the oracle over Q of each residue block at the point it draws from ``rng``
+ORACLES = {
+    "_mixture_block": mixture_block_oracle,
+    "_veronese_block": lambda n, k, d, rng: fraction_block(
+        *geometry._veronese_point(n, k, rng), d, 2),
+}
+
+# The block behind each Jacobian rank, with the lowest order it keeps:
+# the mixture's, the Dirac mixture's, and that of the centered cumulant
+# map, which ``centered_cumulant_rank`` ranks as the mixture block.
+BLOCKS = {
+    "_mixture_jacobian": ("_mixture_block", 3),
+    "_veronese_jacobian": ("_veronese_block", 2),
+    "_centered_jacobian": ("_mixture_block", 3),
+}
+
+
 @pytest.mark.parametrize("builder,n,k,d", [
     ("_mixture_jacobian", 3, 2, 4), ("_veronese_jacobian", 2, 3, 4),
     ("_centered_jacobian", 3, 3, 3),
 ])
 @pytest.mark.parametrize("p", PRIMES)
 def test_builders_return_int64_residue_rows(builder, n, k, d, p):
-    jac = getattr(geometry, builder)(n, k, d, random.Random(n + k + d), p)
-    assert isinstance(jac, list) and jac
-    width = len(jac[0])
-    for row in jac:
-        assert isinstance(row, np.ndarray)
-        assert row.dtype == np.int64 and row.shape == (width,)
-        assert 0 <= row.min() and row.max() < p
+    name, lowest = BLOCKS[builder]
+    block = getattr(geometry, name)(n, k, d, random.Random(n + k + d), p)
+    columns = len(moment_columns(n, d, lowest))
+    assert isinstance(block, np.ndarray) and block.dtype == np.int64
+    assert block.shape == ((k - 1) * (n + 1), columns)
+    assert 0 <= block.min() and block.max() < p
 
 
 class TestMomentJacobian:
@@ -410,54 +420,23 @@ class TestTangentsMatchForwardMaps:
 
     @pytest.mark.parametrize("n,k,d", [(2, 2, 3), (2, 3, 4), (3, 3, 3)])
     def test_centered(self, n, k, d):
-        rng, twin = random.Random(d), random.Random(d)
-        jac = fraction_centered_jacobian(*geometry._centered_point(n, k, rng), d)
-        free = [Fraction(x) for x in geometry._draw(twin, (k - 1) * (n + 1))]
-        assert sum(free[(k - 1) * n:]) != 1  # no redraw: the twin matches
-        points = [free[i * n:(i + 1) * n] for i in range(k - 1)]
-        weights = free[(k - 1) * n:]
-        w_k = 1 - sum(weights)
-        last = [-sum(w * p[j] for w, p in zip(weights, points)) / w_k
-                for j in range(n)]
-        # with the last atom p_k free too, the cumulants are polynomial
-        # along every coordinate; the chain rule through
-        # p_k = -sum_i w_i p_i / w_k then gives the centered rows
-        full = free[:(k - 1) * n] + last + weights
-        cols = moment_columns(n, d, lowest=3)
-
-        def along(r):
-            return tangent_by_interpolation(
+        # the rows of B are the tangents of log D, the cumulant series of
+        # the Dirac mixture, along the first k - 1 atoms and weights; B is
+        # also the Jacobian of the centered cumulant map at orders >= 3
+        point = geometry._mixture_point(n, k, random.Random(d))
+        block = fraction_block(point.means, point.weights, d, 2)
+        free = [x for mean in point.means for x in mean] + point.weights[:-1]
+        along = [r for r in range(len(free)) if not (k - 1) * n <= r < k * n]
+        cols = moment_columns(n, d, lowest=2)
+        assert len(block) == len(along) == (k - 1) * (n + 1)
+        for r, row in zip(along, block):
+            assert row == tangent_by_interpolation(
                 lambda x: ts.log(models.dirac_mixture_moments(
-                    dirac_point(x, n, k), d)).graded(3), full, r, d, cols)
-
-        along_last = [along((k - 1) * n + j) for j in range(n)]
-
-        def chained(r, slopes):  # slopes: dp_kj along the free coordinate
-            return [x + sum(s * y[c] for s, y in zip(slopes, along_last))
-                    for c, x in enumerate(along(r))]
-
-        expected = [chained(i * n + j, [-weights[i] / w_k if m == j else 0
-                                        for m in range(n)])
-                    for i in range(k - 1) for j in range(n)]
-        expected += [chained(k * n + i, [(last[j] - points[i][j]) / w_k
-                                         for j in range(n)])
-                     for i in range(k - 1)]
-        assert jac == expected
-
-
-# the oracle of each residue builder at the point it draws from ``rng``
-ORACLES = {
-    "_mixture_jacobian": lambda n, k, d, rng: fraction_moment_map_jacobian(
-        geometry._mixture_point(n, k, rng), d),
-    "_veronese_jacobian": lambda n, k, d, rng: fraction_veronese_jacobian(
-        *geometry._veronese_point(n, k, rng), d),
-    "_centered_jacobian": lambda n, k, d, rng: fraction_centered_jacobian(
-        *geometry._centered_point(n, k, rng), d),
-}
+                    dirac_point(x, n, k), d)), free, r, d, cols)
 
 
 def check_against_oracle(monkeypatch, builder):
-    """Make ``geometry.<builder>`` compare every Jacobian it returns with
+    """Make ``geometry.<builder>`` compare every block it returns with
     the oracle over Q, reduced mod p, at the point a twin of its random
     stream draws.  Returns the list of (n, k, d, p) checked."""
     real = getattr(geometry, builder)
@@ -466,18 +445,18 @@ def check_against_oracle(monkeypatch, builder):
     def checking(n, k, d, rng, p):
         twin = random.Random()
         twin.setstate(rng.getstate())
-        jac = real(n, k, d, rng, p)
+        block = real(n, k, d, rng, p)
         expected = reduced(ORACLES[builder](n, k, d, twin), p)
-        assert [row.tolist() for row in jac] == expected, (n, k, d, p)
+        assert block.tolist() == expected, (n, k, d, p)
         checked.append((n, k, d, p))
-        return jac
+        return block
 
     monkeypatch.setattr(geometry, builder, checking)
     return checked
 
 
 class TestResiduesMatchFractionOracle:
-    """Each residue builder equals its oracle over Q reduced mod p."""
+    """Each residue block equals its oracle over Q reduced mod p."""
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_residues(self, p):
@@ -496,7 +475,7 @@ class TestResiduesMatchFractionOracle:
     def test_table_draws(self, monkeypatch, n):
         # every draw behind C01 and C02 (k = 1..12 at d = 3, seed 0) and
         # behind the pinned --n 1..4 --d 3..4 digest
-        checked = check_against_oracle(monkeypatch, "_mixture_jacobian")
+        checked = check_against_oracle(monkeypatch, "_mixture_block")
         cells = [(k, 3) for k in range(1, 13)]
         if n <= 4:
             cells += [(k, 4) for k in geometry.default_k_range(n, 4)]
@@ -504,14 +483,14 @@ class TestResiduesMatchFractionOracle:
         assert len(checked) == sum(r.points for r in reports)
 
     def test_veronese_report_draws(self, monkeypatch):
-        checked = check_against_oracle(monkeypatch, "_veronese_jacobian")
+        checked = check_against_oracle(monkeypatch, "_veronese_block")
         cases = [(2, 5, 4), (3, 2, 2), (4, 3, 2), (1, 2, 3)]
         reports = [geometry.veronese_report(n, k, d, seed=0)
                    for n, k, d in cases]
         assert len(checked) == sum(r.points for r in reports)
 
     def test_centered_rank_draws(self, monkeypatch):
-        checked = check_against_oracle(monkeypatch, "_centered_jacobian")
+        checked = check_against_oracle(monkeypatch, "_mixture_block")
         cases = [(2, 2), (5, 7), (2, 3), (4, 3)]
         for n, k in cases:
             geometry.centered_cumulant_rank(n, k, 3, seed=0)
@@ -526,10 +505,103 @@ class TestResiduesMatchFractionOracle:
     ])
     def test_tangent_case_draws(self, monkeypatch, builder, n, k, d):
         # the points of TestTangentsMatchForwardMaps, under every prime
-        checked = check_against_oracle(monkeypatch, builder)
+        name, _ = BLOCKS[builder]
+        checked = check_against_oracle(monkeypatch, name)
         for p in PRIMES:
-            getattr(geometry, builder)(n, k, d, random.Random(d), p)
+            getattr(geometry, name)(n, k, d, random.Random(d), p)
         assert len(checked) == len(PRIMES)
+
+
+def check_split(monkeypatch, builder, whole):
+    """Make ``geometry.<builder>`` check at every point it draws that the
+    count split off plus the rank of its block is the rank of the whole
+    Jacobian ``whole(n, k, d, twin, p)`` under the same prime.  Returns
+    the list of (n, k, d, p) checked."""
+    real = getattr(geometry, builder)
+    checked = []
+
+    def checking(n, k, d, rng, p):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        block = real(n, k, d, rng, p)
+        # translations span order 1; a mixture's covariance spans order 2
+        split = n + (n * (n + 1) // 2 if builder == "_mixture_block"
+                     and d >= 2 else 0)
+        assert split + rank(list(block), p) == rank(whole(n, k, d, twin, p),
+                                                    p), (n, k, d, p)
+        checked.append((n, k, d, p))
+        return block
+
+    monkeypatch.setattr(geometry, builder, checking)
+    return checked
+
+
+MIXTURE_CELLS = {
+    "published": [(n, k, 3) for n in range(1, 8)
+                  for k in geometry.default_k_range(n)],
+    "n8": [(8, k, 3) for k in range(2, 13)],
+    "d1-2-4": [(n, k, d) for n in (1, 2, 3) for d in (1, 2, 4)
+               for k in range(1, 6)],
+}
+
+
+class TestSplitRank:
+    """rank J = split-off count + rank B at every point a report draws."""
+
+    @pytest.mark.parametrize("cells", MIXTURE_CELLS)
+    def test_mixture(self, monkeypatch, cells):
+        checked = check_split(
+            monkeypatch, "_mixture_block",
+            lambda n, k, d, rng, p: geometry.moment_map_jacobian(
+                geometry._mixture_point(n, k, rng), d, p))
+        reports = [geometry.defect_report(n, k, d, seed=0)
+                   for n, k, d in MIXTURE_CELLS[cells]]
+        assert len(checked) == sum(r.points for r in reports)
+
+    def test_veronese(self, monkeypatch):
+        checked = check_split(
+            monkeypatch, "_veronese_block",
+            lambda n, k, d, rng, p: reduced(fraction_veronese_jacobian(
+                *geometry._veronese_point(n, k, rng), d), p))
+        cells = [(n, k, d) for n, d, k in geometry.VERONESE_SPORADIC]
+        cells += [(n, k, d) for n in (1, 2, 3, 4) for d in (1, 2)
+                  for k in range(1, 6)]
+        cells += [(2, k, 3) for k in range(1, 15)]
+        reports = [geometry.veronese_report(n, k, d, seed=0)
+                   for n, k, d in cells]
+        assert len(checked) == sum(r.points for r in reports)
+
+
+class TestEmptyBlocks:
+    """k = 1 leaves B no rows; a mixture at d <= 2 and a Dirac mixture at
+    d = 1 leave it no columns.  Rows and ranks are pinned."""
+
+    @pytest.mark.parametrize("report,n,k,d,row,ranks", [
+        ("defect_report", 1, 1, 1, (1, 1, 1, 2, 1, 1, 1, 0, 1), (1,)),
+        ("defect_report", 1, 1, 2, (1, 1, 2, 2, 2, 2, 2, 0, 0), (2,)),
+        ("defect_report", 1, 1, 3, (1, 1, 3, 2, 3, 2, 2, 0, 0), (2,)),
+        ("defect_report", 3, 1, 1, (3, 1, 1, 9, 3, 3, 3, 0, 6), (3,)),
+        ("defect_report", 3, 1, 2, (3, 1, 2, 9, 9, 9, 9, 0, 0), (9,)),
+        ("defect_report", 3, 1, 3, (3, 1, 3, 9, 19, 9, 9, 0, 0), (9,)),
+        ("defect_report", 2, 2, 1, (2, 2, 1, 8, 2, 2, 2, 0, 6), (2,)),
+        ("defect_report", 2, 2, 2, (2, 2, 2, 8, 5, 5, 5, 0, 3), (5,)),
+        ("defect_report", 3, 3, 1, (3, 3, 1, 17, 3, 3, 3, 0, 14), (3,)),
+        ("defect_report", 3, 3, 2, (3, 3, 2, 17, 9, 9, 9, 0, 8), (9,)),
+        ("veronese_report", 1, 1, 1, (1, 1, 1, 1, 1, 1, 1, 0, 0), (1,)),
+        ("veronese_report", 1, 3, 1, (1, 3, 1, 5, 1, 1, 1, 0, 4), (1,)),
+        ("veronese_report", 3, 2, 1, (3, 2, 1, 7, 3, 3, 3, 0, 4), (3,)),
+        ("veronese_report", 2, 1, 3, (2, 1, 3, 2, 9, 2, 2, 0, 0), (2,)),
+    ])
+    def test_rows(self, report, n, k, d, row, ranks):
+        got = getattr(geometry, report)(n, k, d, seed=0)
+        assert (got.as_row(), got.ranks) == (row, ranks)
+        builder, lowest = {"defect_report": ("_mixture_block", 3),
+                           "veronese_report": ("_veronese_block", 2)}[report]
+        block = getattr(geometry, builder)(n, k, d, random.Random(0),
+                                            PRIMES[0])
+        assert block.shape == ((k - 1) * (n + 1),
+                               len(moment_columns(n, d, lowest)))
+        assert 0 in block.shape
 
 
 class TestDefectReports:
@@ -552,7 +624,7 @@ class TestDefectReports:
     @pytest.mark.parametrize("ranks,expected", [
         (lambda: geometry.defect_report(4, 5, 3, seed=0).ranks, (34,)),
         (lambda: geometry.veronese_report(1, 2, 3, seed=0).ranks, (3,)),
-        (lambda: geometry._point_ranks(geometry._centered_jacobian, 0,
+        (lambda: geometry._point_ranks(geometry._mixture_block, 0, 0,
                                        2, 3, 3), (4,)),
     ], ids=["mixture", "veronese", "centered"])
     def test_full_rank_point_certifies_alone(self, ranks, expected):
