@@ -173,9 +173,16 @@ def _read_filtered_lines(path):
         raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
 
 
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}", code="INPUT_IO")
+
+
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
+        with _open_output(output) as handle:
             handle.write(text)
             if not text.endswith("\n"):
                 handle.write("\n")
@@ -348,7 +355,7 @@ def cmd_simulate(args):
         np.savetxt(sys.stdout, draws, fmt="%.17g", delimiter=",")
     else:
         # an open handle: given a name ending in .gz, savetxt writes gzip
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _open_output(args.output) as handle:
             np.savetxt(handle, draws, fmt="%.17g", delimiter=",")
     return EXIT_OK
 

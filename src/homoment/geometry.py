@@ -58,7 +58,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -116,16 +115,6 @@ def _chunks(values, size):
 def _all_weights(free):
     """The free weights and the last one, eliminated as one minus their sum."""
     return free + [1 - sum(free)]
-
-
-def _symmetric(upper, n):
-    """Symmetric n x n matrix from its upper triangle in row-major order."""
-    entries = iter(upper)
-    m = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = next(entries)
-    return m
 
 
 def _inverse(x, p):
@@ -309,7 +298,8 @@ def _block(atoms, weights, degree, lowest, p):
 
 
 def _mixture_point(n, k, rng):
-    """Random integer mixture with distinct means and nonzero weights."""
+    """Random distinct integer means and nonzero weights of a k-component
+    mixture; B does not depend on the covariance, so none is drawn."""
     while True:
         means = _chunks(_draw(rng, k * n), n)
         if len(set(map(tuple, means))) == k:
@@ -317,13 +307,11 @@ def _mixture_point(n, k, rng):
     weights = _all_weights(_draw(rng, k - 1))
     if 0 in weights:
         return _mixture_point(n, k, rng)
-    cov = _symmetric(_draw(rng, n * (n + 1) // 2), n)
-    return SimpleNamespace(means=means, weights=weights, cov=cov)
+    return means, weights
 
 
 def _mixture_block(n, k, d, rng, p):
-    point = _mixture_point(n, k, rng)
-    return _block(point.means, point.weights, d, 3, p)
+    return _block(*_mixture_point(n, k, rng), d, 3, p)
 
 
 def _veronese_point(n, k, rng):

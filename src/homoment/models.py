@@ -11,9 +11,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import series as ts
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, InputError, PreconditionError
 
 _WEIGHT_TOL = 1e-8
+
+# rows per block when the sampler adds the component means in place
+_SAMPLE_BLOCK = 16384
 
 
 def _is_float(x):
@@ -289,17 +292,46 @@ def _psd_factor(cov):
 
 
 def sample_mixture(params, count, seed):
-    """Draw ``count`` i.i.d. observations, deterministic for a given seed."""
+    """Draw ``count`` i.i.d. observations, deterministic for a given seed.
+
+    The result is, to the bit, ``means[labels] + noise @ factor.T`` with
+    ``labels = rng.choice(k, count, p=weights / weights.sum())`` and
+    ``noise = rng.standard_normal((count, n))`` drawn next, but no more
+    than the noise, its product and a byte of label per row is held at
+    once.  ``choice`` draws ``u = rng.random(count)`` (even at k = 1)
+    and returns ``searchsorted(cdf, u, side="right")``, ``cdf`` being
+    the cumulative sum of ``p`` divided by its last entry.  That entry
+    is 1.0 and u < 1, so the label is the number of the first k - 1
+    entries at or below u, summed here one comparison at a time.  The
+    noise is transformed in one matmul: BLAS may round a differently
+    shaped slice, such as a one-row tail, in the last bit.  The means
+    are then added in place a block of rows at a time; addition
+    commutes, so the sum is unchanged.
+
+    Weights, means and covariance must be finite: against a NaN entry
+    of ``cdf`` every row would get label 0 where ``choice`` raised.
+    """
     if count < 1:
         raise PreconditionError("count must be positive")
     weights = np.asarray([float(w) for w in params.weights])
-    if np.any(weights < 0):
-        raise PreconditionError("sampling requires nonnegative weights")
-    weights = weights / weights.sum()
     means = np.asarray([[float(x) for x in m] for m in params.means])
     cov = np.asarray([[float(x) for x in row] for row in params.cov])
+    if not all(np.isfinite(a).all() for a in (weights, means, cov)):
+        raise InputError("sampling requires finite weights, means and "
+                         "covariance", code="INPUT_PARSE")
+    if np.any(weights < 0):
+        raise PreconditionError("sampling requires nonnegative weights")
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     factor = _psd_factor(cov)
     rng = np.random.default_rng(seed)
-    labels = rng.choice(len(weights), size=count, p=weights)
-    noise = rng.standard_normal((count, params.nvars))
-    return means[labels] + noise @ factor.T
+    u = rng.random(count)
+    labels = np.zeros(count, dtype=np.min_scalar_type(len(weights)))
+    for edge in cdf[:-1]:
+        labels += u >= edge
+    del u
+    draws = rng.standard_normal((count, params.nvars)) @ factor.T
+    for start in range(0, count, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        draws[block] += means[labels[block]]
+    return draws

@@ -4,6 +4,8 @@ in the terminal summary so capture settings cannot swallow it)."""
 
 from fractions import Fraction
 
+import numpy as np
+
 from homoment import models
 from homoment import series as ts
 
@@ -22,6 +24,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("acceptance criteria:")
     for label, ok in ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"  {label}: {'PASS' if ok else 'FAIL'}")
+
+
+def reference_sample(params, count, seed):
+    """The sampler as ``Generator.choice`` labels, then every mean gathered
+    and added to the transformed noise in one expression: what
+    ``models.sample_mixture`` must return to the bit."""
+    weights = np.asarray([float(w) for w in params.weights])
+    weights = weights / weights.sum()
+    means = np.asarray([[float(x) for x in m] for m in params.means])
+    factor = models._psd_factor(
+        np.asarray([[float(x) for x in row] for row in params.cov]))
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(len(weights), size=count, p=weights)
+    noise = rng.standard_normal((count, params.nvars))
+    return means[labels] + noise @ factor.T
 
 
 def rand_fraction(rng, num=9, den=9, nonzero=False):

@@ -291,6 +291,20 @@ class TestSimulateAndFit2:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("spec", [
+        '"weights": [NaN, 0.7]', '"means": [[NaN, 0.0], [1.0, 0.0]]',
+        '"cov": [[Infinity, 0.0], [0.0, 1.0]]', '"cov": [[1.0, NaN], [NaN, 1.0]]'])
+    def test_non_finite_params(self, capsys, tmp_path, spec):
+        # json reads NaN and Infinity, and the later key replaces the
+        # finite one; the sampler refuses them
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(self.PARAMS)[:-1] + ", " + spec + "}")
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "20"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
     def test_seed_defaults_to_zero(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
         outputs = []
@@ -763,6 +777,22 @@ class TestRankTest:
         payload = strict_json(out)
         assert payload["estimated_components"] == 1
         assert payload["verdicts"][0]["threshold"] == 1e-6
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+@pytest.mark.parametrize("command", [
+    "simulate --params {params} --count 5", "fit1d --k 1 --moments 0,1",
+    "fit2 --input {csv}", "rank-test --kmax 1 --moments 0,1,0",
+    "defect-table --n 1 --k 1"])
+def test_unwritable_output(tmp_path, command, target):
+    # a missing directory, or a directory in place of a file
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(TestSimulateAndFit2.PARAMS))
+    csv = tmp_path / "data.csv"
+    csv.write_text("".join(f"{x},{x * x % 7}\n" for x in range(40)))
+    args = command.format(params=params, csv=csv).split()
+    assert_rejected(args + ["--output", str(tmp_path / target)],
+                    error_code="INPUT_IO")
 
 
 def test_emit_json_writes_non_finite_as_null(capsys):

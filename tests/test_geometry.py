@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,9 +267,27 @@ def reduced(matrix, p):
              for x in row] for row in matrix]
 
 
+def symmetric(upper, n):
+    """Symmetric n x n matrix from its upper triangle in row-major order."""
+    entries = iter(upper)
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(entries)
+    return m
+
+
+def mixture_point(n, k, rng):
+    """A whole mixture point for the whole Jacobian: the means and weights
+    ``geometry._mixture_point`` draws, then a covariance drawn after them
+    from the same stream."""
+    means, weights = geometry._mixture_point(n, k, rng)
+    cov = symmetric(geometry._draw(rng, n * (n + 1) // 2), n)
+    return SimpleNamespace(means=means, weights=weights, cov=cov)
+
+
 def mixture_block_oracle(n, k, d, rng):
-    point = geometry._mixture_point(n, k, rng)
-    return fraction_block(point.means, point.weights, d, 3)
+    return fraction_block(*geometry._mixture_point(n, k, rng), d, 3)
 
 
 # the oracle over Q of each residue block at the point it draws from ``rng``
@@ -322,7 +341,7 @@ class TestMomentJacobian:
         # the Jacobian at the first random point of (n, k, d) = (1, 2, 3);
         # any change to the order of random draws changes it
         rng = random.Random(geometry._mix_seed(0, 1, 2, 3, 0))
-        jac = fraction_moment_map_jacobian(geometry._mixture_point(1, 2, rng), 3)
+        jac = fraction_moment_map_jacobian(mixture_point(1, 2, rng), 3)
         assert jac == [[-956, -922540, -444730244],
                        [957, -562716, Fraction(330085569, 2)],
                        [1553, Fraction(585481, 2), Fraction(549038302, 3)],
@@ -423,9 +442,9 @@ class TestTangentsMatchForwardMaps:
         # the rows of B are the tangents of log D, the cumulant series of
         # the Dirac mixture, along the first k - 1 atoms and weights; B is
         # also the Jacobian of the centered cumulant map at orders >= 3
-        point = geometry._mixture_point(n, k, random.Random(d))
-        block = fraction_block(point.means, point.weights, d, 2)
-        free = [x for mean in point.means for x in mean] + point.weights[:-1]
+        means, weights = geometry._mixture_point(n, k, random.Random(d))
+        block = fraction_block(means, weights, d, 2)
+        free = [x for mean in means for x in mean] + weights[:-1]
         along = [r for r in range(len(free)) if not (k - 1) * n <= r < k * n]
         cols = moment_columns(n, d, lowest=2)
         assert len(block) == len(along) == (k - 1) * (n + 1)
@@ -553,7 +572,7 @@ class TestSplitRank:
         checked = check_split(
             monkeypatch, "_mixture_block",
             lambda n, k, d, rng, p: geometry.moment_map_jacobian(
-                geometry._mixture_point(n, k, rng), d, p))
+                mixture_point(n, k, rng), d, p))
         reports = [geometry.defect_report(n, k, d, seed=0)
                    for n, k, d in MIXTURE_CELLS[cells]]
         assert len(checked) == sum(r.points for r in reports)

@@ -1,15 +1,17 @@
 """Forward maps from mixture parameters to truncated series."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import rand_fraction, rand_psd, rand_symmetric
+from conftest import rand_fraction, rand_psd, rand_symmetric, reference_sample
 from homoment import models
 from homoment import series as ts
-from homoment.errors import PreconditionError
+from homoment.errors import InputError, PreconditionError
 
 
 class TestGaussian:
@@ -265,6 +267,50 @@ class TestSampler:
         sigma = np.sqrt(np.diag(np.cov(draws.T)))
         assert np.all(np.abs(draws.mean(axis=0) - target)
                       < 4.0 * sigma / np.sqrt(count))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [(1.0,), (0.35, 0.65), (0.1, 0.2, 0.7),
+                                         (0.5, 0.0, 0.5)])
+    @pytest.mark.parametrize("cov", ["zero", "full"])
+    def test_same_draws_as_reference(self, n, weights, cov):
+        # every count on both sides of a block of rows, and a zero
+        # (singular) covariance, which takes the eigenvector factor
+        rng = np.random.default_rng([n, len(weights)])
+        b = rng.standard_normal((n, n)) if cov == "full" else np.zeros((n, n))
+        p = models.HomoscedasticParams(
+            means=rng.normal(scale=3.0, size=(len(weights), n)).tolist(),
+            weights=weights, cov=(b @ b.T).tolist())
+        for count in (1, 16_383, 16_385, 100_000):
+            assert np.array_equal(models.sample_mixture(p, count, seed=count),
+                                  reference_sample(p, count, seed=count))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_holds_about_twice_its_output(self, n):
+        # the noise and its product; the labels take one byte a row
+        p = models.HomoscedasticParams(means=[[0.0] * n, [2.5] * n],
+                                       weights=[0.35, 0.65],
+                                       cov=np.eye(n).tolist())
+        models.sample_mixture(p, 100_000, seed=6)
+        tracemalloc.start()
+        try:
+            draws = models.sample_mixture(p, 100_000, seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * draws.nbytes
+
+    @pytest.mark.parametrize("field,value", [
+        ("weights", [math.nan, 0.5]), ("means", [[math.nan], [1.0]]),
+        ("means", [[0.0], [-math.inf]]), ("cov", [[math.inf]]),
+        ("cov", [[math.nan]])])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # a NaN weight passes the sum check, and a NaN edge would label
+        # every row 0
+        spec = {"means": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                "cov": [[1.0]], field: value}
+        with pytest.raises(InputError) as caught:
+            models.sample_mixture(models.HomoscedasticParams(**spec), 10, 0)
+        assert caught.value.code == "INPUT_PARSE"
 
     def test_rejects_indefinite_covariance(self):
         p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
