@@ -1,20 +1,13 @@
 """Small polynomial and determinant helpers shared by the estimators.
 
 Polynomials are coefficient lists in ascending order (``coeffs[i]``
-multiplies ``x**i``).  Routines keep exact ``Fraction`` arithmetic when
-every input is exact and fall back to floats otherwise; root finding is
-always floating point via companion-matrix eigenvalues.
+multiplies ``x**i``).  Evaluation and differentiation keep the
+arithmetic of their coefficients; determinants and roots are floating
+point, roots via companion-matrix eigenvalues.  The exact determinant
+and interpolation over Q are test oracles, kept with the tests.
 """
 
-from fractions import Fraction
-
 import numpy as np
-
-from . import exactla
-
-
-def is_exact(values):
-    return all(isinstance(v, (Fraction, int)) for v in values)
 
 
 def poly_eval(coeffs, x):
@@ -70,28 +63,6 @@ def real_roots(coeffs, imag_tol=1e-9):
     return sorted(out + zeros)
 
 
-def lagrange_interpolate(xs, ys):
-    """Exact interpolation through rational points, ascending coefficients."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            # num *= (x - xs[j])
-            root = Fraction(xs[j])
-            num = [Fraction(0)] + num
-            for p in range(len(num) - 1):
-                num[p] -= root * num[p + 1]
-            den *= Fraction(xs[i]) - root
-        w = Fraction(ys[i]) / den
-        for p, c in enumerate(num):
-            coeffs[p] += w * c
-    return coeffs
-
-
 def interpolation_nodes(count, scale):
     """Chebyshev-spaced float nodes on [0, 2*scale] for stable fits."""
     i = np.arange(count)
@@ -99,8 +70,5 @@ def interpolation_nodes(count, scale):
 
 
 def det(rows):
-    """Determinant, exact over rationals and floating otherwise."""
-    flat = [x for row in rows for x in row]
-    if is_exact(flat):
-        return exactla.det([list(r) for r in rows])
+    """Float determinant of a square matrix given as rows of numbers."""
     return float(np.linalg.det(np.asarray(rows, dtype=float)))

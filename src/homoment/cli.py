@@ -10,11 +10,13 @@ Subcommands:
 
 All JSON output, error JSON included, carries ``"schema": "homoment/1"``
 and the package ``"version"``.  Exit codes: 0
-success, 2 unusable input, 3 input inconsistent with the requested
-model, 4 internal check failure (``defect-table --check`` mismatch).
+success, 2 unusable input (``INPUT_IO`` for a failed output write), 3
+input inconsistent with the requested model, 4 internal check failure
+(``defect-table --check`` mismatch).
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -173,21 +175,37 @@ def _read_filtered_lines(path):
         raise InputError(f"cannot parse {path}: {exc}", code="INPUT_PARSE")
 
 
-def _open_output(path):
+@contextlib.contextmanager
+def _writing(output):
+    """A text handle on the file ``output``, or on stdout when it is None.
+
+    An ``OSError`` while opening, writing or closing (a full disk, a
+    closed pipe) is ``INPUT_IO``.  Stdout is flushed here, not at
+    interpreter exit; once a write to it fails, its descriptor is pointed
+    at ``os.devnull``, so the shutdown flush of its buffer fails no more.
+    """
     try:
-        return open(path, "w", encoding="utf-8")
+        if output is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                yield handle
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}", code="INPUT_IO")
+        if output is None:
+            output = "stdout"
+            # a stream with no descriptor keeps its buffer in memory
+            with contextlib.suppress(OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        raise InputError(f"cannot write {output}: {exc}", code="INPUT_IO")
 
 
 def _emit(text, output):
-    if output:
-        with _open_output(output) as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-    else:
-        print(text)
+    with _writing(output) as handle:
+        handle.write(text if text.endswith("\n") else text + "\n")
 
 
 def _finite_or_null(value):
@@ -351,12 +369,9 @@ def cmd_simulate(args):
                          code="INPUT_PARSE")
     params = models.HomoscedasticParams.from_dict(spec)
     draws = models.sample_mixture(params, args.count, args.seed)
-    if args.output is None:
-        np.savetxt(sys.stdout, draws, fmt="%.17g", delimiter=",")
-    else:
-        # an open handle: given a name ending in .gz, savetxt writes gzip
-        with _open_output(args.output) as handle:
-            np.savetxt(handle, draws, fmt="%.17g", delimiter=",")
+    # an open handle: given a name ending in .gz, savetxt writes gzip
+    with _writing(args.output) as handle:
+        np.savetxt(handle, draws, fmt="%.17g", delimiter=",")
     return EXIT_OK
 
 

@@ -25,8 +25,10 @@ which one blockwise pass takes (:func:`moment_sums`, called by
 :func:`sample_normal_form`).
 
 Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
-moment equal to one left implicit.  Entries may be ``Fraction`` for exact
-work; root finding is always floating point.
+moment equal to one left implicit.  Entries may be ``Fraction``, which
+:func:`normal_form` shifts exactly and :func:`deconvolve_moments` keeps
+exact; minors, pencils, determinants and roots are floating point.  The
+exact pencil over Q is a test oracle, kept with the tests.
 """
 
 import functools
@@ -530,28 +532,17 @@ class HankelPencil:
 
 
 def pencil_minor_values(moments, k, s):
-    """Values of every maximal minor at the variance ``s``, over the
-    matrix of all the given moments.
-
-    Exact moments at an exact variance give the list of exact minors.
-    Otherwise the minors are floats, all taken in one numpy pass
+    """Float values of every maximal minor at the variance ``s``, over
+    the matrix of all the given moments, in one numpy pass
     (:func:`_float_minors`): ``moments`` is one moment vector or an
     ``N x d`` float stack of them, and ``s`` is one variance or one per
     row (for one vector, one per evaluation).  One vector at one variance
     gives a list; a stack or a vector of variances gives an
-    ``N x nminors`` array.  A float minor that is not finite raises
+    ``N x nminors`` array.  A minor that is not finite raises
     ``INPUT_RANGE``.
     """
     if np.ndim(moments) == 1 and np.ndim(s) == 0:
-        m = _moment_list(moments)
-        if not (_poly.is_exact(m) and _poly.is_exact([s])):
-            return _float_minors([m], k, s)[0].tolist()
-        if len(m) < 2 * k:
-            raise InsufficientOrderError(f"need order {2 * k} for k={k}")
-        # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
-        row = [Fraction(1)] + deconvolve_moments(m, s)
-        return [_poly.det([[row[i + j] for j in sel] for i in range(k + 1)])
-                for sel in _minor_layout(len(m), k).subsets]
+        return _float_minors([_moment_list(moments)], k, s)[0].tolist()
     return _float_minors(moments, k, s)
 
 
@@ -666,11 +657,10 @@ def hankel_pencil(moments, k):
 
     Each minor is homogeneous of known weighted degree in the moments
     (moment j weighing j, the variance weighing 2), which bounds its
-    degree in the variance; coefficients are recovered by evaluating the
-    determinants at that many nodes and interpolating, exactly over
-    rational input.  Float input evaluates every node in one batched
-    :func:`_float_minors` call, and the minors of one degree share the
-    node prefix they are fitted on, so each degree takes one
+    degree in the variance; coefficients are recovered in floats by
+    evaluating the determinants at that many nodes, all in one batched
+    :func:`_float_minors` call, and fitting.  The minors of one degree
+    share the node prefix they are fitted on, so each degree takes one
     least-squares solve with a column per minor.  Its system depends on
     the node count and scale alone and is built once
     (:func:`_fit_systems`); the solve is the one
@@ -683,22 +673,14 @@ def hankel_pencil(moments, k):
         raise InsufficientOrderError(
             f"pencil needs moment order at least {2 * k}, got {d}")
     layout = _minor_layout(d, k)
-    if _poly.is_exact(m):
-        nodes = list(range(layout.nodes))
-        values = [pencil_minor_values(m, k, s) for s in nodes]
-        minors = [tuple(_poly.lagrange_interpolate(
-                      nodes[:deg + 1], [row[idx] for row in values[:deg + 1]]))
-                  for idx, deg in enumerate(layout.degrees)]
-    else:
-        nodes, systems = _fit_systems(layout.nodes,
-                                      max(abs(float(m[1])), 1.0))
-        values = _float_minors(m, k, nodes)
-        minors = [None] * len(layout.degrees)
-        for deg, idx in layout.groups:
-            matrix, scl, rcond = systems[deg]
-            fitted = np.linalg.lstsq(matrix, values[:deg + 1, idx], rcond)[0]
-            for i, column in zip(idx.tolist(), (fitted.T / scl).tolist()):
-                minors[i] = tuple(column)
+    nodes, systems = _fit_systems(layout.nodes, max(abs(float(m[1])), 1.0))
+    values = _float_minors(m, k, nodes)
+    minors = [None] * len(layout.degrees)
+    for deg, idx in layout.groups:
+        matrix, scl, rcond = systems[deg]
+        fitted = np.linalg.lstsq(matrix, values[:deg + 1, idx], rcond)[0]
+        for i, column in zip(idx.tolist(), (fitted.T / scl).tolist()):
+            minors[i] = tuple(column)
     return HankelPencil(k=k, minors=tuple(minors), weights=layout.weights)
 
 
@@ -722,7 +704,7 @@ def quadrature_nodes(moments, k):
     the sqrt(eps) accuracy of a variance located at a double root, where
     the minor vanishes like the variance error (``_LEAD_MINOR_TOL``).
     """
-    m = [Fraction(1)] + _moment_list(moments)
+    m = [1.0] + _moment_list(moments)
     if len(m) < 2 * k:
         raise InsufficientOrderError(f"need {2 * k - 1} moments for {k} atoms")
     block = [[m[i + j] for j in range(k)] for i in range(k + 1)]
@@ -766,24 +748,23 @@ def variance_polynomial(moments, k):
     :func:`hankel_pencil`.
 
     Degree in the variance is k(k+1)/2; its smallest nonnegative root is
-    the variance estimator.  Exact moment input yields exact coefficients.
+    the variance estimator.  The coefficients are floats.
     """
     return list(hankel_pencil(_moment_list(moments)[:2 * k], k).minors[0])
 
 
 def _polish_root(coeffs, x):
-    # Newton refinement against the (possibly exact) coefficients; kept
+    # Newton refinement against the float coefficients; kept
     # only while it shrinks the residual, so near-multiple roots cannot
     # send it wandering
-    fl = [float(c) for c in coeffs]
-    dfl = _poly.poly_derivative(fl)
-    best_x, best_r = x, abs(_poly.poly_eval(fl, x))
+    derivative = _poly.poly_derivative(coeffs)
+    best_x, best_r = x, abs(_poly.poly_eval(coeffs, x))
     for _ in range(_POLISH_STEPS):
-        der = _poly.poly_eval(dfl, x)
+        der = _poly.poly_eval(derivative, x)
         if der == 0.0:
             break
-        x = x - _poly.poly_eval(fl, x) / der
-        r = abs(_poly.poly_eval(fl, x))
+        x = x - _poly.poly_eval(coeffs, x) / der
+        r = abs(_poly.poly_eval(coeffs, x))
         if not math.isfinite(r) or r >= best_r:
             break
         best_x, best_r = x, r
@@ -812,8 +793,8 @@ def fit_univariate(moments, k):
     params = models.HomoscedasticParams(
         means=[[x * sd + form.mean] for x in nodes], weights=weights,
         cov=[[s_star * form.variance]])
-    residual = abs(float(_poly.poly_eval(coeffs, s_star)))
-    top = max(abs(float(c)) for c in coeffs)
+    residual = abs(_poly.poly_eval(coeffs, s_star))
+    top = max(abs(c) for c in coeffs)
     diagnostics = {
         "order_used": 2 * k,
         "selected_variance": s_star * form.variance,

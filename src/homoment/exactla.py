@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank over GF(p) and determinant over Q.
+"""Exact linear algebra: rank over GF(p).
 
 Matrices are sequences of rows, each a list of ints or a numpy ``int64``
 array; sizes here stay in the low hundreds.  Rank takes integer entries,
@@ -8,9 +8,9 @@ numpy ``int64`` rows.  The default primes are the three largest below
 2**26.  For an integer matrix the rank mod p is at most the rank over Q,
 so a rank computed here is a certified lower bound for any prime,
 however small; the two differ only when p divides every r x r minor, r
-being the rank over Q.  The determinant takes ``int`` or ``Fraction``
-entries and stays exact over Q (fraction-free Bareiss elimination),
-because callers need its value, not only whether it vanishes.
+being the rank over Q.  Every minor and determinant the estimators take
+is a float (:func:`homoment._poly.det`); the exact determinant and rank
+over Q are test oracles, kept with the tests.
 
 Elimination delays reductions mod p, as in word-size finite-field
 libraries (Dumas, Giorgi and Pernet, "Dense linear algebra over
@@ -26,37 +26,12 @@ whole Jacobian, ``moment_map_jacobian``, reaches 143), and at least 2
 for every prime below 2**31, the largest modulus accepted.
 """
 
-from fractions import Fraction
-from math import lcm, prod
-
 import numpy as np
 
 from .errors import PreconditionError
 
 # Distinct primes below 2**26: one per random point of a generic-rank test.
 PRIMES = (67108859, 67108837, 67108819)
-
-
-def _integer_rows(matrix):
-    """Copy ``matrix`` scaling each row to integers (rank preserving).
-
-    Returns the integer rows and the factor each row was multiplied by.
-    """
-    rows = []
-    scales = []
-    for row in matrix:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-            elif not isinstance(x, int):
-                raise PreconditionError(
-                    f"exact linear algebra needs int or Fraction entries, "
-                    f"got {type(x).__name__} {x!r}")
-        rows.append([x * den if isinstance(x, int)
-                     else x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
-    return rows, scales
 
 
 def rank(matrix, p=PRIMES[0]):
@@ -106,31 +81,3 @@ def rank(matrix, p=PRIMES[0]):
             break
     return r
 
-
-def det(matrix):
-    """Exact determinant of a square rational matrix (Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    m, scales = _integer_rows(matrix)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        top = m[c]
-        for i in range(c + 1, n):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-            row[c] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], prod(scales))

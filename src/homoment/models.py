@@ -5,6 +5,7 @@ accept ``Fraction`` entries for exact work and ``float`` entries for
 estimation.  Only :func:`sample_mixture` touches numpy.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +132,12 @@ class HomoscedasticParams:
         n = len(self.means[0])
         if any(len(m) != n for m in self.means) or len(self.cov) != n:
             raise DimensionMismatchError("inconsistent dimensions")
+        # before the sum check, which a NaN weight would pass and an
+        # infinite one fail as a precondition
+        entries = self.weights + sum(self.means + self.cov, ())
+        if not all(math.isfinite(x) for x in entries if _is_float(x)):
+            raise InputError("weights, means and covariance must be finite",
+                             code="INPUT_PARSE")
         _check_weights(self.weights)
         _check_symmetric(self.cov)
 
@@ -306,19 +313,16 @@ def sample_mixture(params, count, seed):
     noise is transformed in one matmul: BLAS may round a differently
     shaped slice, such as a one-row tail, in the last bit.  The means
     are then added in place a block of rows at a time; addition
-    commutes, so the sum is unchanged.
-
-    Weights, means and covariance must be finite: against a NaN entry
-    of ``cdf`` every row would get label 0 where ``choice`` raised.
+    commutes, so the sum is unchanged.  ``params`` is finite
+    (:class:`HomoscedasticParams` rejects a NaN or infinite entry): a
+    NaN entry of ``cdf`` would give every row label 0 where ``choice``
+    raised.
     """
     if count < 1:
         raise PreconditionError("count must be positive")
     weights = np.asarray([float(w) for w in params.weights])
     means = np.asarray([[float(x) for x in m] for m in params.means])
     cov = np.asarray([[float(x) for x in row] for row in params.cov])
-    if not all(np.isfinite(a).all() for a in (weights, means, cov)):
-        raise InputError("sampling requires finite weights, means and "
-                         "covariance", code="INPUT_PARSE")
     if np.any(weights < 0):
         raise PreconditionError("sampling requires nonnegative weights")
     cdf = (weights / weights.sum()).cumsum()

@@ -1,13 +1,17 @@
-"""Shared helpers for building random exact test inputs, plus the
+"""Shared helpers for building random exact test inputs, the exact
+oracles the float routines are checked against, and the
 acceptance-criteria reporter (one PASS/FAIL line per criterion, emitted
 in the terminal summary so capture settings cannot swallow it)."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
 
 import numpy as np
 
-from homoment import models
+from homoment import estimate, models
 from homoment import series as ts
+from homoment.errors import PreconditionError
 
 ACCEPTANCE_RESULTS = []
 
@@ -132,3 +136,113 @@ def weight_product_cubic(ratio):
     cube = (Fraction(ratio) if type(ratio) is int else ratio) ** 3
     const = -1.5 if isinstance(cube, float) else -Fraction(3, 2)
     return [const, 16 * cube + 27, -(128 * cube + 162), 256 * cube + 324]
+
+
+# ----------------------------------------------------------------------
+# exact oracles over Q: the library's minors, pencils and determinants
+# are floats
+
+
+def integer_rows(matrix):
+    """Copy ``matrix`` scaling each row to integers (rank preserving).
+
+    Returns the integer rows and the factor each row was multiplied by.
+    """
+    rows = []
+    scales = []
+    for row in matrix:
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+            elif not isinstance(x, int):
+                raise PreconditionError(
+                    f"exact linear algebra needs int or Fraction entries, "
+                    f"got {type(x).__name__} {x!r}")
+        rows.append([x * den if isinstance(x, int)
+                     else x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return rows, scales
+
+
+def det(matrix):
+    """Exact determinant of a square rational matrix (fraction-free
+    Bareiss elimination on its integer-scaled rows)."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    m, scales = integer_rows(matrix)
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign = -sign
+        pivot = m[c][c]
+        top = m[c]
+        for i in range(c + 1, n):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], prod(scales))
+
+
+def lagrange_interpolate(xs, ys):
+    """Exact interpolation through rational points, ascending coefficients."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            # num *= (x - xs[j])
+            root = Fraction(xs[j])
+            num = [Fraction(0)] + num
+            for p in range(len(num) - 1):
+                num[p] -= root * num[p + 1]
+            den *= Fraction(xs[i]) - root
+        w = Fraction(ys[i]) / den
+        for p, c in enumerate(num):
+            coeffs[p] += w * c
+    return coeffs
+
+
+def exact_minor_values(moments, k, s):
+    """Every maximal minor of the deconvolved moment matrix at the
+    variance ``s``, exactly, in ``estimate.pencil_minor_values`` order."""
+    m = [Fraction(x) for x in moments]
+    # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
+    row = [Fraction(1)] + estimate.deconvolve_moments(m, Fraction(s))
+    return [det([[row[i + j] for j in sel] for i in range(k + 1)])
+            for sel in combinations(range(len(m) - k + 1), k + 1)]
+
+
+def exact_hankel_pencil(moments, k):
+    """``estimate.hankel_pencil`` over Q: a minor on the columns ``sel``
+    weighs ``k (k + 1) / 2 + sum(sel)``, has half that degree in the
+    variance, and is interpolated exactly through its values at the
+    variances 0, 1, ..., its degree."""
+    subsets = combinations(range(len(moments) - k + 1), k + 1)
+    weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
+    nodes = range(max(weights) // 2 + 1)
+    values = [exact_minor_values(moments, k, s) for s in nodes]
+    minors = tuple(
+        tuple(lagrange_interpolate(nodes[:w // 2 + 1],
+                                   [row[i] for row in values[:w // 2 + 1]]))
+        for i, w in enumerate(weights))
+    return estimate.HankelPencil(k=k, minors=minors, weights=weights)
+
+
+def exact_variance_polynomial(moments, k):
+    """``estimate.variance_polynomial`` over Q."""
+    return list(exact_hankel_pencil(list(moments)[:2 * k], k).minors[0])

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import (
+    exact_variance_polynomial,
     match_two_components,
     rand_fraction,
     rand_series,
@@ -173,9 +174,18 @@ def test_c07_univariate_pipeline():
                 means=[[a] for a in atoms], weights=weights, cov=[[variance]])
             m = univariate_moments(params, 2 * k)
 
+            # the degree law over Q (the exact pencil is a test oracle),
+            # and the library's float polynomial holds it too: each
+            # coefficient within 1e-6 of the largest exact one (1e-8 at
+            # worst here), the leading one above that (1.2e-5 at least)
+            exact = exact_variance_polynomial(m, k)
+            assert poly_degree(exact) == k * (k + 1) // 2
+            assert exact[k * (k + 1) // 2] != 0
             coeffs = estimate.variance_polynomial(m, k)
-            assert poly_degree(coeffs) == k * (k + 1) // 2
-            assert coeffs[k * (k + 1) // 2] != 0
+            top = max(abs(c) for c in exact)
+            assert len(coeffs) == len(exact)
+            assert all(abs(a - b) <= 1e-6 * top for a, b in zip(coeffs, exact))
+            assert poly_degree(coeffs, rel_tol=1e-6) == k * (k + 1) // 2
 
             est = estimate.fit_univariate(m, k)
             order = sorted(range(k), key=lambda i: est.params.means[i][0])

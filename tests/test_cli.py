@@ -293,10 +293,12 @@ class TestSimulateAndFit2:
 
     @pytest.mark.parametrize("spec", [
         '"weights": [NaN, 0.7]', '"means": [[NaN, 0.0], [1.0, 0.0]]',
-        '"cov": [[Infinity, 0.0], [0.0, 1.0]]', '"cov": [[1.0, NaN], [NaN, 1.0]]'])
+        '"cov": [[Infinity, 0.0], [0.0, 1.0]]', '"cov": [[1.0, NaN], [NaN, 1.0]]',
+        '"weights": [Infinity, 0.7]', '"means": [[0.0, 0.0], [1.0, -Infinity]]'])
     def test_non_finite_params(self, capsys, tmp_path, spec):
         # json reads NaN and Infinity, and the later key replaces the
-        # finite one; the sampler refuses them
+        # finite one; the parameters refuse them before the weight sum
+        # is checked
         params = tmp_path / "params.json"
         params.write_text(json.dumps(self.PARAMS)[:-1] + ", " + spec + "}")
         code, out, err = run(["simulate", "--params", str(params), "--count",
@@ -779,13 +781,20 @@ class TestRankTest:
         assert payload["verdicts"][0]["threshold"] == 1e-6
 
 
-@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+@pytest.mark.parametrize("target", [
+    "missing/out.txt", ".", pytest.param("/dev/full", marks=needs_dev_full)])
 @pytest.mark.parametrize("command", [
     "simulate --params {params} --count 5", "fit1d --k 1 --moments 0,1",
     "fit2 --input {csv}", "rank-test --kmax 1 --moments 0,1,0",
     "defect-table --n 1 --k 1"])
 def test_unwritable_output(tmp_path, command, target):
-    # a missing directory, or a directory in place of a file
+    # a missing directory, a directory in place of a file, or a full
+    # device, which opens and fails the buffered write at the latest when
+    # the file is closed
     params = tmp_path / "params.json"
     params.write_text(json.dumps(TestSimulateAndFit2.PARAMS))
     csv = tmp_path / "data.csv"
@@ -793,6 +802,50 @@ def test_unwritable_output(tmp_path, command, target):
     args = command.format(params=params, csv=csv).split()
     assert_rejected(args + ["--output", str(tmp_path / target)],
                     error_code="INPUT_IO")
+
+
+def cli_process(args, tmp_path, **popen_args):
+    """The command line in a new interpreter, from this source tree."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(TestSimulateAndFit2.PARAMS))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(homoment.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-m", "homoment.cli"] + args.format(
+            params=params).split(), env=env, stderr=subprocess.PIPE,
+        text=True, **popen_args)
+
+
+def assert_write_failed(stderr, returncode):
+    assert returncode == cli.EXIT_INPUT
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert strict_json(stderr)["error"]["code"] == "INPUT_IO"
+
+
+class TestStdoutFailure:
+    """A write to stdout that fails is reported once, as INPUT_IO, and the
+    interpreter's shutdown flush adds nothing."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize("command", [
+        "fit1d --k 1 --moments 0,1",
+        "simulate --params {params} --count 100000"])
+    def test_full_device(self, tmp_path, command):
+        with open("/dev/full", "w") as full, \
+                cli_process(command, tmp_path, stdout=full) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert_write_failed(err, proc.returncode)
+
+    def test_closed_pipe(self, tmp_path):
+        # as in `simulate --count 100000 | head -1`: the rows fill the
+        # pipe long before the last one is written
+        with cli_process("simulate --params {params} --count 100000",
+                         tmp_path, stdout=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert len(first.split(",")) == 2
+        assert_write_failed(err, proc.returncode)
 
 
 def test_emit_json_writes_non_finite_as_null(capsys):

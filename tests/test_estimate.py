@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exact_variance_polynomial,
     match_two_components,
     rand_fraction,
     rand_two_mixture,
@@ -372,11 +373,16 @@ class TestQuadrature:
 
 
 class TestVariancePolynomial:
+    # exact coefficients come from the test oracle (conftest); the
+    # library's polynomial is float and is held to them
+
     def test_single_component_closed_form(self):
         m1, m2 = Fraction(2), Fraction(9, 2)
-        coeffs = estimate.variance_polynomial([m1, m2], 1)
+        coeffs = exact_variance_polynomial([m1, m2], 1)
         roots = [-coeffs[0] / coeffs[1]]
         assert roots[0] == m2 - m1 ** 2
+        floats = estimate.variance_polynomial([m1, m2], 1)
+        assert -floats[0] / floats[1] == pytest.approx(0.5, rel=1e-14)
 
     def test_degree_is_triangular_number(self):
         rng = random.Random(10)
@@ -386,8 +392,10 @@ class TestVariancePolynomial:
                 weights=[Fraction(1, k)] * k,
                 cov=[[Fraction(1, 4)]])
             m = univariate_moments(p, 2 * k)
-            coeffs = estimate.variance_polynomial(m, k)
+            coeffs = exact_variance_polynomial(m, k)
             assert poly_degree(coeffs) == k * (k + 1) // 2
+            floats = estimate.variance_polynomial(m, k)
+            assert poly_degree(floats, rel_tol=1e-6) == k * (k + 1) // 2
 
     def test_true_variance_is_a_root(self):
         rng = random.Random(11)
@@ -399,8 +407,12 @@ class TestVariancePolynomial:
             p = models.HomoscedasticParams(means=[[a] for a in atoms],
                                            weights=weights, cov=[[s]])
             m = univariate_moments(p, 2 * k)
-            coeffs = estimate.variance_polynomial(m, k)
+            coeffs = exact_variance_polynomial(m, k)
             assert poly_eval(coeffs, s) == 0
+            floats = estimate.variance_polynomial(m, k)
+            top = max(abs(float(c)) * float(s) ** i
+                      for i, c in enumerate(coeffs))
+            assert abs(poly_eval(floats, float(s))) <= 1e-9 * top
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_ignores_moments_past_order_2k(self, k):

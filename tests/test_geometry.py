@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoment import _poly, geometry, models
+from conftest import det, integer_rows, lagrange_interpolate
+from homoment import geometry, models
 from homoment import series as ts
 from homoment.errors import PreconditionError
-from homoment.exactla import PRIMES, _integer_rows, det, rank
+from homoment.exactla import PRIMES, rank
 
 
 def bareiss_rank(matrix):
     """Reference rank over Q: fraction-free elimination on integer rows."""
-    m, _ = _integer_rows(matrix)
+    m, _ = integer_rows(matrix)
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -48,7 +49,7 @@ def bareiss_rank(matrix):
 def hadamard_bound(matrix):
     """Bound on every minor of the integer-scaled matrix: the product of
     its row norms, each at least one."""
-    rows, _ = _integer_rows(matrix)
+    rows, _ = integer_rows(matrix)
     return math.prod(max(1.0, math.hypot(*row)) for row in rows)
 
 
@@ -116,7 +117,7 @@ class TestExactLinearAlgebra:
         m = [[Fraction(1, 2), 1, 0],
              [Fraction(1, 4), Fraction(1, 2), 0],
              [0, 0, 5]]
-        assert rank(_integer_rows(m)[0]) == 2
+        assert rank(integer_rows(m)[0]) == 2
 
     def test_rank_counts_pivots_with_column_skips(self):
         m = [[0, 1, 2], [0, 2, 4], [0, 0, 0]]
@@ -146,7 +147,7 @@ class TestExactLinearAlgebra:
     @given(small_matrices(), st.sampled_from(PRIMES))
     def test_modular_rank_matches_bareiss(self, matrix, p):
         assert hadamard_bound(matrix) < min(PRIMES)
-        assert rank(_integer_rows(matrix)[0], p) == bareiss_rank(matrix)
+        assert rank(integer_rows(matrix)[0], p) == bareiss_rank(matrix)
 
     # 2**31 - 1 is the largest modulus accepted; with (p - 1)**2 near
     # 2**62 the trailing block is reduced every second pivot
@@ -176,7 +177,7 @@ class TestExactLinearAlgebra:
     ])
     def test_denominator_equal_to_the_prime(self, matrix, expected):
         assert bareiss_rank(matrix) == expected
-        assert rank(_integer_rows(matrix)[0], PRIMES[0]) == expected
+        assert rank(integer_rows(matrix)[0], PRIMES[0]) == expected
 
     def test_empty_matrix_has_rank_zero(self):
         assert rank([]) == 0
@@ -375,7 +376,7 @@ def tangent_by_interpolation(forward, free, r, degree, cols):
         moved = list(free)
         moved[r] += t
         images.append(forward(moved))
-    return [_poly.lagrange_interpolate(offsets, [s.coeff(a) for s in images])[1]
+    return [lagrange_interpolate(offsets, [s.coeff(a) for s in images])[1]
             for a in cols]
 
 

@@ -302,10 +302,14 @@ class TestSampler:
     @pytest.mark.parametrize("field,value", [
         ("weights", [math.nan, 0.5]), ("means", [[math.nan], [1.0]]),
         ("means", [[0.0], [-math.inf]]), ("cov", [[math.inf]]),
-        ("cov", [[math.nan]])])
+        ("cov", [[math.nan]]), ("weights", [math.inf, 0.5]),
+        ("weights", [0.5, -math.inf]), ("means", [[math.inf], [1.0]]),
+        ("cov", [[-math.inf]])])
     def test_rejects_non_finite_parameters(self, field, value):
-        # a NaN weight passes the sum check, and a NaN edge would label
-        # every row 0
+        # the parameters refuse every non-finite entry under one code,
+        # before the weight sum is checked: a NaN weight would pass that
+        # check and an infinite one fail it as PRECONDITION, and a NaN
+        # edge would label every row 0
         spec = {"means": [[0.0], [1.0]], "weights": [0.5, 0.5],
                 "cov": [[1.0]], field: value}
         with pytest.raises(InputError) as caught:

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from conftest import rand_fraction, univariate_moments
+from conftest import (
+    exact_hankel_pencil,
+    exact_minor_values,
+    lagrange_interpolate,
+    rand_fraction,
+    univariate_moments,
+)
 from homoment import _poly, estimate, models, ranktest
 from homoment import series as ts
 from homoment._poly import poly_eval
@@ -75,24 +81,41 @@ class TestClosedForms:
             assert scaled == t ** 18 * ranktest.two_secant_invariant(k3, k4, k5)
 
 
+def assert_pencils_agree(pencil, exact):
+    """The float ``pencil`` has the exact one's layout, and each of its
+    coefficients is within 1e-12 of the largest exact coefficient."""
+    assert (pencil.k, pencil.weights) == (exact.k, exact.weights)
+    top = max(abs(c) for coeffs in exact.minors for c in coeffs)
+    for coeffs, want in zip(pencil.minors, exact.minors):
+        assert len(coeffs) == len(want)
+        assert max(abs(a - b) for a, b in zip(coeffs, want)) <= 1e-12 * top
+
+
 class TestPencil:
+    # the exact pencil is a test oracle (conftest); the library's pencil
+    # is float and is held to it
+
     def test_smallest_case_minors(self):
         # N(1, 2): minors 2 - s, 4 - 2s, -2 + 3s - s^2 share the root s = 2
-        pencil = ranktest.hankel_pencil([Fraction(1), Fraction(3), Fraction(7)], 1)
+        m = [Fraction(1), Fraction(3), Fraction(7)]
+        pencil = exact_hankel_pencil(m, 1)
         assert pencil.nminors == 3
         assert pencil.minors[0] == (2, -1)
         assert pencil.minors[1] == (4, -2)
         assert pencil.minors[2] == (-2, 3, -1)
         for coeffs in pencil.minors:
             assert poly_eval(list(coeffs), Fraction(2)) == 0
+        assert_pencils_agree(ranktest.hankel_pencil(m, 1), pencil)
 
     def test_two_mixture_minors_share_variance_root(self):
         p = models.HomoscedasticParams(
             means=[[-1], [2]], weights=[Fraction(2, 5), Fraction(3, 5)],
             cov=[[Fraction(3, 8)]])
-        pencil = ranktest.hankel_pencil(univariate_moments(p, 5), 2)
+        m = univariate_moments(p, 5)
+        pencil = exact_hankel_pencil(m, 2)
         for coeffs in pencil.minors:
             assert poly_eval(list(coeffs), Fraction(3, 8)) == 0
+        assert_pencils_agree(ranktest.hankel_pencil(m, 2), pencil)
 
     def test_insufficient_order(self):
         with pytest.raises(InsufficientOrderError):
@@ -101,10 +124,14 @@ class TestPencil:
     def test_polynomials_match_direct_evaluation(self):
         rng = random.Random(4)
         m = [rand_fraction(rng) for _ in range(5)]
-        pencil = ranktest.hankel_pencil(m, 2)
+        pencil = exact_hankel_pencil(m, 2)
         s = Fraction(5, 7)
-        direct = ranktest.pencil_minor_values(m, 2, s)
+        direct = exact_minor_values(m, 2, s)
         assert [poly_eval(list(c), s) for c in pencil.minors] == direct
+        floats = ranktest.pencil_minor_values(m, 2, s)
+        assert floats == pytest.approx([float(x) for x in direct],
+                                       rel=1e-12, abs=1e-12)
+        assert_pencils_agree(ranktest.hankel_pencil(m, 2), pencil)
 
 
 class TestMembership:
@@ -413,7 +440,7 @@ class TestBatchedPencil:
             # condition number 1e7 and more, and the per-minor fit itself
             # is off the exact interpolant by more than 1e-12: there the
             # two fits may differ by that much
-            exact = _poly.lagrange_interpolate(
+            exact = lagrange_interpolate(
                 [Fraction(x) for x in nodes[:deg + 1]],
                 [Fraction(y) for y in values[:deg + 1, idx]])
             own = np.max(np.abs(np.asarray(exact, dtype=float) - want))
