@@ -2,16 +2,17 @@
 
 Subcommands:
 
-* ``defect-table``  classify homoscedastic secants over (n, k, d) ranges
+* ``defect-table``  classify homoscedastic secants over (n, k, d) ranges,
+  one row after another in this process, each from its own seeded stream
 * ``fit2``          two-component recovery from a CSV of observations
 * ``fit1d``         univariate k-component recovery from moments or a CSV
 * ``rank-test``     secant membership ladder / component-count estimate
 * ``simulate``      draw reproducible samples from given parameters
 
 All JSON output, error JSON included, carries ``"schema": "homoment/1"``
-and the package ``"version"``.  Exit codes: 0
-success, 2 unusable input (``INPUT_IO`` for a failed output write), 3
-input inconsistent with the requested model, 4 internal check failure
+and the package ``"version"``.  Exit codes: 0 success, 2 unusable input
+(``INPUT_IO`` for a failed output write, help text included), 3 input
+inconsistent with the requested model, 4 internal check failure
 (``defect-table --check`` mismatch).
 """
 
@@ -235,12 +236,7 @@ def _emit_json(payload, output):
 # defect-table
 
 
-def _cell(args):
-    n, k, d, seed = args
-    return geometry.defect_report(n, k, d, seed=seed)
-
-
-def _table_cells(ns, ks, ds, seed, jobs):
+def _table_cells(ns, ks, ds, seed):
     cells = []
     for n in ns:
         for d in ds:
@@ -250,17 +246,8 @@ def _table_cells(ns, ks, ds, seed, jobs):
             for k in k_list:
                 # fail on the first bad cell before any row is computed
                 geometry.check_envelope(n, k, d)
-                cells.append((n, k, d, seed))
-    workers = min(jobs, len(cells))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        # imported only here: the pool pulls in multiprocessing, socket,
-        # subprocess and logging, which a serial table never uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_cell, cells))
-    return [_cell(c) for c in cells]
+                cells.append((n, k, d))
+    return [geometry.defect_report(n, k, d, seed=seed) for n, k, d in cells]
 
 
 def _check_rows(reports):
@@ -291,7 +278,7 @@ def cmd_defect_table(args):
     ns = _parse_range(args.n, "n")
     ks = _parse_range(args.k, "k") if args.k else None
     ds = _parse_range(args.d, "d")
-    reports = _table_cells(ns, ks, ds, args.seed, args.jobs)
+    reports = _table_cells(ns, ks, ds, args.seed)
     mismatches = _check_rows(reports) if args.check else []
     if args.format == "json":
         payload = _payload("defect-table",
@@ -384,6 +371,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
 
+    def print_help(self, file=None):
+        """Help goes to stdout through :func:`_writing`: argparse's own
+        write drops an ``OSError``, and ``--help`` then exits 0."""
+        _emit(self.format_help(), None)
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
@@ -407,9 +399,6 @@ def build_parser():
                             "and the published table")
     table.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
-    table.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers (cells are independent), at "
-                            "most one per CPU and per cell")
     table.add_argument("--output", default=None)
     table.set_defaults(func=cmd_defect_table)
 

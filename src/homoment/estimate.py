@@ -631,16 +631,18 @@ def _minor_layout(d, k):
 
 
 @functools.lru_cache(maxsize=64)
-def _fit_systems(count, scale):
-    """The ``count`` interpolation nodes at ``scale``
-    (:func:`~homoment._poly.interpolation_nodes`) and, for each degree
-    below ``count``, the least-squares system that
-    ``numpy.polynomial.polynomial.polyfit`` sets up on the first
-    ``degree + 1`` nodes: the Vandermonde matrix with unit-norm columns,
-    those column norms and ``rcond``.  Arrays are read-only."""
-    nodes = np.asarray(_poly.interpolation_nodes(count, scale))
+def _fit_systems(d, k, scale):
+    """The interpolation nodes at ``scale`` of the pencil of order ``d``
+    and ``k`` (:func:`~homoment._poly.interpolation_nodes`) and, for each
+    degree of its minors (``_minor_layout(d, k).groups``), the
+    least-squares system that ``numpy.polynomial.polynomial.polyfit``
+    sets up on the first ``degree + 1`` nodes: the Vandermonde matrix
+    with unit-norm columns, those column norms and ``rcond``.  Arrays
+    are read-only."""
+    layout = _minor_layout(d, k)
+    nodes = np.asarray(_poly.interpolation_nodes(layout.nodes, scale))
     systems = []
-    for deg in range(count):
+    for deg, _ in layout.groups:
         x = nodes[:deg + 1]
         lhs = np.polynomial.polynomial.polyvander(x, deg).T
         scl = np.sqrt(np.square(lhs).sum(1))
@@ -662,7 +664,7 @@ def hankel_pencil(moments, k):
     :func:`_float_minors` call, and fitting.  The minors of one degree
     share the node prefix they are fitted on, so each degree takes one
     least-squares solve with a column per minor.  Its system depends on
-    the node count and scale alone and is built once
+    ``d``, ``k`` and the scale alone and is built once
     (:func:`_fit_systems`); the solve is the one
     ``numpy.polynomial.polynomial.polyfit`` makes, so the coefficients
     are polyfit's to the bit.  The matrix uses every given moment.
@@ -673,11 +675,10 @@ def hankel_pencil(moments, k):
         raise InsufficientOrderError(
             f"pencil needs moment order at least {2 * k}, got {d}")
     layout = _minor_layout(d, k)
-    nodes, systems = _fit_systems(layout.nodes, max(abs(float(m[1])), 1.0))
+    nodes, systems = _fit_systems(d, k, max(abs(float(m[1])), 1.0))
     values = _float_minors(m, k, nodes)
     minors = [None] * len(layout.degrees)
-    for deg, idx in layout.groups:
-        matrix, scl, rcond = systems[deg]
+    for (deg, idx), (matrix, scl, rcond) in zip(layout.groups, systems):
         fitted = np.linalg.lstsq(matrix, values[:deg + 1, idx], rcond)[0]
         for i, column in zip(idx.tolist(), (fitted.T / scl).tolist()):
             minors[i] = tuple(column)

@@ -96,7 +96,7 @@ def check_envelope(n, k, d, k_max=MAX_K):
 
 
 def _mix_seed(seed, n, k, d, trial):
-    # deterministic per-cell stream so concurrent table fills reproduce
+    # one stream per cell: a row does not depend on which rows share its table
     return (seed * 1_000_003 + n * 9_176 + k * 613 + d * 89 + trial) & 0x7FFFFFFF
 
 

@@ -299,7 +299,8 @@ def _psd_factor(cov):
 
 
 def sample_mixture(params, count, seed):
-    """Draw ``count`` i.i.d. observations, deterministic for a given seed.
+    """Draw ``count`` i.i.d. observations, deterministic for a given
+    nonnegative integer seed.
 
     The result is, to the bit, ``means[labels] + noise @ factor.T`` with
     ``labels = rng.choice(k, count, p=weights / weights.sum())`` and
@@ -320,6 +321,8 @@ def sample_mixture(params, count, seed):
     """
     if count < 1:
         raise PreconditionError("count must be positive")
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     weights = np.asarray([float(w) for w in params.weights])
     means = np.asarray([[float(x) for x in m] for m in params.means])
     cov = np.asarray([[float(x) for x in row] for row in params.cov])

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import bz2
-import concurrent.futures
 import contextlib
 import decimal
 import functools
@@ -120,7 +119,7 @@ class TestDefectTable:
         fresh = subprocess.run([sys.executable, "-m", "homoment.cli"] + args,
                                capture_output=True, text=True, env=env,
                                check=True).stdout
-        assert run(["defect-table", "--n", "1", "--jobs", "0"],
+        assert run(["rank-test", "--moments", "0,1,0", "--kmax", "0"],
                    capsys)[0] == cli.EXIT_INPUT
         assert run(args, capsys) == (cli.EXIT_OK, fresh, "")
 
@@ -174,8 +173,11 @@ class TestDefectTable:
         # the largest rank blocks, as CI runs them
         ("--n 8 --k 2..12 --d 3 --check --format json --seed 0",
          "23aa07abc14a7464e552c54c3b13d33fc6a50b8dc9b34f5b93f947a264423c3f"),
+        # a negative seed is masked into each row's stream
+        ("--n 1..3 --d 3 --format json --seed -5",
+         "def8440a765fa7c4b4206331a603534e98dec73cead7e2630df7c3ef964bfd5c"),
     ], ids=["n1..5-d3-check", "n1..4-d3..4", "n1..7-d3-check", "n1..3-d1..2",
-            "n8-k2..12-d3-check"])
+            "n8-k2..12-d3-check", "n1..3-d3-seed-5"])
     def test_output_is_pinned(self, capsys, args, digest):
         # byte-stable stdout, d = 4 cells included
         code, out, _ = run(["defect-table"] + args.split(), capsys)
@@ -193,20 +195,24 @@ class TestDefectTable:
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
             "26e43956945dc5f00b186fa2f6871d3240c5f8df353c4d2a13448e323b542b9b")
 
-    def test_jobs_match_serial(self, capsys, tmp_path):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        code, _, _ = run(["defect-table", "--n", "2", "--format", "json",
-                          "--output", str(serial)], capsys)
+    def test_row_does_not_depend_on_its_table(self, capsys):
+        # each row draws from its own stream: the same row, ranks
+        # included, whichever rows share its table
+        code, out, _ = run(["defect-table", "--n", "1..4", "--d", "3..4",
+                            "--format", "json"], capsys)
         assert code == 0
-        code, _, _ = run(["defect-table", "--n", "2", "--format", "json",
-                          "--jobs", "2", "--output", str(parallel)], capsys)
-        assert code == 0
-        assert serial.read_text() == parallel.read_text()
+        rows = strict_json(out)["rows"]
+        assert len(rows) > 1
+        for row in rows:
+            code, out, _ = run(["defect-table", "--n", str(row["n"]), "--k",
+                                str(row["k"]), "--d", str(row["d"]),
+                                "--format", "json"], capsys)
+            assert code == 0
+            assert strict_json(out)["rows"] == [row]
 
     def test_import_loads_no_process_pool(self):
-        # the pool module (multiprocessing, socket, subprocess, logging)
-        # is imported only when --jobs asks for more than one worker
+        # importing the CLI loads no process pool, nor the multiprocessing,
+        # socket, subprocess and logging modules that it pulls in
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(homoment.__file__)))
         loaded = subprocess.run(
@@ -214,58 +220,6 @@ class TestDefectTable:
              "print('concurrent.futures' in sys.modules)"],
             capture_output=True, text=True, env=env, check=True).stdout
         assert loaded == "False\n"
-
-    def test_serial_table_reads_no_cpu_count(self, capsys, monkeypatch):
-        def no_count():
-            raise AssertionError("CPU count read for --jobs 1")
-
-        monkeypatch.setattr(cli.os, "cpu_count", no_count)
-        code, out, _ = run(["defect-table", "--n", "1..2", "--jobs", "1",
-                            "--format", "csv"], capsys)
-        assert code == 0
-        assert len(out.strip().splitlines()) == 1 + 4
-
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_non_positive_jobs_is_input_error(self, capsys, jobs):
-        code, out, err = run(["defect-table", "--n", "1", "--jobs", jobs],
-                             capsys)
-        assert code == cli.EXIT_INPUT
-        assert out == ""
-        assert "--jobs" in strict_json(err)["error"]["message"]
-
-    @pytest.mark.parametrize("jobs,ks,cpus,workers", [
-        ("64", "1..3", 8, 3),        # one worker per cell
-        ("64", "1..12", 4, 4),       # one worker per CPU
-        ("2", "1..12", 4, 2),
-        ("64", "1..12", 1, None),    # one CPU: no pool
-        ("64", "1..12", None, None),  # CPU count unknown: no pool
-    ])
-    def test_jobs_clamped_to_cpus_and_cells(self, capsys, monkeypatch,
-                                            jobs, ks, cpus, workers):
-        pools = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        code, out, _ = run(["defect-table", "--n", "1", "--k", ks,
-                            "--jobs", jobs, "--format", "csv"], capsys)
-        assert code == 0
-        lo, hi = (int(x) for x in ks.split(".."))
-        assert len(out.strip().splitlines()) == 1 + hi - lo + 1
-        assert pools == ([] if workers is None else [workers])
 
 
 class TestSimulateAndFit2:
@@ -306,6 +260,14 @@ class TestSimulateAndFit2:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    def test_negative_seed_is_precondition_error(self, capsys, tmp_path):
+        params = self._write_params(tmp_path)
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "3", "--seed", "-1"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "PRECONDITION"
 
     def test_seed_defaults_to_zero(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
@@ -829,12 +791,21 @@ class TestStdoutFailure:
     @needs_dev_full
     @pytest.mark.parametrize("command", [
         "fit1d --k 1 --moments 0,1",
-        "simulate --params {params} --count 100000"])
+        "simulate --params {params} --count 100000",
+        # argparse writes help itself, drops a failed write and exits 0
+        "--help", "fit2 --help"])
     def test_full_device(self, tmp_path, command):
         with open("/dev/full", "w") as full, \
                 cli_process(command, tmp_path, stdout=full) as proc:
             _, err = proc.communicate(timeout=120)
         assert_write_failed(err, proc.returncode)
+
+    def test_help_to_pipe(self, tmp_path):
+        with cli_process("--help", tmp_path, stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.EXIT_OK
+        assert err == ""
+        assert out == cli.build_parser().format_help()
 
     def test_closed_pipe(self, tmp_path):
         # as in `simulate --count 100000 | head -1`: the rows fill the

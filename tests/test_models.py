@@ -316,6 +316,18 @@ class TestSampler:
             models.sample_mixture(models.HomoscedasticParams(**spec), 10, 0)
         assert caught.value.code == "INPUT_PARSE"
 
+    def test_rejects_negative_seed_before_drawing(self, monkeypatch):
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+
+        def no_generator(seed):
+            raise AssertionError("generator built for a negative seed")
+
+        monkeypatch.setattr(models.np.random, "default_rng", no_generator)
+        with pytest.raises(PreconditionError) as caught:
+            models.sample_mixture(p, 10, seed=-1)
+        assert caught.value.code == "PRECONDITION"
+
     def test_rejects_indefinite_covariance(self):
         p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
                                        cov=((-1.0,),))

@@ -470,7 +470,7 @@ class TestBatchedPencil:
     def test_cached_arrays_are_read_only(self):
         # every caller shares them
         layout = estimate._minor_layout(7, 2)
-        nodes, systems = estimate._fit_systems(layout.nodes, 1.0)
+        nodes, systems = estimate._fit_systems(7, 2, 1.0)
         arrays = [layout.index, nodes]
         arrays += [index for _, index in layout.groups]
         arrays += [a for matrix, scl, _ in systems for a in (matrix, scl)]
@@ -478,6 +478,22 @@ class TestBatchedPencil:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.flat[0] = 0
+
+    def test_builds_only_the_solved_systems(self):
+        # at k = 20 the one minor has degree 210: one system of 211
+        # nodes, not one per degree below 211 (about 26 MB)
+        m = list(np.random.default_rng(20).normal(size=40))
+        estimate._fit_systems.cache_clear()
+        estimate._minor_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate.variance_polynomial(m, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        _, systems = estimate._fit_systems(40, 20, 1.0)
+        assert len(systems) == 1
 
     @pytest.mark.parametrize("k,d", [(1, 3), (1, 5), (2, 5), (3, 7)])
     def test_gram_objective_matches_polynomial_products(self, k, d):
