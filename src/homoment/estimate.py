@@ -644,7 +644,9 @@ def _fit_systems(d, k, scale):
     systems = []
     for deg, _ in layout.groups:
         x = nodes[:deg + 1]
-        lhs = np.polynomial.polynomial.polyvander(x, deg).T
+        # polyvander(x, deg).T: the same successive products, and in C
+        # order, so that the norms below are summed as polyfit sums them
+        lhs = np.ascontiguousarray(np.vander(x, deg + 1, increasing=True).T)
         scl = np.sqrt(np.square(lhs).sum(1))
         scl[scl == 0] = 1
         matrix = lhs.T / scl

@@ -25,15 +25,20 @@ B holding the rows w_i u_j E_i / D and (E_i - E_k) / D (i < k) at orders
 >= 3.  For a Dirac mixture rank J = n + the rank of those rows at orders
 >= 2; a mixture at d = 1 splits off only n.
 
-Ranks are computed exactly.  At each random integer point B is read off
-these series as residues mod a prime p below 2**26 (``exactla.PRIMES``),
-its own prime for each point, and ranked over GF(p).  Series live in
-numpy int64 arrays of generating coefficients m_a / a!: E_i comes from a
-per-atom table of p_ij^e / e!; the k products E_i D^-1 (E_i F in the
-whole Jacobian, ``moment_map_jacobian``) and D^-1 = sum_j (1 - D)^j are
-truncated products over a cached per-(n, d) table of the index pairs
-(b, a - b), each term reduced mod p before the sum, so no product of two
-residues overflows.  Rows come from index shifts, (u_j S)[a] = S[a - e_j].
+Ranks are computed exactly.  At each random point, whose atoms and
+weights are integers, B is read off these series as residues mod a prime
+p below 2**26 (``exactla.PRIMES``), its own prime for each point, and
+ranked over GF(p).  The atoms are first centred at their weighted mean
+mod p: E_i / D does not move when every atom moves by the same vector,
+and the centred D has no order-1 term, so 1 - D starts at order 2 and
+D^-1 = sum_j (1 - D)^j needs only the j <= d/2 (at d = 3, D^-1 = 2 - D).
+Series live in numpy int64 arrays of generating coefficients m_a / a!:
+E_i comes from a per-atom table of p_ij^e / e!; the k products E_i D^-1
+(E_i F in the whole Jacobian, ``moment_map_jacobian``) and the powers of
+1 - D are truncated products over a cached per-(n, d) table of the index
+pairs (b, a - b), each term reduced mod p before the sum, so no product
+of two residues overflows.  Rows come from index shifts,
+(u_j S)[a] = S[a - e_j].
 
 This is sound because every denominator is a unit mod p: it divides a
 product of factorials e! with e <= d <= 6 and powers of 2, and D^-1 adds
@@ -105,7 +110,19 @@ def _mix_seed(seed, n, k, d, trial):
 
 
 def _draw(rng, count):
-    return [rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(count)]
+    """``count`` draws of ``rng.randint(-COORD_BOUND, COORD_BOUND)``, by
+    the rejection that ``randint`` runs: ``getrandbits`` of the bit
+    length of the range's width until a value falls below the width."""
+    width = 2 * COORD_BOUND + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    values = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        values.append(r - COORD_BOUND)
+    return values
 
 
 def _chunks(values, size):
@@ -208,10 +225,11 @@ def _product(x, y, ix, p):
 
 def _power_sum(s, coeffs, ix, p):
     """sum_j coeffs[j] s^j mod p for a series s with zero constant term."""
-    power = _one(ix)
-    total = coeffs[0] * power
-    for c in coeffs[1:]:
-        power = _product(power, s, ix, p)
+    total = coeffs[0] * _one(ix)
+    power = s
+    for j, c in enumerate(coeffs[1:]):
+        if j:
+            power = _product(power, s, ix, p)
         total = (total + c * power) % p
     return total
 
@@ -234,18 +252,23 @@ def _atoms(points, ix, p):
         powers[..., e] = powers[..., e - 1] * points % p
     # [i, j, e] = p_ij^e / e!
     scaled = powers * _inverse_factorials(d, p) % p
-    atoms = np.ones((len(points), len(ix.order)), dtype=np.int64)
-    for j, column in enumerate(ix.exponents.T):
-        atoms = atoms * scaled[:, j, column] % p
-    return atoms
+    # [i, j, a] = p_ij^a_j / a_j!, multiplied out over j by halves
+    factors = scaled[:, np.arange(points.shape[1])[:, None], ix.exponents.T]
+    while factors.shape[1] > 1:
+        half = factors.shape[1] // 2
+        paired = factors[:, :half] * factors[:, half:2 * half] % p
+        factors = np.concatenate([paired, factors[:, 2 * half:]], axis=1)
+    return factors[:, 0]
 
 
-def _tangent_rows(weights, terms, down, columns, p):
+def _tangent_rows(weights, terms, down, start, p):
     """Rows w_i u_j T_i (j inner) for each of the ``weights``, then
-    T_i - T_k for i < k, at the coefficients the mask ``columns`` keeps."""
+    T_i - T_k for i < k, at the coefficients from position ``start`` on."""
     shifted = weights[:, None, None] * _times_u(terms[:len(weights)],
-                                                down[:, columns]) % p
-    return np.vstack([*shifted, (terms[:-1, columns] - terms[-1, columns]) % p])
+                                                down[:, start:]) % p
+    k, n, width = shifted.shape
+    return np.concatenate([shifted.reshape(k * n, width),
+                           (terms[:-1, start:] - terms[-1, start:]) % p])
 
 
 def moment_map_jacobian(params, degree, p):
@@ -276,7 +299,7 @@ def moment_map_jacobian(params, degree, p):
                        _inverse_factorials(degree, p)[:degree // 2 + 1], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
-    rows = np.vstack([_tangent_rows(weights, terms, ix.down, ix.order > 0, p),
+    rows = np.vstack([_tangent_rows(weights, terms, ix.down, 1, p),
                       scale[:, None] * _times_u(moments, ix.pairs[:, 1:]) % p])
     return list(rows)
 
@@ -284,17 +307,24 @@ def moment_map_jacobian(params, degree, p):
 def _block(atoms, weights, degree, lowest, p):
     """B mod p (module docstring): rows w_i u_j E_i / D (j inner), then
     (E_i - E_k) / D, for i < k, at the orders ``lowest``..``degree``, for
-    rational ``atoms`` p_i and ``weights`` summing to one.  An ``int64``
-    array of (k - 1)(n + 1) rows."""
-    points = np.array([_residues(a, p) for a in atoms])
+    integer ``atoms`` p_i and ``weights`` summing to one.  An ``int64``
+    array of (k - 1)(n + 1) rows.
+
+    The atoms are centred at their weighted mean first, which leaves
+    E_i / D unchanged; D then has no order-1 term, so 1 - D starts at
+    order 2 and D^-1 = sum_j (1 - D)^j takes the j <= degree // 2."""
+    points = np.array(atoms, dtype=np.int64) % p
+    w = np.array(weights, dtype=np.int64) % p
+    # each matmul sums k <= 14 products of residues below 2**26: < 2**56
+    points = (points - w @ points % p) % p
     ix = _indices(points.shape[1], degree)
-    w = _residues(weights, p)
     series = _atoms(points, ix, p)
-    # D has constant term 1, so D^-1 = sum_j (1 - D)^j over j <= degree
-    moments = (w[:, None] * series % p).sum(axis=0) % p
-    inverse = _power_sum((_one(ix) - moments) % p, [1] * (degree + 1), ix, p)
+    moments = w @ series % p
+    inverse = _power_sum((_one(ix) - moments) % p, [1] * (degree // 2 + 1),
+                         ix, p)
+    # the indices are graded: orders >= lowest are a suffix
     return _tangent_rows(w[:-1], _product(series, inverse, ix, p), ix.down,
-                         ix.order >= lowest, p)
+                         ix.order.searchsorted(lowest), p)
 
 
 def _mixture_point(n, k, rng):

@@ -176,8 +176,11 @@ class TestDefectTable:
         # a negative seed is masked into each row's stream
         ("--n 1..3 --d 3 --format json --seed -5",
          "def8440a765fa7c4b4206331a603534e98dec73cead7e2630df7c3ef964bfd5c"),
+        # the whole envelope: 576 rows, d = 5 and 6 included
+        ("--n 1..8 --k 1..12 --d 1..6 --format json --seed 0",
+         "1b20a1381d1fd2533980eff900237f54314962e84c551b88a64a1920f3c50efe"),
     ], ids=["n1..5-d3-check", "n1..4-d3..4", "n1..7-d3-check", "n1..3-d1..2",
-            "n8-k2..12-d3-check", "n1..3-d3-seed-5"])
+            "n8-k2..12-d3-check", "n1..3-d3-seed-5", "n1..8-k1..12-d1..6"])
     def test_output_is_pinned(self, capsys, args, digest):
         # byte-stable stdout, d = 4 cells included
         code, out, _ = run(["defect-table"] + args.split(), capsys)
@@ -194,6 +197,13 @@ class TestDefectTable:
                 for n, k, d in cells]
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
             "26e43956945dc5f00b186fa2f6871d3240c5f8df353c4d2a13448e323b542b9b")
+
+    def test_veronese_envelope_is_pinned(self):
+        # every Dirac cell with n <= 4, k <= 6 and d = 3..6
+        rows = [geometry.veronese_report(n, k, d, seed=0).as_dict()
+                for n in range(1, 5) for k in range(1, 7) for d in range(3, 7)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "6e21f784053c4589422d12f5fb478175d840bea1dd84882375787498ae184a96")
 
     def test_row_does_not_depend_on_its_table(self, capsys):
         # each row draws from its own stream: the same row, ranks

@@ -112,6 +112,30 @@ def low_rank_residues(draw, p):
              for j in range(ncols)] for row in left]
 
 
+@st.composite
+def low_rank_integers(draw):
+    """An integer matrix of rank at most the inner size of its two
+    factors, wide or tall, with zero rows and zero columns inserted."""
+    nrows = draw(st.integers(1, 10))
+    ncols = draw(st.integers(1, 10))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    entries = st.integers(-2**20, 2**20)
+    left = [draw(st.lists(entries, min_size=inner, max_size=inner))
+            for _ in range(nrows)]
+    right = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+             for _ in range(inner)]
+    matrix = [[sum(a * right[t][j] for t, a in enumerate(row))
+               for j in range(ncols)] for row in left]
+    for _ in range(draw(st.integers(0, 3))):
+        matrix.insert(draw(st.integers(0, len(matrix))), [0] * ncols)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, ncols))
+        ncols += 1
+        for row in matrix:
+            row.insert(at, 0)
+    return matrix
+
+
 class TestExactLinearAlgebra:
     def test_rank_of_rational_matrix(self):
         m = [[Fraction(1, 2), 1, 0],
@@ -163,6 +187,16 @@ class TestExactLinearAlgebra:
         assert rank(lists, p) == rank(arrays, p) == reference_rank(matrix, p)
         assert lists == matrix
         assert [row.tolist() for row in arrays] == matrix
+
+    # rank eliminates along the shorter side, transposing a tall matrix
+    @pytest.mark.parametrize("p", [2, 3, 101, PRIMES[0], 2**31 - 1])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_rank_of_transpose(self, p, data):
+        matrix = data.draw(low_rank_integers())
+        m = np.array(matrix, dtype=np.int64)
+        assert (rank(m, p) == rank(m.T, p) == rank(list(m), p)
+                == reference_rank(matrix, p))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_modular_rank_is_a_lower_bound(self, p):
@@ -347,6 +381,17 @@ class TestMomentJacobian:
                        [957, -562716, Fraction(330085569, 2)],
                        [1553, Fraction(585481, 2), Fraction(549038302, 3)],
                        [0, Fraction(1, 2), -742628]]
+
+    def test_draw_replays_randint(self):
+        # the same coordinates as randint, and the stream left in the same
+        # state for the draws that follow
+        for seed in range(50):
+            rng, twin = random.Random(seed), random.Random(seed)
+            count = seed % 13 + 1
+            assert geometry._draw(rng, count) == [
+                twin.randint(-geometry.COORD_BOUND, geometry.COORD_BOUND)
+                for _ in range(count)]
+            assert rng.getstate() == twin.getstate()
 
     def test_each_point_has_its_own_prime(self, monkeypatch):
         moduli = []

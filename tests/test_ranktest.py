@@ -479,6 +479,25 @@ class TestBatchedPencil:
             with pytest.raises(ValueError):
                 array.flat[0] = 0
 
+    @pytest.mark.parametrize("d,k,scale", [
+        (d, k, scale) for d in range(2, 16) for k in range(1, d // 2 + 1)
+        for scale in (1.0, 7.3)] + [(40, 20, 1.0)])
+    def test_systems_are_polyfits(self, d, k, scale):
+        # the Vandermonde matrix, its column norms and rcond exactly as
+        # polyfit builds them on the same nodes; (40, 20) is the variance
+        # polynomial at k = 20
+        nodes, systems = estimate._fit_systems(d, k, scale)
+        groups = estimate._minor_layout(d, k).groups
+        assert len(systems) == len(groups)
+        for (deg, _), (matrix, scl, rcond) in zip(groups, systems):
+            x = nodes[:deg + 1]
+            lhs = P.polyvander(x, deg).T
+            want = np.sqrt(np.square(lhs).sum(1))
+            want[want == 0] = 1
+            assert np.array_equal(scl, want)
+            assert np.array_equal(matrix, lhs.T / want)
+            assert rcond == len(x) * np.finfo(float).eps
+
     def test_builds_only_the_solved_systems(self):
         # at k = 20 the one minor has degree 210: one system of 211
         # nodes, not one per degree below 211 (about 26 MB)
