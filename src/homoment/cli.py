@@ -463,21 +463,11 @@ def main(argv=None):
             args = parser.parse_args(
                 _attach_moments(sys.argv[1:] if argv is None else argv))
             return args.func(args)
-    except InputError as exc:
-        _report_error(exc)
-        return EXIT_INPUT
-    except ModelMismatchError as exc:
-        _report_error(exc)
-        return EXIT_MODEL
     except HomomentError as exc:
-        _report_error(exc)
-        return EXIT_INPUT
-
-
-def _report_error(exc):
-    payload = {"schema": SCHEMA, "version": __version__,
-               "error": {"code": exc.code, "message": str(exc)}}
-    print(json.dumps(payload), file=sys.stderr)
+        error = {"code": exc.code, "message": str(exc)}
+        print(json.dumps({"schema": SCHEMA, "version": __version__,
+                          "error": error}), file=sys.stderr)
+        return EXIT_MODEL if isinstance(exc, ModelMismatchError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -106,20 +106,21 @@ def _moment_steps(n, degree):
     column)``: monomial ``child`` of the order (by position in
     :func:`~homoment.series.multi_indices` order) is monomial ``parent``
     of the order below times centred ``column``.  The parent drops one
-    from the child's last nonzero exponent, so it never comes after the
-    child (checked for n, degree <= 8): steps in decreasing child
-    position may write each order over the one below."""
-    orders = [[a for a in ts.multi_indices(n, degree) if sum(a) == j]
-              for j in range(1, degree + 1)]
+    from the child's last nonzero exponent (the table's ``down`` at that
+    column), so it never comes after the child: steps in decreasing
+    child position may write each order over the one below."""
+    table = ts.index_table(n, degree)
+    sizes = np.bincount(table.order)
+    firsts = np.cumsum(sizes) - sizes
+    columns = n - 1 - np.argmax(table.exponents[:, ::-1] > 0, axis=1)
+    parents = table.down[columns, np.arange(len(columns))]
     steps = []
-    for lower, order in zip(orders, orders[1:]):
-        position = {a: p for p, a in enumerate(lower)}
-        steps.append([])
-        for child, a in reversed(list(enumerate(order))):
-            column = max(i for i in range(n) if a[i])
-            parent = a[:column] + (a[column] - 1,) + a[column + 1:]
-            steps[-1].append((child, position[parent], column))
-    return tuple(len(order) for order in orders), tuple(map(tuple, steps))
+    for j in range(2, degree + 1):
+        span = np.arange(firsts[j], firsts[j] + sizes[j])[::-1]
+        steps.append(tuple(zip((span - firsts[j]).tolist(),
+                               (parents[span] - firsts[j - 1]).tolist(),
+                               columns[span].tolist())))
+    return tuple(sizes[1:].tolist()), tuple(steps)
 
 
 def moment_sums(arr, degree, centre):
@@ -214,17 +215,17 @@ def sample_cumulants(data, degree):
     if arr.ndim != 2:
         raise InputError("data must be a count x n array of observations")
     count, n = arr.shape
+    ts._check_shape(n, degree)  # before the moment pass builds its table
     with np.errstate(over="ignore"):
         means = _finite_sample(arr.mean(axis=0), "mean")
     moments = _finite_sample(moment_sums(arr, degree, means) / count,
                              "moment")
+    indices = ts.multi_indices(n, degree)
     series = ts.TruncatedSeries.from_moments(
-        n, degree, zip(ts.multi_indices(n, degree)[1:], moments.tolist()))
-    first = {tuple(int(i == j) for i in range(n)): float(mean)
-             for j, mean in enumerate(means)}
-    return (ts.log(series).graded(2)
-            + ts.TruncatedSeries.from_moments(n, degree, first,
-                                              space="cumulant"))
+        n, degree, zip(indices[1:], moments.tolist()))
+    # the order-1 indices are the unit vectors e_1..e_n, in column order
+    return ts.log(series).graded(2) + ts.TruncatedSeries(
+        n, degree, zip(indices[1:n + 1], means.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -296,17 +297,6 @@ def solve_smaller_weight(ratio):
             hi = w
 
 
-def _raw_second_cumulants(cumulants):
-    n = cumulants.nvars
-    cov = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a = tuple((2 if t == i else 0) if i == j else (1 if t in (i, j) else 0)
-                      for t in range(n))
-            cov[i][j] = cov[j][i] = float(cumulants.moment(a))
-    return cov
-
-
 # relative to the covariance scale to the power 3/2
 _PIVOT_TOL = 1e-10
 
@@ -348,7 +338,10 @@ def fit_two_gaussians(cumulants, order=None):
         return tuple(e if t == i else 0 for t in range(n))
 
     mean_shift = [float(cumulants.moment(unit(i, 1))) for i in range(n)]
-    total_cov = _raw_second_cumulants(cumulants)
+    # the raw second cumulants, at the indices e_i + e_j
+    total_cov = [[float(cumulants.moment(tuple((t == i) + (t == j)
+                                               for t in range(n))))
+                  for j in range(n)] for i in range(n)]
     third = [float(cumulants.coeff(unit(i, 3))) for i in range(n)]
 
     cov_scale = max([abs(total_cov[i][j]) for i in range(n) for j in range(n)],

@@ -35,10 +35,11 @@ D^-1 = sum_j (1 - D)^j needs only the j <= d/2 (at d = 3, D^-1 = 2 - D).
 Series live in numpy int64 arrays of generating coefficients m_a / a!:
 E_i comes from a per-atom table of p_ij^e / e!; the k products E_i D^-1
 (E_i F in the whole Jacobian, ``moment_map_jacobian``) and the powers of
-1 - D are truncated products over a cached per-(n, d) table of the index
-pairs (b, a - b), each term reduced mod p before the sum, so no product
-of two residues overflows.  Rows come from index shifts,
-(u_j S)[a] = S[a - e_j].
+1 - D are truncated products over the index pairs (b, a - b) of
+``series.index_table``, the one table of multi-indices every series
+shares, each term reduced mod p before the sum, so no product of two
+residues overflows.  Rows come from index shifts on its ``down`` map,
+(u_j S)[a] = S[a - e_j], and the covariance rows u_i u_j M from two.
 
 This is sound because every denominator is a unit mod p: it divides a
 product of factorials e! with e <= d <= 6 and powers of 2, and D^-1 adds
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exactla import PRIMES, rank
-from .series import multi_indices
+from .series import index_table
 
 MAX_N = 8
 MAX_D = 6
@@ -151,61 +152,8 @@ def _residues(values, p):
                      for x in values], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class _Indices:
-    """The multi-indices of order 0..d in ``multi_indices`` order (the
-    constant first) and the index maps of series on them."""
-
-    order: np.ndarray      # |a|
-    exponents: np.ndarray  # (N, n): the indices a
-    down: np.ndarray       # (n, N): position of a - e_j, -1 where a_j = 0
-    upper: np.ndarray      # np.triu_indices(n): the pairs i <= j
-    lower: np.ndarray
-    pairs: np.ndarray      # (n(n+1)/2, N): position of a - e_i - e_j for
-                           # the pairs (upper, lower), or -1
-    left: np.ndarray       # every pair (b, c) with |b + c| <= d, grouped
-    right: np.ndarray      # by a = b + c: the positions of b and of c
-    starts: np.ndarray     # first pair of each group
-
-
-@lru_cache(maxsize=None)
-def _indices(n, d):
-    exponents = np.array(multi_indices(n, d), dtype=np.int64)
-    order = exponents.sum(axis=1)
-    size = len(order)
-    # exponents are at most d, so base-(d+1) digits give distinct keys,
-    # and adding two keys adds their indices
-    place = (d + 1) ** np.arange(n, dtype=np.int64)
-    keys = exponents @ place
-    sorter = np.argsort(keys)
-
-    def position(key):
-        found = np.searchsorted(keys, key, sorter=sorter)
-        return sorter[np.minimum(found, size - 1)]
-
-    down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
-    upper, lower = np.triu_indices(n)
-    inner = down[lower]
-    pairs = np.where(inner >= 0, np.take_along_axis(
-        down[upper], np.maximum(inner, 0), axis=1), -1)
-    # the indices are graded, so the c with |b| + |c| <= d are a prefix
-    fits = np.searchsorted(order, d - order, side="right")
-    left = np.repeat(np.arange(size), fits)
-    right = np.arange(left.size) - np.repeat(np.cumsum(fits) - fits, fits)
-    target = position(keys[left] + keys[right])
-    grouped = np.argsort(target, kind="stable")
-    starts = np.searchsorted(target[grouped], np.arange(size))
-    tables = _Indices(order, exponents, down, upper, lower, pairs,
-                      left[grouped], right[grouped], starts)
-    for array in vars(tables).values():
-        array.setflags(write=False)  # shared by every caller of the cache
-    return tables
-
-
 def _one(ix):
-    one = np.zeros(len(ix.order), dtype=np.int64)
-    one[0] = 1
-    return one
+    return (ix.order == 0).astype(np.int64)  # the series 1
 
 
 def _times_u(s, down):
@@ -284,23 +232,23 @@ def moment_map_jacobian(params, degree, p):
     """
     means = np.array([_residues(m, p) for m in params.means])
     n = means.shape[1]
-    ix = _indices(n, degree)
+    ix = index_table(n, degree)
     weights = _residues(params.weights, p)
+    upper, lower = np.triu_indices(n)
+
+    def quadratic(s):
+        # u_i u_j s for each pair i <= j, by two shifts
+        return _times_u(_times_u(s, ix.down), ix.down)[upper, lower]
+
     # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal
-    scale = np.where(ix.upper == ix.lower, _inverse(2, p), 1)
-    cov = _residues([params.cov[i][j]
-                     for i, j in zip(ix.upper, ix.lower)], p)
-    # u_i u_j 1 is the series with a single 1 at e_i + e_j, the index a
-    # whose a - e_i - e_j is the constant
-    quadratic = np.zeros(len(ix.order), dtype=np.int64)
-    pair, at = np.nonzero(ix.pairs == 0)
-    quadratic[at] = scale[pair] * cov[pair] % p
-    gauss = _power_sum(quadratic,
+    scale = np.where(upper == lower, _inverse(2, p), 1)
+    cov = _residues([params.cov[i][j] for i, j in zip(upper, lower)], p)
+    gauss = _power_sum(scale * cov % p @ quadratic(_one(ix)) % p,
                        _inverse_factorials(degree, p)[:degree // 2 + 1], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
     rows = np.vstack([_tangent_rows(weights, terms, ix.down, 1, p),
-                      scale[:, None] * _times_u(moments, ix.pairs[:, 1:]) % p])
+                      scale[:, None] * quadratic(moments)[:, 1:] % p])
     return list(rows)
 
 
@@ -317,7 +265,7 @@ def _block(atoms, weights, degree, lowest, p):
     w = np.array(weights, dtype=np.int64) % p
     # each matmul sums k <= 14 products of residues below 2**26: < 2**56
     points = (points - w @ points % p) % p
-    ix = _indices(points.shape[1], degree)
+    ix = index_table(points.shape[1], degree)
     series = _atoms(points, ix, p)
     moments = w @ series % p
     inverse = _power_sum((_one(ix) - moments) % p, [1] * (degree // 2 + 1),

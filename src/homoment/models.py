@@ -7,7 +7,6 @@ estimation.  Only :func:`sample_mixture` touches numpy.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +52,14 @@ def _check_symmetric(cov):
                     raise PreconditionError("covariance must be symmetric")
             elif a != b:
                 raise PreconditionError("covariance must be symmetric")
+
+
+def _is_numbers(value, depth):
+    """Whether ``value`` is a list of JSON numbers (a bool is not one), or
+    at ``depth`` 2 a list of such lists."""
+    return isinstance(value, list) and all(
+        _is_numbers(x, depth - 1) if depth > 1 else type(x) in (int, float)
+        for x in value)
 
 
 @dataclass(frozen=True)
@@ -160,11 +167,20 @@ class HomoscedasticParams:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            return cls(means=data["means"], weights=data["weights"],
-                       cov=data["cov"])
-        except KeyError as exc:
-            raise PreconditionError(f"missing parameter field {exc}") from exc
+        """Parameters from parsed JSON, an object of lists of numbers:
+        anything else is ``INPUT_PARSE``, a missing field a precondition."""
+        if not isinstance(data, dict):
+            raise InputError("parameters must be a JSON object",
+                             code="INPUT_PARSE")
+        for key, depth in (("means", 2), ("weights", 1), ("cov", 2)):
+            if key not in data:
+                raise PreconditionError(f"missing parameter field {key!r}")
+            if not _is_numbers(data[key], depth):
+                raise InputError(f"parameter field {key!r} must be a list "
+                                 f"{'of lists ' * (depth - 1)}of numbers",
+                                 code="INPUT_PARSE")
+        return cls(means=data["means"], weights=data["weights"],
+                   cov=data["cov"])
 
 
 @dataclass(frozen=True)
@@ -190,29 +206,20 @@ class LaplaceParams:
 # forward maps
 
 
-def _unit(n, j):
-    return tuple(1 if t == j else 0 for t in range(n))
-
-
 def _linear_series(vec, degree):
     n = len(vec)
-    return ts.TruncatedSeries(n, degree,
-                              {_unit(n, j): vec[j] for j in range(n)})
+    return ts.TruncatedSeries(n, degree, {
+        tuple(int(t == j) for t in range(n)): vec[j] for j in range(n)})
 
 
 def _quadratic_series(cov, degree):
-    # the quadratic form u^t Sigma u / 2 in generating coefficients
+    # the quadratic form u^t Sigma u / 2 in generating coefficients: the
+    # index e_i + e_j carries Sigma_ij, halved on the diagonal
     n = len(cov)
-    coeffs = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                idx = tuple(2 if t == i else 0 for t in range(n))
-                coeffs[idx] = ts._promote(cov[i][i]) / 2
-            else:
-                idx = tuple(1 if t in (i, j) else 0 for t in range(n))
-                coeffs[idx] = cov[i][j]
-    return ts.TruncatedSeries(n, degree, coeffs)
+    return ts.TruncatedSeries(n, degree, {
+        tuple((t == i) + (t == j) for t in range(n)):
+            ts._promote(cov[i][i]) / 2 if i == j else cov[i][j]
+        for i in range(n) for j in range(i, n)})
 
 
 def gaussian_moments(params, degree):
@@ -223,13 +230,9 @@ def gaussian_moments(params, degree):
 
 def dirac_mixture_moments(params, degree):
     """Moment series of a Dirac mixture: raw moments are weighted monomials."""
-    n = params.nvars
-    coeffs = {}
-    for a in ts.multi_indices(n, degree):
-        if sum(a) == 0:
-            total = sum(params.weights[1:], params.weights[0])
-            coeffs[a] = Fraction(1) if _is_float(total) else total
-            continue
+    # the weights sum to one (the parameters check it)
+    moments = {}
+    for a in ts.multi_indices(params.nvars, degree)[1:]:
         acc = None
         for w, p in zip(params.weights, params.points):
             term = w
@@ -237,8 +240,8 @@ def dirac_mixture_moments(params, degree):
                 for _ in range(e):
                     term = term * p[j]
             acc = term if acc is None else acc + term
-        coeffs[a] = acc / ts.index_factorial(a)
-    return ts.TruncatedSeries(n, degree, coeffs)
+        moments[a] = acc
+    return ts.TruncatedSeries.from_moments(params.nvars, degree, moments)
 
 
 def homoscedastic_moments(params, degree):

@@ -9,6 +9,14 @@ plain truncated Cauchy product and keeps the exponential and logarithm
 free of multinomial bookkeeping; use :meth:`TruncatedSeries.moment` and
 :meth:`TruncatedSeries.from_moments` to convert at the boundary.
 
+The one table of multi-indices (:func:`index_table`, cached per
+``(n, d)``) holds them in graded lex order with the shifts a - e_j and
+the pairs (b, c) grouped by b + c.  A series is an object array on it:
+a sum is an array sum, a truncation a prefix and the Cauchy product a
+sum over the pairs whose two coefficients are nonzero.  The residue
+series of :mod:`homoment.geometry` and the moment pass of
+:mod:`homoment.estimate` read the same table.
+
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
 value supporting ``+``, ``-``, ``*`` and division by ``int``.  Plain
 ``int`` coefficients are promoted to ``Fraction`` so that exact inputs
@@ -18,9 +26,13 @@ All operations return new series; instances are treated as immutable
 values and are safe to share across threads.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 
@@ -28,23 +40,69 @@ MAX_VARS = 8
 MAX_DEGREE = 8
 
 
+@dataclass(frozen=True)
+class IndexTable:
+    """The multi-indices of order 0..d in graded lex order (the constant
+    first) and the index maps of series on them."""
+
+    indices: tuple               # the indices a, as tuples
+    positions: MappingProxyType  # a -> its position
+    order: np.ndarray            # |a|
+    exponents: np.ndarray        # (N, n): the indices a
+    down: np.ndarray             # (n, N): position of a - e_j, -1 if a_j = 0
+    left: np.ndarray             # every pair (b, c), |b + c| <= d, grouped
+    right: np.ndarray            # by a = b + c: the positions of b and of c
+    starts: np.ndarray           # first pair of each group
+
+
+@lru_cache(maxsize=None)
+def index_table(n, d):
+    """The :class:`IndexTable` of ``n`` variables to order ``d``, shared
+    by every caller (its arrays are read-only)."""
+    indices = [(0,) * n]
+    for total in range(d):
+        # the next order: this one's indices plus a unit, in decreasing
+        # lex order
+        indices += sorted({a[:j] + (a[j] + 1,) + a[j + 1:] for a in indices
+                           if sum(a) == total for j in range(n)}, reverse=True)
+    indices = tuple(indices)
+    exponents = np.array(indices, dtype=np.int64)
+    order = exponents.sum(axis=1)
+    size = len(order)
+    # exponents are at most d, so base-(d+1) digits give distinct keys,
+    # and adding two keys adds their indices
+    place = (d + 1) ** np.arange(n, dtype=np.int64)
+    keys = exponents @ place
+    sorter = np.argsort(keys)
+
+    def position(key):
+        found = np.searchsorted(keys, key, sorter=sorter)
+        return sorter[np.minimum(found, size - 1)]
+
+    down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
+    # the indices are graded, so the c with |b| + |c| <= d are a prefix
+    fits = np.searchsorted(order, d - order, side="right")
+    left = np.repeat(np.arange(size), fits)
+    right = np.arange(left.size) - np.repeat(np.cumsum(fits) - fits, fits)
+    target = position(keys[left] + keys[right])
+    grouped = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[grouped], np.arange(size))
+    table = IndexTable(indices, MappingProxyType(
+        {a: i for i, a in enumerate(indices)}), order, exponents, down,
+        left[grouped], right[grouped], starts)
+    for array in (order, exponents, down, table.left, table.right, starts):
+        array.setflags(write=False)
+    return table
+
+
 def multi_indices(nvars, degree):
     """All exponent tuples with ``|a| <= degree`` in graded lex order."""
-    out = []
-    for total in range(degree + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(nvars), total):
-            block.add(tuple(combo.count(i) for i in range(nvars)))
-        out.extend(sorted(block, reverse=True))
-    return out
+    return index_table(nvars, degree).indices
 
 
 def index_factorial(a):
     """``a! = a_1! * ... * a_n!`` for a multi-index ``a``."""
-    f = 1
-    for e in a:
-        f *= factorial(e)
-    return f
+    return prod(factorial(e) for e in a)
 
 
 def _promote(c):
@@ -54,34 +112,46 @@ def _promote(c):
     return c
 
 
-def _is_zero(c):
-    return c == 0
+def _check_shape(nvars, degree):
+    if not (1 <= nvars <= MAX_VARS and 1 <= degree <= MAX_DEGREE):
+        raise DimensionMismatchError(
+            f"nvars must be in 1..{MAX_VARS} and degree in 1..{MAX_DEGREE}, "
+            f"got nvars={nvars}, degree={degree}")
+
+
+def _position(a, nvars, degree):
+    """The position of the multi-index ``a``; one that is not an index of
+    ``nvars`` variables and order at most ``degree`` (the wrong length, a
+    negative entry) is a ``DimensionMismatchError``."""
+    a = tuple(int(e) for e in a)
+    at = index_table(nvars, degree).positions.get(a)
+    if at is None:
+        raise DimensionMismatchError(
+            f"bad multi-index {a} in {nvars} variables to order {degree}")
+    return at
 
 
 class TruncatedSeries:
     __slots__ = ("nvars", "degree", "_c")
 
     def __init__(self, nvars, degree, coeffs=None):
-        if not 1 <= nvars <= MAX_VARS:
-            raise DimensionMismatchError(
-                f"nvars must be in 1..{MAX_VARS}, got {nvars}")
-        if not 1 <= degree <= MAX_DEGREE:
-            raise DimensionMismatchError(
-                f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-        self.nvars = nvars
-        self.degree = degree
-        self._c = {}
-        if coeffs:
-            for a, c in dict(coeffs).items():
-                a = tuple(int(e) for e in a)
-                if len(a) != nvars or any(e < 0 for e in a):
-                    raise DimensionMismatchError(f"bad multi-index {a}")
-                if sum(a) > degree:
-                    raise DimensionMismatchError(
-                        f"index {a} exceeds truncation degree {degree}")
-                c = _promote(c)
-                if not _is_zero(c):
-                    self._c[a] = c
+        _check_shape(nvars, degree)
+        values = np.zeros(len(multi_indices(nvars, degree)), dtype=object)
+        for a, c in dict(coeffs or {}).items():
+            values[_position(a, nvars, degree)] = _promote(c)
+        self._set(nvars, degree, values)
+
+    def _set(self, nvars, degree, values):
+        # the coefficients in multi_indices order, every zero stored as
+        # the int 0, which adds to any scalar exactly and in its own type
+        values[values == 0] = 0
+        self.nvars, self.degree, self._c = nvars, degree, values
+        return self
+
+    def _like(self, values, degree=None):
+        # a series of this shape (or truncated at degree) on values
+        return TruncatedSeries.__new__(TruncatedSeries)._set(
+            self.nvars, degree or self.degree, values)
 
     # ------------------------------------------------------------------
     # constructors
@@ -104,26 +174,23 @@ class TruncatedSeries:
         """
         if space not in ("moment", "cumulant"):
             raise PreconditionError(f"unknown space {space!r}")
-        coeffs = {}
+        series = (cls.one if space == "moment" else cls.zero)(nvars, degree)
+        indices = multi_indices(nvars, degree)
         for a, m in dict(moments).items():
-            a = tuple(int(e) for e in a)
-            if sum(a) == 0:
+            at = _position(a, nvars, degree)
+            if at == 0:
                 raise PreconditionError(
                     "order-zero term is implied by the space flag")
-            coeffs[a] = _promote(m) / index_factorial(a)
-        if space == "moment":
-            coeffs[(0,) * nvars] = Fraction(1)
-        return cls(nvars, degree, coeffs)
+            series._c[at] = _promote(m) / index_factorial(indices[at])
+        return series._set(nvars, degree, series._c)
 
     # ------------------------------------------------------------------
     # accessors
 
     def coeff(self, a):
         """Stored generating-function coefficient ``m_a / a!``."""
-        a = tuple(int(e) for e in a)
-        if len(a) != self.nvars or sum(a) > self.degree:
-            raise DimensionMismatchError(f"index {a} out of range")
-        return self._c.get(a, Fraction(0))
+        c = self._c[_position(a, self.nvars, self.degree)]
+        return Fraction(0) if c == 0 else c
 
     def moment(self, a):
         """Raw moment/cumulant ``a! * coeff(a)``."""
@@ -131,26 +198,27 @@ class TruncatedSeries:
 
     def items(self):
         """Nonzero ``(index, coefficient)`` pairs in graded lex order."""
-        return sorted(self._c.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+        indices = multi_indices(self.nvars, self.degree)
+        return [(indices[i], self._c[i]) for i in np.flatnonzero(self._c)]
 
     def constant(self):
-        return self._c.get((0,) * self.nvars, Fraction(0))
+        return self.coeff((0,) * self.nvars)
 
     def truncate(self, degree):
         """Forget all terms of total degree above ``degree``."""
         if degree > self.degree:
             raise DimensionMismatchError(
                 f"cannot extend truncation {self.degree} to {degree}")
-        return TruncatedSeries(
-            self.nvars, degree,
-            {a: c for a, c in self._c.items() if sum(a) <= degree})
+        _check_shape(self.nvars, degree)
+        size = len(multi_indices(self.nvars, degree))
+        return self._like(self._c[:size].copy(), degree)
 
     def graded(self, min_order, max_order=None):
         """Keep only terms with ``min_order <= |a| <= max_order``."""
         hi = self.degree if max_order is None else max_order
-        return TruncatedSeries(
-            self.nvars, self.degree,
-            {a: c for a, c in self._c.items() if min_order <= sum(a) <= hi})
+        order = index_table(self.nvars, self.degree).order
+        return self._like(np.where((min_order <= order) & (order <= hi),
+                                   self._c, 0))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -165,39 +233,38 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        c = dict(self._c)
-        for a, x in other._c.items():
-            y = c.get(a)
-            c[a] = x if y is None else y + x
-        return TruncatedSeries(self.nvars, self.degree, c)
+        return self._like(self._c + other._c)
 
     def __neg__(self):
-        return TruncatedSeries(self.nvars, self.degree,
-                               {a: -c for a, c in self._c.items()})
+        return self._like(-self._c)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self + (-other)
 
+    def _scaled(self, op, scalar):
+        # zero coefficients stay zero, whatever the scalar
+        values = self._c.copy()
+        nonzero = values != 0
+        values[nonzero] = op(values[nonzero], scalar)
+        return self._like(values)
+
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            terms = [(b, sum(b), cb) for b, cb in other._c.items()]
-            out = {}
-            for a, ca in self._c.items():
-                room = self.degree - sum(a)
-                for b, db, cb in terms:
-                    if db > room:
-                        continue
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prod = ca * cb
-                    acc = out.get(key)
-                    out[key] = prod if acc is None else acc + prod
-            return TruncatedSeries(self.nvars, self.degree, out)
-        other = _promote(other)
-        return TruncatedSeries(self.nvars, self.degree,
-                               {a: c * other for a, c in self._c.items()})
+        if not isinstance(other, TruncatedSeries):
+            return self._scaled(np.multiply, _promote(other))
+        self._check_compatible(other)
+        table = index_table(self.nvars, self.degree)
+        x, y = self._c, other._c
+        # the pairs whose two coefficients are nonzero, still grouped
+        keep = (x != 0)[table.left] & (y != 0)[table.right]
+        counts = np.add.reduceat(keep, table.starts, dtype=np.intp)
+        filled = counts > 0
+        values = np.zeros(len(x), dtype=object)
+        values[filled] = np.add.reduceat(
+            x[table.left[keep]] * y[table.right[keep]],
+            (np.cumsum(counts) - counts)[filled])
+        return self._like(values)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -207,8 +274,7 @@ class TruncatedSeries:
             return NotImplemented
         if type(scalar) is int:
             return self * Fraction(1, scalar)
-        return TruncatedSeries(self.nvars, self.degree,
-                               {a: c / scalar for a, c in self._c.items()})
+        return self._scaled(np.true_divide, scalar)
 
     # ------------------------------------------------------------------
     # comparison
@@ -217,24 +283,22 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.degree == other.degree
-                and self._c == other._c)
+                and bool(np.all(self._c == other._c)))
 
     def __hash__(self):
-        return hash((self.nvars, self.degree, frozenset(self._c.items())))
+        return hash((self.nvars, self.degree, frozenset(self.items())))
 
     def allclose(self, other, tol=1e-12):
         """Coefficientwise ``|delta| < tol * max(1, |c|)`` comparison."""
         self._check_compatible(other)
-        for a in set(self._c) | set(other._c):
-            x = float(self._c.get(a, 0))
-            y = float(other._c.get(a, 0))
-            if abs(x - y) >= tol * max(1.0, abs(x), abs(y)):
-                return False
-        return True
+        x, y = self._c.astype(float), other._c.astype(float)
+        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+        return not np.any(np.abs(x - y) >= tol * scale)
 
     def __repr__(self):
-        head = ", ".join(f"{a}: {c}" for a, c in self.items()[:6])
-        more = "" if len(self._c) <= 6 else ", ..."
+        items = self.items()
+        head = ", ".join(f"{a}: {c}" for a, c in items[:6])
+        more = "" if len(items) <= 6 else ", ..."
         return (f"TruncatedSeries(nvars={self.nvars}, degree={self.degree}, "
                 f"{{{head}{more}}})")
 
@@ -246,13 +310,13 @@ def exp(series):
     terminates because ``S`` has no constant term.  The result lives in
     moment space (constant coefficient 1).
     """
-    if not _is_zero(series.constant()):
+    if series.constant() != 0:
         raise PreconditionError("exp requires a zero constant term")
     result = TruncatedSeries.one(series.nvars, series.degree)
     term = result
     for j in range(1, series.degree + 1):
         term = (term * series) / j
-        if not term._c:
+        if not term.items():
             break
         result = result + term
     return result
@@ -272,7 +336,7 @@ def log(series):
     power = one
     for j in range(1, series.degree + 1):
         power = power * shifted
-        if not power._c:
+        if not power.items():
             break
         term = power / j
         result = result + term if j % 2 == 1 else result - term

@@ -1,10 +1,11 @@
 """Shared helpers for building random exact test inputs, the exact
-oracles the float routines are checked against, and the
+oracles the float routines are checked against, the dict engine of
+truncated series that ``series`` is checked against, and the
 acceptance-criteria reporter (one PASS/FAIL line per criterion, emitted
 in the terminal summary so capture settings cannot swallow it)."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
 
 import numpy as np
@@ -246,3 +247,131 @@ def exact_hankel_pencil(moments, k):
 def exact_variance_polynomial(moments, k):
     """``estimate.variance_polynomial`` over Q."""
     return list(exact_hankel_pencil(list(moments)[:2 * k], k).minors[0])
+
+
+# ----------------------------------------------------------------------
+# the dict engine of truncated series: the oracle ``series`` is checked
+# against (coefficients keyed by exponent tuple, zeros never stored)
+
+
+def dict_multi_indices(nvars, degree):
+    """All exponent tuples with ``|a| <= degree`` in graded lex order."""
+    out = []
+    for total in range(degree + 1):
+        block = set()
+        for combo in combinations_with_replacement(range(nvars), total):
+            block.add(tuple(combo.count(i) for i in range(nvars)))
+        out.extend(sorted(block, reverse=True))
+    return out
+
+
+class DictSeries:
+    """``series.TruncatedSeries`` on a dict of its nonzero coefficients."""
+
+    def __init__(self, nvars, degree, coeffs=None):
+        self.nvars = nvars
+        self.degree = degree
+        self._c = {}
+        for a, c in dict(coeffs or {}).items():
+            c = ts._promote(c)
+            if c != 0:
+                self._c[tuple(int(e) for e in a)] = c
+
+    @classmethod
+    def one(cls, nvars, degree):
+        return cls(nvars, degree, {(0,) * nvars: Fraction(1)})
+
+    def items(self):
+        return sorted(self._c.items(),
+                      key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+
+    def constant(self):
+        return self._c.get((0,) * self.nvars, Fraction(0))
+
+    def truncate(self, degree):
+        return DictSeries(self.nvars, degree,
+                          {a: c for a, c in self._c.items() if sum(a) <= degree})
+
+    def graded(self, min_order, max_order=None):
+        hi = self.degree if max_order is None else max_order
+        return DictSeries(
+            self.nvars, self.degree,
+            {a: c for a, c in self._c.items() if min_order <= sum(a) <= hi})
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for a, x in other._c.items():
+            y = c.get(a)
+            c[a] = x if y is None else y + x
+        return DictSeries(self.nvars, self.degree, c)
+
+    def __neg__(self):
+        return DictSeries(self.nvars, self.degree,
+                          {a: -c for a, c in self._c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, DictSeries):
+            terms = [(b, sum(b), cb) for b, cb in other._c.items()]
+            out = {}
+            for a, ca in self._c.items():
+                room = self.degree - sum(a)
+                for b, db, cb in terms:
+                    if db > room:
+                        continue
+                    key = tuple(x + y for x, y in zip(a, b))
+                    prod = ca * cb
+                    acc = out.get(key)
+                    out[key] = prod if acc is None else acc + prod
+            return DictSeries(self.nvars, self.degree, out)
+        other = ts._promote(other)
+        return DictSeries(self.nvars, self.degree,
+                          {a: c * other for a, c in self._c.items()})
+
+    def __truediv__(self, scalar):
+        if type(scalar) is int:
+            return self * Fraction(1, scalar)
+        return DictSeries(self.nvars, self.degree,
+                          {a: c / scalar for a, c in self._c.items()})
+
+    def __eq__(self, other):
+        return (self.nvars == other.nvars and self.degree == other.degree
+                and self._c == other._c)
+
+    def __hash__(self):
+        return hash((self.nvars, self.degree, frozenset(self._c.items())))
+
+    def __repr__(self):
+        head = ", ".join(f"{a}: {c}" for a, c in self.items()[:6])
+        more = "" if len(self._c) <= 6 else ", ..."
+        return (f"TruncatedSeries(nvars={self.nvars}, degree={self.degree}, "
+                f"{{{head}{more}}})")
+
+
+def dict_exp(series):
+    """``series.exp`` on a :class:`DictSeries`: sum_j S^j / j!."""
+    result = DictSeries.one(series.nvars, series.degree)
+    term = result
+    for j in range(1, series.degree + 1):
+        term = (term * series) / j
+        if not term._c:
+            break
+        result = result + term
+    return result
+
+
+def dict_log(series):
+    """``series.log`` on a :class:`DictSeries`: sum_j (-1)^(j+1) (S - 1)^j / j."""
+    one = DictSeries.one(series.nvars, series.degree)
+    shifted = series - one
+    result = DictSeries(series.nvars, series.degree)
+    power = one
+    for j in range(1, series.degree + 1):
+        power = power * shifted
+        if not power._c:
+            break
+        term = power / j
+        result = result + term if j % 2 == 1 else result - term
+    return result

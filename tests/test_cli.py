@@ -271,6 +271,36 @@ class TestSimulateAndFit2:
         assert out == ""
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '[["a"]]', '"parameters"', "null",
+        '{"means": 5, "weights": [0.3, 0.7], "cov": [[1.0]]}',
+        '{"means": [[0.0], [3.0]], "weights": 1, "cov": [[1.0]]}',
+        '{"means": [0.0, 3.0], "weights": [0.3, 0.7], "cov": [[1.0]]}',
+        '{"means": [["a"], [3.0]], "weights": [0.3, 0.7], "cov": [[1.0]]}',
+        '{"means": [[0.0], [3.0]], "weights": [0.3, 0.7], "cov": [["x"]]}',
+        '{"means": [[0.0], [3.0]], "weights": [true, 0.7], "cov": [[1.0]]}',
+        '{"means": [[0.0], [3.0]], "weights": [0.3, 0.7], "cov": [[null]]}',
+        '{"means": [[0.0], [3.0]], "weights": [0.3, 0.7], "cov": {"0": 1}}'])
+    def test_malformed_params(self, capsys, tmp_path, text):
+        # parsed JSON of the wrong shape or with entries that are not
+        # numbers: exit 2 with INPUT_PARSE, not a traceback
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "20"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    def test_missing_params_field_is_precondition_error(self, capsys, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text('{"means": [[0.0], [3.0]], "weights": [0.3, 0.7]}')
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "20"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "PRECONDITION"
+
     def test_negative_seed_is_precondition_error(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
         code, out, err = run(["simulate", "--params", str(params), "--count",
@@ -319,6 +349,32 @@ class TestSimulateAndFit2:
                            capsys)
         assert code == 0
         assert len(json.loads(out)["estimates"]) == 2
+
+    @pytest.mark.parametrize("params,order,digest", [
+        ("readme", "4",
+         "a7ec617f66694961d13bc342ba2bee0b98a6d61d0cbcca624833bbbc1da56bc1"),
+        ("readme", "5",
+         "fc6a210cf2466607810eac2f702f6df5b7b06d45084c8d36ac508c5df5533ade"),
+        ("mixture_3d", "4",
+         "331a01ca1f9de88de0c1a70f52b3afb59c2e445228df7c1398557b699ee1011f"),
+    ], ids=["2d-order4", "2d-order5", "3d-order4"])
+    def test_output_is_pinned(self, capsys, tmp_path, params, order, digest):
+        # byte-stable stdout of the cumulant path: the README 2-D mixture
+        # and the benchmark's 3-D one, 20k rows at seed 7
+        spec = {"readme": {
+            "means": [[1.0, 0.0], [-0.43, 0.0]], "weights": [0.3, 0.7],
+            "cov": [[1.0, 0.0], [0.0, 1.0]]}, "mixture_3d": {
+            "means": [[1.2, -0.8, 0.5], [-0.6, 0.4, -0.25]],
+            "weights": [0.35, 0.65],
+            "cov": [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.6]]}}
+        path, data = tmp_path / "params.json", tmp_path / "sample.csv"
+        path.write_text(json.dumps(spec[params]))
+        run(["simulate", "--params", str(path), "--count", "20000",
+             "--seed", "7", "--output", str(data)], capsys)
+        code, out, _ = run(["fit2", "--order", order, "--input", str(data)],
+                           capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_single_column_csv_univariate_path(self, capsys, tmp_path):
         p = tmp_path / "p1.json"

@@ -1,11 +1,15 @@
-"""Truncated series arithmetic: ring laws, exp/log, affine action."""
+"""Truncated series arithmetic: ring laws, exp/log, the index table and
+the dict-engine oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_fraction, rand_series
+from conftest import (DictSeries, dict_exp, dict_log, dict_multi_indices,
+                      rand_fraction, rand_series)
 from homoment import series as ts
 from homoment.errors import DimensionMismatchError, PreconditionError
 
@@ -114,6 +118,18 @@ class TestMomentConversion:
         with pytest.raises(DimensionMismatchError):
             s.coeff((4, 0))
 
+    @pytest.mark.parametrize("index", [(-1, 2), (2, -1), (1,), (1, 1, 0)])
+    def test_bad_index_is_input_error(self, index):
+        s = ts.TruncatedSeries.one(2, 3)
+        with pytest.raises(DimensionMismatchError):
+            s.coeff(index)
+        with pytest.raises(DimensionMismatchError):
+            s.moment(index)
+        with pytest.raises(DimensionMismatchError):
+            ts.TruncatedSeries.from_moments(2, 3, {index: 1})
+        with pytest.raises(DimensionMismatchError):
+            ts.TruncatedSeries(2, 3, {index: 1})
+
 
 class TestFloatPath:
     def test_allclose_tolerance(self):
@@ -129,3 +145,69 @@ class TestFloatPath:
         coeffs[(0, 0)] = 0.0
         k = ts.TruncatedSeries(2, 4, coeffs)
         assert ts.log(ts.exp(k)).allclose(k)
+
+
+# ----------------------------------------------------------------------
+# the array engine against the dict engine (tests/conftest.py)
+
+
+@st.composite
+def fraction_series_pairs(draw):
+    """Two coefficient dicts of one random shape, n <= 4 and d <= 6, each
+    sparse (a few indices) or dense (every index), zeros included."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    indices = dict_multi_indices(n, d)
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def coeffs():
+        support = draw(st.one_of(
+            st.lists(st.sampled_from(indices), max_size=5), st.just(indices)))
+        return {a: draw(values) for a in support}
+
+    return n, d, coeffs(), coeffs()
+
+
+def same(series, oracle):
+    """Exactly the oracle's coefficients, in its order and types, and its
+    hash."""
+    assert [(a, c, type(c)) for a, c in series.items()] == \
+        [(a, c, type(c)) for a, c in oracle.items()]
+    assert hash(series) == hash(oracle)
+
+
+class TestDictOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_series_pairs(), st.data())
+    def test_operations_match(self, shapes, data):
+        n, d, x, y = shapes
+        a, b = ts.TruncatedSeries(n, d, x), ts.TruncatedSeries(n, d, y)
+        oa, ob = DictSeries(n, d, x), DictSeries(n, d, y)
+        same(a, oa)
+        same(a * b, oa * ob)
+        same(a + b, oa + ob)
+        same(a - b, oa - ob)
+        same(a * Fraction(-2, 3), oa * Fraction(-2, 3))
+        same(a / 3, oa / 3)
+        low = data.draw(st.integers(0, d))
+        high = data.draw(st.integers(low, d))
+        same(a.graded(low, high), oa.graded(low, high))
+        same(a.graded(low), oa.graded(low))
+        same(a.truncate(high or 1), oa.truncate(high or 1))
+        cumulants = a.graded(1)
+        same(ts.exp(cumulants), dict_exp(oa.graded(1)))
+        moments = cumulants + ts.TruncatedSeries.one(n, d)
+        same(ts.log(moments), dict_log(oa.graded(1) + DictSeries.one(n, d)))
+        assert (a == b) == (oa == ob)
+        assert a == ts.TruncatedSeries(n, d, oa.items())
+        assert repr(a) == repr(oa)
+
+    @pytest.mark.parametrize("n,d", [(1, 10), (2, 8), (4, 6), (8, 4)])
+    def test_index_order(self, n, d):
+        assert list(ts.multi_indices(n, d)) == dict_multi_indices(n, d)
+
+    def test_float_and_fraction_entries_compare(self):
+        x = ts.TruncatedSeries(2, 2, {(1, 0): 0.5, (0, 2): 0.0})
+        y = ts.TruncatedSeries(2, 2, {(1, 0): Fraction(1, 2)})
+        assert x == y and hash(x) == hash(y)
+        assert x.coeff((0, 2)) == 0 and type(x.coeff((0, 2))) is Fraction
+        assert x.items() == [((1, 0), 0.5)]
