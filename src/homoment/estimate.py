@@ -20,9 +20,10 @@ the Gaussian-deconvolved moment matrix as a polynomial in the variance.
 The membership tests in :mod:`homoment.ranktest` read the same pencil.
 
 On a sample, both pipelines start from its moments about its mean,
-which one blockwise pass takes (:func:`moment_sums`, called by
-:func:`sample_cumulants`, :func:`raw_moments` and
-:func:`sample_normal_form`).
+which one checked pass takes (:func:`_sample`, the one caller of the
+blockwise :func:`moment_sums`, under :func:`sample_cumulants`,
+:func:`raw_moments` and :func:`sample_normal_form`): one rule for the
+shape, the non-finite values and the float range of every sample.
 
 Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
 moment equal to one left implicit.  Entries may be ``Fraction``, which
@@ -43,6 +44,7 @@ import numpy as np
 from . import _poly, models
 from . import series as ts
 from .errors import (
+    DimensionMismatchError,
     InconsistentMomentsError,
     InputError,
     InsufficientOrderError,
@@ -75,22 +77,18 @@ def _cbrt(x):
 # sample moments and cumulants
 
 
-def _observations(data):
-    """``data`` as a float array holding at least one value, all finite."""
-    arr = np.asarray(data, dtype=float)
-    if arr.size == 0:
-        raise InputError("need at least one observation", code="INPUT_EMPTY")
-    if not np.all(np.isfinite(arr)):
+def _observations(arr):
+    """``arr``; a value that is not finite is ``INPUT_PARSE``."""
+    if not np.isfinite(arr).all():
         raise InputError("data contains non-finite values", code="INPUT_PARSE")
     return arr
 
 
-def _finite_sample(values, statistic):
-    """``values``, sample means or moments; one that is not a finite
-    float is ``INPUT_RANGE``."""
+def _finite(values, what, source="data"):
+    """``values``; one that is not a finite float is ``INPUT_RANGE``."""
     if not np.all(np.isfinite(values)):
-        raise InputError(f"data too large: a sample {statistic} is not a "
-                         "finite float", code="INPUT_RANGE")
+        raise InputError(f"{source} too large: {what} is not a finite float",
+                         code="INPUT_RANGE")
     return values
 
 
@@ -163,38 +161,61 @@ def moment_sums(arr, degree, centre):
     return sums
 
 
+def _sample(data, degree, centre=None, columns=1):
+    """``data`` as a ``count x n`` float array (a flat array is one
+    column), its centre (the column means unless given) and its averaged
+    monomials of orders 1..``degree`` about it (:func:`moment_sums`),
+    under one rule.  ``degree`` below 1 is ``PreconditionError``, empty
+    data ``INPUT_EMPTY``, and a shape other than ``columns`` columns
+    (None: as many as a series of order ``degree`` allows) is
+    ``DimensionMismatchError`` before the pass builds its table.  A sum
+    with a term that is not finite is not finite either, so the values
+    are scanned (``INPUT_PARSE``) only when an order-1 sum or the centre
+    is not; a mean or moment out of float range is ``INPUT_RANGE``."""
+    if degree < 1:
+        raise PreconditionError(f"order must be at least 1, got {degree}")
+    arr = np.asarray(data, dtype=float)
+    if arr.size == 0:
+        raise InputError("need at least one observation", code="INPUT_EMPTY")
+    n = arr.shape[1] if arr.ndim == 2 else 1
+    if arr.ndim > 2 or columns not in (None, n):
+        raise DimensionMismatchError(
+            f"data must be a count x {columns or 'n'} array of observations")
+    if columns is None:
+        ts._check_shape(n, degree)
+    arr = arr.reshape(-1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if centre is None:
+            centre = arr.mean(axis=0)
+        sums = moment_sums(arr, degree, centre)
+    if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
+        _observations(arr)
+    return (arr, _finite(centre, "a sample mean"),
+            _finite(sums / len(arr), "a sample moment"))
+
+
 def raw_moments(data, order, centre=0.0):
-    """First ``order`` sample moments of a flat data vector about
-    ``centre`` (raw moments at the default 0), in one blockwise pass
-    (:func:`moment_sums`): the data are never copied.  ``order`` must be
-    at least 1 (``PreconditionError``)."""
-    if order < 1:
-        raise PreconditionError(f"order must be at least 1, got {order}")
-    arr = _observations(data).ravel()
-    return (moment_sums(arr, order, centre) / arr.size).tolist()
+    """First ``order`` moments about ``centre`` (raw moments at the
+    default 0) of one column of data, in one checked pass
+    (:func:`_sample`): the data are never copied.  ``order`` below 1 is
+    ``PreconditionError``."""
+    return _sample(data, order, centre)[2].tolist()
+
+
+def _sample_form(data, order):
+    """:func:`sample_normal_form` and the number of observations."""
+    arr, mean, m = _sample(data, order)
+    form = normal_form([0.0] + m[1:].tolist())
+    return replace(form, mean=float(mean[0])), len(arr)
 
 
 def sample_normal_form(data, order):
-    """The normal form of the first ``order`` moments of a flat data
-    vector.  Moments of data far from the origin spend their digits on
-    the mean, so one blockwise pass (:func:`moment_sums`) takes them
-    about the sample mean, with m_1 set to exactly 0 (no ``Fraction``
-    arithmetic runs).  ``order`` must be at least 1
-    (``PreconditionError``); data that are empty or not finite fail as
-    in :func:`raw_moments`, and a sample mean or moment that is not a
-    finite float is ``INPUT_RANGE``."""
-    if order < 1:
-        raise PreconditionError(f"order must be at least 1, got {order}")
-    arr = np.asarray(data, dtype=float).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        centre = float(arr.mean()) if arr.size else math.nan
-    # a sum with a term that is not finite is not finite either, so only
-    # a mean that is not finite calls for a scan of the values
-    if not math.isfinite(centre):
-        _observations(arr)
-        _finite_sample(centre, "mean")
-    m = _finite_sample(moment_sums(arr, order, centre) / arr.size, "moment")
-    return replace(normal_form([0.0] + m[1:].tolist()), mean=centre)
+    """The normal form of the first ``order`` moments of one column of
+    data.  Moments of data far from the origin spend their digits on the
+    mean, so the checked pass (:func:`_sample`) takes them about the
+    sample mean, with m_1 set to exactly 0 (no ``Fraction`` arithmetic
+    runs).  ``order`` below 1 is ``PreconditionError``."""
+    return _sample_form(data, order)[0]
 
 
 def sample_cumulants(data, degree):
@@ -203,23 +224,13 @@ def sample_cumulants(data, degree):
     ``data`` is a ``count x n`` array (a flat array is read as one
     column).  The sample is centred first: moments of data far from the
     origin spend their digits on the mean.  Raw moments of the centred
-    sample are averaged monomials, all taken in one blockwise pass
-    (:func:`moment_sums`), and their log transform gives every cumulant
-    of order >= 2, which a shift does not move; the order-1 cumulants
-    are the column means.  A mean or an averaged moment that is not a
-    finite float is ``INPUT_RANGE``.
+    sample are averaged monomials, all taken in one checked pass
+    (:func:`_sample`), and their log transform gives every cumulant of
+    order >= 2, which a shift does not move; the order-1 cumulants are
+    the column means.
     """
-    arr = _observations(data)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise InputError("data must be a count x n array of observations")
-    count, n = arr.shape
-    ts._check_shape(n, degree)  # before the moment pass builds its table
-    with np.errstate(over="ignore"):
-        means = _finite_sample(arr.mean(axis=0), "mean")
-    moments = _finite_sample(moment_sums(arr, degree, means) / count,
-                             "moment")
+    _, means, moments = _sample(data, degree, columns=None)
+    n = len(means)
     indices = ts.multi_indices(n, degree)
     series = ts.TruncatedSeries.from_moments(
         n, degree, zip(indices[1:], moments.tolist()))
@@ -463,9 +474,7 @@ def normal_form(moments):
     with np.errstate(over="ignore"):
         for j in range(len(central)):
             central[j:] /= sd
-    if not np.all(np.isfinite(central)):
-        raise InputError("moments too large: a standardised moment is not "
-                         "a finite float", code="INPUT_RANGE")
+    _finite(central, "a standardised moment", "moments")
     return NormalForm(mean, float(variance), central.tolist())
 
 
@@ -578,10 +587,7 @@ def _float_minors(moments, k, s):
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linalg.det(np.array(mt).reshape(-1, d + 1)[:, layout.index])
     # a float minor overflows on huge input
-    if not np.isfinite(values).all():
-        raise InputError("moments too large: a Hankel minor is not a finite "
-                         "float", code="INPUT_RANGE")
-    return values
+    return _finite(values, "a Hankel minor", "moments")
 
 
 class _MinorLayout(NamedTuple):

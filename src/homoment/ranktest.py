@@ -9,12 +9,12 @@ numerically on the :func:`~homoment.estimate.normal_form` of the moments:
 the scaled sum of squared minors is minimized over the admissible
 variance interval and compared against a threshold.
 
-On sample data (:func:`estimate_components_from_data`) the blockwise
+On sample data (:func:`estimate_components_from_data`) the checked
 pass that :mod:`homoment.estimate` shares with the closed-form fit takes
 the moments about the sample mean (:func:`~.estimate.sample_normal_form`),
 and each minor is scaled by its sampling noise: the delta method applied
 to the asymptotic covariance of the sample moments
-(:func:`delta_minor_scales`).  Nothing in the count is random.
+(:func:`_delta_scales`).  Nothing in the count is random.
 
 Closed forms are provided for the two smallest cases: the third cumulant
 (order-3 hypersurface of single Gaussians) and the weighted degree-18
@@ -27,12 +27,14 @@ import numpy as np
 
 from . import _poly
 from . import series as ts
-from .errors import InputError, InsufficientOrderError, PreconditionError
+from .errors import InsufficientOrderError, PreconditionError
 from .estimate import (
+    _finite,
     _float_minors,
     _minor_scales,
     _moment_scale,
-    _observations,
+    _sample,
+    _sample_form,
     hankel_pencil,
     normal_form,
     pencil_minor_values,
@@ -212,7 +214,7 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     :func:`pencil_minor_values` call per k.
     """
     _check_resamples(n_boot)
-    arr = _observations(data).ravel()
+    arr = _sample(data, 1)[0].ravel()
     rng = np.random.default_rng(seed)
     moments = np.empty((n_boot, d))
     for row in moments:
@@ -225,15 +227,18 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
 
 
 def _delta_scales(m, count, witnesses, d):
-    """:func:`delta_minor_scales` from the moments m_1..m_2d of a sample
-    of ``count`` values."""
+    """Sampling noise of each pencil minor at the witness variances
+    (k -> variance; the result maps k -> one level per minor) by the
+    delta method, from the moments m_1..m_2d of ``count`` values: sample
+    moments have asymptotic covariance ``S = (m_{i+j} - m_i m_j) / N``,
+    so a minor's noise is ``sqrt(g' S g)``, ``g`` its gradient in
+    m_1..``d`` by central differences, all in one batched
+    :func:`_float_minors` call per k."""
     full = np.array([1.0, *m])
     orders = np.arange(1, d + 1)
     first = full[1:d + 1]
-    cov = (full[orders[:, None] + orders] - np.outer(first, first)) / count
-    if not np.isfinite(cov).all():
-        raise InputError("data too large: the moment covariance is not a "
-                         "finite float", code="INPUT_RANGE")
+    cov = _finite((full[orders[:, None] + orders] - np.outer(first, first))
+                  / count, "the moment covariance")
     # moment j weighs j, so each step is the moment scale to that power
     step = _DIFF_STEP * _moment_scale(m[:d]) ** orders
     diag = np.diag(step)
@@ -247,23 +252,6 @@ def _delta_scales(m, count, witnesses, d):
     return scales
 
 
-def delta_minor_scales(data, witnesses, d):
-    """Sampling noise of each pencil minor at a fixed variance, by the
-    delta method.
-
-    Sample moments are asymptotically normal with covariance
-    ``(m_{i+j} - m_i m_j) / N``, so a minor's noise is ``sqrt(g' S g)``
-    with ``g`` its gradient in the moments m_1..``d``.  ``witnesses`` maps
-    each k to the variance its minors are evaluated at; the result maps
-    each k to one noise level per minor.  One pass over the data gives
-    the moments to order ``2 d`` (and so ``S``); each gradient is taken
-    by central differences in one batched :func:`pencil_minor_values`
-    call on the ``2 d`` perturbed moment rows.  Nothing is random.
-    """
-    arr = _observations(data).ravel()
-    return _delta_scales(raw_moments(arr, 2 * d), arr.size, witnesses, d)
-
-
 def estimate_components_from_data(data, k_max):
     """Component count for raw observations with noise-aware thresholds.
 
@@ -273,7 +261,7 @@ def estimate_components_from_data(data, k_max):
     neither the origin nor the unit of the data, and no centred copy is
     made.  The witness variances are reported back in data units.
     Each minor is whitened by its delta-method noise level
-    (:func:`delta_minor_scales`), making the on-model residual an
+    (:func:`_delta_scales`), making the on-model residual an
     order-nminors quantity regardless of sample size;
     ``NOISE_FACTOR * nminors`` then separates sampling noise from real
     model violation.  There is no resampling and no random number: a
@@ -282,11 +270,10 @@ def estimate_components_from_data(data, k_max):
     """
     _check_k(k_max, "k_max")
     d = 2 * k_max + 1
-    form = sample_normal_form(data, 2 * d)
+    form, count = _sample_form(data, 2 * d)
     m = form.moments
     k_hat, verdicts = _whitened_count(
-        m[:d], k_max, lambda witnesses: _delta_scales(m, np.size(data),
-                                                      witnesses, d))
+        m[:d], k_max, lambda witnesses: _delta_scales(m, count, witnesses, d))
     return k_hat, [replace(v, witness_s=v.witness_s * form.variance)
                    for v in verdicts]
 

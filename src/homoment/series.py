@@ -58,7 +58,12 @@ class IndexTable:
 @lru_cache(maxsize=None)
 def index_table(n, d):
     """The :class:`IndexTable` of ``n`` variables to order ``d``, shared
-    by every caller (its arrays are read-only)."""
+    by every caller (its arrays are read-only).  Its keys are base-(d+1)
+    numerals in int64, so (d+1)**n past the int64 range is a
+    ``DimensionMismatchError``."""
+    if (d + 1) ** n > np.iinfo(np.int64).max:
+        raise DimensionMismatchError(
+            f"{n} variables to order {d} overflow the index keys")
     indices = [(0,) * n]
     for total in range(d):
         # the next order: this one's indices plus a unit, in decreasing

@@ -291,7 +291,8 @@ def test_c09_delta_scales_agree_with_bootstrap():
 
         def bootstrap(witnesses):
             scales["boot"] = ranktest.bootstrap_minor_scales(arr, witnesses, 5)
-            scales["delta"] = ranktest.delta_minor_scales(arr, witnesses, 5)
+            scales["delta"] = ranktest._delta_scales(
+                ranktest.raw_moments(arr, 10), arr.size, witnesses, 5)
             return scales["boot"]
 
         k_boot, _ = ranktest._whitened_count(ranktest.raw_moments(arr, 5),

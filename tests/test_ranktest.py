@@ -23,8 +23,8 @@ from conftest import (
 from homoment import _poly, estimate, models, ranktest
 from homoment import series as ts
 from homoment._poly import poly_eval
-from homoment.errors import (InputError, InsufficientOrderError,
-                             PreconditionError)
+from homoment.errors import (DimensionMismatchError, InputError,
+                             InsufficientOrderError, PreconditionError)
 
 
 _SAMPLE = np.random.default_rng(1).normal(size=500)
@@ -314,7 +314,8 @@ class TestComponentCount:
         m = ranktest.raw_moments(arr, 5)
         first = {k: ranktest.secant_membership(m, k).witness_s
                  for k in (1, 2)}
-        scales = ranktest.delta_minor_scales(arr, first, 5)
+        scales = ranktest._delta_scales(ranktest.raw_moments(arr, 10),
+                                        arr.size, first, 5)
         return [sum((x / s) ** 2 for x, s in zip(
                     ranktest.pencil_minor_values(m, v.k, v.witness_s),
                     scales[v.k]))
@@ -597,6 +598,15 @@ class TestBlockwiseMoments:
         for arr, c in ((x, 0.3), (x.reshape(-1, 1), [0.3])):
             assert estimate.moment_sums(arr, 6, c).tolist() == want.tolist()
 
+    def test_index_keys_that_would_wrap_are_refused(self):
+        # 4 ** 32 is 2 ** 64, so the place value of the 33rd variable at
+        # order 3 wraps to 0 in int64: refused before any array is built
+        with pytest.raises(DimensionMismatchError):
+            ts.index_table(33, 3)
+        with pytest.raises(DimensionMismatchError):
+            estimate.moment_sums(np.ones((4, 33)), 3, 0.0)
+        assert len(ts.index_table(24, 2).indices) == math.comb(26, 2)
+
     def test_parents_never_follow_their_children(self):
         for n in range(1, 9):
             for degree in range(1, 9):
@@ -767,3 +777,34 @@ class TestSampleMoments:
                 pytest.raises(InputError) as exc:
             ranktest.estimate_components_from_data(data, 1)
         assert exc.value.code == "INPUT_RANGE"
+
+
+# every sample entry point reads its data through one checked pass, so
+# each bad sample fails with the same code at each of them
+_ENTRY_POINTS = {
+    "raw_moments": lambda data: estimate.raw_moments(data, 3),
+    "sample_normal_form": lambda data: estimate.sample_normal_form(data, 4),
+    "count": lambda data: ranktest.estimate_components_from_data(data, 1),
+    "sample_cumulants": lambda data: estimate.sample_cumulants(data, 3),
+}
+_BAD_SAMPLES = {
+    "empty": ([], "INPUT_EMPTY"),
+    "nan": ([1.0, math.nan, 2.0], "INPUT_PARSE"),
+    "inf": ([1.0, math.inf, 2.0], "INPUT_PARSE"),
+    "-inf": ([1.0, -math.inf, 2.0], "INPUT_PARSE"),
+    "overflow": ([1e200, -1e200, 3e200], "INPUT_RANGE"),
+    "three-axes": (np.ones((4, 1, 1)), "DIMENSION_MISMATCH"),
+    "two-columns": (np.random.default_rng(2).normal(size=(500, 2)) + [0, 3],
+                    "DIMENSION_MISMATCH"),
+}
+
+
+@pytest.mark.parametrize("entry,case", [
+    (entry, case) for entry in _ENTRY_POINTS for case in _BAD_SAMPLES
+    # fit2's cumulants take any number of columns
+    if (entry, case) != ("sample_cumulants", "two-columns")])
+def test_sample_error_contract(entry, case):
+    data, code = _BAD_SAMPLES[case]
+    with pytest.raises(InputError) as exc:
+        _ENTRY_POINTS[entry](data)
+    assert exc.value.code == code
