@@ -194,12 +194,11 @@ def _sample(data, degree, centre=None, columns=1):
             _finite(sums / len(arr), "a sample moment"))
 
 
-def raw_moments(data, order, centre=0.0):
-    """First ``order`` moments about ``centre`` (raw moments at the
-    default 0) of one column of data, in one checked pass
-    (:func:`_sample`): the data are never copied.  ``order`` below 1 is
-    ``PreconditionError``."""
-    return _sample(data, order, centre)[2].tolist()
+def raw_moments(data, order):
+    """First ``order`` raw moments (about 0) of one column of data, in one
+    checked pass (:func:`_sample`): the data are never copied.  ``order``
+    below 1 is ``PreconditionError``."""
+    return _sample(data, order, 0.0)[2].tolist()
 
 
 def _sample_form(data, order):

@@ -3,6 +3,12 @@
 Forward maps are written in plain generic arithmetic (no numpy) so they
 accept ``Fraction`` entries for exact work and ``float`` entries for
 estimation.  Only :func:`sample_mixture` touches numpy.
+
+Every parameter family checks its fields once, by one rule
+(:func:`_check`): their shapes, then that no float entry is NaN or
+infinite (``INPUT_PARSE``), then weights summing to one and a symmetric
+covariance.  Exact entries compare exactly, and a float within a
+relative tolerance (:func:`_equal`).
 """
 
 import math
@@ -23,35 +29,51 @@ def _is_float(x):
     return isinstance(x, (float, np.floating))
 
 
-def _vector(v):
-    return tuple(ts._promote(x) for x in v)
+def _promote_fields(params, **depths):
+    """Each named field of ``params`` as nested tuples ``depth`` deep
+    (1: a vector, 2: a list of vectors), ints made ``Fraction``."""
+    def promote(value, depth):
+        if depth == 0:
+            return ts._promote(value)
+        return tuple(promote(x, depth - 1) for x in value)
+
+    for name, depth in depths.items():
+        object.__setattr__(params, name, promote(getattr(params, name), depth))
 
 
-def _matrix(m):
-    return tuple(tuple(ts._promote(x) for x in row) for row in m)
+def _equal(reference, value):
+    """``value == reference`` when both are exact; with a float on either
+    side, within ``_WEIGHT_TOL`` relative to max(1, |reference|)."""
+    if _is_float(reference) or _is_float(value):
+        return (abs(float(value) - float(reference))
+                <= _WEIGHT_TOL * max(1.0, abs(float(reference))))
+    return value == reference
 
 
-def _check_weights(weights):
-    total = sum(weights[1:], weights[0])
-    if any(_is_float(w) for w in weights):
-        if abs(float(total) - 1.0) > _WEIGHT_TOL:
-            raise PreconditionError(f"weights sum to {float(total)}, not 1")
-    elif total != 1:
-        raise PreconditionError(f"weights sum to {total}, not 1")
-
-
-def _check_symmetric(cov):
-    n = len(cov)
-    if any(len(row) != n for row in cov):
-        raise DimensionMismatchError("covariance must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = cov[i][j], cov[j][i]
-            if _is_float(a) or _is_float(b):
-                if abs(float(a) - float(b)) > _WEIGHT_TOL * max(1.0, abs(float(a))):
-                    raise PreconditionError("covariance must be symmetric")
-            elif a != b:
-                raise PreconditionError("covariance must be symmetric")
+def _check(points, weights=None, cov=None):
+    """The one rule of every parameter family, in this order: the shapes
+    of ``points`` (one weight each, when weighted) and of the ``n x n``
+    ``cov`` (:class:`DimensionMismatchError`), then every float entry
+    finite (``INPUT_PARSE``), before the weight sum that a NaN would
+    pass and an infinity fail, then weights summing to one and a
+    symmetric covariance (:class:`PreconditionError`)."""
+    if weights is not None and (len(points) != len(weights) or not points):
+        raise DimensionMismatchError("need one weight per point")
+    n = len(points[0])
+    if any(len(p) != n for p in points):
+        raise DimensionMismatchError("points must share a dimension")
+    if cov is not None and (len(cov) != n or any(len(row) != n for row in cov)):
+        raise DimensionMismatchError(f"covariance must be {n} x {n}")
+    entries = sum(points + (cov or ()), weights or ())
+    if not all(math.isfinite(x) for x in entries if _is_float(x)):
+        raise InputError("parameters must be finite", code="INPUT_PARSE")
+    if weights is not None:
+        total = sum(weights[1:], weights[0])
+        if not _equal(1, total):
+            raise PreconditionError(f"weights sum to {total}, not 1")
+    if cov is not None and not all(_equal(cov[i][j], cov[j][i])
+                                   for i in range(n) for j in range(i + 1, n)):
+        raise PreconditionError("covariance must be symmetric")
 
 
 def _is_numbers(value, depth):
@@ -70,11 +92,8 @@ class GaussianParams:
     cov: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _vector(self.mean))
-        object.__setattr__(self, "cov", _matrix(self.cov))
-        if len(self.cov) != len(self.mean):
-            raise DimensionMismatchError("mean and covariance sizes differ")
-        _check_symmetric(self.cov)
+        _promote_fields(self, mean=1, cov=2)
+        _check((self.mean,), cov=self.cov)
 
     @property
     def nvars(self):
@@ -89,14 +108,8 @@ class DiracMixtureParams:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(_vector(p) for p in self.points))
-        object.__setattr__(self, "weights", _vector(self.weights))
-        if len(self.points) != len(self.weights) or not self.points:
-            raise DimensionMismatchError("need one weight per point")
-        n = len(self.points[0])
-        if any(len(p) != n for p in self.points):
-            raise DimensionMismatchError("points must share a dimension")
-        _check_weights(self.weights)
+        _promote_fields(self, points=2, weights=1)
+        _check(self.points, self.weights)
 
     @property
     def nvars(self):
@@ -115,10 +128,7 @@ class CenteredDiracParams(DiracMixtureParams):
         super().__post_init__()
         for j in range(self.nvars):
             total = sum(w * p[j] for w, p in zip(self.weights, self.points))
-            if _is_float(total):
-                if abs(float(total)) > _WEIGHT_TOL:
-                    raise PreconditionError("mixture mean is not zero")
-            elif total != 0:
+            if not _equal(0, total):
                 raise PreconditionError("mixture mean is not zero")
 
 
@@ -131,22 +141,8 @@ class HomoscedasticParams:
     cov: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "means", tuple(_vector(m) for m in self.means))
-        object.__setattr__(self, "weights", _vector(self.weights))
-        object.__setattr__(self, "cov", _matrix(self.cov))
-        if len(self.means) != len(self.weights) or not self.means:
-            raise DimensionMismatchError("need one weight per mean")
-        n = len(self.means[0])
-        if any(len(m) != n for m in self.means) or len(self.cov) != n:
-            raise DimensionMismatchError("inconsistent dimensions")
-        # before the sum check, which a NaN weight would pass and an
-        # infinite one fail as a precondition
-        entries = self.weights + sum(self.means + self.cov, ())
-        if not all(math.isfinite(x) for x in entries if _is_float(x)):
-            raise InputError("weights, means and covariance must be finite",
-                             code="INPUT_PARSE")
-        _check_weights(self.weights)
-        _check_symmetric(self.cov)
+        _promote_fields(self, means=2, weights=1, cov=2)
+        _check(self.means, self.weights, self.cov)
 
     @property
     def nvars(self):
@@ -191,11 +187,8 @@ class LaplaceParams:
     cov: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "location", _vector(self.location))
-        object.__setattr__(self, "cov", _matrix(self.cov))
-        if len(self.cov) != len(self.location):
-            raise DimensionMismatchError("location and covariance sizes differ")
-        _check_symmetric(self.cov)
+        _promote_fields(self, location=1, cov=2)
+        _check((self.location,), cov=self.cov)
 
     @property
     def nvars(self):
@@ -230,18 +223,23 @@ def gaussian_moments(params, degree):
 
 def dirac_mixture_moments(params, degree):
     """Moment series of a Dirac mixture: raw moments are weighted monomials."""
+    return _atom_moments(params.points, params.weights, degree)
+
+
+def _atom_moments(points, weights, degree):
     # the weights sum to one (the parameters check it)
+    nvars = len(points[0])
     moments = {}
-    for a in ts.multi_indices(params.nvars, degree)[1:]:
+    for a in ts.multi_indices(nvars, degree)[1:]:
         acc = None
-        for w, p in zip(params.weights, params.points):
+        for w, p in zip(weights, points):
             term = w
             for j, e in enumerate(a):
                 for _ in range(e):
                     term = term * p[j]
             acc = term if acc is None else acc + term
         moments[a] = acc
-    return ts.TruncatedSeries.from_moments(params.nvars, degree, moments)
+    return ts.TruncatedSeries.from_moments(nvars, degree, moments)
 
 
 def homoscedastic_moments(params, degree):
@@ -249,12 +247,11 @@ def homoscedastic_moments(params, degree):
 
     The mixture is the law of ``Z + B`` with ``Z`` a centered Gaussian and
     ``B`` an independent Dirac mixture on the means, so its series is the
-    product of the two factors.  This factorization is the implementation.
+    product of the two factors.  This factorization is the implementation,
+    on the fields that the parameters have checked.
     """
-    gauss = gaussian_moments(
-        GaussianParams(mean=(0,) * params.nvars, cov=params.cov), degree)
-    atoms = DiracMixtureParams(points=params.means, weights=params.weights)
-    return gauss * dirac_mixture_moments(atoms, degree)
+    gauss = ts.exp(_quadratic_series(params.cov, degree))
+    return gauss * _atom_moments(params.means, params.weights, degree)
 
 
 def homoscedastic_cumulants(params, degree):

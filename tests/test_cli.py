@@ -101,6 +101,36 @@ class TestDefectTable:
         assert lines[0].startswith("n,k,d,")
         assert lines[1] == "1,1,3,2,3,2,2,0,0"
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("target,wrong,mismatch", [
+        ("predicted_defect_order3", lambda n, k: 7,
+         "(n=2,k=2,d=3): computed defect 1, classifier 7"),
+        ("order3_reference_row", lambda n, k: (n, k, 3, 0, 0, 0, 0, 0, 0),
+         "(n=2,k=2,d=3): computed row (2, 2, 3, 8, 9, 8, 7, 1, 1), "
+         "published (2, 2, 3, 0, 0, 0, 0, 0, 0)")])
+    def test_check_mismatch_exits_4(self, capsys, monkeypatch, fmt, target,
+                                    wrong, mismatch):
+        # one mismatch, at d = 3: the d = 4 row is not checked, or the
+        # patched function would report a second
+        monkeypatch.setattr(geometry, target, wrong)
+        code, out, err = run(["defect-table", "--n", "2", "--k", "2",
+                              "--d", "3..4", "--check", "--format", fmt],
+                             capsys)
+        assert code == cli.EXIT_CHECK == 4
+        assert err == "defect-table --check failed: 1 mismatch(es)\n"
+        if fmt == "json":
+            payload = strict_json(out)
+            assert [r["d"] for r in payload["rows"]] == [3, 4]
+            assert payload["check"] == {"passed": False,
+                                        "mismatches": [mismatch]}
+        elif fmt == "table":
+            assert out.splitlines()[-2:] == ["check: MISMATCH (2 rows)",
+                                             "  " + mismatch]
+        else:
+            # csv carries the rows only
+            assert [line.split(",")[2] for line in out.splitlines()] == \
+                ["d", "3", "4"]
+
     def test_bad_range_is_input_error(self, capsys):
         code, _, err = run(["defect-table", "--n", "x..y"], capsys)
         assert code == cli.EXIT_INPUT
@@ -291,6 +321,20 @@ class TestSimulateAndFit2:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    @pytest.mark.parametrize("text,error_code", [
+        (None, "INPUT_IO"), ('{"means": [[0.0], [3.0]], "weights": [0.3',
+                             "INPUT_PARSE")])
+    def test_unreadable_params(self, capsys, tmp_path, text, error_code):
+        # a missing file, and one whose JSON stops short
+        params = tmp_path / "params.json"
+        if text is not None:
+            params.write_text(text)
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "20"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == error_code
 
     def test_missing_params_field_is_precondition_error(self, capsys, tmp_path):
         params = tmp_path / "params.json"

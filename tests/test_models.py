@@ -14,6 +14,36 @@ from homoment import series as ts
 from homoment.errors import InputError, PreconditionError
 
 
+# one non-finite entry in a field of a two-component 1-D mixture
+NON_FINITE = [
+    ("weights", [math.nan, 0.5]), ("means", [[math.nan], [1.0]]),
+    ("means", [[0.0], [-math.inf]]), ("cov", [[math.inf]]),
+    ("cov", [[math.nan]]), ("weights", [math.inf, 0.5]),
+    ("weights", [0.5, -math.inf]), ("means", [[math.inf], [1.0]]),
+    ("cov", [[-math.inf]])]
+
+# the fields of such a mixture that each parameter family reads
+FAMILY_FIELDS = {
+    "gaussian": ("means", "cov"), "laplace": ("means", "cov"),
+    "dirac": ("means", "weights"), "centred-dirac": ("means", "weights"),
+    "homoscedastic": ("means", "weights", "cov")}
+
+
+def family_params(family, means, weights, cov):
+    """The parameters of ``family`` read from a 1-D mixture: the Dirac
+    families sit on its means, and the Gaussian and Laplace laws at
+    their sum."""
+    location = [sum(m[0] for m in means)]
+    return {
+        "gaussian": lambda: models.GaussianParams(location, cov),
+        "laplace": lambda: models.LaplaceParams(location, cov),
+        "dirac": lambda: models.DiracMixtureParams(means, weights),
+        "centred-dirac": lambda: models.CenteredDiracParams(means, weights),
+        "homoscedastic": lambda: models.HomoscedasticParams(means, weights,
+                                                            cov),
+    }[family]()
+
+
 class TestGaussian:
     def test_point_mass_at_origin(self):
         g = models.gaussian_moments(models.GaussianParams((0,), ((0,),)), 4)
@@ -241,6 +271,80 @@ class TestLaplace:
         assert lap.moment((4,)) == 6
 
 
+class TestParameterRule:
+    # centred, so that every family accepts it: only the non-finite
+    # entry is wrong
+    MIXTURE = {"means": [[-1.0], [1.0]], "weights": [0.5, 0.5],
+               "cov": [[1.0]]}
+
+    @pytest.mark.parametrize("family,field,value", [
+        (family, field, value) for family, fields in FAMILY_FIELDS.items()
+        for field, value in NON_FINITE if field in fields])
+    def test_rejects_non_finite_parameters(self, family, field, value):
+        # one rule for every family: a NaN or infinite entry is refused
+        # under one code before the weight sum, the centring or the
+        # symmetry is checked (a NaN passes each of them)
+        with pytest.raises(InputError) as caught:
+            family_params(family, **dict(self.MIXTURE, **{field: value}))
+        assert caught.value.code == "INPUT_PARSE"
+
+    @pytest.mark.parametrize("make,code", [
+        pytest.param(lambda: models.DiracMixtureParams(
+            points=((1,), (2, 3)), weights=(Fraction(1, 2), Fraction(1, 2))),
+            "DIMENSION_MISMATCH", id="ragged-points"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=((0.0,), (1.0,)), weights=(1.0,), cov=((1.0,),)),
+            "DIMENSION_MISMATCH", id="more-means-than-weights"),
+        pytest.param(lambda: models.GaussianParams(
+            mean=(0, 0), cov=((1, 0), (0,))),
+            "DIMENSION_MISMATCH", id="non-square-covariance"),
+        pytest.param(lambda: models.LaplaceParams(
+            location=(0.0, 0.0), cov=((1.0, 0.5), (0.25, 1.0))),
+            "PRECONDITION", id="asymmetric-covariance"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=((0,), (1,)), weights=(Fraction(1, 2), Fraction(1, 3)),
+            cov=((1,),)), "PRECONDITION", id="fraction-weights-sum-to-5/6"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=((0.0,), (1.0,)), weights=(0.3, 0.6), cov=((1.0,),)),
+            "PRECONDITION", id="float-weights-sum-to-0.9"),
+        pytest.param(lambda: models.CenteredDiracParams(
+            points=((1.0,), (2.0,)), weights=(0.5, 0.5)),
+            "PRECONDITION", id="centred-dirac-mean-1.5"),
+        pytest.param(lambda: models.sample_mixture(models.HomoscedasticParams(
+            means=((0.0,),), weights=(1.0,), cov=((1.0,),)), 0, seed=0),
+            "PRECONDITION", id="sample-count-0"),
+        pytest.param(lambda: models.sample_mixture(models.HomoscedasticParams(
+            means=((0.0,), (1.0,)), weights=(-0.5, 1.5), cov=((1.0,),)),
+            10, seed=0), "PRECONDITION", id="sample-negative-weight")])
+    def test_error_contract(self, make, code):
+        with pytest.raises(InputError) as caught:
+            make()
+        assert caught.value.code == code
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_float_tolerance_is_relative_to_the_reference(self, ok):
+        # within 1e-8 * max(1, |reference|) of the reference passes and
+        # four times as far fails: the weight sum (reference 1), the
+        # centring (reference 0) and the symmetry (reference the upper
+        # entry, here at three scales)
+        off = 0.5e-8 if ok else 2e-8
+        checks = [
+            lambda: models.DiracMixtureParams(
+                points=((0.0,), (1.0,)), weights=(0.5, 0.5 + off)),
+            lambda: models.CenteredDiracParams(
+                points=((-1.0,), (1.0 + 2 * off,)), weights=(0.5, 0.5))]
+        checks += [
+            lambda s=s: models.GaussianParams(
+                mean=(0.0, 0.0), cov=((s, s), (s + off * max(1.0, s), s)))
+            for s in (1e-3, 1.0, 1e6)]
+        for make in checks:
+            if ok:
+                make()
+            else:
+                with pytest.raises(PreconditionError):
+                    make()
+
+
 class TestSampler:
     def test_zero_covariance_repeats_mean(self):
         p = models.HomoscedasticParams(means=((2.0, -1.0),), weights=(1.0,),
@@ -299,12 +403,7 @@ class TestSampler:
             tracemalloc.stop()
         assert peak <= 2.25 * draws.nbytes
 
-    @pytest.mark.parametrize("field,value", [
-        ("weights", [math.nan, 0.5]), ("means", [[math.nan], [1.0]]),
-        ("means", [[0.0], [-math.inf]]), ("cov", [[math.inf]]),
-        ("cov", [[math.nan]]), ("weights", [math.inf, 0.5]),
-        ("weights", [0.5, -math.inf]), ("means", [[math.inf], [1.0]]),
-        ("cov", [[-math.inf]])])
+    @pytest.mark.parametrize("field,value", NON_FINITE)
     def test_rejects_non_finite_parameters(self, field, value):
         # the parameters refuse every non-finite entry under one code,
         # before the weight sum is checked: a NaN weight would pass that

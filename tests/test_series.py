@@ -187,7 +187,13 @@ class TestDictOracle:
         same(a + b, oa + ob)
         same(a - b, oa - ob)
         same(a * Fraction(-2, 3), oa * Fraction(-2, 3))
+        same(2 * a, oa * 2)
         same(a / 3, oa / 3)
+        same(a / 2.0, oa / 2.0)
+        same(a / Fraction(1, 3), oa / Fraction(1, 3))
+        for operation in (lambda: a + 1, lambda: a - 1, lambda: a / b):
+            with pytest.raises(TypeError):
+                operation()
         low = data.draw(st.integers(0, d))
         high = data.draw(st.integers(low, d))
         same(a.graded(low, high), oa.graded(low, high))
