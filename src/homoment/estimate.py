@@ -423,13 +423,26 @@ def _fit_residual(params, cumulants, order):
 # univariate pipeline
 
 
-def _moment_list(moments):
-    m = [ts._promote(x) for x in moments]
-    if not m:
-        raise InsufficientOrderError("empty moment vector")
-    if not all(math.isfinite(x) for x in m if not isinstance(x, Fraction)):
-        raise InputError("moments must be finite", code="INPUT_PARSE")
-    return m
+def _check_k(k, need=0, given=0):
+    """The one rule for ``k`` and the moments it needs: ``k`` below 1 is
+    ``PreconditionError``, ``given < need`` ``InsufficientOrderError``."""
+    if k < 1:
+        raise PreconditionError(f"k must be at least 1, got {k}")
+    if given < need:
+        raise InsufficientOrderError(f"need moment order {need}, got {given}")
+
+
+def _exact_or_finite(values, what):
+    """``values``; a float entry that is not finite is ``INPUT_PARSE``."""
+    if not all(isinstance(x, Fraction) or math.isfinite(x) for x in values):
+        raise InputError(f"{what} must be finite", code="INPUT_PARSE")
+    return values
+
+
+def _moment_list(moments, k=1, need=0):
+    """``moments``, ints made ``Fraction``, checked (:func:`_check_k`)."""
+    _check_k(k, need, len(moments))
+    return _exact_or_finite([ts._promote(x) for x in moments], "moments")
 
 
 @dataclass(frozen=True)
@@ -455,7 +468,7 @@ def normal_form(moments):
     """
     if isinstance(moments, NormalForm):
         return moments
-    m = _moment_list(moments)
+    m = _moment_list(moments, need=1)
     mean = m[0]
     if mean != 0:
         exact = [Fraction(1)] + [Fraction(x) for x in m]
@@ -504,8 +517,8 @@ def _deconvolution_coeff(j, i):
 def deconvolve_moments(moments, variance):
     """Moments of the atomic part after removing a Gaussian of the given
     variance: ``mt_j = sum_i j! / ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``."""
-    m = [Fraction(1)] + _moment_list(moments)
-    variance = ts._promote(variance)
+    m = [Fraction(1)] + _moment_list(moments, need=1)
+    variance, = _exact_or_finite([ts._promote(variance)], "variance")
     out = []
     for j in range(1, len(m)):
         acc = None
@@ -539,11 +552,13 @@ def pencil_minor_values(moments, k, s):
     ``N x d`` float stack of them, and ``s`` is one variance or one per
     row (for one vector, one per evaluation).  One vector at one variance
     gives a list; a stack or a vector of variances gives an
-    ``N x nminors`` array.  A minor that is not finite raises
-    ``INPUT_RANGE``.
+    ``N x nminors`` array.  A variance that is not finite is
+    ``INPUT_PARSE``, a minor that is not finite ``INPUT_RANGE``.
     """
+    _check_k(k)
+    _exact_or_finite(np.ravel(s).tolist(), "variance")
     if np.ndim(moments) == 1 and np.ndim(s) == 0:
-        return _float_minors([_moment_list(moments)], k, s)[0].tolist()
+        return _float_minors([_moment_list(moments, k)], k, s)[0].tolist()
     return _float_minors(moments, k, s)
 
 
@@ -561,8 +576,6 @@ def _float_minors(moments, k, s):
     """
     rows = np.asarray(moments, dtype=float)
     d = rows.shape[-1]
-    if d < 2 * k:
-        raise InsufficientOrderError(f"need order {2 * k} for k={k}")
     layout = _minor_layout(d, k)
     rows = rows.reshape(-1, d).tolist()
     variances = np.asarray(s, dtype=float).ravel().tolist()
@@ -605,7 +618,7 @@ class _MinorLayout(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _minor_layout(d, k):
     """The :class:`_MinorLayout` of the pencil of order ``d`` and ``k``,
-    built once per process.
+    built once per process; ``d`` below ``2 k`` fails :func:`_check_k`.
 
     The column subsets come in ``combinations`` order.  A minor on
     columns ``sel`` weighs ``k (k + 1) / 2 + sum(sel)`` and is a
@@ -613,6 +626,7 @@ def _minor_layout(d, k):
     form a group, fitted together.  The deconvolution coefficients of
     ``variance**i`` for i = 1..d//2 cover orders 2i..d, and the index
     gathers every minor's submatrix from a deconvolved row."""
+    _check_k(k, 2 * k, d)
     subsets = tuple(combinations(range(d - k + 1), k + 1))
     weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
     degrees = tuple(w // 2 for w in weights)
@@ -669,11 +683,8 @@ def hankel_pencil(moments, k):
     ``numpy.polynomial.polynomial.polyfit`` makes, so the coefficients
     are polyfit's to the bit.  The matrix uses every given moment.
     """
-    m = _moment_list(moments)
+    m = _moment_list(moments, k)
     d = len(m)
-    if d < 2 * k:
-        raise InsufficientOrderError(
-            f"pencil needs moment order at least {2 * k}, got {d}")
     layout = _minor_layout(d, k)
     nodes, systems = _fit_systems(d, k, max(abs(float(m[1])), 1.0))
     values = _float_minors(m, k, nodes)
@@ -705,9 +716,7 @@ def quadrature_nodes(moments, k):
     the sqrt(eps) accuracy of a variance located at a double root, where
     the minor vanishes like the variance error (``_LEAD_MINOR_TOL``).
     """
-    m = [1.0] + _moment_list(moments)
-    if len(m) < 2 * k:
-        raise InsufficientOrderError(f"need {2 * k - 1} moments for {k} atoms")
+    m = [1.0] + _moment_list(moments, k, 2 * k - 1)
     block = [[m[i + j] for j in range(k)] for i in range(k + 1)]
     coeffs = []
     for i in range(k + 1):
@@ -729,15 +738,13 @@ def quadrature_weights(nodes, moments):
     """Weights of known atom locations from the first k-1 moments, by the
     Vandermonde system whose first row forces the weights to sum to one."""
     k = len(nodes)
+    m = [1.0] + [float(x) for x in _moment_list(moments, k, k - 1)]
     nodes = [float(x) for x in nodes]
     gap = min((abs(a - b) for i, a in enumerate(nodes)
                for b in nodes[i + 1:]), default=float("inf"))
     span = max((abs(x) for x in nodes), default=1.0)
     if gap <= _ATOM_GAP_TOL * max(1.0, span):
         raise SingularSystemError("repeated atom locations")
-    m = [1.0] + [float(x) for x in _moment_list(moments)]
-    if len(m) < k:
-        raise InsufficientOrderError(f"need {k - 1} moments for {k} weights")
     vander = np.asarray([[x ** i for x in nodes] for i in range(k)])
     rhs = np.asarray(m[:k])
     return list(np.linalg.solve(vander, rhs))
@@ -751,7 +758,8 @@ def variance_polynomial(moments, k):
     Degree in the variance is k(k+1)/2; its smallest nonnegative root is
     the variance estimator.  The coefficients are floats.
     """
-    return list(hankel_pencil(_moment_list(moments)[:2 * k], k).minors[0])
+    m = _moment_list(moments, k, 2 * k)
+    return list(hankel_pencil(m[:2 * k], k).minors[0])
 
 
 def _polish_root(coeffs, x):
@@ -778,6 +786,7 @@ def fit_univariate(moments, k):
     smallest nonnegative root of :func:`variance_polynomial`, then atoms
     and weights by quadrature, on the normal form and mapped back to
     data units (``variance_residual`` stays standardised)."""
+    _check_k(k)
     form = normal_form(moments)
     m = form.moments
     coeffs = variance_polynomial(m, k)

@@ -207,12 +207,12 @@ def _linear_series(vec, degree):
 
 def _quadratic_series(cov, degree):
     # the quadratic form u^t Sigma u / 2 in generating coefficients: the
-    # index e_i + e_j carries Sigma_ij, halved on the diagonal
+    # index e_i + e_j carries Sigma_ij, halved on the diagonal, from degree 2
     n = len(cov)
     return ts.TruncatedSeries(n, degree, {
         tuple((t == i) + (t == j) for t in range(n)):
             ts._promote(cov[i][i]) / 2 if i == j else cov[i][j]
-        for i in range(n) for j in range(i, n)})
+        for i in range(n) for j in range(i, n) if degree > 1})
 
 
 def gaussian_moments(params, degree):

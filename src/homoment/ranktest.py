@@ -7,7 +7,8 @@ in :mod:`homoment.estimate`), viewed as polynomials in s, therefore has a
 common nonnegative root exactly on the model.  Membership is decided
 numerically on the :func:`~homoment.estimate.normal_form` of the moments:
 the scaled sum of squared minors is minimized over the admissible
-variance interval and compared against a threshold.
+variance interval and compared against a threshold.  Every entry
+point checks ``k`` (or ``k_max``) first: below 1 is ``PRECONDITION``.
 
 On sample data (:func:`estimate_components_from_data`) the checked
 pass that :mod:`homoment.estimate` shares with the closed-form fit takes
@@ -27,8 +28,9 @@ import numpy as np
 
 from . import _poly
 from . import series as ts
-from .errors import InsufficientOrderError, PreconditionError
+from .errors import PreconditionError
 from .estimate import (
+    _check_k,
     _finite,
     _float_minors,
     _minor_scales,
@@ -103,18 +105,16 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
     exceed it) after scaling each minor by the moment scale raised to its
     weighted degree; the witness is mapped back to data units.  The
     verdict is never an error: off-model input simply reports a residual
-    above the threshold.  ``k`` must be at least 1 (``PreconditionError``).
+    above the threshold, which must be finite and above 0 (``PRECONDITION``).
     """
-    _check_k(k, "k")
+    _check_k(k)
+    if not 0 < threshold < np.inf:
+        raise PreconditionError(f"threshold must be finite and above 0, "
+                                f"got {threshold}")
     form = normal_form(moments)
     m = form.moments
     verdict = _pencil_membership(m, hankel_pencil(m, k), threshold, None)
     return replace(verdict, witness_s=verdict.witness_s * form.variance)
-
-
-def _check_k(k, name):
-    if k < 1:
-        raise PreconditionError(f"{name} must be at least 1, got {k}")
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
@@ -167,13 +167,10 @@ def _sum_of_squares(minors, scales):
 
 
 def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
-    """Membership verdicts for k = 1..k_max (the residual trace);
-    ``k_max`` must be at least 1 (``PreconditionError``)."""
-    _check_k(k_max, "k_max")
+    """Membership verdicts for k = 1..k_max from 2 k_max + 1 moments."""
+    _check_k(k_max)
     form = normal_form(moments)
-    if len(form.moments) < 2 * k_max + 1:
-        raise InsufficientOrderError(
-            f"component search up to {k_max} needs order {2 * k_max + 1}")
+    _check_k(k_max, 2 * k_max + 1, len(form.moments))
     return [secant_membership(form, k, threshold=threshold)
             for k in range(1, k_max + 1)]
 
@@ -185,20 +182,13 @@ def component_count(verdicts):
 
 
 def estimate_components(moments, k_max, threshold=DEFAULT_THRESHOLD):
-    """Smallest k whose secant accepts the moments; k_max + 1 if none.
-    ``k_max`` must be at least 1 (``PreconditionError``)."""
+    """Smallest k whose secant accepts the moments; k_max + 1 if none."""
     return component_count(component_ladder(moments, k_max,
                                             threshold=threshold))
 
 
 # ----------------------------------------------------------------------
 # noise-calibrated component count for sample data
-
-
-def _check_resamples(n_boot):
-    # a standard deviation over the resamples needs two of them
-    if n_boot < 2:
-        raise PreconditionError(f"n_boot must be at least 2, got {n_boot}")
 
 
 def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
@@ -213,7 +203,9 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     ``n_boot x d`` stack, whose minors are then taken in one batched
     :func:`pencil_minor_values` call per k.
     """
-    _check_resamples(n_boot)
+    # a standard deviation over the resamples needs two of them
+    if n_boot < 2:
+        raise PreconditionError(f"n_boot must be at least 2, got {n_boot}")
     arr = _sample(data, 1)[0].ravel()
     rng = np.random.default_rng(seed)
     moments = np.empty((n_boot, d))
@@ -265,10 +257,9 @@ def estimate_components_from_data(data, k_max):
     order-nminors quantity regardless of sample size;
     ``NOISE_FACTOR * nminors`` then separates sampling noise from real
     model violation.  There is no resampling and no random number: a
-    call returns the same answer every time.  Returns ``(k_hat,
-    verdicts)``.  ``k_max`` must be at least 1 (``PreconditionError``).
+    call returns the same answer every time.  Returns ``(k_hat, verdicts)``.
     """
-    _check_k(k_max, "k_max")
+    _check_k(k_max)
     d = 2 * k_max + 1
     form, count = _sample_form(data, 2 * d)
     m = form.moments

@@ -271,6 +271,30 @@ class TestLaplace:
         assert lap.moment((4,)) == 6
 
 
+_MEANS = [[1, Fraction(-1, 2)], [Fraction(-1, 3), 2]]
+_WEIGHTS = [Fraction(1, 4), Fraction(3, 4)]
+_COV = [[2, Fraction(1, 2)], [Fraction(1, 2), 3]]
+_MIXTURE = models.HomoscedasticParams(_MEANS, _WEIGHTS, _COV)
+FORWARD_MAPS = {
+    "gaussian": lambda d: models.gaussian_moments(
+        models.GaussianParams(_MEANS[0], _COV), d),
+    "laplace": lambda d: models.laplace_moments(
+        models.LaplaceParams(_MEANS[0], _COV), d),
+    "dirac": lambda d: models.dirac_mixture_moments(
+        models.DiracMixtureParams(_MEANS, _WEIGHTS), d),
+    "homoscedastic": lambda d: models.homoscedastic_moments(_MIXTURE, d),
+    "homoscedastic-cumulants":
+        lambda d: models.homoscedastic_cumulants(_MIXTURE, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_MAPS))
+def test_degree_one_is_the_truncated_series(name):
+    # at degree 1 the covariance's quadratic form is truncated away, and
+    # only the means are left
+    assert FORWARD_MAPS[name](1) == FORWARD_MAPS[name](2).truncate(1)
+
+
 class TestParameterRule:
     # centred, so that every family accepts it: only the non-finite
     # entry is wrong

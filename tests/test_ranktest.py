@@ -190,7 +190,85 @@ class TestNormalFormEntryPoints:
         "variance_polynomial": lambda m: estimate.variance_polynomial(m, 1),
         "pencil_minor_values":
             lambda m: ranktest.pencil_minor_values(m, 1, 0.5),
+        "quadrature_nodes": lambda m: estimate.quadrature_nodes(m, 1),
+        "quadrature_weights":
+            lambda m: estimate.quadrature_weights([0.0], m),
+        "deconvolve_moments": lambda m: estimate.deconvolve_moments(m, 0.5),
     }
+
+    # the k axis: every univariate entry point as a call on (moments, k),
+    # and the moment order it needs for k (None: it reads a sample)
+    BY_K = {
+        "secant_membership": (ranktest.secant_membership, lambda k: 2 * k),
+        "component_ladder": (ranktest.component_ladder, lambda k: 2 * k + 1),
+        "estimate_components":
+            (ranktest.estimate_components, lambda k: 2 * k + 1),
+        "fit_univariate": (estimate.fit_univariate, lambda k: 2 * k),
+        "hankel_pencil": (ranktest.hankel_pencil, lambda k: 2 * k),
+        "variance_polynomial":
+            (estimate.variance_polynomial, lambda k: 2 * k),
+        "pencil_minor_values":
+            (lambda m, k: ranktest.pencil_minor_values(m, k, 0.5),
+             lambda k: 2 * k),
+        "pencil_minor_values-stack":
+            (lambda m, k: ranktest.pencil_minor_values(np.array([m, m]), k,
+                                                       0.5),
+             lambda k: 2 * k),
+        "quadrature_nodes": (estimate.quadrature_nodes, lambda k: 2 * k - 1),
+        # k is the number of nodes: none at k = 0
+        "quadrature_weights":
+            (lambda m, k: estimate.quadrature_weights([-1.0, 1.0, 2.0][:k], m),
+             lambda k: k - 1),
+        "estimate_components_from_data":
+            (lambda m, k: ranktest.estimate_components_from_data(_SAMPLE, k),
+             None),
+    }
+    # standard normal moments m_1..m_7
+    NORMAL = [0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0]
+
+    @pytest.mark.parametrize("entry,k", [
+        (entry, k) for entry in sorted(BY_K) for k in (0, -1)
+        if (entry, k) != ("quadrature_weights", -1)])
+    def test_k_below_one(self, entry, k):
+        call, _ = self.BY_K[entry]
+        with pytest.raises(InputError) as exc:
+            call(self.NORMAL, k)
+        assert exc.value.code == "PRECONDITION"
+        assert str(exc.value) == f"k must be at least 1, got {k}"
+
+    @pytest.mark.parametrize("entry,k", [
+        (entry, k) for entry, (_, need) in BY_K.items() for k in (1, 2, 3)
+        if need is not None and need(k) >= 1])
+    def test_one_moment_short(self, entry, k):
+        call, need = self.BY_K[entry]
+        with pytest.raises(InputError) as exc:
+            call(self.NORMAL[:need(k) - 1], k)
+        assert exc.value.code == "INSUFFICIENT_ORDER"
+        assert str(exc.value) == (f"need moment order {need(k)}, "
+                                  f"got {need(k) - 1}")
+
+    @pytest.mark.parametrize("entry", [
+        "secant_membership", "component_ladder", "estimate_components"])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, entry, threshold):
+        # the CLI's --threshold refuses these too
+        with pytest.raises(InputError) as exc:
+            self.BY_K[entry][0](self.NORMAL[:5], 2, threshold=threshold)
+        assert exc.value.code == "PRECONDITION"
+
+    @pytest.mark.parametrize("call", [
+        lambda s: estimate.deconvolve_moments([0.0, 1.0, 0.0], s),
+        lambda s: ranktest.pencil_minor_values([0.0, 1.0, 0.0], 1, s),
+        lambda s: ranktest.pencil_minor_values([0.0, 1.0, 0.0], 1, [0.5, s]),
+        lambda s: ranktest.pencil_minor_values(
+            np.array([[0.0, 1.0, 0.0]] * 2), 1, s)],
+        ids=["deconvolve", "minors", "minors-at-many", "minors-stack"])
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_variance_must_be_finite(self, call, variance):
+        with pytest.raises(InputError) as exc:
+            call(variance)
+        assert exc.value.code == "INPUT_PARSE"
+        assert str(exc.value) == "variance must be finite"
 
     @pytest.mark.parametrize("entry",
                              sorted(ENTRY_POINTS) + sorted(PENCIL_ENTRY_POINTS))
