@@ -323,8 +323,6 @@ def cmd_fit2(args):
 
 
 def cmd_fit1d(args):
-    if (args.moments is None) == (args.input is None):
-        raise InputError("provide exactly one of --moments or --input")
     if args.moments is not None:
         moments = _parse_moments(args.moments)
     else:
@@ -414,9 +412,9 @@ def build_parser():
 
     fit1d = sub.add_parser("fit1d", help="univariate k-component fit")
     fit1d.add_argument("--k", type=_positive_int, required=True)
-    fit1d.add_argument("--moments", default=None,
-                       help="comma-separated m_1..m_2k")
-    fit1d.add_argument("--input", default=None, help="single-column CSV")
+    source = fit1d.add_mutually_exclusive_group(required=True)
+    source.add_argument("--moments", help="comma-separated m_1..m_2k")
+    source.add_argument("--input", help="single-column CSV")
     fit1d.add_argument("--output", default=None)
     fit1d.set_defaults(func=cmd_fit1d)
 

@@ -34,6 +34,7 @@ exact pencil over Q is a test oracle, kept with the tests.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -103,21 +104,19 @@ def _moment_steps(n, degree):
     1..``degree``, and each higher order's steps ``(child, parent,
     column)``: monomial ``child`` of the order (by position in
     :func:`~homoment.series.multi_indices` order) is monomial ``parent``
-    of the order below times centred ``column``.  The parent drops one
-    from the child's last nonzero exponent (the table's ``down`` at that
-    column), so it never comes after the child: steps in decreasing
-    child position may write each order over the one below."""
+    of the order below times centred ``column`` (the index table's
+    ``parent`` and ``column``).  The parent drops one from the child's
+    last nonzero exponent, so it never comes after the child: steps in
+    decreasing child position may write each order over the one below."""
     table = ts.index_table(n, degree)
     sizes = np.bincount(table.order)
     firsts = np.cumsum(sizes) - sizes
-    columns = n - 1 - np.argmax(table.exponents[:, ::-1] > 0, axis=1)
-    parents = table.down[columns, np.arange(len(columns))]
     steps = []
     for j in range(2, degree + 1):
         span = np.arange(firsts[j], firsts[j] + sizes[j])[::-1]
         steps.append(tuple(zip((span - firsts[j]).tolist(),
-                               (parents[span] - firsts[j - 1]).tolist(),
-                               columns[span].tolist())))
+                               (table.parent[span] - firsts[j - 1]).tolist(),
+                               table.column[span].tolist())))
     return tuple(sizes[1:].tolist()), tuple(steps)
 
 
@@ -424,8 +423,13 @@ def _fit_residual(params, cumulants, order):
 
 
 def _check_k(k, need=0, given=0):
-    """The one rule for ``k`` and the moments it needs: ``k`` below 1 is
+    """The one rule for ``k`` and the moments it needs: ``k`` that is not
+    an integer (``operator.index`` refuses it) or is below 1 is
     ``PreconditionError``, ``given < need`` ``InsufficientOrderError``."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise PreconditionError(f"k must be an integer, got {k}") from None
     if k < 1:
         raise PreconditionError(f"k must be at least 1, got {k}")
     if given < need:
@@ -553,12 +557,14 @@ def pencil_minor_values(moments, k, s):
     row (for one vector, one per evaluation).  One vector at one variance
     gives a list; a stack or a vector of variances gives an
     ``N x nminors`` array.  A variance that is not finite is
-    ``INPUT_PARSE``, a minor that is not finite ``INPUT_RANGE``.
+    ``INPUT_PARSE`` (a moment too, in a stack as in one vector), a minor
+    that is not finite ``INPUT_RANGE``.
     """
     _check_k(k)
     _exact_or_finite(np.ravel(s).tolist(), "variance")
     if np.ndim(moments) == 1 and np.ndim(s) == 0:
         return _float_minors([_moment_list(moments, k)], k, s)[0].tolist()
+    _exact_or_finite(np.ravel(moments).tolist(), "moments")
     return _float_minors(moments, k, s)
 
 
@@ -584,8 +590,9 @@ def _float_minors(moments, k, s):
     elif len(variances) == 1:
         variances *= len(rows)
     if len(rows) != len(variances):
-        raise ValueError(f"{len(rows)} moment rows and {len(variances)} "
-                         "variances do not broadcast")
+        raise DimensionMismatchError(f"{len(rows)} moment rows and "
+                                     f"{len(variances)} variances do not "
+                                     "broadcast")
     mt = []
     for row, v in zip(rows, variances):
         # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself

@@ -32,13 +32,13 @@ ranked over GF(p).  The atoms are first centred at their weighted mean
 mod p: E_i / D does not move when every atom moves by the same vector,
 and the centred D has no order-1 term, so 1 - D starts at order 2 and
 D^-1 = sum_j (1 - D)^j needs only the j <= d/2 (at d = 3, D^-1 = 2 - D).
-Series live in numpy int64 arrays of generating coefficients m_a / a!:
-E_i comes from a per-atom table of p_ij^e / e!; the k products E_i D^-1
-(E_i F in the whole Jacobian, ``moment_map_jacobian``) and the powers of
-1 - D are truncated products over the index pairs (b, a - b) of
-``series.index_table``, the one table of multi-indices every series
-shares, each term reduced mod p before the sum, so no product of two
-residues overflows.  Rows come from index shifts on its ``down`` map,
+Series live in numpy int64 arrays of generating coefficients m_a / a!
+on ``series.index_table``, the one table of multi-indices every series
+shares.  E_i[a] is E_i at the parent a - e_c (c the last nonzero
+coordinate of a) times p_ic / a_c; the products E_i D^-1 (E_i F in
+``moment_map_jacobian``) and the powers of 1 - D sum over the table's
+index pairs (b, a - b), each term reduced mod p first, so no product of
+two residues overflows.  Rows come from shifts on its ``down`` map,
 (u_j S)[a] = S[a - e_j], and the covariance rows u_i u_j M from two.
 
 This is sound because every denominator is a unit mod p: it divides a
@@ -62,7 +62,6 @@ Both are inputs this artifact checks against, not results it derives.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -182,31 +181,20 @@ def _power_sum(s, coeffs, ix, p):
     return total
 
 
-@lru_cache(maxsize=None)
-def _inverse_factorials(d, p):
-    """1 / e! mod p for e = 0..d, read-only (shared by every caller)."""
-    row = np.array([_inverse(factorial(e), p) for e in range(d + 1)],
-                   dtype=np.int64)
-    row.setflags(write=False)
-    return row
-
-
 def _atoms(points, ix, p):
     """E_i = exp(p_i.u) mod p for each row p_i of ``points``: the
-    coefficient at a is the product over j of p_ij^a_j / a_j!."""
+    coefficient at a, prod_j p_ij^a_j / a_j!, is its parent's times
+    p_ic / a_c, built one order at a time."""
     d = int(ix.order[-1])
-    powers = np.ones(points.shape + (d + 1,), dtype=np.int64)
-    for e in range(1, d + 1):
-        powers[..., e] = powers[..., e - 1] * points % p
-    # [i, j, e] = p_ij^e / e!
-    scaled = powers * _inverse_factorials(d, p) % p
-    # [i, j, a] = p_ij^a_j / a_j!, multiplied out over j by halves
-    factors = scaled[:, np.arange(points.shape[1])[:, None], ix.exponents.T]
-    while factors.shape[1] > 1:
-        half = factors.shape[1] // 2
-        paired = factors[:, :half] * factors[:, half:2 * half] % p
-        factors = np.concatenate([paired, factors[:, 2 * half:]], axis=1)
-    return factors[:, 0]
+    units = np.array([0] + [_inverse(e, p) for e in range(1, d + 1)])
+    # 1 / a_c for each index a (0 for the constant, which is not built)
+    scale = units[ix.exponents[np.arange(len(ix.order)), ix.column]]
+    series = np.ones((len(points), len(ix.order)), dtype=np.int64)
+    bounds = ix.order.searchsorted(np.arange(1, d + 2))
+    for at in map(slice, bounds[:-1], bounds[1:]):
+        series[:, at] = (series[:, ix.parent[at]] * points[:, ix.column[at]]
+                         % p * scale[at] % p)
+    return series
 
 
 def _tangent_rows(weights, terms, down, start, p):
@@ -244,7 +232,8 @@ def moment_map_jacobian(params, degree, p):
     scale = np.where(upper == lower, _inverse(2, p), 1)
     cov = _residues([params.cov[i][j] for i, j in zip(upper, lower)], p)
     gauss = _power_sum(scale * cov % p @ quadratic(_one(ix)) % p,
-                       _inverse_factorials(degree, p)[:degree // 2 + 1], ix, p)
+                       [_inverse(factorial(j), p)
+                        for j in range(degree // 2 + 1)], ix, p)
     terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
     moments = (weights[:, None] * terms % p).sum(axis=0) % p
     rows = np.vstack([_tangent_rows(weights, terms, ix.down, 1, p),

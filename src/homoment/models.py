@@ -13,6 +13,8 @@ relative tolerance (:func:`_equal`).
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -227,19 +229,15 @@ def dirac_mixture_moments(params, degree):
 
 
 def _atom_moments(points, weights, degree):
-    # the weights sum to one (the parameters check it)
+    # w p^a is its parent's term times p_c (the left fold w p_1^a_1 ...
+    # p_n^a_n), summed over the atoms; the weights sum to one (checked)
     nvars = len(points[0])
-    moments = {}
-    for a in ts.multi_indices(nvars, degree)[1:]:
-        acc = None
-        for w, p in zip(weights, points):
-            term = w
-            for j, e in enumerate(a):
-                for _ in range(e):
-                    term = term * p[j]
-            acc = term if acc is None else acc + term
-        moments[a] = acc
-    return ts.TruncatedSeries.from_moments(nvars, degree, moments)
+    table = ts.index_table(nvars, degree)
+    terms = [weights]
+    for parent, c in zip(table.parent[1:].tolist(), table.column[1:].tolist()):
+        terms.append([t * p[c] for t, p in zip(terms[parent], points)])
+    return ts.TruncatedSeries.from_moments(nvars, degree, zip(
+        table.indices[1:], [reduce(add, row) for row in terms[1:]]))
 
 
 def homoscedastic_moments(params, degree):

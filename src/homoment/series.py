@@ -10,12 +10,13 @@ free of multinomial bookkeeping; use :meth:`TruncatedSeries.moment` and
 :meth:`TruncatedSeries.from_moments` to convert at the boundary.
 
 The one table of multi-indices (:func:`index_table`, cached per
-``(n, d)``) holds them in graded lex order with the shifts a - e_j and
-the pairs (b, c) grouped by b + c.  A series is an object array on it:
-a sum is an array sum, a truncation a prefix and the Cauchy product a
-sum over the pairs whose two coefficients are nonzero.  The residue
-series of :mod:`homoment.geometry` and the moment pass of
-:mod:`homoment.estimate` read the same table.
+``(n, d)``) holds them in graded lex order with the shifts a - e_j, the
+pairs (b, c) grouped by b + c and each parent a - e_c (c the last
+nonzero coordinate of a).  A series is an object array on it: a sum is
+an array sum, a truncation a prefix and the Cauchy product a sum over
+the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
+:mod:`homoment.estimate` and :mod:`homoment.models` read the same table,
+and build every monomial p^a as its parent's times p_c.
 
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
 value supporting ``+``, ``-``, ``*`` and division by ``int``.  Plain
@@ -50,6 +51,8 @@ class IndexTable:
     order: np.ndarray            # |a|
     exponents: np.ndarray        # (N, n): the indices a
     down: np.ndarray             # (n, N): position of a - e_j, -1 if a_j = 0
+    column: np.ndarray           # c, the last j with a_j > 0 (constant: n - 1)
+    parent: np.ndarray           # position of a - e_c, -1 for the constant
     left: np.ndarray             # every pair (b, c), |b + c| <= d, grouped
     right: np.ndarray            # by a = b + c: the positions of b and of c
     starts: np.ndarray           # first pair of each group
@@ -85,6 +88,8 @@ def index_table(n, d):
         return sorter[np.minimum(found, size - 1)]
 
     down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
+    column = n - 1 - np.argmax(exponents[:, ::-1] > 0, axis=1)
+    parent = down[column, np.arange(size)]
     # the indices are graded, so the c with |b| + |c| <= d are a prefix
     fits = np.searchsorted(order, d - order, side="right")
     left = np.repeat(np.arange(size), fits)
@@ -94,8 +99,9 @@ def index_table(n, d):
     starts = np.searchsorted(target[grouped], np.arange(size))
     table = IndexTable(indices, MappingProxyType(
         {a: i for i, a in enumerate(indices)}), order, exponents, down,
-        left[grouped], right[grouped], starts)
-    for array in (order, exponents, down, table.left, table.right, starts):
+        column, parent, left[grouped], right[grouped], starts)
+    for array in (order, exponents, down, column, parent, table.left,
+                  table.right, starts):
         array.setflags(write=False)
     return table
 

@@ -669,6 +669,18 @@ class TestFit1d:
         code, _, err = run(["fit1d", "--k", "1"], capsys)
         assert code == cli.EXIT_INPUT
 
+    def test_both_sources_rejected(self, capsys, tmp_path):
+        data = tmp_path / "sample.csv"
+        data.write_text("1.0\n2.0\n")
+        code, out, err = run(["fit1d", "--k", "1", "--moments", "0,1",
+                              "--input", str(data)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        error = strict_json(err)["error"]
+        assert error["code"] == "INPUT"
+        assert "--moments" in error["message"]
+        assert "--input" in error["message"]
+
     def test_multicolumn_csv_rejected(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         data.write_text("1.0,2.0\n3.0,4.0\n")

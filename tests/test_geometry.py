@@ -523,6 +523,17 @@ def check_against_oracle(monkeypatch, builder):
 class TestResiduesMatchFractionOracle:
     """Each residue block equals its oracle over Q reduced mod p."""
 
+    @pytest.mark.parametrize("p", [PRIMES[0], 101, 8388593])
+    @pytest.mark.parametrize("n,d", [(1, 6), (2, 5), (3, 3), (8, 2), (8, 6)])
+    def test_atoms(self, p, n, d):
+        # E_i[a] = prod_j p_ij^a_j / a_j!, each factor reduced mod p
+        points = np.random.default_rng(n * d).integers(0, p, size=(3, n))
+        table = ts.index_table(n, d)
+        want = [[math.prod(pow(int(x), e, p) * pow(math.factorial(e), -1, p)
+                           for x, e in zip(row, a)) % p
+                 for a in table.indices] for row in points]
+        assert geometry._atoms(points, table, p).tolist() == want
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_residues(self, p):
         # integers are reduced directly, fractions through the inverse of

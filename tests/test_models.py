@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_fraction, rand_psd, rand_symmetric, reference_sample
 from homoment import models
@@ -92,6 +94,32 @@ class TestDiracMixture:
         b = models.dirac_mixture_moments(
             models.DiracMixtureParams(points=((3, 1),), weights=(1,)), 3)
         assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from([float, np.float64, Fraction]), st.data())
+    def test_atom_terms_are_the_left_fold(self, n, degree, k, kind, data):
+        # w p_1^a_1 ... p_n^a_n multiplied out left to right, summed over
+        # the atoms in order: the same value, repr and type
+        values = st.fractions(-9, 9, max_denominator=12).map(
+            lambda x: x if kind is Fraction else kind(x))
+        points = [data.draw(st.lists(values, min_size=n, max_size=n))
+                  for _ in range(k)]
+        weights = data.draw(st.lists(values, min_size=k, max_size=k))
+        folds = {}
+        for a in ts.multi_indices(n, degree)[1:]:
+            acc = None
+            for w, p in zip(weights, points):
+                term = w
+                for j, e in enumerate(a):
+                    for _ in range(e):
+                        term = term * p[j]
+                acc = term if acc is None else acc + term
+            folds[a] = acc
+        got = models._atom_moments(points, weights, degree)
+        want = ts.TruncatedSeries.from_moments(n, degree, folds)
+        assert [(repr(c), type(c)) for c in got._c] == [
+            (repr(c), type(c)) for c in want._c]
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(PreconditionError):

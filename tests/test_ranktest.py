@@ -190,6 +190,8 @@ class TestNormalFormEntryPoints:
         "variance_polynomial": lambda m: estimate.variance_polynomial(m, 1),
         "pencil_minor_values":
             lambda m: ranktest.pencil_minor_values(m, 1, 0.5),
+        "pencil_minor_values-stack":
+            lambda m: ranktest.pencil_minor_values(np.array([m, m]), 1, 0.5),
         "quadrature_nodes": lambda m: estimate.quadrature_nodes(m, 1),
         "quadrature_weights":
             lambda m: estimate.quadrature_weights([0.0], m),
@@ -235,6 +237,22 @@ class TestNormalFormEntryPoints:
             call(self.NORMAL, k)
         assert exc.value.code == "PRECONDITION"
         assert str(exc.value) == f"k must be at least 1, got {k}"
+
+    # k is the number of nodes for quadrature_weights, not a rule's k
+    @pytest.mark.parametrize("entry,k", [
+        (entry, k) for entry in sorted(BY_K) for k in (1.5, 2.0)
+        if entry != "quadrature_weights"])
+    def test_k_not_an_integer(self, entry, k):
+        call, _ = self.BY_K[entry]
+        with pytest.raises(InputError) as exc:
+            call(self.NORMAL, k)
+        assert exc.value.code == "PRECONDITION"
+        assert str(exc.value) == f"k must be an integer, got {k}"
+
+    @pytest.mark.parametrize("entry", sorted(BY_K))
+    def test_numpy_integer_k(self, entry):
+        # operator.index takes numpy integers
+        self.BY_K[entry][0](self.NORMAL, np.int64(1))
 
     @pytest.mark.parametrize("entry,k", [
         (entry, k) for entry, (_, need) in BY_K.items() for k in (1, 2, 3)
@@ -484,8 +502,9 @@ class TestBatchedMinors:
         shared = ranktest.pencil_minor_values(rows, 1, 0.4)
         assert ranktest.pencil_minor_values(rows, 1, [0.4]).tolist() == (
             shared.tolist())
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError) as exc:
             ranktest.pencil_minor_values(rows, 1, [0.4, 0.5])
+        assert exc.value.code == "DIMENSION_MISMATCH"
 
     def test_overflowing_row_is_range_error(self):
         rows = np.random.default_rng(2).normal(size=(4, 5))

@@ -4,6 +4,7 @@ the dict-engine oracle."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +211,23 @@ class TestDictOracle:
     @pytest.mark.parametrize("n,d", [(1, 10), (2, 8), (4, 6), (8, 4)])
     def test_index_order(self, n, d):
         assert list(ts.multi_indices(n, d)) == dict_multi_indices(n, d)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 9)
+                                     for d in range(1, 9)] + [(24, 2)])
+    def test_parent_map(self, n, d):
+        # each monomial is its parent times the coordinate of its last
+        # nonzero exponent, and its parent is of the order below
+        table = ts.index_table(n, d)
+        assert table.parent[0] == -1 and table.column[0] == n - 1
+        column, parent = table.column[1:], table.parent[1:]
+        exponents = table.exponents[1:]
+        unit = np.eye(n, dtype=np.int64)[column]
+        assert (table.exponents[parent] + unit == exponents).all()
+        assert (exponents[np.arange(len(column)), column] > 0).all()
+        assert not np.where(np.arange(n) > column[:, None], exponents, 0).any()
+        assert (table.order[parent] == table.order[1:] - 1).all()
+        for array in (table.column, table.parent):
+            assert not array.flags.writeable
 
     def test_float_and_fraction_entries_compare(self):
         x = ts.TruncatedSeries(2, 2, {(1, 0): 0.5, (0, 2): 0.0})
