@@ -302,7 +302,8 @@ def _point_ranks(block_at, split, seed, n, k, d):
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
         block = block_at(n, k, d, rng, PRIMES[trial])
-        # ranked as a list of int64 rows, like moment_map_jacobian's
+        # a list of int64 rows: perfbench/tracer.py sizes rank's argument
+        # with ``if matrix``, which raises on an ndarray
         return (split + rank(list(block), PRIMES[trial]),
                 split + min(block.shape))
 
@@ -372,18 +373,6 @@ def defect_report(n, k, d, seed=0):
     # translations span order 1, the covariance order 2
     return _report(n, k, d, parameter_count(n, k), _mixture_block,
                    ambient_dim(n, min(d, 2)), seed)
-
-
-def centered_cumulant_rank(n, k, d, seed=0):
-    """Generic rank of the order >= 3 cumulant map on centered atoms.
-
-    This is the rank of the block B that :func:`defect_report` ranks, at
-    the same points: E_i / D is unchanged when every atom moves by the
-    same vector, so B at a point is B at its centered translate.  The
-    mixture fiber dimension is (k-1)(n+1) minus this rank.
-    """
-    check_envelope(n, k, d)
-    return max(_point_ranks(_mixture_block, 0, seed, n, k, d))
 
 
 def veronese_report(n, k, d, seed=0):

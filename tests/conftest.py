@@ -10,7 +10,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from homoment import estimate, models
+from homoment import estimate, geometry, models
 from homoment import series as ts
 from homoment.errors import PreconditionError
 
@@ -247,6 +247,20 @@ def exact_hankel_pencil(moments, k):
 def exact_variance_polynomial(moments, k):
     """``estimate.variance_polynomial`` over Q."""
     return list(exact_hankel_pencil(list(moments)[:2 * k], k).minors[0])
+
+
+def centered_cumulant_rank(n, k, d, seed=0):
+    """Generic rank of the order >= 3 cumulant map on centered atoms.
+
+    This is the rank of the block B that ``geometry.defect_report``
+    ranks, at the same points: E_i / D is unchanged when every atom
+    moves by the same vector, so B at a point is B at its centered
+    translate.  The mixture fiber dimension is (k-1)(n+1) minus this
+    rank.
+    """
+    geometry.check_envelope(n, k, d)
+    return max(geometry._point_ranks(geometry._mixture_block, 0, seed,
+                                     n, k, d))
 
 
 # ----------------------------------------------------------------------

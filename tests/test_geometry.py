@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det, integer_rows, lagrange_interpolate
+from conftest import (centered_cumulant_rank, det, integer_rows,
+                      lagrange_interpolate)
 from homoment import geometry, models
 from homoment import series as ts
-from homoment.errors import PreconditionError
+from homoment.errors import DimensionMismatchError, PreconditionError
 from homoment.exactla import PRIMES, rank
 
 
@@ -146,6 +147,10 @@ class TestExactLinearAlgebra:
     def test_rank_counts_pivots_with_column_skips(self):
         m = [[0, 1, 2], [0, 2, 4], [0, 0, 0]]
         assert rank(m) == 1
+        # pivots fall in columns 2, 0 and 1; the last row, the sum of
+        # the others, reduces to zero
+        m = [[0, 0, 3, 1], [5, 0, 1, 2], [2, 7, 0, 4], [7, 7, 4, 7]]
+        assert rank(m, 11) == rank(list(zip(*m)), 11) == 3
 
     def test_det_values(self):
         assert det([[Fraction(1, 2), 1], [1, 4]]) == 1
@@ -198,6 +203,19 @@ class TestExactLinearAlgebra:
         assert (rank(m, p) == rank(m.T, p) == rank(list(m), p)
                 == reference_rank(matrix, p))
 
+    # rank pivots on each reduced row's first nonzero entry with no column
+    # swap; permuting rows and columns moves pivots out of column order
+    @pytest.mark.parametrize("p", [2, 3, 101, PRIMES[0], 2**31 - 1])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_rank_of_permuted_matrix(self, p, data):
+        matrix = data.draw(low_rank_residues(p))
+        m = np.array(matrix, dtype=np.int64)
+        rows = data.draw(st.permutations(range(m.shape[0])))
+        cols = data.draw(st.permutations(range(m.shape[1])))
+        assert (rank(m, p) == rank(m[rows][:, cols], p)
+                == reference_rank(matrix, p))
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_modular_rank_is_a_lower_bound(self, p):
         # p divides the only 2 x 2 minor: the rank drops, never rises
@@ -212,6 +230,16 @@ class TestExactLinearAlgebra:
     def test_denominator_equal_to_the_prime(self, matrix, expected):
         assert bareiss_rank(matrix) == expected
         assert rank(integer_rows(matrix)[0], PRIMES[0]) == expected
+
+    @pytest.mark.parametrize("matrix", [
+        [1, 2, 3],
+        [[1, 2], [3]],
+        [[[1, 2], [3, 4]]],
+    ], ids=["vector", "ragged", "stack"])
+    def test_non_matrix_rejected(self, matrix):
+        with pytest.raises(DimensionMismatchError) as err:
+            rank(matrix)
+        assert err.value.code == "DIMENSION_MISMATCH"
 
     def test_empty_matrix_has_rank_zero(self):
         assert rank([]) == 0
@@ -569,7 +597,7 @@ class TestResiduesMatchFractionOracle:
         checked = check_against_oracle(monkeypatch, "_mixture_block")
         cases = [(2, 2), (5, 7), (2, 3), (4, 3)]
         for n, k in cases:
-            geometry.centered_cumulant_rank(n, k, 3, seed=0)
+            centered_cumulant_rank(n, k, 3, seed=0)
         # (2, 3) reaches min(rows, cols) = 4 at its first point
         assert [c[:2] for c in checked] == [(2, 2), (2, 2), (5, 7), (5, 7),
                                             (2, 3), (4, 3), (4, 3)]
@@ -757,21 +785,21 @@ class TestDefectReports:
 
 class TestCenteredCumulantRank:
     def test_matches_fiber_dimension(self):
-        r = geometry.centered_cumulant_rank(2, 2, 3, seed=0)
+        r = centered_cumulant_rank(2, 2, 3, seed=0)
         assert r == 2
         assert (2 - 1) * (2 + 1) - r == geometry.defect_report(2, 2, 3).fiber_dim
 
     def test_sporadic_case_dimension(self):
-        assert geometry.centered_cumulant_rank(5, 7, 3, seed=0) == 34
+        assert centered_cumulant_rank(5, 7, 3, seed=0) == 34
 
     def test_single_component_trivial(self):
-        assert geometry.centered_cumulant_rank(3, 1, 3, seed=0) == 0
+        assert centered_cumulant_rank(3, 1, 3, seed=0) == 0
 
     def test_reduction_via_cumulant_map(self):
         # fiber dimension (k-1)(n+1) - rank is unchanged by adding
         # ambient dimensions beyond k - 1
-        small = 2 * 3 - geometry.centered_cumulant_rank(2, 3, 3, seed=0)
-        large = 2 * 5 - geometry.centered_cumulant_rank(4, 3, 3, seed=0)
+        small = 2 * 3 - centered_cumulant_rank(2, 3, 3, seed=0)
+        large = 2 * 5 - centered_cumulant_rank(4, 3, 3, seed=0)
         assert small == large == 2
 
 

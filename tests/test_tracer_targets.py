@@ -1,12 +1,16 @@
 """The benchmark tracer's view of the package: every function it wraps
-still resolves, so removing or renaming one fails here and not only in
-a traced benchmark run."""
+still resolves, and a traced table row runs, so removing or renaming one,
+or handing one an argument the tracer cannot size, fails here and not
+only in a traced benchmark run."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import homoment
+from homoment import geometry
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -18,7 +22,8 @@ def load_tracer():
     return module
 
 
-TARGETS = load_tracer().TARGETS
+TRACER_MODULE = load_tracer()
+TARGETS = TRACER_MODULE.TARGETS
 
 
 @pytest.mark.parametrize("prefix,module,attr", [t[:3] for t in TARGETS],
@@ -33,3 +38,19 @@ def test_target_resolves(prefix, module, attr):
     else:
         target = getattr(owner, attr, None)
     assert callable(target), f"{prefix}: homoment.{module}.{attr} is gone"
+
+
+def test_traced_table_row_counts_rank():
+    # the tracer sizes rank's argument with ``if matrix``, which raises
+    # on an ndarray: geometry must keep passing a list of rows
+    for _, module, *_ in TARGETS:
+        importlib.import_module(f"homoment.{module}")
+    tracer = TRACER_MODULE.Tracer()
+    tracer.install(homoment)
+    try:
+        # (2, 2, 3) is defective, so it ranks two points
+        geometry.defect_report(2, 2, 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["exactla.rank.calls"] == 2
+    assert tracer.counts["exactla.rank.cells"] > 0
