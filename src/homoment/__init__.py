@@ -27,7 +27,6 @@ from .geometry import (
     veronese_report,
 )
 from .models import (
-    CenteredDiracParams,
     DiracMixtureParams,
     GaussianParams,
     HomoscedasticParams,
@@ -44,7 +43,6 @@ from .series import TruncatedSeries
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteredDiracParams",
     "DefectReport",
     "DiracMixtureParams",
     "DimensionMismatchError",

@@ -326,10 +326,8 @@ def cmd_fit1d(args):
     if args.moments is not None:
         moments = _parse_moments(args.moments)
     else:
-        data = read_csv_matrix(args.input)
-        if data.shape[1] != 1:
-            raise InputError("fit1d expects a single-column CSV")
-        moments = estimate.sample_normal_form(data[:, 0], 2 * args.k)
+        moments = estimate.sample_normal_form(read_csv_matrix(args.input),
+                                              2 * args.k)
     result = estimate.fit_univariate(moments, args.k)
     payload = _payload("fit1d", k=args.k, estimate=result.as_dict())
     _emit_json(payload, args.output)

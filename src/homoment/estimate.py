@@ -259,28 +259,17 @@ def two_point_cumulant_coeff(weight, order):
     raise PreconditionError("order must be 3, 4, or 5")
 
 
-def cumulant_ratio_from_weight_product(q):
-    """The pivot ratio a(q) realized by a mixture with weight product q.
-
-    Strictly decreasing on (0, 1/4); the inverse of
-    :func:`solve_smaller_weight` (as ``q = w (1 - w)``) and its round-trip
-    oracle.
-    """
-    q = float(q)
-    if not 0.0 < q < 0.25:
-        raise PreconditionError("weight product must lie in (0, 1/4)")
-    return (3.0 ** (1.0 / 3.0) * (1.0 - 6.0 * q)
-            / (2.0 * (4.0 * q * (1.0 - 4.0 * q) ** 2) ** (1.0 / 3.0)))
-
-
 def solve_smaller_weight(ratio):
     """The smaller weight w in (0, 1/2] of the two-component mixture whose
     pivot ratio is ``ratio``.
 
     With ``q = w (1 - w)`` and ``b = 1 - 6q`` the ratio r satisfies
     ``3 b^3 = 32 r^3 q (1 - 2w)^4``.  Left minus right is 3 at w = 0 and
-    -3/8 at w = 1/2, and :func:`cumulant_ratio_from_weight_product` is
-    strictly decreasing, so every finite r has exactly one root there.
+    -3/8 at w = 1/2.  Between them it is ``32 q (1 - 2w)^4 (c(q) - r^3)``
+    with ``c(q) = 3 b^3 / (32 q (1 - 4q)^2)``, whose derivative
+    ``-3 (1 - 6q)^2 / (32 q^2 (1 - 4q)^3)`` is negative except at q = 1/6;
+    q rises with w, so the sign changes once and every finite r has
+    exactly one root there.
     Bisection halves the bracket until its midpoint equals an end: about
     55 steps for ordinary weights, at most about 1100 for the tiniest.
     Writing ``(1 - 2w)^4`` rather than ``(1 - 4q)^2`` keeps the

@@ -4,7 +4,7 @@ Forward maps are written in plain generic arithmetic (no numpy) so they
 accept ``Fraction`` entries for exact work and ``float`` entries for
 estimation.  Only :func:`sample_mixture` touches numpy.
 
-Every parameter family checks its fields once, by one rule
+The four parameter families check their fields once, by one rule
 (:func:`_check`): their shapes, then that no float entry is NaN or
 infinite (``INPUT_PARSE``), then weights summing to one and a symmetric
 covariance.  Exact entries compare exactly, and a float within a
@@ -56,8 +56,8 @@ def _check(points, weights=None, cov=None):
     """The one rule of every parameter family, in this order: the shapes
     of ``points`` (one weight each, when weighted) and of the ``n x n``
     ``cov`` (:class:`DimensionMismatchError`), then every float entry
-    finite (``INPUT_PARSE``), before the weight sum that a NaN would
-    pass and an infinity fail, then weights summing to one and a
+    finite (``INPUT_PARSE``; the weight sum would call a non-finite
+    weight a precondition), then weights summing to one and a
     symmetric covariance (:class:`PreconditionError`)."""
     if weights is not None and (len(points) != len(weights) or not points):
         raise DimensionMismatchError("need one weight per point")
@@ -120,18 +120,6 @@ class DiracMixtureParams:
     @property
     def ncomponents(self):
         return len(self.weights)
-
-
-@dataclass(frozen=True)
-class CenteredDiracParams(DiracMixtureParams):
-    """Dirac mixture whose weighted mean is zero."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        for j in range(self.nvars):
-            total = sum(w * p[j] for w, p in zip(self.weights, self.points))
-            if not _equal(0, total):
-                raise PreconditionError("mixture mean is not zero")
 
 
 @dataclass(frozen=True)
@@ -255,19 +243,6 @@ def homoscedastic_moments(params, degree):
 def homoscedastic_cumulants(params, degree):
     """Cumulant series (log of the moment series) of the mixture."""
     return ts.log(homoscedastic_moments(params, degree))
-
-
-def dirac_higher_cumulants(params, degree):
-    """Cumulants of order three and up of a centered Dirac mixture.
-
-    Orders one and two of a homoscedastic mixture absorb arbitrary
-    translations and covariance shifts, so the identifiable content of
-    the mixture's cumulants starts at order three; this is that graded
-    slice of the log series.
-    """
-    if not isinstance(params, CenteredDiracParams):
-        params = CenteredDiracParams(points=params.points, weights=params.weights)
-    return ts.log(dirac_mixture_moments(params, degree)).graded(3)
 
 
 def laplace_moments(params, degree):

@@ -176,22 +176,18 @@ class TruncatedSeries:
         return cls(nvars, degree, {(0,) * nvars: Fraction(1)})
 
     @classmethod
-    def from_moments(cls, nvars, degree, moments, space="moment"):
-        """Build a series from raw moments or cumulants.
+    def from_moments(cls, nvars, degree, moments):
+        """Build a moment series from raw moments.
 
         ``moments`` maps multi-indices to raw values ``m_a`` (stored as
-        ``m_a / a!``).  The order-zero coefficient is fixed by ``space``:
-        1 for ``"moment"`` and 0 for ``"cumulant"``.
+        ``m_a / a!``).  The order-zero coefficient is 1.
         """
-        if space not in ("moment", "cumulant"):
-            raise PreconditionError(f"unknown space {space!r}")
-        series = (cls.one if space == "moment" else cls.zero)(nvars, degree)
+        series = cls.one(nvars, degree)
         indices = multi_indices(nvars, degree)
         for a, m in dict(moments).items():
             at = _position(a, nvars, degree)
             if at == 0:
-                raise PreconditionError(
-                    "order-zero term is implied by the space flag")
+                raise PreconditionError("the order-zero moment is 1")
             series._c[at] = _promote(m) / index_factorial(indices[at])
         return series._set(nvars, degree, series._c)
 

@@ -139,6 +139,20 @@ def weight_product_cubic(ratio):
     return [const, 16 * cube + 27, -(128 * cube + 162), 256 * cube + 324]
 
 
+def cumulant_ratio_from_weight_product(q):
+    """The pivot ratio a(q) realized by a mixture with weight product q.
+
+    Strictly decreasing on (0, 1/4); the inverse of
+    ``estimate.solve_smaller_weight`` (as ``q = w (1 - w)``) and its
+    round-trip oracle.
+    """
+    q = float(q)
+    if not 0.0 < q < 0.25:
+        raise PreconditionError("weight product must lie in (0, 1/4)")
+    return (3.0 ** (1.0 / 3.0) * (1.0 - 6.0 * q)
+            / (2.0 * (4.0 * q * (1.0 - 4.0 * q) ** 2) ** (1.0 / 3.0)))
+
+
 # ----------------------------------------------------------------------
 # exact oracles over Q: the library's minors, pencils and determinants
 # are floats

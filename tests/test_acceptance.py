@@ -114,8 +114,10 @@ def test_c05_two_point_coefficients():
         if lam in seen or lam == 1:
             continue
         seen.add(lam)
-        atoms = models.CenteredDiracParams(
+        atoms = models.DiracMixtureParams(
             points=((1,), (-lam / (1 - lam),)), weights=(lam, 1 - lam))
+        assert sum(w * p for w, (p,) in zip(atoms.weights,
+                                            atoms.points)) == 0, lam
         series = ts.log(models.dirac_mixture_moments(atoms, 5))
         for order in (3, 4, 5):
             assert (series.coeff((order,))

@@ -684,8 +684,11 @@ class TestFit1d:
     def test_multicolumn_csv_rejected(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         data.write_text("1.0,2.0\n3.0,4.0\n")
-        code, _, _ = run(["fit1d", "--k", "1", "--input", str(data)], capsys)
+        code, out, err = run(["fit1d", "--k", "1", "--input", str(data)],
+                             capsys)
         assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "DIMENSION_MISMATCH"
 
     @pytest.mark.parametrize("k", ["0", "-1", "two"])
     def test_non_positive_k_is_input_error(self, capsys, k):

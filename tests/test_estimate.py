@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cumulant_ratio_from_weight_product,
     exact_variance_polynomial,
     match_two_components,
     rand_fraction,
@@ -104,8 +105,10 @@ class TestTwoPointCoefficients:
         rng = random.Random(1)
         for _ in range(20):
             lam = Fraction(rng.randint(1, 99), 100)
-            atoms = models.CenteredDiracParams(
+            atoms = models.DiracMixtureParams(
                 points=((1,), (-lam / (1 - lam),)), weights=(lam, 1 - lam))
+            assert sum(w * p for w, (p,) in zip(atoms.weights,
+                                                atoms.points)) == 0
             series = ts.log(models.dirac_mixture_moments(atoms, 5))
             for order in (3, 4, 5):
                 assert (series.coeff((order,))
@@ -125,18 +128,18 @@ class TestWeightProduct:
 
     @pytest.mark.parametrize("q", [0.05, 0.10, 0.20])
     def test_round_trip(self, q):
-        ratio = estimate.cumulant_ratio_from_weight_product(q)
+        ratio = cumulant_ratio_from_weight_product(q)
         assert self.product(ratio) == pytest.approx(q, abs=1e-12)
 
     def test_interval_end_behavior(self):
         # small products force large positive ratios and conversely
-        tiny = self.product(estimate.cumulant_ratio_from_weight_product(1e-4))
+        tiny = self.product(cumulant_ratio_from_weight_product(1e-4))
         assert tiny == pytest.approx(1e-4, rel=1e-9)
-        assert estimate.cumulant_ratio_from_weight_product(1e-4) > 5
+        assert cumulant_ratio_from_weight_product(1e-4) > 5
         near_quarter = self.product(
-            estimate.cumulant_ratio_from_weight_product(0.2499))
+            cumulant_ratio_from_weight_product(0.2499))
         assert near_quarter == pytest.approx(0.2499, rel=1e-9)
-        assert estimate.cumulant_ratio_from_weight_product(0.2499) < -10
+        assert cumulant_ratio_from_weight_product(0.2499) < -10
 
     def test_relative_error_on_grid(self):
         # both ends of the bracket: tiny weights and nearly equal ones
@@ -144,7 +147,7 @@ class TestWeightProduct:
                                0.25 - np.geomspace(1e-12, 0.25, 2000,
                                                    endpoint=False)])
         worst = max(
-            abs(self.product(estimate.cumulant_ratio_from_weight_product(q))
+            abs(self.product(cumulant_ratio_from_weight_product(q))
                 - q) / q for q in grid.tolist())
         assert worst <= 1e-14
 
@@ -156,14 +159,14 @@ class TestWeightProduct:
 
     def test_strictly_decreasing_on_grid(self):
         grid = np.linspace(1e-4, 0.25 - 1e-4, 1000)
-        values = [estimate.cumulant_ratio_from_weight_product(q) for q in grid]
+        values = [cumulant_ratio_from_weight_product(q) for q in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_unique_interior_root(self):
         rng = random.Random(2)
         for _ in range(50):
             q = rng.uniform(1e-3, 0.25 - 1e-3)
-            ratio = estimate.cumulant_ratio_from_weight_product(q)
+            ratio = cumulant_ratio_from_weight_product(q)
             coeffs = [float(c) for c in weight_product_cubic(ratio)]
             roots = np.roots(coeffs[::-1])
             interior = [r for r in roots

@@ -27,20 +27,19 @@ NON_FINITE = [
 # the fields of such a mixture that each parameter family reads
 FAMILY_FIELDS = {
     "gaussian": ("means", "cov"), "laplace": ("means", "cov"),
-    "dirac": ("means", "weights"), "centred-dirac": ("means", "weights"),
+    "dirac": ("means", "weights"),
     "homoscedastic": ("means", "weights", "cov")}
 
 
 def family_params(family, means, weights, cov):
     """The parameters of ``family`` read from a 1-D mixture: the Dirac
-    families sit on its means, and the Gaussian and Laplace laws at
+    mixture sits on its means, and the Gaussian and Laplace laws at
     their sum."""
     location = [sum(m[0] for m in means)]
     return {
         "gaussian": lambda: models.GaussianParams(location, cov),
         "laplace": lambda: models.LaplaceParams(location, cov),
         "dirac": lambda: models.DiracMixtureParams(means, weights),
-        "centred-dirac": lambda: models.CenteredDiracParams(means, weights),
         "homoscedastic": lambda: models.HomoscedasticParams(means, weights,
                                                             cov),
     }[family]()
@@ -247,33 +246,20 @@ class TestHomoscedastic:
 
 class TestCenteredCumulants:
     def test_single_centered_atom_vanishes(self):
-        p = models.CenteredDiracParams(points=((0, 0),), weights=(1,))
-        assert models.dirac_higher_cumulants(p, 4) == ts.TruncatedSeries.zero(2, 4)
+        p = models.DiracMixtureParams(points=((0, 0),), weights=(1,))
+        cumulants = ts.log(models.dirac_mixture_moments(p, 4)).graded(3)
+        assert cumulants == ts.TruncatedSeries.zero(2, 4)
 
     def test_two_point_third_order_coefficient(self):
         rng = random.Random(8)
         for _ in range(10):
             lam = Fraction(rng.randint(1, 99), 100)
             t = rand_fraction(rng, nonzero=True)
-            p = models.CenteredDiracParams(
+            p = models.DiracMixtureParams(
                 points=((t,), (-lam / (1 - lam) * t,)), weights=(lam, 1 - lam))
-            phi = models.dirac_higher_cumulants(p, 3)
+            phi = ts.log(models.dirac_mixture_moments(p, 3)).graded(3)
             f3 = lam * (1 - lam) * (1 - 2 * lam) / (6 * (1 - lam) ** 3)
             assert phi.coeff((3,)) == f3 * t ** 3
-
-    def test_matches_truncated_log(self):
-        rng = random.Random(9)
-        mu1 = (rand_fraction(rng), rand_fraction(rng))
-        lam = Fraction(2, 5)
-        mu2 = tuple(-lam / (1 - lam) * x for x in mu1)
-        p = models.CenteredDiracParams(points=(mu1, mu2), weights=(lam, 1 - lam))
-        full = ts.log(models.dirac_mixture_moments(p, 5))
-        assert models.dirac_higher_cumulants(p, 5) == full.graded(3)
-
-    def test_centering_enforced(self):
-        with pytest.raises(PreconditionError):
-            models.CenteredDiracParams(points=((1,), (2,)),
-                                       weights=(Fraction(1, 2), Fraction(1, 2)))
 
 
 class TestLaplace:
@@ -324,8 +310,7 @@ def test_degree_one_is_the_truncated_series(name):
 
 
 class TestParameterRule:
-    # centred, so that every family accepts it: only the non-finite
-    # entry is wrong
+    # a valid mixture: only the non-finite entry is wrong
     MIXTURE = {"means": [[-1.0], [1.0]], "weights": [0.5, 0.5],
                "cov": [[1.0]]}
 
@@ -334,8 +319,8 @@ class TestParameterRule:
         for field, value in NON_FINITE if field in fields])
     def test_rejects_non_finite_parameters(self, family, field, value):
         # one rule for every family: a NaN or infinite entry is refused
-        # under one code before the weight sum, the centring or the
-        # symmetry is checked (a NaN passes each of them)
+        # under one code before the weight sum or the symmetry is
+        # checked, which would refuse it as a precondition
         with pytest.raises(InputError) as caught:
             family_params(family, **dict(self.MIXTURE, **{field: value}))
         assert caught.value.code == "INPUT_PARSE"
@@ -359,9 +344,6 @@ class TestParameterRule:
         pytest.param(lambda: models.HomoscedasticParams(
             means=((0.0,), (1.0,)), weights=(0.3, 0.6), cov=((1.0,),)),
             "PRECONDITION", id="float-weights-sum-to-0.9"),
-        pytest.param(lambda: models.CenteredDiracParams(
-            points=((1.0,), (2.0,)), weights=(0.5, 0.5)),
-            "PRECONDITION", id="centred-dirac-mean-1.5"),
         pytest.param(lambda: models.sample_mixture(models.HomoscedasticParams(
             means=((0.0,),), weights=(1.0,), cov=((1.0,),)), 0, seed=0),
             "PRECONDITION", id="sample-count-0"),
@@ -376,15 +358,12 @@ class TestParameterRule:
     @pytest.mark.parametrize("ok", [True, False])
     def test_float_tolerance_is_relative_to_the_reference(self, ok):
         # within 1e-8 * max(1, |reference|) of the reference passes and
-        # four times as far fails: the weight sum (reference 1), the
-        # centring (reference 0) and the symmetry (reference the upper
-        # entry, here at three scales)
+        # four times as far fails: the weight sum (reference 1) and the
+        # symmetry (reference the upper entry, here at three scales)
         off = 0.5e-8 if ok else 2e-8
         checks = [
             lambda: models.DiracMixtureParams(
-                points=((0.0,), (1.0,)), weights=(0.5, 0.5 + off)),
-            lambda: models.CenteredDiracParams(
-                points=((-1.0,), (1.0 + 2 * off,)), weights=(0.5, 0.5))]
+                points=((0.0,), (1.0,)), weights=(0.5, 0.5 + off))]
         checks += [
             lambda s=s: models.GaussianParams(
                 mean=(0.0, 0.0), cov=((s, s), (s + off * max(1.0, s), s)))

@@ -1,0 +1,32 @@
+"""The package surface: what ``homoment`` exports and what it imports."""
+
+import ast
+import sys
+from pathlib import Path
+
+import homoment
+
+SOURCE = Path(homoment.__file__).resolve().parent
+
+
+def test_exports_resolve_and_imports_stay_numpy_only():
+    # pyproject.toml lists numpy as the one dependency, so no module may
+    # import another third-party package (scipy and sympy are test-only)
+    missing = [name for name in homoment.__all__
+               if not hasattr(homoment, name)]
+    assert not missing, f"homoment.__all__ names missing attributes {missing}"
+    allowed = {"numpy", "homoment"} | set(sys.stdlib_module_names)
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside numpy and the stdlib: {foreign}"

@@ -110,9 +110,9 @@ class TestMomentConversion:
         for a, value in raw.items():
             assert s.moment(a) == value
 
-    def test_cumulant_space_constant(self):
-        s = ts.TruncatedSeries.from_moments(1, 3, {(2,): 5}, space="cumulant")
-        assert s.constant() == 0
+    def test_order_zero_moment_rejected(self):
+        with pytest.raises(PreconditionError, match="order-zero moment is 1"):
+            ts.TruncatedSeries.from_moments(2, 3, {(0, 0): 1})
 
     def test_out_of_range_index(self):
         s = ts.TruncatedSeries.one(2, 3)
