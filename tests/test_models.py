@@ -27,19 +27,22 @@ NON_FINITE = [
 # the fields of such a mixture that each parameter family reads
 FAMILY_FIELDS = {
     "gaussian": ("means", "cov"), "laplace": ("means", "cov"),
-    "dirac": ("means", "weights"),
+    "dirac": ("means", "weights"), "zero-cov": ("means", "weights"),
     "homoscedastic": ("means", "weights", "cov")}
 
 
 def family_params(family, means, weights, cov):
     """The parameters of ``family`` read from a 1-D mixture: the Dirac
-    mixture sits on its means, and the Gaussian and Laplace laws at
+    mixture sits on its means, as does the homoscedastic mixture of zero
+    covariance that samples it, and the Gaussian and Laplace laws at
     their sum."""
     location = [sum(m[0] for m in means)]
     return {
         "gaussian": lambda: models.GaussianParams(location, cov),
         "laplace": lambda: models.LaplaceParams(location, cov),
         "dirac": lambda: models.DiracMixtureParams(means, weights),
+        "zero-cov": lambda: models.HomoscedasticParams(means, weights,
+                                                       [[0]]),
         "homoscedastic": lambda: models.HomoscedasticParams(means, weights,
                                                             cov),
     }[family]()
