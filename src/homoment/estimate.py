@@ -26,10 +26,10 @@ blockwise :func:`moment_sums`, under :func:`sample_cumulants`,
 shape, the non-finite values and the float range of every sample.
 
 Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
-moment equal to one left implicit.  Entries may be ``Fraction``, which
-:func:`normal_form` shifts exactly and :func:`deconvolve_moments` keeps
-exact; minors, pencils, determinants and roots are floating point.  The
-exact pencil over Q is a test oracle, kept with the tests.
+moment equal to one left implicit.  Entries may be ``Fraction``, but
+only :func:`normal_form` reads them exactly; every deconvolution (one
+loop, :func:`_deconvolve`), minor, pencil, determinant and root is
+floating point.  The exact deconvolution and pencil over Q are test oracles.
 """
 
 import functools
@@ -499,29 +499,49 @@ def _minor_scales(m, weights):
                          code="INPUT_RANGE")
 
 
-def _deconvolution_coeff(j, i):
-    """Signed coefficient ``(-1)^i j! / (2^i i! (j-2i)!)`` of
-    ``m_{j-2i} variance^i`` in the deconvolved moment of order j."""
-    coeff = math.factorial(j) // (
-        2 ** i * math.factorial(i) * math.factorial(j - 2 * i))
-    return -coeff if i % 2 else coeff
+@functools.lru_cache(maxsize=None)
+def _deconvolution_table(d):
+    """Per power i = 1..d//2 of the variance, the float coefficients
+    ``(-1)^i j! / (2^i i! (j-2i)!)`` of ``m_{j-2i} variance^i`` in the
+    deconvolved moments of orders j = 2i..d (at i = 0 they are 1)."""
+    f = math.factorial
+    return tuple(tuple(float((-1) ** i * f(j) // (2 ** i * f(i) * f(j - 2 * i)))
+                       for j in range(2 * i, d + 1))
+                 for i in range(1, d // 2 + 1))
+
+
+def _deconvolve(rows, variances, table):
+    """The one deconvolution loop: each float row ``m_1..m_d`` at its
+    variance as ``[1.0, mt_1, ..., mt_d]``, by ``table``, the
+    :func:`_deconvolution_table` of ``d``.  Python floats round as
+    numpy's do, and cost less than numpy calls on rows this short."""
+    mt = []
+    for row, v in zip(rows, variances):
+        # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
+        full = [1.0] + row
+        out, power = full[:], v
+        for i, coeffs in enumerate(table, start=1):
+            for j, coeff in enumerate(coeffs, start=2 * i):
+                out[j] = out[j] + coeff * full[j - 2 * i] * power
+            power = power * v
+        mt.append(out)
+    return mt
 
 
 def deconvolve_moments(moments, variance):
     """Moments of the atomic part after removing a Gaussian of the given
-    variance: ``mt_j = sum_i j! / ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``."""
-    m = [Fraction(1)] + _moment_list(moments, need=1)
+    variance, ``mt_j = sum_i j! / ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``,
+    in floats (:func:`_deconvolve`).  A non-finite entry is ``INPUT_PARSE``,
+    a ``Fraction`` or deconvolved moment out of float range ``INPUT_RANGE``."""
+    m = _moment_list(moments, need=1)
     variance, = _exact_or_finite([ts._promote(variance)], "variance")
-    out = []
-    for j in range(1, len(m)):
-        acc = None
-        power = 1
-        for i in range(j // 2 + 1):
-            term = _deconvolution_coeff(j, i) * m[j - 2 * i] * power
-            acc = term if acc is None else acc + term
-            power = power * variance
-        out.append(acc)
-    return out
+    try:
+        row, v = [float(x) for x in m], float(variance)
+    except OverflowError:
+        raise InputError("moments too large: an entry is not a finite float",
+                         code="INPUT_RANGE") from None
+    mt = _deconvolve([row], [v], _deconvolution_table(len(row)))[0][1:]
+    return _finite(mt, "a deconvolved moment", "moments")
 
 
 @dataclass(frozen=True)
@@ -559,15 +579,11 @@ def pencil_minor_values(moments, k, s):
 
 def _float_minors(moments, k, s):
     """Float maximal minors of a stack of moment rows, each at its
-    variance (rows and variances broadcast against each other).
-
-    Every row is deconvolved in the term order of
-    :func:`deconvolve_moments`, in Python floats: they round as numpy's
-    do, and cost less than numpy calls on rows this short.  Every
-    minor's submatrix is gathered from the deconvolved rows by one fancy
-    index (Hankel entry (i, j) is ``mt_{i+j}``), and one stacked
-    determinant takes them all, so each value equals the per-row float
-    evaluation.
+    variance (rows and variances broadcast against each other) and
+    deconvolved by :func:`_deconvolve`.  Every minor's submatrix is
+    gathered from the deconvolved rows by one fancy index (Hankel entry
+    (i, j) is ``mt_{i+j}``), and one stacked determinant takes them all,
+    so each value equals the per-row float evaluation.
     """
     rows = np.asarray(moments, dtype=float)
     d = rows.shape[-1]
@@ -582,16 +598,7 @@ def _float_minors(moments, k, s):
         raise DimensionMismatchError(f"{len(rows)} moment rows and "
                                      f"{len(variances)} variances do not "
                                      "broadcast")
-    mt = []
-    for row, v in zip(rows, variances):
-        # mt_0 = 1, and the i = 0 term of every mt_j is m_j itself
-        full = [1.0] + row
-        out, power = full[:], v
-        for i, coeffs in enumerate(layout.coeffs, start=1):
-            for j, coeff in enumerate(coeffs, start=2 * i):
-                out[j] = out[j] + coeff * full[j - 2 * i] * power
-            power = power * v
-        mt.append(out)
+    mt = _deconvolve(rows, variances, _deconvolution_table(d))
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linalg.det(np.array(mt).reshape(-1, d + 1)[:, layout.index])
     # a float minor overflows on huge input
@@ -602,12 +609,9 @@ class _MinorLayout(NamedTuple):
     """What the pencil of order ``d`` and ``k`` needs of ``d`` and ``k``
     alone (:func:`_minor_layout`)."""
 
-    subsets: tuple   # k + 1 of the d - k + 1 columns, one maximal minor each
     weights: tuple   # weighted degree of each minor
-    degrees: tuple   # degree of each minor in the variance
     groups: tuple    # (degree, read-only index of its minors), ascending
     nodes: int       # interpolation nodes: one more than the top degree
-    coeffs: tuple    # deconvolution coefficients per power of the variance
     index: np.ndarray  # read-only: gathers every minor's submatrix
 
 
@@ -616,26 +620,21 @@ def _minor_layout(d, k):
     """The :class:`_MinorLayout` of the pencil of order ``d`` and ``k``,
     built once per process; ``d`` below ``2 k`` fails :func:`_check_k`.
 
-    The column subsets come in ``combinations`` order.  A minor on
-    columns ``sel`` weighs ``k (k + 1) / 2 + sum(sel)`` and is a
-    polynomial of half that degree in the variance; minors of one degree
-    form a group, fitted together.  The deconvolution coefficients of
-    ``variance**i`` for i = 1..d//2 cover orders 2i..d, and the index
-    gathers every minor's submatrix from a deconvolved row."""
+    A maximal minor takes ``k + 1`` of the ``d - k + 1`` columns (in
+    ``combinations`` order); on columns ``sel`` it weighs ``k (k + 1) /
+    2 + sum(sel)`` and is a polynomial of half that degree in the
+    variance.  Minors of one degree form a group, fitted together.  The
+    index gathers every minor's submatrix from a deconvolved row."""
     _check_k(k, 2 * k, d)
     subsets = tuple(combinations(range(d - k + 1), k + 1))
     weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
-    degrees = tuple(w // 2 for w in weights)
+    degrees = [w // 2 for w in weights]
     groups = tuple((deg, np.flatnonzero(np.equal(degrees, deg)))
                    for deg in sorted(set(degrees)))
-    coeffs = tuple(tuple(float(_deconvolution_coeff(j, i))
-                         for j in range(2 * i, d + 1))
-                   for i in range(1, d // 2 + 1))
     index = np.arange(k + 1)[:, None] + np.array(subsets)[:, None, :]
     for array in [idx for _, idx in groups] + [index]:
         array.flags.writeable = False
-    return _MinorLayout(subsets, weights, degrees, groups, max(degrees) + 1,
-                        coeffs, index)
+    return _MinorLayout(weights, groups, max(degrees) + 1, index)
 
 
 @functools.lru_cache(maxsize=64)
@@ -684,7 +683,7 @@ def hankel_pencil(moments, k):
     layout = _minor_layout(d, k)
     nodes, systems = _fit_systems(d, k, max(abs(float(m[1])), 1.0))
     values = _float_minors(m, k, nodes)
-    minors = [None] * len(layout.degrees)
+    minors = [None] * len(layout.weights)
     for (deg, idx), (matrix, scl, rcond) in zip(layout.groups, systems):
         fitted = np.linalg.lstsq(matrix, values[:deg + 1, idx], rcond)[0]
         for i, column in zip(idx.tolist(), (fitted.T / scl).tolist()):

@@ -54,16 +54,16 @@ def _equal(reference, value):
 
 def _check(points, weights=None, cov=None):
     """The one rule of every parameter family, in this order: the shapes
-    of ``points`` (one weight each, when weighted) and of the ``n x n``
-    ``cov`` (:class:`DimensionMismatchError`), then every float entry
-    finite (``INPUT_PARSE``; the weight sum would call a non-finite
-    weight a precondition), then weights summing to one and a
-    symmetric covariance (:class:`PreconditionError`)."""
+    of ``points`` (n >= 1 coordinates and, when weighted, one weight
+    each) and of the ``n x n`` ``cov`` (:class:`DimensionMismatchError`),
+    then every float entry finite (``INPUT_PARSE``; the weight sum would
+    call a non-finite weight a precondition), then weights summing to
+    one and a symmetric covariance (:class:`PreconditionError`)."""
     if weights is not None and (len(points) != len(weights) or not points):
         raise DimensionMismatchError("need one weight per point")
     n = len(points[0])
-    if any(len(p) != n for p in points):
-        raise DimensionMismatchError("points must share a dimension")
+    if not n or any(len(p) != n for p in points):
+        raise DimensionMismatchError("points must share a positive dimension")
     if cov is not None and (len(cov) != n or any(len(row) != n for row in cov)):
         raise DimensionMismatchError(f"covariance must be {n} x {n}")
     entries = sum(points + (cov or ()), weights or ())

@@ -6,7 +6,7 @@ in the terminal summary so capture settings cannot swallow it)."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -232,12 +232,37 @@ def lagrange_interpolate(xs, ys):
     return coeffs
 
 
+def deconvolution_coeff(j, i):
+    """Signed coefficient ``(-1)^i j! / (2^i i! (j-2i)!)`` of
+    ``m_{j-2i} variance^i`` in the deconvolved moment of order j."""
+    coeff = factorial(j) // (2 ** i * factorial(i) * factorial(j - 2 * i))
+    return -coeff if i % 2 else coeff
+
+
+def exact_deconvolve_moments(moments, variance):
+    """``estimate.deconvolve_moments`` over Q: ``mt_j = sum_i j! /
+    ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``, every entry read as the
+    exact rational it is."""
+    m = [Fraction(1)] + [Fraction(x) for x in moments]
+    variance = Fraction(variance)
+    out = []
+    for j in range(1, len(m)):
+        acc = None
+        power = 1
+        for i in range(j // 2 + 1):
+            term = deconvolution_coeff(j, i) * m[j - 2 * i] * power
+            acc = term if acc is None else acc + term
+            power = power * variance
+        out.append(acc)
+    return out
+
+
 def exact_minor_values(moments, k, s):
     """Every maximal minor of the deconvolved moment matrix at the
     variance ``s``, exactly, in ``estimate.pencil_minor_values`` order."""
     m = [Fraction(x) for x in moments]
     # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
-    row = [Fraction(1)] + estimate.deconvolve_moments(m, Fraction(s))
+    row = [Fraction(1)] + exact_deconvolve_moments(m, s)
     return [det([[row[i + j] for j in sel] for i in range(k + 1)])
             for sel in combinations(range(len(m) - k + 1), k + 1)]
 

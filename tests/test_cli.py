@@ -336,6 +336,17 @@ class TestSimulateAndFit2:
         assert out == ""
         assert strict_json(err)["error"]["code"] == error_code
 
+    def test_means_with_no_coordinate(self, capsys, tmp_path):
+        # a mixture in no dimension: exit 2 with DIMENSION_MISMATCH, not a
+        # linear-algebra traceback from the sampler
+        params = tmp_path / "params.json"
+        params.write_text('{"means": [[]], "weights": [1], "cov": []}')
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "20"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "DIMENSION_MISMATCH"
+
     def test_missing_params_field_is_precondition_error(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text('{"means": [[0.0], [3.0]], "weights": [0.3, 0.7]}')

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     cumulant_ratio_from_weight_product,
+    exact_deconvolve_moments,
     exact_variance_polynomial,
     match_two_components,
     rand_fraction,
@@ -302,10 +303,12 @@ class TestDeconvolve:
         m = [Fraction(1), Fraction(2), Fraction(3)]
         assert estimate.deconvolve_moments(m, 0) == m
 
+    # the exact cases run on the oracle over Q (conftest); the library
+    # deconvolves in floats and is held to it
     def test_low_order_forms(self):
         m1, m2, m3 = Fraction(2), Fraction(5), Fraction(11)
         s = Fraction(1, 3)
-        mt = estimate.deconvolve_moments([m1, m2, m3], s)
+        mt = exact_deconvolve_moments([m1, m2, m3], s)
         assert mt[0] == m1
         assert mt[1] == m2 - s
         assert mt[2] == m3 - 3 * s * m1
@@ -314,8 +317,31 @@ class TestDeconvolve:
         mu, s = Fraction(3, 2), Fraction(2, 5)
         g = models.gaussian_moments(models.GaussianParams((mu,), ((s,),)), 6)
         m = [g.moment((j,)) for j in range(1, 7)]
-        assert estimate.deconvolve_moments(m, s) == [mu ** j
-                                                     for j in range(1, 7)]
+        assert exact_deconvolve_moments(m, s) == [mu ** j for j in range(1, 7)]
+
+    def test_fractions_match_the_oracle_to_rounding(self):
+        # Fraction entries are read as floats, and each float mt_j is
+        # within rounding of the exact one: a few ulps of the sum of its
+        # terms' magnitudes, which the oracle gives on |m| at -|s|
+        rng = random.Random(33)
+        for d in range(1, 9):
+            m = [rand_fraction(rng) for _ in range(d)]
+            s = rand_fraction(rng, num=20)
+            got = estimate.deconvolve_moments(m, s)
+            want = exact_deconvolve_moments(m, s)
+            sizes = exact_deconvolve_moments([abs(x) for x in m], -abs(s))
+            assert all(type(x) is float for x in got)
+            for x, y, size in zip(got, want, sizes):
+                assert abs(x - float(y)) <= 1e-14 * float(size)
+
+    @pytest.mark.parametrize("moments,variance", [
+        ([Fraction(10) ** 400, 1], 0.5), ([0.0, 1.0], Fraction(10) ** 400),
+        ([1e200, 1e300, 1e300, 1e300], 1e200)],
+        ids=["moment", "variance", "deconvolved"])
+    def test_out_of_float_range_is_range_error(self, moments, variance):
+        with pytest.raises(InputError) as exc:
+            estimate.deconvolve_moments(moments, variance)
+        assert exc.value.code == "INPUT_RANGE"
 
 
 class TestQuadrature:

@@ -338,6 +338,17 @@ class TestParameterRule:
         pytest.param(lambda: models.GaussianParams(
             mean=(0, 0), cov=((1, 0), (0,))),
             "DIMENSION_MISMATCH", id="non-square-covariance"),
+        # points with no coordinate, in every family
+        pytest.param(lambda: models.GaussianParams(mean=(), cov=()),
+                     "DIMENSION_MISMATCH", id="gaussian-no-coordinate"),
+        pytest.param(lambda: models.LaplaceParams(location=(), cov=()),
+                     "DIMENSION_MISMATCH", id="laplace-no-coordinate"),
+        pytest.param(lambda: models.DiracMixtureParams(
+            points=((),), weights=(1.0,)),
+            "DIMENSION_MISMATCH", id="dirac-no-coordinate"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=((),), weights=(1.0,), cov=()),
+            "DIMENSION_MISMATCH", id="homoscedastic-no-coordinate"),
         pytest.param(lambda: models.LaplaceParams(
             location=(0.0, 0.0), cov=((1.0, 0.5), (0.25, 1.0))),
             "PRECONDITION", id="asymmetric-covariance"),
