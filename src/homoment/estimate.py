@@ -29,7 +29,10 @@ Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
 moment equal to one left implicit.  Entries may be ``Fraction``, but
 only :func:`normal_form` reads them exactly; every deconvolution (one
 loop, :func:`_deconvolve`), minor, pencil, determinant and root is
-floating point.  The exact deconvolution and pencil over Q are test oracles.
+floating point.  Moments become floats through one helper,
+:func:`_floats`, so an entry beyond float range is ``INPUT_RANGE`` at
+every entry point.  The exact deconvolution and pencil over Q are test
+oracles.
 """
 
 import functools
@@ -91,6 +94,17 @@ def _finite(values, what, source="data"):
         raise InputError(f"{source} too large: {what} is not a finite float",
                          code="INPUT_RANGE")
     return values
+
+
+def _floats(values, what, source="moments"):
+    """``values`` as a float array, the one conversion of moments to
+    floats; an entry beyond float range (a ``Fraction`` or int too large)
+    is ``INPUT_RANGE``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise InputError(f"{source} too large: {what} is not a finite float",
+                         code="INPUT_RANGE") from None
 
 
 # values per block of the moment pass, so that a block and its products
@@ -427,7 +441,8 @@ def _check_k(k, need=0, given=0):
 
 def _exact_or_finite(values, what):
     """``values``; a float entry that is not finite is ``INPUT_PARSE``."""
-    if not all(isinstance(x, Fraction) or math.isfinite(x) for x in values):
+    if not all(isinstance(x, (int, Fraction)) or math.isfinite(x)
+               for x in values):
         raise InputError(f"{what} must be finite", code="INPUT_PARSE")
     return values
 
@@ -467,11 +482,8 @@ def normal_form(moments):
         exact = [Fraction(1)] + [Fraction(x) for x in m]
         m = [sum(math.comb(j, i) * exact[j - i] * (-exact[1]) ** i
                  for i in range(j + 1)) for j in range(1, len(exact))]
-    try:
-        mean, central = float(mean), np.array([float(x) for x in m])
-    except OverflowError:
-        raise InputError("moments too large: a central moment is not a "
-                         "finite float", code="INPUT_RANGE")
+    values = _floats([mean, *m], "a central moment")
+    mean, central = float(values[0]), values[1:]
     variance = central[1] if len(central) > 1 else 0.0
     if not variance > 0.0:
         return NormalForm(mean, 1.0, central.tolist())
@@ -484,8 +496,9 @@ def normal_form(moments):
 
 
 def _moment_scale(m):
-    vals = [abs(float(x)) ** (1.0 / j) for j, x in enumerate(m, start=1)
-            if float(x) != 0.0]
+    vals = [abs(x) ** (1.0 / j)
+            for j, x in enumerate(_floats(m, "a moment").tolist(), start=1)
+            if x != 0.0]
     return max(vals, default=1.0)
 
 
@@ -535,11 +548,7 @@ def deconvolve_moments(moments, variance):
     a ``Fraction`` or deconvolved moment out of float range ``INPUT_RANGE``."""
     m = _moment_list(moments, need=1)
     variance, = _exact_or_finite([ts._promote(variance)], "variance")
-    try:
-        row, v = [float(x) for x in m], float(variance)
-    except OverflowError:
-        raise InputError("moments too large: an entry is not a finite float",
-                         code="INPUT_RANGE") from None
+    *row, v = _floats([*m, variance], "an entry").tolist()
     mt = _deconvolve([row], [v], _deconvolution_table(len(row)))[0][1:]
     return _finite(mt, "a deconvolved moment", "moments")
 
@@ -585,11 +594,11 @@ def _float_minors(moments, k, s):
     (i, j) is ``mt_{i+j}``), and one stacked determinant takes them all,
     so each value equals the per-row float evaluation.
     """
-    rows = np.asarray(moments, dtype=float)
+    rows = _floats(moments, "a moment")
     d = rows.shape[-1]
     layout = _minor_layout(d, k)
     rows = rows.reshape(-1, d).tolist()
-    variances = np.asarray(s, dtype=float).ravel().tolist()
+    variances = _floats(s, "a variance", "variance").ravel().tolist()
     if len(rows) == 1:
         rows *= len(variances)
     elif len(variances) == 1:
@@ -678,7 +687,7 @@ def hankel_pencil(moments, k):
     ``numpy.polynomial.polynomial.polyfit`` makes, so the coefficients
     are polyfit's to the bit.  The matrix uses every given moment.
     """
-    m = _moment_list(moments, k)
+    m = _floats(_moment_list(moments, k), "a moment")
     d = len(m)
     layout = _minor_layout(d, k)
     nodes, systems = _fit_systems(d, k, max(abs(float(m[1])), 1.0))
@@ -711,7 +720,8 @@ def quadrature_nodes(moments, k):
     the sqrt(eps) accuracy of a variance located at a double root, where
     the minor vanishes like the variance error (``_LEAD_MINOR_TOL``).
     """
-    m = [1.0] + _moment_list(moments, k, 2 * k - 1)
+    m = [1.0] + _floats(_moment_list(moments, k, 2 * k - 1),
+                        "a moment").tolist()
     block = [[m[i + j] for j in range(k)] for i in range(k + 1)]
     coeffs = []
     for i in range(k + 1):
@@ -733,7 +743,7 @@ def quadrature_weights(nodes, moments):
     """Weights of known atom locations from the first k-1 moments, by the
     Vandermonde system whose first row forces the weights to sum to one."""
     k = len(nodes)
-    m = [1.0] + [float(x) for x in _moment_list(moments, k, k - 1)]
+    m = [1.0] + _floats(_moment_list(moments, k, k - 1), "a moment").tolist()
     nodes = [float(x) for x in nodes]
     gap = min((abs(a - b) for i, a in enumerate(nodes)
                for b in nodes[i + 1:]), default=float("inf"))

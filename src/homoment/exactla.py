@@ -23,7 +23,10 @@ are test oracles, kept with the tests.
 
 Elimination delays reductions mod p, as in word-size finite-field
 libraries (Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields", 2008).  At each pivot only the pivot row and
+word-size prime fields", 2008).  The entries are reduced once on entry,
+unless they are ``int64`` residues already, as the blocks ``geometry``
+builds are; one max over the entries read as unsigned, where a negative
+entry is 2**63 or more, tells.  At each pivot only the pivot row and
 the multipliers read from the rows below are reduced; the rows below
 are updated with no reduction.  Each update subtracts a product of two
 residues, at most (p - 1)**2, from an entry that was in [0, p) when last
@@ -78,7 +81,10 @@ def rank(matrix, p=PRIMES[0]):
     # the shorter side becomes the rows, which the pivot search walks
     if m.shape[0] > m.shape[1]:
         m = m.T
-    m = np.ascontiguousarray(m % p, dtype=np.int64)
+    # int64 residues are taken as they are (module docstring)
+    if m.dtype != np.int64 or m.view(np.uint64).max() >= p:
+        m = m % p
+    m = np.ascontiguousarray(m, dtype=np.int64)
     period = (2**63 - p) // (p - 1) ** 2
     pending = 0
     r = 0

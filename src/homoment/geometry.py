@@ -37,9 +37,13 @@ on ``series.index_table``, the one table of multi-indices every series
 shares.  E_i[a] is E_i at the parent a - e_c (c the last nonzero
 coordinate of a) times p_ic / a_c; the products E_i D^-1 (E_i F in
 ``moment_map_jacobian``) and the powers of 1 - D sum over the table's
-index pairs (b, a - b), each term reduced mod p first, so no product of
-two residues overflows.  Rows come from shifts on its ``down`` map,
-(u_j S)[a] = S[a - e_j], and the covariance rows u_i u_j M from two.
+index pairs (b, a - b) and reduce once per coefficient, as in
+``exactla``: each term, a product of two residues, is below
+(p - 1)**2 < 2**52, and an index a has prod_j (a_j + 1) pairs, at most
+64 for n <= 8 and d <= 6, so every sum stays below 2**58.  Rows come
+from shifts on its ``down`` map, (u_j S)[a] = S[a - e_j], and the
+covariance rows u_i u_j M from two.  What these steps need of (n, d, p)
+alone is built once (``_plan``), which checks the bound.
 
 This is sound because every denominator is a unit mod p: it divides a
 product of factorials e! with e <= d <= 6 and powers of 2, and D^-1 adds
@@ -62,13 +66,15 @@ Both are inputs this artifact checks against, not results it derives.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
 from .exactla import PRIMES, rank
-from .series import index_table
+from .series import IndexTable, index_table
 
 MAX_N = 8
 MAX_D = 6
@@ -151,57 +157,90 @@ def _residues(values, p):
                      for x in values], dtype=np.int64)
 
 
-def _one(ix):
-    return (ix.order == 0).astype(np.int64)  # the series 1
+class _Plan(NamedTuple):
+    """The maps that build series mod ``p`` on ``index_table(n, d)``, all
+    of (n, d, p) alone (:func:`_plan`); its arrays are read-only."""
+
+    table: IndexTable
+    p: int
+    orders: tuple        # per order 1..d: (its slice, the parents there)
+    scale: np.ndarray    # 1 / a_c mod p (0 for the constant, never built)
+    one: np.ndarray      # the series 1
+    shift: np.ndarray    # (n, N): a - e_j, or N (a zero past the end)
 
 
-def _times_u(s, down):
-    """u_j s for the map ``down = ix.down[j]``, or for every j at once
-    (a new axis before the last) with ``down = ix.down``:
-    (u_j s)[a] = s[a - e_j], and zero where a_j = 0."""
-    return np.where(down >= 0, s[..., down], 0)
+@lru_cache(maxsize=None)
+def _plan(n, d, p):
+    """The :class:`_Plan` of (n, d, p), built once per process; it checks
+    that no product group's unreduced sum (module docstring) leaves
+    int64."""
+    ix = index_table(n, d)
+    pairs = int(np.diff(ix.starts, append=len(ix.left)).max())
+    if pairs * (p - 1) ** 2 >= 2**63:
+        raise PreconditionError(
+            f"a product of series to order {d} mod {p} overflows int64")
+    size = len(ix.order)
+    units = np.array([0] + [_inverse(e, p) for e in range(1, d + 1)])
+    bounds = ix.order.searchsorted(np.arange(1, d + 2))
+    orders = tuple((at, ix.parent[at])
+                   for at in map(slice, bounds[:-1], bounds[1:]))
+    plan = _Plan(ix, p, orders,
+                 units[ix.exponents[np.arange(size), ix.column]],
+                 (ix.order == 0).astype(np.int64),
+                 np.where(ix.down >= 0, ix.down, size))
+    for array in (plan.scale, plan.one, plan.shift):
+        array.setflags(write=False)
+    return plan
 
 
-def _product(x, y, ix, p):
-    """Truncated products mod p of the series on the last axis of ``x``
-    with the series ``y``.  Each term is reduced before the sum, so no
-    residue product overflows int64."""
-    terms = x[..., ix.left] * y[ix.right] % p
-    return np.add.reduceat(terms, ix.starts, axis=-1) % p
+def _times_u(s, shift):
+    """u_j s for every j (a new axis before the last) at the columns of
+    ``shift``: (u_j s)[a] = s[a - e_j], read from a zero past the end of
+    ``s`` where a_j = 0."""
+    padded = np.zeros(s.shape[:-1] + (s.shape[-1] + 1,), dtype=np.int64)
+    padded[..., :-1] = s
+    return padded.take(shift, axis=-1)
 
 
-def _power_sum(s, coeffs, ix, p):
+def _product(x, y, plan):
+    """Truncated products mod p of the residue series on the last axis of
+    ``x`` with the residue series ``y``.  The terms, each below
+    (p - 1)**2, are summed before the one reduction: :func:`_plan`
+    checks that no group's sum leaves int64."""
+    ix = plan.table
+    return np.add.reduceat(x.take(ix.left, axis=-1) * y.take(ix.right),
+                           ix.starts, axis=-1) % plan.p
+
+
+def _power_sum(s, coeffs, plan):
     """sum_j coeffs[j] s^j mod p for a series s with zero constant term."""
-    total = coeffs[0] * _one(ix)
+    total = coeffs[0] * plan.one
     power = s
     for j, c in enumerate(coeffs[1:]):
         if j:
-            power = _product(power, s, ix, p)
-        total = (total + c * power) % p
+            power = _product(power, s, plan)
+        total = (total + c * power) % plan.p
     return total
 
 
-def _atoms(points, ix, p):
-    """E_i = exp(p_i.u) mod p for each row p_i of ``points``: the
-    coefficient at a, prod_j p_ij^a_j / a_j!, is its parent's times
+def _atoms(points, plan):
+    """E_i = exp(p_i.u) mod p for each row p_i of ``points`` (residues):
+    the coefficient at a, prod_j p_ij^a_j / a_j!, is its parent's times
     p_ic / a_c, built one order at a time."""
-    d = int(ix.order[-1])
-    units = np.array([0] + [_inverse(e, p) for e in range(1, d + 1)])
-    # 1 / a_c for each index a (0 for the constant, which is not built)
-    scale = units[ix.exponents[np.arange(len(ix.order)), ix.column]]
-    series = np.ones((len(points), len(ix.order)), dtype=np.int64)
-    bounds = ix.order.searchsorted(np.arange(1, d + 2))
-    for at in map(slice, bounds[:-1], bounds[1:]):
-        series[:, at] = (series[:, ix.parent[at]] * points[:, ix.column[at]]
-                         % p * scale[at] % p)
+    factors = points.take(plan.table.column, axis=1) * plan.scale % plan.p
+    series = np.ones(factors.shape, dtype=np.int64)
+    for at, parents in plan.orders:
+        series[:, at] = series.take(parents, axis=1) * factors[:, at] % plan.p
     return series
 
 
-def _tangent_rows(weights, terms, down, start, p):
+def _tangent_rows(weights, terms, plan, start):
     """Rows w_i u_j T_i (j inner) for each of the ``weights``, then
     T_i - T_k for i < k, at the coefficients from position ``start`` on."""
-    shifted = weights[:, None, None] * _times_u(terms[:len(weights)],
-                                                down[:, start:]) % p
+    p = plan.p
+    # w_i u_j T_i = u_j (w_i T_i): weight the fewer entries, then shift
+    shifted = _times_u(weights[:, None] * terms[:len(weights)] % p,
+                       plan.shift[:, start:])
     k, n, width = shifted.shape
     return np.concatenate([shifted.reshape(k * n, width),
                            (terms[:-1, start:] - terms[-1, start:]) % p])
@@ -214,29 +253,31 @@ def moment_map_jacobian(params, degree, p):
     k-1 weights (the last weight is eliminated as one minus their sum),
     then the upper triangle of the covariance.  Columns follow
     ``series.multi_indices``.  ``params`` has rational means, weights and
-    covariance (ints, or fractions whose denominators are units mod p).
-    Returns one ``int64`` array per row, with entries in [0, p): the
-    rational Jacobian reduced mod p.
+    covariance (ints, or fractions whose denominators are units mod p),
+    and ``p`` is a prime whose product sums stay in int64 (any below 2**28
+    for n <= 8, d <= 6; :func:`_plan` raises otherwise).  Returns one
+    ``int64`` array per row, with entries in [0, p): the rational
+    Jacobian reduced mod p.
     """
     means = np.array([_residues(m, p) for m in params.means])
     n = means.shape[1]
-    ix = index_table(n, degree)
+    plan = _plan(n, degree, p)
     weights = _residues(params.weights, p)
     upper, lower = np.triu_indices(n)
 
     def quadratic(s):
         # u_i u_j s for each pair i <= j, by two shifts
-        return _times_u(_times_u(s, ix.down), ix.down)[upper, lower]
+        return _times_u(_times_u(s, plan.shift), plan.shift)[upper, lower]
 
     # u'Su/2 and the covariance rows u_i u_j M are halved on the diagonal
     scale = np.where(upper == lower, _inverse(2, p), 1)
     cov = _residues([params.cov[i][j] for i, j in zip(upper, lower)], p)
-    gauss = _power_sum(scale * cov % p @ quadratic(_one(ix)) % p,
+    gauss = _power_sum(scale * cov % p @ quadratic(plan.one) % p,
                        [_inverse(factorial(j), p)
-                        for j in range(degree // 2 + 1)], ix, p)
-    terms = _product(_atoms(means, ix, p), gauss, ix, p)   # E_i F
-    moments = (weights[:, None] * terms % p).sum(axis=0) % p
-    rows = np.vstack([_tangent_rows(weights, terms, ix.down, 1, p),
+                        for j in range(degree // 2 + 1)], plan)
+    terms = _product(_atoms(means, plan), gauss, plan)   # E_i F
+    moments = weights @ terms % p
+    rows = np.vstack([_tangent_rows(weights, terms, plan, 1),
                       scale[:, None] * quadratic(moments)[:, 1:] % p])
     return list(rows)
 
@@ -254,14 +295,14 @@ def _block(atoms, weights, degree, lowest, p):
     w = np.array(weights, dtype=np.int64) % p
     # each matmul sums k <= 14 products of residues below 2**26: < 2**56
     points = (points - w @ points % p) % p
-    ix = index_table(points.shape[1], degree)
-    series = _atoms(points, ix, p)
+    plan = _plan(points.shape[1], degree, p)
+    series = _atoms(points, plan)
     moments = w @ series % p
-    inverse = _power_sum((_one(ix) - moments) % p, [1] * (degree // 2 + 1),
-                         ix, p)
+    inverse = _power_sum((plan.one - moments) % p, [1] * (degree // 2 + 1),
+                         plan)
     # the indices are graded: orders >= lowest are a suffix
-    return _tangent_rows(w[:-1], _product(series, inverse, ix, p), ix.down,
-                         ix.order.searchsorted(lowest), p)
+    return _tangent_rows(w[:-1], _product(series, inverse, plan), plan,
+                         plan.table.order.searchsorted(lowest))
 
 
 def _mixture_point(n, k, rng):

@@ -216,6 +216,26 @@ class TestExactLinearAlgebra:
         assert (rank(m, p) == rank(m[rows][:, cols], p)
                 == reference_rank(matrix, p))
 
+    # rank takes int64 residues as they are and reduces anything else
+    # first: entries below 0, at least p, or already in [0, p), out to
+    # the ends of int64, where an update to an unreduced entry overflows
+    @pytest.mark.parametrize("p", [2, 3, 101, PRIMES[0], 2**31 - 1])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_entries_outside_the_residues_are_reduced(self, p, data):
+        residues = np.array(data.draw(low_rank_residues(p)), dtype=np.int64)
+        most = 2**63 // p - 1
+        shifts = data.draw(st.sampled_from([(0, 0), (-most, -1), (1, most),
+                                            (-most, most), (-1, 1)]))
+        m = residues + p * np.array(data.draw(st.lists(
+            st.integers(*shifts), min_size=residues.size,
+            max_size=residues.size)), dtype=np.int64).reshape(residues.shape)
+        want = reference_rank(residues.tolist(), p)
+        for matrix in (m, m.T):
+            before = matrix.copy()
+            assert rank(matrix, p) == rank(matrix % p, p) == want
+            assert (matrix == before).all()
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_modular_rank_is_a_lower_bound(self, p):
         # p divides the only 2 x 2 minor: the rank drops, never rises
@@ -560,7 +580,8 @@ class TestResiduesMatchFractionOracle:
         want = [[math.prod(pow(int(x), e, p) * pow(math.factorial(e), -1, p)
                            for x, e in zip(row, a)) % p
                  for a in table.indices] for row in points]
-        assert geometry._atoms(points, table, p).tolist() == want
+        plan = geometry._plan(n, d, p)
+        assert geometry._atoms(points, plan).tolist() == want
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_residues(self, p):
@@ -614,6 +635,60 @@ class TestResiduesMatchFractionOracle:
         for p in PRIMES:
             getattr(geometry, name)(n, k, d, random.Random(d), p)
         assert len(checked) == len(PRIMES)
+
+
+class TestSeriesPlan:
+    """The plan ``geometry`` builds series mod p from, once per (n, d, p),
+    and the product that sums its terms before reducing them."""
+
+    @pytest.mark.parametrize("n", range(1, geometry.MAX_N + 1))
+    def test_product_groups_stay_in_int64(self, n):
+        # the pairs (b, a - b) of an index a number prod_j (a_j + 1); a
+        # group's terms are each below (p - 1)**2
+        for d in range(1, geometry.MAX_D + 1):
+            table = ts.index_table(n, d)
+            groups = np.diff(table.starts, append=len(table.left))
+            assert groups.tolist() == [math.prod(e + 1 for e in a)
+                                       for a in table.indices]
+            assert int(groups.max()) <= 64
+            assert int(groups.max()) * (max(PRIMES) - 1) ** 2 < 2**63
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_unreduced_product_at_the_largest_residues(self, p):
+        # every residue p - 1: each term is (p - 1)**2 before reduction,
+        # and 1 after it
+        plan = geometry._plan(6, 6, p)
+        table = plan.table
+        x = np.full((2, len(table.order)), p - 1, dtype=np.int64)
+        y = x[0]
+        terms = x[:, table.left] * y[table.right] % p
+        want = np.add.reduceat(terms, table.starts, axis=-1) % p
+        got = geometry._product(x, y, plan)
+        assert got.tolist() == want.tolist()
+        assert got[0].tolist() == [math.prod(e + 1 for e in a) % p
+                                   for a in table.indices]
+
+    def test_prime_too_large_for_the_unreduced_sums(self):
+        # four pairs at u_1 u_2, each near 2**62, leave int64
+        with pytest.raises(PreconditionError, match="overflows int64"):
+            geometry._plan(2, 2, 2**31 - 1)
+        geometry._plan(1, 1, 2**31 - 1)   # two pairs fit
+
+    def test_plan_is_built_once_and_read_only(self):
+        geometry._plan.cache_clear()
+        for _ in range(2):
+            # (2, 2, 3) ranks two points, each under its own prime
+            geometry.defect_report(2, 2, 3, seed=0)
+            geometry.defect_report(2, 3, 3, seed=0)
+            geometry.moment_map_jacobian(mixture_point(2, 2, random.Random(0)),
+                                         3, PRIMES[0])
+        assert geometry._plan.cache_info().misses == 2
+        plan = geometry._plan(2, 3, PRIMES[0])
+        arrays = [plan.scale, plan.one, plan.shift]
+        arrays += [parents for _, parents in plan.orders]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def check_split(monkeypatch, builder, whole):

@@ -299,6 +299,29 @@ class TestNormalFormEntryPoints:
         assert exc.value.code == "INPUT_PARSE"
         assert str(exc.value) == "moments must be finite"
 
+    @pytest.mark.parametrize("entry",
+                             sorted(ENTRY_POINTS) + sorted(PENCIL_ENTRY_POINTS))
+    @pytest.mark.parametrize("moments", [
+        [Fraction(10**400), 1, 2], [1, Fraction(10**400), 2],
+        [-10**400, 1, 2]], ids=["m1", "m2", "int"])
+    def test_moments_out_of_float_range(self, entry, moments):
+        # finite, so past the finiteness check, but not a float: every
+        # entry point converts through one helper that says so
+        with pytest.raises(InputError) as exc:
+            {**self.ENTRY_POINTS, **self.PENCIL_ENTRY_POINTS}[entry](moments)
+        assert exc.value.code == "INPUT_RANGE"
+
+    @pytest.mark.parametrize("call", [
+        lambda s: ranktest.pencil_minor_values([0.0, 1.0, 0.0], 1, s),
+        lambda s: ranktest.pencil_minor_values([0.0, 1.0, 0.0], 1, [0.5, s]),
+        lambda s: ranktest.pencil_minor_values(
+            np.array([[0.0, 1.0, 0.0]] * 2), 1, s)],
+        ids=["minors", "minors-at-many", "minors-stack"])
+    def test_variance_out_of_float_range(self, call):
+        with pytest.raises(InputError) as exc:
+            call(Fraction(10**400))
+        assert exc.value.code == "INPUT_RANGE"
+
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_standardised_overflow(self, entry):
         # finite, but m_3 / sd**3 is not a float: out of range, quietly
