@@ -25,12 +25,8 @@ def poly_degree(coeffs, rel_tol=0.0):
     """Index of the last coefficient that is not negligibly small."""
     mags = [abs(float(c)) for c in coeffs]
     top = max(mags, default=0.0)
-    if top == 0.0:
-        return -1
-    for i in range(len(coeffs) - 1, -1, -1):
-        if mags[i] > rel_tol * top:
-            return i
-    return -1
+    return max((i for i, m in enumerate(mags) if m > rel_tol * top),
+               default=-1)
 
 
 # leading coefficients below this share of the largest are dropped

@@ -5,6 +5,8 @@ error JSON and map failures onto exit codes (2 = bad input, 3 = data not
 consistent with the requested model).
 """
 
+import operator
+
 
 class HomomentError(Exception):
     """Base class for all package errors."""
@@ -33,6 +35,16 @@ class PreconditionError(InputError):
     """A documented precondition of an operation was violated."""
 
     code = "PRECONDITION"
+
+
+def check_integers(**values):
+    """Raise PreconditionError unless ``operator.index`` takes each value."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise PreconditionError(
+                f"{name} must be an integer, got {value}") from None
 
 
 class InsufficientOrderError(InputError):

@@ -37,7 +37,6 @@ oracles.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -57,6 +56,7 @@ from .errors import (
     RankDeficientMomentsError,
     SingularSystemError,
     SymmetricMixtureError,
+    check_integers,
 )
 
 
@@ -332,7 +332,11 @@ def fit_two_gaussians(cumulants, order=None):
 
     Requires a nonzero principal third cumulant: mixtures with equal
     weights or equal means have none and raise
-    :class:`SymmetricMixtureError`.
+    :class:`SymmetricMixtureError`.  Every coefficient of orders
+    1..``order`` is read through :func:`_floats`: one beyond float range
+    is ``INPUT_RANGE``, as are a moment a! c, a covariance scale and a
+    pivot ratio that overflow, and a float that is not finite
+    ``INPUT_PARSE``.
     """
     n = cumulants.nvars
     if cumulants.constant() != 0:
@@ -349,30 +353,44 @@ def fit_two_gaussians(cumulants, order=None):
     def unit(i, e):
         return tuple(e if t == i else 0 for t in range(n))
 
-    mean_shift = [float(cumulants.moment(unit(i, 1))) for i in range(n)]
+    position = ts.index_table(n, order).positions
+    values = _exact_or_finite(_floats(cumulants._c[1:len(position)],
+                                      "a cumulant", "cumulants"),
+                              "cumulants").tolist()
+
+    def coeff(a):
+        return values[position[a] - 1]
+
+    def moment(a):
+        # a! c rounded once, from the exact product, then checked finite
+        value = _floats(cumulants.moment(a), "a cumulant", "cumulants")
+        return float(_finite(value, "a cumulant", "cumulants"))
+
+    mean_shift = [moment(unit(i, 1)) for i in range(n)]
     # the raw second cumulants, at the indices e_i + e_j
-    total_cov = [[float(cumulants.moment(tuple((t == i) + (t == j)
-                                               for t in range(n))))
+    total_cov = [[moment(tuple((t == i) + (t == j) for t in range(n)))
                   for j in range(n)] for i in range(n)]
-    third = [float(cumulants.coeff(unit(i, 3))) for i in range(n)]
+    third = [coeff(unit(i, 3)) for i in range(n)]
 
     cov_scale = max([abs(total_cov[i][j]) for i in range(n) for j in range(n)],
                     default=0.0)
     pivot = max(range(n), key=lambda i: abs(third[i]))
-    if abs(6.0 * third[pivot]) <= _PIVOT_TOL * max(1.0, cov_scale) ** 1.5:
+    if abs(6.0 * third[pivot]) <= _PIVOT_TOL * _power(
+            max(1.0, cov_scale), 1.5, "a covariance scale", "cumulants"):
         raise SymmetricMixtureError(
             "all principal third cumulants vanish; equal weights or equal "
             "means are not recoverable from orders three and four")
 
     t3 = _cbrt(third[pivot])
-    ratio_a = float(cumulants.coeff(unit(pivot, 4))) / t3 ** 4
+    ratio_a = coeff(unit(pivot, 4)) / _power(t3, 4, "a pivot ratio",
+                                             "cumulants")
     w = solve_smaller_weight(ratio_a)
     q = w * (1.0 - w)
     f3 = float(two_point_cumulant_coeff(w, 3))
     mu_p = _cbrt(1.0 / f3) * t3
-    k_ppp = float(cumulants.moment(unit(pivot, 3)))
-    mu1 = [mu_p * (float(cumulants.moment(
-               tuple(2 * (t == pivot) + (t == j) for t in range(n)))) / k_ppp)
+    k_ppp = moment(unit(pivot, 3))
+    mu1 = [mu_p * (moment(tuple(2 * (t == pivot) + (t == j)
+                                for t in range(n))) / k_ppp)
            for j in range(n)]
     mu2 = [-(w / (1.0 - w)) * x for x in mu1]
     means = [[x + s for x, s in zip(mu, mean_shift)] for mu in (mu1, mu2)]
@@ -388,7 +406,7 @@ def fit_two_gaussians(cumulants, order=None):
         "weight_product": q,
         "cov_min_eigenvalue": eigmin,
         "cov_psd": bool(eigmin >= -1e-8 * max(1.0, cov_scale)),
-        "residual": _fit_residual(params, cumulants, order),
+        "residual": _fit_residual(params, values, order),
         "near_symmetric": bool((1.0 - 2.0 * w) ** 2 < 4e-5),
     }
     if order == 4:
@@ -397,7 +415,8 @@ def fit_two_gaussians(cumulants, order=None):
         return [Estimate(params=params, diagnostics=diag),
                 Estimate(params=swapped, diagnostics=dict(diag))]
 
-    ratio_b = float(cumulants.coeff(unit(pivot, 5))) / t3 ** 5
+    ratio_b = coeff(unit(pivot, 5)) / _power(t3, 5, "a pivot ratio",
+                                             "cumulants")
     predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
     diag["ratio_b"] = ratio_b
     diag["ratio_b_predicted"] = predicted
@@ -406,19 +425,14 @@ def fit_two_gaussians(cumulants, order=None):
     return [Estimate(params=params, diagnostics=diag)]
 
 
-def _fit_residual(params, cumulants, order):
-    """Scaled max deviation of the input cumulants from the fitted model
-    over every coordinate of orders three to ``order`` (the equations the
-    closed form does not consume)."""
+def _fit_residual(params, values, order):
+    """Scaled max deviation of the input coefficients ``values`` (orders
+    1..``order``) from the fitted model's over orders three to ``order``,
+    the equations the closed form does not consume."""
     recon = models.homoscedastic_cumulants(params, order)
-    worst = 0.0
-    for a in ts.multi_indices(cumulants.nvars, order):
-        if not 3 <= sum(a) <= order:
-            continue
-        x = float(cumulants.coeff(a))
-        y = float(recon.coeff(a))
-        worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
-    return worst
+    x, y = np.asarray(values), recon._c[1:].astype(float)
+    gaps = np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    return float(gaps[ts.index_table(recon.nvars, order).order[1:] >= 3].max())
 
 
 # ----------------------------------------------------------------------
@@ -429,10 +443,7 @@ def _check_k(k, need=0, given=0):
     """The one rule for ``k`` and the moments it needs: ``k`` that is not
     an integer (``operator.index`` refuses it) or is below 1 is
     ``PreconditionError``, ``given < need`` ``InsufficientOrderError``."""
-    try:
-        operator.index(k)
-    except TypeError:
-        raise PreconditionError(f"k must be an integer, got {k}") from None
+    check_integers(k=k)
     if k < 1:
         raise PreconditionError(f"k must be at least 1, got {k}")
     if given < need:
@@ -502,14 +513,19 @@ def _moment_scale(m):
     return max(vals, default=1.0)
 
 
+def _power(x, e, what, source="moments"):
+    """``x ** e``; one beyond float range is ``INPUT_RANGE``."""
+    try:
+        return x ** e
+    except OverflowError:
+        raise InputError(f"{source} too large: {what} overflows",
+                         code="INPUT_RANGE") from None
+
+
 def _minor_scales(m, weights):
     """The moment scale of ``m`` raised to each weighted degree."""
-    try:
-        base = _moment_scale(m)
-        return [base ** w for w in weights]
-    except OverflowError:
-        raise InputError("moments too large: a minor scale overflows",
-                         code="INPUT_RANGE")
+    base = _moment_scale(m)
+    return [_power(base, w, "a minor scale") for w in weights]
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,15 +36,33 @@ reduced, so the rows below are reduced every
 shorter side of any block ``geometry`` ranks (99 rows for a mixture at
 n = 8, k = 12, and 117 for a Dirac mixture at k = 14; the whole
 Jacobian, ``moment_map_jacobian``, reaches 143), and at least 2 for
-every prime below 2**31, the largest modulus accepted.
+every prime below 2**31, the largest modulus accepted.  A composite one,
+where a pivot may have no inverse, is refused: Miller-Rabin to the bases
+2, 7 and 61 is exact below 2**32 (Jaeschke, 1993), and cached per p.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, check_integers
 
 # Distinct primes below 2**26: one per random point of a generic-rank test.
 PRIMES = (67108859, 67108837, 67108819)
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n):
+    """Whether ``n`` is prime, by Miller-Rabin to the bases 2, 7 and 61."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    twos = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = 2**twos odd
+    for base in (2, 7, 61):
+        x = pow(base, (n - 1) >> twos, n)
+        if base % n and x != 1 and all(
+                pow(x, 2**i, n) != n - 1 for i in range(twos)):
+            return False
+    return True
 
 
 def rank(matrix, p=PRIMES[0]):
@@ -52,7 +70,8 @@ def rank(matrix, p=PRIMES[0]):
     rows of ints or ``int64`` arrays; ``matrix`` is left unchanged.
 
     A lower bound on the rank r over Q, equal to it unless p divides
-    every r x r minor.  ``p`` must be a prime below 2**31.  Elimination
+    every r x r minor.  ``p`` must be a prime below 2**31: a composite,
+    larger or non-integer modulus is ``PreconditionError``.  Elimination
     walks the rows of the shorter side, pivots on each reduced row's
     first nonzero entry with no column swap, and reduces the rows below
     only every ``(2**63 - p) // (p - 1)**2`` pivots (see the module
@@ -60,7 +79,8 @@ def rank(matrix, p=PRIMES[0]):
     raises ``DimensionMismatchError``; float and ``Fraction`` entries
     raise ``PreconditionError``: scale rational rows to integers first.
     """
-    if not 2 <= p < 2**31:
+    check_integers(p=p)
+    if not (2 <= p < 2**31 and _is_prime(p)):
         raise PreconditionError(
             f"rank needs a prime modulus below 2**31, got {p}")
     try:

@@ -58,21 +58,20 @@ the Schwartz-Zippel lemma the bound is sharp with overwhelming
 probability, so reports take the maximum over at least two points and
 draw a third when the first two disagree.
 
-The module also carries two pieces of reference data: the published
-classification table of the order-3 homoscedastic secants for up to
-seven variables, and the classical list of defective Veronese secants.
-Both are inputs this artifact checks against, not results it derives.
+The module also carries the published classification table of the
+order-3 homoscedastic secants for up to seven variables: an input this
+artifact checks against, not a result it derives.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integers
 from .exactla import PRIMES, rank
 from .series import IndexTable, index_table
 
@@ -90,16 +89,13 @@ def parameter_count(n, k):
 
 def ambient_dim(n, d):
     """Number of moment coordinates of order 1..d."""
-    num = 1
-    den = 1
-    for i in range(1, d + 1):
-        num *= n + i
-        den *= i
-    return num // den - 1
+    return comb(n + d, d) - 1
 
 
-def check_envelope(n, k, d, k_max=MAX_K):
-    """Raise PreconditionError unless (n, k, d) is a cell exact rank covers."""
+def check_envelope(n, k, d, seed=0, k_max=MAX_K):
+    """Raise PreconditionError unless (n, k, d) are integers naming a cell
+    exact rank covers and ``seed`` is an integer."""
+    check_integers(n=n, k=k, d=d, seed=seed)
     if not (1 <= n <= MAX_N and 1 <= k <= k_max and 1 <= d <= MAX_D):
         raise PreconditionError(
             f"(n={n}, k={k}, d={d}) outside the supported envelope "
@@ -410,7 +406,7 @@ def _report(n, k, d, par, block_at, split, seed):
 
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
-    check_envelope(n, k, d)
+    check_envelope(n, k, d, seed)
     # translations span order 1, the covariance order 2
     return _report(n, k, d, parameter_count(n, k), _mixture_block,
                    ambient_dim(n, min(d, 2)), seed)
@@ -418,7 +414,7 @@ def defect_report(n, k, d, seed=0):
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
-    check_envelope(n, k, d, k_max=MAX_K_VERONESE)
+    check_envelope(n, k, d, seed, MAX_K_VERONESE)
     # translations span order 1
     return _report(n, k, d, n * k + k - 1, _veronese_block, n, seed)
 
@@ -500,38 +496,13 @@ ORDER3_TABLE = (
 
 def order3_reference_row(n, k):
     """The published order-3 row for (n, k), or None if not tabulated."""
-    for row in ORDER3_TABLE:
-        if row[0] == n and row[1] == k:
-            return row
-    return None
+    return next((row for row in ORDER3_TABLE if row[:2] == (n, k)), None)
 
 
 def default_k_range(n, d=3):
     """Component counts tabulated for dimension n: from 1 (n = 1) or 2 up
     to the first k whose parameter count reaches the ambient dimension."""
-    ambient = ambient_dim(n, d)
-    k = 1 if n == 1 else 2
-    ks = []
-    while True:
-        ks.append(k)
-        if parameter_count(n, k) >= ambient:
-            return ks
+    first = k = 1 if n == 1 else 2
+    while parameter_count(n, k) < ambient_dim(n, d):
         k += 1
-
-
-# Defective Veronese secants (classical classification), keyed by
-# (n, d, k) with the sporadic defects all equal to one; for d = 2 the
-# fiber dimension is k(k-1)/2 whenever 2 <= k <= n.
-VERONESE_SPORADIC = ((2, 4, 5), (3, 4, 9), (4, 3, 7), (4, 4, 14))
-
-
-def veronese_expected(n, k, d):
-    """Expected (fiber_dim, defect) of the Veronese k-secant from the
-    classical defectivity list."""
-    base = max(n * k + k - 1 - ambient_dim(n, d), 0)
-    if d == 2 and 2 <= k <= n:
-        fiber = k * (k - 1) // 2
-        return fiber, fiber - base
-    if (n, d, k) in VERONESE_SPORADIC:
-        return base + 1, 1
-    return base, 0
+    return list(range(first, k + 1))

@@ -19,7 +19,8 @@ from operator import add
 import numpy as np
 
 from . import series as ts
-from .errors import DimensionMismatchError, InputError, PreconditionError
+from .errors import (DimensionMismatchError, InputError, PreconditionError,
+                     check_integers)
 
 _WEIGHT_TOL = 1e-8
 
@@ -97,10 +98,6 @@ class GaussianParams:
         _promote_fields(self, mean=1, cov=2)
         _check((self.mean,), cov=self.cov)
 
-    @property
-    def nvars(self):
-        return len(self.mean)
-
 
 @dataclass(frozen=True)
 class DiracMixtureParams:
@@ -112,14 +109,6 @@ class DiracMixtureParams:
     def __post_init__(self):
         _promote_fields(self, points=2, weights=1)
         _check(self.points, self.weights)
-
-    @property
-    def nvars(self):
-        return len(self.points[0])
-
-    @property
-    def ncomponents(self):
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -273,7 +262,9 @@ def _psd_factor(cov):
 
 def sample_mixture(params, count, seed):
     """Draw ``count`` i.i.d. observations, deterministic for a given
-    nonnegative integer seed.
+    nonnegative integer seed.  A ``count`` or ``seed`` that is not an
+    integer, a ``count`` below 1 and a negative ``seed`` are
+    ``PreconditionError``.
 
     The result is, to the bit, ``means[labels] + noise @ factor.T`` with
     ``labels = rng.choice(k, count, p=weights / weights.sum())`` and
@@ -292,6 +283,7 @@ def sample_mixture(params, count, seed):
     NaN entry of ``cdf`` would give every row label 0 where ``choice``
     raised.
     """
+    check_integers(count=count, seed=seed)
     if count < 1:
         raise PreconditionError("count must be positive")
     if seed < 0:

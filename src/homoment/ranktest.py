@@ -41,7 +41,6 @@ from .estimate import (
     normal_form,
     pencil_minor_values,
     raw_moments,
-    sample_normal_form,
 )
 
 DEFAULT_THRESHOLD = 1e-8
@@ -249,7 +248,7 @@ def estimate_components_from_data(data, k_max):
 
     One blockwise pass takes the moments of the data about their mean to
     order ``2 d``, with ``d = 2 k_max + 1``, in normal form
-    (:func:`sample_normal_form`): standardised, so the count depends on
+    (:func:`~.estimate.sample_normal_form`): standardised, so the count depends on
     neither the origin nor the unit of the data, and no centred copy is
     made.  The witness variances are reported back in data units.
     Each minor is whitened by its delta-method noise level

@@ -295,13 +295,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.nvars, self.degree, frozenset(self.items())))
 
-    def allclose(self, other, tol=1e-12):
-        """Coefficientwise ``|delta| < tol * max(1, |c|)`` comparison."""
-        self._check_compatible(other)
-        x, y = self._c.astype(float), other._c.astype(float)
-        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-        return not np.any(np.abs(x - y) >= tol * scale)
-
     def __repr__(self):
         items = self.items()
         head = ", ".join(f"{a}: {c}" for a, c in items[:6])

@@ -1,8 +1,9 @@
 """Shared helpers for building random exact test inputs, the exact
-oracles the float routines are checked against, the dict engine of
-truncated series that ``series`` is checked against, and the
-acceptance-criteria reporter (one PASS/FAIL line per criterion, emitted
-in the terminal summary so capture settings cannot swallow it)."""
+oracles the float routines are checked against, the classical
+Alexander-Hirschowitz list the Veronese reports are checked against,
+the dict engine of truncated series that ``series`` is checked against,
+and the acceptance-criteria reporter (one PASS/FAIL line per criterion,
+emitted in the terminal summary so capture settings cannot swallow it)."""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -13,6 +14,7 @@ import numpy as np
 from homoment import estimate, geometry, models
 from homoment import series as ts
 from homoment.errors import PreconditionError
+from homoment.geometry import ambient_dim
 
 ACCEPTANCE_RESULTS = []
 
@@ -300,6 +302,33 @@ def centered_cumulant_rank(n, k, d, seed=0):
     geometry.check_envelope(n, k, d)
     return max(geometry._point_ranks(geometry._mixture_block, 0, seed,
                                      n, k, d))
+
+
+# Defective Veronese secants (classical classification), keyed by
+# (n, d, k) with the sporadic defects all equal to one; for d = 2 the
+# fiber dimension is k(k-1)/2 whenever 2 <= k <= n.
+VERONESE_SPORADIC = ((2, 4, 5), (3, 4, 9), (4, 3, 7), (4, 4, 14))
+
+
+def veronese_expected(n, k, d):
+    """Expected (fiber_dim, defect) of the Veronese k-secant from the
+    classical defectivity list."""
+    base = max(n * k + k - 1 - ambient_dim(n, d), 0)
+    if d == 2 and 2 <= k <= n:
+        fiber = k * (k - 1) // 2
+        return fiber, fiber - base
+    if (n, d, k) in VERONESE_SPORADIC:
+        return base + 1, 1
+    return base, 0
+
+
+def allclose(a, b, tol=1e-12):
+    """Coefficientwise ``|delta| < tol * max(1, |c|)`` comparison of two
+    series of one shape."""
+    a._check_compatible(b)
+    x, y = a._c.astype(float), b._c.astype(float)
+    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    return not np.any(np.abs(x - y) >= tol * scale)
 
 
 # ----------------------------------------------------------------------

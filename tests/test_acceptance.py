@@ -288,7 +288,7 @@ def test_c09_delta_scales_agree_with_bootstrap():
     for _, data, _ in _c09_cases():
         if data is None:
             continue
-        arr = data.ravel() - ranktest.sample_normal_form(data, 1).mean
+        arr = data.ravel() - estimate.sample_normal_form(data, 1).mean
         scales = {}
 
         def bootstrap(witnesses):

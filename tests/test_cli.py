@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import univariate_moments
+from conftest import VERONESE_SPORADIC, univariate_moments
 import homoment
 from homoment import cli, geometry, models
 from homoment.errors import InputError
@@ -220,7 +220,7 @@ class TestDefectTable:
     def test_veronese_rows_are_pinned(self):
         # the sporadic defective Veronese secants, the d = 2 cells of
         # n <= 4, k <= 5, and a few with a rank block of no rows or columns
-        cells = [(n, k, d) for n, d, k in geometry.VERONESE_SPORADIC]
+        cells = [(n, k, d) for n, d, k in VERONESE_SPORADIC]
         cells += [(n, k, 2) for n in range(1, 5) for k in range(1, 6)]
         cells += [(1, 1, 1), (3, 2, 1), (1, 2, 3)]
         rows = [geometry.veronese_report(n, k, d, seed=0).as_dict()

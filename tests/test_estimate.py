@@ -17,7 +17,7 @@ from conftest import (
     univariate_moments,
     weight_product_cubic,
 )
-from homoment import estimate, models, ranktest
+from homoment import estimate, models
 from homoment import series as ts
 from homoment._poly import poly_degree, poly_eval
 from homoment.errors import (
@@ -62,7 +62,7 @@ class TestSampleCumulants:
         assert caught.value.code == "INPUT_RANGE"
         # one check for every sample mean, so one message
         with pytest.raises(InputError) as flat:
-            ranktest.sample_normal_form([1e308, 1e308], 2)
+            estimate.sample_normal_form([1e308, 1e308], 2)
         assert str(flat.value) == str(caught.value) == (
             "data too large: a sample mean is not a finite float")
 
@@ -289,6 +289,77 @@ class TestFitTwoGaussians:
         assert est.diagnostics["near_symmetric"]
         assert est.diagnostics["ratio_b_residual"] < 1e-7
         assert "cubic_roots" not in est.diagnostics
+
+    @staticmethod
+    def _edited(params, index, value):
+        """The order-5 cumulants of ``params`` with the coefficient at
+        ``index`` replaced by ``value``."""
+        cum = models.homoscedastic_cumulants(params, 5)
+        return ts.TruncatedSeries(2, 5, {**dict(cum.items()), index: value})
+
+    # pivot 0: the second coordinate separates nothing
+    EXACT = models.HomoscedasticParams(
+        means=[[1, 0], [Fraction(-43, 100), 0]],
+        weights=[Fraction(3, 10), Fraction(7, 10)], cov=[[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("index", [(1, 0), (2, 0), (3, 0), (4, 0),
+                                       (0, 3), (1, 4)],
+                             ids=lambda a: "k%d%d" % a)
+    def test_cumulant_out_of_float_range(self, index):
+        # each of the first five ended in a bare OverflowError; (1, 4) is
+        # read only by the residual
+        with pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(
+                self._edited(self.EXACT, index, Fraction(10**400)))
+        assert caught.value.code == "INPUT_RANGE"
+        assert str(caught.value) == (
+            "cumulants too large: a cumulant is not a finite float")
+
+    @pytest.mark.parametrize("index,value", [((2, 0), 1e308),
+                                             ((1, 1), 1.7e308)],
+                             ids=["moment-k20", "scale-k11"])
+    def test_finite_cumulant_overflows(self, index, value):
+        # the moment 2! c of (2, 0) is not a float, and read as inf it
+        # ended in SYMMETRIC_MIXTURE; (1, 1) sets the covariance scale,
+        # whose power 1.5 ended in a bare OverflowError
+        with pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(
+                self._edited(self.README, index, value))
+        assert caught.value.code == "INPUT_RANGE"
+
+    @pytest.mark.parametrize("third,order", [(1e300, 4), (1e300, 5),
+                                             (1e210, 5)])
+    def test_pivot_ratio_overflow(self, third, order):
+        # 1e300 overflows t3 ** 4; 1e210 passes it and overflows t3 ** 5
+        cum = self._edited(self.README, (3, 0), third)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(cum, order=order)
+        assert caught.value.code == "INPUT_RANGE"
+        assert str(caught.value) == (
+            "cumulants too large: a pivot ratio overflows")
+
+    @pytest.mark.parametrize("swap,index,value", [
+        (False, (4, 0), math.inf), (False, (2, 0), -math.inf),
+        (False, (1, 0), math.nan), (True, (2, 1), math.nan),
+        (True, (0, 5), math.inf)],
+        ids=["inf-k40", "-inf-k20", "nan-k10", "nan-k21-pivot1",
+             "inf-k05-pivot1"])
+    def test_non_finite_cumulant(self, swap, index, value):
+        # with pivot 1 the closed form never reads (2, 1): its NaN was
+        # dropped by the residual's max, and the fit reported 3.6e-15
+        params = self.README
+        if swap:
+            params = models.HomoscedasticParams(
+                means=[m[::-1] for m in params.means],
+                weights=params.weights, cov=params.cov)
+            assert estimate.fit_two_gaussians(
+                models.homoscedastic_cumulants(params, 5))[0].diagnostics[
+                    "pivot"] == 1
+        with pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(self._edited(params, index, value))
+        assert caught.value.code == "INPUT_PARSE"
+        assert str(caught.value) == "cumulants must be finite"
 
     def test_insufficient_order(self):
         rng = random.Random(7)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (centered_cumulant_rank, det, integer_rows,
-                      lagrange_interpolate)
-from homoment import geometry, models
+from conftest import (VERONESE_SPORADIC, centered_cumulant_rank, det,
+                      integer_rows, lagrange_interpolate, veronese_expected)
+from homoment import exactla, geometry, models
 from homoment import series as ts
 from homoment.errors import DimensionMismatchError, PreconditionError
 from homoment.exactla import PRIMES, rank
@@ -269,6 +269,29 @@ class TestExactLinearAlgebra:
     def test_modulus_out_of_int64_range_rejected(self, p):
         with pytest.raises(PreconditionError):
             rank([[1]], p)
+
+    @pytest.mark.parametrize("p", [4, 9, 2**31 - 3, float(PRIMES[0])])
+    def test_composite_or_float_modulus_rejected(self, p):
+        # over Z/4Z the pivot 2 has no inverse: this raised a bare
+        # ValueError from pow (a float modulus a TypeError)
+        with pytest.raises(PreconditionError) as err:
+            rank([[2, 1], [1, 3]], p)
+        assert err.value.code == "PRECONDITION"
+
+    @pytest.mark.parametrize("p", [2, 3, 101, *PRIMES, 2**31 - 1])
+    def test_prime_moduli_accepted(self, p):
+        matrix = [[2, 1], [1, 3], [3, 4]]
+        assert rank(matrix, p) == reference_rank(matrix, p)
+
+    def test_primality_matches_trial_division(self):
+        # every modulus to 5000, and the strong pseudoprimes to base 2
+        # (2047, 3277), to bases 2 and 3 (1373653) and to 2, 3 and 5
+        # (25326001) that Miller-Rabin must refuse
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+        for n in [*range(5000), 1373653, 25326001]:
+            assert exactla._is_prime(n) == trial(n), n
 
 
 # Reference builders over Q: each secant Jacobian read off the closed-form
@@ -742,7 +765,7 @@ class TestSplitRank:
             monkeypatch, "_veronese_block",
             lambda n, k, d, rng, p: reduced(fraction_veronese_jacobian(
                 *geometry._veronese_point(n, k, rng), d), p))
-        cells = [(n, k, d) for n, d, k in geometry.VERONESE_SPORADIC]
+        cells = [(n, k, d) for n, d, k in VERONESE_SPORADIC]
         cells += [(n, k, d) for n in (1, 2, 3, 4) for d in (1, 2)
                   for k in range(1, 6)]
         cells += [(2, k, 3) for k in range(1, 15)]
@@ -830,6 +853,18 @@ class TestDefectReports:
         with pytest.raises(PreconditionError):
             geometry.defect_report(2, 2, 7)
 
+    @pytest.mark.parametrize("report", ["defect_report", "veronese_report"])
+    @pytest.mark.parametrize("args,name", [
+        ((2.0, 2, 3), "n"), ((2, 2.0, 3), "k"), ((2, 2, 3.5), "d"),
+        ((2, 2, 3, 1.0), "seed"), ((2, 2, 3, "1"), "seed")],
+        ids=["n-float", "k-float", "d-float", "seed-float", "seed-str"])
+    def test_non_integer_arguments_rejected(self, report, args, name):
+        # a float k or seed raised TypeError from the per-cell seed mix
+        with pytest.raises(PreconditionError) as err:
+            getattr(geometry, report)(*args)
+        assert err.value.code == "PRECONDITION"
+        assert str(err.value).startswith(f"{name} must be an integer")
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_two_components_identifiable_at_order_four(self, n):
         # cross-check of two results: the order-4 closed form gives
@@ -889,13 +924,13 @@ class TestVeronese:
     def test_sporadic_quartic_defect(self):
         v = geometry.veronese_report(2, 5, 4, seed=0)
         assert v.defect == 1
-        assert geometry.veronese_expected(2, 5, 4) == (v.fiber_dim, v.defect)
+        assert veronese_expected(2, 5, 4) == (v.fiber_dim, v.defect)
 
     def test_quadratic_fiber_dimension(self):
         for n, k in ((3, 2), (4, 3)):
             v = geometry.veronese_report(n, k, 2, seed=0)
             assert v.fiber_dim == k * (k - 1) // 2
-            assert geometry.veronese_expected(n, k, 2) == (v.fiber_dim, v.defect)
+            assert veronese_expected(n, k, 2) == (v.fiber_dim, v.defect)
 
     def test_twisted_cubic_secant_fills(self):
         v = geometry.veronese_report(1, 2, 3, seed=0)

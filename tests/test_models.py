@@ -472,6 +472,27 @@ class TestSampler:
             models.sample_mixture(p, 10, seed=-1)
         assert caught.value.code == "PRECONDITION"
 
+    @pytest.mark.parametrize("count,seed,name", [
+        (10.5, 1, "count"), (10.0, 1, "count"), (10, 1.0, "seed"),
+        (10, "1", "seed")],
+        ids=["count-10.5", "count-10.0", "seed-float", "seed-str"])
+    def test_rejects_non_integer_count_and_seed(self, count, seed, name):
+        # these raised numpy's TypeError from the generator or the draw
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+        with pytest.raises(PreconditionError) as caught:
+            models.sample_mixture(p, count, seed)
+        assert caught.value.code == "PRECONDITION"
+        assert str(caught.value) == f"{name} must be an integer, got " + (
+            str(count if name == "count" else seed))
+
+    def test_accepts_numpy_integers(self):
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+        assert np.array_equal(
+            models.sample_mixture(p, np.int64(10), np.uint32(3)),
+            models.sample_mixture(p, 10, 3))
+
     def test_rejects_indefinite_covariance(self):
         p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
                                        cov=((-1.0,),))

@@ -429,7 +429,7 @@ class TestComponentCount:
     def _direct_residuals(data, verdicts):
         """Each verdict's whitened minors, evaluated directly at its
         witness, squared and summed."""
-        arr = data.ravel() - ranktest.sample_normal_form(data, 1).mean
+        arr = data.ravel() - estimate.sample_normal_form(data, 1).mean
         m = ranktest.raw_moments(arr, 5)
         first = {k: ranktest.secant_membership(m, k).witness_s
                  for k in (1, 2)}
@@ -872,7 +872,7 @@ class TestSampleMoments:
         data = np.tile([1e300, -1e300], 20)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InputError) as exc:
-            ranktest.sample_normal_form(data, 2)
+            estimate.sample_normal_form(data, 2)
         assert exc.value.code == "INPUT_RANGE"
         assert str(exc.value) == (
             "data too large: a sample moment is not a finite float")
