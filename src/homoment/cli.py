@@ -244,14 +244,13 @@ def _table_cells(ns, ks, ds, seed):
     cells = []
     for n in ns:
         for d in ds:
-            # n and d first: default_k_range(n, d) runs to ambient_dim(n, d)
-            geometry.check_envelope(n, 1, d)
-            k_list = ks if ks is not None else geometry.default_k_range(n, d)
-            for k in k_list:
-                # fail on the first bad cell before any row is computed
-                geometry.check_envelope(n, k, d)
-                cells.append((n, k, d))
-    return [geometry.defect_report(n, k, d, seed=seed) for n, k, d in cells]
+            # n and d first, with the first k asked for or tabulated:
+            # default_k_range(n, d) runs to ambient_dim(n, d)
+            geometry.check_envelope(n, ks[0] if ks else 1 if n == 1 else 2, d)
+            # every cell is checked before any row is computed
+            cells += [geometry.check_envelope(n, k, d)[:3] for k in
+                      ks or geometry.default_k_range(n, d)]
+    return [geometry.defect_report(*cell, seed=seed) for cell in cells]
 
 
 def _check_rows(reports):

@@ -38,13 +38,16 @@ class PreconditionError(InputError):
 
 
 def check_integers(**values):
-    """Raise PreconditionError unless ``operator.index`` takes each value."""
+    """The values, in order, as ``operator.index`` gives them: Python ints
+    (from an int, a bool or a numpy integer); others PreconditionError."""
+    ints = []
     for name, value in values.items():
         try:
-            operator.index(value)
+            ints.append(operator.index(value))
         except TypeError:
             raise PreconditionError(
                 f"{name} must be an integer, got {value}") from None
+    return ints
 
 
 class InsufficientOrderError(InputError):

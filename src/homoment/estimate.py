@@ -37,6 +37,7 @@ oracles.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -46,18 +47,11 @@ import numpy as np
 
 from . import _poly, models
 from . import series as ts
-from .errors import (
-    DimensionMismatchError,
-    InconsistentMomentsError,
-    InputError,
-    InsufficientOrderError,
-    ModelMismatchError,
-    PreconditionError,
-    RankDeficientMomentsError,
-    SingularSystemError,
-    SymmetricMixtureError,
-    check_integers,
-)
+from .errors import (DimensionMismatchError, InconsistentMomentsError,
+                     InputError, InsufficientOrderError, ModelMismatchError,
+                     PreconditionError, RankDeficientMomentsError,
+                     SingularSystemError, SymmetricMixtureError,
+                     check_integers)
 
 
 @dataclass
@@ -178,16 +172,21 @@ def _sample(data, degree, centre=None, columns=1):
     """``data`` as a ``count x n`` float array (a flat array is one
     column), its centre (the column means unless given) and its averaged
     monomials of orders 1..``degree`` about it (:func:`moment_sums`),
-    under one rule.  ``degree`` below 1 is ``PreconditionError``, empty
-    data ``INPUT_EMPTY``, and a shape other than ``columns`` columns
+    under one rule.  ``degree`` not an integer or below 1 is
+    ``PreconditionError``, complex data ``INPUT_PARSE``, empty data
+    ``INPUT_EMPTY``, and a shape other than ``columns`` columns
     (None: as many as a series of order ``degree`` allows) is
     ``DimensionMismatchError`` before the pass builds its table.  A sum
     with a term that is not finite is not finite either, so the values
     are scanned (``INPUT_PARSE``) only when an order-1 sum or the centre
     is not; a mean or moment out of float range is ``INPUT_RANGE``."""
+    degree, = check_integers(order=degree)
     if degree < 1:
         raise PreconditionError(f"order must be at least 1, got {degree}")
-    arr = np.asarray(data, dtype=float)
+    arr = np.asarray(data)
+    if arr.dtype.kind == "c":
+        raise InputError("data must be real numbers", code="INPUT_PARSE")
+    arr = arr.astype(float, copy=False)
     if arr.size == 0:
         raise InputError("need at least one observation", code="INPUT_EMPTY")
     n = arr.shape[1] if arr.ndim == 2 else 1
@@ -342,8 +341,8 @@ def fit_two_gaussians(cumulants, order=None):
     if cumulants.constant() != 0:
         raise PreconditionError("expected a cumulant-space series "
                                 "(zero constant term)")
-    if order is None:
-        order = min(cumulants.degree, 5)
+    order, = check_integers(order=min(cumulants.degree, 5) if order is None
+                            else order)
     if order not in (4, 5):
         raise PreconditionError("order must be 4 or 5")
     if cumulants.degree < order:
@@ -440,20 +439,21 @@ def _fit_residual(params, values, order):
 
 
 def _check_k(k, need=0, given=0):
-    """The one rule for ``k`` and the moments it needs: ``k`` that is not
-    an integer (``operator.index`` refuses it) or is below 1 is
+    """``k`` as an int, by the one rule for ``k`` and the moments it
+    needs: not an integer (:func:`check_integers`) or below 1 is
     ``PreconditionError``, ``given < need`` ``InsufficientOrderError``."""
-    check_integers(k=k)
+    k, = check_integers(k=k)
     if k < 1:
         raise PreconditionError(f"k must be at least 1, got {k}")
     if given < need:
         raise InsufficientOrderError(f"need moment order {need}, got {given}")
+    return k
 
 
 def _exact_or_finite(values, what):
-    """``values``; a float entry that is not finite is ``INPUT_PARSE``."""
-    if not all(isinstance(x, (int, Fraction)) or math.isfinite(x)
-               for x in values):
+    """``values``; one neither exact nor a finite real is ``INPUT_PARSE``."""
+    if not all(isinstance(x, (int, Fraction)) or isinstance(x, numbers.Real)
+               and math.isfinite(x) for x in values):
         raise InputError(f"{what} must be finite", code="INPUT_PARSE")
     return values
 
@@ -594,7 +594,7 @@ def pencil_minor_values(moments, k, s):
     ``INPUT_PARSE`` (a moment too, in a stack as in one vector), a minor
     that is not finite ``INPUT_RANGE``.
     """
-    _check_k(k)
+    k = _check_k(k)
     _exact_or_finite(np.ravel(s).tolist(), "variance")
     if np.ndim(moments) == 1 and np.ndim(s) == 0:
         return _float_minors([_moment_list(moments, k)], k, s)[0].tolist()
@@ -650,7 +650,7 @@ def _minor_layout(d, k):
     2 + sum(sel)`` and is a polynomial of half that degree in the
     variance.  Minors of one degree form a group, fitted together.  The
     index gathers every minor's submatrix from a deconvolved row."""
-    _check_k(k, 2 * k, d)
+    k = _check_k(k, 2 * k, d)
     subsets = tuple(combinations(range(d - k + 1), k + 1))
     weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
     degrees = [w // 2 for w in weights]
@@ -807,7 +807,7 @@ def fit_univariate(moments, k):
     smallest nonnegative root of :func:`variance_polynomial`, then atoms
     and weights by quadrature, on the normal form and mapped back to
     data units (``variance_residual`` stays standardised)."""
-    _check_k(k)
+    k = _check_k(k)
     form = normal_form(moments)
     m = form.moments
     coeffs = variance_polynomial(m, k)
@@ -861,12 +861,9 @@ def identifiability_curve_residual(q):
     """Relative residual of the degree-seven plane curve on the point of
     :func:`identifiability_curve_point`; zero exactly on the curve."""
     x, y, z = identifiability_curve_point(q)
-    total = None
-    mag = 0.0
-    for c, ex, ey, ez in _CURVE_TERMS:
-        term = c * x ** ex * y ** ey * z ** ez
-        total = term if total is None else total + term
-        mag = max(mag, abs(float(term)))
+    terms = [c * x ** ex * y ** ey * z ** ez for c, ex, ey, ez in _CURVE_TERMS]
+    total = sum(terms[1:], terms[0])
+    mag = max(0.0, *(abs(float(term)) for term in terms))
     if mag == 0.0:
         return 0.0
     return abs(float(total)) / mag

@@ -79,7 +79,7 @@ def rank(matrix, p=PRIMES[0]):
     raises ``DimensionMismatchError``; float and ``Fraction`` entries
     raise ``PreconditionError``: scale rational rows to integers first.
     """
-    check_integers(p=p)
+    p, = check_integers(p=p)
     if not (2 <= p < 2**31 and _is_prime(p)):
         raise PreconditionError(
             f"rank needs a prime modulus below 2**31, got {p}")

@@ -93,13 +93,14 @@ def ambient_dim(n, d):
 
 
 def check_envelope(n, k, d, seed=0, k_max=MAX_K):
-    """Raise PreconditionError unless (n, k, d) are integers naming a cell
-    exact rank covers and ``seed`` is an integer."""
-    check_integers(n=n, k=k, d=d, seed=seed)
+    """``(n, k, d, seed)`` as ints (:func:`check_integers`), (n, k, d) a
+    cell exact rank covers; anything else is PreconditionError."""
+    n, k, d, seed = check_integers(n=n, k=k, d=d, seed=seed)
     if not (1 <= n <= MAX_N and 1 <= k <= k_max and 1 <= d <= MAX_D):
         raise PreconditionError(
             f"(n={n}, k={k}, d={d}) outside the supported envelope "
             f"n<={MAX_N}, k<={k_max}, d<={MAX_D}")
+    return n, k, d, seed
 
 
 def _mix_seed(seed, n, k, d, trial):
@@ -406,7 +407,7 @@ def _report(n, k, d, par, block_at, split, seed):
 
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
-    check_envelope(n, k, d, seed)
+    n, k, d, seed = check_envelope(n, k, d, seed)
     # translations span order 1, the covariance order 2
     return _report(n, k, d, parameter_count(n, k), _mixture_block,
                    ambient_dim(n, min(d, 2)), seed)
@@ -414,7 +415,7 @@ def defect_report(n, k, d, seed=0):
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
-    check_envelope(n, k, d, seed, MAX_K_VERONESE)
+    n, k, d, seed = check_envelope(n, k, d, seed, MAX_K_VERONESE)
     # translations span order 1
     return _report(n, k, d, n * k + k - 1, _veronese_block, n, seed)
 
@@ -428,8 +429,10 @@ def predicted_defect_order3(n, k):
 
     Case analysis: two and three/four component mixtures in enough
     variables are always defective, (5, 7) is sporadic, and for n >= 4
-    there is a defective band just above k = n + 1.
+    there is a defective band just above k = n + 1.  ``n`` and ``k`` must
+    be positive integers (``PreconditionError``).
     """
+    n, k = check_integers(n=n, k=k)
     if n < 1 or k < 1:
         raise PreconditionError("n and k must be positive")
     if k == 1:

@@ -4,14 +4,15 @@ Forward maps are written in plain generic arithmetic (no numpy) so they
 accept ``Fraction`` entries for exact work and ``float`` entries for
 estimation.  Only :func:`sample_mixture` touches numpy.
 
-The four parameter families check their fields once, by one rule
-(:func:`_check`): their shapes, then that no float entry is NaN or
-infinite (``INPUT_PARSE``), then weights summing to one and a symmetric
-covariance.  Exact entries compare exactly, and a float within a
-relative tolerance (:func:`_equal`).
+The four parameter families read their fields by one type rule
+(:func:`_promote_fields`), then check them once (:func:`_check`): their
+shapes, then that no float entry is NaN or infinite (``INPUT_PARSE``),
+then weights summing to one and a symmetric covariance.  Exact entries
+compare exactly, and a float within a relative tolerance (:func:`_equal`).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -28,17 +29,26 @@ _WEIGHT_TOL = 1e-8
 _SAMPLE_BLOCK = 16384
 
 
-def _is_float(x):
-    return isinstance(x, (float, np.floating))
-
-
 def _promote_fields(params, **depths):
     """Each named field of ``params`` as nested tuples ``depth`` deep
-    (1: a vector, 2: a list of vectors), ints made ``Fraction``."""
+    (1: a vector, 2: a list of vectors): the one type rule of the
+    families.  A field nests in lists, tuples or numpy arrays to its
+    depth, and each entry is a real number (``numbers.Real`` but not a
+    bool, a numpy scalar read as the number it holds); else
+    ``INPUT_PARSE``.  Ints are made ``Fraction``, other rationals kept and
+    other reals made float, so every float entry is a Python float."""
     def promote(value, depth):
-        if depth == 0:
-            return ts._promote(value)
-        return tuple(promote(x, depth - 1) for x in value)
+        if isinstance(value, (np.ndarray, np.generic)):
+            value = value.tolist()
+        if depth and isinstance(value, (list, tuple)):
+            return tuple(promote(x, depth - 1) for x in value)
+        if depth or isinstance(value, bool) or not isinstance(
+                value, numbers.Real):
+            raise InputError(f"parameter field {name!r} must be a list "
+                             f"{'of lists ' * (depths[name] - 1)}of numbers",
+                             code="INPUT_PARSE")
+        return (ts._promote(value) if isinstance(value, numbers.Rational)
+                else float(value))
 
     for name, depth in depths.items():
         object.__setattr__(params, name, promote(getattr(params, name), depth))
@@ -47,7 +57,7 @@ def _promote_fields(params, **depths):
 def _equal(reference, value):
     """``value == reference`` when both are exact; with a float on either
     side, within ``_WEIGHT_TOL`` relative to max(1, |reference|)."""
-    if _is_float(reference) or _is_float(value):
+    if isinstance(reference, float) or isinstance(value, float):
         return (abs(float(value) - float(reference))
                 <= _WEIGHT_TOL * max(1.0, abs(float(reference))))
     return value == reference
@@ -68,7 +78,7 @@ def _check(points, weights=None, cov=None):
     if cov is not None and (len(cov) != n or any(len(row) != n for row in cov)):
         raise DimensionMismatchError(f"covariance must be {n} x {n}")
     entries = sum(points + (cov or ()), weights or ())
-    if not all(math.isfinite(x) for x in entries if _is_float(x)):
+    if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
         raise InputError("parameters must be finite", code="INPUT_PARSE")
     if weights is not None:
         total = sum(weights[1:], weights[0])
@@ -77,14 +87,6 @@ def _check(points, weights=None, cov=None):
     if cov is not None and not all(_equal(cov[i][j], cov[j][i])
                                    for i in range(n) for j in range(i + 1, n)):
         raise PreconditionError("covariance must be symmetric")
-
-
-def _is_numbers(value, depth):
-    """Whether ``value`` is a list of JSON numbers (a bool is not one), or
-    at ``depth`` 2 a list of such lists."""
-    return isinstance(value, list) and all(
-        _is_numbers(x, depth - 1) if depth > 1 else type(x) in (int, float)
-        for x in value)
 
 
 @dataclass(frozen=True)
@@ -127,33 +129,23 @@ class HomoscedasticParams:
     def nvars(self):
         return len(self.means[0])
 
-    @property
-    def ncomponents(self):
-        return len(self.weights)
-
     def as_dict(self):
-        return {
-            "k": self.ncomponents,
-            "n": self.nvars,
-            "weights": [float(w) for w in self.weights],
-            "means": [[float(x) for x in m] for m in self.means],
-            "cov": [[float(x) for x in row] for row in self.cov],
-        }
+        return {"k": len(self.weights), "n": self.nvars,
+                "weights": [float(w) for w in self.weights],
+                "means": [[float(x) for x in m] for m in self.means],
+                "cov": [[float(x) for x in row] for row in self.cov]}
 
     @classmethod
     def from_dict(cls, data):
-        """Parameters from parsed JSON, an object of lists of numbers:
-        anything else is ``INPUT_PARSE``, a missing field a precondition."""
+        """Parameters from parsed JSON: anything but an object is
+        ``INPUT_PARSE`` and a missing field a precondition; the fields
+        are read by the rule of every family (:func:`_promote_fields`)."""
         if not isinstance(data, dict):
             raise InputError("parameters must be a JSON object",
                              code="INPUT_PARSE")
-        for key, depth in (("means", 2), ("weights", 1), ("cov", 2)):
+        for key in ("means", "weights", "cov"):
             if key not in data:
                 raise PreconditionError(f"missing parameter field {key!r}")
-            if not _is_numbers(data[key], depth):
-                raise InputError(f"parameter field {key!r} must be a list "
-                                 f"{'of lists ' * (depth - 1)}of numbers",
-                                 code="INPUT_PARSE")
         return cls(means=data["means"], weights=data["weights"],
                    cov=data["cov"])
 
@@ -168,10 +160,6 @@ class LaplaceParams:
     def __post_init__(self):
         _promote_fields(self, location=1, cov=2)
         _check((self.location,), cov=self.cov)
-
-    @property
-    def nvars(self):
-        return len(self.location)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +178,7 @@ def _quadratic_series(cov, degree):
     n = len(cov)
     return ts.TruncatedSeries(n, degree, {
         tuple((t == i) + (t == j) for t in range(n)):
-            ts._promote(cov[i][i]) / 2 if i == j else cov[i][j]
+            cov[i][i] / 2 if i == j else cov[i][j]
         for i in range(n) for j in range(i, n) if degree > 1})
 
 
@@ -237,7 +225,7 @@ def homoscedastic_cumulants(params, degree):
 def laplace_moments(params, degree):
     """Moment series exp(u^t mu) / (1 - u^t Sigma u / 2), truncated."""
     quad = _quadratic_series(params.cov, degree)
-    geometric = ts.TruncatedSeries.one(params.nvars, degree)
+    geometric = ts.TruncatedSeries.one(len(params.location), degree)
     power = geometric
     for _ in range(degree // 2):
         power = power * quad
@@ -262,9 +250,10 @@ def _psd_factor(cov):
 
 def sample_mixture(params, count, seed):
     """Draw ``count`` i.i.d. observations, deterministic for a given
-    nonnegative integer seed.  A ``count`` or ``seed`` that is not an
-    integer, a ``count`` below 1 and a negative ``seed`` are
-    ``PreconditionError``.
+    nonnegative integer seed.  ``count`` and ``seed`` are read as ints
+    (:func:`check_integers`: a numpy integer or a bool is one); others,
+    a ``count`` below 1 or whose draws numpy cannot size or memory
+    cannot hold, and a negative ``seed`` are ``PreconditionError``.
 
     The result is, to the bit, ``means[labels] + noise @ factor.T`` with
     ``labels = rng.choice(k, count, p=weights / weights.sum())`` and
@@ -283,7 +272,7 @@ def sample_mixture(params, count, seed):
     NaN entry of ``cdf`` would give every row label 0 where ``choice``
     raised.
     """
-    check_integers(count=count, seed=seed)
+    count, seed = check_integers(count=count, seed=seed)
     if count < 1:
         raise PreconditionError("count must be positive")
     if seed < 0:
@@ -296,13 +285,19 @@ def sample_mixture(params, count, seed):
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     factor = _psd_factor(cov)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    labels = np.zeros(count, dtype=np.min_scalar_type(len(weights)))
-    for edge in cdf[:-1]:
-        labels += u >= edge
-    del u
-    draws = rng.standard_normal((count, params.nvars)) @ factor.T
+    try:
+        if count * params.nvars * 8 > np.iinfo(np.intp).max:
+            raise MemoryError
+        rng = np.random.default_rng(seed)
+        u = rng.random(count)
+        labels = np.zeros(count, dtype=np.min_scalar_type(len(weights)))
+        for edge in cdf[:-1]:
+            labels += u >= edge
+        del u
+        draws = rng.standard_normal((count, params.nvars)) @ factor.T
+    except MemoryError:
+        raise PreconditionError(f"count is too large to draw, got {count}"
+                                ) from None
     for start in range(0, count, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         draws[block] += means[labels[block]]

@@ -106,7 +106,7 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
     verdict is never an error: off-model input simply reports a residual
     above the threshold, which must be finite and above 0 (``PRECONDITION``).
     """
-    _check_k(k)
+    k = _check_k(k)
     if not 0 < threshold < np.inf:
         raise PreconditionError(f"threshold must be finite and above 0, "
                                 f"got {threshold}")
@@ -167,7 +167,7 @@ def _sum_of_squares(minors, scales):
 
 def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
     """Membership verdicts for k = 1..k_max from 2 k_max + 1 moments."""
-    _check_k(k_max)
+    k_max = _check_k(k_max)
     form = normal_form(moments)
     _check_k(k_max, 2 * k_max + 1, len(form.moments))
     return [secant_membership(form, k, threshold=threshold)
@@ -258,7 +258,7 @@ def estimate_components_from_data(data, k_max):
     model violation.  There is no resampling and no random number: a
     call returns the same answer every time.  Returns ``(k_hat, verdicts)``.
     """
-    _check_k(k_max)
+    k_max = _check_k(k_max)
     d = 2 * k_max + 1
     form, count = _sample_form(data, 2 * d)
     m = form.moments

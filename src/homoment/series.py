@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, check_integers
 
 MAX_VARS = 8
 MAX_DEGREE = 8
@@ -124,10 +124,13 @@ def _promote(c):
 
 
 def _check_shape(nvars, degree):
+    """``(nvars, degree)`` as ints (:func:`check_integers`), in range."""
+    nvars, degree = check_integers(nvars=nvars, degree=degree)
     if not (1 <= nvars <= MAX_VARS and 1 <= degree <= MAX_DEGREE):
         raise DimensionMismatchError(
             f"nvars must be in 1..{MAX_VARS} and degree in 1..{MAX_DEGREE}, "
             f"got nvars={nvars}, degree={degree}")
+    return nvars, degree
 
 
 def _position(a, nvars, degree):
@@ -146,7 +149,7 @@ class TruncatedSeries:
     __slots__ = ("nvars", "degree", "_c")
 
     def __init__(self, nvars, degree, coeffs=None):
-        _check_shape(nvars, degree)
+        nvars, degree = _check_shape(nvars, degree)
         values = np.zeros(len(multi_indices(nvars, degree)), dtype=object)
         for a, c in dict(coeffs or {}).items():
             values[_position(a, nvars, degree)] = _promote(c)
@@ -216,7 +219,7 @@ class TruncatedSeries:
         if degree > self.degree:
             raise DimensionMismatchError(
                 f"cannot extend truncation {self.degree} to {degree}")
-        _check_shape(self.nvars, degree)
+        degree = _check_shape(self.nvars, degree)[1]
         size = len(multi_indices(self.nvars, degree))
         return self._like(self._c[:size].copy(), degree)
 

@@ -189,6 +189,19 @@ class TestDefectTable:
         assert out == ""
         assert strict_json(err)["error"]["code"] == "PRECONDITION"
 
+    @pytest.mark.parametrize("args,cell", [
+        (["--n", "1..2", "--k", "2", "--d", "7"], "(n=1, k=2, d=7)"),
+        (["--n", "1..2", "--k", "3..4", "--d", "0"], "(n=1, k=3, d=0)"),
+        (["--n", "1..2", "--d", "7"], "(n=1, k=1, d=7)"),
+        (["--n", "2..3", "--d", "7"], "(n=2, k=2, d=7)")])
+    def test_envelope_error_names_a_requested_cell(self, capsys, args, cell):
+        # the n and d check used k = 1, a cell not asked for when --k is
+        # given or n > 1
+        code, out, err = run(["defect-table", *args], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert cell in strict_json(err)["error"]["message"]
+
     @pytest.mark.parametrize("args,digest", [
         ("--n 1..5 --d 3 --check --format json --seed 0",
          "0ff465ea0871265e88c295fa1d0af452490507a9275fba67ea60b3235be5b882"),
@@ -355,6 +368,18 @@ class TestSimulateAndFit2:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"]["code"] == "PRECONDITION"
+
+    def test_count_too_large_to_draw(self, capsys, tmp_path):
+        # 2**60 rows ended in numpy's "array is too big" traceback; the
+        # count is refused before anything is drawn
+        params = self._write_params(tmp_path)
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              str(2**60)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"] == {
+            "code": "PRECONDITION",
+            "message": f"count is too large to draw, got {2**60}"}
 
     def test_negative_seed_is_precondition_error(self, capsys, tmp_path):
         params = self._write_params(tmp_path)

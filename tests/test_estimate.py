@@ -73,6 +73,24 @@ class TestSampleCumulants:
             estimate.sample_cumulants(data, 5)
         assert caught.value.code == "INPUT_RANGE"
 
+    @pytest.mark.parametrize("call", [
+        lambda: estimate.sample_cumulants(np.arange(10.0), 4.0),
+        lambda: estimate.raw_moments(np.arange(10.0), 3.0),
+        lambda: estimate.sample_normal_form(np.arange(10.0), "4")],
+        ids=["sample_cumulants", "raw_moments", "sample_normal_form"])
+    def test_order_not_an_integer(self, call):
+        # a float order raised a bare TypeError
+        with pytest.raises(InputError) as caught:
+            call()
+        assert caught.value.code == "PRECONDITION"
+        assert str(caught.value).startswith("order must be an integer, got")
+
+    def test_complex_data_rejected(self):
+        # numpy read the real parts only, with a ComplexWarning
+        with pytest.raises(InputError) as caught:
+            estimate.sample_cumulants(np.array([[1 + 1j, 2.0], [0.5, 1.0]]), 2)
+        assert caught.value.code == "INPUT_PARSE"
+
     def test_fit_is_shift_equivariant(self):
         # uncentred, the sample moved to 10000 was fitted with weights
         # 0.49/0.51 and a negative variance (-2.81)
@@ -368,6 +386,23 @@ class TestFitTwoGaussians:
             estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 4),
                                        order=5)
 
+    @pytest.mark.parametrize("order", [4.0, 4.5, "5"])
+    def test_order_not_an_integer(self, order):
+        # 4.0 passed "order in (4, 5)" and raised a bare TypeError later
+        p = rand_two_mixture(random.Random(7), 2)
+        with pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
+                                       order=order)
+        assert caught.value.code == "PRECONDITION"
+        assert str(caught.value) == f"order must be an integer, got {order}"
+
+    def test_numpy_integer_order(self):
+        cumulants = models.homoscedastic_cumulants(
+            rand_two_mixture(random.Random(7), 2), 5)
+        got = estimate.fit_two_gaussians(cumulants, order=np.int64(4))
+        assert [e.as_dict() for e in got] == [
+            e.as_dict() for e in estimate.fit_two_gaussians(cumulants, 4)]
+
 
 class TestDeconvolve:
     def test_zero_variance_is_identity(self):
@@ -560,6 +595,14 @@ class TestFitUnivariate:
     def test_insufficient_order(self):
         with pytest.raises(InsufficientOrderError):
             estimate.fit_univariate([1.0, 2.0, 3.0], 2)
+
+    @pytest.mark.parametrize("moments", [[1 + 1j, 2], [1.0, np.complex128(2)],
+                                         [1.0, "2"]])
+    def test_moment_not_a_real_number(self, moments):
+        # math.isfinite raised a bare TypeError
+        with pytest.raises(InputError) as caught:
+            estimate.fit_univariate(moments, 1)
+        assert caught.value.code == "INPUT_PARSE"
 
 
 class TestNormalForm:

@@ -1,5 +1,6 @@
 """Exact dimension and defect computations for secant moment varieties."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -282,6 +283,10 @@ class TestExactLinearAlgebra:
     def test_prime_moduli_accepted(self, p):
         matrix = [[2, 1], [1, 3], [3, 4]]
         assert rank(matrix, p) == reference_rank(matrix, p)
+
+    def test_numpy_integer_modulus(self):
+        # _is_prime called bit_length on the numpy integer
+        assert rank([[1, 2], [3, 4]], np.int64(101)) == 2
 
     def test_primality_matches_trial_division(self):
         # every modulus to 5000, and the strong pseudoprimes to base 2
@@ -865,6 +870,20 @@ class TestDefectReports:
         assert err.value.code == "PRECONDITION"
         assert str(err.value).startswith(f"{name} must be an integer")
 
+    @pytest.mark.parametrize("report,args", [
+        ("defect_report", (2, 2, 3, np.int64(1))),
+        ("veronese_report", (np.int64(2), 3, 3)),
+        ("defect_report", (np.int32(2), np.uint8(3), np.int64(3), True))],
+        ids=["defect-seed", "veronese-n", "defect-all"])
+    def test_numpy_integer_arguments(self, report, args):
+        # a numpy seed or size raised TypeError from the per-cell seed
+        # mix; the report holds Python ints, so it dumps to JSON
+        got = getattr(geometry, report)(*args)
+        want = getattr(geometry, report)(*map(int, args))
+        assert got == want
+        assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+        assert all(type(v) is int for v in (got.n, got.k, got.d, got.seed))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_two_components_identifiable_at_order_four(self, n):
         # cross-check of two results: the order-4 closed form gives
@@ -946,6 +965,22 @@ class TestClassifier:
     ])
     def test_reference_values(self, n, k, expected):
         assert geometry.predicted_defect_order3(n, k) == expected
+
+    @pytest.mark.parametrize("n,k,message", [
+        (2.5, 2, "n must be an integer, got 2.5"),
+        ("2", 2, "n must be an integer, got 2"),
+        (2, 2.0, "k must be an integer, got 2.0"),
+        (0, 2, "n and k must be positive")])
+    def test_rejects_bad_arguments(self, n, k, message):
+        # the case analysis took 2.5 for an n >= 2 and gave 1, and a str
+        # n raised TypeError
+        with pytest.raises(PreconditionError) as err:
+            geometry.predicted_defect_order3(n, k)
+        assert err.value.code == "PRECONDITION"
+        assert str(err.value) == message
+
+    def test_numpy_integers(self):
+        assert geometry.predicted_defect_order3(np.int64(7), np.int32(11)) == 3
 
     def test_matches_published_table(self):
         for row in geometry.ORDER3_TABLE:

@@ -363,11 +363,67 @@ class TestParameterRule:
             "PRECONDITION", id="sample-count-0"),
         pytest.param(lambda: models.sample_mixture(models.HomoscedasticParams(
             means=((0.0,), (1.0,)), weights=(-0.5, 1.5), cov=((1.0,),)),
-            10, seed=0), "PRECONDITION", id="sample-negative-weight")])
+            10, seed=0), "PRECONDITION", id="sample-negative-weight"),
+        # a field that does not nest to its depth ('float' object is not
+        # iterable), and entries that are not real numbers, which failed
+        # only later in the sampler or the forward maps
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[0.0], weights=[1.0], cov=[[1.0]]),
+            "INPUT_PARSE", id="flat-means"),
+        pytest.param(lambda: models.GaussianParams(mean=[0.0], cov=[1.0]),
+                     "INPUT_PARSE", id="flat-covariance"),
+        pytest.param(lambda: models.DiracMixtureParams(
+            points=[0.0, 1.0], weights=[0.5, 0.5]),
+            "INPUT_PARSE", id="flat-points"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[["a"]], weights=[1.0], cov=[[1.0]]),
+            "INPUT_PARSE", id="string-mean"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0.0]], weights=[1.0], cov=[[None]]),
+            "INPUT_PARSE", id="none-covariance"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0.0]], weights=[1 + 0j], cov=[[1.0]]),
+            "INPUT_PARSE", id="complex-weight"),
+        pytest.param(lambda: models.LaplaceParams(
+            location=["x"], cov=[[1.0]]), "INPUT_PARSE", id="string-location"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[True]], weights=[1.0], cov=[[1.0]]),
+            "INPUT_PARSE", id="bool-mean"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means="ab", weights=[1.0], cov=[[1.0]]),
+            "INPUT_PARSE", id="string-means"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means={0: [0.0]}, weights=[1.0], cov=[[1.0]]),
+            "INPUT_PARSE", id="dict-means"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0.0]], weights=np.array(1.0), cov=[[1.0]]),
+            "INPUT_PARSE", id="0-d-array-weights")])
     def test_error_contract(self, make, code):
         with pytest.raises(InputError) as caught:
             make()
         assert caught.value.code == code
+
+    @pytest.mark.parametrize("field,depth", [
+        ("means", 2), ("weights", 1), ("cov", 2)])
+    def test_type_message(self, field, depth):
+        # the message from_dict gave for a JSON field of the wrong type
+        spec = dict(self.MIXTURE, **{field: "x"})
+        with pytest.raises(InputError) as caught:
+            models.HomoscedasticParams(**spec)
+        assert str(caught.value) == (f"parameter field {field!r} must be a "
+                                     f"list {'of lists ' * (depth - 1)}"
+                                     "of numbers")
+
+    def test_numpy_fields_read_as_python_numbers(self):
+        # arrays and numpy scalars nest like lists; integers become exact
+        p = models.HomoscedasticParams(
+            means=np.array([[-1], [1]]), weights=[np.float64(0.5), 0.5],
+            cov=np.array([[np.int32(1)]]))
+        assert p.means == ((Fraction(-1),), (Fraction(1),))
+        assert [type(w) for w in p.weights] == [float, float]
+        assert type(p.cov[0][0]) is Fraction
+        assert p == models.HomoscedasticParams(means=[[-1], [1]],
+                                               weights=[0.5, 0.5], cov=[[1]])
 
     @pytest.mark.parametrize("ok", [True, False])
     def test_float_tolerance_is_relative_to_the_reference(self, ok):
@@ -492,6 +548,49 @@ class TestSampler:
         assert np.array_equal(
             models.sample_mixture(p, np.int64(10), np.uint32(3)),
             models.sample_mixture(p, 10, 3))
+
+    def test_accepts_bool_count(self):
+        # operator.index reads True as 1; numpy refused the bool
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+        assert np.array_equal(models.sample_mixture(p, True, 0),
+                              models.sample_mixture(p, 1, 0))
+
+    def test_oversized_count_refused_before_drawing(self, monkeypatch):
+        # 2**60 rows of 8 bytes pass np.intp: numpy raised "array is too
+        # big"; nothing is drawn or allocated
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+
+        def no_generator(seed):
+            raise AssertionError("generator built for an oversized count")
+
+        monkeypatch.setattr(models.np.random, "default_rng", no_generator)
+        with pytest.raises(PreconditionError) as caught:
+            models.sample_mixture(p, 2**60, seed=0)
+        assert str(caught.value) == f"count is too large to draw, got {2**60}"
+
+    @pytest.mark.parametrize("draw", ["random", "standard_normal"])
+    def test_memory_error_is_precondition_error(self, monkeypatch, draw):
+        # a count numpy can size but memory cannot hold ended in numpy's
+        # _ArrayMemoryError; the generator here fails as if it were one
+        p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),
+                                       cov=((1.0,),))
+        real = np.random.default_rng
+
+        class OutOfMemory:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                if name == draw:
+                    raise MemoryError("unable to allocate")
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(models.np.random, "default_rng", OutOfMemory)
+        with pytest.raises(PreconditionError) as caught:
+            models.sample_mixture(p, 10, seed=0)
+        assert str(caught.value) == "count is too large to draw, got 10"
 
     def test_rejects_indefinite_covariance(self):
         p = models.HomoscedasticParams(means=((0.0,),), weights=(1.0,),

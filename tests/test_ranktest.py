@@ -856,6 +856,19 @@ class TestSampleMoments:
             estimate.sample_normal_form([], 4)
         assert exc.value.code == "INPUT_EMPTY"
 
+    def test_complex_data_rejected(self):
+        # numpy read the real parts only, with a ComplexWarning
+        for data in (np.array([1 + 1j, 2.0]), [1 + 1j, 2.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError) as exc:
+                    ranktest.estimate_components_from_data(data, 1)
+            assert exc.value.code == "INPUT_PARSE"
+
+    def test_float_data_are_not_copied(self):
+        arr, _, _ = estimate._sample(self.DATA, 2)
+        assert np.shares_memory(arr, self.DATA)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_rejected(self, bad):
         data = self.DATA.copy()

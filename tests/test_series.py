@@ -131,6 +131,22 @@ class TestMomentConversion:
         with pytest.raises(DimensionMismatchError):
             ts.TruncatedSeries(2, 3, {index: 1})
 
+    @pytest.mark.parametrize("nvars,degree,message", [
+        (2.0, 3, "nvars must be an integer, got 2.0"),
+        (2, 3.5, "degree must be an integer, got 3.5"),
+        (2, "3", "degree must be an integer, got 3")])
+    def test_non_integer_shape_rejected(self, nvars, degree, message):
+        # these raised a bare TypeError while the index table was built
+        with pytest.raises(PreconditionError) as err:
+            ts.TruncatedSeries(nvars, degree)
+        assert str(err.value) == message
+
+    def test_numpy_integer_shape(self):
+        s = ts.TruncatedSeries(np.int64(2), np.uint8(3), {(1, 0): 1})
+        assert (type(s.nvars), type(s.degree)) == (int, int)
+        assert s == ts.TruncatedSeries(2, 3, {(1, 0): 1})
+        assert s.truncate(np.int64(2)).degree == 2
+
 
 class TestFloatPath:
     def test_allclose_tolerance(self):
