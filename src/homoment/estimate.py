@@ -29,10 +29,10 @@ Moment vectors are plain sequences ``(m_1, ..., m_d)`` with the zeroth
 moment equal to one left implicit.  Entries may be ``Fraction``, but
 only :func:`normal_form` reads them exactly; every deconvolution (one
 loop, :func:`_deconvolve`), minor, pencil, determinant and root is
-floating point.  Moments become floats through one helper,
-:func:`_floats`, so an entry beyond float range is ``INPUT_RANGE`` at
-every entry point.  The exact deconvolution and pencil over Q are test
-oracles.
+floating point.  One helper, :func:`_floats`, converts and checks every
+float read or returned here, so an entry beyond float range or not
+finite is ``INPUT_RANGE`` at every entry point.  The exact
+deconvolution and pencil over Q are test oracles.
 """
 
 import functools
@@ -82,23 +82,17 @@ def _observations(arr):
     return arr
 
 
-def _finite(values, what, source="data"):
-    """``values``; one that is not a finite float is ``INPUT_RANGE``."""
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"{source} too large: {what} is not a finite float",
-                         code="INPUT_RANGE")
-    return values
-
-
 def _floats(values, what, source="moments"):
-    """``values`` as a float array, the one conversion of moments to
-    floats; an entry beyond float range (a ``Fraction`` or int too large)
-    is ``INPUT_RANGE``."""
+    """``values`` as a float array, the one conversion and check of floats:
+    an entry beyond float range or not finite is ``INPUT_RANGE``."""
     try:
-        return np.asarray(values, dtype=float)
+        floats = np.asarray(values, dtype=float)
+        if np.isfinite(floats).all():
+            return floats
     except OverflowError:
-        raise InputError(f"{source} too large: {what} is not a finite float",
-                         code="INPUT_RANGE") from None
+        pass
+    raise InputError(f"{source} too large: {what} is not a finite float",
+                     code="INPUT_RANGE")
 
 
 # values per block of the moment pass, so that a block and its products
@@ -202,8 +196,8 @@ def _sample(data, degree, centre=None, columns=1):
         sums = moment_sums(arr, degree, centre)
     if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
         _observations(arr)
-    return (arr, _finite(centre, "a sample mean"),
-            _finite(sums / len(arr), "a sample moment"))
+    return (arr, _floats(centre, "a sample mean", "data"),
+            _floats(sums / len(arr), "a sample moment", "data"))
 
 
 def raw_moments(data, order):
@@ -332,10 +326,10 @@ def fit_two_gaussians(cumulants, order=None):
     Requires a nonzero principal third cumulant: mixtures with equal
     weights or equal means have none and raise
     :class:`SymmetricMixtureError`.  Every coefficient of orders
-    1..``order`` is read through :func:`_floats`: one beyond float range
-    is ``INPUT_RANGE``, as are a moment a! c, a covariance scale and a
-    pivot ratio that overflow, and a float that is not finite
-    ``INPUT_PARSE``.
+    1..``order`` is read exact or as a finite real first (else
+    ``INPUT_PARSE``: a NaN, an infinity, a complex number), then through
+    :func:`_floats`: one beyond float range is ``INPUT_RANGE``, as are a
+    moment a! c, a covariance scale and a pivot ratio that overflow.
     """
     n = cumulants.nvars
     if cumulants.constant() != 0:
@@ -353,17 +347,16 @@ def fit_two_gaussians(cumulants, order=None):
         return tuple(e if t == i else 0 for t in range(n))
 
     position = ts.index_table(n, order).positions
-    values = _exact_or_finite(_floats(cumulants._c[1:len(position)],
-                                      "a cumulant", "cumulants"),
-                              "cumulants").tolist()
+    values = _floats(_exact_or_finite(cumulants._c[1:len(position)],
+                                      "cumulants"),
+                     "a cumulant", "cumulants").tolist()
 
     def coeff(a):
         return values[position[a] - 1]
 
     def moment(a):
-        # a! c rounded once, from the exact product, then checked finite
-        value = _floats(cumulants.moment(a), "a cumulant", "cumulants")
-        return float(_finite(value, "a cumulant", "cumulants"))
+        # a! c rounded once, from the exact product, and checked finite
+        return float(_floats(cumulants.moment(a), "a cumulant", "cumulants"))
 
     mean_shift = [moment(unit(i, 1)) for i in range(n)]
     # the raw second cumulants, at the indices e_i + e_j
@@ -502,13 +495,13 @@ def normal_form(moments):
     with np.errstate(over="ignore"):
         for j in range(len(central)):
             central[j:] /= sd
-    _finite(central, "a standardised moment", "moments")
+    _floats(central, "a standardised moment")
     return NormalForm(mean, float(variance), central.tolist())
 
 
 def _moment_scale(m):
     vals = [abs(x) ** (1.0 / j)
-            for j, x in enumerate(_floats(m, "a moment").tolist(), start=1)
+            for j, x in enumerate(np.asarray(m, dtype=float).tolist(), 1)
             if x != 0.0]
     return max(vals, default=1.0)
 
@@ -566,7 +559,7 @@ def deconvolve_moments(moments, variance):
     variance, = _exact_or_finite([ts._promote(variance)], "variance")
     *row, v = _floats([*m, variance], "an entry").tolist()
     mt = _deconvolve([row], [v], _deconvolution_table(len(row)))[0][1:]
-    return _finite(mt, "a deconvolved moment", "moments")
+    return _floats(mt, "a deconvolved moment").tolist()
 
 
 @dataclass(frozen=True)
@@ -591,15 +584,16 @@ def pencil_minor_values(moments, k, s):
     row (for one vector, one per evaluation).  One vector at one variance
     gives a list; a stack or a vector of variances gives an
     ``N x nminors`` array.  A variance that is not finite is
-    ``INPUT_PARSE`` (a moment too, in a stack as in one vector), a minor
-    that is not finite ``INPUT_RANGE``.
+    ``INPUT_PARSE`` (a moment too, in a stack as in one vector), one
+    beyond float range or a minor that is not finite ``INPUT_RANGE``.
     """
     k = _check_k(k)
     _exact_or_finite(np.ravel(s).tolist(), "variance")
-    if np.ndim(moments) == 1 and np.ndim(s) == 0:
-        return _float_minors([_moment_list(moments, k)], k, s)[0].tolist()
     _exact_or_finite(np.ravel(moments).tolist(), "moments")
-    return _float_minors(moments, k, s)
+    values = _float_minors(_floats(moments, "a moment"), k,
+                           _floats(s, "a variance", "variance"))
+    one = np.ndim(moments) == 1 and np.ndim(s) == 0
+    return values[0].tolist() if one else values
 
 
 def _float_minors(moments, k, s):
@@ -608,13 +602,14 @@ def _float_minors(moments, k, s):
     deconvolved by :func:`_deconvolve`.  Every minor's submatrix is
     gathered from the deconvolved rows by one fancy index (Hankel entry
     (i, j) is ``mt_{i+j}``), and one stacked determinant takes them all,
-    so each value equals the per-row float evaluation.
+    so each value equals the per-row float evaluation.  Callers hand it
+    floats they have checked (:func:`_floats`); it checks the minors.
     """
-    rows = _floats(moments, "a moment")
+    rows = np.asarray(moments, dtype=float)
     d = rows.shape[-1]
     layout = _minor_layout(d, k)
     rows = rows.reshape(-1, d).tolist()
-    variances = _floats(s, "a variance", "variance").ravel().tolist()
+    variances = np.asarray(s, dtype=float).ravel().tolist()
     if len(rows) == 1:
         rows *= len(variances)
     elif len(variances) == 1:
@@ -627,7 +622,7 @@ def _float_minors(moments, k, s):
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linalg.det(np.array(mt).reshape(-1, d + 1)[:, layout.index])
     # a float minor overflows on huge input
-    return _finite(values, "a Hankel minor", "moments")
+    return _floats(values, "a Hankel minor")
 
 
 class _MinorLayout(NamedTuple):
@@ -640,17 +635,34 @@ class _MinorLayout(NamedTuple):
     index: np.ndarray  # read-only: gathers every minor's submatrix
 
 
+# float64 values that one pencil's evaluation stack may hold: 1 GiB
+_MAX_STACK = 2 ** 27
+
+
+def _check_pencil(d, k):
+    """``k`` (:func:`_check_k`, ``d`` at least ``2 k``); a pencil whose
+    evaluation stack, nodes x minors x (k + 1)^2 floats, would pass
+    ``_MAX_STACK`` is ``PreconditionError``, without listing a minor."""
+    k = _check_k(k, 2 * k, d)
+    nminors = math.comb(d - k + 1, k + 1)
+    if ((k + 1) * (d - k) // 2 + 1) * nminors * (k + 1) ** 2 > _MAX_STACK:
+        raise PreconditionError(
+            f"the pencil of {d} moments at k={k} has {nminors} minors, too "
+            "many to evaluate: give fewer moments or a smaller k")
+    return k
+
+
 @functools.lru_cache(maxsize=None)
 def _minor_layout(d, k):
     """The :class:`_MinorLayout` of the pencil of order ``d`` and ``k``,
-    built once per process; ``d`` below ``2 k`` fails :func:`_check_k`.
+    built once per process, once :func:`_check_pencil` passes.
 
     A maximal minor takes ``k + 1`` of the ``d - k + 1`` columns (in
     ``combinations`` order); on columns ``sel`` it weighs ``k (k + 1) /
     2 + sum(sel)`` and is a polynomial of half that degree in the
     variance.  Minors of one degree form a group, fitted together.  The
     index gathers every minor's submatrix from a deconvolved row."""
-    k = _check_k(k, 2 * k, d)
+    k = _check_pencil(d, k)
     subsets = tuple(combinations(range(d - k + 1), k + 1))
     weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
     degrees = [w // 2 for w in weights]

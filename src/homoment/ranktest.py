@@ -28,11 +28,12 @@ import numpy as np
 
 from . import _poly
 from . import series as ts
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integers
 from .estimate import (
     _check_k,
-    _finite,
+    _check_pencil,
     _float_minors,
+    _floats,
     _minor_scales,
     _moment_scale,
     _sample,
@@ -166,10 +167,14 @@ def _sum_of_squares(minors, scales):
 
 
 def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
-    """Membership verdicts for k = 1..k_max from 2 k_max + 1 moments."""
+    """Membership verdicts for k = 1..k_max from 2 k_max + 1 moments.  Every
+    pencil uses all of them; one too large to run is ``PRECONDITION``
+    before any runs."""
     k_max = _check_k(k_max)
     form = normal_form(moments)
     _check_k(k_max, 2 * k_max + 1, len(form.moments))
+    for k in range(1, k_max + 1):
+        _check_pencil(len(form.moments), k)
     return [secant_membership(form, k, threshold=threshold)
             for k in range(1, k_max + 1)]
 
@@ -200,11 +205,17 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     k.  Each resample is gathered and its moments of orders 1..``d``
     taken by :func:`~homoment.estimate.raw_moments`; they fill one
     ``n_boot x d`` stack, whose minors are then taken in one batched
-    :func:`pencil_minor_values` call per k.
+    :func:`pencil_minor_values` call per k.  ``n_boot`` below 2, ``d``
+    below 1, a negative ``seed`` and a non-integer one are ``PRECONDITION``.
     """
+    n_boot, d, seed = check_integers(n_boot=n_boot, d=d, seed=seed)
     # a standard deviation over the resamples needs two of them
     if n_boot < 2:
         raise PreconditionError(f"n_boot must be at least 2, got {n_boot}")
+    if d < 1:
+        raise PreconditionError(f"d must be at least 1, got {d}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     arr = _sample(data, 1)[0].ravel()
     rng = np.random.default_rng(seed)
     moments = np.empty((n_boot, d))
@@ -228,8 +239,8 @@ def _delta_scales(m, count, witnesses, d):
     full = np.array([1.0, *m])
     orders = np.arange(1, d + 1)
     first = full[1:d + 1]
-    cov = _finite((full[orders[:, None] + orders] - np.outer(first, first))
-                  / count, "the moment covariance")
+    cov = _floats((full[orders[:, None] + orders] - np.outer(first, first))
+                  / count, "the moment covariance", "data")
     # moment j weighs j, so each step is the moment scale to that power
     step = _DIFF_STEP * _moment_scale(m[:d]) ** orders
     diag = np.diag(step)
@@ -256,10 +267,14 @@ def estimate_components_from_data(data, k_max):
     order-nminors quantity regardless of sample size;
     ``NOISE_FACTOR * nminors`` then separates sampling noise from real
     model violation.  There is no resampling and no random number: a
-    call returns the same answer every time.  Returns ``(k_hat, verdicts)``.
+    call returns the same answer every time; a pencil too large to run
+    is ``PRECONDITION`` before the data are read.  Returns ``(k_hat,
+    verdicts)``.
     """
     k_max = _check_k(k_max)
     d = 2 * k_max + 1
+    for k in range(1, k_max + 1):
+        _check_pencil(d, k)
     form, count = _sample_form(data, 2 * d)
     m = form.moments
     k_hat, verdicts = _whitened_count(

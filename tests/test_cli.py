@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -879,6 +880,25 @@ class TestRankTest:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    # every pencil uses all the moments: 81 cells at k = 3 would evaluate
+    # 1.5M minors (28 GiB), and the 25 moments of N(0, 1) at k = 6..9
+    # stacks of 1.2-2.6 GiB
+    @pytest.mark.parametrize("kmax,moments", [
+        (3, ",".join(["0,1"] * 40 + ["0"])),
+        (12, ",".join(str(0 if j % 2 else math.prod(range(j - 1, 0, -2)))
+                      for j in range(1, 26)))],
+        ids=["81-moments-kmax-3", "normal-25-kmax-12"])
+    def test_oversized_pencil_refused(self, capsys, kmax, moments):
+        start = time.perf_counter()
+        code, out, err = run(["rank-test", "--kmax", str(kmax), "--moments",
+                              moments], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        error = strict_json(err)["error"]
+        assert error["code"] == "PRECONDITION"
+        assert "minors, too many to evaluate" in error["message"]
 
     def test_zero_kmax_is_input_error(self, capsys):
         code, out, err = run(["rank-test", "--kmax", "0", "--moments",

@@ -360,9 +360,9 @@ class TestFitTwoGaussians:
     @pytest.mark.parametrize("swap,index,value", [
         (False, (4, 0), math.inf), (False, (2, 0), -math.inf),
         (False, (1, 0), math.nan), (True, (2, 1), math.nan),
-        (True, (0, 5), math.inf)],
+        (True, (0, 5), math.inf), (False, (2, 0), 1 + 1j)],
         ids=["inf-k40", "-inf-k20", "nan-k10", "nan-k21-pivot1",
-             "inf-k05-pivot1"])
+             "inf-k05-pivot1", "complex-k20"])
     def test_non_finite_cumulant(self, swap, index, value):
         # with pivot 1 the closed form never reads (2, 1): its NaN was
         # dropped by the residual's max, and the fit reported 3.6e-15

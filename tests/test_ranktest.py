@@ -481,6 +481,48 @@ class TestComponentCount:
         with pytest.raises(PreconditionError):
             ranktest.bootstrap_minor_scales(data, {1: 1.0}, 3, n_boot, 0)
 
+    @pytest.mark.parametrize("argument,message", [
+        ({"n_boot": 2.5}, "n_boot must be an integer, got 2.5"),
+        ({"d": 5.0}, "d must be an integer, got 5.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"d": -3}, "d must be at least 1, got -3")],
+        ids=["float-n-boot", "float-d", "float-seed", "negative-seed",
+             "negative-d"])
+    def test_bootstrap_arguments_are_checked(self, argument, message):
+        # each ended in a bare TypeError or ValueError, from Python or
+        # from numpy's generator and allocator
+        data = np.random.default_rng(0).normal(size=300)
+        with pytest.raises(PreconditionError) as caught:
+            ranktest.bootstrap_minor_scales(data, {1: 0.5},
+                                            **{"d": 5, **argument})
+        assert str(caught.value) == message
+
+    def test_oversized_count_refused_before_any_pencil(self):
+        # k_max = 12 takes 25 moments, and the pencils at k = 6..9 would
+        # stack 157M to 353M floats; k = 5 (119M) would run first
+        with pytest.raises(PreconditionError) as caught:
+            ranktest.estimate_components_from_data(_SAMPLE[:50], 12)
+        assert str(caught.value) == (
+            "the pencil of 25 moments at k=6 has 77520 minors, too many to "
+            "evaluate: give fewer moments or a smaller k")
+
+    @pytest.mark.parametrize("d,k_max,largest", [(23, 11, 101129600),
+                                                 (81, 2, 87993360),
+                                                 (21, 10, 29709680)])
+    def test_pencil_limit_admits_these_ladders(self, d, k_max, largest):
+        # nodes x minors x (k + 1)^2, the stack one pencil evaluates; the
+        # limit is checked by arithmetic alone, so no pencil runs here
+        def stack(k):
+            nodes = (k + 1) * (d - k) // 2 + 1
+            return nodes * math.comb(d - k + 1, k + 1) * (k + 1) ** 2
+
+        assert max(map(stack, range(1, k_max + 1))) == largest
+        for k in range(1, k_max + 1):
+            assert estimate._check_pencil(d, k) == k
+        with pytest.raises(PreconditionError):
+            estimate._check_pencil(81, 3)
+
 
 def _loop_minors(row, k, s):
     """Float maximal minors of one moment vector at one variance, the
