@@ -27,8 +27,6 @@ from .geometry import (
     veronese_report,
 )
 from .models import (
-    DiracMixtureParams,
-    GaussianParams,
     HomoscedasticParams,
     LaplaceParams,
     sample_mixture,
@@ -44,10 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DefectReport",
-    "DiracMixtureParams",
     "DimensionMismatchError",
     "Estimate",
-    "GaussianParams",
     "HankelPencil",
     "HomomentError",
     "HomoscedasticParams",

@@ -42,15 +42,14 @@ TABLE_COLUMNS = ("n", "k", "d", "par", "N", "exp", "dim", "delta", "Delta")
 
 
 def _parse_range(text, name):
-    """``'3'`` or ``'1..7'`` into an inclusive list."""
+    """``'3'`` or ``'1..7'`` into an inclusive range, never listed: a
+    range far past the envelope is refused at its first bad cell."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise InputError(f"--{name} expects an integer or lo..hi, got {text!r}")
 
@@ -325,6 +324,8 @@ def cmd_fit1d(args):
     if args.moments is not None:
         moments = _parse_moments(args.moments)
     else:
+        # a pencil too large to run is refused before the CSV is read
+        estimate._check_pencil(2 * args.k, args.k)
         moments = estimate.sample_normal_form(read_csv_matrix(args.input),
                                               2 * args.k)
     result = estimate.fit_univariate(moments, args.k)

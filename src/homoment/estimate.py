@@ -665,13 +665,16 @@ def _minor_layout(d, k):
     k = _check_pencil(d, k)
     subsets = tuple(combinations(range(d - k + 1), k + 1))
     weights = tuple(k * (k + 1) // 2 + sum(sel) for sel in subsets)
-    degrees = [w // 2 for w in weights]
-    groups = tuple((deg, np.flatnonzero(np.equal(degrees, deg)))
-                   for deg in sorted(set(degrees)))
+    # the minors of each degree in one pass: a stable sort keeps each
+    # group in combinations order
+    degrees = np.array(weights) // 2
+    order = np.argsort(degrees, kind="stable")
+    values, starts = np.unique(degrees[order], return_index=True)
+    groups = tuple(zip(values.tolist(), np.split(order, starts[1:])))
     index = np.arange(k + 1)[:, None] + np.array(subsets)[:, None, :]
     for array in [idx for _, idx in groups] + [index]:
         array.flags.writeable = False
-    return _MinorLayout(weights, groups, max(degrees) + 1, index)
+    return _MinorLayout(weights, groups, int(values[-1]) + 1, index)
 
 
 @functools.lru_cache(maxsize=64)

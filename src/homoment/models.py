@@ -1,10 +1,12 @@
-"""Parameter families and their truncated moment/cumulant series.
+"""Parameters of a homoscedastic Gaussian mixture (a Gaussian is its k =
+1 case, a Dirac mixture its zero-covariance case) and of the symmetric
+Laplace law, and their truncated moment/cumulant series.
 
 Forward maps are written in plain generic arithmetic (no numpy) so they
 accept ``Fraction`` entries for exact work and ``float`` entries for
 estimation.  Only :func:`sample_mixture` touches numpy.
 
-The four parameter families read their fields by one type rule
+Both parameter families read their fields by one type rule
 (:func:`_promote_fields`), then check them once (:func:`_check`): their
 shapes, then that no float entry is NaN or infinite (``INPUT_PARSE``),
 then weights summing to one and a symmetric covariance.  Exact entries
@@ -63,54 +65,29 @@ def _equal(reference, value):
     return value == reference
 
 
-def _check(points, weights=None, cov=None):
+def _check(points, weights, cov):
     """The one rule of every parameter family, in this order: the shapes
-    of ``points`` (n >= 1 coordinates and, when weighted, one weight
-    each) and of the ``n x n`` ``cov`` (:class:`DimensionMismatchError`),
-    then every float entry finite (``INPUT_PARSE``; the weight sum would
-    call a non-finite weight a precondition), then weights summing to
-    one and a symmetric covariance (:class:`PreconditionError`)."""
-    if weights is not None and (len(points) != len(weights) or not points):
+    of ``points`` (n >= 1 coordinates, one weight each) and of the
+    ``n x n`` ``cov`` (:class:`DimensionMismatchError`), then every float
+    entry finite (``INPUT_PARSE``; the weight sum would call a non-finite
+    weight a precondition), then weights summing to one and a symmetric
+    covariance (:class:`PreconditionError`)."""
+    if len(points) != len(weights) or not points:
         raise DimensionMismatchError("need one weight per point")
     n = len(points[0])
     if not n or any(len(p) != n for p in points):
         raise DimensionMismatchError("points must share a positive dimension")
-    if cov is not None and (len(cov) != n or any(len(row) != n for row in cov)):
+    if len(cov) != n or any(len(row) != n for row in cov):
         raise DimensionMismatchError(f"covariance must be {n} x {n}")
-    entries = sum(points + (cov or ()), weights or ())
-    if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
+    if not all(math.isfinite(x) for x in sum(points + cov, weights)
+               if isinstance(x, float)):
         raise InputError("parameters must be finite", code="INPUT_PARSE")
-    if weights is not None:
-        total = sum(weights[1:], weights[0])
-        if not _equal(1, total):
-            raise PreconditionError(f"weights sum to {total}, not 1")
-    if cov is not None and not all(_equal(cov[i][j], cov[j][i])
-                                   for i in range(n) for j in range(i + 1, n)):
+    total = sum(weights[1:], weights[0])
+    if not _equal(1, total):
+        raise PreconditionError(f"weights sum to {total}, not 1")
+    if not all(_equal(cov[i][j], cov[j][i])
+               for i in range(n) for j in range(i + 1, n)):
         raise PreconditionError("covariance must be symmetric")
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean vector and symmetric covariance matrix."""
-
-    mean: tuple
-    cov: tuple
-
-    def __post_init__(self):
-        _promote_fields(self, mean=1, cov=2)
-        _check((self.mean,), cov=self.cov)
-
-
-@dataclass(frozen=True)
-class DiracMixtureParams:
-    """Finitely supported distribution: atoms with weights summing to 1."""
-
-    points: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        _promote_fields(self, points=2, weights=1)
-        _check(self.points, self.weights)
 
 
 @dataclass(frozen=True)
@@ -159,17 +136,11 @@ class LaplaceParams:
 
     def __post_init__(self):
         _promote_fields(self, location=1, cov=2)
-        _check((self.location,), cov=self.cov)
+        _check((self.location,), (1,), self.cov)
 
 
 # ----------------------------------------------------------------------
 # forward maps
-
-
-def _linear_series(vec, degree):
-    n = len(vec)
-    return ts.TruncatedSeries(n, degree, {
-        tuple(int(t == j) for t in range(n)): vec[j] for j in range(n)})
 
 
 def _quadratic_series(cov, degree):
@@ -180,17 +151,6 @@ def _quadratic_series(cov, degree):
         tuple((t == i) + (t == j) for t in range(n)):
             cov[i][i] / 2 if i == j else cov[i][j]
         for i in range(n) for j in range(i, n) if degree > 1})
-
-
-def gaussian_moments(params, degree):
-    """Moment series of one Gaussian: exp of its quadratic cumulants."""
-    cum = _linear_series(params.mean, degree) + _quadratic_series(params.cov, degree)
-    return ts.exp(cum)
-
-
-def dirac_mixture_moments(params, degree):
-    """Moment series of a Dirac mixture: raw moments are weighted monomials."""
-    return _atom_moments(params.points, params.weights, degree)
 
 
 def _atom_moments(points, weights, degree):
@@ -223,14 +183,15 @@ def homoscedastic_cumulants(params, degree):
 
 
 def laplace_moments(params, degree):
-    """Moment series exp(u^t mu) / (1 - u^t Sigma u / 2), truncated."""
+    """Moment series exp(u^t mu) / (1 - u^t Sigma u / 2), truncated: the
+    series of an atom at mu times a geometric series."""
     quad = _quadratic_series(params.cov, degree)
     geometric = ts.TruncatedSeries.one(len(params.location), degree)
     power = geometric
     for _ in range(degree // 2):
         power = power * quad
         geometric = geometric + power
-    return ts.exp(_linear_series(params.location, degree)) * geometric
+    return _atom_moments((params.location,), (1,), degree) * geometric
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,44 @@ def rand_two_mixture(rng, n, lam_lo=5, lam_hi=95, avoid_half=5):
         means=means, weights=(lam, 1 - lam), cov=rand_psd(rng, n))
 
 
+def gaussian_params(mean, cov):
+    """One Gaussian: the homoscedastic mixture of one component."""
+    return models.HomoscedasticParams(means=[mean], weights=[1], cov=cov)
+
+
+def dirac_params(points, weights):
+    """A Dirac mixture: the homoscedastic mixture of zero covariance."""
+    n = len(points[0])
+    return models.HomoscedasticParams(means=points, weights=weights,
+                                      cov=[[0] * n for _ in range(n)])
+
+
+def gaussian_moments(mean, cov, degree):
+    """Moment series of one Gaussian, the exp of its cumulant series
+    u^t mean + u^t cov u / 2 built here from the entries: the oracle of
+    ``homoscedastic_moments`` at k = 1."""
+    n = len(mean)
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    cumulants = {units[i]: mean[i] for i in range(n)}
+    if degree > 1:
+        for i in range(n):
+            for j in range(i, n):
+                a = tuple(x + y for x, y in zip(units[i], units[j]))
+                cumulants[a] = cov[i][j] * (Fraction(1, 2) if i == j else 1)
+    return ts.exp(ts.TruncatedSeries(n, degree, cumulants))
+
+
+def dirac_moments(points, weights, degree):
+    """Moment series of atoms at ``points``, m_a the weighted sum of the
+    monomials p^a: the oracle of ``homoscedastic_moments`` at zero
+    covariance."""
+    n = len(points[0])
+    return ts.TruncatedSeries.from_moments(n, degree, {
+        a: sum(w * prod(x ** e for x, e in zip(p, a))
+               for w, p in zip(weights, points))
+        for a in ts.multi_indices(n, degree)[1:]})
+
+
 def univariate_moments(params, order):
     """Raw moment vector m_1..m_order of a one-dimensional mixture."""
     series = models.homoscedastic_moments(params, order)

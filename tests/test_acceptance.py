@@ -15,7 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import (
+    dirac_params,
     exact_variance_polynomial,
+    gaussian_params,
     match_two_components,
     rand_fraction,
     rand_series,
@@ -114,11 +116,11 @@ def test_c05_two_point_coefficients():
         if lam in seen or lam == 1:
             continue
         seen.add(lam)
-        atoms = models.DiracMixtureParams(
+        atoms = dirac_params(
             points=((1,), (-lam / (1 - lam),)), weights=(lam, 1 - lam))
         assert sum(w * p for w, (p,) in zip(atoms.weights,
-                                            atoms.points)) == 0, lam
-        series = ts.log(models.dirac_mixture_moments(atoms, 5))
+                                            atoms.means)) == 0, lam
+        series = models.homoscedastic_cumulants(atoms, 5)
         for order in (3, 4, 5):
             assert (series.coeff((order,))
                     == estimate.two_point_cumulant_coeff(lam, order)), lam
@@ -332,14 +334,14 @@ def test_c11_laplace_agreement():
         mu = (rand_fraction(rng), rand_fraction(rng))
         cov = rand_symmetric(rng, 2)
         lap = models.laplace_moments(models.LaplaceParams(mu, cov), 4)
-        gauss = models.gaussian_moments(models.GaussianParams(mu, cov), 4)
+        gauss = models.homoscedastic_moments(gaussian_params(mu, cov), 4)
         assert lap.truncate(3) == gauss.truncate(3)
         if any(cov[i][j] != 0 for i in range(2) for j in range(2)):
             assert lap != gauss
     lap1 = models.laplace_moments(
         models.LaplaceParams(location=(0,), cov=((1,),)), 4)
-    gauss1 = models.gaussian_moments(
-        models.GaussianParams(mean=(0,), cov=((1,),)), 4)
+    gauss1 = models.homoscedastic_moments(
+        gaussian_params(mean=(0,), cov=((1,),)), 4)
     assert lap1.moment((4,)) == 6
     assert gauss1.moment((4,)) == 3
 

@@ -203,6 +203,21 @@ class TestDefectTable:
         assert out == ""
         assert cell in strict_json(err)["error"]["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["--n", f"1..{10 ** 18}", "--d", "3"],
+        ["--n", "2", "--k", f"2..{10 ** 18}"],
+        ["--n", "2", "--k", "2", "--d", f"1..{10 ** 18}"]],
+        ids=["n", "k", "d"])
+    def test_huge_range_refused_at_its_first_bad_cell(self, capsys, args):
+        # a range is walked, never listed: a list of 10**18 cells ended
+        # in a bare MemoryError
+        start = time.perf_counter()
+        code, out, err = run(["defect-table", *args], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == "PRECONDITION"
+
     @pytest.mark.parametrize("args,digest", [
         ("--n 1..5 --d 3 --check --format json --seed 0",
          "0ff465ea0871265e88c295fa1d0af452490507a9275fba67ea60b3235be5b882"),
@@ -746,6 +761,28 @@ class TestFit1d:
         code, _, err = run(["fit1d", "--k", "1", "--input", str(data)], capsys)
         assert code == cli.EXIT_INPUT
         assert strict_json(err)["error"]["code"] == "INPUT_PARSE"
+
+    def test_oversized_pencil_refused_before_the_csv_is_read(
+            self, capsys, tmp_path, monkeypatch):
+        # k = 10**8 asks for 2 * 10**8 sample moments, a pencil that
+        # --moments refuses at once; --input read the CSV and built a
+        # 2 * 10**8-order index table first
+        data = tmp_path / "tiny.csv"
+        data.write_text("0.1\n0.5\n-0.3\n1.2\n")
+
+        def unread(path):
+            raise AssertionError("CSV read for an oversized pencil")
+
+        monkeypatch.setattr(cli, "read_csv_matrix", unread)
+        start = time.perf_counter()
+        code, out, err = run(["fit1d", "--k", str(10 ** 8), "--input",
+                              str(data)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        error = strict_json(err)["error"]
+        assert error["code"] == "PRECONDITION"
+        assert "minors, too many to evaluate" in error["message"]
 
     def test_input_fit_is_shift_equivariant(self, capsys, tmp_path):
         # uncentred, the sample moved to 1000 exited 3 (no nonnegative

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import (
     cumulant_ratio_from_weight_product,
+    dirac_params,
     exact_deconvolve_moments,
     exact_variance_polynomial,
+    gaussian_params,
     match_two_components,
     rand_fraction,
     rand_two_mixture,
@@ -124,11 +126,11 @@ class TestTwoPointCoefficients:
         rng = random.Random(1)
         for _ in range(20):
             lam = Fraction(rng.randint(1, 99), 100)
-            atoms = models.DiracMixtureParams(
+            atoms = dirac_params(
                 points=((1,), (-lam / (1 - lam),)), weights=(lam, 1 - lam))
             assert sum(w * p for w, (p,) in zip(atoms.weights,
-                                                atoms.points)) == 0
-            series = ts.log(models.dirac_mixture_moments(atoms, 5))
+                                                atoms.means)) == 0
+            series = models.homoscedastic_cumulants(atoms, 5)
             for order in (3, 4, 5):
                 assert (series.coeff((order,))
                         == estimate.two_point_cumulant_coeff(lam, order))
@@ -421,7 +423,7 @@ class TestDeconvolve:
 
     def test_gaussian_reduces_to_point(self):
         mu, s = Fraction(3, 2), Fraction(2, 5)
-        g = models.gaussian_moments(models.GaussianParams((mu,), ((s,),)), 6)
+        g = models.homoscedastic_moments(gaussian_params((mu,), ((s,),)), 6)
         m = [g.moment((j,)) for j in range(1, 7)]
         assert exact_deconvolve_moments(m, s) == [mu ** j for j in range(1, 7)]
 
@@ -465,9 +467,8 @@ class TestQuadrature:
             atoms = sorted(rng.sample(range(-6, 7), 3))
             free = [Fraction(rng.randint(1, 5), 10) for _ in range(2)]
             weights = free + [1 - sum(free)]
-            p = models.DiracMixtureParams(points=[(a,) for a in atoms],
-                                          weights=weights)
-            series = models.dirac_mixture_moments(p, 5)
+            p = dirac_params(points=[(a,) for a in atoms], weights=weights)
+            series = models.homoscedastic_moments(p, 5)
             m = [series.moment((j,)) for j in range(1, 6)]
             nodes = estimate.quadrature_nodes(m, 3)
             assert nodes == pytest.approx(atoms, abs=1e-8)
@@ -476,9 +477,9 @@ class TestQuadrature:
 
     def test_rank_deficiency_detected(self):
         # two atoms offered as three
-        p = models.DiracMixtureParams(points=((0,), (2,)),
-                                      weights=(Fraction(1, 2), Fraction(1, 2)))
-        series = models.dirac_mixture_moments(p, 5)
+        p = dirac_params(points=((0,), (2,)),
+                         weights=(Fraction(1, 2), Fraction(1, 2)))
+        series = models.homoscedastic_moments(p, 5)
         m = [series.moment((j,)) for j in range(1, 6)]
         with pytest.raises(RankDeficientMomentsError):
             estimate.quadrature_nodes(m, 3)
@@ -498,9 +499,9 @@ class TestQuadrature:
         for _ in range(20):
             atoms = sorted(rng.sample(range(-9, 10), 2))
             lam = Fraction(rng.randint(5, 95), 100)
-            p = models.DiracMixtureParams(points=[(a,) for a in atoms],
-                                          weights=(lam, 1 - lam))
-            series = models.dirac_mixture_moments(p, 3)
+            p = dirac_params(points=[(a,) for a in atoms],
+                             weights=(lam, 1 - lam))
+            series = models.homoscedastic_moments(p, 3)
             m = [series.moment((j,)) for j in range(1, 4)]
             got = estimate.quadrature_weights(
                 estimate.quadrature_nodes(m, 2), m)
@@ -576,9 +577,9 @@ class TestFitUnivariate:
         assert list(est.params.weights) == pytest.approx([0.5, 0.5], abs=1e-10)
 
     def test_pure_atomic_input_gives_zero_variance(self):
-        p = models.DiracMixtureParams(points=((-1,), (3,)),
-                                      weights=(Fraction(2, 5), Fraction(3, 5)))
-        series = models.dirac_mixture_moments(p, 4)
+        p = dirac_params(points=((-1,), (3,)),
+                         weights=(Fraction(2, 5), Fraction(3, 5)))
+        series = models.homoscedastic_moments(p, 4)
         m = [series.moment((j,)) for j in range(1, 5)]
         est = estimate.fit_univariate(m, 2)
         assert est.diagnostics["selected_variance"] == 0.0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (VERONESE_SPORADIC, centered_cumulant_rank, det,
+                      dirac_moments, dirac_params, gaussian_moments,
                       integer_rows, lagrange_interpolate, veronese_expected)
 from homoment import exactla, geometry, models
 from homoment import series as ts
@@ -317,8 +318,7 @@ def lowered(indices, j):
 
 def atom_series(point, degree):
     """E = exp(p.u), the moment series of one atom at p."""
-    atom = models.DiracMixtureParams(points=[point], weights=[1])
-    return models.dirac_mixture_moments(atom, degree)
+    return dirac_moments([point], [1], degree)
 
 
 def fraction_tangent_rows(weights, terms, cols):
@@ -336,8 +336,7 @@ def fraction_moment_map_jacobian(params, degree):
     """``geometry.moment_map_jacobian`` over Q."""
     n = len(params.means[0])
     cols = moment_columns(n, degree)
-    gauss = models.gaussian_moments(
-        models.GaussianParams(mean=(0,) * n, cov=params.cov), degree)
+    gauss = gaussian_moments((0,) * n, params.cov, degree)
     terms = [dict((atom_series(mean, degree) * gauss).items())
              for mean in params.means]
     rows = fraction_tangent_rows(params.weights, terms, cols)
@@ -357,8 +356,7 @@ def fraction_block(atoms, weights, d, lowest):
     """``geometry._block`` over Q: the rows w_i u_j E_i / D and
     (E_i - E_k) / D, i < k, at the orders >= ``lowest``."""
     n = len(atoms[0])
-    dirac = models.DiracMixtureParams(points=atoms, weights=weights)
-    inverse = ts.exp(-ts.log(models.dirac_mixture_moments(dirac, d)))
+    inverse = ts.exp(-ts.log(dirac_moments(atoms, weights, d)))
     terms = [dict((atom_series(a, d) * inverse).items()) for a in atoms]
     rows = fraction_tangent_rows(weights, terms, moment_columns(n, d, lowest))
     return rows[:(len(atoms) - 1) * n] + rows[len(atoms) * n:]
@@ -518,9 +516,8 @@ def homoscedastic_point(free, n, k):
 def dirac_point(free, n, k):
     """Atoms and the first k-1 weights in Jacobian row order."""
     weights = list(free[k * n:])
-    return models.DiracMixtureParams(
-        points=[free[i * n:(i + 1) * n] for i in range(k)],
-        weights=weights + [1 - sum(weights)])
+    return dirac_params(points=[free[i * n:(i + 1) * n] for i in range(k)],
+                        weights=weights + [1 - sum(weights)])
 
 
 class TestTangentsMatchForwardMaps:
@@ -556,7 +553,8 @@ class TestTangentsMatchForwardMaps:
         assert len(jac) == len(free)
         for r, row in enumerate(jac):
             assert row == tangent_by_interpolation(
-                lambda x: models.dirac_mixture_moments(dirac_point(x, n, k), d),
+                lambda x: models.homoscedastic_moments(
+                    dirac_point(x, n, k), d),
                 free, r, d, cols)
 
     @pytest.mark.parametrize("n,k,d", [(2, 2, 3), (2, 3, 4), (3, 3, 3)])
@@ -572,8 +570,8 @@ class TestTangentsMatchForwardMaps:
         assert len(block) == len(along) == (k - 1) * (n + 1)
         for r, row in zip(along, block):
             assert row == tangent_by_interpolation(
-                lambda x: ts.log(models.dirac_mixture_moments(
-                    dirac_point(x, n, k), d)), free, r, d, cols)
+                lambda x: models.homoscedastic_cumulants(
+                    dirac_point(x, n, k), d), free, r, d, cols)
 
 
 def check_against_oracle(monkeypatch, builder):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_fraction, rand_psd, rand_symmetric, reference_sample
+from conftest import (dirac_moments, dirac_params, gaussian_moments,
+                      gaussian_params, rand_fraction, rand_psd,
+                      rand_symmetric, reference_sample)
 from homoment import models
 from homoment import series as ts
 from homoment.errors import InputError, PreconditionError
@@ -33,14 +35,14 @@ FAMILY_FIELDS = {
 
 def family_params(family, means, weights, cov):
     """The parameters of ``family`` read from a 1-D mixture: the Dirac
-    mixture sits on its means, as does the homoscedastic mixture of zero
-    covariance that samples it, and the Gaussian and Laplace laws at
-    their sum."""
+    mixture sits on its means (the homoscedastic mixture of zero
+    covariance, spelled out as "zero-cov"), and the Gaussian (the
+    mixture of one component) and Laplace laws at their sum."""
     location = [sum(m[0] for m in means)]
     return {
-        "gaussian": lambda: models.GaussianParams(location, cov),
+        "gaussian": lambda: gaussian_params(location, cov),
         "laplace": lambda: models.LaplaceParams(location, cov),
-        "dirac": lambda: models.DiracMixtureParams(means, weights),
+        "dirac": lambda: dirac_params(means, weights),
         "zero-cov": lambda: models.HomoscedasticParams(means, weights,
                                                        [[0]]),
         "homoscedastic": lambda: models.HomoscedasticParams(means, weights,
@@ -50,7 +52,7 @@ def family_params(family, means, weights, cov):
 
 class TestGaussian:
     def test_point_mass_at_origin(self):
-        g = models.gaussian_moments(models.GaussianParams((0,), ((0,),)), 4)
+        g = models.homoscedastic_moments(gaussian_params((0,), ((0,),)), 4)
         assert g == ts.TruncatedSeries.one(1, 4)
 
     def test_second_moment_formula(self):
@@ -58,12 +60,12 @@ class TestGaussian:
         for _ in range(10):
             mu = (rand_fraction(rng), rand_fraction(rng))
             cov = rand_symmetric(rng, 2)
-            g = models.gaussian_moments(models.GaussianParams(mu, cov), 2)
+            g = models.homoscedastic_moments(gaussian_params(mu, cov), 2)
             assert g.moment((2, 0)) == mu[0] ** 2 + cov[0][0]
             assert g.moment((1, 1)) == mu[0] * mu[1] + cov[0][1]
 
     def test_standard_normal_even_moments(self):
-        g = models.gaussian_moments(models.GaussianParams((0,), ((1,),)), 6)
+        g = models.homoscedastic_moments(gaussian_params((0,), ((1,),)), 6)
         assert [g.moment((j,)) for j in (2, 4, 6)] == [1, 3, 15]
         assert all(g.moment((j,)) == 0 for j in (1, 3, 5))
 
@@ -71,7 +73,7 @@ class TestGaussian:
         rng = random.Random(2)
         mu = (rand_fraction(rng), rand_fraction(rng))
         cov = rand_symmetric(rng, 2)
-        k = ts.log(models.gaussian_moments(models.GaussianParams(mu, cov), 5))
+        k = models.homoscedastic_cumulants(gaussian_params(mu, cov), 5)
         assert k.moment((1, 0)) == mu[0]
         assert k.moment((2, 0)) == cov[0][0]
         assert k.moment((1, 1)) == cov[0][1]
@@ -80,21 +82,21 @@ class TestGaussian:
 
 class TestDiracMixture:
     def test_single_atom_at_one(self):
-        d = models.dirac_mixture_moments(
-            models.DiracMixtureParams(points=((1,),), weights=(1,)), 3)
+        d = models.homoscedastic_moments(
+            dirac_params(points=((1,),), weights=(1,)), 3)
         assert [d.moment((j,)) for j in (1, 2, 3)] == [1, 1, 1]
 
     def test_two_equal_atoms(self):
-        d = models.dirac_mixture_moments(
-            models.DiracMixtureParams(points=((0,), (2,)),
-                                      weights=(Fraction(1, 2), Fraction(1, 2))), 4)
+        d = models.homoscedastic_moments(
+            dirac_params(points=((0,), (2,)),
+                         weights=(Fraction(1, 2), Fraction(1, 2))), 4)
         assert [d.moment((j,)) for j in (1, 2, 3, 4)] == [1, 2, 4, 8]
 
     def test_zero_weight_component_is_invisible(self):
-        a = models.dirac_mixture_moments(
-            models.DiracMixtureParams(points=((3, 1), (7, -2)), weights=(1, 0)), 3)
-        b = models.dirac_mixture_moments(
-            models.DiracMixtureParams(points=((3, 1),), weights=(1,)), 3)
+        a = models.homoscedastic_moments(
+            dirac_params(points=((3, 1), (7, -2)), weights=(1, 0)), 3)
+        b = models.homoscedastic_moments(
+            dirac_params(points=((3, 1),), weights=(1,)), 3)
         assert a == b
 
     @settings(max_examples=60, deadline=None)
@@ -125,8 +127,8 @@ class TestDiracMixture:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(PreconditionError):
-            models.DiracMixtureParams(points=((1,), (2,)),
-                                      weights=(Fraction(1, 2), Fraction(1, 3)))
+            dirac_params(points=((1,), (2,)),
+                         weights=(Fraction(1, 2), Fraction(1, 3)))
 
 
 class TestHomoscedastic:
@@ -136,8 +138,7 @@ class TestHomoscedastic:
         cov = ((Fraction(5, 4),),)
         mix = models.homoscedastic_moments(
             models.HomoscedasticParams(means=(mu,), weights=(1,), cov=cov), 4)
-        gauss = models.gaussian_moments(models.GaussianParams(mu, cov), 4)
-        assert mix == gauss
+        assert mix == gaussian_moments(mu, cov, 4)
 
     def test_reference_point(self):
         p = models.HomoscedasticParams(
@@ -197,10 +198,8 @@ class TestHomoscedastic:
             weights = tuple(free + [1 - sum(free)])
             cov = rand_symmetric(rng, 2)
             p = models.HomoscedasticParams(means=means, weights=weights, cov=cov)
-            gauss = models.gaussian_moments(
-                models.GaussianParams((0, 0), cov), 4)
-            atoms = models.dirac_mixture_moments(
-                models.DiracMixtureParams(points=means, weights=weights), 4)
+            gauss = gaussian_moments((0, 0), cov, 4)
+            atoms = dirac_moments(means, weights, 4)
             assert models.homoscedastic_moments(p, 4) == gauss * atoms
 
     def test_cumulant_cone_minors(self):
@@ -249,8 +248,8 @@ class TestHomoscedastic:
 
 class TestCenteredCumulants:
     def test_single_centered_atom_vanishes(self):
-        p = models.DiracMixtureParams(points=((0, 0),), weights=(1,))
-        cumulants = ts.log(models.dirac_mixture_moments(p, 4)).graded(3)
+        p = dirac_params(points=((0, 0),), weights=(1,))
+        cumulants = models.homoscedastic_cumulants(p, 4).graded(3)
         assert cumulants == ts.TruncatedSeries.zero(2, 4)
 
     def test_two_point_third_order_coefficient(self):
@@ -258,9 +257,9 @@ class TestCenteredCumulants:
         for _ in range(10):
             lam = Fraction(rng.randint(1, 99), 100)
             t = rand_fraction(rng, nonzero=True)
-            p = models.DiracMixtureParams(
+            p = dirac_params(
                 points=((t,), (-lam / (1 - lam) * t,)), weights=(lam, 1 - lam))
-            phi = ts.log(models.dirac_mixture_moments(p, 3)).graded(3)
+            phi = models.homoscedastic_cumulants(p, 3).graded(3)
             f3 = lam * (1 - lam) * (1 - 2 * lam) / (6 * (1 - lam) ** 3)
             assert phi.coeff((3,)) == f3 * t ** 3
 
@@ -270,8 +269,8 @@ class TestLaplace:
         mu = (Fraction(3, 2), Fraction(-1, 2))
         lap = models.laplace_moments(
             models.LaplaceParams(location=mu, cov=((0, 0), (0, 0))), 4)
-        dirac = models.dirac_mixture_moments(
-            models.DiracMixtureParams(points=(mu,), weights=(1,)), 4)
+        dirac = models.homoscedastic_moments(
+            dirac_params(points=(mu,), weights=(1,)), 4)
         assert lap == dirac
 
     def test_agrees_with_gaussian_through_order_three(self):
@@ -279,7 +278,7 @@ class TestLaplace:
         mu = (rand_fraction(rng), rand_fraction(rng))
         cov = rand_symmetric(rng, 2)
         lap = models.laplace_moments(models.LaplaceParams(mu, cov), 3)
-        gauss = models.gaussian_moments(models.GaussianParams(mu, cov), 3)
+        gauss = models.homoscedastic_moments(gaussian_params(mu, cov), 3)
         assert lap == gauss
 
     def test_fourth_moment_doubles_gaussian(self):
@@ -293,12 +292,12 @@ _WEIGHTS = [Fraction(1, 4), Fraction(3, 4)]
 _COV = [[2, Fraction(1, 2)], [Fraction(1, 2), 3]]
 _MIXTURE = models.HomoscedasticParams(_MEANS, _WEIGHTS, _COV)
 FORWARD_MAPS = {
-    "gaussian": lambda d: models.gaussian_moments(
-        models.GaussianParams(_MEANS[0], _COV), d),
+    "gaussian": lambda d: models.homoscedastic_moments(
+        gaussian_params(_MEANS[0], _COV), d),
     "laplace": lambda d: models.laplace_moments(
         models.LaplaceParams(_MEANS[0], _COV), d),
-    "dirac": lambda d: models.dirac_mixture_moments(
-        models.DiracMixtureParams(_MEANS, _WEIGHTS), d),
+    "dirac": lambda d: models.homoscedastic_moments(
+        dirac_params(_MEANS, _WEIGHTS), d),
     "homoscedastic": lambda d: models.homoscedastic_moments(_MIXTURE, d),
     "homoscedastic-cumulants":
         lambda d: models.homoscedastic_cumulants(_MIXTURE, d),
@@ -329,21 +328,21 @@ class TestParameterRule:
         assert caught.value.code == "INPUT_PARSE"
 
     @pytest.mark.parametrize("make,code", [
-        pytest.param(lambda: models.DiracMixtureParams(
+        pytest.param(lambda: dirac_params(
             points=((1,), (2, 3)), weights=(Fraction(1, 2), Fraction(1, 2))),
             "DIMENSION_MISMATCH", id="ragged-points"),
         pytest.param(lambda: models.HomoscedasticParams(
             means=((0.0,), (1.0,)), weights=(1.0,), cov=((1.0,),)),
             "DIMENSION_MISMATCH", id="more-means-than-weights"),
-        pytest.param(lambda: models.GaussianParams(
+        pytest.param(lambda: gaussian_params(
             mean=(0, 0), cov=((1, 0), (0,))),
             "DIMENSION_MISMATCH", id="non-square-covariance"),
         # points with no coordinate, in every family
-        pytest.param(lambda: models.GaussianParams(mean=(), cov=()),
+        pytest.param(lambda: gaussian_params(mean=(), cov=()),
                      "DIMENSION_MISMATCH", id="gaussian-no-coordinate"),
         pytest.param(lambda: models.LaplaceParams(location=(), cov=()),
                      "DIMENSION_MISMATCH", id="laplace-no-coordinate"),
-        pytest.param(lambda: models.DiracMixtureParams(
+        pytest.param(lambda: dirac_params(
             points=((),), weights=(1.0,)),
             "DIMENSION_MISMATCH", id="dirac-no-coordinate"),
         pytest.param(lambda: models.HomoscedasticParams(
@@ -370,10 +369,10 @@ class TestParameterRule:
         pytest.param(lambda: models.HomoscedasticParams(
             means=[0.0], weights=[1.0], cov=[[1.0]]),
             "INPUT_PARSE", id="flat-means"),
-        pytest.param(lambda: models.GaussianParams(mean=[0.0], cov=[1.0]),
+        pytest.param(lambda: gaussian_params(mean=[0.0], cov=[1.0]),
                      "INPUT_PARSE", id="flat-covariance"),
-        pytest.param(lambda: models.DiracMixtureParams(
-            points=[0.0, 1.0], weights=[0.5, 0.5]),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[0.0, 1.0], weights=[0.5, 0.5], cov=[[0.0]]),
             "INPUT_PARSE", id="flat-points"),
         pytest.param(lambda: models.HomoscedasticParams(
             means=[["a"]], weights=[1.0], cov=[[1.0]]),
@@ -432,10 +431,10 @@ class TestParameterRule:
         # symmetry (reference the upper entry, here at three scales)
         off = 0.5e-8 if ok else 2e-8
         checks = [
-            lambda: models.DiracMixtureParams(
+            lambda: dirac_params(
                 points=((0.0,), (1.0,)), weights=(0.5, 0.5 + off))]
         checks += [
-            lambda s=s: models.GaussianParams(
+            lambda s=s: gaussian_params(
                 mean=(0.0, 0.0), cov=((s, s), (s + off * max(1.0, s), s)))
             for s in (1e-3, 1.0, 1e6)]
         for make in checks:

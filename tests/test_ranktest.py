@@ -642,6 +642,27 @@ class TestBatchedPencil:
             with pytest.raises(ValueError):
                 array.flat[0] = 0
 
+    def test_groups_are_the_minors_of_each_degree(self):
+        # one stable sort and a split give each degree the minors that
+        # np.flatnonzero(degrees == deg) lists, in the same order, for
+        # every pencil with d <= 30 that the stack limit admits
+        for d in range(2, 31):
+            for k in range(1, d // 2 + 1):
+                try:
+                    estimate._check_pencil(d, k)
+                except PreconditionError:
+                    continue
+                layout = estimate._minor_layout.__wrapped__(d, k)
+                degrees = [w // 2 for w in layout.weights]
+                want = [(deg, np.flatnonzero(np.equal(degrees, deg)))
+                        for deg in sorted(set(degrees))]
+                assert [deg for deg, _ in layout.groups] == [
+                    deg for deg, _ in want]
+                for (_, got), (_, index) in zip(layout.groups, want):
+                    assert got.dtype == index.dtype
+                    assert np.array_equal(got, index)
+                assert layout.nodes == max(degrees) + 1
+
     @pytest.mark.parametrize("d,k,scale", [
         (d, k, scale) for d in range(2, 16) for k in range(1, d // 2 + 1)
         for scale in (1.0, 7.3)] + [(40, 20, 1.0)])
