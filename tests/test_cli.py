@@ -194,7 +194,8 @@ class TestDefectTable:
         (["--n", "1..2", "--k", "2", "--d", "7"], "(n=1, k=2, d=7)"),
         (["--n", "1..2", "--k", "3..4", "--d", "0"], "(n=1, k=3, d=0)"),
         (["--n", "1..2", "--d", "7"], "(n=1, k=1, d=7)"),
-        (["--n", "2..3", "--d", "7"], "(n=2, k=2, d=7)")])
+        (["--n", "2..3", "--d", "7"], "(n=2, k=2, d=7)")],
+        ids=["n=1,k=2,d=7", "n=1,k=3,d=0", "n=1,k=1,d=7", "n=2,k=2,d=7"])
     def test_envelope_error_names_a_requested_cell(self, capsys, args, cell):
         # the n and d check used k = 1, a cell not asked for when --k is
         # given or n > 1
@@ -453,7 +454,7 @@ class TestSimulateAndFit2:
          "fc6a210cf2466607810eac2f702f6df5b7b06d45084c8d36ac508c5df5533ade"),
         ("mixture_3d", "4",
          "331a01ca1f9de88de0c1a70f52b3afb59c2e445228df7c1398557b699ee1011f"),
-    ], ids=["2d-order4", "2d-order5", "3d-order4"])
+    ], ids=["readme-4", "readme-5", "mixture_3d-4"])
     def test_output_is_pinned(self, capsys, tmp_path, params, order, digest):
         # byte-stable stdout of the cumulant path: the README 2-D mixture
         # and the benchmark's 3-D one, 20k rows at seed 7
@@ -1084,7 +1085,7 @@ class TestNegativeMoments:
     @pytest.mark.parametrize("command,moments", [
         (["rank-test", "--kmax", "1"], "-1,3,-7"),
         (["fit1d", "--k", "1"], "-1,3"),
-    ])
+    ], ids=["rank-test", "fit1d"])
     def test_separate_value_same_as_attached(self, capsys, command, moments):
         attached = run(command + ["--moments=" + moments], capsys)
         separate = run(command + ["--moments", moments], capsys)
@@ -1166,7 +1167,7 @@ class TestMomentParse:
         ("1_000", 1000), (" 0.1 ", Fraction(1, 10)),
         ("1_0.2_5e-1_0", Fraction(1025, 10 ** 12)), (".5", Fraction(1, 2)),
         ("5.", 5), ("-0.0", 0), ("1e-400", 0), ("\u0661\u0662", 12),
-        ("0e999999999", 0), ("1e-999999999", 0)])
+        ("0e999999999", 0), ("1e-999999999", 0)], ids=str)
     def test_spellings(self, text, value):
         # underscores are read on Python 3.10, whose Fraction refuses them
         assert cli._parse_moments(text) == [value]

@@ -224,7 +224,7 @@ class TestFitTwoGaussians:
         assert second.diagnostics == first.diagnostics
 
     @pytest.mark.parametrize("eps", [Fraction(1, 10**6), Fraction(1, 10**9),
-                                     Fraction(1, 10**10)])
+                                     Fraction(1, 10**10)], ids=str)
     def test_near_symmetric_weights(self, eps):
         # the weight is solved for directly: recovering it from the weight
         # product as 0.5 (1 - sqrt(1 - 4q)) cancels as q nears 1/4
@@ -598,7 +598,8 @@ class TestFitUnivariate:
             estimate.fit_univariate([1.0, 2.0, 3.0], 2)
 
     @pytest.mark.parametrize("moments", [[1 + 1j, 2], [1.0, np.complex128(2)],
-                                         [1.0, "2"]])
+                                         [1.0, "2"]],
+                             ids=["complex", "numpy-complex", "string"])
     def test_moment_not_a_real_number(self, moments):
         # math.isfinite raised a bare TypeError
         with pytest.raises(InputError) as caught:

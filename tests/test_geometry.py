@@ -168,7 +168,7 @@ class TestExactLinearAlgebra:
         (rank, [[0.5, 0.5], [0.5, 0.5]]),
         (det, [[0.5]]),
         (rank, [[Fraction(1, 2), 1], [1, 2]]),
-    ])
+    ], ids=["rank-float", "det-float", "rank-fraction"])
     def test_float_entries_rejected(self, compute, matrix):
         # rank takes integers only; det also takes fractions
         with pytest.raises(PreconditionError):
@@ -248,7 +248,7 @@ class TestExactLinearAlgebra:
     @pytest.mark.parametrize("matrix,expected", [
         ([[Fraction(1, PRIMES[0]), 1], [0, 1]], 2),
         ([[Fraction(1, PRIMES[0]), Fraction(2, PRIMES[0])], [1, 2]], 1),
-    ])
+    ], ids=["rank-2", "rank-1"])
     def test_denominator_equal_to_the_prime(self, matrix, expected):
         assert bareiss_rank(matrix) == expected
         assert rank(integer_rows(matrix)[0], PRIMES[0]) == expected
@@ -782,21 +782,22 @@ class TestEmptyBlocks:
     d = 1 leave it no columns.  Rows and ranks are pinned."""
 
     @pytest.mark.parametrize("report,n,k,d,row,ranks", [
-        ("defect_report", 1, 1, 1, (1, 1, 1, 2, 1, 1, 1, 0, 1), (1,)),
-        ("defect_report", 1, 1, 2, (1, 1, 2, 2, 2, 2, 2, 0, 0), (2,)),
-        ("defect_report", 1, 1, 3, (1, 1, 3, 2, 3, 2, 2, 0, 0), (2,)),
-        ("defect_report", 3, 1, 1, (3, 1, 1, 9, 3, 3, 3, 0, 6), (3,)),
-        ("defect_report", 3, 1, 2, (3, 1, 2, 9, 9, 9, 9, 0, 0), (9,)),
-        ("defect_report", 3, 1, 3, (3, 1, 3, 9, 19, 9, 9, 0, 0), (9,)),
-        ("defect_report", 2, 2, 1, (2, 2, 1, 8, 2, 2, 2, 0, 6), (2,)),
-        ("defect_report", 2, 2, 2, (2, 2, 2, 8, 5, 5, 5, 0, 3), (5,)),
-        ("defect_report", 3, 3, 1, (3, 3, 1, 17, 3, 3, 3, 0, 14), (3,)),
-        ("defect_report", 3, 3, 2, (3, 3, 2, 17, 9, 9, 9, 0, 8), (9,)),
-        ("veronese_report", 1, 1, 1, (1, 1, 1, 1, 1, 1, 1, 0, 0), (1,)),
-        ("veronese_report", 1, 3, 1, (1, 3, 1, 5, 1, 1, 1, 0, 4), (1,)),
-        ("veronese_report", 3, 2, 1, (3, 2, 1, 7, 3, 3, 3, 0, 4), (3,)),
-        ("veronese_report", 2, 1, 3, (2, 1, 3, 2, 9, 2, 2, 0, 0), (2,)),
-    ])
+        pytest.param(*case, id="-".join(map(str, case[:4]))) for case in [
+            ("defect_report", 1, 1, 1, (1, 1, 1, 2, 1, 1, 1, 0, 1), (1,)),
+            ("defect_report", 1, 1, 2, (1, 1, 2, 2, 2, 2, 2, 0, 0), (2,)),
+            ("defect_report", 1, 1, 3, (1, 1, 3, 2, 3, 2, 2, 0, 0), (2,)),
+            ("defect_report", 3, 1, 1, (3, 1, 1, 9, 3, 3, 3, 0, 6), (3,)),
+            ("defect_report", 3, 1, 2, (3, 1, 2, 9, 9, 9, 9, 0, 0), (9,)),
+            ("defect_report", 3, 1, 3, (3, 1, 3, 9, 19, 9, 9, 0, 0), (9,)),
+            ("defect_report", 2, 2, 1, (2, 2, 1, 8, 2, 2, 2, 0, 6), (2,)),
+            ("defect_report", 2, 2, 2, (2, 2, 2, 8, 5, 5, 5, 0, 3), (5,)),
+            ("defect_report", 3, 3, 1, (3, 3, 1, 17, 3, 3, 3, 0, 14), (3,)),
+            ("defect_report", 3, 3, 2, (3, 3, 2, 17, 9, 9, 9, 0, 8), (9,)),
+            ("veronese_report", 1, 1, 1, (1, 1, 1, 1, 1, 1, 1, 0, 0), (1,)),
+            ("veronese_report", 1, 3, 1, (1, 3, 1, 5, 1, 1, 1, 0, 4), (1,)),
+            ("veronese_report", 3, 2, 1, (3, 2, 1, 7, 3, 3, 3, 0, 4), (3,)),
+            ("veronese_report", 2, 1, 3, (2, 1, 3, 2, 9, 2, 2, 0, 0), (2,)),
+        ]])
     def test_rows(self, report, n, k, d, row, ranks):
         got = getattr(geometry, report)(n, k, d, seed=0)
         assert (got.as_row(), got.ranks) == (row, ranks)
@@ -816,7 +817,7 @@ class TestDefectReports:
         (2, 3, (2, 3, 3, 11, 9, 9, 9, 0, 2)),
         (3, 4, (3, 4, 3, 21, 19, 19, 19, 0, 2)),
         (5, 7, (5, 7, 3, 56, 55, 55, 54, 1, 2)),
-    ])
+    ], ids=["1-1", "2-2", "2-3", "3-4", "5-7"])
     def test_reference_rows(self, n, k, row):
         assert geometry.defect_report(n, k, 3, seed=0).as_row() == row
 

@@ -1,6 +1,7 @@
 """The package surface: what ``homoment`` exports and what it imports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +31,17 @@ def test_exports_resolve_and_imports_stay_numpy_only():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, f"imports outside numpy and the stdlib: {foreign}"
+
+
+def test_parametrised_ids_name_their_values(request):
+    # pytest names a value it cannot print by its argument and position
+    # ("value27"), so deleting one case renamed every case after it
+    positional = []
+    for item in request.session.items:
+        spec = getattr(item, "callspec", None)
+        if spec is None:
+            continue
+        counter = "(?:" + "|".join(map(re.escape, spec.params)) + r")\d+"
+        if any(re.fullmatch(counter, part) for part in spec.id.split("-")):
+            positional.append(item.nodeid)
+    assert not positional, f"ids named by position, not value: {positional}"

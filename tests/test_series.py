@@ -119,7 +119,8 @@ class TestMomentConversion:
         with pytest.raises(DimensionMismatchError):
             s.coeff((4, 0))
 
-    @pytest.mark.parametrize("index", [(-1, 2), (2, -1), (1,), (1, 1, 0)])
+    @pytest.mark.parametrize("index", [(-1, 2), (2, -1), (1,), (1, 1, 0)],
+                             ids=lambda index: ",".join(map(str, index)))
     def test_bad_index_is_input_error(self, index):
         s = ts.TruncatedSeries.one(2, 3)
         with pytest.raises(DimensionMismatchError):
