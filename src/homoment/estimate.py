@@ -167,26 +167,34 @@ def _sample(data, degree, centre=None, columns=1):
     column), its centre (the column means unless given) and its averaged
     monomials of orders 1..``degree`` about it (:func:`moment_sums`),
     under one rule.  ``degree`` not an integer or below 1 is
-    ``PreconditionError``, complex data ``INPUT_PARSE``, empty data
-    ``INPUT_EMPTY``, and a shape other than ``columns`` columns
-    (None: as many as a series of order ``degree`` allows) is
-    ``DimensionMismatchError`` before the pass builds its table.  A sum
-    with a term that is not finite is not finite either, so the values
-    are scanned (``INPUT_PARSE``) only when an order-1 sum or the centre
-    is not; a mean or moment out of float range is ``INPUT_RANGE``."""
+    ``PreconditionError``, data that are complex or that ``float`` cannot
+    read ``INPUT_PARSE``, empty data ``INPUT_EMPTY``, and ragged rows or a
+    shape other than ``columns`` columns (None: as many as a series of
+    order ``degree`` allows) ``DimensionMismatchError`` before the pass
+    builds its table.  A sum with a term that is not finite is not finite
+    either, so the values are scanned (``INPUT_PARSE``) only when an
+    order-1 sum or the centre is not; a mean or moment out of float range
+    is ``INPUT_RANGE``."""
     degree, = check_integers(order=degree)
     if degree < 1:
         raise PreconditionError(f"order must be at least 1, got {degree}")
-    arr = np.asarray(data)
+    shape = f"data must be a count x {columns or 'n'} array of observations"
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # rows of different lengths
+        raise DimensionMismatchError(shape) from None
+    unreal = InputError("data must be real numbers", code="INPUT_PARSE")
     if arr.dtype.kind == "c":
-        raise InputError("data must be real numbers", code="INPUT_PARSE")
-    arr = arr.astype(float, copy=False)
+        raise unreal
+    try:
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # an entry float() cannot read
+        raise unreal from None
     if arr.size == 0:
         raise InputError("need at least one observation", code="INPUT_EMPTY")
     n = arr.shape[1] if arr.ndim == 2 else 1
     if arr.ndim > 2 or columns not in (None, n):
-        raise DimensionMismatchError(
-            f"data must be a count x {columns or 'n'} array of observations")
+        raise DimensionMismatchError(shape)
     if columns is None:
         ts._check_shape(n, degree)
     arr = arr.reshape(-1, n)
@@ -646,9 +654,10 @@ def _check_pencil(d, k):
     k = _check_k(k, 2 * k, d)
     nminors = math.comb(d - k + 1, k + 1)
     if ((k + 1) * (d - k) // 2 + 1) * nminors * (k + 1) ** 2 > _MAX_STACK:
+        minors = "1 minor" if nminors == 1 else f"{nminors} minors"
         raise PreconditionError(
-            f"the pencil of {d} moments at k={k} has {nminors} minors, too "
-            "many to evaluate: give fewer moments or a smaller k")
+            f"the pencil of {d} moments at k={k} is too large to evaluate "
+            f"({minors} of order {k + 1})")
     return k
 
 
@@ -775,7 +784,8 @@ def quadrature_weights(nodes, moments):
     Vandermonde system whose first row forces the weights to sum to one."""
     k = len(nodes)
     m = [1.0] + _floats(_moment_list(moments, k, k - 1), "a moment").tolist()
-    nodes = [float(x) for x in nodes]
+    nodes = _floats(_exact_or_finite(nodes, "atom locations"),
+                    "an atom location", "atom locations").tolist()
     gap = min((abs(a - b) for i, a in enumerate(nodes)
                for b in nodes[i + 1:]), default=float("inf"))
     span = max((abs(x) for x in nodes), default=1.0)

@@ -282,8 +282,6 @@ class TruncatedSeries:
     def __truediv__(self, scalar):
         if isinstance(scalar, TruncatedSeries):
             return NotImplemented
-        if type(scalar) is int:
-            return self * Fraction(1, scalar)
         return self._scaled(np.true_divide, scalar)
 
     # ------------------------------------------------------------------

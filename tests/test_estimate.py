@@ -494,6 +494,17 @@ class TestQuadrature:
         with pytest.raises(SingularSystemError):
             estimate.quadrature_weights([1.0, 1.0 + 1e-14], [1, 1])
 
+    @pytest.mark.parametrize("node,code", [
+        (math.nan, "INPUT_PARSE"), (math.inf, "INPUT_PARSE"),
+        ("1", "INPUT_PARSE"), (10 ** 400, "INPUT_RANGE")],
+        ids=["nan", "inf", "string", "10**400"])
+    def test_node_not_a_finite_float_rejected(self, node, code):
+        # a NaN gave NaN weights, an infinity "repeated atom locations"
+        # and a string a bare ValueError
+        with pytest.raises(InputError) as caught:
+            estimate.quadrature_weights([node, 2.0], [1.0])
+        assert caught.value.code == code
+
     def test_nonnegative_weights_on_valid_mixtures(self):
         rng = random.Random(9)
         for _ in range(20):

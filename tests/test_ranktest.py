@@ -504,8 +504,8 @@ class TestComponentCount:
         with pytest.raises(PreconditionError) as caught:
             ranktest.estimate_components_from_data(_SAMPLE[:50], 12)
         assert str(caught.value) == (
-            "the pencil of 25 moments at k=6 has 77520 minors, too many to "
-            "evaluate: give fewer moments or a smaller k")
+            "the pencil of 25 moments at k=6 is too large to evaluate "
+            "(77520 minors of order 7)")
 
     @pytest.mark.parametrize("d,k_max,largest", [(23, 11, 101129600),
                                                  (81, 2, 87993360),
@@ -927,6 +927,22 @@ class TestSampleMoments:
                 with pytest.raises(InputError) as exc:
                     ranktest.estimate_components_from_data(data, 1)
             assert exc.value.code == "INPUT_PARSE"
+
+    @pytest.mark.parametrize("data,code", [
+        (np.array([["a", "b"]]), "INPUT_PARSE"), (["a", "b"], "INPUT_PARSE"),
+        ([[1, 2], [3]], "DIMENSION_MISMATCH")],
+        ids=["string-array", "string-list", "ragged-rows"])
+    def test_unreadable_data_rejected(self, data, code):
+        # numpy's conversion ended in a bare ValueError
+        for call in (lambda: estimate.sample_cumulants(data, 4),
+                     lambda: ranktest.estimate_components_from_data(data, 1)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert exc.value.code == code
+
+    def test_numeric_strings_read_as_numbers(self):
+        assert ranktest.raw_moments(["1.5", "-2"], 3) == ranktest.raw_moments(
+            [1.5, -2.0], 3)
 
     def test_float_data_are_not_copied(self):
         arr, _, _ = estimate._sample(self.DATA, 2)

@@ -164,6 +164,20 @@ class TestFloatPath:
         k = ts.TruncatedSeries(2, 4, coeffs)
         assert allclose(ts.log(ts.exp(k)), k)
 
+    @pytest.mark.parametrize("j", [3, 7, 10])
+    def test_division_by_an_int_is_one_quotient(self, j):
+        # each float coefficient is divided by j once (a product with a
+        # rounded 1/j missed x / j for about a third of them), and a
+        # Fraction one stays exact
+        rng = random.Random(j)
+        coeffs = {a: rng.uniform(-1, 1) for a in ts.multi_indices(2, 6)}
+        floats = ts.TruncatedSeries(2, 6, coeffs) / j
+        assert list(floats.items()) == [(a, c / j) for a, c in coeffs.items()]
+        exact = ts.TruncatedSeries(
+            2, 6, {a: Fraction(c) for a, c in coeffs.items()}) / j
+        assert [(a, c, type(c)) for a, c in exact.items()] == [
+            (a, Fraction(c) / j, Fraction) for a, c in coeffs.items()]
+
 
 # ----------------------------------------------------------------------
 # the array engine against the dict engine (tests/conftest.py)
