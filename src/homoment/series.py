@@ -19,9 +19,9 @@ the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
 and build every monomial p^a as its parent's times p_c.
 
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
-value supporting ``+``, ``-``, ``*`` and division by ``int``.  Plain
-``int`` coefficients are promoted to ``Fraction`` so that exact inputs
-stay exact.
+value supporting ``+``, ``-``, ``*`` and division by ``int``.  Integer
+coefficients (Python's or numpy's) are promoted to ``Fraction`` so that
+exact inputs stay exact.
 
 All operations return new series; instances are treated as immutable
 values and are safe to share across threads.
@@ -117,9 +117,10 @@ def index_factorial(a):
 
 
 def _promote(c):
-    # ints become Fractions so exact arithmetic survives division
-    if type(c) is int:
-        return Fraction(c)
+    # integers become Fractions so exact arithmetic survives division,
+    # and a numpy integer cannot wrap in a product
+    if type(c) is int or isinstance(c, np.integer):
+        return Fraction(int(c))
     return c
 
 

@@ -178,6 +178,13 @@ class TestFloatPath:
         assert [(a, c, type(c)) for a, c in exact.items()] == [
             (a, Fraction(c) / j, Fraction) for a, c in coeffs.items()]
 
+    def test_numpy_integers_are_exact(self):
+        # kept as int64, they divided to floats and wrapped in a product
+        # (2**40 squared was 0)
+        s = ts.TruncatedSeries(1, 2, {(1,): np.int64(2 ** 40)})
+        assert list((s / 2).items()) == [((1,), Fraction(2 ** 39))]
+        assert (s * s).coeff((2,)) == Fraction(2 ** 80)
+
 
 # ----------------------------------------------------------------------
 # the array engine against the dict engine (tests/conftest.py)
