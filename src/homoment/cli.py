@@ -73,28 +73,6 @@ def _parse_moments(text):
             for x, v in zip(cells, values)]
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
-def _positive_float(text):
-    """argparse type for thresholds that must be finite and above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isfinite(value) and value > 0:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"expected a finite positive number, got {text!r}")
-
-
 def _is_number(cell):
     try:
         float(cell)
@@ -409,7 +387,7 @@ def build_parser():
     fit2.set_defaults(func=cmd_fit2)
 
     fit1d = sub.add_parser("fit1d", help="univariate k-component fit")
-    fit1d.add_argument("--k", type=_positive_int, required=True)
+    fit1d.add_argument("--k", type=int, required=True)
     source = fit1d.add_mutually_exclusive_group(required=True)
     source.add_argument("--moments", help="comma-separated m_1..m_2k")
     source.add_argument("--input", help="single-column CSV")
@@ -419,8 +397,8 @@ def build_parser():
     rank = sub.add_parser("rank-test", help="secant membership ladder")
     rank.add_argument("--moments", required=True,
                       help="comma-separated m_1..m_d with d >= 2*kmax+1")
-    rank.add_argument("--kmax", type=_positive_int, required=True)
-    rank.add_argument("--threshold", type=_positive_float,
+    rank.add_argument("--kmax", type=int, required=True)
+    rank.add_argument("--threshold", type=float,
                       default=ranktest.DEFAULT_THRESHOLD)
     rank.add_argument("--output", default=None)
     rank.set_defaults(func=cmd_rank_test)

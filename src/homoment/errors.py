@@ -37,9 +37,10 @@ class PreconditionError(InputError):
     code = "PRECONDITION"
 
 
-def check_integers(**values):
+def check_integers(minimum=None, /, **values):
     """The values, in order, as ``operator.index`` gives them: Python ints
-    (from an int, a bool or a numpy integer); others PreconditionError."""
+    (from an int, a bool or a numpy integer); others, and one below
+    ``minimum`` when it is given, PreconditionError."""
     ints = []
     for name, value in values.items():
         try:
@@ -47,6 +48,9 @@ def check_integers(**values):
         except TypeError:
             raise PreconditionError(
                 f"{name} must be an integer, got {value}") from None
+        if minimum is not None and ints[-1] < minimum:
+            raise PreconditionError(
+                f"{name} must be at least {minimum}, got {ints[-1]}")
     return ints
 
 

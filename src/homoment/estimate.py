@@ -166,25 +166,26 @@ def _sample(data, degree, centre=None, columns=1):
     """``data`` as a ``count x n`` float array (a flat array is one
     column), its centre (the column means unless given) and its averaged
     monomials of orders 1..``degree`` about it (:func:`moment_sums`),
-    under one rule.  ``degree`` not an integer or below 1 is
-    ``PreconditionError``, data that are complex or that ``float`` cannot
-    read ``INPUT_PARSE``, empty data ``INPUT_EMPTY``, and ragged rows or a
-    shape other than ``columns`` columns (None: as many as a series of
-    order ``degree`` allows) ``DimensionMismatchError`` before the pass
-    builds its table.  A sum with a term that is not finite is not finite
-    either, so the values are scanned (``INPUT_PARSE``) only when an
-    order-1 sum or the centre is not; a mean or moment out of float range
-    is ``INPUT_RANGE``."""
-    degree, = check_integers(order=degree)
-    if degree < 1:
-        raise PreconditionError(f"order must be at least 1, got {degree}")
+    under one rule.  ``degree`` not an integer or below 1
+    (:func:`check_integers`) is ``PreconditionError``, data that are
+    complex, hold a None or that ``float`` cannot read ``INPUT_PARSE``,
+    empty data ``INPUT_EMPTY``, and ragged rows or a shape other than
+    ``columns`` columns (None: as many as a series of order ``degree``
+    allows) ``DimensionMismatchError`` before the pass builds its table.
+    A sum with a term that is not finite is not finite either, so the
+    values are scanned (``INPUT_PARSE``) only when an order-1 sum or the
+    centre is not; a mean or moment out of float range is
+    ``INPUT_RANGE``."""
+    degree, = check_integers(1, order=degree)
     shape = f"data must be a count x {columns or 'n'} array of observations"
     try:
         arr = np.asarray(data)
     except ValueError:  # rows of different lengths
         raise DimensionMismatchError(shape) from None
     unreal = InputError("data must be real numbers", code="INPUT_PARSE")
-    if arr.dtype.kind == "c":
+    # astype would read a None entry as NaN
+    if arr.dtype.kind == "c" or (arr.dtype.kind == "O"
+                                 and any(x is None for x in arr.flat)):
         raise unreal
     try:
         arr = arr.astype(float, copy=False)
@@ -441,11 +442,11 @@ def _fit_residual(params, values, order):
 
 def _check_k(k, need=0, given=0):
     """``k`` as an int, by the one rule for ``k`` and the moments it
-    needs: not an integer (:func:`check_integers`) or below 1 is
-    ``PreconditionError``, ``given < need`` ``InsufficientOrderError``."""
-    k, = check_integers(k=k)
-    if k < 1:
-        raise PreconditionError(f"k must be at least 1, got {k}")
+    needs: not an integer or below 1 (:func:`check_integers`) is
+    ``PreconditionError``, ``given < need`` ``InsufficientOrderError``.
+    Every entry point that takes a ``k`` or a ``k_max`` runs it before
+    any work, and the CLI leaves ``--k`` and ``--kmax`` to it."""
+    k, = check_integers(1, k=k)
     if given < need:
         raise InsufficientOrderError(f"need moment order {need}, got {given}")
     return k

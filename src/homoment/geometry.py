@@ -430,11 +430,10 @@ def predicted_defect_order3(n, k):
     Case analysis: two and three/four component mixtures in enough
     variables are always defective, (5, 7) is sporadic, and for n >= 4
     there is a defective band just above k = n + 1.  ``n`` and ``k`` must
-    be positive integers (``PreconditionError``).
+    be integers of at least 1 (:func:`check_integers`), else
+    ``PreconditionError``.
     """
-    n, k = check_integers(n=n, k=k)
-    if n < 1 or k < 1:
-        raise PreconditionError("n and k must be positive")
+    n, k = check_integers(1, n=n, k=k)
     if k == 1:
         return 0
     if k == 2 and n >= 2:

@@ -211,10 +211,10 @@ def _psd_factor(cov):
 
 def sample_mixture(params, count, seed):
     """Draw ``count`` i.i.d. observations, deterministic for a given
-    nonnegative integer seed.  ``count`` and ``seed`` are read as ints
-    (:func:`check_integers`: a numpy integer or a bool is one); others,
-    a ``count`` below 1 or whose draws numpy cannot size or memory
-    cannot hold, and a negative ``seed`` are ``PreconditionError``.
+    nonnegative integer seed.  ``count`` (at least 1) and ``seed`` (at
+    least 0) are read as ints by :func:`check_integers` (a numpy integer
+    or a bool is one); others, and a ``count`` whose draws numpy cannot
+    size or memory cannot hold, are ``PreconditionError``.
 
     The result is, to the bit, ``means[labels] + noise @ factor.T`` with
     ``labels = rng.choice(k, count, p=weights / weights.sum())`` and
@@ -233,11 +233,8 @@ def sample_mixture(params, count, seed):
     NaN entry of ``cdf`` would give every row label 0 where ``choice``
     raised.
     """
-    count, seed = check_integers(count=count, seed=seed)
-    if count < 1:
-        raise PreconditionError("count must be positive")
-    if seed < 0:
-        raise PreconditionError(f"seed must be nonnegative, got {seed}")
+    count, = check_integers(1, count=count)
+    seed, = check_integers(0, seed=seed)
     weights = np.asarray([float(w) for w in params.weights])
     means = np.asarray([[float(x) for x in m] for m in params.means])
     cov = np.asarray([[float(x) for x in row] for row in params.cov])

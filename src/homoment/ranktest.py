@@ -205,17 +205,14 @@ def bootstrap_minor_scales(data, witnesses, d, n_boot=32, seed=0):
     k.  Each resample is gathered and its moments of orders 1..``d``
     taken by :func:`~homoment.estimate.raw_moments`; they fill one
     ``n_boot x d`` stack, whose minors are then taken in one batched
-    :func:`pencil_minor_values` call per k.  ``n_boot`` below 2, ``d``
-    below 1, a negative ``seed`` and a non-integer one are ``PRECONDITION``.
+    :func:`pencil_minor_values` call per k.  ``n_boot``, ``d`` (at least
+    1) and ``seed`` (at least 0) are read as ints by
+    :func:`check_integers`; others are ``PRECONDITION``.
     """
-    n_boot, d, seed = check_integers(n_boot=n_boot, d=d, seed=seed)
     # a standard deviation over the resamples needs two of them
-    if n_boot < 2:
-        raise PreconditionError(f"n_boot must be at least 2, got {n_boot}")
-    if d < 1:
-        raise PreconditionError(f"d must be at least 1, got {d}")
-    if seed < 0:
-        raise PreconditionError(f"seed must be nonnegative, got {seed}")
+    n_boot, = check_integers(2, n_boot=n_boot)
+    d, = check_integers(1, d=d)
+    seed, = check_integers(0, seed=seed)
     arr = _sample(data, 1)[0].ravel()
     rng = np.random.default_rng(seed)
     moments = np.empty((n_boot, d))

@@ -150,7 +150,7 @@ class TestDefectTable:
         fresh = subprocess.run([sys.executable, "-m", "homoment.cli"] + args,
                                capture_output=True, text=True, env=env,
                                check=True).stdout
-        assert run(["rank-test", "--moments", "0,1,0", "--kmax", "0"],
+        assert run(["rank-test", "--moments", "0,1,0", "--kmax", "two"],
                    capsys)[0] == cli.EXIT_INPUT
         assert run(args, capsys) == (cli.EXIT_OK, fresh, "")
 
@@ -280,6 +280,20 @@ class TestDefectTable:
             assert code == 0
             assert strict_json(out)["rows"] == [row]
 
+    def test_envelope_dims_do_not_depend_on_the_seed(self, capsys):
+        # the generic rank does not depend on the points drawn: seeds 0
+        # and 1 agree on the dim of every cell of the envelope
+        dims = []
+        for seed in ("0", "1"):
+            code, out, _ = run(["defect-table", "--n", "1..8", "--k", "1..12",
+                                "--d", "1..6", "--format", "json", "--seed",
+                                seed], capsys)
+            assert code == 0
+            dims.append([(r["n"], r["k"], r["d"], r["dim"])
+                         for r in strict_json(out)["rows"]])
+        assert len(dims[0]) == 576
+        assert dims[0] == dims[1]
+
     def test_import_loads_no_process_pool(self):
         # importing the CLI loads no process pool, nor the multiprocessing,
         # socket, subprocess and logging modules that it pulls in
@@ -398,6 +412,20 @@ class TestSimulateAndFit2:
             "code": "PRECONDITION",
             "message": f"count is too large to draw, got {2**60}"}
 
+    @pytest.mark.parametrize("spec,error_code", [
+        ({"cov": [[1.0, 0.5], [0.2, 1.0]]}, "PRECONDITION"),
+        ({"weights": [0.3, 0.6]}, "PRECONDITION"),
+        ({"cov": [[1.0, 0.0]]}, "DIMENSION_MISMATCH")],
+        ids=["asymmetric-cov", "weights-sum-to-0.9", "1x2-cov"])
+    def test_inconsistent_params(self, capsys, tmp_path, spec, error_code):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**self.PARAMS, **spec}))
+        code, out, err = run(["simulate", "--params", str(params), "--count",
+                              "10"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"]["code"] == error_code
+
     def test_negative_seed_is_precondition_error(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
         code, out, err = run(["simulate", "--params", str(params), "--count",
@@ -436,6 +464,26 @@ class TestSimulateAndFit2:
         assert weights == pytest.approx([0.3, 0.7], abs=0.05)
         means = sorted(m[0] for m in est["means"])
         assert means == pytest.approx([-3.0 / 7.0, 1.0], abs=0.15)
+
+    def test_swapped_columns_swap_the_fit(self, capsys, tmp_path):
+        # the same weights, each mean with its coordinates swapped, and
+        # the other pivot
+        data = models.sample_mixture(
+            models.HomoscedasticParams(**self.PARAMS), 20000, seed=7)
+        fits = []
+        for name, sample in (("data.csv", data),
+                             ("swapped.csv", data[:, ::-1])):
+            path = tmp_path / name
+            np.savetxt(path, sample, fmt="%.17g", delimiter=",")
+            code, out, _ = run(["fit2", "--input", str(path)], capsys)
+            assert code == 0
+            fits.append(strict_json(out)["estimates"][0])
+        est, swapped = fits
+        assert swapped["weights"] == pytest.approx(est["weights"], rel=1e-12)
+        for mean, other in zip(est["means"], swapped["means"]):
+            assert other[::-1] == pytest.approx(mean, rel=1e-12)
+        assert swapped["diagnostics"]["pivot"] == \
+            1 - est["diagnostics"]["pivot"]
 
     def test_order_four_returns_pair(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
@@ -734,6 +782,11 @@ class TestFit1d:
         assert "--moments" in error["message"]
         assert "--input" in error["message"]
 
+    def test_insufficient_order(self):
+        # k = 3 takes six moments
+        assert_rejected(["fit1d", "--k", "3", "--moments", "0,1,0,3"],
+                        error_code="INSUFFICIENT_ORDER")
+
     def test_multicolumn_csv_rejected(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         data.write_text("1.0,2.0\n3.0,4.0\n")
@@ -743,12 +796,21 @@ class TestFit1d:
         assert out == ""
         assert strict_json(err)["error"]["code"] == "DIMENSION_MISMATCH"
 
-    @pytest.mark.parametrize("k", ["0", "-1", "two"])
-    def test_non_positive_k_is_input_error(self, capsys, k):
+    @pytest.mark.parametrize("k,error", [
+        ("0", {"code": "PRECONDITION",
+               "message": "k must be at least 1, got 0"}),
+        ("-1", {"code": "PRECONDITION",
+                "message": "k must be at least 1, got -1"}),
+        ("two", {"code": "INPUT", "message": "homoment fit1d: argument "
+                 "--k: invalid int value: 'two'"})],
+        ids=["0", "-1", "two"])
+    def test_non_positive_k_is_input_error(self, capsys, k, error):
+        # argparse reads the integer, and the library's rule for k refuses
+        # one below 1
         code, out, err = run(["fit1d", "--k", k, "--moments", "1,3"], capsys)
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert "--k" in strict_json(err)["error"]["message"]
+        assert strict_json(err)["error"] == error
 
     def test_non_utf8_input(self, tmp_path):
         # gzip bytes are not UTF-8 text
@@ -945,15 +1007,25 @@ class TestRankTest:
                               "1,2,3"], capsys)
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert "--kmax" in strict_json(err)["error"]["message"]
+        assert strict_json(err)["error"] == {
+            "code": "PRECONDITION", "message": "k must be at least 1, got 0"}
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
-    def test_non_positive_threshold_is_input_error(self, capsys, threshold):
+    @pytest.mark.parametrize("threshold,error", [
+        *[(text, {"code": "PRECONDITION", "message": "threshold must be "
+                  f"finite and above 0, got {float(text)}"})
+          for text in ("nan", "inf", "0", "-1")],
+        ("abc", {"code": "INPUT", "message": "homoment rank-test: argument "
+                 "--threshold: invalid float value: 'abc'"})],
+        ids=["nan", "inf", "0", "-1", "abc"])
+    def test_non_positive_threshold_is_input_error(self, capsys, threshold,
+                                                   error):
+        # argparse reads the float, and secant_membership refuses one
+        # that is not finite or not above 0
         code, out, err = run(["rank-test", "--kmax", "1", "--moments",
                               "1,3,7", "--threshold", threshold], capsys)
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert "--threshold" in strict_json(err)["error"]["message"]
+        assert strict_json(err)["error"] == error
 
     def test_threshold_accepted(self, capsys):
         code, out, _ = run(["rank-test", "--kmax", "1", "--moments",
@@ -962,6 +1034,27 @@ class TestRankTest:
         payload = strict_json(out)
         assert payload["estimated_components"] == 1
         assert payload["verdicts"][0]["threshold"] == 1e-6
+
+
+@pytest.mark.parametrize("command,message", [
+    ("fit1d --k 0 --moments 1,3", "k must be at least 1, got 0"),
+    ("rank-test --kmax 0 --moments 1,2,3", "k must be at least 1, got 0"),
+    ("rank-test --kmax 1 --moments 1,3,7 --threshold 0",
+     "threshold must be finite and above 0, got 0.0"),
+    ("simulate --params {params} --count 0",
+     "count must be at least 1, got 0")],
+    ids=["fit1d-k-0", "rank-test-kmax-0", "rank-test-threshold-0",
+         "simulate-count-0"])
+def test_bounds_are_the_library_rule(capsys, tmp_path, command, message):
+    # the CLI parses numbers only; each bound is refused by the library
+    # function that states it, in the same code and words
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(TestSimulateAndFit2.PARAMS))
+    code, out, err = run(command.format(params=params).split(), capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert strict_json(err)["error"] == {"code": "PRECONDITION",
+                                         "message": message}
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -969,7 +969,7 @@ class TestClassifier:
         (2.5, 2, "n must be an integer, got 2.5"),
         ("2", 2, "n must be an integer, got 2"),
         (2, 2.0, "k must be an integer, got 2.0"),
-        (0, 2, "n and k must be positive")])
+        (0, 2, "n must be at least 1, got 0")])
     def test_rejects_bad_arguments(self, n, k, message):
         # the case analysis took 2.5 for an n >= 2 and gave 1, and a str
         # n raised TypeError

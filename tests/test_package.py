@@ -1,11 +1,13 @@
 """The package surface: what ``homoment`` exports and what it imports."""
 
+import argparse
 import ast
 import re
 import sys
 from pathlib import Path
 
 import homoment
+from homoment import cli
 
 SOURCE = Path(homoment.__file__).resolve().parent
 
@@ -45,3 +47,20 @@ def test_parametrised_ids_name_their_values(request):
         if any(re.fullmatch(counter, part) for part in spec.id.split("-")):
             positional.append(item.nodeid)
     assert not positional, f"ids named by position, not value: {positional}"
+
+
+def test_cli_arguments_parse_numbers_only():
+    # a bound on a value is stated once, by the library function that
+    # takes it: an argparse type that refused values would state it a
+    # second time, under another code
+    parsers = [("homoment", cli.build_parser())]
+    typed = []
+    while parsers:
+        name, parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += [(f"{name} {command}", sub)
+                            for command, sub in action.choices.items()]
+            elif action.type not in (None, int, float):
+                typed.append(f"{name} {'/'.join(action.option_strings)}")
+    assert not typed, f"arguments typed other than int or float: {typed}"

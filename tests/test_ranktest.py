@@ -485,7 +485,7 @@ class TestComponentCount:
         ({"n_boot": 2.5}, "n_boot must be an integer, got 2.5"),
         ({"d": 5.0}, "d must be an integer, got 5.0"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
         ({"d": -3}, "d must be at least 1, got -3")],
         ids=["float-n-boot", "float-d", "float-seed", "negative-seed",
              "negative-d"])
@@ -939,6 +939,18 @@ class TestSampleMoments:
             with pytest.raises(InputError) as exc:
                 call()
             assert exc.value.code == code
+
+    def test_none_entry_is_unreadable(self):
+        # numpy's conversion read None as NaN: "non-finite values"
+        for call in (lambda: estimate.raw_moments([None, 1.0], 2),
+                     lambda: estimate.sample_cumulants(
+                         [[None, 1.0], [2.0, 3.0]], 4),
+                     lambda: ranktest.estimate_components_from_data(
+                         [None, 1.0, 2.0], 1)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert exc.value.code == "INPUT_PARSE"
+            assert str(exc.value) == "data must be real numbers"
 
     def test_numeric_strings_read_as_numbers(self):
         assert ranktest.raw_moments(["1.5", "-2"], 3) == ranktest.raw_moments(
