@@ -169,9 +169,10 @@ def _sample(data, degree, centre=None, columns=1):
     under one rule.  ``degree`` not an integer or below 1
     (:func:`check_integers`) is ``PreconditionError``, data that are
     complex, hold a None or that ``float`` cannot read ``INPUT_PARSE``,
-    empty data ``INPUT_EMPTY``, and ragged rows or a shape other than
-    ``columns`` columns (None: as many as a series of order ``degree``
-    allows) ``DimensionMismatchError`` before the pass builds its table.
+    empty data ``INPUT_EMPTY``, and ragged rows, a shape other than
+    ``columns`` columns (None: any number) or columns and ``degree``
+    past the one size rule of series (:func:`~.series._check_shape`)
+    ``DimensionMismatchError`` before the pass builds its table.
     A sum with a term that is not finite is not finite either, so the
     values are scanned (``INPUT_PARSE``) only when an order-1 sum or the
     centre is not; a mean or moment out of float range is
@@ -196,8 +197,7 @@ def _sample(data, degree, centre=None, columns=1):
     n = arr.shape[1] if arr.ndim == 2 else 1
     if arr.ndim > 2 or columns not in (None, n):
         raise DimensionMismatchError(shape)
-    if columns is None:
-        ts._check_shape(n, degree)
+    ts._check_shape(n, degree)
     arr = arr.reshape(-1, n)
     with np.errstate(over="ignore", invalid="ignore"):
         if centre is None:
@@ -444,8 +444,9 @@ def _check_k(k, need=0, given=0):
     """``k`` as an int, by the one rule for ``k`` and the moments it
     needs: not an integer or below 1 (:func:`check_integers`) is
     ``PreconditionError``, ``given < need`` ``InsufficientOrderError``.
-    Every entry point that takes a ``k`` or a ``k_max`` runs it before
-    any work, and the CLI leaves ``--k`` and ``--kmax`` to it."""
+    Every entry point that takes a ``k`` runs it before any work (a
+    ``k_max`` is read by the same bound under its own name), and the CLI
+    leaves ``--k`` and ``--kmax`` to them."""
     k, = check_integers(1, k=k)
     if given < need:
         raise InsufficientOrderError(f"need moment order {need}, got {given}")

@@ -170,7 +170,7 @@ def component_ladder(moments, k_max, threshold=DEFAULT_THRESHOLD):
     """Membership verdicts for k = 1..k_max from 2 k_max + 1 moments.  Every
     pencil uses all of them; one too large to run is ``PRECONDITION``
     before any runs."""
-    k_max = _check_k(k_max)
+    k_max, = check_integers(1, k_max=k_max)
     form = normal_form(moments)
     _check_k(k_max, 2 * k_max + 1, len(form.moments))
     for k in range(1, k_max + 1):
@@ -268,7 +268,7 @@ def estimate_components_from_data(data, k_max):
     is ``PRECONDITION`` before the data are read.  Returns ``(k_hat,
     verdicts)``.
     """
-    k_max = _check_k(k_max)
+    k_max, = check_integers(1, k_max=k_max)
     d = 2 * k_max + 1
     for k in range(1, k_max + 1):
         _check_pencil(d, k)

@@ -18,6 +18,9 @@ the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
 :mod:`homoment.estimate` and :mod:`homoment.models` read the same table,
 and build every monomial p^a as its parent's times p_c.
 
+One size rule, :func:`_check_shape`, bounds every series and every
+sample pass by what an exp or log on its table costs.
+
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
 value supporting ``+``, ``-``, ``*`` and division by ``int``.  Integer
 coefficients (Python's or numpy's) are promoted to ``Fraction`` so that
@@ -30,15 +33,15 @@ values and are safe to share across threads.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError, check_integers
 
-MAX_VARS = 8
-MAX_DEGREE = 8
+# the largest series a command builds: fit2 --order 5 on 8 columns
+_MAX_COST = 5 * comb(2 * 8 + 5, 5)
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,19 @@ def _promote(c):
 
 
 def _check_shape(nvars, degree):
-    """``(nvars, degree)`` as ints (:func:`check_integers`), in range."""
-    nvars, degree = check_integers(nvars=nvars, degree=degree)
-    if not (1 <= nvars <= MAX_VARS and 1 <= degree <= MAX_DEGREE):
+    """``(nvars, degree)`` as ints of at least 1 (:func:`check_integers`),
+    under the one size rule of series and samples.  An exp or log costs
+    up to ``degree`` Cauchy products over C(2 nvars + degree, degree)
+    index pairs, and a shape whose cost passes 5 * C(21, 5) = 101745, at
+    8 variables to order 5, is ``DimensionMismatchError``: one variable
+    goes to order 57, two to 17 and three to 10."""
+    nvars, degree = check_integers(1, nvars=nvars, degree=degree)
+    # C(2n + d, d) >= 2n + d refuses a huge shape before its binomial
+    if (degree * (2 * nvars + degree) > _MAX_COST
+            or degree * comb(2 * nvars + degree, degree) > _MAX_COST):
         raise DimensionMismatchError(
-            f"nvars must be in 1..{MAX_VARS} and degree in 1..{MAX_DEGREE}, "
-            f"got nvars={nvars}, degree={degree}")
+            f"degree * C(2 nvars + degree, degree) must be at most "
+            f"{_MAX_COST}, got nvars={nvars}, degree={degree}")
     return nvars, degree
 
 
@@ -217,18 +227,19 @@ class TruncatedSeries:
 
     def truncate(self, degree):
         """Forget all terms of total degree above ``degree``."""
+        degree = _check_shape(self.nvars, degree)[1]
         if degree > self.degree:
             raise DimensionMismatchError(
                 f"cannot extend truncation {self.degree} to {degree}")
-        degree = _check_shape(self.nvars, degree)[1]
         size = len(multi_indices(self.nvars, degree))
         return self._like(self._c[:size].copy(), degree)
 
     def graded(self, min_order, max_order=None):
         """Keep only terms with ``min_order <= |a| <= max_order``."""
-        hi = self.degree if max_order is None else max_order
+        lo, hi = check_integers(min_order=min_order, max_order=self.degree
+                                if max_order is None else max_order)
         order = index_table(self.nvars, self.degree).order
-        return self._like(np.where((min_order <= order) & (order <= hi),
+        return self._like(np.where((lo <= order) & (order <= hi),
                                    self._c, 0))
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import VERONESE_SPORADIC, univariate_moments
 import homoment
-from homoment import cli, geometry, models
+from homoment import cli, estimate, geometry, models
 from homoment.errors import InputError
 
 
@@ -849,6 +849,26 @@ class TestFit1d:
             "the pencil of 200000000 moments at k=100000000 is too large to "
             "evaluate (1 minor of order 100000001)")
 
+    def test_order_past_the_size_rule_refused_before_the_pass(
+            self, capsys, tmp_path, monkeypatch):
+        # k = 29 takes 58 sample moments, one order past the size rule at
+        # one column; the pass is never run
+        data = tmp_path / "tiny.csv"
+        data.write_text("0.1\n0.5\n-0.3\n1.2\n")
+
+        def unrun(*args):
+            raise AssertionError("moment pass run past the size rule")
+
+        monkeypatch.setattr(estimate, "moment_sums", unrun)
+        code, out, err = run(["fit1d", "--k", "29", "--input", str(data)],
+                             capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert strict_json(err)["error"] == {
+            "code": "DIMENSION_MISMATCH",
+            "message": "degree * C(2 nvars + degree, degree) must be at "
+                       "most 101745, got nvars=1, degree=58"}
+
     def test_input_fit_is_shift_equivariant(self, capsys, tmp_path):
         # uncentred, the sample moved to 1000 exited 3 (no nonnegative
         # variance root)
@@ -1008,7 +1028,8 @@ class TestRankTest:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"] == {
-            "code": "PRECONDITION", "message": "k must be at least 1, got 0"}
+            "code": "PRECONDITION",
+            "message": "k_max must be at least 1, got 0"}
 
     @pytest.mark.parametrize("threshold,error", [
         *[(text, {"code": "PRECONDITION", "message": "threshold must be "
@@ -1038,7 +1059,8 @@ class TestRankTest:
 
 @pytest.mark.parametrize("command,message", [
     ("fit1d --k 0 --moments 1,3", "k must be at least 1, got 0"),
-    ("rank-test --kmax 0 --moments 1,2,3", "k must be at least 1, got 0"),
+    ("rank-test --kmax 0 --moments 1,2,3",
+     "k_max must be at least 1, got 0"),
     ("rank-test --kmax 1 --moments 1,3,7 --threshold 0",
      "threshold must be finite and above 0, got 0.0"),
     ("simulate --params {params} --count 0",

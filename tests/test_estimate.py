@@ -58,6 +58,26 @@ class TestSampleCumulants:
         assert abs(k.moment((3,))) < 5.0 / math.sqrt(count)
         assert abs(k.moment((4,))) < 4.0 * math.sqrt(24.0 / count)
 
+    def test_gate_takes_any_admitted_width(self):
+        # three columns to order 10 were refused by the old cap of 8
+        x = np.random.default_rng(3).standard_normal((200, 3))
+        _, _, moments = estimate._sample(x, 10, columns=None)
+        assert len(moments) == 285
+        assert np.array_equal(moments, estimate.moment_sums(
+            x, 10, x.mean(axis=0)) / len(x))
+
+    @pytest.mark.parametrize("n,degree", [(3, 10), (12, 4)])
+    def test_wide_and_high_shapes(self, n, degree):
+        x = np.random.default_rng(n).standard_normal((40, n))
+        k = estimate.sample_cumulants(x, degree)
+        assert (k.nvars, k.degree) == (n, degree)
+        # the order-2 cumulants are the covariance (ddof 0)
+        cov = np.cov(x.T, ddof=0)
+        for i in range(n):
+            for j in range(i, n):
+                a = tuple((t == i) + (t == j) for t in range(n))
+                assert k.moment(a) == pytest.approx(cov[i, j], abs=1e-12)
+
     def test_mean_out_of_float_range(self):
         with pytest.raises(InputError) as caught:
             estimate.sample_cumulants([[1e308, 1.0], [1e308, 2.0]], 3)

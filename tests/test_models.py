@@ -143,6 +143,24 @@ class TestHomoscedastic:
             models.HomoscedasticParams(means=(mu,), weights=(1,), cov=cov), 4)
         assert mix == gaussian_moments(mu, cov, 4)
 
+    @pytest.mark.parametrize("order", [9, 11, 57])
+    def test_univariate_closed_form_past_order_eight(self, order):
+        # m_j = sum_i w_i sum_l C(j, 2l) mu_i^(j - 2l) s^l (2l - 1)!!, the
+        # moments of the Gaussians N(mu_i, s) mixed, read without a series
+        means = (Fraction(-1, 2), Fraction(1, 3), Fraction(2))
+        weights = (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
+        s = Fraction(3, 4)
+        params = models.HomoscedasticParams(
+            means=[[mu] for mu in means], weights=weights, cov=[[s]])
+        series = models.homoscedastic_moments(params, order)
+        expected = [
+            sum(w * sum(math.comb(j, 2 * l) * mu ** (j - 2 * l) * s ** l
+                        * math.prod(range(2 * l - 1, 0, -2))
+                        for l in range(j // 2 + 1))
+                for mu, w in zip(means, weights))
+            for j in range(1, order + 1)]
+        assert [series.moment((j,)) for j in range(1, order + 1)] == expected
+
     def test_reference_point(self):
         p = models.HomoscedasticParams(
             means=((1, 0), (0, 1)),

@@ -225,6 +225,9 @@ class TestNormalFormEntryPoints:
             (lambda m, k: ranktest.estimate_components_from_data(_SAMPLE, k),
              None),
     }
+    # the entries whose k is a k_max, which they name so
+    K_MAX = {"component_ladder", "estimate_components",
+             "estimate_components_from_data"}
     # standard normal moments m_1..m_7
     NORMAL = [0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0]
 
@@ -236,7 +239,8 @@ class TestNormalFormEntryPoints:
         with pytest.raises(InputError) as exc:
             call(self.NORMAL, k)
         assert exc.value.code == "PRECONDITION"
-        assert str(exc.value) == f"k must be at least 1, got {k}"
+        name = "k_max" if entry in self.K_MAX else "k"
+        assert str(exc.value) == f"{name} must be at least 1, got {k}"
 
     # k is the number of nodes for quadrature_weights, not a rule's k
     @pytest.mark.parametrize("entry,k", [
@@ -247,7 +251,8 @@ class TestNormalFormEntryPoints:
         with pytest.raises(InputError) as exc:
             call(self.NORMAL, k)
         assert exc.value.code == "PRECONDITION"
-        assert str(exc.value) == f"k must be an integer, got {k}"
+        name = "k_max" if entry in self.K_MAX else "k"
+        assert str(exc.value) == f"{name} must be an integer, got {k}"
 
     @pytest.mark.parametrize("entry", sorted(BY_K))
     def test_numpy_integer_k(self, entry):

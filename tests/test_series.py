@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (DictSeries, allclose, dict_exp, dict_log,
                       dict_multi_indices, rand_fraction, rand_series)
+from homoment import estimate
 from homoment import series as ts
 from homoment.errors import DimensionMismatchError, PreconditionError
 
@@ -142,11 +143,76 @@ class TestMomentConversion:
             ts.TruncatedSeries(nvars, degree)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda s: ts.TruncatedSeries(0, 3), "nvars must be at least 1, got 0"),
+        (lambda s: ts.TruncatedSeries(2, 0), "degree must be at least 1, got 0"),
+        (lambda s: s.truncate(0), "degree must be at least 1, got 0"),
+        (lambda s: s.truncate("3"), "degree must be an integer, got 3"),
+        (lambda s: s.truncate(None), "degree must be an integer, got None"),
+        (lambda s: s.graded("2"), "min_order must be an integer, got 2"),
+        (lambda s: s.graded(2, 2.5), "max_order must be an integer, got 2.5")],
+        ids=["nvars-0", "degree-0", "truncate-0", "truncate-str",
+             "truncate-None", "graded-str", "graded-float"])
+    def test_bad_shape_or_order_is_precondition(self, call, message):
+        # a shape below 1 was DIMENSION_MISMATCH, a size error; truncate
+        # compared its degree before checking it (a bare TypeError), and
+        # graded left a string to numpy (UFuncTypeError)
+        with pytest.raises(PreconditionError) as err:
+            call(ts.TruncatedSeries.one(2, 3))
+        assert str(err.value) == message
+
     def test_numpy_integer_shape(self):
         s = ts.TruncatedSeries(np.int64(2), np.uint8(3), {(1, 0): 1})
         assert (type(s.nvars), type(s.degree)) == (int, int)
         assert s == ts.TruncatedSeries(2, 3, {(1, 0): 1})
         assert s.truncate(np.int64(2)).degree == 2
+
+
+class TestSizeRule:
+    # the largest order admitted at n = 1..15 variables
+    LARGEST = [57, 17, 10, 7, 6, 5, 5, 5, 4, 4, 4, 4, 3, 3, 3]
+
+    def test_largest_order_per_width(self):
+        for n, d in enumerate(self.LARGEST, start=1):
+            assert ts._check_shape(n, d) == (n, d)
+            with pytest.raises(DimensionMismatchError):
+                ts._check_shape(n, d + 1)
+
+    @staticmethod
+    def calls(nvars, degree):
+        # every builder of a table: a series, a sample's cumulants and,
+        # at one column, its raw moments
+        data = np.random.default_rng(nvars).standard_normal((5, nvars))
+        calls = [lambda: ts.TruncatedSeries.one(nvars, degree),
+                 lambda: estimate.sample_cumulants(data, degree)]
+        if nvars == 1:
+            calls.append(lambda: estimate.raw_moments(data.ravel(), degree))
+        return calls
+
+    @pytest.mark.parametrize("nvars,degree",
+                             [(1, 57), (2, 17), (3, 10), (8, 5), (12, 4)])
+    def test_admitted(self, nvars, degree):
+        for call in self.calls(nvars, degree):
+            call()
+
+    @pytest.mark.parametrize("nvars,degree",
+                             [(1, 58), (2, 18), (3, 11), (8, 6), (13, 4)])
+    def test_refused_before_any_table(self, monkeypatch, nvars, degree):
+        def unbuilt(n, d):
+            raise AssertionError(f"index table of ({n}, {d}) built")
+
+        monkeypatch.setattr(ts, "index_table", unbuilt)
+        for call in self.calls(nvars, degree):
+            with pytest.raises(DimensionMismatchError) as err:
+                call()
+            assert str(err.value) == (
+                "degree * C(2 nvars + degree, degree) must be at most "
+                f"101745, got nvars={nvars}, degree={degree}")
+
+    def test_huge_shape_refused_at_once(self):
+        # the binomial of these would not finish
+        with pytest.raises(DimensionMismatchError):
+            ts.TruncatedSeries(10 ** 18, 10 ** 18)
 
 
 class TestFloatPath:
