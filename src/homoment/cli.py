@@ -221,9 +221,6 @@ def _table_cells(ns, ks, ds, seed):
     cells = []
     for n in ns:
         for d in ds:
-            # n and d first, with the first k asked for or tabulated:
-            # default_k_range(n, d) runs to ambient_dim(n, d)
-            geometry.check_envelope(n, ks[0] if ks else 1 if n == 1 else 2, d)
             # every cell is checked before any row is computed
             cells += [geometry.check_envelope(n, k, d)[:3] for k in
                       ks or geometry.default_k_range(n, d)]

@@ -33,9 +33,9 @@ residues, at most (p - 1)**2, from an entry that was in [0, p) when last
 reduced, so the rows below are reduced every
 ``(2**63 - p) // (p - 1)**2`` pivots, before any entry could leave
 ``int64``.  That is 2048 pivots for the default primes, more than the
-shorter side of any block ``geometry`` ranks (99 rows for a mixture at
-n = 8, k = 12, and 117 for a Dirac mixture at k = 14; the whole
-Jacobian, ``moment_map_jacobian``, reaches 143), and at least 2 for
+shorter side of any block ``geometry`` ranks (117 rows for a mixture
+or a Dirac mixture at n = 8, k = 14; the whole Jacobian,
+``moment_map_jacobian``, reaches 161), and at least 2 for
 every prime below 2**31, the largest modulus accepted.  A composite one,
 where a pivot may have no inverse, is refused: Miller-Rabin to the bases
 2, 7 and 61 is exact below 2**32 (Jaeschke, 1993), and cached per p.

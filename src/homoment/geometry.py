@@ -77,8 +77,7 @@ from .series import IndexTable, index_table
 
 MAX_N = 8
 MAX_D = 6
-MAX_K = 12
-MAX_K_VERONESE = 14
+MAX_K = 14
 COORD_BOUND = 1000
 
 
@@ -92,14 +91,14 @@ def ambient_dim(n, d):
     return comb(n + d, d) - 1
 
 
-def check_envelope(n, k, d, seed=0, k_max=MAX_K):
+def check_envelope(n, k, d, seed=0):
     """``(n, k, d, seed)`` as ints (:func:`check_integers`), (n, k, d) a
     cell exact rank covers; anything else is PreconditionError."""
     n, k, d, seed = check_integers(n=n, k=k, d=d, seed=seed)
-    if not (1 <= n <= MAX_N and 1 <= k <= k_max and 1 <= d <= MAX_D):
+    if not (1 <= n <= MAX_N and 1 <= k <= MAX_K and 1 <= d <= MAX_D):
         raise PreconditionError(
             f"(n={n}, k={k}, d={d}) outside the supported envelope "
-            f"n<={MAX_N}, k<={k_max}, d<={MAX_D}")
+            f"n<={MAX_N}, k<={MAX_K}, d<={MAX_D}")
     return n, k, d, seed
 
 
@@ -415,7 +414,7 @@ def defect_report(n, k, d, seed=0):
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
-    n, k, d, seed = check_envelope(n, k, d, seed, MAX_K_VERONESE)
+    n, k, d, seed = check_envelope(n, k, d, seed)
     # translations span order 1
     return _report(n, k, d, n * k + k - 1, _veronese_block, n, seed)
 
@@ -503,8 +502,10 @@ def order3_reference_row(n, k):
 
 def default_k_range(n, d=3):
     """Component counts tabulated for dimension n: from 1 (n = 1) or 2 up
-    to the first k whose parameter count reaches the ambient dimension."""
-    first = k = 1 if n == 1 else 2
+    to the first k whose parameter count reaches the ambient dimension,
+    its first cell checked first (:func:`check_envelope`)."""
+    n, first, d, _ = check_envelope(n, 1 if n == 1 else 2, d)
+    k = first
     while parameter_count(n, k) < ambient_dim(n, d):
         k += 1
     return list(range(first, k + 1))

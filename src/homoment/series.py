@@ -19,7 +19,7 @@ the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
 and build every monomial p^a as its parent's times p_c.
 
 One size rule, :func:`_check_shape`, bounds every series and every
-sample pass by what an exp or log on its table costs.
+sample pass by what an exp or log on its table costs and what it holds.
 
 Scalars may be :class:`fractions.Fraction`, ``float``, or any field-like
 value supporting ``+``, ``-``, ``*`` and division by ``int``.  Integer
@@ -30,6 +30,7 @@ All operations return new series; instances are treated as immutable
 values and are safe to share across threads.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,12 +65,8 @@ class IndexTable:
 @lru_cache(maxsize=None)
 def index_table(n, d):
     """The :class:`IndexTable` of ``n`` variables to order ``d``, shared
-    by every caller (its arrays are read-only).  Its keys are base-(d+1)
-    numerals in int64, so (d+1)**n past the int64 range is a
-    ``DimensionMismatchError``."""
-    if (d + 1) ** n > np.iinfo(np.int64).max:
-        raise DimensionMismatchError(
-            f"{n} variables to order {d} overflow the index keys")
+    by every caller (its arrays are read-only).  It finds each shift and
+    pair sum in its own ``positions``, so no shape overflows it."""
     indices = [(0,) * n]
     for total in range(d):
         # the next order: this one's indices plus a unit, in decreasing
@@ -77,32 +74,29 @@ def index_table(n, d):
         indices += sorted({a[:j] + (a[j] + 1,) + a[j + 1:] for a in indices
                            if sum(a) == total for j in range(n)}, reverse=True)
     indices = tuple(indices)
+    positions = {a: i for i, a in enumerate(indices)}
+
+    def find(rows):  # the position of each row of exponents
+        return np.array([positions[a] for a in map(tuple, rows.tolist())])
+
     exponents = np.array(indices, dtype=np.int64)
     order = exponents.sum(axis=1)
     size = len(order)
-    # exponents are at most d, so base-(d+1) digits give distinct keys,
-    # and adding two keys adds their indices
-    place = (d + 1) ** np.arange(n, dtype=np.int64)
-    keys = exponents @ place
-    sorter = np.argsort(keys)
-
-    def position(key):
-        found = np.searchsorted(keys, key, sorter=sorter)
-        return sorter[np.minimum(found, size - 1)]
-
-    down = np.where(exponents.T > 0, position(keys - place[:, None]), -1)
+    down = np.full((n, size), -1, dtype=np.intp)
+    at, j = np.nonzero(exponents)
+    down[j, at] = find(exponents[at] - (np.arange(n) == j[:, None]))
     column = n - 1 - np.argmax(exponents[:, ::-1] > 0, axis=1)
     parent = down[column, np.arange(size)]
     # the indices are graded, so the c with |b| + |c| <= d are a prefix
     fits = np.searchsorted(order, d - order, side="right")
     left = np.repeat(np.arange(size), fits)
     right = np.arange(left.size) - np.repeat(np.cumsum(fits) - fits, fits)
-    target = position(keys[left] + keys[right])
+    target = find(exponents[left] + exponents[right])
     grouped = np.argsort(target, kind="stable")
     starts = np.searchsorted(target[grouped], np.arange(size))
-    table = IndexTable(indices, MappingProxyType(
-        {a: i for i, a in enumerate(indices)}), order, exponents, down,
-        column, parent, left[grouped], right[grouped], starts)
+    table = IndexTable(indices, MappingProxyType(positions), order,
+                       exponents, down, column, parent, left[grouped],
+                       right[grouped], starts)
     for array in (order, exponents, down, column, parent, table.left,
                   table.right, starts):
         array.setflags(write=False)
@@ -129,27 +123,34 @@ def _promote(c):
 
 def _check_shape(nvars, degree):
     """``(nvars, degree)`` as ints of at least 1 (:func:`check_integers`),
-    under the one size rule of series and samples.  An exp or log costs
-    up to ``degree`` Cauchy products over C(2 nvars + degree, degree)
-    index pairs, and a shape whose cost passes 5 * C(21, 5) = 101745, at
-    8 variables to order 5, is ``DimensionMismatchError``: one variable
-    goes to order 57, two to 17 and three to 10."""
+    under the one size rule of series and samples: an exp or log costs
+    ``degree`` Cauchy products over C(2 nvars + degree, degree) index
+    pairs, the table holds nvars * C(nvars + degree, degree) exponents,
+    and a shape where either passes 5 * C(21, 5) = 101745 (8 variables
+    to order 5) is ``DimensionMismatchError``.  One variable goes to
+    order 57, two to 17, three to 10; order 1 takes 318 variables, order
+    2 57 and order 3 26 (27 and 28 pass the cost, not the table)."""
     nvars, degree = check_integers(1, nvars=nvars, degree=degree)
-    # C(2n + d, d) >= 2n + d refuses a huge shape before its binomial
+    # C(2n + d, d) >= 2n + d refuses a huge shape before its binomials
     if (degree * (2 * nvars + degree) > _MAX_COST
-            or degree * comb(2 * nvars + degree, degree) > _MAX_COST):
+            or max(degree * comb(2 * nvars + degree, degree),
+                   nvars * comb(nvars + degree, degree)) > _MAX_COST):
         raise DimensionMismatchError(
-            f"degree * C(2 nvars + degree, degree) must be at most "
-            f"{_MAX_COST}, got nvars={nvars}, degree={degree}")
+            f"max(degree * C(2 nvars + degree, degree), nvars * C(nvars + "
+            f"degree, degree)) must be at most {_MAX_COST}, got "
+            f"nvars={nvars}, degree={degree}")
     return nvars, degree
 
 
 def _position(a, nvars, degree):
     """The position of the multi-index ``a``; one that is not an index of
     ``nvars`` variables and order at most ``degree`` (the wrong length, a
-    negative entry) is a ``DimensionMismatchError``."""
-    a = tuple(int(e) for e in a)
-    at = index_table(nvars, degree).positions.get(a)
+    negative or non-integer entry) is a ``DimensionMismatchError``."""
+    try:
+        at = index_table(nvars, degree).positions.get(
+            tuple(map(operator.index, a)))
+    except TypeError:  # an entry that is not an integer
+        at = None
     if at is None:
         raise DimensionMismatchError(
             f"bad multi-index {a} in {nvars} variables to order {degree}")

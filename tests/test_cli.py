@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from conftest import VERONESE_SPORADIC, univariate_moments
 import homoment
 from homoment import cli, estimate, geometry, models
-from homoment.errors import InputError
+from homoment.errors import InputError, PreconditionError
 
 
 def run(args, capsys):
@@ -160,7 +160,7 @@ class TestDefectTable:
 
     @pytest.mark.parametrize("n", ["8", "4..9"])
     def test_envelope_checked_before_any_row(self, capsys, monkeypatch, n):
-        # default_k_range(8, 3) runs to k = 15, past MAX_K = 12
+        # default_k_range(8, 3) runs to k = 15, past MAX_K = 14
         calls = []
         monkeypatch.setattr(geometry, "defect_report",
                             lambda *a, **kw: calls.append(a))
@@ -169,23 +169,21 @@ class TestDefectTable:
         assert out == ""
         error = strict_json(err)["error"]
         assert error["code"] == "PRECONDITION"
-        assert "(n=8, k=13, d=3)" in error["message"]
+        assert "(n=8, k=15, d=3)" in error["message"]
         assert calls == []
 
     @pytest.mark.parametrize("n,d", [("8", "100"), ("1..2", "5..100"),
                                      ("9", "3")])
-    def test_envelope_checked_before_default_k_range(self, capsys,
-                                                      monkeypatch, n, d):
-        real = geometry.default_k_range
-
-        def spy(nvars, degree=3):
-            # default_k_range runs k up to ambient_dim(n, d), about 3.5e11
-            # for (8, 100): fail here rather than start that loop
-            assert nvars <= geometry.MAX_N and degree <= geometry.MAX_D
-            return real(nvars, degree)
-
-        monkeypatch.setattr(geometry, "default_k_range", spy)
+    def test_envelope_checked_before_default_k_range(self, capsys, n, d):
+        # default_k_range runs k up to ambient_dim(n, d), about 3.5e11
+        # steps for (8, 100): it checks its first cell before that loop
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError):
+            geometry.default_k_range(8, 100)
+        with pytest.raises(PreconditionError):
+            geometry.default_k_range(0, 3)
         code, out, err = run(["defect-table", "--n", n, "--d", d], capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert strict_json(err)["error"]["code"] == "PRECONDITION"
@@ -866,8 +864,9 @@ class TestFit1d:
         assert out == ""
         assert strict_json(err)["error"] == {
             "code": "DIMENSION_MISMATCH",
-            "message": "degree * C(2 nvars + degree, degree) must be at "
-                       "most 101745, got nvars=1, degree=58"}
+            "message": "max(degree * C(2 nvars + degree, degree), nvars "
+                       "* C(nvars + degree, degree)) must be at most "
+                       "101745, got nvars=1, degree=58"}
 
     def test_input_fit_is_shift_equivariant(self, capsys, tmp_path):
         # uncentred, the sample moved to 1000 exited 3 (no nonnegative

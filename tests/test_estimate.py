@@ -49,6 +49,18 @@ class TestSampleCumulants:
         assert abs(k.moment((1,)) - 1.0) < 1e-14
         assert abs(k.moment((2,)) - 1.0) < 1e-14  # m2 = 2, kappa2 = 2 - 1
 
+    def test_forty_columns_at_order_two_are_the_covariance(self):
+        # 3**40 passed the int64 range of the index keys once, so this
+        # shape was refused while 39 columns ran
+        x = np.random.default_rng(40).standard_normal((50, 40))
+        k = estimate.sample_cumulants(x, 2)
+        unit = np.eye(40, dtype=int)
+        second = [[k.moment(tuple(unit[i] + unit[j])) for j in range(40)]
+                  for i in range(40)]
+        assert np.abs(np.array(second) - np.cov(x.T, ddof=0)).max() < 1e-12
+        assert np.abs([k.moment(tuple(e)) for e in unit]
+                      - x.mean(axis=0)).max() < 1e-12
+
     def test_gaussian_higher_cumulants_shrink(self):
         count = 100_000
         rng = np.random.default_rng(0)

@@ -786,13 +786,14 @@ class TestBlockwiseMoments:
         for arr, c in ((x, 0.3), (x.reshape(-1, 1), [0.3])):
             assert estimate.moment_sums(arr, 6, c).tolist() == want.tolist()
 
-    def test_index_keys_that_would_wrap_are_refused(self):
-        # 4 ** 32 is 2 ** 64, so the place value of the 33rd variable at
-        # order 3 wraps to 0 in int64: refused before any array is built
+    def test_wide_pass_needs_no_index_keys(self):
+        # 4 ** 33 is past the int64 range that base-4 keys of the indices
+        # took: the pass runs on the table, and the size rule alone
+        # refuses a series or sample of that shape
+        sums = estimate.moment_sums(np.ones((4, 33)), 3, 0.0)
+        assert sums.tolist() == [4.0] * (math.comb(36, 3) - 1)
         with pytest.raises(DimensionMismatchError):
-            ts.index_table(33, 3)
-        with pytest.raises(DimensionMismatchError):
-            estimate.moment_sums(np.ones((4, 33)), 3, 0.0)
+            estimate.sample_cumulants(np.ones((4, 33)), 3)
         assert len(ts.index_table(24, 2).indices) == math.comb(26, 2)
 
     def test_parents_never_follow_their_children(self):

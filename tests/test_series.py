@@ -1,6 +1,7 @@
 """Truncated series arithmetic: ring laws, exp/log, the index table and
 the dict-engine oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -120,9 +121,12 @@ class TestMomentConversion:
         with pytest.raises(DimensionMismatchError):
             s.coeff((4, 0))
 
-    @pytest.mark.parametrize("index", [(-1, 2), (2, -1), (1,), (1, 1, 0)],
-                             ids=lambda index: ",".join(map(str, index)))
+    @pytest.mark.parametrize("index", [(-1, 2), (2, -1), (1,), (1, 1, 0),
+                                       (1.5, 0), ("1", 0)],
+                             ids=lambda index: ",".join(map(repr, index)))
     def test_bad_index_is_input_error(self, index):
+        # a float or string entry was read by int(): (1.5, 0) and ("1", 0)
+        # named the coefficient at (1, 0)
         s = ts.TruncatedSeries.one(2, 3)
         with pytest.raises(DimensionMismatchError):
             s.coeff(index)
@@ -189,14 +193,16 @@ class TestSizeRule:
             calls.append(lambda: estimate.raw_moments(data.ravel(), degree))
         return calls
 
-    @pytest.mark.parametrize("nvars,degree",
-                             [(1, 57), (2, 17), (3, 10), (8, 5), (12, 4)])
+    @pytest.mark.parametrize("nvars,degree", [
+        (1, 57), (2, 17), (3, 10), (8, 5), (12, 4), (26, 3), (57, 2),
+        (318, 1)])
     def test_admitted(self, nvars, degree):
         for call in self.calls(nvars, degree):
             call()
 
-    @pytest.mark.parametrize("nvars,degree",
-                             [(1, 58), (2, 18), (3, 11), (8, 6), (13, 4)])
+    @pytest.mark.parametrize("nvars,degree", [
+        (1, 58), (2, 18), (3, 11), (8, 6), (13, 4), (27, 3), (58, 2),
+        (319, 1)])
     def test_refused_before_any_table(self, monkeypatch, nvars, degree):
         def unbuilt(n, d):
             raise AssertionError(f"index table of ({n}, {d}) built")
@@ -206,8 +212,9 @@ class TestSizeRule:
             with pytest.raises(DimensionMismatchError) as err:
                 call()
             assert str(err.value) == (
-                "degree * C(2 nvars + degree, degree) must be at most "
-                f"101745, got nvars={nvars}, degree={degree}")
+                "max(degree * C(2 nvars + degree, degree), nvars * "
+                "C(nvars + degree, degree)) must be at most 101745, got "
+                f"nvars={nvars}, degree={degree}")
 
     def test_huge_shape_refused_at_once(self):
         # the binomial of these would not finish
@@ -312,12 +319,14 @@ class TestDictOracle:
         assert a == ts.TruncatedSeries(n, d, oa.items())
         assert repr(a) == repr(oa)
 
-    @pytest.mark.parametrize("n,d", [(1, 10), (2, 8), (4, 6), (8, 4)])
+    @pytest.mark.parametrize("n,d", [(1, 10), (2, 8), (4, 6), (8, 4),
+                                     (40, 2), (63, 1)])
     def test_index_order(self, n, d):
         assert list(ts.multi_indices(n, d)) == dict_multi_indices(n, d)
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 9)
-                                     for d in range(1, 9)] + [(24, 2)])
+                                     for d in range(1, 9)]
+                             + [(24, 2), (40, 2), (63, 1)])
     def test_parent_map(self, n, d):
         # each monomial is its parent times the coordinate of its last
         # nonzero exponent, and its parent is of the order below
@@ -332,6 +341,40 @@ class TestDictOracle:
         assert (table.order[parent] == table.order[1:] - 1).all()
         for array in (table.column, table.parent):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n,d", [(1, 10), (2, 5), (3, 5), (6, 3),
+                                     (8, 6), (12, 4), (26, 3), (40, 2),
+                                     (63, 1), (318, 1)])
+    def test_shift_and_pair_maps(self, n, d):
+        # down[j] points at a - e_j (-1 where a_j = 0), and the pairs
+        # (b, c) of each group sum to the group's index, every pair with
+        # |b| + |c| <= d once
+        table = ts.index_table(n, d)
+        size = len(table.indices)
+        for j in range(n):
+            has = table.exponents[:, j] > 0
+            assert ((table.down[j] >= 0) == has).all()
+            shifted = table.exponents[table.down[j][has]]
+            shifted[:, j] += 1
+            assert (shifted == table.exponents[has]).all()
+        groups = np.repeat(np.arange(size),
+                           np.diff(table.starts, append=len(table.left)))
+        assert (table.exponents[table.left] + table.exponents[table.right]
+                == table.exponents[groups]).all()
+        assert len(set(zip(table.left.tolist(), table.right.tolist()))) == \
+            len(table.left) == math.comb(2 * n + d, d)
+
+    @pytest.mark.parametrize("n,d", [(40, 2), (63, 1)])
+    def test_product_on_wide_tables(self, n, d):
+        # past the widths where base-(d + 1) int64 keys of the indices
+        # overflowed
+        rng = random.Random(n)
+        indices = dict_multi_indices(n, d)
+        x, y = ({a: rand_fraction(rng) for a in rng.sample(indices, 40)}
+                for _ in range(2))
+        a, b = ts.TruncatedSeries(n, d, x), ts.TruncatedSeries(n, d, y)
+        same(a * b, DictSeries(n, d, x) * DictSeries(n, d, y))
+        same(a + b, DictSeries(n, d, x) + DictSeries(n, d, y))
 
     def test_float_and_fraction_entries_compare(self):
         x = ts.TruncatedSeries(2, 2, {(1, 0): 0.5, (0, 2): 0.0})
