@@ -66,5 +66,6 @@ def interpolation_nodes(count, scale):
 
 
 def det(rows):
-    """Float determinant of a square matrix given as rows of numbers."""
+    """Float determinant of a square matrix given as rows of numbers.  No
+    estimator calls it; the tracer's ``poly.det`` target still names it."""
     return float(np.linalg.det(np.asarray(rows, dtype=float)))

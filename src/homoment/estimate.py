@@ -260,11 +260,13 @@ def sample_cumulants(data, degree):
 def two_point_cumulant_coeff(weight, order):
     """Coefficient of the centered two-point mixture's cumulant series.
 
-    For atoms ``t`` and ``-w t / (1 - w)`` carrying weights ``w`` and
-    ``1 - w``, the cumulant generating function expands as
-    ``sum_j f_j(w) (t u)^j`` and this returns ``f_order``.
+    For atoms ``t`` and ``-w t / (1 - w)`` of weights ``w`` in [0, 1)
+    (else ``PreconditionError``) and ``1 - w``, the cumulant generating
+    function is ``sum_j f_j(w) (t u)^j``; this returns ``f_order``.
     """
     w = ts._promote(weight)
+    if not 0 <= w < 1:
+        raise PreconditionError(f"weight {weight} is outside [0, 1)")
     q = w * (1 - w)
     if order == 3:
         return q * (1 - 2 * w) / ((1 - w) ** 3) / 6
@@ -762,16 +764,13 @@ def quadrature_nodes(moments, k):
     the sqrt(eps) accuracy of a variance located at a double root, where
     the minor vanishes like the variance error (``_LEAD_MINOR_TOL``).
     """
-    m = [1.0] + _floats(_moment_list(moments, k, 2 * k - 1),
-                        "a moment").tolist()
-    block = [[m[i + j] for j in range(k)] for i in range(k + 1)]
-    coeffs = []
-    for i in range(k + 1):
-        minor = [block[r] for r in range(k + 1) if r != i]
-        sign = -1 if (i + k) % 2 else 1
-        coeffs.append(sign * _poly.det(minor))
+    m = np.append(1.0, _floats(_moment_list(moments, k, 2 * k - 1),
+                               "a moment"))
+    kept = np.arange(k) + (np.arange(k) >= np.arange(k + 1)[:, None])
+    signs = (-1.0) ** (np.arange(k + 1) + k)
+    coeffs = (signs * np.linalg.det(m[kept[:, :, None] + np.arange(k)])).tolist()
     lead_scale, = _minor_scales(m[1:], [k * (k - 1)])
-    if abs(float(coeffs[k])) <= _LEAD_MINOR_TOL * lead_scale:
+    if abs(coeffs[k]) <= _LEAD_MINOR_TOL * lead_scale:
         raise RankDeficientMomentsError(
             f"leading moment minor vanishes: fewer than {k} atoms")
     roots = _poly.real_roots(coeffs, imag_tol=1e-9)

@@ -17,9 +17,9 @@ rank computed here is a certified lower bound for any prime, however
 small; the two differ only when p divides every r x r minor, r being the
 rank over Q.  Every minor and determinant the estimators take is a float:
 the pencil minors are stacked ``numpy.linalg.det`` calls
-(:func:`homoment.estimate._float_minors`) and the quadrature polynomial's
-are :func:`homoment._poly.det`.  The exact determinant and rank over Q
-are test oracles, kept with the tests.
+(:func:`homoment.estimate._float_minors`), and the quadrature polynomial's
+are one more (:func:`homoment.estimate.quadrature_nodes`).  The exact
+determinant and rank over Q are test oracles, kept with the tests.
 
 Elimination delays reductions mod p, as in word-size finite-field
 libraries (Dumas, Giorgi and Pernet, "Dense linear algebra over

@@ -66,7 +66,7 @@ class IndexTable:
 def index_table(n, d):
     """The :class:`IndexTable` of ``n`` variables to order ``d``, shared
     by every caller (its arrays are read-only).  It finds each shift and
-    pair sum in its own ``positions``, so no shape overflows it."""
+    pair sum by the bytes of its exponent row, so no shape overflows it."""
     indices = [(0,) * n]
     for total in range(d):
         # the next order: this one's indices plus a unit, in decreasing
@@ -75,11 +75,14 @@ def index_table(n, d):
                            if sum(a) == total for j in range(n)}, reverse=True)
     indices = tuple(indices)
     positions = {a: i for i, a in enumerate(indices)}
-
-    def find(rows):  # the position of each row of exponents
-        return np.array([positions[a] for a in map(tuple, rows.tolist())])
-
     exponents = np.array(indices, dtype=np.int64)
+    keys = exponents.view(np.dtype((np.void, 8 * n))).ravel()
+    sorter = np.argsort(keys)
+
+    def find(rows):  # the position of each row of exponents, by its bytes
+        rows = rows.view(keys.dtype).ravel()
+        return sorter[np.searchsorted(keys, rows, sorter=sorter)]
+
     order = exponents.sum(axis=1)
     size = len(order)
     down = np.full((n, size), -1, dtype=np.intp)

@@ -785,6 +785,15 @@ class TestFit1d:
         assert_rejected(["fit1d", "--k", "3", "--moments", "0,1,0,3"],
                         error_code="INSUFFICIENT_ORDER")
 
+    def test_negative_variance_exit_code(self, capsys):
+        code, out, err = run(["fit1d", "--k", "1", "--moments", "0,-1"],
+                             capsys)
+        assert code == cli.EXIT_MODEL
+        assert out == ""
+        assert strict_json(err)["error"] == {
+            "code": "MODEL_MISMATCH",
+            "message": "variance polynomial has no nonnegative real root"}
+
     def test_multicolumn_csv_rejected(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         data.write_text("1.0,2.0\n3.0,4.0\n")

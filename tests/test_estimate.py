@@ -19,7 +19,7 @@ from conftest import (
     univariate_moments,
     weight_product_cubic,
 )
-from homoment import estimate, models
+from homoment import _poly, estimate, models
 from homoment import series as ts
 from homoment._poly import poly_degree, poly_eval
 from homoment.errors import (
@@ -27,6 +27,7 @@ from homoment.errors import (
     InputError,
     InsufficientOrderError,
     ModelMismatchError,
+    PreconditionError,
     RankDeficientMomentsError,
     SingularSystemError,
     SymmetricMixtureError,
@@ -166,6 +167,21 @@ class TestTwoPointCoefficients:
             for order in (3, 4, 5):
                 assert (series.coeff((order,))
                         == estimate.two_point_cumulant_coeff(lam, order))
+
+    @pytest.mark.parametrize("weight,order,message", [
+        (Fraction(1, 3), 6, "order must be 3, 4, or 5"),
+        (1, 3, "weight 1 is outside [0, 1)"),
+        (2, 3, "weight 2 is outside [0, 1)"),
+        (-0.25, 4, "weight -0.25 is outside [0, 1)"),
+        (math.nan, 5, "weight nan is outside [0, 1)")],
+        ids=["order-6", "weight-1", "weight-2", "negative", "nan"])
+    def test_order_or_weight_out_of_range(self, weight, order, message):
+        # at w = 1 this was a bare ZeroDivisionError, and at w = 2 the
+        # third-order coefficient came back as -1
+        with pytest.raises(PreconditionError) as caught:
+            estimate.two_point_cumulant_coeff(weight, order)
+        assert caught.value.code == "PRECONDITION"
+        assert str(caught.value) == message
 
 
 class TestWeightProduct:
@@ -430,6 +446,17 @@ class TestFitTwoGaussians:
         assert caught.value.code == "PRECONDITION"
         assert str(caught.value) == f"order must be an integer, got {order}"
 
+    @pytest.mark.parametrize("moment_space,order,message", [
+        (True, None, "expected a cumulant-space series (zero constant term)"),
+        (False, 3, "order must be 4 or 5")], ids=["moment-space", "order-3"])
+    def test_precondition(self, moment_space, order, message):
+        series = (ts.TruncatedSeries.one(2, 4) if moment_space else
+                  models.homoscedastic_cumulants(
+                      rand_two_mixture(random.Random(7), 2), 5))
+        with pytest.raises(PreconditionError) as caught:
+            estimate.fit_two_gaussians(series, order=order)
+        assert str(caught.value) == message
+
     def test_numpy_integer_order(self):
         cumulants = models.homoscedastic_cumulants(
             rand_two_mixture(random.Random(7), 2), 5)
@@ -515,6 +542,10 @@ class TestQuadrature:
         m = [series.moment((j,)) for j in range(1, 6)]
         with pytest.raises(RankDeficientMomentsError):
             estimate.quadrature_nodes(m, 3)
+        # a negative variance: the lead minor is -1, and no root is real
+        with pytest.raises(RankDeficientMomentsError) as caught:
+            estimate.quadrature_nodes([0, -1, 0], 2)
+        assert str(caught.value) == "expected 2 real atom locations, found 0"
 
     def test_weights_for_two_known_atoms(self):
         assert estimate.quadrature_weights([0.0, 2.0], [1, 2, 4]) == \
@@ -640,6 +671,12 @@ class TestFitUnivariate:
         with pytest.raises(InsufficientOrderError):
             estimate.fit_univariate([1.0, 2.0, 3.0], 2)
 
+    def test_root_helpers_at_their_edges(self):
+        # a constant has no roots, and Newton stops where the derivative
+        # of (x - 1)^2 vanishes, at its double root
+        assert _poly.real_roots([3.0]) == []
+        assert estimate._polish_root([1.0, -2.0, 1.0], 1.0) == 1.0
+
     @pytest.mark.parametrize("moments", [[1 + 1j, 2], [1.0, np.complex128(2)],
                                          [1.0, "2"]],
                              ids=["complex", "numpy-complex", "string"])
@@ -713,6 +750,10 @@ class TestIdentifiabilityCurve:
             if q in poles:
                 continue
             assert estimate.identifiability_curve_residual(q) == 0
+
+    def test_every_term_vanishes_at_one_sixth(self):
+        # x and y carry (1 - 6q), and every term has one of them
+        assert estimate.identifiability_curve_residual(Fraction(1, 6)) == 0.0
 
     def test_float_points_stay_small(self):
         for q in np.linspace(0.02, 0.9, 15):

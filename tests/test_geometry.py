@@ -981,6 +981,17 @@ class TestClassifier:
     def test_numpy_integers(self):
         assert geometry.predicted_defect_order3(np.int64(7), np.int32(11)) == 3
 
+    @pytest.mark.parametrize("n,k,expected", [(9, 18, 3), (11, 25, 11),
+                                              (12, 30, 4)])
+    def test_second_band_matches_computed_defect(self, n, k, expected):
+        # the band six_lo <= 6k < six_hi starts at n = 9, past MAX_N, so
+        # the report is taken without the envelope
+        report = geometry._report(n, k, 3, geometry.parameter_count(n, k),
+                                  geometry._mixture_block,
+                                  geometry.ambient_dim(n, 2), 0)
+        assert report.defect == expected
+        assert geometry.predicted_defect_order3(n, k) == expected
+
     def test_matches_published_table(self):
         for row in geometry.ORDER3_TABLE:
             n, k, _, _, _, _, _, defect, _ = row

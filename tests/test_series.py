@@ -171,6 +171,13 @@ class TestMomentConversion:
         assert s == ts.TruncatedSeries(2, 3, {(1, 0): 1})
         assert s.truncate(np.int64(2)).degree == 2
 
+    def test_no_extension_and_no_equal_number(self):
+        s = ts.TruncatedSeries(1, 2)
+        with pytest.raises(DimensionMismatchError) as err:
+            s.truncate(3)
+        assert str(err.value) == "cannot extend truncation 2 to 3"
+        assert (s == 1) is False
+
 
 class TestSizeRule:
     # the largest order admitted at n = 1..15 variables
