@@ -286,6 +286,8 @@ def cmd_defect_table(args):
 
 
 def cmd_fit2(args):
+    # an order the fit refuses is refused before the CSV is read
+    estimate._check_fit_order(args.order)
     data = read_csv_matrix(args.input)
     cumulants = estimate.sample_cumulants(data, args.order)
     estimates = estimate.fit_two_gaussians(cumulants, order=args.order)
@@ -379,7 +381,7 @@ def build_parser():
 
     fit2 = sub.add_parser("fit2", help="two-component fit from a CSV sample")
     fit2.add_argument("--input", required=True, help="CSV of observations")
-    fit2.add_argument("--order", type=int, choices=(4, 5), default=5)
+    fit2.add_argument("--order", type=int, default=5)
     fit2.add_argument("--output", default=None)
     fit2.set_defaults(func=cmd_fit2)
 

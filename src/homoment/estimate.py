@@ -264,6 +264,7 @@ def two_point_cumulant_coeff(weight, order):
     (else ``PreconditionError``) and ``1 - w``, the cumulant generating
     function is ``sum_j f_j(w) (t u)^j``; this returns ``f_order``.
     """
+    order, = check_integers(order=order)
     w = ts._promote(weight)
     if not 0 <= w < 1:
         raise PreconditionError(f"weight {weight} is outside [0, 1)")
@@ -317,6 +318,16 @@ def solve_smaller_weight(ratio):
 _PIVOT_TOL = 1e-10
 
 
+def _check_fit_order(order):
+    """``order`` as an int, by the one order rule of the two-component fit:
+    not an integer (:func:`check_integers`), or neither 4 nor 5, is
+    ``PreconditionError``.  ``fit2`` runs it before it reads its CSV."""
+    order, = check_integers(order=order)
+    if order not in (4, 5):
+        raise PreconditionError("order must be 4 or 5")
+    return order
+
+
 def fit_two_gaussians(cumulants, order=None):
     """Closed-form recovery of a two-component homoscedastic mixture.
 
@@ -327,12 +338,9 @@ def fit_two_gaussians(cumulants, order=None):
     cumulant, and every other mean coordinate j from the pivot slice as
     ``mu_j = mu_p kappa_ppj / kappa_ppp``.  A cube root per coordinate
     would amplify the noise of a coordinate that carries no separation.
-    With ``order=4`` the two label-symmetric presentations are returned,
-    the second the first with its components swapped; with ``order=5``
-    (the default when fifth cumulants are available) one estimate is
-    returned, the smaller weight first, with the fifth-order pivot ratio
-    checked against the model's.  Both presentations predict the same
-    ratio, so the check measures fit and does not choose between them.
+    Both orders return a list of one estimate, the smaller weight first;
+    ``order=5`` (the default when fifth cumulants are available) also
+    checks the fifth-order pivot ratio against the model's.
 
     Requires a nonzero principal third cumulant: mixtures with equal
     weights or equal means have none and raise
@@ -346,10 +354,8 @@ def fit_two_gaussians(cumulants, order=None):
     if cumulants.constant() != 0:
         raise PreconditionError("expected a cumulant-space series "
                                 "(zero constant term)")
-    order, = check_integers(order=min(cumulants.degree, 5) if order is None
-                            else order)
-    if order not in (4, 5):
-        raise PreconditionError("order must be 4 or 5")
+    order = _check_fit_order(min(cumulants.degree, 5) if order is None
+                             else order)
     if cumulants.degree < order:
         raise InsufficientOrderError(
             f"series of degree {cumulants.degree} cannot serve order {order}")
@@ -412,19 +418,14 @@ def fit_two_gaussians(cumulants, order=None):
         "residual": _fit_residual(params, values, order),
         "near_symmetric": bool((1.0 - 2.0 * w) ** 2 < 4e-5),
     }
-    if order == 4:
-        swapped = models.HomoscedasticParams(
-            means=params.means[::-1], weights=params.weights[::-1], cov=cov)
-        return [Estimate(params=params, diagnostics=diag),
-                Estimate(params=swapped, diagnostics=dict(diag))]
-
-    ratio_b = coeff(unit(pivot, 5)) / _power(t3, 5, "a pivot ratio",
-                                             "cumulants")
-    predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
-    diag["ratio_b"] = ratio_b
-    diag["ratio_b_predicted"] = predicted
-    diag["ratio_b_residual"] = (abs(predicted - ratio_b)
-                                / max(abs(ratio_b), 1e-300))
+    if order == 5:
+        ratio_b = coeff(unit(pivot, 5)) / _power(t3, 5, "a pivot ratio",
+                                                 "cumulants")
+        predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
+        diag["ratio_b"] = ratio_b
+        diag["ratio_b_predicted"] = predicted
+        diag["ratio_b_residual"] = (abs(predicted - ratio_b)
+                                    / max(abs(ratio_b), 1e-300))
     return [Estimate(params=params, diagnostics=diag)]
 
 
@@ -875,8 +876,9 @@ _CURVE_TERMS = (
 
 def identifiability_curve_point(q):
     """Projective point traced by the fourth- and fifth-order pivot ratio
-    cubes as the weight product ``q`` varies (degree-seven coordinates)."""
-    q = ts._promote(q)
+    cubes as the weight product ``q`` varies (degree-seven coordinates).
+    ``q`` neither exact nor a finite real is ``INPUT_PARSE``."""
+    q, = _exact_or_finite([ts._promote(q)], "q")
     x = 3 * (1 - 6 * q) ** 3 * (1 - q) ** 3 * (1 - 12 * q) / 32
     y = 15 * (1 - 6 * q) ** 5 * (1 - 4 * q) ** 2 / 128
     z = q * (1 - 4 * q) ** 2 * (1 - q) ** 3 * (1 - 12 * q)
@@ -885,11 +887,18 @@ def identifiability_curve_point(q):
 
 def identifiability_curve_residual(q):
     """Relative residual of the degree-seven plane curve on the point of
-    :func:`identifiability_curve_point`; zero exactly on the curve."""
-    x, y, z = identifiability_curve_point(q)
-    terms = [c * x ** ex * y ** ey * z ** ez for c, ex, ey, ez in _CURVE_TERMS]
-    total = sum(terms[1:], terms[0])
-    mag = max(0.0, *(abs(float(term)) for term in terms))
+    :func:`identifiability_curve_point`; zero exactly on the curve.  A
+    term or their sum beyond float range is ``INPUT_RANGE``."""
+    try:
+        x, y, z = identifiability_curve_point(q)
+        terms = [c * x ** ex * y ** ey * z ** ez
+                 for c, ex, ey, ez in _CURVE_TERMS]
+    except OverflowError:
+        raise InputError("q too large: a curve term overflows",
+                         code="INPUT_RANGE") from None
+    *terms, total = _floats([*terms, sum(terms[1:], terms[0])],
+                            "a curve term", "q").tolist()
+    mag = max(map(abs, terms))
     if mag == 0.0:
         return 0.0
-    return abs(float(total)) / mag
+    return abs(total) / mag

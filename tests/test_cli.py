@@ -491,15 +491,25 @@ class TestSimulateAndFit2:
         code, out, _ = run(["fit2", "--input", str(data), "--order", "4"],
                            capsys)
         assert code == 0
-        assert len(json.loads(out)["estimates"]) == 2
+        est, = json.loads(out)["estimates"]
+        assert est["weights"][0] <= est["weights"][1]
+
+    @pytest.mark.parametrize("order", ["3", "6", "0"])
+    def test_order_refused_before_the_csv(self, tmp_path, order):
+        # the library's one order rule, before the missing file is read
+        code, out, err = run_captured(["fit2", "--order", order, "--input",
+                                       str(tmp_path / "missing.csv")])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert strict_json(err)["error"] == {
+            "code": "PRECONDITION", "message": "order must be 4 or 5"}
 
     @pytest.mark.parametrize("params,order,digest", [
         ("readme", "4",
-         "a7ec617f66694961d13bc342ba2bee0b98a6d61d0cbcca624833bbbc1da56bc1"),
+         "02efd68dfe0d844610361b809a2e51dc5ffa4e089f8108038cbf8e5def8b9b68"),
         ("readme", "5",
          "fc6a210cf2466607810eac2f702f6df5b7b06d45084c8d36ac508c5df5533ade"),
         ("mixture_3d", "4",
-         "331a01ca1f9de88de0c1a70f52b3afb59c2e445228df7c1398557b699ee1011f"),
+         "033607ff4f03da542db6a10c50f70f97ecfec8014cb7bf019ff8c36fc9af85bd"),
     ], ids=["readme-4", "readme-5", "mixture_3d-4"])
     def test_output_is_pinned(self, capsys, tmp_path, params, order, digest):
         # byte-stable stdout of the cumulant path: the README 2-D mixture

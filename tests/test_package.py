@@ -10,6 +10,7 @@ import homoment
 from homoment import cli
 
 SOURCE = Path(homoment.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_exports_resolve_and_imports_stay_numpy_only():
@@ -61,6 +62,20 @@ def test_cli_arguments_parse_numbers_only():
             if isinstance(action, argparse._SubParsersAction):
                 parsers += [(f"{name} {command}", sub)
                             for command, sub in action.choices.items()]
-            elif action.type not in (None, int, float):
+            elif (action.type not in (None, int, float)
+                  or action.type is not None and action.choices):
                 typed.append(f"{name} {'/'.join(action.option_strings)}")
-    assert not typed, f"arguments typed other than int or float: {typed}"
+    assert not typed, ("arguments typed other than int or float, or "
+                       f"numbers limited to choices: {typed}")
+
+
+def test_readme_examples_run():
+    # the python blocks of README.md, in order, in one namespace, so the
+    # library example cannot drift from the API
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(
+        encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["est"].params.weights[0] < 0.5
