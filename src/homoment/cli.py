@@ -290,9 +290,9 @@ def cmd_fit2(args):
     estimate._check_fit_order(args.order)
     data = read_csv_matrix(args.input)
     cumulants = estimate.sample_cumulants(data, args.order)
-    estimates = estimate.fit_two_gaussians(cumulants, order=args.order)
+    result = estimate.fit_two_gaussians(cumulants, order=args.order)
     payload = _payload("fit2", order=args.order, count=len(data),
-                       estimates=[e.as_dict() for e in estimates])
+                       estimates=[result.as_dict()])
     _emit_json(payload, args.output)
     return EXIT_OK
 

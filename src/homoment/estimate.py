@@ -38,7 +38,7 @@ deconvolution and pencil over Q are test oracles.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -54,12 +54,12 @@ from .errors import (DimensionMismatchError, InconsistentMomentsError,
                      check_integers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Estimate:
     """Recovered mixture parameters plus fit diagnostics."""
 
     params: models.HomoscedasticParams
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def as_dict(self):
         out = self.params.as_dict()
@@ -176,7 +176,9 @@ def _sample(data, degree, centre=None, columns=1):
     A sum with a term that is not finite is not finite either, so the
     values are scanned (``INPUT_PARSE``) only when an order-1 sum or the
     centre is not; a mean or moment out of float range is
-    ``INPUT_RANGE``."""
+    ``INPUT_RANGE``, and so is a mean of a pure even power x_j^(2i) below
+    the smallest normal float, unless column j is constant (scanned only
+    then): such a moment has lost its digits."""
     degree, = check_integers(1, order=degree)
     shape = f"data must be a count x {columns or 'n'} array of observations"
     try:
@@ -205,8 +207,16 @@ def _sample(data, degree, centre=None, columns=1):
         sums = moment_sums(arr, degree, centre)
     if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
         _observations(arr)
-    return (arr, _floats(centre, "a sample mean", "data"),
-            _floats(sums / len(arr), "a sample moment", "data"))
+    centre = _floats(centre, "a sample mean", "data")
+    moments = _floats(sums / len(arr), "a sample moment", "data")
+    positions = ts.index_table(n, degree).positions
+    for j in range(n):
+        even = [positions[tuple(i * (t == j) for t in range(n))] - 1
+                for i in range(2, degree + 1, 2)]
+        if (moments[even] < np.finfo(float).tiny).any() and np.ptp(arr[:, j]):
+            raise InputError("data too small: a sample moment underflows",
+                             code="INPUT_RANGE")
+    return arr, centre, moments
 
 
 def raw_moments(data, order):
@@ -219,8 +229,12 @@ def raw_moments(data, order):
 def _sample_form(data, order):
     """:func:`sample_normal_form` and the number of observations."""
     arr, mean, m = _sample(data, order)
-    form = normal_form([0.0] + m[1:].tolist())
-    return replace(form, mean=float(mean[0])), len(arr)
+    m = m.tolist()
+    # m2 <= 2 m1^2: all spread is the rounding of the mean (a constant
+    # sample), which the exact shift reads as a point mass
+    exact = len(m) > 1 and m[1] <= 2.0 * m[0] ** 2
+    form = normal_form(m if exact else [0.0] + m[1:])
+    return replace(form, mean=float(mean[0]) + form.mean), len(arr)
 
 
 def sample_normal_form(data, order):
@@ -228,7 +242,8 @@ def sample_normal_form(data, order):
     data.  Moments of data far from the origin spend their digits on the
     mean, so the checked pass (:func:`_sample`) takes them about the
     sample mean, with m_1 set to exactly 0 (no ``Fraction`` arithmetic
-    runs).  ``order`` below 1 is ``PreconditionError``."""
+    runs), unless the sample is constant: then the exact shift makes it
+    a point mass.  ``order`` below 1 is ``PreconditionError``."""
     return _sample_form(data, order)[0]
 
 
@@ -338,7 +353,7 @@ def fit_two_gaussians(cumulants, order=None):
     cumulant, and every other mean coordinate j from the pivot slice as
     ``mu_j = mu_p kappa_ppj / kappa_ppp``.  A cube root per coordinate
     would amplify the noise of a coordinate that carries no separation.
-    Both orders return a list of one estimate, the smaller weight first;
+    Both orders return one :class:`Estimate`, the smaller weight first;
     ``order=5`` (the default when fifth cumulants are available) also
     checks the fifth-order pivot ratio against the model's.
 
@@ -348,7 +363,10 @@ def fit_two_gaussians(cumulants, order=None):
     1..``order`` is read exact or as a finite real first (else
     ``INPUT_PARSE``: a NaN, an infinity, a complex number), then through
     :func:`_floats`: one beyond float range is ``INPUT_RANGE``, as are a
-    moment a! c, a covariance scale and a pivot ratio that overflow.
+    moment a! c and a covariance scale that overflow and a pivot ratio
+    whose power of ``kappa_ppp`` overflows or underflows.  Every
+    tolerance is relative to the covariance scale, so a sample fits the
+    same in any unit.
     """
     n = cumulants.nvars
     if cumulants.constant() != 0:
@@ -385,14 +403,21 @@ def fit_two_gaussians(cumulants, order=None):
                     default=0.0)
     pivot = max(range(n), key=lambda i: abs(third[i]))
     if abs(6.0 * third[pivot]) <= _PIVOT_TOL * _power(
-            max(1.0, cov_scale), 1.5, "a covariance scale", "cumulants"):
+            cov_scale, 1.5, "a covariance scale", "cumulants"):
         raise SymmetricMixtureError(
             "all principal third cumulants vanish; equal weights or equal "
             "means are not recoverable from orders three and four")
 
     t3 = _cbrt(third[pivot])
-    ratio_a = coeff(unit(pivot, 4)) / _power(t3, 4, "a pivot ratio",
-                                             "cumulants")
+
+    def pivot_ratio(e):
+        power = _power(t3, e, "a pivot ratio", "cumulants")
+        if power == 0.0:
+            raise InputError("cumulants too small: a pivot ratio underflows",
+                             code="INPUT_RANGE")
+        return coeff(unit(pivot, e)) / power
+
+    ratio_a = pivot_ratio(4)
     w = solve_smaller_weight(ratio_a)
     q = w * (1.0 - w)
     f3 = float(two_point_cumulant_coeff(w, 3))
@@ -414,19 +439,18 @@ def fit_two_gaussians(cumulants, order=None):
         "ratio_a": ratio_a,
         "weight_product": q,
         "cov_min_eigenvalue": eigmin,
-        "cov_psd": bool(eigmin >= -1e-8 * max(1.0, cov_scale)),
+        "cov_psd": bool(eigmin >= -1e-8 * cov_scale),
         "residual": _fit_residual(params, values, order),
         "near_symmetric": bool((1.0 - 2.0 * w) ** 2 < 4e-5),
     }
     if order == 5:
-        ratio_b = coeff(unit(pivot, 5)) / _power(t3, 5, "a pivot ratio",
-                                                 "cumulants")
+        ratio_b = pivot_ratio(5)
         predicted = float(two_point_cumulant_coeff(w, 5)) / _cbrt(f3) ** 5
         diag["ratio_b"] = ratio_b
         diag["ratio_b_predicted"] = predicted
         diag["ratio_b_residual"] = (abs(predicted - ratio_b)
                                     / max(abs(ratio_b), 1e-300))
-    return [Estimate(params=params, diagnostics=diag)]
+    return Estimate(params=params, diagnostics=diag)
 
 
 def _fit_residual(params, values, order):
@@ -874,23 +898,17 @@ _CURVE_TERMS = (
 )
 
 
-def identifiability_curve_point(q):
-    """Projective point traced by the fourth- and fifth-order pivot ratio
-    cubes as the weight product ``q`` varies (degree-seven coordinates).
-    ``q`` neither exact nor a finite real is ``INPUT_PARSE``."""
-    q, = _exact_or_finite([ts._promote(q)], "q")
-    x = 3 * (1 - 6 * q) ** 3 * (1 - q) ** 3 * (1 - 12 * q) / 32
-    y = 15 * (1 - 6 * q) ** 5 * (1 - 4 * q) ** 2 / 128
-    z = q * (1 - 4 * q) ** 2 * (1 - q) ** 3 * (1 - 12 * q)
-    return x, y, z
-
-
 def identifiability_curve_residual(q):
-    """Relative residual of the degree-seven plane curve on the point of
-    :func:`identifiability_curve_point`; zero exactly on the curve.  A
-    term or their sum beyond float range is ``INPUT_RANGE``."""
+    """Relative residual of the degree-seven plane curve on the projective
+    point ``(x, y, z)`` traced by the fourth- and fifth-order pivot ratio
+    cubes as the weight product ``q`` varies; zero exactly on the curve.
+    ``q`` neither exact nor a finite real is ``INPUT_PARSE``; a
+    coordinate, a term or their sum beyond float range ``INPUT_RANGE``."""
+    q, = _exact_or_finite([ts._promote(q)], "q")
     try:
-        x, y, z = identifiability_curve_point(q)
+        x = 3 * (1 - 6 * q) ** 3 * (1 - q) ** 3 * (1 - 12 * q) / 32
+        y = 15 * (1 - 6 * q) ** 5 * (1 - 4 * q) ** 2 / 128
+        z = q * (1 - 4 * q) ** 2 * (1 - q) ** 3 * (1 - 12 * q)
         terms = [c * x ** ex * y ** ey * z ** ez
                  for c, ex, ey, ez in _CURVE_TERMS]
     except OverflowError:

@@ -133,10 +133,10 @@ def test_c06_two_component_round_trip():
         n = rng.choice([1, 2, 3])
         params = rand_two_mixture(rng, n)
         cum = models.homoscedastic_cumulants(params, 5)
-        est, = estimate.fit_two_gaussians(cum, order=5)
+        est = estimate.fit_two_gaussians(cum, order=5)
         assert match_two_components(est.params, params) < 1e-8, trial
 
-        est4, = estimate.fit_two_gaussians(cum.truncate(4), order=4)
+        est4 = estimate.fit_two_gaussians(cum.truncate(4), order=4)
         assert match_two_components(est4.params, params) < 1e-8, trial
 
         ratio = est.diagnostics["ratio_a"]
@@ -157,10 +157,10 @@ def test_c06_null_coordinate_means_from_samples():
     for seed in range(1, 11):
         data = models.sample_mixture(params, 100_000, seed=seed)
         for order in (4, 5):
-            for est in estimate.fit_two_gaussians(
-                    estimate.sample_cumulants(data, order), order=order):
-                assert all(abs(mean[1]) < 0.1 for mean in est.params.means), (
-                    seed, order, est.params.means)
+            est = estimate.fit_two_gaussians(
+                estimate.sample_cumulants(data, order), order=order)
+            assert all(abs(mean[1]) < 0.1 for mean in est.params.means), (
+                seed, order, est.params.means)
 
 
 @criterion("C07 univariate pipeline: recovery and variance-degree law")

@@ -133,10 +133,13 @@ class TestDefectTable:
                 ["d", "3", "4"]
 
     def test_bad_range_is_input_error(self, capsys):
-        code, _, err = run(["defect-table", "--n", "x..y"], capsys)
-        assert code == cli.EXIT_INPUT
-        assert json.loads(err)["error"]["code"] == "INPUT"
-        assert json.loads(err)["version"] == homoment.__version__
+        # a range whose end is below its start is refused like a word
+        for option, text in (("--n", "x..y"), ("--n", "5..3"), ("--k", "4..2")):
+            code, _, err = run(["defect-table", "--n", "2", option, text],
+                               capsys)
+            assert code == cli.EXIT_INPUT, text
+            assert json.loads(err)["error"]["code"] == "INPUT"
+            assert json.loads(err)["version"] == homoment.__version__
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -482,6 +485,26 @@ class TestSimulateAndFit2:
             assert other[::-1] == pytest.approx(mean, rel=1e-12)
         assert swapped["diagnostics"]["pivot"] == \
             1 - est["diagnostics"]["pivot"]
+
+    def test_small_units_fit_as_unit_scale(self, capsys, tmp_path):
+        # the same sample in units 1e4 times smaller exited 3 with
+        # SYMMETRIC_MIXTURE: the pivot tolerance was absolute below unit
+        # covariance
+        data = models.sample_mixture(models.HomoscedasticParams(
+            means=[[1.0, 0.0], [-0.43, 0.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.0], [0.0, 1.0]]), 20000, seed=3)
+        fits = []
+        for t in (1.0, 1e-4):
+            path = tmp_path / f"scaled{t}.csv"
+            np.savetxt(path, data * t, fmt="%.17g", delimiter=",")
+            code, out, _ = run(["fit2", "--order", "4", "--input", str(path)],
+                               capsys)
+            assert code == 0, out
+            fits.append(strict_json(out)["estimates"][0])
+        est, small = fits
+        assert small["weights"] == pytest.approx(est["weights"], rel=1e-12)
+        for mean, other in zip(est["means"], small["means"]):
+            assert [x / 1e-4 for x in other] == pytest.approx(mean, rel=1e-9)
 
     def test_order_four_returns_pair(self, capsys, tmp_path):
         params = self._write_params(tmp_path)

@@ -109,6 +109,38 @@ class TestSampleCumulants:
         assert caught.value.code == "INPUT_RANGE"
 
     @pytest.mark.parametrize("call", [
+        lambda x: estimate.sample_cumulants(np.column_stack([x, x + 1.0]), 4),
+        lambda x: estimate.raw_moments(x, 4),
+        lambda x: estimate.sample_normal_form(x, 4)],
+        ids=["sample_cumulants", "raw_moments", "sample_normal_form"])
+    def test_moment_underflow(self, call):
+        # read as 0, the fourth moments of a sample at 1e-100 gave fit1d
+        # weights 1.00024 and -0.00024
+        x = np.random.default_rng(4).standard_normal(1000)
+        call(x * 1e-70)
+        with pytest.raises(InputError) as caught:
+            call(x * 1e-100)
+        assert caught.value.code == "INPUT_RANGE"
+        assert str(caught.value) == (
+            "data too small: a sample moment underflows")
+
+    @pytest.mark.parametrize("value", [0.1, 3.0, 1 / 3, 1e-5, 123456.789,
+                                       0.0, 1e-200])
+    def test_constant_sample_is_a_point_mass(self, value):
+        # the moments about the float mean are its rounding: standardised,
+        # they read as a spread at some sizes, and past order 2 they may
+        # underflow
+        for count in (3, 7, 10, 1000):
+            for order in (2, 10, 20):
+                form = estimate.sample_normal_form(np.full(count, value),
+                                                   order)
+                assert form == estimate.NormalForm(value, 1.0, [0.0] * order)
+        est = estimate.fit_univariate(
+            estimate.sample_normal_form(np.full(1000, value), 2), 1)
+        assert est.params.cov == ((0.0,),)
+        assert est.params.means == ((value,),)
+
+    @pytest.mark.parametrize("call", [
         lambda: estimate.sample_cumulants(np.arange(10.0), 4.0),
         lambda: estimate.raw_moments(np.arange(10.0), 3.0),
         lambda: estimate.sample_normal_form(np.arange(10.0), "4")],
@@ -135,7 +167,7 @@ class TestSampleCumulants:
         sample = models.sample_mixture(params, 100_000, seed=5)
         fits = []
         for c in (0.0, 10.0, 100.0, 1000.0, 10000.0):
-            est, = estimate.fit_two_gaussians(
+            est = estimate.fit_two_gaussians(
                 estimate.sample_cumulants(sample + c, 5))
             fit = est.params
             fits.append([float(x) for x in fit.weights]
@@ -144,6 +176,31 @@ class TestSampleCumulants:
         assert fits[0][:2] == pytest.approx([0.3, 0.7], abs=0.02)
         for fit in fits[1:]:
             assert fit == pytest.approx(fits[0], abs=1e-8)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_fit_is_scale_equivariant(self, order):
+        # an absolute pivot tolerance below unit covariance refused the
+        # sample as SYMMETRIC_MIXTURE from a scale of 3e-4 down
+        params = models.HomoscedasticParams(
+            means=[[1.0, 0.0], [-0.43, 0.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.0], [0.0, 1.0]])
+        sample = models.sample_mixture(params, 100_000, seed=3)
+
+        def fit(t):
+            est = estimate.fit_two_gaussians(
+                estimate.sample_cumulants(sample * t, order), order)
+            return ([float(x) for x in est.params.weights]
+                    + [float(x) / t for mean in est.params.means for x in mean]
+                    + [float(x) / t ** 2 for row in est.params.cov for x in row])
+
+        unit = fit(1.0)
+        for t in (1e-6, 1e-3, 1e3):
+            assert fit(t) == pytest.approx(unit, rel=1e-12), t
+        # a moment or a pivot ratio's power underflows: never a bare
+        # ZeroDivisionError
+        with pytest.raises(InputError) as caught:
+            fit(1e-90)
+        assert caught.value.code == "INPUT_RANGE"
 
 
 class TestTwoPointCoefficients:
@@ -250,7 +307,7 @@ class TestFitTwoGaussians:
         rng = random.Random(3)
         p = rand_two_mixture(rng, 2)
         cum = models.homoscedastic_cumulants(p, 5)
-        est, = estimate.fit_two_gaussians(cum, order=5)
+        est = estimate.fit_two_gaussians(cum, order=5)
         assert match_two_components(est.params, p) < 1e-8
         assert est.diagnostics["residual"] < 1e-8
         assert est.diagnostics["order_used"] == 5
@@ -259,7 +316,7 @@ class TestFitTwoGaussians:
         rng = random.Random(4)
         p = rand_two_mixture(rng, 3)
         cum = models.homoscedastic_cumulants(p, 4)
-        est, = estimate.fit_two_gaussians(cum, order=4)
+        est = estimate.fit_two_gaussians(cum, order=4)
         assert est.params.weights[0] <= 0.5
         assert match_two_components(est.params, p) < 1e-8
         assert est.diagnostics["order_used"] == 4
@@ -272,7 +329,7 @@ class TestFitTwoGaussians:
         p = models.HomoscedasticParams(
             means=[[2], [-2]],
             weights=[Fraction(1, 2) - eps, Fraction(1, 2) + eps], cov=[[1]])
-        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5))
+        est = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5))
         assert est.params.weights[0] == pytest.approx(float(p.weights[0]),
                                                       abs=1e-12)
         assert [m[0] for m in est.params.means] == pytest.approx([2, -2],
@@ -291,7 +348,7 @@ class TestFitTwoGaussians:
         rng = random.Random(5)
         p = rand_two_mixture(rng, 2)
         cum = models.homoscedastic_cumulants(p, 5)
-        est, = estimate.fit_two_gaussians(cum)
+        est = estimate.fit_two_gaussians(cum)
         # residual covers every mixed monomial the pivot did not use
         assert est.diagnostics["residual"] < 1e-8
 
@@ -299,7 +356,7 @@ class TestFitTwoGaussians:
         rng = random.Random(6)
         p = rand_two_mixture(rng, 1)
         cum = models.homoscedastic_cumulants(p, 5)
-        est, = estimate.fit_two_gaussians(cum)
+        est = estimate.fit_two_gaussians(cum)
         assert match_two_components(est.params, p) < 1e-8
 
     README = models.HomoscedasticParams(
@@ -309,11 +366,11 @@ class TestFitTwoGaussians:
     def test_order_five_presentation_ignores_last_digits(self):
         cum = estimate.sample_cumulants(
             models.sample_mixture(self.README, 100_000, seed=7), 5)
-        (first,), *perturbed = [
+        first, *perturbed = [
             estimate.fit_two_gaussians(cum * (1 + e), order=5)
             for e in (0.0, 1e-15, -1e-15)]
         assert first.params.weights[0] < 0.5
-        for est, in perturbed:
+        for est in perturbed:
             # the same labels, so each component moves by rounding only
             assert est.params.weights == pytest.approx(first.params.weights,
                                                        rel=1e-12)
@@ -328,8 +385,8 @@ class TestFitTwoGaussians:
         p = models.HomoscedasticParams(
             means=[[1, 0], [-2, Fraction(1, 2)]], weights=[lam, 1 - lam],
             cov=[[1, 0], [0, 1]])
-        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
-                                          order=5)
+        est = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
+                                         order=5)
         assert est.params.weights[0] == pytest.approx(min(lam, 1 - lam),
                                                       abs=1e-9)
         diag = est.diagnostics
@@ -345,8 +402,8 @@ class TestFitTwoGaussians:
         half, eps = Fraction(1, 2), Fraction(1, 10 ** digits)
         p = models.HomoscedasticParams(
             means=[[2], [-2]], weights=[half - eps, half + eps], cov=[[1]])
-        est, = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
-                                          order=5)
+        est = estimate.fit_two_gaussians(models.homoscedastic_cumulants(p, 5),
+                                         order=5)
         assert est.diagnostics["near_symmetric"]
         assert est.diagnostics["ratio_b_residual"] < 1e-7
         assert "cubic_roots" not in est.diagnostics
@@ -415,7 +472,7 @@ class TestFitTwoGaussians:
                 means=[m[::-1] for m in params.means],
                 weights=params.weights, cov=params.cov)
             assert estimate.fit_two_gaussians(
-                models.homoscedastic_cumulants(params, 5))[0].diagnostics[
+                models.homoscedastic_cumulants(params, 5)).diagnostics[
                     "pivot"] == 1
         with pytest.raises(InputError) as caught:
             estimate.fit_two_gaussians(self._edited(params, index, value))
@@ -454,8 +511,8 @@ class TestFitTwoGaussians:
         cumulants = models.homoscedastic_cumulants(
             rand_two_mixture(random.Random(7), 2), 5)
         got = estimate.fit_two_gaussians(cumulants, order=np.int64(4))
-        assert [e.as_dict() for e in got] == [
-            e.as_dict() for e in estimate.fit_two_gaussians(cumulants, 4)]
+        assert got.as_dict() == estimate.fit_two_gaussians(cumulants,
+                                                           4).as_dict()
 
 
 class TestDeconvolve:

@@ -430,6 +430,25 @@ class TestComponentCount:
                 assert v.witness_s == pytest.approx(c * c * w.witness_s,
                                                     rel=1e-6)
 
+    def test_constant_sample_counts_one(self):
+        # the moments about the float mean are its rounding, and
+        # standardised they counted k_max + 1 at some sizes
+        for value in (0.1, 3.0, 1 / 3, 1e-5, 123456.789):
+            counts = [ranktest.estimate_components_from_data(
+                np.full(count, value), 2)[0] for count in (3, 7, 10, 1000)]
+            assert counts == [1, 1, 1, 1], value
+
+    def test_underflowing_moments_are_refused(self):
+        # at 1e-33 the count read its high moments as 0 and returned 3
+        # with infinite residuals; the sample counts 2 in unit scale
+        p = models.HomoscedasticParams(means=[[-1.0], [2.0]],
+                                       weights=[0.4, 0.6], cov=[[0.6]])
+        data = models.sample_mixture(p, 100_000, seed=12)
+        assert ranktest.estimate_components_from_data(data * 1e-31, 2)[0] == 2
+        with pytest.raises(InputError) as caught:
+            ranktest.estimate_components_from_data(data * 1e-33, 2)
+        assert caught.value.code == "INPUT_RANGE"
+
     @staticmethod
     def _direct_residuals(data, verdicts):
         """Each verdict's whitened minors, evaluated directly at its
