@@ -15,7 +15,6 @@ from .errors import (
 )
 from .estimate import (
     Estimate,
-    HankelPencil,
     fit_two_gaussians,
     fit_univariate,
     sample_cumulants,
@@ -32,6 +31,7 @@ from .models import (
     sample_mixture,
 )
 from .ranktest import (
+    HankelPencil,
     MembershipVerdict,
     estimate_components,
     secant_membership,

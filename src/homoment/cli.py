@@ -302,8 +302,8 @@ def cmd_fit1d(args):
         moments = _parse_moments(args.moments)
     else:
         # a pencil too large to run is refused before the CSV is read
-        estimate._check_pencil(2 * args.k, args.k)
-        moments = estimate.sample_normal_form(read_csv_matrix(args.input),
+        ranktest._check_pencil(2 * args.k, args.k)
+        moments = ranktest.sample_normal_form(read_csv_matrix(args.input),
                                               2 * args.k)
     result = estimate.fit_univariate(moments, args.k)
     payload = _payload("fit1d", k=args.k, estimate=result.as_dict())

@@ -2,10 +2,16 @@
 
 Every error carries a short ``code`` string so the CLI can emit stable
 error JSON and map failures onto exit codes (2 = bad input, 3 = data not
-consistent with the requested model).
+consistent with the requested model).  The rules that raise them live
+here too: :func:`check_integers`, :func:`exact_or_finite`,
+:func:`finite_floats` and :func:`finite_power`.
 """
 
+import math
+import numbers
 import operator
+
+import numpy as np
 
 
 class HomomentError(Exception):
@@ -52,6 +58,36 @@ def check_integers(minimum=None, /, **values):
             raise PreconditionError(
                 f"{name} must be at least {minimum}, got {ints[-1]}")
     return ints
+
+
+def exact_or_finite(values, what):
+    """``values``; one neither exact nor a finite real is ``INPUT_PARSE``."""
+    if not all(isinstance(x, numbers.Rational) or isinstance(x, numbers.Real)
+               and math.isfinite(x) for x in values):
+        raise InputError(f"{what} must be finite", code="INPUT_PARSE")
+    return values
+
+
+def finite_floats(values, what, source="moments"):
+    """``values`` as a float array, the one conversion and check of floats:
+    an entry beyond float range or not finite is ``INPUT_RANGE``."""
+    try:
+        floats = np.asarray(values, dtype=float)
+        if np.isfinite(floats).all():
+            return floats
+    except OverflowError:
+        pass
+    raise InputError(f"{source} too large: {what} is not a finite float",
+                     code="INPUT_RANGE")
+
+
+def finite_power(x, e, what, source="moments"):
+    """``x ** e``; one beyond float range is ``INPUT_RANGE``."""
+    try:
+        return x ** e
+    except OverflowError:
+        raise InputError(f"{source} too large: {what} overflows",
+                         code="INPUT_RANGE") from None
 
 
 class InsufficientOrderError(InputError):

@@ -56,12 +56,11 @@ def _promote_fields(params, **depths):
         object.__setattr__(params, name, promote(getattr(params, name), depth))
 
 
-def _equal(reference, value):
+def _equal(reference, value, scale):
     """``value == reference`` when both are exact; with a float on either
-    side, within ``_WEIGHT_TOL`` relative to max(1, |reference|)."""
+    side, within ``_WEIGHT_TOL * scale``."""
     if isinstance(reference, float) or isinstance(value, float):
-        return (abs(float(value) - float(reference))
-                <= _WEIGHT_TOL * max(1.0, abs(float(reference))))
+        return abs(float(value) - float(reference)) <= _WEIGHT_TOL * scale
     return value == reference
 
 
@@ -70,8 +69,8 @@ def _check(points, weights, cov):
     of ``points`` (n >= 1 coordinates, one weight each) and of the
     ``n x n`` ``cov`` (:class:`DimensionMismatchError`), then every float
     entry finite (``INPUT_PARSE``; the weight sum would call a non-finite
-    weight a precondition), then weights summing to one and a symmetric
-    covariance (:class:`PreconditionError`)."""
+    weight a precondition), then weights summing to one and a covariance
+    symmetric relative to its largest entry (:class:`PreconditionError`)."""
     if len(points) != len(weights) or not points:
         raise DimensionMismatchError("need one weight per point")
     n = len(points[0])
@@ -83,9 +82,10 @@ def _check(points, weights, cov):
                if isinstance(x, float)):
         raise InputError("parameters must be finite", code="INPUT_PARSE")
     total = sum(weights[1:], weights[0])
-    if not _equal(1, total):
+    if not _equal(1, total, 1):
         raise PreconditionError(f"weights sum to {total}, not 1")
-    if not all(_equal(cov[i][j], cov[j][i])
+    scale = max(abs(x) for row in cov for x in row)
+    if not all(_equal(cov[i][j], cov[j][i], scale)
                for i in range(n) for j in range(i + 1, n)):
         raise PreconditionError("covariance must be symmetric")
 

@@ -15,8 +15,9 @@ pairs (b, c) grouped by b + c and each parent a - e_c (c the last
 nonzero coordinate of a).  A series is an object array on it: a sum is
 an array sum, a truncation a prefix and the Cauchy product a sum over
 the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
-:mod:`homoment.estimate` and :mod:`homoment.models` read the same table,
-and build every monomial p^a as its parent's times p_c.
+:mod:`homoment.models` and the one checked pass that takes every sample
+moment (:func:`sample_moments`) read the same table, and build every
+monomial p^a as its parent's times p_c.
 
 One size rule, :func:`_check_shape`, bounds every series and every
 sample pass by what an exp or log on its table costs and what it holds.
@@ -39,7 +40,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError, check_integers
+from .errors import (DimensionMismatchError, InputError, PreconditionError,
+                     check_integers, finite_floats)
 
 # the largest series a command builds: fit2 --order 5 on 8 columns
 _MAX_COST = 5 * comb(2 * 8 + 5, 5)
@@ -358,3 +360,143 @@ def log(series):
         term = power / j
         result = result + term if j % 2 == 1 else result - term
     return result
+
+
+def _observations(arr):
+    """``arr``; a value that is not finite is ``INPUT_PARSE``."""
+    if not np.isfinite(arr).all():
+        raise InputError("data contains non-finite values", code="INPUT_PARSE")
+    return arr
+
+
+# values per block of the moment pass, so that a block and its products
+# stay in cache
+_BLOCK = 16384
+
+
+@lru_cache(maxsize=None)
+def _moment_steps(n, degree):
+    """The number of monomials in ``n`` variables of each order
+    1..``degree``, and each higher order's steps ``(child, parent,
+    column)``: monomial ``child`` of the order (by position in
+    :func:`multi_indices` order) is monomial ``parent`` of the order
+    below times centred ``column`` (the index table's ``parent`` and
+    ``column``).  The parent drops one from the child's last nonzero
+    exponent, so it never comes after the child: steps in decreasing
+    child position may write each order over the one below."""
+    table = index_table(n, degree)
+    sizes = np.bincount(table.order)
+    firsts = np.cumsum(sizes) - sizes
+    steps = []
+    for j in range(2, degree + 1):
+        span = np.arange(firsts[j], firsts[j] + sizes[j])[::-1]
+        steps.append(tuple(zip((span - firsts[j]).tolist(),
+                               (table.parent[span] - firsts[j - 1]).tolist(),
+                               table.column[span].tolist())))
+    return tuple(sizes[1:].tolist()), tuple(steps)
+
+
+def moment_sums(arr, degree, centre):
+    """Sums over the rows of a ``count x n`` float array (a flat one is
+    one column) of every monomial of orders 1..``degree`` in ``arr -
+    centre``, in :func:`multi_indices` order without the constant;
+    ``centre`` is one value or one per column.
+
+    Rows are taken a block at a time (at most ``_BLOCK`` values of one
+    order), centred into one buffer.  A second holds one order's
+    monomials, each its parent's times one centred column, written over
+    the order below (:func:`_moment_steps`): for one column, a running
+    product.  No ``pow``, no table of powers, no sample-sized temporary.
+    Each block's sums go into one preallocated array and onto running
+    totals, as accurate as one pairwise pass (Higham, 1993)."""
+    arr = arr.reshape(len(arr), -1)
+    count, n = arr.shape
+    sizes, steps = _moment_steps(n, degree)
+    rows = max(min(count, _BLOCK // max(sizes, default=1)), 1)
+    centre = np.reshape(np.asarray(centre, dtype=float), (-1, 1))
+    sums, part = np.zeros(sum(sizes)), np.empty(sum(sizes))
+    base, term = np.empty((n, rows)), np.empty((max(sizes, default=0), rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, rows):
+            block = arr[start:start + rows]
+            x, t = base[:, :len(block)], term[:, :len(block)]
+            np.subtract(block.T, centre, out=x)
+            np.add.reduce(x, axis=1, out=part[:n])
+            # row views in lists, which index faster than the arrays; the
+            # parents of order 2 are the centred columns themselves
+            xs, terms, offset = list(x), list(t), n
+            parents = xs
+            for size, order in zip(sizes[1:], steps):
+                for child, parent, column in order:
+                    np.multiply(parents[parent], xs[column], out=terms[child])
+                parents = terms
+                np.add.reduce(t[:size], axis=1, out=part[offset:offset + size])
+                offset += size
+            sums += part
+    return sums
+
+
+def sample_moments(data, degree, centre=None, columns=1):
+    """``data`` as a ``count x n`` float array (a flat array is one
+    column), its centre (the column means unless given) and its averaged
+    monomials of orders 1..``degree`` about it (:func:`moment_sums`),
+    under one rule.  ``degree`` not an integer or below 1
+    (:func:`~.errors.check_integers`) is ``PreconditionError``, data
+    that are complex, hold a None or that ``float`` cannot read
+    ``INPUT_PARSE``, empty data ``INPUT_EMPTY``, and ragged rows, a
+    shape other than ``columns`` columns (None: any number) or columns
+    and ``degree`` past the one size rule (:func:`_check_shape`)
+    ``DimensionMismatchError`` before the pass builds its table.
+    A sum with a term that is not finite is not finite either, so the
+    values are scanned (``INPUT_PARSE``) only when an order-1 sum or the
+    centre is not; a mean or moment out of float range is
+    ``INPUT_RANGE``, and so is a mean of a pure even power x_j^(2i) below
+    the smallest normal float, unless column j is constant (scanned only
+    then): such a moment has lost its digits.  About its float mean, a
+    constant column's moments are powers of the mean's rounding; when
+    one overflows, such a column (scanned only then) is centred at its
+    own value instead, where each of its moments is 0."""
+    degree, = check_integers(1, order=degree)
+    shape = f"data must be a count x {columns or 'n'} array of observations"
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # rows of different lengths
+        raise DimensionMismatchError(shape) from None
+    unreal = InputError("data must be real numbers", code="INPUT_PARSE")
+    # astype would read a None entry as NaN
+    if arr.dtype.kind == "c" or (arr.dtype.kind == "O"
+                                 and any(x is None for x in arr.flat)):
+        raise unreal
+    try:
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # an entry float() cannot read
+        raise unreal from None
+    if arr.size == 0:
+        raise InputError("need at least one observation", code="INPUT_EMPTY")
+    n = arr.shape[1] if arr.ndim == 2 else 1
+    if arr.ndim > 2 or columns not in (None, n):
+        raise DimensionMismatchError(shape)
+    _check_shape(n, degree)
+    arr = arr.reshape(-1, n)
+    means = centre is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if means:
+            centre = arr.mean(axis=0)
+        sums = moment_sums(arr, degree, centre)
+    if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
+        _observations(arr)
+    centre = finite_floats(centre, "a sample mean", "data")
+    if means and not np.isfinite(sums).all():
+        constant = np.ptp(arr, axis=0) == 0
+        if constant.any():
+            centre = np.where(constant, arr[0], centre)
+            sums = moment_sums(arr, degree, centre)
+    moments = finite_floats(sums / len(arr), "a sample moment", "data")
+    positions = index_table(n, degree).positions
+    for j in range(n):
+        even = [positions[tuple(i * (t == j) for t in range(n))] - 1
+                for i in range(2, degree + 1, 2)]
+        if (moments[even] < np.finfo(float).tiny).any() and np.ptp(arr[:, j]):
+            raise InputError("data too small: a sample moment underflows",
+                             code="INPUT_RANGE")
+    return arr, centre, moments

@@ -11,7 +11,7 @@ from math import factorial, lcm, prod
 
 import numpy as np
 
-from homoment import estimate, geometry, models
+from homoment import geometry, models, ranktest
 from homoment import series as ts
 from homoment.errors import PreconditionError
 from homoment.geometry import ambient_dim
@@ -280,7 +280,7 @@ def deconvolution_coeff(j, i):
 
 
 def exact_deconvolve_moments(moments, variance):
-    """``estimate.deconvolve_moments`` over Q: ``mt_j = sum_i j! /
+    """``ranktest.deconvolve_moments`` over Q: ``mt_j = sum_i j! /
     ((-2)^i i! (j-2i)!) m_{j-2i} variance^i``, every entry read as the
     exact rational it is."""
     m = [Fraction(1)] + [Fraction(x) for x in moments]
@@ -299,7 +299,7 @@ def exact_deconvolve_moments(moments, variance):
 
 def exact_minor_values(moments, k, s):
     """Every maximal minor of the deconvolved moment matrix at the
-    variance ``s``, exactly, in ``estimate.pencil_minor_values`` order."""
+    variance ``s``, exactly, in ``ranktest.pencil_minor_values`` order."""
     m = [Fraction(x) for x in moments]
     # Hankel entry (i, j) is mt_{i+j}, with mt_0 = 1
     row = [Fraction(1)] + exact_deconvolve_moments(m, s)
@@ -308,7 +308,7 @@ def exact_minor_values(moments, k, s):
 
 
 def exact_hankel_pencil(moments, k):
-    """``estimate.hankel_pencil`` over Q: a minor on the columns ``sel``
+    """``ranktest.hankel_pencil`` over Q: a minor on the columns ``sel``
     weighs ``k (k + 1) / 2 + sum(sel)``, has half that degree in the
     variance, and is interpolated exactly through its values at the
     variances 0, 1, ..., its degree."""
@@ -320,11 +320,11 @@ def exact_hankel_pencil(moments, k):
         tuple(lagrange_interpolate(nodes[:w // 2 + 1],
                                    [row[i] for row in values[:w // 2 + 1]]))
         for i, w in enumerate(weights))
-    return estimate.HankelPencil(k=k, minors=minors, weights=weights)
+    return ranktest.HankelPencil(k=k, minors=minors, weights=weights)
 
 
 def exact_variance_polynomial(moments, k):
-    """``estimate.variance_polynomial`` over Q."""
+    """``ranktest.variance_polynomial`` over Q."""
     return list(exact_hankel_pencil(list(moments)[:2 * k], k).minors[0])
 
 

@@ -183,7 +183,7 @@ def test_c07_univariate_pipeline():
             exact = exact_variance_polynomial(m, k)
             assert poly_degree(exact) == k * (k + 1) // 2
             assert exact[k * (k + 1) // 2] != 0
-            coeffs = estimate.variance_polynomial(m, k)
+            coeffs = ranktest.variance_polynomial(m, k)
             top = max(abs(c) for c in exact)
             assert len(coeffs) == len(exact)
             assert all(abs(a - b) <= 1e-6 * top for a, b in zip(coeffs, exact))
@@ -288,7 +288,7 @@ def test_c09_delta_scales_agree_with_bootstrap():
     for _, data, _ in _c09_cases():
         if data is None:
             continue
-        arr = data.ravel() - estimate.sample_normal_form(data, 1).mean
+        arr = data.ravel() - ranktest.sample_normal_form(data, 1).mean
         scales = {}
 
         def bootstrap(witnesses):

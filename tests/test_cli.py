@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from conftest import VERONESE_SPORADIC, univariate_moments
 import homoment
-from homoment import cli, estimate, geometry, models
+from homoment import cli, geometry, models
+from homoment import series as ts
 from homoment.errors import InputError, PreconditionError
 
 
@@ -827,6 +828,17 @@ class TestFit1d:
             "code": "MODEL_MISMATCH",
             "message": "variance polynomial has no nonnegative real root"}
 
+    def test_constant_input_far_from_zero(self, capsys, tmp_path):
+        # about the float mean the square of its rounding overflows, which
+        # was INPUT_RANGE: a constant column is a point mass at its value
+        data = tmp_path / "constant.csv"
+        data.write_text("1e250\n" * 1000)
+        code, out, _ = run(["fit1d", "--k", "1", "--input", str(data)],
+                           capsys)
+        assert code == 0
+        est = json.loads(out)["estimate"]
+        assert (est["means"], est["cov"]) == ([[1e250]], [[0.0]])
+
     def test_multicolumn_csv_rejected(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         data.write_text("1.0,2.0\n3.0,4.0\n")
@@ -899,7 +911,7 @@ class TestFit1d:
         def unrun(*args):
             raise AssertionError("moment pass run past the size rule")
 
-        monkeypatch.setattr(estimate, "moment_sums", unrun)
+        monkeypatch.setattr(ts, "moment_sums", unrun)
         code, out, err = run(["fit1d", "--k", "29", "--input", str(data)],
                              capsys)
         assert code == cli.EXIT_INPUT

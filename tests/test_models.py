@@ -368,6 +368,14 @@ class TestParameterRule:
         pytest.param(lambda: models.LaplaceParams(
             location=(0.0, 0.0), cov=((1.0, 0.5), (0.25, 1.0))),
             "PRECONDITION", id="asymmetric-covariance"),
+        # far apart relative to the covariance, though within 1e-8 of
+        # each other: the tolerance scales with the largest entry
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0, 0]], weights=[1], cov=[[1e-12, 1e-9], [0, 1e-12]]),
+            "PRECONDITION", id="tiny-asymmetric-covariance"),
+        pytest.param(lambda: models.LaplaceParams(
+            location=[0, 0], cov=[[1e-12, 1e-9], [0, 1e-12]]),
+            "PRECONDITION", id="laplace-tiny-asymmetric-covariance"),
         pytest.param(lambda: models.HomoscedasticParams(
             means=((0,), (1,)), weights=(Fraction(1, 2), Fraction(1, 3)),
             cov=((1,),)), "PRECONDITION", id="fraction-weights-sum-to-5/6"),
@@ -443,16 +451,16 @@ class TestParameterRule:
 
     @pytest.mark.parametrize("ok", [True, False])
     def test_float_tolerance_is_relative_to_the_reference(self, ok):
-        # within 1e-8 * max(1, |reference|) of the reference passes and
-        # four times as far fails: the weight sum (reference 1) and the
-        # symmetry (reference the upper entry, here at three scales)
+        # within 1e-8 * scale of the reference passes and four times as
+        # far fails: the weight sum (scale 1) and the symmetry (scale the
+        # largest covariance entry, here at three sizes)
         off = 0.5e-8 if ok else 2e-8
         checks = [
             lambda: dirac_params(
                 points=((0.0,), (1.0,)), weights=(0.5, 0.5 + off))]
         checks += [
             lambda s=s: gaussian_params(
-                mean=(0.0, 0.0), cov=((s, s), (s + off * max(1.0, s), s)))
+                mean=(0.0, 0.0), cov=((s, s), (s + off * s, s)))
             for s in (1e-3, 1.0, 1e6)]
         for make in checks:
             if ok:

@@ -36,6 +36,30 @@ def test_exports_resolve_and_imports_stay_numpy_only():
     assert not foreign, f"imports outside numpy and the stdlib: {foreign}"
 
 
+def test_no_private_name_crosses_between_estimate_and_ranktest():
+    # ranktest holds the univariate pipeline and estimate the recovery
+    # that calls it: neither reads a private name of the other, by an
+    # import or as an attribute of the module
+    crossing = []
+    for name, other in (("estimate", "ranktest"), ("ranktest", "estimate")):
+        tree = ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))
+        targets = (other, f"homoment.{other}")
+        bound = {f"homoment.{other}"}  # the names of the other module here
+        read = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in targets:
+                read += [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in targets}
+        read += [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and ast.unparse(node.value) in bound]
+        crossing += [f"{name} reads {other}.{attr}" for attr in read
+                     if attr.startswith("_")]
+    assert not crossing, f"private names read across modules: {crossing}"
+
+
 def test_parametrised_ids_name_their_values(request):
     # pytest names a value it cannot print by its argument and position
     # ("value27"), so deleting one case renamed every case after it

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (DictSeries, allclose, dict_exp, dict_log,
                       dict_multi_indices, rand_fraction, rand_series)
-from homoment import estimate
+from homoment import estimate, ranktest
 from homoment import series as ts
 from homoment.errors import DimensionMismatchError, PreconditionError
 
@@ -197,7 +197,7 @@ class TestSizeRule:
         calls = [lambda: ts.TruncatedSeries.one(nvars, degree),
                  lambda: estimate.sample_cumulants(data, degree)]
         if nvars == 1:
-            calls.append(lambda: estimate.raw_moments(data.ravel(), degree))
+            calls.append(lambda: ranktest.raw_moments(data.ravel(), degree))
         return calls
 
     @pytest.mark.parametrize("nvars,degree", [
