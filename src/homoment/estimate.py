@@ -57,7 +57,8 @@ def sample_cumulants(data, degree):
     sample are averaged monomials, all taken in one checked pass
     (:func:`~homoment.series.sample_moments`), and their log transform
     gives every cumulant of order >= 2, which a shift does not move; the
-    order-1 cumulants are the column means.
+    order-1 cumulants are the centres, the column means or a constant
+    column's own value.
     """
     _, means, moments = ts.sample_moments(data, degree, columns=None)
     n = len(means)

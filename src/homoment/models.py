@@ -23,7 +23,7 @@ import numpy as np
 
 from . import series as ts
 from .errors import (DimensionMismatchError, InputError, PreconditionError,
-                     check_integers)
+                     check_integers, finite_floats)
 
 _WEIGHT_TOL = 1e-8
 
@@ -58,9 +58,12 @@ def _promote_fields(params, **depths):
 
 def _equal(reference, value, scale):
     """``value == reference`` when both are exact; with a float on either
-    side, within ``_WEIGHT_TOL * scale``."""
+    side, within ``_WEIGHT_TOL * scale``, all three as floats
+    (:func:`~.errors.finite_floats`)."""
     if isinstance(reference, float) or isinstance(value, float):
-        return abs(float(value) - float(reference)) <= _WEIGHT_TOL * scale
+        reference, value, scale = finite_floats([reference, value, scale],
+                                                "an entry", "parameters")
+        return abs(value - reference) <= _WEIGHT_TOL * scale
     return value == reference
 
 
@@ -81,6 +84,8 @@ def _check(points, weights, cov):
     if not all(math.isfinite(x) for x in sum(points + cov, weights)
                if isinstance(x, float)):
         raise InputError("parameters must be finite", code="INPUT_PARSE")
+    if any(isinstance(w, float) for w in weights):
+        weights = finite_floats(weights, "a weight", "parameters").tolist()
     total = sum(weights[1:], weights[0])
     if not _equal(1, total, 1):
         raise PreconditionError(f"weights sum to {total}, not 1")
@@ -107,10 +112,11 @@ class HomoscedasticParams:
         return len(self.means[0])
 
     def as_dict(self):
-        return {"k": len(self.weights), "n": self.nvars,
-                "weights": [float(w) for w in self.weights],
-                "means": [[float(x) for x in m] for m in self.means],
-                "cov": [[float(x) for x in row] for row in self.cov]}
+        weights, means, cov = (finite_floats(field, "an entry", "parameters")
+                               .tolist() for field in (self.weights,
+                                                       self.means, self.cov))
+        return {"k": len(self.weights), "n": self.nvars, "weights": weights,
+                "means": means, "cov": cov}
 
     @classmethod
     def from_dict(cls, data):
@@ -235,9 +241,9 @@ def sample_mixture(params, count, seed):
     """
     count, = check_integers(1, count=count)
     seed, = check_integers(0, seed=seed)
-    weights = np.asarray([float(w) for w in params.weights])
-    means = np.asarray([[float(x) for x in m] for m in params.means])
-    cov = np.asarray([[float(x) for x in row] for row in params.cov])
+    weights, means, cov = (finite_floats(field, "an entry", "parameters")
+                           for field in (params.weights, params.means,
+                                         params.cov))
     if np.any(weights < 0):
         raise PreconditionError("sampling requires nonnegative weights")
     cdf = (weights / weights.sum()).cumsum()

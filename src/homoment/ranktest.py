@@ -144,12 +144,8 @@ def raw_moments(data, order):
 def _sample_form(data, order):
     """:func:`sample_normal_form` and the number of observations."""
     arr, mean, m = ts.sample_moments(data, order)
-    m = m.tolist()
-    # m2 <= 2 m1^2: all spread is the rounding of the mean (a constant
-    # sample), which the exact shift reads as a point mass
-    exact = len(m) > 1 and m[1] <= 2.0 * m[0] ** 2
-    form = normal_form(m if exact else [0.0] + m[1:])
-    return replace(form, mean=float(mean[0]) + form.mean), len(arr)
+    form = normal_form([0.0, *m.tolist()[1:]])
+    return replace(form, mean=float(mean[0])), len(arr)
 
 
 def sample_normal_form(data, order):
@@ -157,8 +153,8 @@ def sample_normal_form(data, order):
     data.  Moments of data far from the origin spend their digits on the
     mean, so the checked pass (:func:`~homoment.series.sample_moments`)
     takes them about the sample mean, with m_1 set to exactly 0 (no
-    ``Fraction`` arithmetic runs), unless the sample is constant: then
-    the exact shift makes it a point mass.  ``order`` below 1 is
+    ``Fraction`` arithmetic runs); that pass centres a constant sample
+    at its own value, so it is a point mass.  ``order`` below 1 is
     ``PreconditionError``."""
     return _sample_form(data, order)[0]
 
@@ -486,20 +482,26 @@ def secant_membership(moments, k, threshold=DEFAULT_THRESHOLD):
     above the threshold, which must be finite and above 0 (``PRECONDITION``).
     """
     k = _check_k(k)
-    if not 0 < threshold < np.inf:
+    try:
+        admitted = 0 < threshold < np.inf
+    except TypeError:  # not a number
+        admitted = False
+    if not admitted:
         raise PreconditionError(f"threshold must be finite and above 0, "
                                 f"got {threshold}")
     form = normal_form(moments)
     m = form.moments
-    verdict = _pencil_membership(m, hankel_pencil(m, k), threshold, None)
+    pencil = hankel_pencil(m, k)
+    verdict = _pencil_membership(m, pencil, threshold,
+                                 _minor_scales(m, pencil.weights))
     return replace(verdict, witness_s=verdict.witness_s * form.variance)
 
 
 def _pencil_membership(m, pencil, threshold, minor_scales):
     """``secant_membership`` on an already expanded pencil of the float
-    moments ``m``, with each minor scaled by ``minor_scales`` (noise
-    levels, for sample moments) when given; a level of 0 leaves its
-    minor unscaled.
+    moments ``m``, with each minor scaled by its entry of
+    ``minor_scales`` (:func:`_minor_scales`, or noise levels for sample
+    moments); a level of 0 leaves its minor unscaled.
 
     The expanded sum of squares (:func:`_sum_of_squares`) only locates
     the candidate variances: its large coefficients cancel, and so do
@@ -507,8 +509,6 @@ def _pencil_membership(m, pencil, threshold, minor_scales):
     scaled minors themselves, evaluated at all candidates in one
     :func:`_float_minors` call.
     """
-    if minor_scales is None:
-        minor_scales = _minor_scales(m, pencil.weights)
     scales = np.array([float(scale) if scale else 1.0
                        for scale in minor_scales])
     objective = _sum_of_squares(pencil.minors, scales)
@@ -638,12 +638,14 @@ def estimate_components_from_data(data, k_max):
     order ``2 d``, with ``d = 2 k_max + 1``, in normal form
     (:func:`sample_normal_form`): standardised, so the count depends on
     neither the origin nor the unit of the data, and no centred copy is
-    made.  The witness variances are reported back in data units.
-    Each minor is whitened by its delta-method noise level
-    (:func:`_delta_scales`), making the on-model residual an
+    made.  Each k's pencil is read twice: a first pass, its minors
+    scaled as in :func:`secant_membership`, places the witness variance,
+    and a second whitens each minor by its delta-method noise level
+    there (:func:`_delta_scales`), making the on-model residual an
     order-nminors quantity regardless of sample size;
     ``NOISE_FACTOR * nminors`` then separates sampling noise from real
-    model violation.  There is no resampling and no random number: a
+    model violation.  The witness variances are reported back in data
+    units.  There is no resampling and no random number: a
     call returns the same answer every time; a pencil too large to run
     is ``PRECONDITION`` before the data are read.  Returns ``(k_hat,
     verdicts)``.
@@ -653,22 +655,13 @@ def estimate_components_from_data(data, k_max):
     for k in range(1, k_max + 1):
         _check_pencil(d, k)
     form, count = _sample_form(data, 2 * d)
-    m = form.moments
-    k_hat, verdicts = _whitened_count(
-        m[:d], k_max, lambda witnesses: _delta_scales(m, count, witnesses, d))
-    return k_hat, [replace(v, witness_s=v.witness_s * form.variance)
-                   for v in verdicts]
-
-
-def _whitened_count(m, k_max, noise):
-    """The count on sample moments ``m``: a first pass finds each k's
-    witness variance, ``noise(witnesses)`` gives the noise level of every
-    minor there, and a second pass whitens the minors by it."""
+    m = form.moments[:d]
     pencils = [hankel_pencil(m, k) for k in range(1, k_max + 1)]
-    first = [_pencil_membership(m, p, DEFAULT_THRESHOLD, None)
-             for p in pencils]
-    scales = noise({v.k: v.witness_s for v in first})
-    verdicts = [_pencil_membership(m, p, NOISE_FACTOR * v.nminors,
-                                   scales[p.k])
-                for p, v in zip(pencils, first)]
-    return component_count(verdicts), verdicts
+    witnesses = {p.k: _pencil_membership(m, p, DEFAULT_THRESHOLD,
+                                         _minor_scales(m, p.weights)).witness_s
+                 for p in pencils}
+    scales = _delta_scales(form.moments, count, witnesses, d)
+    verdicts = [_pencil_membership(m, p, NOISE_FACTOR * p.nminors, scales[p.k])
+                for p in pencils]
+    return component_count(verdicts), [
+        replace(v, witness_s=v.witness_s * form.variance) for v in verdicts]

@@ -438,24 +438,27 @@ def moment_sums(arr, degree, centre):
 
 def sample_moments(data, degree, centre=None, columns=1):
     """``data`` as a ``count x n`` float array (a flat array is one
-    column), its centre (the column means unless given) and its averaged
-    monomials of orders 1..``degree`` about it (:func:`moment_sums`),
-    under one rule.  ``degree`` not an integer or below 1
-    (:func:`~.errors.check_integers`) is ``PreconditionError``, data
-    that are complex, hold a None or that ``float`` cannot read
-    ``INPUT_PARSE``, empty data ``INPUT_EMPTY``, and ragged rows, a
-    shape other than ``columns`` columns (None: any number) or columns
-    and ``degree`` past the one size rule (:func:`_check_shape`)
-    ``DimensionMismatchError`` before the pass builds its table.
-    A sum with a term that is not finite is not finite either, so the
-    values are scanned (``INPUT_PARSE``) only when an order-1 sum or the
-    centre is not; a mean or moment out of float range is
-    ``INPUT_RANGE``, and so is a mean of a pure even power x_j^(2i) below
-    the smallest normal float, unless column j is constant (scanned only
-    then): such a moment has lost its digits.  About its float mean, a
-    constant column's moments are powers of the mean's rounding; when
-    one overflows, such a column (scanned only then) is centred at its
-    own value instead, where each of its moments is 0."""
+    column), its centre (unless given, the column means or a constant
+    column's value) and its averaged monomials of orders 1..``degree``
+    about it (:func:`moment_sums`), under one rule.  ``degree`` not an
+    integer or below 1 (:func:`~.errors.check_integers`) is
+    ``PreconditionError``, data that are complex, hold a None or that
+    ``float`` cannot read ``INPUT_PARSE``, empty data ``INPUT_EMPTY``,
+    and ragged rows, a shape other than ``columns`` columns (None: any
+    number) or columns and ``degree`` past the one size rule
+    (:func:`_check_shape`) ``DimensionMismatchError`` before the pass
+    builds its table.  A sum with a term that is not finite is not
+    finite either, so the values are scanned (``INPUT_PARSE``) only when
+    an order-1 sum or the centre is not; a mean or moment out of float
+    range is ``INPUT_RANGE``, and so is a mean of a pure even power
+    x_j^(2i) below the smallest normal float, unless column j is
+    constant (scanned only then): such a moment has lost its digits.
+    About its float mean, a constant column's moments are powers of the
+    mean's rounding, so about the means at ``degree`` 2 or more a column
+    whose spread is no wider than that (m2 <= 2 m1^2, or m2 not finite)
+    is scanned, and a constant one is centred at its own value, where
+    each of its moments is exactly 0.  No other code decides that a
+    column is constant."""
     degree, = check_integers(1, order=degree)
     shape = f"data must be a count x {columns or 'n'} array of observations"
     try:
@@ -486,13 +489,18 @@ def sample_moments(data, degree, centre=None, columns=1):
     if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
         _observations(arr)
     centre = finite_floats(centre, "a sample mean", "data")
-    if means and not np.isfinite(sums).all():
-        constant = np.ptp(arr, axis=0) == 0
-        if constant.any():
-            centre = np.where(constant, arr[0], centre)
+    positions = index_table(n, degree).positions
+    if means and degree > 1:
+        squares = [positions[tuple(2 * (t == j) for t in range(n))] - 1
+                   for j in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m1, m2 = sums[:n] / len(arr), sums[squares] / len(arr)
+            narrow = np.flatnonzero(~(np.isfinite(m2) & (m2 > 2 * m1 * m1)))
+        constant = narrow[np.ptp(arr[:, narrow], axis=0) == 0]
+        if constant.size:
+            centre[constant] = arr[0, constant]
             sums = moment_sums(arr, degree, centre)
     moments = finite_floats(sums / len(arr), "a sample moment", "data")
-    positions = index_table(n, degree).positions
     for j in range(n):
         even = [positions[tuple(i * (t == j) for t in range(n))] - 1
                 for i in range(2, degree + 1, 2)]

@@ -289,21 +289,23 @@ def test_c09_delta_scales_agree_with_bootstrap():
         if data is None:
             continue
         arr = data.ravel() - ranktest.sample_normal_form(data, 1).mean
-        scales = {}
-
-        def bootstrap(witnesses):
-            scales["boot"] = ranktest.bootstrap_minor_scales(arr, witnesses, 5)
-            scales["delta"] = ranktest._delta_scales(
-                ranktest.raw_moments(arr, 10), arr.size, witnesses, 5)
-            return scales["boot"]
-
-        k_boot, _ = ranktest._whitened_count(ranktest.raw_moments(arr, 5),
-                                             2, bootstrap)
+        m = ranktest.raw_moments(arr, 5)
+        pencils = [ranktest.hankel_pencil(m, k) for k in (1, 2)]
+        # the count's first pass places the witnesses; the bootstrap then
+        # whitens the second in place of the delta method
+        witnesses = {p.k: ranktest._pencil_membership(
+            m, p, ranktest.DEFAULT_THRESHOLD,
+            ranktest._minor_scales(m, p.weights)).witness_s for p in pencils}
+        boot = ranktest.bootstrap_minor_scales(arr, witnesses, 5)
+        delta = ranktest._delta_scales(ranktest.raw_moments(arr, 10),
+                                       arr.size, witnesses, 5)
+        k_boot = ranktest.component_count([ranktest._pencil_membership(
+            m, p, ranktest.NOISE_FACTOR * p.nminors, boot[p.k])
+            for p in pencils])
         k_delta, _ = ranktest.estimate_components_from_data(data, 2)
         assert k_delta == k_boot
         for k in (1, 2):
-            ratios[k] += [x / y for x, y in zip(scales["delta"][k],
-                                                scales["boot"][k])]
+            ratios[k] += [x / y for x, y in zip(delta[k], boot[k])]
     for k, values in ratios.items():
         assert 0.5 <= float(np.median(values)) <= 2.0, (k, np.median(values))
 

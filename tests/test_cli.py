@@ -417,8 +417,13 @@ class TestSimulateAndFit2:
     @pytest.mark.parametrize("spec,error_code", [
         ({"cov": [[1.0, 0.5], [0.2, 1.0]]}, "PRECONDITION"),
         ({"weights": [0.3, 0.6]}, "PRECONDITION"),
-        ({"cov": [[1.0, 0.0]]}, "DIMENSION_MISMATCH")],
-        ids=["asymmetric-cov", "weights-sum-to-0.9", "1x2-cov"])
+        ({"cov": [[1.0, 0.0]]}, "DIMENSION_MISMATCH"),
+        # a 401-digit integer ended in an OverflowError traceback
+        ({"means": [[10**400, 0.0], [0.0, 0.0]]}, "INPUT_RANGE"),
+        ({"weights": [10**400, 0.7]}, "INPUT_RANGE"),
+        ({"cov": [[1.0, 0.0], [0.0, 10**400]]}, "INPUT_RANGE")],
+        ids=["asymmetric-cov", "weights-sum-to-0.9", "1x2-cov", "huge-mean",
+             "huge-weight", "huge-cov"])
     def test_inconsistent_params(self, capsys, tmp_path, spec, error_code):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({**self.PARAMS, **spec}))

@@ -140,6 +140,18 @@ class TestSampleCumulants:
         assert est.params.cov == ((0.0,),)
         assert est.params.means == ((value,),)
 
+    @pytest.mark.parametrize("value", [0.1, 4.1e46, 1.7e18])
+    def test_constant_column_is_a_point_mass(self, value):
+        # beside a column that varies, a constant one read its mean's
+        # rounding as its mean and as tiny cumulants of every order
+        other = np.random.default_rng(0).standard_normal(1000)
+        data = np.column_stack([other, np.full(1000, value)])
+        k = estimate.sample_cumulants(data, 4)
+        assert k.moment((0, 1)) == value
+        for a in ts.multi_indices(2, 4):
+            if a[1] and sum(a) > 1:
+                assert k.moment(a) == 0, a
+
     @pytest.mark.parametrize("call", [
         lambda: estimate.sample_cumulants(np.arange(10.0), 4.0),
         lambda: ranktest.raw_moments(np.arange(10.0), 3.0),
@@ -351,6 +363,22 @@ class TestFitTwoGaussians:
         est = estimate.fit_two_gaussians(cum)
         # residual covers every mixed monomial the pivot did not use
         assert est.diagnostics["residual"] < 1e-8
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_constant_column_does_not_pivot(self, order):
+        # a nanosecond timestamp beside a mixture: the constant column's
+        # rounding was the largest third cumulant, and the fit gave weight
+        # 0.211, both means 2.099 and a variance of -168
+        p = models.HomoscedasticParams(means=[[0.0], [3.0]],
+                                       weights=[0.3, 0.7], cov=[[1.0]])
+        x = models.sample_mixture(p, 100_000, seed=1)
+        data = np.column_stack([x, np.full(len(x), 1.7e18)])
+        est = estimate.fit_two_gaussians(estimate.sample_cumulants(data,
+                                                                   order))
+        assert est.diagnostics["pivot"] == 0
+        assert est.params.weights[0] == pytest.approx(0.3, abs=0.01)
+        assert [m[1] for m in est.params.means] == [1.7e18, 1.7e18]
+        assert est.params.cov[1] == (0.0, 0.0)
 
     def test_univariate_input(self):
         rng = random.Random(6)

@@ -421,7 +421,26 @@ class TestParameterRule:
             "INPUT_PARSE", id="dict-means"),
         pytest.param(lambda: models.HomoscedasticParams(
             means=[[0.0]], weights=np.array(1.0), cov=[[1.0]]),
-            "INPUT_PARSE", id="0-d-array-weights")])
+            "INPUT_PARSE", id="0-d-array-weights"),
+        # exact entries beyond float range, which float() met with a bare
+        # OverflowError: beside a float weight or covariance entry, and
+        # where the sampler or as_dict reads them as floats
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0.0], [1.0]], weights=[10**400, 0.5], cov=[[1.0]]),
+            "INPUT_RANGE", id="huge-weight-beside-a-float"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0, 0]], weights=[1],
+            cov=[[1, Fraction(10**400)], [1.0, 1]]),
+            "INPUT_RANGE", id="huge-covariance-entry-beside-a-float"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0, 0]], weights=[1], cov=[[10**400, 1.0], [1.0, 1]]),
+            "INPUT_RANGE", id="huge-covariance-scale"),
+        pytest.param(lambda: models.sample_mixture(models.HomoscedasticParams(
+            means=[[10**400]], weights=[1], cov=[[1]]), 10, seed=0),
+            "INPUT_RANGE", id="sample-huge-mean"),
+        pytest.param(lambda: models.HomoscedasticParams(
+            means=[[0], [1]], weights=[10**400, 1 - 10**400],
+            cov=[[1]]).as_dict(), "INPUT_RANGE", id="as-dict-huge-weight")])
     def test_error_contract(self, make, code):
         with pytest.raises(InputError) as caught:
             make()

@@ -272,12 +272,16 @@ class TestNormalFormEntryPoints:
 
     @pytest.mark.parametrize("entry", [
         "secant_membership", "component_ladder", "estimate_components"])
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0,
+                                           "a", None])
     def test_threshold_must_be_finite_and_positive(self, entry, threshold):
-        # the CLI's --threshold refuses these too
+        # the CLI's --threshold refuses these too; a string or None raised
+        # a bare TypeError
         with pytest.raises(InputError) as exc:
             self.BY_K[entry][0](self.NORMAL[:5], 2, threshold=threshold)
         assert exc.value.code == "PRECONDITION"
+        assert str(exc.value) == ("threshold must be finite and above 0, "
+                                  f"got {threshold}")
 
     @pytest.mark.parametrize("call", [
         lambda s: ranktest.deconvolve_moments([0.0, 1.0, 0.0], s),
