@@ -84,9 +84,12 @@ def _check(points, weights, cov):
     if not all(math.isfinite(x) for x in sum(points + cov, weights)
                if isinstance(x, float)):
         raise InputError("parameters must be finite", code="INPUT_PARSE")
-    if any(isinstance(w, float) for w in weights):
-        weights = finite_floats(weights, "a weight", "parameters").tolist()
-    total = sum(weights[1:], weights[0])
+    # the exact weights sum exactly, and only their sum meets the floats
+    total = sum(w for w in weights if not isinstance(w, float))
+    floats = [w for w in weights if isinstance(w, float)]
+    if floats:
+        total = sum(floats, float(finite_floats(total, "a weight",
+                                                "parameters")))
     if not _equal(1, total, 1):
         raise PreconditionError(f"weights sum to {total}, not 1")
     scale = max(abs(x) for row in cov for x in row)

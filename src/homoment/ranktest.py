@@ -152,10 +152,11 @@ def sample_normal_form(data, order):
     """The normal form of the first ``order`` moments of one column of
     data.  Moments of data far from the origin spend their digits on the
     mean, so the checked pass (:func:`~homoment.series.sample_moments`)
-    takes them about the sample mean, with m_1 set to exactly 0 (no
-    ``Fraction`` arithmetic runs); that pass centres a constant sample
-    at its own value, so it is a point mass.  ``order`` below 1 is
-    ``PreconditionError``."""
+    takes them about the sample mean, and m_1 is set to exactly 0 (the
+    normal form runs no ``Fraction`` arithmetic); that pass centres a
+    constant sample at its own value, so it is a point mass, and shifts
+    one whose mean is no float exactly to that mean.  ``order`` below 1
+    is ``PreconditionError``."""
     return _sample_form(data, order)[0]
 
 

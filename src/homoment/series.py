@@ -436,29 +436,41 @@ def moment_sums(arr, degree, centre):
     return sums
 
 
+def _exact_shift(moments, nvars, degree, j):
+    """Averaged monomials ``moments`` of orders 1..``degree`` in ``nvars``
+    variables (:func:`multi_indices` order) moved to the mean of variable
+    j, ``moments[j]``: their series times ``exp(-m_j u_j)`` in
+    ``Fraction`` arithmetic, rounded once, so the new ``moments[j]`` is 0."""
+    indices = multi_indices(nvars, degree)[1:]
+    exact = [Fraction(m) for m in moments.tolist()]
+    series = TruncatedSeries.from_moments(nvars, degree, zip(indices, exact))
+    series *= exp(TruncatedSeries(nvars, degree, {indices[j]: -exact[j]}))
+    return finite_floats([series.moment(a) for a in indices],
+                         "a sample moment", "data")
+
+
 def sample_moments(data, degree, centre=None, columns=1):
     """``data`` as a ``count x n`` float array (a flat array is one
-    column), its centre (unless given, the column means or a constant
-    column's value) and its averaged monomials of orders 1..``degree``
+    column), its centre and its averaged monomials of orders 1..``degree``
     about it (:func:`moment_sums`), under one rule.  ``degree`` not an
-    integer or below 1 (:func:`~.errors.check_integers`) is
-    ``PreconditionError``, data that are complex, hold a None or that
-    ``float`` cannot read ``INPUT_PARSE``, empty data ``INPUT_EMPTY``,
-    and ragged rows, a shape other than ``columns`` columns (None: any
-    number) or columns and ``degree`` past the one size rule
-    (:func:`_check_shape`) ``DimensionMismatchError`` before the pass
-    builds its table.  A sum with a term that is not finite is not
-    finite either, so the values are scanned (``INPUT_PARSE``) only when
-    an order-1 sum or the centre is not; a mean or moment out of float
-    range is ``INPUT_RANGE``, and so is a mean of a pure even power
-    x_j^(2i) below the smallest normal float, unless column j is
-    constant (scanned only then): such a moment has lost its digits.
-    About its float mean, a constant column's moments are powers of the
-    mean's rounding, so about the means at ``degree`` 2 or more a column
-    whose spread is no wider than that (m2 <= 2 m1^2, or m2 not finite)
-    is scanned, and a constant one is centred at its own value, where
-    each of its moments is exactly 0.  No other code decides that a
-    column is constant."""
+    integer or below 1 is ``PreconditionError``
+    (:func:`~.errors.check_integers`); data that are complex, hold a None
+    or that ``float`` cannot read ``INPUT_PARSE``, and so is a value that
+    is not finite (scanned only when an order-1 sum or the centre is
+    not); empty data ``INPUT_EMPTY``; ragged rows, a shape other than
+    ``columns`` columns (None: any number) or past the one size rule
+    (:func:`_check_shape`) ``DimensionMismatchError``, before the pass.
+    A mean or moment out of float range is ``INPUT_RANGE``, and so is a
+    mean of a pure even power x_j^(2i) below the smallest normal float
+    unless column j is constant: such a moment has lost its digits.
+
+    The centre is the column means unless given.  About them, at
+    ``degree`` 2 or more, only a column whose spread is within its mean's
+    rounding (m2 <= 2 m1^2, or m2 not finite) is scanned: a constant one
+    is centred at its own value, where every moment is exactly 0, and
+    another has its moments shifted exactly to its mean
+    (:func:`_exact_shift`) and the rounded shift added to its centre.
+    No other code decides that a column is constant."""
     degree, = check_integers(1, order=degree)
     shape = f"data must be a count x {columns or 'n'} array of observations"
     try:
@@ -489,22 +501,26 @@ def sample_moments(data, degree, centre=None, columns=1):
     if not (np.isfinite(sums[:n]).all() and np.isfinite(centre).all()):
         _observations(arr)
     centre = finite_floats(centre, "a sample mean", "data")
-    positions = index_table(n, degree).positions
+    table = index_table(n, degree)
+    even = [[table.positions[tuple(i * (t == j) for t in range(n))] - 1
+             for i in range(2, degree + 1, 2)] for j in range(n)]
+    shifted = []
     if means and degree > 1:
-        squares = [positions[tuple(2 * (t == j) for t in range(n))] - 1
-                   for j in range(n)]
         with np.errstate(over="ignore", invalid="ignore"):
-            m1, m2 = sums[:n] / len(arr), sums[squares] / len(arr)
+            m1 = sums[:n] / len(arr)
+            m2 = sums[[powers[0] for powers in even]] / len(arr)
             narrow = np.flatnonzero(~(np.isfinite(m2) & (m2 > 2 * m1 * m1)))
-        constant = narrow[np.ptp(arr[:, narrow], axis=0) == 0]
-        if constant.size:
-            centre[constant] = arr[0, constant]
+        constant = np.ptp(arr[:, narrow], axis=0) == 0
+        if constant.any():
+            centre[narrow[constant]] = arr[0, narrow[constant]]
             sums = moment_sums(arr, degree, centre)
+        shifted = narrow[~constant].tolist()
     moments = finite_floats(sums / len(arr), "a sample moment", "data")
-    for j in range(n):
-        even = [positions[tuple(i * (t == j) for t in range(n))] - 1
-                for i in range(2, degree + 1, 2)]
-        if (moments[even] < np.finfo(float).tiny).any() and np.ptp(arr[:, j]):
+    for j, powers in enumerate(even):
+        if (moments[powers] < np.finfo(float).tiny).any() and np.ptp(arr[:, j]):
             raise InputError("data too small: a sample moment underflows",
                              code="INPUT_RANGE")
+        if j in shifted:  # its mean is not a float
+            centre[j] += moments[j]
+            moments = _exact_shift(moments, n, degree, j)
     return arr, centre, moments

@@ -152,6 +152,18 @@ class TestSampleCumulants:
             if a[1] and sum(a) > 1:
                 assert k.moment(a) == 0, a
 
+    def test_one_ulp_column_is_shifted_exactly(self):
+        # half of 0.1 one ulp (2^-56) above the rest: about the float
+        # mean its cumulants cancelled; the exact shift reads the two
+        # atoms 2^-57 either side of the mean, whose rounding is 0.1
+        other = np.random.default_rng(0).standard_normal(1000)
+        column = np.full(1000, 0.1)
+        column[::2] = np.nextafter(0.1, np.inf)
+        k = estimate.sample_cumulants(np.column_stack([other, column]), 4)
+        s = 2.0 ** -57
+        assert [k.moment((0, j)) for j in range(1, 5)] == [
+            0.1, s * s, 0.0, -2 * s ** 4]
+
     @pytest.mark.parametrize("call", [
         lambda: estimate.sample_cumulants(np.arange(10.0), 4.0),
         lambda: ranktest.raw_moments(np.arange(10.0), 3.0),

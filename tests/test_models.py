@@ -446,6 +446,14 @@ class TestParameterRule:
             make()
         assert caught.value.code == code
 
+    @pytest.mark.parametrize("big", [10**17, 10**400], ids=["1e17", "1e400"])
+    def test_exact_weights_cancel_before_a_float(self, big):
+        # the exact weights sum exactly; only their sum meets the float
+        p = models.HomoscedasticParams(means=[[0], [1], [2]],
+                                       weights=[big, 1 - big, 0.0],
+                                       cov=[[1]])
+        assert p.weights == (big, 1 - big, 0.0)
+
     @pytest.mark.parametrize("field,depth", [
         ("means", 2), ("weights", 1), ("cov", 2)])
     def test_type_message(self, field, depth):

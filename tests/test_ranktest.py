@@ -442,6 +442,17 @@ class TestComponentCount:
                 np.full(count, value), 2)[0] for count in (3, 7, 10, 1000)]
             assert counts == [1, 1, 1, 1], value
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 123456.789])
+    def test_one_ulp_spread_is_two_atoms(self, value):
+        # half the sample one ulp above the rest: its mean is not a float,
+        # so only an exact shift to it reads the true central moments
+        for count in (10, 1000, 100_000):
+            x = np.full(count, value)
+            x[::2] = np.nextafter(value, np.inf)
+            assert ranktest.sample_normal_form(x, 4).moments == [
+                0.0, 1.0, 0.0, 1.0]
+            assert ranktest.estimate_components_from_data(x, 2)[0] == 1
+
     def test_underflowing_moments_are_refused(self):
         # at 1e-33 the count read its high moments as 0 and returned 3
         # with infinite residuals; the sample counts 2 in unit scale
