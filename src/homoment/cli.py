@@ -205,12 +205,8 @@ def _payload(command, **fields):
 
 
 def _emit_json(payload, output):
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        # a non-finite float: walk the payload only then
-        text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
-    _emit(text, output)
+    _emit(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False),
+          output)
 
 
 # ----------------------------------------------------------------------

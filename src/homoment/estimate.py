@@ -14,7 +14,7 @@ atoms, each step a function of :mod:`homoment.ranktest`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,9 +56,10 @@ def sample_cumulants(data, degree):
     origin spend their digits on the mean.  Raw moments of the centred
     sample are averaged monomials, all taken in one checked pass
     (:func:`~homoment.series.sample_moments`), and their log transform
-    gives every cumulant of order >= 2, which a shift does not move; the
-    order-1 cumulants are the centres, the column means or a constant
-    column's own value.
+    gives every cumulant of order >= 2, which a shift does not move.  Its
+    order-1 terms are the first moments m1 about the centres, so each
+    order-1 cumulant is centre + m1, the mean rounded once (a constant
+    column's own value).
     """
     _, means, moments = ts.sample_moments(data, degree, columns=None)
     n = len(means)
@@ -66,7 +67,7 @@ def sample_cumulants(data, degree):
     series = ts.TruncatedSeries.from_moments(
         n, degree, zip(indices[1:], moments.tolist()))
     # the order-1 indices are the unit vectors e_1..e_n, in column order
-    return ts.log(series).graded(2) + ts.TruncatedSeries(
+    return ts.log(series) + ts.TruncatedSeries(
         n, degree, zip(indices[1:n + 1], means.tolist()))
 
 
@@ -231,11 +232,12 @@ def fit_two_gaussians(cumulants, order=None):
                                 for t in range(n))) / k_ppp)
            for j in range(n)]
     mu2 = [-(w / (1.0 - w)) * x for x in mu1]
-    means = [[x + s for x, s in zip(mu, mean_shift)] for mu in (mu1, mu2)]
     cov = [[total_cov[i][j] - w * mu1[i] * mu1[j] - (1.0 - w) * mu2[i] * mu2[j]
             for j in range(n)] for i in range(n)]
-    params = models.HomoscedasticParams(means=means, weights=[w, 1.0 - w],
-                                        cov=cov)
+    centred = models.HomoscedasticParams(means=[mu1, mu2],
+                                         weights=[w, 1.0 - w], cov=cov)
+    params = replace(centred, means=[[x + s for x, s in zip(mu, mean_shift)]
+                                     for mu in (mu1, mu2)])
     eigmin = float(np.min(np.linalg.eigvalsh(np.asarray(cov))))
     diag = {
         "order_used": order,
@@ -244,7 +246,7 @@ def fit_two_gaussians(cumulants, order=None):
         "weight_product": q,
         "cov_min_eigenvalue": eigmin,
         "cov_psd": bool(eigmin >= -1e-8 * cov_scale),
-        "residual": _fit_residual(params, values, order),
+        "residual": _fit_residual(centred, values, order),
         "near_symmetric": bool((1.0 - 2.0 * w) ** 2 < 4e-5),
     }
     if order == 5:
@@ -259,8 +261,10 @@ def fit_two_gaussians(cumulants, order=None):
 
 def _fit_residual(params, values, order):
     """Scaled max deviation of the input coefficients ``values`` (orders
-    1..``order``) from the fitted model's over orders three to ``order``,
-    the equations the closed form does not consume."""
+    1..``order``) from those of the fit ``params``, centred at the origin,
+    over orders three to ``order``, the equations the closed form does
+    not consume; those cumulants do not move under translation, so the
+    residual does not depend on the origin of the data."""
     recon = models.homoscedastic_cumulants(params, order)
     x, y = np.asarray(values), recon._c[1:].astype(float)
     gaps = np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))

@@ -153,10 +153,12 @@ def sample_normal_form(data, order):
     data.  Moments of data far from the origin spend their digits on the
     mean, so the checked pass (:func:`~homoment.series.sample_moments`)
     takes them about the sample mean, and m_1 is set to exactly 0 (the
-    normal form runs no ``Fraction`` arithmetic); that pass centres a
-    constant sample at its own value, so it is a point mass, and shifts
-    one whose mean is no float exactly to that mean.  ``order`` below 1
-    is ``PreconditionError``."""
+    normal form runs no ``Fraction`` arithmetic).  That pass leaves an
+    m_1 only below 2^-26 of the standard deviation, so dropping it moves
+    standardised moment j by at most about j 2^-26 times moment j - 1;
+    it shifts any other sample exactly to its mean, and a constant one
+    is a point mass at its value.  ``order`` below 1 is
+    ``PreconditionError``."""
     return _sample_form(data, order)[0]
 
 

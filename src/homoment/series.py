@@ -465,12 +465,13 @@ def sample_moments(data, degree, centre=None, columns=1):
     unless column j is constant: such a moment has lost its digits.
 
     The centre is the column means unless given.  About them, at
-    ``degree`` 2 or more, only a column whose spread is within its mean's
-    rounding (m2 <= 2 m1^2, or m2 not finite) is scanned: a constant one
-    is centred at its own value, where every moment is exactly 0, and
-    another has its moments shifted exactly to its mean
-    (:func:`_exact_shift`) and the rounded shift added to its centre.
-    No other code decides that a column is constant."""
+    ``degree`` 2 or more, a column is flagged unless m2 is finite and
+    m1^2 < 2^-52 m2 (so no other column's m1 passes 2^-26 of its
+    standard deviation).  A flagged column is re-centred at centre + m1
+    and summed again; if its m1 is still not 0 its mean is no float, and
+    its moments are shifted exactly to it (:func:`_exact_shift`), the
+    rounded shift added to its centre.  A constant column's centre + m1
+    rounds to its value, where every moment is exactly 0."""
     degree, = check_integers(1, order=degree)
     shape = f"data must be a count x {columns or 'n'} array of observations"
     try:
@@ -504,23 +505,22 @@ def sample_moments(data, degree, centre=None, columns=1):
     table = index_table(n, degree)
     even = [[table.positions[tuple(i * (t == j) for t in range(n))] - 1
              for i in range(2, degree + 1, 2)] for j in range(n)]
-    shifted = []
+    flagged = []
     if means and degree > 1:
         with np.errstate(over="ignore", invalid="ignore"):
             m1 = sums[:n] / len(arr)
             m2 = sums[[powers[0] for powers in even]] / len(arr)
-            narrow = np.flatnonzero(~(np.isfinite(m2) & (m2 > 2 * m1 * m1)))
-        constant = np.ptp(arr[:, narrow], axis=0) == 0
-        if constant.any():
-            centre[narrow[constant]] = arr[0, narrow[constant]]
-            sums = moment_sums(arr, degree, centre)
-        shifted = narrow[~constant].tolist()
+            flagged = np.flatnonzero(~(np.isfinite(m2)
+                                        & (m1 * m1 < 2.0**-52 * m2)))
+            if flagged.size:
+                centre[flagged] += m1[flagged]
+                sums = moment_sums(arr, degree, centre)
     moments = finite_floats(sums / len(arr), "a sample moment", "data")
     for j, powers in enumerate(even):
         if (moments[powers] < np.finfo(float).tiny).any() and np.ptp(arr[:, j]):
             raise InputError("data too small: a sample moment underflows",
                              code="INPUT_RANGE")
-        if j in shifted:  # its mean is not a float
+        if j in flagged and moments[j]:  # its mean is not a float
             centre[j] += moments[j]
             moments = _exact_shift(moments, n, degree, j)
     return arr, centre, moments

@@ -534,11 +534,11 @@ class TestSimulateAndFit2:
 
     @pytest.mark.parametrize("params,order,digest", [
         ("readme", "4",
-         "02efd68dfe0d844610361b809a2e51dc5ffa4e089f8108038cbf8e5def8b9b68"),
+         "a2d1276c8540f78293f67bbc4bf8effa6b5f5ba315bb0e01eedbd13e8cf50a3b"),
         ("readme", "5",
-         "fc6a210cf2466607810eac2f702f6df5b7b06d45084c8d36ac508c5df5533ade"),
+         "c598eb3072f2f539c3a120527feb0b2654338c4fe8bca1b124e497f4cfdb89c4"),
         ("mixture_3d", "4",
-         "033607ff4f03da542db6a10c50f70f97ecfec8014cb7bf019ff8c36fc9af85bd"),
+         "963b888417635bd3d77fdc86ce6edb8fdd7335f1729e99c4787766bf31fbeb26"),
     ], ids=["readme-4", "readme-5", "mixture_3d-4"])
     def test_output_is_pinned(self, capsys, tmp_path, params, order, digest):
         # byte-stable stdout of the cumulant path: the README 2-D mixture

@@ -164,6 +164,40 @@ class TestSampleCumulants:
         assert [k.moment((0, j)) for j in range(1, 5)] == [
             0.1, s * s, 0.0, -2 * s ** 4]
 
+    def test_stamp_column_cumulants_are_exact(self):
+        # nanosecond stamps beside a mixture: the row-by-row float mean
+        # was 6500 sigma off at 100k rows, and kappa_5 read -1.6e17
+        # for -4.8e8; re-centred at centre + m1 and shifted exactly, the
+        # column has the cumulants of its values
+        p = models.HomoscedasticParams(means=[[0.0], [3.0]],
+                                       weights=[0.3, 0.7], cov=[[1.0]])
+        count = 20_000
+        x = models.sample_mixture(p, count, seed=1)[:, 0]
+        stamps = 1.7e18 + np.random.default_rng(2).integers(0, 1000, count)
+        k = estimate.sample_cumulants(np.column_stack([x, stamps]), 5)
+        # the exact central moments of the stamps, from integer power sums
+        y = [int(v) - int(stamps[0]) for v in stamps.tolist()]
+        mean = Fraction(sum(y), count)
+        sums = [sum(v ** j for v in y) for j in range(6)]
+        mu = [sum(math.comb(j, i) * Fraction(sums[i], count)
+                  * (-mean) ** (j - i) for i in range(j + 1))
+              for j in range(6)]
+        exact = [mu[2], mu[3], mu[4] - 3 * mu[2] ** 2,
+                 mu[5] - 10 * mu[3] * mu[2]]
+        got = [k.moment((0, j)) for j in range(2, 6)]
+        assert got == pytest.approx([float(e) for e in exact], rel=1e-9)
+
+    def test_order_one_cumulant_is_the_mean(self):
+        # a 2-D mean adds the rows one after another; the pass's own m1
+        # puts the order-1 cumulant back on the mean, rounded once (it
+        # was 11 ulps off)
+        rng = np.random.default_rng(0)
+        column = 5.0 + rng.random(100_000)
+        data = np.column_stack([column, rng.standard_normal(100_000)])
+        got = estimate.sample_cumulants(data, 4).moment((1, 0))
+        want = math.fsum(column) / len(column)
+        assert abs(got - want) <= math.ulp(want)
+
     @pytest.mark.parametrize("call", [
         lambda: estimate.sample_cumulants(np.arange(10.0), 4.0),
         lambda: ranktest.raw_moments(np.arange(10.0), 3.0),
@@ -391,6 +425,37 @@ class TestFitTwoGaussians:
         assert est.params.weights[0] == pytest.approx(0.3, abs=0.01)
         assert [m[1] for m in est.params.means] == [1.7e18, 1.7e18]
         assert est.params.cov[1] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_residual_does_not_move_with_the_origin(self, order):
+        # rebuilt from the uncentred means, the fitted cumulants cancelled
+        # in the float log: 0.0072 read 0.668 at +1e3 and 1.0 at +1e5
+        p = models.HomoscedasticParams(
+            means=[[0.0, 0.0], [2.5, 1.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.3], [0.3, 0.8]])
+        sample = models.sample_mixture(p, 100_000, seed=3)
+        residuals = [estimate.fit_two_gaussians(
+            estimate.sample_cumulants(sample + c, order),
+            order).diagnostics["residual"] for c in (0.0, 1e3, 1e5)]
+        assert residuals[0] == pytest.approx(0.0072, abs=1e-4)
+        assert residuals[1:] == pytest.approx(residuals[:1] * 2, rel=1e-9)
+
+    def test_pivot_ratio_underflow(self):
+        # the README mixture at 1e-70 of unit scale: the fourth power of
+        # the pivot cube root is a normal float, the fifth underflows
+        t = Fraction(1, 10**70)
+        p = models.HomoscedasticParams(
+            means=[[t, 0], [Fraction(-43, 100) * t, 0]],
+            weights=[Fraction(3, 10), Fraction(7, 10)],
+            cov=[[t * t, 0], [0, t * t]])
+        cum = models.homoscedastic_cumulants(p, 5)
+        est = estimate.fit_two_gaussians(cum, order=4)
+        assert est.params.weights[0] == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(InputError) as caught:
+            estimate.fit_two_gaussians(cum, order=5)
+        assert caught.value.code == "INPUT_RANGE"
+        assert str(caught.value) == (
+            "cumulants too small: a pivot ratio underflows")
 
     def test_univariate_input(self):
         rng = random.Random(6)

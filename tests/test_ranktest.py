@@ -453,6 +453,16 @@ class TestComponentCount:
                 0.0, 1.0, 0.0, 1.0]
             assert ranktest.estimate_components_from_data(x, 2)[0] == 1
 
+    def test_timestamp_gaussian_counts_one(self):
+        # the float mean of stamps near 1.7e18 is off by up to half their
+        # 256 ulp, and dropping that m1 read a skewness of -0.085 for
+        # -0.004 and counted 2; the pass flags such a column and shifts it
+        # exactly to its mean
+        x = 1.7e18 + 1e4 * np.random.default_rng(2).standard_normal(100_000)
+        assert ranktest.estimate_components_from_data(x, 2)[0] == 1
+        skew = ranktest.sample_normal_form(x, 3).moments[2]
+        assert skew == pytest.approx(-0.00415, abs=1e-4)
+
     def test_underflowing_moments_are_refused(self):
         # at 1e-33 the count read its high moments as 0 and returned 3
         # with infinite residuals; the sample counts 2 in unit scale
