@@ -55,17 +55,18 @@ def _parse_range(text, name):
 
 
 def _parse_moments(text):
-    """The cells ``float`` reads as finite numbers, as the exact decimals
-    they spell (``Fraction`` takes digit-group underscores only from
-    Python 3.11).  A cell that underflows to zero is read as 0, so a huge
-    exponent such as ``0e999999999`` is never expanded."""
-    cells = [x for x in text.split(",") if x.strip() != ""]
+    """The cells ``float`` reads as finite numbers (an empty one it does
+    not), as the exact decimals they spell (``Fraction`` takes digit-group
+    underscores only from Python 3.11).  A cell that underflows to zero
+    is read as 0, so a huge exponent such as ``0e999999999`` is never
+    expanded."""
+    if not text.strip():
+        raise InputError("empty moment vector", code="INPUT_EMPTY")
+    cells = text.split(",")
     try:
         values = [float(x) for x in cells]
     except ValueError:
         raise InputError(f"--moments expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise InputError("empty moment vector", code="INPUT_EMPTY")
     if not all(math.isfinite(v) for v in values):
         raise InputError(f"--moments must be finite, got {text!r}",
                          code="INPUT_PARSE")

@@ -11,8 +11,8 @@ numerically on the :func:`normal_form` of the moments: the scaled sum of
 squared minors is minimized over the admissible variance interval and
 compared against a threshold.  Every entry point checks ``k`` (or
 ``k_max``) first: below 1 is ``PRECONDITION``.  Only
-:func:`normal_form` reads ``Fraction`` moments exactly; every
-deconvolution, minor and root is a float.
+:func:`normal_form` reads moments exactly (:func:`~.series.exact_shift`);
+every deconvolution, minor and root is a float.
 
 On sample data (:func:`estimate_components_from_data`) each minor is
 scaled by its sampling noise: the delta method applied to the
@@ -27,7 +27,6 @@ invariant cutting out two-component mixtures in cumulants up to order 5.
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -106,21 +105,19 @@ def normal_form(moments):
     """The :class:`NormalForm` of a univariate moment vector, on which
     the shift- and scale-invariant pencil is read.
 
-    The vector is shifted to its own mean exactly (floats convert to
-    ``Fraction`` without rounding); one whose m_1 is exactly 0 skips the
-    shift.  Moment j is then divided in floats by the standard deviation
-    once per order, unless the central variance is not positive.  A
-    non-finite entry is ``INPUT_PARSE``, a central or standardised moment
-    out of float range ``INPUT_RANGE``.  A normal form is its own normal form.
-    """
+    The vector is shifted to its own mean exactly, floats read as the
+    rationals they are (:func:`~homoment.series.exact_shift`, of any
+    length); one whose m_1 is exactly 0 skips the shift.  Moment j is
+    then divided in floats by the standard deviation once per order,
+    unless the central variance is not positive.  A non-finite entry is
+    ``INPUT_PARSE``, a central or standardised moment out of float range
+    ``INPUT_RANGE``.  A normal form is its own normal form."""
     if isinstance(moments, NormalForm):
         return moments
     m = _moment_list(moments, need=1)
     mean = m[0]
     if mean != 0:
-        exact = [Fraction(1)] + [Fraction(x) for x in m]
-        m = [sum(math.comb(j, i) * exact[j - i] * (-exact[1]) ** i
-                 for i in range(j + 1)) for j in range(1, len(exact))]
+        m = ts.exact_shift(m, 1, len(m), 0)
     values = finite_floats([mean, *m], "a central moment")
     mean, central = float(values[0]), values[1:]
     variance = central[1] if len(central) > 1 else 0.0

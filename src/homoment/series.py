@@ -17,7 +17,8 @@ an array sum, a truncation a prefix and the Cauchy product a sum over
 the pairs whose two coefficients are nonzero.  :mod:`homoment.geometry`,
 :mod:`homoment.models` and the one checked pass that takes every sample
 moment (:func:`sample_moments`) read the same table, and build every
-monomial p^a as its parent's times p_c.
+monomial p^a as its parent's times p_c.  The one exact centring of
+moments (:func:`exact_shift`) is a Taylor shift over the maps a - e_j.
 
 One size rule, :func:`_check_shape`, bounds every series and every
 sample pass by what an exp or log on its table costs and what it holds.
@@ -436,17 +437,18 @@ def moment_sums(arr, degree, centre):
     return sums
 
 
-def _exact_shift(moments, nvars, degree, j):
-    """Averaged monomials ``moments`` of orders 1..``degree`` in ``nvars``
-    variables (:func:`multi_indices` order) moved to the mean of variable
-    j, ``moments[j]``: their series times ``exp(-m_j u_j)`` in
-    ``Fraction`` arithmetic, rounded once, so the new ``moments[j]`` is 0."""
-    indices = multi_indices(nvars, degree)[1:]
-    exact = [Fraction(m) for m in moments.tolist()]
-    series = TruncatedSeries.from_moments(nvars, degree, zip(indices, exact))
-    series *= exp(TruncatedSeries(nvars, degree, {indices[j]: -exact[j]}))
-    return finite_floats([series.moment(a) for a in indices],
-                         "a sample moment", "data")
+def exact_shift(moments, nvars, degree, j):
+    """Moments of orders 1..``degree`` in ``nvars`` variables (exact or
+    float, :func:`multi_indices` order) moved to the mean of variable j,
+    ``moments[j]``, exactly: a Taylor shift, ``degree`` passes of m_a +=
+    -m_j m_(a - e_j) over the index table (pass i where a_j > i, highest
+    position first), in ``Fraction``, so the new ``moments[j]`` is 0."""
+    m = np.array([Fraction(1), *map(Fraction, moments)], dtype=object)
+    table, shift = index_table(nvars, degree), -m[j + 1]
+    for i in range(degree):
+        at = np.flatnonzero(table.exponents[:, j] > i)
+        m[at] += shift * m[table.down[j, at]]
+    return m[1:].tolist()
 
 
 def sample_moments(data, degree, centre=None, columns=1):
@@ -460,16 +462,16 @@ def sample_moments(data, degree, centre=None, columns=1):
     not); empty data ``INPUT_EMPTY``; ragged rows, a shape other than
     ``columns`` columns (None: any number) or past the one size rule
     (:func:`_check_shape`) ``DimensionMismatchError``, before the pass.
-    A mean or moment out of float range is ``INPUT_RANGE``, and so is a
-    mean of a pure even power x_j^(2i) below the smallest normal float
-    unless column j is constant: such a moment has lost its digits.
+    An exact entry, mean or moment out of float range is ``INPUT_RANGE``,
+    and so is a mean of a pure even power x_j^(2i) below the smallest
+    normal float unless column j is constant (its digits are lost).
 
     The centre is the column means unless given.  About them, at
     ``degree`` 2 or more, a column is flagged unless m2 is finite and
     m1^2 < 2^-52 m2 (so no other column's m1 passes 2^-26 of its
     standard deviation).  A flagged column is re-centred at centre + m1
     and summed again; if its m1 is still not 0 its mean is no float, and
-    its moments are shifted exactly to it (:func:`_exact_shift`), the
+    its moments are shifted exactly to it (:func:`exact_shift`), the
     rounded shift added to its centre.  A constant column's centre + m1
     rounds to its value, where every moment is exactly 0."""
     degree, = check_integers(1, order=degree)
@@ -487,6 +489,9 @@ def sample_moments(data, degree, centre=None, columns=1):
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):  # an entry float() cannot read
         raise unreal from None
+    except OverflowError:  # an exact entry beyond float range
+        raise InputError("data too large: a value is not a finite float",
+                         code="INPUT_RANGE") from None
     if arr.size == 0:
         raise InputError("need at least one observation", code="INPUT_EMPTY")
     n = arr.shape[1] if arr.ndim == 2 else 1
@@ -522,5 +527,6 @@ def sample_moments(data, degree, centre=None, columns=1):
                              code="INPUT_RANGE")
         if j in flagged and moments[j]:  # its mean is not a float
             centre[j] += moments[j]
-            moments = _exact_shift(moments, n, degree, j)
+            moments = finite_floats(exact_shift(moments, n, degree, j),
+                                    "a sample moment", "data")
     return arr, centre, moments

@@ -1347,6 +1347,17 @@ class TestMomentParse:
         # underscores are read on Python 3.10, whose Fraction refuses them
         assert cli._parse_moments(text) == [value]
 
+    @pytest.mark.parametrize("args,code", [
+        ("fit1d --k 1 --moments 1,,3", "INPUT"),
+        ("fit1d --k 1 --moments ,1,2", "INPUT"),
+        ("rank-test --kmax 1 --moments=-1,,2,3", "INPUT"),
+        ("rank-test --kmax 1 --moments=1,2,3,", "INPUT"),
+        ("fit1d --k 1 --moments=", "INPUT_EMPTY")], ids=str)
+    def test_empty_cell_refused(self, args, code):
+        # refused, not dropped: that would move each later moment down
+        # one order
+        assert_rejected(args.split(), code)
+
 
 class TestHugeInput:
     """Finite input too large for float Hankel minors or their scales."""

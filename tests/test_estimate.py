@@ -865,14 +865,23 @@ class TestNormalForm:
 
     def test_centred_moments_skip_the_shift(self, monkeypatch):
         # m_1 exactly 0: no exact arithmetic, as for sample moments
-        class NoFraction(Fraction):
-            def __new__(cls, *args):
-                raise AssertionError("exact arithmetic on centred input")
+        def no_shift(*args):
+            raise AssertionError("exact arithmetic on centred input")
 
-        monkeypatch.setattr(ranktest, "Fraction", NoFraction)
+        monkeypatch.setattr(ts, "exact_shift", no_shift)
         form = ranktest.normal_form([0.0, 4.0, 8.0, 48.0])
         assert (form.mean, form.variance) == (0.0, 4.0)
         assert form.moments == [0.0, 1.0, 1.0, 3.0]
+        with pytest.raises(AssertionError):
+            ranktest.normal_form([1.0, 4.0, 8.0, 48.0])
+
+    def test_long_exact_vector(self):
+        # 81 moments, past the size rule of series: 1/2 at 1 and 1/2 at 3
+        # is 2 +- 1, with central moments 0 and 1 in turn
+        m = [Fraction(1 + 3 ** j, 2) for j in range(1, 82)]
+        form = ranktest.normal_form(m)
+        assert (form.mean, form.variance) == (2.0, 1.0)
+        assert form.moments == [float(j % 2 == 0) for j in range(1, 82)]
 
     def test_non_positive_variance_left_unscaled(self):
         form = ranktest.normal_form([1.0, 1.0, 5.0])

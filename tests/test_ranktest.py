@@ -1067,6 +1067,12 @@ _BAD_SAMPLES = {
     "inf": ([1.0, math.inf, 2.0], "INPUT_PARSE"),
     "-inf": ([1.0, -math.inf, 2.0], "INPUT_PARSE"),
     "overflow": ([1e200, -1e200, 3e200], "INPUT_RANGE"),
+    # exact entries beyond float range, on which astype raises
+    # OverflowError
+    "huge-int": ([10 ** 400, 1.0, 2.0], "INPUT_RANGE"),
+    "huge-fraction": ([Fraction(10 ** 400), 1], "INPUT_RANGE"),
+    "huge-fraction-column": ([[1, Fraction(-10 ** 400)], [1, 2]],
+                             "INPUT_RANGE"),
     "three-axes": (np.ones((4, 1, 1)), "DIMENSION_MISMATCH"),
     "two-columns": (np.random.default_rng(2).normal(size=(500, 2)) + [0, 3],
                     "DIMENSION_MISMATCH"),

@@ -266,6 +266,28 @@ class TestFloatPath:
         assert (s * s).coeff((2,)) == Fraction(2 ** 80)
 
 
+class TestExactShift:
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_fraction_oracle(self, j):
+        # the raw moments of three rational points, shifted in variable
+        # j, are the moments of the points with x_j - mean_j
+        points = [(Fraction(1, 3), Fraction(-2)), (Fraction(5, 7), 0),
+                  (Fraction(-4), Fraction(9, 2))]
+        indices = ts.multi_indices(2, 4)[1:]
+
+        def moments(pts):
+            return [sum(x ** a[0] * y ** a[1] for x, y in pts) / 3
+                    for a in indices]
+
+        mean = sum(p[j] for p in points) / 3
+        moved = [tuple(c - mean * (i == j) for i, c in enumerate(p))
+                 for p in points]
+        shifted = ts.exact_shift(moments(points), 2, 4, j)
+        assert shifted == moments(moved)
+        assert all(type(m) is Fraction for m in shifted)
+        assert shifted[j] == 0
+
+
 # ----------------------------------------------------------------------
 # the array engine against the dict engine (tests/conftest.py)
 
