@@ -51,12 +51,14 @@ none; ``_inverse`` raises on a non-unit.  The split holds mod p too: M^-1
 is a unit series, the change of parameters is unimodular and the
 split-off diagonal (1 and 1/2) is made of units.  So a point's rank is
 that of the rational Jacobian reduced mod p: at most the rank over Q,
-which is at most the generic rank, a certified lower bound.  A point
-whose rank reaches min(rows, cols) of J, the count split off plus
-min(rows, cols) of B, certifies the generic rank alone.  Otherwise, by
-the Schwartz-Zippel lemma the bound is sharp with overwhelming
-probability, so reports take the maximum over at least two points and
-draw a third when the first two disagree.
+which is at most the generic rank, a certified lower bound.  A row's
+upper bound is the dimension count min(par, ambient), the count split
+off plus min(rows, cols) of B, or for a mixture at d = 3 the paper's
+order-3 theorem: that less ``predicted_defect_order3``.  A point whose
+rank meets it settles the row alone.  Otherwise (a rank above it
+disproves the theorem, and ``--check`` says so) by Schwartz-Zippel the
+maximum over two points, or three when the first two disagree, is the
+generic rank with overwhelming probability.
 
 The module also carries the published classification table of the
 order-3 homoscedastic secants for up to seven variables: an input this
@@ -328,28 +330,24 @@ def _veronese_block(n, k, d, rng, p):
     return _block(*_veronese_point(n, k, rng), d, 2, p)
 
 
-def _point_ranks(block_at, split, seed, n, k, d):
+def _point_ranks(block_at, split, ceiling, seed, n, k, d):
     """Jacobian ranks, ``split`` plus the rank of the block ``block_at``
-    builds, at random points, each under its own prime.
-
-    One point when its rank reaches min(rows, cols) of the Jacobian: no
-    rank can exceed that, so the point certifies the generic rank.
-    Otherwise two points, or three when the first two disagree; their
-    maximum is the generic rank with overwhelming probability."""
+    builds, at random points, each under its own prime: one point when
+    its rank meets ``ceiling``, the row's upper bound (the dimension
+    count or, at d = 3, the paper's theorem); else two, or three when
+    the first two disagree (module docstring)."""
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
         block = block_at(n, k, d, rng, PRIMES[trial])
         # a list of int64 rows: perfbench/tracer.py sizes rank's argument
         # with ``if matrix``, which raises on an ndarray
-        return (split + rank(list(block), PRIMES[trial]),
-                split + min(block.shape))
+        return split + rank(list(block), PRIMES[trial])
 
-    first, bound = rank_at(0)
-    if first == bound:
-        return (first,)
-    ranks = [first, rank_at(1)[0]]
-    if ranks[0] != ranks[1]:
-        ranks.append(rank_at(2)[0])
+    ranks = [rank_at(0)]
+    if ranks[0] != ceiling:
+        ranks.append(rank_at(1))
+        if ranks[0] != ranks[1]:
+            ranks.append(rank_at(2))
     return tuple(ranks)
 
 
@@ -371,7 +369,8 @@ class DefectReport:
     fiber_dim: int    # par - dim
     defect: int       # fiber_dim - max(par - ambient, 0)
     ranks: tuple      # Jacobian rank at each random point, in draw order:
-                      # one point when it reaches min(rows, cols)
+                      # one point when it meets the row's upper bound,
+                      # min(par, ambient) or, at d = 3, the paper's theorem
     seed: int
 
     @property
@@ -393,13 +392,14 @@ class DefectReport:
         }
 
 
-def _report(n, k, d, par, block_at, split, seed):
+def _report(n, k, d, par, block_at, split, seed, defect=0):
     ambient = ambient_dim(n, d)
-    ranks = _point_ranks(block_at, split, seed, n, k, d)
+    expected = min(par, ambient)
+    ranks = _point_ranks(block_at, split, expected - defect, seed, n, k, d)
     dim = max(ranks)
     fiber = par - dim
     return DefectReport(n=n, k=k, d=d, par=par, ambient=ambient,
-                        expected=min(par, ambient), dim=dim, fiber_dim=fiber,
+                        expected=expected, dim=dim, fiber_dim=fiber,
                         defect=fiber - max(par - ambient, 0),
                         ranks=ranks, seed=seed)
 
@@ -407,9 +407,11 @@ def _report(n, k, d, par, block_at, split, seed):
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
     n, k, d, seed = check_envelope(n, k, d, seed)
-    # translations span order 1, the covariance order 2
+    # translations span order 1, the covariance order 2; at d = 3 the
+    # paper's theorem bounds the dimension
     return _report(n, k, d, parameter_count(n, k), _mixture_block,
-                   ambient_dim(n, min(d, 2)), seed)
+                   ambient_dim(n, min(d, 2)), seed,
+                   predicted_defect_order3(n, k) if d == 3 else 0)
 
 
 def veronese_report(n, k, d, seed=0):

@@ -338,8 +338,11 @@ def centered_cumulant_rank(n, k, d, seed=0):
     rank.
     """
     geometry.check_envelope(n, k, d)
-    return max(geometry._point_ranks(geometry._mixture_block, 0, seed,
-                                     n, k, d))
+    # min(rows, cols) of the block: a dimension count, not the theorem
+    ceiling = min((k - 1) * (n + 1), geometry.ambient_dim(n, d)
+                  - geometry.ambient_dim(n, min(d, 2)))
+    return max(geometry._point_ranks(geometry._mixture_block, 0, ceiling,
+                                     seed, n, k, d))
 
 
 # Defective Veronese secants (classical classification), keyed by

@@ -67,7 +67,7 @@ class TestDefectTable:
         assert fields == ["2", "2", "3", "8", "9", "8", "7", "1", "1"]
 
     def test_json_format(self, capsys):
-        code, out, _ = run(["defect-table", "--n", "1", "--d", "3",
+        code, out, _ = run(["defect-table", "--n", "1..3", "--d", "3",
                             "--format", "json", "--check"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -80,8 +80,11 @@ class TestDefectTable:
         for r in rows.values():
             assert r["points"] == len(r["ranks"])
             assert r["dim"] == max(r["ranks"])
-            # one point exactly when it reaches the expected dimension
-            assert (r["points"] == 1) == (r["dim"] == r["expected"])
+            # one point exactly when it meets the dimension the paper's
+            # order-3 theorem gives; (2, 2), (3, 2) and (3, 3) are defective
+            settled = r["expected"] - geometry.predicted_defect_order3(
+                r["n"], r["k"])
+            assert (r["points"] == 1) == (r["dim"] == settled)
 
     def test_order3_classifier_past_the_published_table(self, capsys):
         # n = 8 is beyond the published n <= 7 rows: only the closed-form
@@ -132,6 +135,25 @@ class TestDefectTable:
             # csv carries the rows only
             assert [line.split(",")[2] for line in out.splitlines()] == \
                 ["d", "3", "4"]
+
+    @pytest.mark.parametrize("defect", [3, 1],
+                             ids=["overstated", "understated"])
+    def test_wrong_classifier_cannot_hide(self, capsys, monkeypatch, defect):
+        # the classifier also sets the row's ceiling: a first rank above it
+        # (a counterexample) or below it draws more points, and --check
+        # names the row
+        real = geometry.predicted_defect_order3
+        monkeypatch.setattr(geometry, "predicted_defect_order3",
+                            lambda n, k: defect if (n, k) == (3, 3)
+                            else real(n, k))
+        report = geometry.defect_report(3, 3, 3, seed=0)
+        assert report.points >= 2 and report.dim == 15
+        code, out, err = run(["defect-table", "--n", "3", "--k", "3", "--d",
+                              "3", "--check", "--format", "json"], capsys)
+        assert code == cli.EXIT_CHECK == 4
+        assert err == "defect-table --check failed: 1 mismatch(es)\n"
+        assert strict_json(out)["check"] == {"passed": False, "mismatches": [
+            f"(n=3,k=3,d=3): computed defect 2, classifier {defect}"]}
 
     def test_bad_range_is_input_error(self, capsys):
         # a range whose end is below its start is refused like a word
@@ -223,24 +245,24 @@ class TestDefectTable:
 
     @pytest.mark.parametrize("args,digest", [
         ("--n 1..5 --d 3 --check --format json --seed 0",
-         "0ff465ea0871265e88c295fa1d0af452490507a9275fba67ea60b3235be5b882"),
+         "da8d92e726f346cbcd934703a577d8a025a95d57aa8dba43ba90c7fea9c1df61"),
         ("--n 1..4 --d 3..4 --format json --seed 0",
-         "1e9b075967c8b335256fc3c90fa37c11bf0fb9a12d4ded8a1df2a47094bb1813"),
+         "655350c1daf3104ac1ec7419c16837c9e03d53b013afc994e46bbc2215bc8787"),
         # every published row, as the table benchmark and CI run them
         ("--n 1..7 --d 3 --check --format json --seed 0",
-         "4aef747bbc7f9f47631a3abb34449f7948294d2459ff25c6b8cab4a79bf09a0e"),
+         "ec9400da4ccb77b4ec452e6c964ce34c10bfa2086b50c3048a223c55429ca91b"),
         # d = 1 and 2: the rank block has no columns
         ("--n 1..3 --d 1..2 --format json --seed 0",
          "3db94b2fc803a26012956eef39a7920666e582a9035bed5784a8651ce5644f93"),
         # the largest rank blocks, as CI runs them
         ("--n 8 --k 2..12 --d 3 --check --format json --seed 0",
-         "23aa07abc14a7464e552c54c3b13d33fc6a50b8dc9b34f5b93f947a264423c3f"),
+         "2f0af264329a6a5d83ad2ab19aa7cc6284b9fdcac1e5da80ecb1093f8df4f925"),
         # a negative seed is masked into each row's stream
         ("--n 1..3 --d 3 --format json --seed -5",
-         "def8440a765fa7c4b4206331a603534e98dec73cead7e2630df7c3ef964bfd5c"),
+         "fd70bb901a93e24d42657023004b92243d5bf8161a13d8f0b1dc7d1ed9513fde"),
         # the whole envelope: 576 rows, d = 5 and 6 included
         ("--n 1..8 --k 1..12 --d 1..6 --format json --seed 0",
-         "1b20a1381d1fd2533980eff900237f54314962e84c551b88a64a1920f3c50efe"),
+         "a53f68bd42f3e23953f889c8d013b5df60a9fb5718c58839d56464faa3f6b3c8"),
     ], ids=["n1..5-d3-check", "n1..4-d3..4", "n1..7-d3-check", "n1..3-d1..2",
             "n8-k2..12-d3-check", "n1..3-d3-seed-5", "n1..8-k1..12-d1..6"])
     def test_output_is_pinned(self, capsys, args, digest):

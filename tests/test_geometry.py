@@ -475,7 +475,8 @@ class TestMomentJacobian:
             return rank(matrix, p)
 
         monkeypatch.setattr(geometry, "rank", recording_rank)
-        geometry.defect_report(2, 2, 3, seed=0)
+        # a defective Veronese row ranks two points
+        geometry.veronese_report(2, 5, 4, seed=0)
         assert moduli[:2] == [PRIMES[0], PRIMES[1]]
 
     def test_rank_stable_across_seeds(self):
@@ -594,6 +595,13 @@ def check_against_oracle(monkeypatch, builder):
     return checked
 
 
+# the 576-row envelope, and its defective cells (all at d = 3)
+ENVELOPE = [(n, k, d) for n in range(1, 9) for k in range(1, 13)
+            for d in range(1, 7)]
+DEFECTIVE_CELLS = [(n, k, d) for n, k, d in ENVELOPE
+                   if d == 3 and geometry.predicted_defect_order3(n, k)]
+
+
 class TestResiduesMatchFractionOracle:
     """Each residue block equals its oracle over Q reduced mod p."""
 
@@ -632,6 +640,22 @@ class TestResiduesMatchFractionOracle:
             cells += [(k, 4) for k in geometry.default_k_range(n, 4)]
         reports = [geometry.defect_report(n, k, d, seed=0) for k, d in cells]
         assert len(checked) == sum(r.points for r in reports)
+
+    @pytest.mark.parametrize("trial", [1, 2])
+    def test_later_points_of_defective_rows(self, trial):
+        # the paper's theorem settles each d = 3 row at its first point, so
+        # no report draws these; build them as a row whose first point fell
+        # short would, and check them as the reports' draws are checked
+        p = PRIMES[trial]
+        for n, k, d in DEFECTIVE_CELLS:
+            seed = geometry._mix_seed(0, n, k, d, trial)
+            block = geometry._mixture_block(n, k, d, random.Random(seed), p)
+            assert block.tolist() == reduced(
+                mixture_block_oracle(n, k, d, random.Random(seed)), p), (n, k)
+            whole = geometry.moment_map_jacobian(
+                mixture_point(n, k, random.Random(seed)), d, p)
+            split = n + n * (n + 1) // 2
+            assert split + rank(list(block), p) == rank(whole, p), (n, k)
 
     def test_veronese_report_draws(self, monkeypatch):
         checked = check_against_oracle(monkeypatch, "_veronese_block")
@@ -703,13 +727,14 @@ class TestSeriesPlan:
     def test_plan_is_built_once_and_read_only(self):
         geometry._plan.cache_clear()
         for _ in range(2):
-            # (2, 2, 3) ranks two points, each under its own prime
-            geometry.defect_report(2, 2, 3, seed=0)
-            geometry.defect_report(2, 3, 3, seed=0)
+            # the defective Veronese row (2, 5, 4) ranks two points, each
+            # under its own prime; the mixture row ranks one
+            geometry.veronese_report(2, 5, 4, seed=0)
+            geometry.defect_report(2, 3, 4, seed=0)
             geometry.moment_map_jacobian(mixture_point(2, 2, random.Random(0)),
-                                         3, PRIMES[0])
+                                         4, PRIMES[0])
         assert geometry._plan.cache_info().misses == 2
-        plan = geometry._plan(2, 3, PRIMES[0])
+        plan = geometry._plan(2, 4, PRIMES[0])
         arrays = [plan.scale, plan.one, plan.shift]
         arrays += [parents for _, parents in plan.orders]
         for array in arrays:
@@ -777,6 +802,25 @@ class TestSplitRank:
         assert len(checked) == sum(r.points for r in reports)
 
 
+class TestCeiling:
+    """The ceiling a report hands ``_point_ranks``, min(par, ambient), is
+    the count split off plus min(rows, cols) of B on every cell."""
+
+    @pytest.mark.parametrize("builder", ["_mixture_block", "_veronese_block"])
+    def test_split_plus_block_bound(self, builder):
+        for n, k, d in ENVELOPE:
+            block = getattr(geometry, builder)(n, k, d, random.Random(0),
+                                               PRIMES[0])
+            if builder == "_mixture_block":
+                par = geometry.parameter_count(n, k)
+                # translations span order 1, the covariance order 2
+                split = n + (n * (n + 1) // 2 if d >= 2 else 0)
+            else:
+                par, split = n * k + k - 1, n
+            assert split + min(block.shape) == min(
+                par, geometry.ambient_dim(n, d)), (n, k, d)
+
+
 class TestEmptyBlocks:
     """k = 1 leaves B no rows; a mixture at d <= 2 and a Dirac mixture at
     d = 1 leave it no columns.  Rows and ranks are pinned."""
@@ -825,18 +869,29 @@ class TestDefectReports:
         assert geometry.defect_report(3, 3, 3, seed=0).as_dict() == {
             "n": 3, "k": 3, "d": 3, "par": 17, "ambient": 19,
             "expected": 17, "dim": 15, "defect": 2, "fiber_dim": 2,
-            "points": 2, "ranks": [15, 15], "seed": 0}
+            "points": 1, "ranks": [15], "seed": 0}
 
     @pytest.mark.parametrize("ranks,expected", [
         (lambda: geometry.defect_report(4, 5, 3, seed=0).ranks, (34,)),
         (lambda: geometry.veronese_report(1, 2, 3, seed=0).ranks, (3,)),
-        (lambda: geometry._point_ranks(geometry._mixture_block, 0, 0,
+        (lambda: geometry._point_ranks(geometry._mixture_block, 0, 4, 0,
                                        2, 3, 3), (4,)),
     ], ids=["mixture", "veronese", "centered"])
     def test_full_rank_point_certifies_alone(self, ranks, expected):
         # no rank exceeds min(rows, cols), so one point reaching it is the
         # generic rank and no second point is drawn
         assert ranks() == expected
+
+    def test_order3_rows_settle_at_one_point(self):
+        # every published row and every d = 3 cell of the envelope: the
+        # first point's rank, a certified lower bound, meets the dimension
+        # the paper's order-3 theorem gives, so no second point is drawn
+        cells = {row[:2] for row in geometry.ORDER3_TABLE}
+        cells |= {(n, k) for n, k, d in ENVELOPE if d == 3}
+        for n, k in sorted(cells):
+            r = geometry.defect_report(n, k, 3, seed=0)
+            assert r.ranks == (min(r.par, r.ambient)
+                               - geometry.predicted_defect_order3(n, k),), (n, k)
 
     def test_deficient_first_point_draws_more(self, monkeypatch):
         calls = []

@@ -48,8 +48,8 @@ def test_traced_table_row_counts_rank():
     tracer = TRACER_MODULE.Tracer()
     tracer.install(homoment)
     try:
-        # (2, 2, 3) is defective, so it ranks two points
-        geometry.defect_report(2, 2, 3)
+        # a defective Veronese row ranks two points
+        geometry.veronese_report(2, 5, 4)
     finally:
         tracer.uninstall()
     assert tracer.counts["exactla.rank.calls"] == 2
