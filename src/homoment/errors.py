@@ -103,8 +103,8 @@ class ModelMismatchError(HomomentError):
 
 
 class SymmetricMixtureError(ModelMismatchError):
-    """All principal third cumulants vanish; the two-component closed-form
-    recovery has no pivot (equal means or weight one half)."""
+    """Every standardised third cumulant vanishes; the two-component
+    closed-form recovery has no pivot (equal means or weight one half)."""
 
     code = "SYMMETRIC_MIXTURE"
 

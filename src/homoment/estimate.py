@@ -132,7 +132,7 @@ def solve_smaller_weight(ratio):
             hi = w
 
 
-# relative to the covariance scale to the power 3/2
+# relative to the pivot variance to the power 3/2
 _PIVOT_TOL = 1e-10
 
 
@@ -150,8 +150,9 @@ def fit_two_gaussians(cumulants, order=None):
     """Closed-form recovery of a two-component homoscedastic mixture.
 
     ``cumulants`` is a cumulant-space series of degree at least four.
-    The pivot coordinate p has the largest principal third cumulant; its
-    ratio to the fourth fixes the smaller weight
+    The pivot coordinate p has the largest standardised third cumulant
+    ``|kappa_ppp| / kappa_pp^1.5``, read as 0 at variance 0; its ratio
+    to the fourth fixes the smaller weight
     (:func:`solve_smaller_weight`), the pivot mean follows from the third
     cumulant, and every other mean coordinate j from the pivot slice as
     ``mu_j = mu_p kappa_ppj / kappa_ppp``.  A cube root per coordinate
@@ -160,17 +161,17 @@ def fit_two_gaussians(cumulants, order=None):
     ``order=5`` (the default when fifth cumulants are available) also
     checks the fifth-order pivot ratio against the model's.
 
-    Requires a nonzero principal third cumulant: mixtures with equal
-    weights or equal means have none and raise
-    :class:`SymmetricMixtureError`.  Every coefficient of orders
+    Requires ``6 |c_ppp| > _PIVOT_TOL kappa_pp^1.5``: mixtures with equal
+    weights or equal means have no third cumulant and raise
+    :class:`SymmetricMixtureError`.  Both rules are per coordinate and
+    scale-free; only ``diagnostics.residual`` depends on the units.
+    Every coefficient of orders
     1..``order`` is read exact or as a finite real first (else
     ``INPUT_PARSE``: a NaN, an infinity, a complex number), then through
     :func:`~homoment.errors.finite_floats`: one beyond float range is
     ``INPUT_RANGE``, as are a moment a! c and a covariance scale that
     overflow and a pivot ratio whose power of ``kappa_ppp`` overflows or
-    underflows.  Every
-    tolerance is relative to the covariance scale, so a sample fits the
-    same in any unit.
+    underflows.
     """
     n = cumulants.nvars
     if cumulants.constant() != 0:
@@ -182,68 +183,62 @@ def fit_two_gaussians(cumulants, order=None):
         raise InsufficientOrderError(
             f"series of degree {cumulants.degree} cannot serve order {order}")
 
-    def unit(i, e):
-        return tuple(e if t == i else 0 for t in range(n))
-
-    position = ts.index_table(n, order).positions
-    values = finite_floats(exact_or_finite(cumulants._c[1:len(position)],
+    table = ts.index_table(n, order)
+    values = finite_floats(exact_or_finite(cumulants._c[1:len(table.order)],
                                            "cumulants"),
-                           "a cumulant", "cumulants").tolist()
+                           "a cumulant", "cumulants")
 
-    def coeff(a):
-        return values[position[a] - 1]
+    def read(rows, moments=False):
+        # c_a at each row a of exponents, or the exact a! c_a rounded once
+        keys = list(map(tuple, rows.reshape(-1, n).tolist()))
+        found = (finite_floats([cumulants.moment(a) for a in keys],
+                               "a cumulant", "cumulants") if moments
+                 else values[[table.positions[a] - 1 for a in keys]])
+        return found.reshape(rows.shape[:-1])
 
-    def moment(a):
-        # a! c rounded once, from the exact product, and checked finite
-        return float(finite_floats(cumulants.moment(a), "a cumulant",
-                                   "cumulants"))
+    unit = np.eye(n, dtype=int)
+    mean_shift = read(unit, moments=True)
+    total_cov = read(unit[:, None] + unit, moments=True)
+    principal = read(np.arange(3, order + 1)[:, None, None] * unit)
 
-    mean_shift = [moment(unit(i, 1)) for i in range(n)]
-    # the raw second cumulants, at the indices e_i + e_j
-    total_cov = [[moment(tuple((t == i) + (t == j) for t in range(n)))
-                  for j in range(n)] for i in range(n)]
-    third = [coeff(unit(i, 3)) for i in range(n)]
-
-    cov_scale = max([abs(total_cov[i][j]) for i in range(n) for j in range(n)],
-                    default=0.0)
-    pivot = max(range(n), key=lambda i: abs(third[i]))
-    if abs(6.0 * third[pivot]) <= _PIVOT_TOL * finite_power(
-            cov_scale, 1.5, "a covariance scale", "cumulants"):
+    cov_scale = float(np.abs(total_cov).max())
+    finite_power(cov_scale, 1.5, "a covariance scale", "cumulants")
+    spread = np.maximum(total_cov.diagonal(), 0.0) ** 1.5
+    pivot = int(np.argmax(np.divide(np.abs(principal[0]), spread,
+                                    out=np.zeros(n), where=spread > 0)))
+    if 6.0 * abs(principal[0, pivot]) <= _PIVOT_TOL * spread[pivot]:
         raise SymmetricMixtureError(
-            "all principal third cumulants vanish; equal weights or equal "
-            "means are not recoverable from orders three and four")
+            "every standardised third cumulant vanishes; equal weights or "
+            "equal means are not recoverable from orders three and four")
 
-    t3 = _cbrt(third[pivot])
+    t3 = _cbrt(principal[0, pivot])
 
     def pivot_ratio(e):
         power = finite_power(t3, e, "a pivot ratio", "cumulants")
         if power == 0.0:
             raise InputError("cumulants too small: a pivot ratio underflows",
                              code="INPUT_RANGE")
-        return coeff(unit(pivot, e)) / power
+        return float(principal[e - 3, pivot]) / power
 
     ratio_a = pivot_ratio(4)
     w = solve_smaller_weight(ratio_a)
-    q = w * (1.0 - w)
     f3 = float(two_point_cumulant_coeff(w, 3))
     mu_p = _cbrt(1.0 / f3) * t3
-    k_ppp = moment(unit(pivot, 3))
-    mu1 = [mu_p * (moment(tuple(2 * (t == pivot) + (t == j)
-                                for t in range(n))) / k_ppp)
-           for j in range(n)]
-    mu2 = [-(w / (1.0 - w)) * x for x in mu1]
-    cov = [[total_cov[i][j] - w * mu1[i] * mu1[j] - (1.0 - w) * mu2[i] * mu2[j]
-            for j in range(n)] for i in range(n)]
+    # kappa_ppj at the rows 2 e_p + e_j; its p-th entry is kappa_ppp
+    pivot_slice = read(2 * unit[pivot] + unit, moments=True)
+    mu1 = mu_p * (pivot_slice / pivot_slice[pivot])
+    mu2 = -(w / (1.0 - w)) * mu1
+    cov = (total_cov - np.outer(w * mu1, mu1)
+           - np.outer((1.0 - w) * mu2, mu2))
     centred = models.HomoscedasticParams(means=[mu1, mu2],
                                          weights=[w, 1.0 - w], cov=cov)
-    params = replace(centred, means=[[x + s for x, s in zip(mu, mean_shift)]
-                                     for mu in (mu1, mu2)])
-    eigmin = float(np.min(np.linalg.eigvalsh(np.asarray(cov))))
+    params = replace(centred, means=[mu1 + mean_shift, mu2 + mean_shift])
+    eigmin = float(np.linalg.eigvalsh(cov).min())
     diag = {
         "order_used": order,
         "pivot": pivot,
         "ratio_a": ratio_a,
-        "weight_product": q,
+        "weight_product": w * (1.0 - w),
         "cov_min_eigenvalue": eigmin,
         "cov_psd": bool(eigmin >= -1e-8 * cov_scale),
         "residual": _fit_residual(centred, values, order),
@@ -303,7 +298,8 @@ def fit_univariate(moments, k):
     variance from the smallest nonnegative root of
     :func:`~homoment.ranktest.variance_polynomial`, then atoms and
     weights by quadrature, on the normal form and mapped back to data
-    units (``variance_residual`` stays standardised)."""
+    units (``variance_residual`` stays standardised).  A negative weight
+    is no mixture: ``ModelMismatchError``, which names the weight."""
     k, = check_integers(1, k=k)
     form = ranktest.normal_form(moments)
     m = form.moments
@@ -317,6 +313,10 @@ def fit_univariate(moments, k):
     mt = ranktest.deconvolve_moments(m, s_star)
     nodes = ranktest.quadrature_nodes(mt, k)
     weights = ranktest.quadrature_weights(nodes, mt)
+    for i, w in enumerate(weights):
+        if w < 0:
+            raise ModelMismatchError("the fit is no mixture: quadrature "
+                                     f"weight {i} is {float(w)!r}")
     sd = math.sqrt(form.variance)
     params = models.HomoscedasticParams(
         means=[[x * sd + form.mean] for x in nodes], weights=weights,
@@ -328,7 +328,6 @@ def fit_univariate(moments, k):
         "selected_variance": s_star * form.variance,
         "variance_roots": [float(r) * form.variance for r in roots],
         "variance_residual": residual / max(top, 1e-300),
-        "negative_weights": bool(any(w < 0 for w in weights)),
     }
     return Estimate(params=params, diagnostics=diagnostics)
 

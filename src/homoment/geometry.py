@@ -79,7 +79,7 @@ from .series import IndexTable, index_table
 
 MAX_N = 8
 MAX_D = 6
-MAX_K = 14
+MAX_K = 15  # the last k of default_k_range(MAX_N, 3)
 COORD_BOUND = 1000
 
 
@@ -291,7 +291,7 @@ def _block(atoms, weights, degree, lowest, p):
     order 2 and D^-1 = sum_j (1 - D)^j takes the j <= degree // 2."""
     points = np.array(atoms, dtype=np.int64) % p
     w = np.array(weights, dtype=np.int64) % p
-    # each matmul sums k <= 14 products of residues below 2**26: < 2**56
+    # each matmul sums k <= 15 products of residues below 2**26: < 2**56
     points = (points - w @ points % p) % p
     plan = _plan(points.shape[1], degree, p)
     series = _atoms(points, plan)

@@ -184,19 +184,39 @@ class TestDefectTable:
         code, _, err = run(["defect-table", "--n", "9"], capsys)
         assert code == cli.EXIT_INPUT
 
-    @pytest.mark.parametrize("n", ["8", "4..9"])
-    def test_envelope_checked_before_any_row(self, capsys, monkeypatch, n):
-        # default_k_range(8, 3) runs to k = 15, past MAX_K = 14
+    @pytest.mark.parametrize("n,cell", [("8", "(n=8, k=16, d=4)"),
+                                        ("4..9", "(n=5, k=16, d=4)")],
+                             ids=["8", "4..9"])
+    def test_envelope_checked_before_any_row(self, capsys, monkeypatch, n,
+                                             cell):
+        # default_k_range(n, 4) runs past MAX_K = 15 from n = 5 on
         calls = []
         monkeypatch.setattr(geometry, "defect_report",
                             lambda *a, **kw: calls.append(a))
-        code, out, err = run(["defect-table", "--n", n, "--d", "3"], capsys)
+        code, out, err = run(["defect-table", "--n", n, "--d", "4"], capsys)
         assert code == cli.EXIT_INPUT
         assert out == ""
         error = strict_json(err)["error"]
         assert error["code"] == "PRECONDITION"
-        assert "(n=8, k=15, d=3)" in error["message"]
+        assert cell in error["message"]
         assert calls == []
+
+    def test_default_k_range_at_order_three_is_inside_the_envelope(self):
+        for n in range(1, geometry.MAX_N + 1):
+            for k in geometry.default_k_range(n, 3):
+                geometry.check_envelope(n, k, 3)
+        assert geometry.default_k_range(geometry.MAX_N, 3)[-1] == \
+            geometry.MAX_K
+
+    def test_largest_dimension_at_its_default_k_range(self, capsys):
+        # default_k_range(8, 3) runs to k = 15, and MAX_K was 14: the
+        # command refused its own default
+        code, out, _ = run(["defect-table", "--n", "8", "--d", "3", "--check",
+                            "--format", "json"], capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["check"]["passed"]
+        assert [r["k"] for r in payload["rows"]] == list(range(2, 16))
 
     @pytest.mark.parametrize("n,d", [("8", "100"), ("1..2", "5..100"),
                                      ("9", "3")])
@@ -533,6 +553,23 @@ class TestSimulateAndFit2:
         assert small["weights"] == pytest.approx(est["weights"], rel=1e-12)
         for mean, other in zip(est["means"], small["means"]):
             assert [x / 1e-4 for x in other] == pytest.approx(mean, rel=1e-9)
+
+    def test_noise_column_in_any_unit_does_not_pivot(self, capsys, tmp_path):
+        # column 0 separates nothing; scaled by 10 or more it took the
+        # pivot by its raw third cumulant, and the fit exited 0 with
+        # weight 2.1e-5
+        data = models.sample_mixture(models.HomoscedasticParams(
+            means=[[0.0, 0.0], [0.0, 3.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.0], [0.0, 1.0]]), 100_000, seed=1)
+        for t in (1.0, 10.0, 100.0, 1e6):
+            path = tmp_path / f"scaled{t}.csv"
+            np.savetxt(path, data * [t, 1.0], fmt="%.17g", delimiter=",")
+            code, out, _ = run(["fit2", "--order", "4", "--input", str(path)],
+                               capsys)
+            assert code == 0, out
+            est, = strict_json(out)["estimates"]
+            assert est["diagnostics"]["pivot"] == 1
+            assert est["weights"][0] == pytest.approx(0.2978848, abs=1e-7), t
 
     def test_order_four_returns_pair(self, capsys, tmp_path):
         params = self._write_params(tmp_path)
@@ -968,15 +1005,27 @@ class TestFit1d:
         for fit in fits[1:]:
             assert fit == pytest.approx(fits[0], abs=1e-9)
 
+    def test_negative_weight_is_refused(self):
+        # a negative fourth moment: the fit exited 0 with weights 1.5 and
+        # -0.5
+        code, out, err = run_captured(["fit1d", "--k", "2",
+                                       "--moments=-0.5,0.5,-2,-0.5"])
+        assert (code, out) == (cli.EXIT_MODEL, "")
+        error = strict_json(err)["error"]
+        assert error["code"] == "MODEL_MISMATCH"
+        head, weight = error["message"].rsplit(" ", 1)
+        assert head == "the fit is no mixture: quadrature weight 1 is"
+        assert float(weight) == pytest.approx(-0.5, abs=1e-9)
+
     @pytest.mark.parametrize("args,digest", [
         ("--k 2 --moments 1.05,1.85,2.77,5.00",
-         "4b602fc9c8cfcf335c64484145f244d6a086cd102f6790c7eaaf2cbdeef46ff0"),
+         "1022841b7af9582f410fa8f2cce67c8f40f616c74f93102ca63402db794f6458"),
         ("--k 1 --moments=-1,3",
-         "45e4a9d26ce788aaadca8fc8c74d7e1ad821152dc37dd91cb622b335870295ab"),
+         "74b07765ac352e5591ac5480551e6e4f3e89bf366fd060ae4bd0b74206fca737"),
         ("--k 3 --moments 0.5,2.1,2.3,9.0,12.0,50.0",
-         "1fe8cb809dcacf5902f10958ff14136dc429800e7c714b5519be21fbceaac051"),
+         "12a5b2ca2ca46214d50e031a1ffa689a86413a2ac757130d86e3ba0ed19c1aa7"),
         ("--k 2 --input {csv}",
-         "9378bde71d7b7eb4f8501a866ed87a44e778deb0a2ac2be1101b2300069785a1"),
+         "beb1ed592a9ebfa8bce150d89573d8705efadced9bd71437b3020954d4e9a973"),
     ], ids=["k2", "k1-negative", "k3", "k2-csv"])
     def test_output_is_pinned(self, capsys, tmp_path, args, digest):
         # byte-stable stdout of the variance-polynomial path

@@ -260,6 +260,36 @@ class TestSampleCumulants:
             fit(1e-90)
         assert caught.value.code == "INPUT_RANGE"
 
+    @pytest.mark.parametrize("params,order", [
+        (models.HomoscedasticParams(
+            means=[[0.0, 0.0], [2.5, 1.0]], weights=[0.3, 0.7],
+            cov=[[1.0, 0.3], [0.3, 0.8]]), 5),
+        (models.HomoscedasticParams(
+            means=[[1.2, -0.8, 0.5], [-0.6, 0.4, -0.25]],
+            weights=[0.35, 0.65],
+            cov=[[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.6]]), 4),
+    ], ids=["2d-fifth-order", "3d-fourth-order"])
+    def test_fit_is_column_scale_equivariant(self, params, order):
+        # the raw largest |kappa_iii| moved the pivot under a unit change
+        # of one column: the weight moved by up to 0.016 and a mean by up
+        # to 0.22 standard deviations
+        sample = models.sample_mixture(params, 20_000, seed=7)
+        sd = sample.std(axis=0)
+        unit = estimate.fit_two_gaussians(
+            estimate.sample_cumulants(sample, order), order)
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            # powers of two scale every float exactly
+            scale = 2.0 ** rng.integers(-40, 40, size=sample.shape[1])
+            est = estimate.fit_two_gaussians(
+                estimate.sample_cumulants(sample * scale, order), order)
+            assert est.diagnostics["pivot"] == unit.diagnostics["pivot"]
+            assert est.params.weights == pytest.approx(unit.params.weights,
+                                                       abs=1e-12)
+            gaps = (np.asarray(est.params.means) / scale
+                    - np.asarray(unit.params.means)) / sd
+            assert np.abs(gaps).max() <= 1e-12, scale
+
 
 class TestTwoPointCoefficients:
     def test_equal_weights_kill_odd_orders(self):
