@@ -25,13 +25,17 @@ B holding the rows w_i u_j E_i / D and (E_i - E_k) / D (i < k) at orders
 >= 3.  For a Dirac mixture rank J = n + the rank of those rows at orders
 >= 2; a mixture at d = 1 splits off only n.
 
-Ranks are computed exactly.  At each random point, whose atoms and
-weights are integers, B is read off these series as residues mod a prime
-p below 2**26 (``exactla.PRIMES``), its own prime for each point, and
-ranked over GF(p).  The atoms are first centred at their weighted mean
-mod p: E_i / D does not move when every atom moves by the same vector,
-and the centred D has no order-1 term, so 1 - D starts at order 2 and
-D^-1 = sum_j (1 - D)^j needs only the j <= d/2 (at d = 3, D^-1 = 2 - D).
+Ranks are computed exactly.  A random point, for both families, is one
+draw of integer atoms and weights in [-COORD_BOUND, COORD_BOUND] from a
+``random.Random`` seeded by ``_mix_seed(seed, n, k, d, trial)``, the
+last weight one minus the others' sum, redrawn until the atoms are
+distinct and every weight is nonzero (``_point``).  At each point B is
+read off these series as residues mod a prime p below 2**26
+(``exactla.PRIMES``), its own prime for each point, and ranked over
+GF(p).  The atoms are first centred at their weighted mean mod p: E_i / D
+does not move when every atom moves by the same vector, and the centred
+D has no order-1 term, so 1 - D starts at order 2 and D^-1 =
+sum_j (1 - D)^j needs only the j <= d/2 (at d = 3, D^-1 = 2 - D).
 Series live in numpy int64 arrays of generating coefficients m_a / a!
 on ``series.index_table``, the one table of multi-indices every series
 shares.  E_i[a] is E_i at the parent a - e_c (c the last nonzero
@@ -111,31 +115,6 @@ def _mix_seed(seed, n, k, d, trial):
 
 # ----------------------------------------------------------------------
 # Jacobians at exact points, as residues mod p
-
-
-def _draw(rng, count):
-    """``count`` draws of ``rng.randint(-COORD_BOUND, COORD_BOUND)``, by
-    the rejection that ``randint`` runs: ``getrandbits`` of the bit
-    length of the range's width until a value falls below the width."""
-    width = 2 * COORD_BOUND + 1
-    bits = width.bit_length()
-    getrandbits = rng.getrandbits
-    values = []
-    for _ in range(count):
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        values.append(r - COORD_BOUND)
-    return values
-
-
-def _chunks(values, size):
-    return [values[i:i + size] for i in range(0, len(values), size)]
-
-
-def _all_weights(free):
-    """The free weights and the last one, eliminated as one minus their sum."""
-    return free + [1 - sum(free)]
 
 
 def _inverse(x, p):
@@ -303,42 +282,30 @@ def _block(atoms, weights, degree, lowest, p):
                          plan.table.order.searchsorted(lowest))
 
 
-def _mixture_point(n, k, rng):
-    """Random distinct integer means and nonzero weights of a k-component
-    mixture; B does not depend on the covariance, so none is drawn."""
+def _point(n, k, rng):
+    """Integer atoms (k lists of n) and weights of a random point drawn
+    from the ``random.Random`` ``rng`` (module docstring); B needs no
+    covariance, so none is drawn."""
     while True:
-        means = _chunks(_draw(rng, k * n), n)
-        if len(set(map(tuple, means))) == k:
-            break
-    weights = _all_weights(_draw(rng, k - 1))
-    if 0 in weights:
-        return _mixture_point(n, k, rng)
-    return means, weights
+        values = rng.choices(range(-COORD_BOUND, COORD_BOUND + 1),
+                             k=k * n + k - 1)
+        atoms = [values[i:i + n] for i in range(0, k * n, n)]
+        weights = values[k * n:] + [1 - sum(values[k * n:])]
+        if all(weights) and len(set(map(tuple, atoms))) == k:
+            return atoms, weights
 
 
-def _mixture_block(n, k, d, rng, p):
-    return _block(*_mixture_point(n, k, rng), d, 3, p)
+def _point_ranks(lowest, ceiling, seed, n, k, d):
+    """Jacobian ranks at random points, each under its own prime: the
+    count split off below order ``lowest`` plus the rank of B.  One point
+    when its rank meets ``ceiling``, the row's upper bound (the dimension
+    count or, at d = 3, the paper's theorem); else two, or three when the
+    first two disagree (module docstring)."""
+    split = ambient_dim(n, min(d, lowest - 1))
 
-
-def _veronese_point(n, k, rng):
-    """Random integer atoms and weights of a k-atom Dirac mixture."""
-    values = _draw(rng, k * n + k - 1)
-    return _chunks(values[:k * n], n), _all_weights(values[k * n:])
-
-
-def _veronese_block(n, k, d, rng, p):
-    return _block(*_veronese_point(n, k, rng), d, 2, p)
-
-
-def _point_ranks(block_at, split, ceiling, seed, n, k, d):
-    """Jacobian ranks, ``split`` plus the rank of the block ``block_at``
-    builds, at random points, each under its own prime: one point when
-    its rank meets ``ceiling``, the row's upper bound (the dimension
-    count or, at d = 3, the paper's theorem); else two, or three when
-    the first two disagree (module docstring)."""
     def rank_at(trial):
         rng = random.Random(_mix_seed(seed, n, k, d, trial))
-        block = block_at(n, k, d, rng, PRIMES[trial])
+        block = _block(*_point(n, k, rng), d, lowest, PRIMES[trial])
         # a list of int64 rows: perfbench/tracer.py sizes rank's argument
         # with ``if matrix``, which raises on an ndarray
         return split + rank(list(block), PRIMES[trial])
@@ -368,7 +335,9 @@ class DefectReport:
     dim: int          # computed variety dimension
     fiber_dim: int    # par - dim
     defect: int       # fiber_dim - max(par - ambient, 0)
-    ranks: tuple      # Jacobian rank at each random point, in draw order:
+    ranks: tuple      # Jacobian rank at each random point (integers in
+                      # [-COORD_BOUND, COORD_BOUND] from a random.Random
+                      # seeded by seed, cell and trial), in draw order:
                       # one point when it meets the row's upper bound,
                       # min(par, ambient) or, at d = 3, the paper's theorem
     seed: int
@@ -392,10 +361,10 @@ class DefectReport:
         }
 
 
-def _report(n, k, d, par, block_at, split, seed, defect=0):
+def _report(n, k, d, par, lowest, seed, defect=0):
     ambient = ambient_dim(n, d)
     expected = min(par, ambient)
-    ranks = _point_ranks(block_at, split, expected - defect, seed, n, k, d)
+    ranks = _point_ranks(lowest, expected - defect, seed, n, k, d)
     dim = max(ranks)
     fiber = par - dim
     return DefectReport(n=n, k=k, d=d, par=par, ambient=ambient,
@@ -407,18 +376,17 @@ def _report(n, k, d, par, block_at, split, seed, defect=0):
 def defect_report(n, k, d, seed=0):
     """Classify the (n, k, d) homoscedastic secant by exact generic rank."""
     n, k, d, seed = check_envelope(n, k, d, seed)
-    # translations span order 1, the covariance order 2; at d = 3 the
-    # paper's theorem bounds the dimension
-    return _report(n, k, d, parameter_count(n, k), _mixture_block,
-                   ambient_dim(n, min(d, 2)), seed,
+    # B starts at order 3: translations span order 1, the covariance
+    # order 2; at d = 3 the paper's theorem bounds the dimension
+    return _report(n, k, d, parameter_count(n, k), 3, seed,
                    predicted_defect_order3(n, k) if d == 3 else 0)
 
 
 def veronese_report(n, k, d, seed=0):
     """Dimension data for the k-secant of the Dirac moment variety."""
     n, k, d, seed = check_envelope(n, k, d, seed)
-    # translations span order 1
-    return _report(n, k, d, n * k + k - 1, _veronese_block, n, seed)
+    # B starts at order 2: translations span order 1
+    return _report(n, k, d, n * k + k - 1, 2, seed)
 
 
 # ----------------------------------------------------------------------

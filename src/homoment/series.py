@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (DimensionMismatchError, InputError, PreconditionError,
-                     check_integers, finite_floats)
+                     check_integers, exact_or_finite, finite_floats)
 
 # the largest series a command builds: fit2 --order 5 on 8 columns
 _MAX_COST = 5 * comb(2 * 8 + 5, 5)
@@ -442,9 +442,21 @@ def exact_shift(moments, nvars, degree, j):
     float, :func:`multi_indices` order) moved to the mean of variable j,
     ``moments[j]``, exactly: a Taylor shift, ``degree`` passes of m_a +=
     -m_j m_(a - e_j) over the index table (pass i where a_j > i, highest
-    position first), in ``Fraction``, so the new ``moments[j]`` is 0."""
-    m = np.array([Fraction(1), *map(Fraction, moments)], dtype=object)
-    table, shift = index_table(nvars, degree), -m[j + 1]
+    position first), in ``Fraction``, so the new ``moments[j]`` is 0.
+    ``nvars`` or ``degree`` not an integer of at least 1, or ``j`` not
+    one of at least 0, is ``PreconditionError``; j >= nvars, or a length
+    other than the table's less its constant, ``DIMENSION_MISMATCH``; an
+    entry neither exact nor finite ``INPUT_PARSE``."""
+    nvars, degree = check_integers(1, nvars=nvars, degree=degree)
+    j, = check_integers(0, j=j)
+    table = index_table(nvars, degree)
+    if j >= nvars or len(moments) != len(table.order) - 1:
+        raise DimensionMismatchError(
+            f"exact_shift needs j < {nvars} and {len(table.order) - 1} "
+            f"moments, got j = {j} and {len(moments)}")
+    m = np.array([Fraction(1), *map(Fraction, exact_or_finite(
+        moments, "moments"))], dtype=object)
+    shift = -m[j + 1]
     for i in range(degree):
         at = np.flatnonzero(table.exponents[:, j] > i)
         m[at] += shift * m[table.down[j, at]]

@@ -129,12 +129,20 @@ class TestDefectTable:
             assert payload["check"] == {"passed": False,
                                         "mismatches": [mismatch]}
         elif fmt == "table":
-            assert out.splitlines()[-2:] == ["check: MISMATCH (2 rows)",
-                                             "  " + mismatch]
+            assert out.splitlines()[-2:] == [
+                "check: MISMATCH (1 of 2 rows at d = 3)", "  " + mismatch]
         else:
             # csv carries the rows only
             assert [line.split(",")[2] for line in out.splitlines()] == \
                 ["d", "3", "4"]
+
+    def test_check_counts_the_rows_it_compares(self, capsys):
+        # the classifier and the published table cover d = 3 alone: no d = 4
+        # row is compared, and the summary said "ok (9 rows)"
+        code, out, _ = run(["defect-table", "--n", "1..2", "--d", "3..4",
+                            "--check"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "check: ok (4 of 9 rows at d = 3)"
 
     @pytest.mark.parametrize("defect", [3, 1],
                              ids=["overstated", "understated"])
@@ -303,11 +311,14 @@ class TestDefectTable:
             "26e43956945dc5f00b186fa2f6871d3240c5f8df353c4d2a13448e323b542b9b")
 
     def test_veronese_envelope_is_pinned(self):
-        # every Dirac cell with n <= 4, k <= 6 and d = 3..6
+        # every Dirac cell of the envelope, n <= 8, k <= 12 and d = 1..6,
+        # the 31 rows that rank two points included
         rows = [geometry.veronese_report(n, k, d, seed=0).as_dict()
-                for n in range(1, 5) for k in range(1, 7) for d in range(3, 7)]
+                for n in range(1, 9) for k in range(1, 13)
+                for d in range(1, 7)]
+        assert sum(row["points"] == 2 for row in rows) == 31
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-            "6e21f784053c4589422d12f5fb478175d840bea1dd84882375787498ae184a96")
+            "280b19cf7afc309ee60c3c1df4f8f6947d52705389f6f1dbbd0d9d90628dd457")
 
     def test_row_does_not_depend_on_its_table(self, capsys):
         # each row draws from its own stream: the same row, ranks

@@ -386,34 +386,28 @@ def symmetric(upper, n):
     return m
 
 
+def covariance(n, rng):
+    """A symmetric integer n x n matrix, its upper triangle drawn from
+    ``rng`` in [-COORD_BOUND, COORD_BOUND]."""
+    bound = geometry.COORD_BOUND
+    return symmetric(rng.choices(range(-bound, bound + 1),
+                                 k=n * (n + 1) // 2), n)
+
+
 def mixture_point(n, k, rng):
     """A whole mixture point for the whole Jacobian: the means and weights
-    ``geometry._mixture_point`` draws, then a covariance drawn after them
-    from the same stream."""
-    means, weights = geometry._mixture_point(n, k, rng)
-    cov = symmetric(geometry._draw(rng, n * (n + 1) // 2), n)
-    return SimpleNamespace(means=means, weights=weights, cov=cov)
+    ``geometry._point`` draws, then a covariance drawn after them from the
+    same stream."""
+    means, weights = geometry._point(n, k, rng)
+    return SimpleNamespace(means=means, weights=weights,
+                           cov=covariance(n, rng))
 
 
-def mixture_block_oracle(n, k, d, rng):
-    return fraction_block(*geometry._mixture_point(n, k, rng), d, 3)
-
-
-# the oracle over Q of each residue block at the point it draws from ``rng``
-ORACLES = {
-    "_mixture_block": mixture_block_oracle,
-    "_veronese_block": lambda n, k, d, rng: fraction_block(
-        *geometry._veronese_point(n, k, rng), d, 2),
-}
-
-# The block behind each Jacobian rank, with the lowest order it keeps:
-# the mixture's, the Dirac mixture's, and that of the centered cumulant
-# map, which ``centered_cumulant_rank`` ranks as the mixture block.
-BLOCKS = {
-    "_mixture_jacobian": ("_mixture_block", 3),
-    "_veronese_jacobian": ("_veronese_block", 2),
-    "_centered_jacobian": ("_mixture_block", 3),
-}
+# The lowest order of the block behind each Jacobian rank: the mixture's,
+# the Dirac mixture's, and that of the centered cumulant map, which
+# ``centered_cumulant_rank`` ranks as the mixture block.
+BLOCKS = {"_mixture_jacobian": 3, "_veronese_jacobian": 2,
+          "_centered_jacobian": 3}
 
 
 @pytest.mark.parametrize("builder,n,k,d", [
@@ -422,8 +416,9 @@ BLOCKS = {
 ])
 @pytest.mark.parametrize("p", PRIMES)
 def test_builders_return_int64_residue_rows(builder, n, k, d, p):
-    name, lowest = BLOCKS[builder]
-    block = getattr(geometry, name)(n, k, d, random.Random(n + k + d), p)
+    lowest = BLOCKS[builder]
+    block = geometry._block(*geometry._point(n, k, random.Random(n + k + d)),
+                            d, lowest, p)
     columns = len(moment_columns(n, d, lowest))
     assert isinstance(block, np.ndarray) and block.dtype == np.int64
     assert block.shape == ((k - 1) * (n + 1), columns)
@@ -451,21 +446,10 @@ class TestMomentJacobian:
         # any change to the order of random draws changes it
         rng = random.Random(geometry._mix_seed(0, 1, 2, 3, 0))
         jac = fraction_moment_map_jacobian(mixture_point(1, 2, rng), 3)
-        assert jac == [[-956, -922540, -444730244],
-                       [957, -562716, Fraction(330085569, 2)],
-                       [1553, Fraction(585481, 2), Fraction(549038302, 3)],
-                       [0, Fraction(1, 2), -742628]]
-
-    def test_draw_replays_randint(self):
-        # the same coordinates as randint, and the stream left in the same
-        # state for the draws that follow
-        for seed in range(50):
-            rng, twin = random.Random(seed), random.Random(seed)
-            count = seed % 13 + 1
-            assert geometry._draw(rng, count) == [
-                twin.randint(-geometry.COORD_BOUND, geometry.COORD_BOUND)
-                for _ in range(count)]
-            assert rng.getstate() == twin.getstate()
+        assert jac == [[902, 829840, 382090357],
+                       [-901, 862257, -412953528],
+                       [1877, Fraction(-69449, 2), Fraction(829849855, 3)],
+                       [0, Fraction(1, 2), Fraction(1692097, 2)]]
 
     def test_each_point_has_its_own_prime(self, monkeypatch):
         moduli = []
@@ -546,10 +530,9 @@ class TestTangentsMatchForwardMaps:
 
     @pytest.mark.parametrize("n,k,d", [(1, 2, 3), (2, 3, 4), (3, 2, 5)])
     def test_veronese(self, n, k, d):
-        # the builder draws its point from rng; a twin stream replays it
-        rng, twin = random.Random(d), random.Random(d)
-        jac = fraction_veronese_jacobian(*geometry._veronese_point(n, k, rng), d)
-        free = geometry._draw(twin, k * n + k - 1)
+        atoms, weights = geometry._point(n, k, random.Random(d))
+        jac = fraction_veronese_jacobian(atoms, weights, d)
+        free = [x for atom in atoms for x in atom] + weights[:-1]
         cols = moment_columns(n, d)
         assert len(jac) == len(free)
         for r, row in enumerate(jac):
@@ -563,7 +546,7 @@ class TestTangentsMatchForwardMaps:
         # the rows of B are the tangents of log D, the cumulant series of
         # the Dirac mixture, along the first k - 1 atoms and weights; B is
         # also the Jacobian of the centered cumulant map at orders >= 3
-        means, weights = geometry._mixture_point(n, k, random.Random(d))
+        means, weights = geometry._point(n, k, random.Random(d))
         block = fraction_block(means, weights, d, 2)
         free = [x for mean in means for x in mean] + weights[:-1]
         along = [r for r in range(len(free)) if not (k - 1) * n <= r < k * n]
@@ -575,23 +558,22 @@ class TestTangentsMatchForwardMaps:
                     dirac_point(x, n, k), d), free, r, d, cols)
 
 
-def check_against_oracle(monkeypatch, builder):
-    """Make ``geometry.<builder>`` compare every block it returns with
-    the oracle over Q, reduced mod p, at the point a twin of its random
-    stream draws.  Returns the list of (n, k, d, p) checked."""
-    real = getattr(geometry, builder)
+def check_against_oracle(monkeypatch):
+    """Make ``geometry._block`` compare every block it returns with the
+    oracle over Q, ``fraction_block`` reduced mod p, at the same point.
+    Returns the list of (n, k, d, p) checked."""
+    real = geometry._block
     checked = []
 
-    def checking(n, k, d, rng, p):
-        twin = random.Random()
-        twin.setstate(rng.getstate())
-        block = real(n, k, d, rng, p)
-        expected = reduced(ORACLES[builder](n, k, d, twin), p)
+    def checking(atoms, weights, d, lowest, p):
+        block = real(atoms, weights, d, lowest, p)
+        n, k = len(atoms[0]), len(atoms)
+        expected = reduced(fraction_block(atoms, weights, d, lowest), p)
         assert block.tolist() == expected, (n, k, d, p)
         checked.append((n, k, d, p))
         return block
 
-    monkeypatch.setattr(geometry, builder, checking)
+    monkeypatch.setattr(geometry, "_block", checking)
     return checked
 
 
@@ -634,7 +616,7 @@ class TestResiduesMatchFractionOracle:
     def test_table_draws(self, monkeypatch, n):
         # every draw behind C01 and C02 (k = 1..12 at d = 3, seed 0) and
         # behind the pinned --n 1..4 --d 3..4 digest
-        checked = check_against_oracle(monkeypatch, "_mixture_block")
+        checked = check_against_oracle(monkeypatch)
         cells = [(k, 3) for k in range(1, 13)]
         if n <= 4:
             cells += [(k, 4) for k in geometry.default_k_range(n, 4)]
@@ -648,24 +630,24 @@ class TestResiduesMatchFractionOracle:
         # short would, and check them as the reports' draws are checked
         p = PRIMES[trial]
         for n, k, d in DEFECTIVE_CELLS:
-            seed = geometry._mix_seed(0, n, k, d, trial)
-            block = geometry._mixture_block(n, k, d, random.Random(seed), p)
+            rng = random.Random(geometry._mix_seed(0, n, k, d, trial))
+            params = mixture_point(n, k, rng)
+            block = geometry._block(params.means, params.weights, d, 3, p)
             assert block.tolist() == reduced(
-                mixture_block_oracle(n, k, d, random.Random(seed)), p), (n, k)
-            whole = geometry.moment_map_jacobian(
-                mixture_point(n, k, random.Random(seed)), d, p)
+                fraction_block(params.means, params.weights, d, 3), p), (n, k)
+            whole = geometry.moment_map_jacobian(params, d, p)
             split = n + n * (n + 1) // 2
             assert split + rank(list(block), p) == rank(whole, p), (n, k)
 
     def test_veronese_report_draws(self, monkeypatch):
-        checked = check_against_oracle(monkeypatch, "_veronese_block")
+        checked = check_against_oracle(monkeypatch)
         cases = [(2, 5, 4), (3, 2, 2), (4, 3, 2), (1, 2, 3)]
         reports = [geometry.veronese_report(n, k, d, seed=0)
                    for n, k, d in cases]
         assert len(checked) == sum(r.points for r in reports)
 
     def test_centered_rank_draws(self, monkeypatch):
-        checked = check_against_oracle(monkeypatch, "_mixture_block")
+        checked = check_against_oracle(monkeypatch)
         cases = [(2, 2), (5, 7), (2, 3), (4, 3)]
         for n, k in cases:
             centered_cumulant_rank(n, k, 3, seed=0)
@@ -680,10 +662,10 @@ class TestResiduesMatchFractionOracle:
     ])
     def test_tangent_case_draws(self, monkeypatch, builder, n, k, d):
         # the points of TestTangentsMatchForwardMaps, under every prime
-        name, _ = BLOCKS[builder]
-        checked = check_against_oracle(monkeypatch, name)
+        checked = check_against_oracle(monkeypatch)
         for p in PRIMES:
-            getattr(geometry, name)(n, k, d, random.Random(d), p)
+            geometry._block(*geometry._point(n, k, random.Random(d)), d,
+                            BLOCKS[builder], p)
         assert len(checked) == len(PRIMES)
 
 
@@ -742,27 +724,25 @@ class TestSeriesPlan:
                 array[...] = 0
 
 
-def check_split(monkeypatch, builder, whole):
-    """Make ``geometry.<builder>`` check at every point it draws that the
-    count split off plus the rank of its block is the rank of the whole
-    Jacobian ``whole(n, k, d, twin, p)`` under the same prime.  Returns
-    the list of (n, k, d, p) checked."""
-    real = getattr(geometry, builder)
+def check_split(monkeypatch, whole):
+    """Make ``geometry._block`` check at every point it is built at that
+    the count split off plus the rank of the block is the rank of the
+    whole Jacobian ``whole(atoms, weights, d, p)`` there under the same
+    prime.  Returns the list of (n, k, d, p) checked."""
+    real = geometry._block
     checked = []
 
-    def checking(n, k, d, rng, p):
-        twin = random.Random()
-        twin.setstate(rng.getstate())
-        block = real(n, k, d, rng, p)
+    def checking(atoms, weights, d, lowest, p):
+        block = real(atoms, weights, d, lowest, p)
+        n, k = len(atoms[0]), len(atoms)
         # translations span order 1; a mixture's covariance spans order 2
-        split = n + (n * (n + 1) // 2 if builder == "_mixture_block"
-                     and d >= 2 else 0)
-        assert split + rank(list(block), p) == rank(whole(n, k, d, twin, p),
-                                                    p), (n, k, d, p)
+        split = n + (n * (n + 1) // 2 if lowest == 3 and d >= 2 else 0)
+        assert split + rank(list(block), p) == rank(
+            whole(atoms, weights, d, p), p), (n, k, d, p)
         checked.append((n, k, d, p))
         return block
 
-    monkeypatch.setattr(geometry, builder, checking)
+    monkeypatch.setattr(geometry, "_block", checking)
     return checked
 
 
@@ -780,19 +760,21 @@ class TestSplitRank:
 
     @pytest.mark.parametrize("cells", MIXTURE_CELLS)
     def test_mixture(self, monkeypatch, cells):
-        checked = check_split(
-            monkeypatch, "_mixture_block",
-            lambda n, k, d, rng, p: geometry.moment_map_jacobian(
-                mixture_point(n, k, rng), d, p))
+        # the split holds at any covariance
+        def whole(means, weights, d, p):
+            cov = covariance(len(means[0]), random.Random(p))
+            return geometry.moment_map_jacobian(
+                SimpleNamespace(means=means, weights=weights, cov=cov), d, p)
+
+        checked = check_split(monkeypatch, whole)
         reports = [geometry.defect_report(n, k, d, seed=0)
                    for n, k, d in MIXTURE_CELLS[cells]]
         assert len(checked) == sum(r.points for r in reports)
 
     def test_veronese(self, monkeypatch):
         checked = check_split(
-            monkeypatch, "_veronese_block",
-            lambda n, k, d, rng, p: reduced(fraction_veronese_jacobian(
-                *geometry._veronese_point(n, k, rng), d), p))
+            monkeypatch, lambda atoms, weights, d, p: reduced(
+                fraction_veronese_jacobian(atoms, weights, d), p))
         cells = [(n, k, d) for n, d, k in VERONESE_SPORADIC]
         cells += [(n, k, d) for n in (1, 2, 3, 4) for d in (1, 2)
                   for k in range(1, 6)]
@@ -806,12 +788,13 @@ class TestCeiling:
     """The ceiling a report hands ``_point_ranks``, min(par, ambient), is
     the count split off plus min(rows, cols) of B on every cell."""
 
-    @pytest.mark.parametrize("builder", ["_mixture_block", "_veronese_block"])
-    def test_split_plus_block_bound(self, builder):
+    @pytest.mark.parametrize("lowest", [3, 2],
+                             ids=["_mixture_block", "_veronese_block"])
+    def test_split_plus_block_bound(self, lowest):
         for n, k, d in ENVELOPE:
-            block = getattr(geometry, builder)(n, k, d, random.Random(0),
-                                               PRIMES[0])
-            if builder == "_mixture_block":
+            block = geometry._block(*geometry._point(n, k, random.Random(0)),
+                                    d, lowest, PRIMES[0])
+            if lowest == 3:
                 par = geometry.parameter_count(n, k)
                 # translations span order 1, the covariance order 2
                 split = n + (n * (n + 1) // 2 if d >= 2 else 0)
@@ -845,10 +828,9 @@ class TestEmptyBlocks:
     def test_rows(self, report, n, k, d, row, ranks):
         got = getattr(geometry, report)(n, k, d, seed=0)
         assert (got.as_row(), got.ranks) == (row, ranks)
-        builder, lowest = {"defect_report": ("_mixture_block", 3),
-                           "veronese_report": ("_veronese_block", 2)}[report]
-        block = getattr(geometry, builder)(n, k, d, random.Random(0),
-                                            PRIMES[0])
+        lowest = {"defect_report": 3, "veronese_report": 2}[report]
+        block = geometry._block(*geometry._point(n, k, random.Random(0)), d,
+                                lowest, PRIMES[0])
         assert block.shape == ((k - 1) * (n + 1),
                                len(moment_columns(n, d, lowest)))
         assert 0 in block.shape
@@ -874,8 +856,8 @@ class TestDefectReports:
     @pytest.mark.parametrize("ranks,expected", [
         (lambda: geometry.defect_report(4, 5, 3, seed=0).ranks, (34,)),
         (lambda: geometry.veronese_report(1, 2, 3, seed=0).ranks, (3,)),
-        (lambda: geometry._point_ranks(geometry._mixture_block, 0, 4, 0,
-                                       2, 3, 3), (4,)),
+        # the 5 coordinates of orders 1 and 2 split off, then B's 4 rows
+        (lambda: geometry._point_ranks(3, 5 + 4, 0, 2, 3, 3), (5 + 4,)),
     ], ids=["mixture", "veronese", "centered"])
     def test_full_rank_point_certifies_alone(self, ranks, expected):
         # no rank exceeds min(rows, cols), so one point reaching it is the
@@ -1041,9 +1023,8 @@ class TestClassifier:
     def test_second_band_matches_computed_defect(self, n, k, expected):
         # the band six_lo <= 6k < six_hi starts at n = 9, past MAX_N, so
         # the report is taken without the envelope
-        report = geometry._report(n, k, 3, geometry.parameter_count(n, k),
-                                  geometry._mixture_block,
-                                  geometry.ambient_dim(n, 2), 0)
+        report = geometry._report(n, k, 3, geometry.parameter_count(n, k), 3,
+                                  0)
         assert report.defect == expected
         assert geometry.predicted_defect_order3(n, k) == expected
 

@@ -14,7 +14,8 @@ from conftest import (DictSeries, allclose, dict_exp, dict_log,
                       dict_multi_indices, rand_fraction, rand_series)
 from homoment import estimate, ranktest
 from homoment import series as ts
-from homoment.errors import DimensionMismatchError, PreconditionError
+from homoment.errors import (DimensionMismatchError, InputError,
+                             PreconditionError)
 
 
 class TestMul:
@@ -286,6 +287,28 @@ class TestExactShift:
         assert shifted == moments(moved)
         assert all(type(m) is Fraction for m in shifted)
         assert shifted[j] == 0
+
+    @pytest.mark.parametrize("moments,nvars,degree,j,code", [
+        # j = -1 shifted by the order-0 term; the others raised a bare
+        # IndexError, ValueError or OverflowError
+        ([2, 5, 14], 1, 3, -1, "PRECONDITION"),
+        ([2, 5, 14], 1, 3, 1.0, "PRECONDITION"),
+        ([2, 5, 14], 1, 3, 1, "DIMENSION_MISMATCH"),
+        ([2, 5], 1, 3, 0, "DIMENSION_MISMATCH"),
+        ([2, 5, 14, 1], 1, 3, 0, "DIMENSION_MISMATCH"),
+        ([1, 2, 3, 4, 5], 2, 2, 2, "DIMENSION_MISMATCH"),
+        ([2, math.nan, 14], 1, 3, 0, "INPUT_PARSE"),
+        ([2, 5, -math.inf], 1, 3, 0, "INPUT_PARSE"),
+        ([], 1, 0, 0, "PRECONDITION"),
+        ([2], 1, 1.5, 0, "PRECONDITION"),
+        ([2, 5], 2.0, 1, 0, "PRECONDITION"),
+    ], ids=["j-negative", "j-float", "j-past-nvars", "short", "long",
+            "j-past-nvars-2d", "nan", "inf", "degree-0", "degree-float",
+            "nvars-float"])
+    def test_refuses(self, moments, nvars, degree, j, code):
+        with pytest.raises(InputError) as err:
+            ts.exact_shift(moments, nvars, degree, j)
+        assert err.value.code == code
 
 
 # ----------------------------------------------------------------------
